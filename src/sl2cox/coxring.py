@@ -43,7 +43,6 @@ from .ogpoly import (
     G3,
     G4,
     GPoly,
-    express_in_span,
     gr_nullspace,
 )
 from .presentation import (
@@ -312,18 +311,24 @@ def _basis_names(nbar: int, idx: str) -> list[str]:
 
 
 def _raising_matrix(mod: SectionModule):
-    """Matrix A with raise(fn_j) = sum_k A[k][j] * fn_k."""
-    cols = []
-    for f in mod.fns:
+    """Matrix A with raise(fn_j) = sum_k A[k][j] * fn_k.
+
+    The basis is a weight basis with distinct weights, so raise(fn_j) is a
+    multiple of the one fn_k of weight w_j + 2, or zero; the scalar is read
+    off one term and confirmed by exact equality.
+    """
+    A = [[gauss(0)] * mod.dim for _ in range(mod.dim)]
+    for j, f in enumerate(mod.fns):
         raised = f.raise_op()
         if raised.is_zero():
-            cols.append([gauss(0)] * mod.dim)
             continue
-        coeffs = express_in_span(list(mod.fns), raised)
-        if coeffs is None:
+        k = next((k for k, w in enumerate(mod.weights) if w == mod.weights[j] + 2), None)
+        mono, c = next(iter(raised.terms.items()))
+        base = mod.fns[k].terms.get(mono) if k is not None else None
+        if base is None or raised != mod.fns[k].scale(c / base):
             raise RuntimeError("raising operator does not stabilize a section module")
-        cols.append(coeffs)
-    return [[cols[j][i] for j in range(mod.dim)] for i in range(mod.dim)]
+        A[k][j] = c / base
+    return A
 
 
 def _augment(E: EmbeddingData) -> tuple[EmbeddingData, list[str]]:

@@ -73,9 +73,6 @@ class GaussianRational:
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
-    def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def __str__(self):
         if self.im == 0:
             return str(self.re)
@@ -135,9 +132,6 @@ class IntMatrix:
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
         return IntMatrix([[0] * cols for _ in range(rows)], cols=cols)
-
-    def copy(self) -> "IntMatrix":
-        return IntMatrix([row[:] for row in self.data], cols=self.cols)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],

@@ -121,9 +121,6 @@ class FiniteSubgroup:
     def char_add(self, a, b) -> tuple[int, ...]:
         return self.char_reduce(tuple(x + y for x, y in zip(a, b)))
 
-    def char_neg(self, a) -> tuple[int, ...]:
-        return self.char_reduce(tuple(-x for x in a))
-
     def char_scale(self, k: int, a) -> tuple[int, ...]:
         return self.char_reduce(tuple(k * x for x in a))
 
@@ -132,9 +129,6 @@ class FiniteSubgroup:
             return [(s, t) for s in range(2) for t in range(4) if (t - self.n * s) % 2 == 0]
         mod = {CYCLIC: self.n, TETRAHEDRAL: 3, OCTAHEDRAL: 2, ICOSAHEDRAL: 1}[self.kind]
         return [(k,) for k in range(mod)]
-
-    def char_group_order(self) -> int:
-        return len(self.char_elements())
 
     def char_subgroup(self, gens) -> frozenset[tuple[int, ...]]:
         """Closure of the given characters under the group law."""
@@ -159,17 +153,6 @@ class FiniteSubgroup:
     def char_is_cyclic_subgroup(self, sub) -> bool:
         order = len(sub)
         return any(self.char_order(g) == order for g in sub)
-
-    def char_group_name(self) -> str:
-        if self.kind == CYCLIC:
-            return f"Z/{self.n}"
-        if self.kind == TETRAHEDRAL:
-            return "Z/3"
-        if self.kind == OCTAHEDRAL:
-            return "Z/2"
-        if self.kind == ICOSAHEDRAL:
-            return "0"
-        return "Z/2 x Z/2" if self.n % 2 == 0 else "Z/4"
 
     # -- restriction weights of colors ----------------------------------------
 

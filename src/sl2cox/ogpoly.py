@@ -1,17 +1,24 @@
 """Exact polynomial arithmetic on the coordinate ring of SL2.
 
 O(SL2) = k[g1,g2,g3,g4]/(g1*g4 - g2*g3 - 1) over the Gaussian rationals.
-Monomials divisible by g1*g4 are rewritten through g1*g4 -> 1 + g2*g3, which
-gives a normal form (no monomial contains both g1 and g4), so equality is a
-dictionary comparison.
+The normal form has no monomial containing both g1 and g4, so equality is a
+dictionary comparison.  A monomial g1^a g2^b g3^c g4^d is reduced in one step
+by the binomial expansion of (g1*g4)^m = (1 + g2*g3)^m with m = min(a, d):
+
+    sum_i C(m, i) * g1^(a-m) g2^(b+i) g3^(c+i) g4^(d-m),
+
+which is already in normal form, so the cost is m + 1 terms, not the 2^m of
+rewriting one g1*g4 factor at a time.
 
 Under the left translation action the torus weights are -1 on g1, g2 and +1
 on g3, g4 (units of the fundamental character), the raising operator acts as
-the derivation g3*d/dg1 + g4*d/dg2 and the lowering operator as
-g1*d/dg3 + g2*d/dg4; U-invariants are exactly the polynomials in g3, g4.
+the derivation g3*d/dg1 + g4*d/dg2; U-invariants are exactly the polynomials
+in g3, g4.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .exactmath import GAUSS_ONE, GAUSS_ZERO, GaussianRational, gauss
 
@@ -30,21 +37,26 @@ class GPoly:
                 self._accumulate(terms)
 
     def _accumulate(self, terms):
-        work = list(terms.items())
-        while work:
-            m, c = work.pop()
-            if not c:
+        out = self.terms
+        for (a, b, c, d), coeff in terms.items():
+            if not coeff:
                 continue
-            a, b, cc, d = m
-            if a > 0 and d > 0:
-                work.append(((a - 1, b, cc, d - 1), c))
-                work.append(((a - 1, b + 1, cc + 1, d - 1), c))
-                continue
-            cur = self.terms.get(m, GAUSS_ZERO) + c
-            if cur:
-                self.terms[m] = cur
+            m = min(a, d)
+            if m:
+                expansion = [((a - m, b + i, c + i, d - m), coeff * comb(m, i))
+                             for i in range(m + 1)]
             else:
-                self.terms.pop(m, None)
+                expansion = (((a, b, c, d), coeff),)
+            for mono, x in expansion:
+                prev = out.get(mono)
+                if prev is None:
+                    out[mono] = x
+                    continue
+                cur = prev + x
+                if cur:
+                    out[mono] = cur
+                else:
+                    del out[mono]
 
     # -- constructors ----------------------------------------------------------
 
@@ -144,17 +156,6 @@ class GPoly:
             if b:
                 m = (a, b - 1, c, d + 1)
                 acc[m] = acc.get(m, GAUSS_ZERO) + coeff * b
-        return GPoly(acc)
-
-    def lower_op(self) -> "GPoly":
-        acc: dict[Mono, GaussianRational] = {}
-        for (a, b, c, d), coeff in self.terms.items():
-            if c:
-                m = (a + 1, b, c - 1, d)
-                acc[m] = acc.get(m, GAUSS_ZERO) + coeff * c
-            if d:
-                m = (a, b + 1, c, d - 1)
-                acc[m] = acc.get(m, GAUSS_ZERO) + coeff * d
         return GPoly(acc)
 
     def as_g34_monomial(self) -> tuple[GaussianRational, int, int] | None:

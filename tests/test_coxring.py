@@ -9,7 +9,9 @@ from sl2cox.coxring import (
     NotAffineShape,
     NotCyclic,
     NotLinearInTarget,
+    SectionModule,
     TorsionAfterAugmentation,
+    _raising_matrix,
     batyrev_haddad,
     classify_fiber_presentation,
     clebsch_gordan,
@@ -24,6 +26,7 @@ from sl2cox.embedding import EmbeddingData, GStableDivisorSpec, affine_embedding
 from sl2cox.exactmath import FinAbGroup, gauss, gauss_ipow
 from sl2cox.groups import ICOSA, OCTA, TETRA, cyclic, dihedral
 from sl2cox.hyperspace import Section, X0, XE, XF, XINF, XV, point
+from sl2cox.ogpoly import G1, G2, G3, G4
 from sl2cox.presentation import (
     GradedPresentation,
     GradedVariable,
@@ -34,6 +37,7 @@ from sl2cox.presentation import (
 )
 
 from test_embedding import mu3_example, trivial_four_points
+from test_ogpoly import sl2z_points
 
 
 def rel(*terms) -> SparsePoly:
@@ -442,6 +446,73 @@ class TestFullCoxShapes:
             for r in res.presentation.relations:
                 relation_degree(r, degs, res.presentation.grading)
                 relation_b_weight(r, wts)
+
+
+class TestRaisingMatrix:
+    def test_extra_point_module(self):
+        alpha, beta = gauss(2), gauss(3)
+        for nb in range(1, 13):
+            fns = tuple((G3.pow(nb - k) * G1.pow(k)).scale(beta)
+                        - (G4.pow(nb - k) * G2.pow(k)).scale(alpha)
+                        for k in range(nb + 1))
+            weights = tuple(nb - 2 * k for k in range(nb + 1))
+            names = tuple(f"m{k}" for k in range(nb + 1))
+            A = _raising_matrix(SectionModule("x1", {}, names, fns, weights))
+            for i in range(nb + 1):
+                for j in range(nb + 1):
+                    assert A[i][j] == gauss(j if i == j - 1 else 0)
+
+    def test_uniform_module(self):
+        alpha, beta = gauss(2), gauss(3)
+        fns = (G3.scale(beta) - G4.scale(alpha), G2.scale(alpha) - G1.scale(beta))
+        A = _raising_matrix(SectionModule("x1", {}, ("s1", "t1"), fns, (1, -1)))
+        assert A == [[gauss(0), gauss(-1)], [gauss(0), gauss(0)]]
+
+    def test_non_stable_module_is_rejected(self):
+        mod = SectionModule("x1", {}, ("s1", "t1"), (G3, G2), (1, -1))
+        with pytest.raises(RuntimeError, match="does not stabilize"):
+            _raising_matrix(mod)
+
+
+def _orbit_value(var: GradedVariable, E: EmbeddingData, keys: dict, g):
+    """The function on SL2 behind a cyclic (n >= 3) full-presentation
+    variable, at the integer matrix g: s0, t0 = g3, g1; sinf, tinf = g4, g2;
+    the weight-(nbar - 2k) vector of an extra point [alpha:beta] is
+    beta g3^(nbar-k) g1^k - alpha g4^(nbar-k) g2^k; the r sections are 1."""
+    g1, g2, g3, g4 = g
+    nb = E.group.nbar
+    if var.module_tag == "V(E^x0)":
+        return gauss(g3 if var.b_weight == 1 else g1)
+    if var.module_tag == "V(E^xinf)":
+        return gauss(g4 if var.b_weight == 1 else g2)
+    if var.module_tag.startswith("V(E^"):
+        p = next(q for q in E.extra_points if var.module_tag == f"V(E^{keys[q]})")
+        k = (nb - var.b_weight) // 2
+        return p.beta * (g3 ** (nb - k) * g1 ** k) - p.alpha * (g4 ** (nb - k) * g2 ** k)
+    return gauss(1)
+
+
+class TestFullCoxScale:
+    def test_cyclic_32_with_two_extra_points(self):
+        extras = (point(1, 1), point(2, 1))
+        E = EmbeddingData(cyclic(32), extras, tuple(
+            GStableDivisorSpec(p, 1, -1) for p in (X0, XINF) + extras))
+        res = full_cox_presentation_cyclic(E)
+        verify_full_cox(res)
+        P = res.presentation
+        assert len(P.relations) == 39
+        keys = res.class_group.point_keys
+        for g in sl2z_points(3):
+            val = {v.name: _orbit_value(v, res.embedding, keys, g) for v in P.variables}
+            for r in P.relations:
+                acc = gauss(0)
+                for mono, c in r.terms.items():
+                    term = c
+                    for v, e in mono:
+                        for _ in range(e):
+                            term = term * val[v]
+                    acc = acc + term
+                assert not acc
 
 
 class TestBatyrevHaddad:

@@ -163,14 +163,14 @@ def cmd_cox_u(args) -> int:
     if args.special_fiber:
         fib = cx.special_fiber_u(Q, E)
         verdict = cx.classify_fiber_presentation(fib)
+        normal = dg.special_fiber_normal(E)
         report["special_fiber"] = {
             "presentation": _presentation_json(fib),
             "classification": verdict,
-            "normal": dg.special_fiber_normal(E),
+            "normal": normal,
         }
         lines += _presentation_pretty(fib, "special fiber (all r = 0)")
-        lines.append(f"  classification: {verdict}; "
-                     f"normal per criterion: {dg.special_fiber_normal(E)}")
+        lines.append(f"  classification: {verdict}; normal per criterion: {normal}")
     _emit(report, args.format, lines)
     return EXIT_OK
 
@@ -234,7 +234,8 @@ def cmd_diagnose(args) -> int:
     try:
         ok, cert = dg.constant_functions_only(E)
         report["constant_functions"] = {"holds": ok, "certificate": str(cert)}
-        lines.append(f"only constant global functions: {ok} (certificate {cert} < 0)")
+        lines.append(f"only constant global functions: {ok} "
+                     f"(certificate {cert} {'<' if ok else '>='} 0)")
     except dg.HypothesesNotMet as exc:
         report["constant_functions"] = {"holds": None, "reason": str(exc)}
         lines.append(f"constant-function test not applicable: {exc}")

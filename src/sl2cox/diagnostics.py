@@ -131,8 +131,9 @@ def constant_functions_only(E: EmbeddingData):
     three divisors at pairwise distinct exceptional points, plus one.
 
     Requires cyclic F, a normal special fiber and at least three exceptional
-    points with such divisors; the certificate is < 0 for every valid input.
-    Returns (True, certificate).
+    points with such divisors.  Returns (certificate < 0, certificate): the
+    theorem says the certificate is negative on every valid input, and the
+    first entry reports whether this one is.
     """
     F = E.group
     if not F.is_cyclic:
@@ -152,7 +153,7 @@ def constant_functions_only(E: EmbeddingData):
         raise HypothesesNotMet(
             "need G-stable divisors over three pairwise distinct points")
     cert = sum((Fraction(d.l, d.h) for d in picked), Fraction(1))
-    return True, cert
+    return cert < 0, cert
 
 
 # -- orbits and log terminality of X ------------------------------------------

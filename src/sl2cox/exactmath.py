@@ -361,26 +361,6 @@ class EmptySolutionSet(Exception):
     """No non-negative solution exists within the requested bound."""
 
 
-def _det_rational(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [r[:] for r in rows]
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] * inv
-            if f:
-                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    return det
-
-
 def solve_nonneg(
     A: IntMatrix,
     b: Sequence[int],
@@ -390,9 +370,13 @@ def solve_nonneg(
     """All x >= 0 with A x = b (row i taken mod moduli[i] when > 0), x_j <= bound.
 
     Solutions come back in lexicographic order.  Raises EmptySolutionSet when
-    none exists within the bound.  Instances here are tiny, so this is a
-    depth-first enumeration over the coordinate box with interval pruning on
-    the exact rows; the frequent full-column-rank case short-circuits.
+    none exists within the bound.  When the exact rows have full column rank,
+    one fraction-free elimination pass brings them, each augmented by its
+    right-hand side, to an integer echelon form (each row reduced against the
+    rows kept so far and divided by its gcd); integer back-substitution over
+    the n pivot rows gives the only candidate, which is then checked against
+    every row.  Otherwise a depth-first enumeration runs over the coordinate
+    box with interval pruning on the exact rows.
     """
     if bound <= 0:
         raise ValueError("bound must be positive")
@@ -410,55 +394,40 @@ def solve_nonneg(
         raise EmptySolutionSet("inconsistent system with no variables")
 
     exact_rows = [i for i in range(rows) if mods[i] == 0]
+    empty = f"no x >= 0 with coordinates <= {bound} solves the system"
 
-    solutions: list[tuple[int, ...]] = []
-
-    # Full-rank shortcut: a unique rational candidate, checked exactly.
+    # Full column rank: the unique rational solution is the only candidate.
     if len(exact_rows) >= n:
-        sub = [[Fraction(A.data[i][j]) for j in range(n)] for i in exact_rows]
-        # pick n independent rows by Gaussian elimination
-        basis: list[int] = []
-        work: list[list[Fraction]] = []
-        for ridx, row in zip(exact_rows, sub):
-            cand = work + [row[:]]
-            mrows = [r[:] for r in cand]
-            r = 0
-            for c in range(n):
-                piv = next((i for i in range(r, len(mrows)) if mrows[i][c] != 0), None)
-                if piv is None:
-                    continue
-                mrows[r], mrows[piv] = mrows[piv], mrows[r]
-                for i in range(len(mrows)):
-                    if i != r and mrows[i][c]:
-                        f = mrows[i][c] / mrows[r][c]
-                        mrows[i] = [x - f * y for x, y in zip(mrows[i], mrows[r])]
-                r += 1
-            if r == len(cand):
-                work = cand
-                basis.append(ridx)
-            if len(basis) == n:
+        echelon: dict[int, list[int]] = {}  # pivot column -> row, zero left of it
+        for i in exact_rows:
+            r = A.data[i] + [bb[i]]
+            for p in sorted(echelon):
+                e = echelon[p]
+                if r[p]:
+                    g = gcd(e[p], r[p])
+                    u, v = e[p] // g, r[p] // g
+                    r = [u * a - v * c for a, c in zip(r, e)]
+            p = next((j for j in range(n) if r[j]), None)
+            if p is None:
+                continue  # dependent: the candidate check or the DFS tests its b[i]
+            g = gcd(*r)
+            echelon[p] = [a // g for a in r]
+            if len(echelon) == n:
                 break
-        if len(basis) == n:
-            mat = [[Fraction(A.data[i][j]) for j in range(n)] for i in basis]
-            rhs = [Fraction(bb[i]) for i in basis]
-            det = _det_rational(mat)
-            if det != 0:
-                x = []
-                for j in range(n):
-                    mj = [row[:] for row in mat]
-                    for i in range(n):
-                        mj[i][j] = rhs[i]
-                    x.append(_det_rational(mj) / det)
-                if all(v.denominator == 1 and 0 <= v <= bound for v in x):
-                    xi = tuple(int(v) for v in x)
-                    if _check_solution(A, bb, mods, xi):
-                        solutions.append(xi)
-                if solutions:
-                    return solutions
-                raise EmptySolutionSet(
-                    f"no x >= 0 with coordinates <= {bound} solves the system")
+        if len(echelon) == n:
+            x = [0] * n
+            for k in range(n - 1, -1, -1):
+                e = echelon[k]
+                q, rem = divmod(e[n] - sum(e[j] * x[j] for j in range(k + 1, n)), e[k])
+                if rem or not 0 <= q <= bound:
+                    raise EmptySolutionSet(empty)
+                x[k] = q
+            if not _check_solution(A, bb, mods, x):
+                raise EmptySolutionSet(empty)
+            return [tuple(x)]
 
     # General case: DFS over the box with interval pruning on exact rows.
+    solutions: list[tuple[int, ...]] = []
     neg = [[min(A.data[i][j], 0) for j in range(n)] for i in range(rows)]
     pos = [[max(A.data[i][j], 0) for j in range(n)] for i in range(rows)]
     lo_tail = [[0] * (n + 1) for _ in range(rows)]
@@ -491,7 +460,7 @@ def solve_nonneg(
     dfs(0, [0] * rows)
     solutions.sort()
     if not solutions:
-        raise EmptySolutionSet(f"no x >= 0 with coordinates <= {bound} solves the system")
+        raise EmptySolutionSet(empty)
     return solutions
 
 

@@ -213,7 +213,7 @@ def iterate(E: EmbeddingData) -> IterationReport:
     E.require_valid()
     R = cg.class_group(E)
     bound = bound_for(F)
-    tor = torsion_characters(E)
+    tor = _torsion_image(E, R)
     evidence = {"class_group": str(R.group), "torsion_characters": sorted(tor)}
     if R.group.is_trivial:
         return IterationReport([IterationStep(F, 1, True)], 0, 0, bound,

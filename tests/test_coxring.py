@@ -492,6 +492,23 @@ def _orbit_value(var: GradedVariable, E: EmbeddingData, keys: dict, g):
     return gauss(1)
 
 
+def _assert_relations_vanish(res):
+    """Every relation of a full presentation vanishes at integer points of SL2."""
+    P = res.presentation
+    keys = res.class_group.point_keys
+    for g in sl2z_points(3):
+        val = {v.name: _orbit_value(v, res.embedding, keys, g) for v in P.variables}
+        for r in P.relations:
+            acc = gauss(0)
+            for mono, c in r.terms.items():
+                term = c
+                for v, e in mono:
+                    for _ in range(e):
+                        term = term * val[v]
+                acc = acc + term
+            assert not acc
+
+
 class TestFullCoxScale:
     def test_cyclic_32_with_two_extra_points(self):
         extras = (point(1, 1), point(2, 1))
@@ -499,20 +516,18 @@ class TestFullCoxScale:
             GStableDivisorSpec(p, 1, -1) for p in (X0, XINF) + extras))
         res = full_cox_presentation_cyclic(E)
         verify_full_cox(res)
-        P = res.presentation
-        assert len(P.relations) == 39
-        keys = res.class_group.point_keys
-        for g in sl2z_points(3):
-            val = {v.name: _orbit_value(v, res.embedding, keys, g) for v in P.variables}
-            for r in P.relations:
-                acc = gauss(0)
-                for mono, c in r.terms.items():
-                    term = c
-                    for v, e in mono:
-                        for _ in range(e):
-                            term = term * val[v]
-                    acc = acc + term
-                assert not acc
+        assert len(res.presentation.relations) == 39
+        _assert_relations_vanish(res)
+
+    def test_cyclic_3_with_twenty_invariant_divisors(self):
+        extras = (point(1, 1), point(2, 1))
+        E = EmbeddingData(cyclic(3), extras, tuple(
+            GStableDivisorSpec(p, 1, -2) for p in (X0, XINF) + extras for _ in range(5)))
+        res = full_cox_presentation_cyclic(E)
+        verify_full_cox(res)
+        assert res.class_group.group == FinAbGroup(20)
+        assert len(res.presentation.relations) == 12
+        _assert_relations_vanish(res)
 
 
 class TestBatyrevHaddad:

@@ -149,6 +149,7 @@ class TestSpecialFiberNormal:
 class TestConstantFunctions:
     def test_mu3_certificate(self):
         ok, cert = constant_functions_only(mu3_example())
+        assert ok == (cert < 0)
         assert ok and cert == Fraction(-2)
 
     def test_two_points_not_applicable(self):
@@ -161,6 +162,7 @@ class TestConstantFunctions:
             GStableDivisorSpec(X0, 2, -1), GStableDivisorSpec(XINF, 2, -1),
             GStableDivisorSpec(x1, 2, -1)))
         ok, cert = constant_functions_only(E)
+        assert ok == (cert < 0)
         assert ok and cert == Fraction(-1, 2)
 
 

@@ -167,20 +167,69 @@ class TestSolveNonneg:
             solve_nonneg(A, [3], 10)
 
     def test_brute_force_agreement(self):
+        # wide, square and tall systems; planted x0 may leave the box and b
+        # may be perturbed, so empty, fractional and modular failures occur
         rng = random.Random(99)
-        for _ in range(50):
-            rows = rng.randint(1, 3)
-            cols = rng.randint(1, 3)
+        for _ in range(200):
+            rows = rng.randint(1, 6)
+            cols = rng.randint(1, 4)
             A = IntMatrix([[rng.randint(-4, 4) for _ in range(cols)]
                            for _ in range(rows)])
-            mods = [rng.choice([0, 0, 2, 3]) for _ in range(rows)]
-            x0 = [rng.randint(0, 6) for _ in range(cols)]
+            mods = [rng.choice([0, 0, 0, 2, 3]) for _ in range(rows)]
+            x0 = [rng.randint(-1, 5) for _ in range(cols)]
             b = A.mulvec(x0)
+            if rng.random() < 0.25:
+                b[rng.randrange(rows)] += rng.choice([-1, 1])
             try:
-                got = solve_nonneg(A, b, 12, mods)
+                got = solve_nonneg(A, b, 4, mods)
             except EmptySolutionSet:
                 got = []
-            assert got == brute_force_nonneg(A, b, 12, mods)
+            assert got == brute_force_nonneg(A, b, 4, mods)
+
+    def test_non_integral_candidate(self):
+        A = IntMatrix([[1, 1], [1, -1]])
+        with pytest.raises(EmptySolutionSet):
+            solve_nonneg(A, [3, 0], 10)  # x = (3/2, 3/2)
+        assert solve_nonneg(A, [4, 0], 10) == [(2, 2)]
+
+    def test_negative_candidate(self):
+        A = IntMatrix([[1, 1], [1, -1]])
+        with pytest.raises(EmptySolutionSet):
+            solve_nonneg(A, [1, 3], 10)  # x = (2, -1)
+
+    def test_candidate_above_bound(self):
+        A = IntMatrix([[1, 0], [0, 1]])
+        with pytest.raises(EmptySolutionSet):
+            solve_nonneg(A, [3, 11], 10)
+        assert solve_nonneg(A, [3, 10], 10) == [(3, 10)]
+
+    def test_candidate_checked_against_every_row(self):
+        A = IntMatrix([[1, 0], [0, 1], [1, 1]])
+        with pytest.raises(EmptySolutionSet):
+            solve_nonneg(A, [1, 2, 0], 10, [0, 0, 2])  # 1 + 2 is odd
+        assert solve_nonneg(A, [1, 2, 1], 10, [0, 0, 2]) == [(1, 2)]
+        with pytest.raises(EmptySolutionSet):
+            solve_nonneg(A, [1, 2, 4], 10)  # the exact row after the pivots
+
+    def test_dependent_rows_ahead_of_independent_ones(self):
+        A = IntMatrix([[1, 2], [2, 4], [3, 6], [0, 1]])
+        assert solve_nonneg(A, [5, 10, 15, 2], 10) == [(1, 2)]
+        with pytest.raises(EmptySolutionSet):
+            solve_nonneg(A, [5, 11, 15, 2], 10)  # the second row is inconsistent
+
+    def test_rank_deficient_tall_system_enumerates(self):
+        A = IntMatrix([[1, 1], [2, 2], [3, 3]])
+        assert solve_nonneg(A, [3, 6, 9], 3) == [(0, 3), (1, 2), (2, 1), (3, 0)]
+
+    def test_square_system_finds_planted_solution(self):
+        rng = random.Random(7)
+        for n in (8, 20):
+            while True:
+                A = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+                if A.det():
+                    break
+            x0 = tuple(rng.randint(0, 40) for _ in range(n))
+            assert solve_nonneg(A, A.mulvec(list(x0)), 128) == [x0]
 
     def test_lexicographic_order(self):
         A = IntMatrix([[1, 1]])

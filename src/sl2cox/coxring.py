@@ -15,7 +15,10 @@ Three layers:
     Clebsch-Gordan components in the formal tensor algebra, evaluating them
     in the matrix coordinates of SL2, and matching the value against the
     unique monomial in the canonical sections of the same degree and weight,
-    whose exponents come from a non-negative class-group computation.
+    whose exponents come from a non-negative class-group computation.  The
+    function on SL2 behind each generator is recorded once, in
+    ``FullCoxResult.functions``, and ``verify_full_cox`` substitutes exactly
+    those functions into the relations.
 
   * ``batyrev_haddad``: height and hypersurface parameters of the affine
     shape (a single G-stable divisor over x0), cross-checked against the
@@ -31,8 +34,8 @@ from . import classgroup as cg
 from .embedding import (
     EmbeddingData,
     GStableDivisorSpec,
-    canonical_coordinates,
     exceptional_relation_scalar,
+    point_coordinates,
 )
 from .exactmath import GAUSS_ONE, GaussianRational, gauss
 from .groups import FiniteSubgroup, gcd_pos
@@ -99,18 +102,28 @@ def _b_weight_table(F: FiniteSubgroup) -> tuple[int, dict[str, int]]:
     return 2 * F.n, {"xv": F.n, "xe": F.n, "xf": 2}
 
 
-def _point_coords(E: EmbeddingData, p: BasePoint):
-    if p.tag is not None:
-        return canonical_coordinates(E.group)[p.tag]
-    return (p.alpha, p.beta)
-
-
 def _fiber_combo(E: EmbeddingData, keys: dict, p: BasePoint) -> dict:
     k = keys[p]
     combo = {f"E[{k}]": E.color_multiplicity(p)}
     for j, d in enumerate(E.divisors_over(p)):
         combo[f"X[{k},{j}]"] = d.h
     return combo
+
+
+def _r_names(E: EmbeddingData, keys: dict, prime: str) -> dict[str, str]:
+    """Names of the invariant-divisor sections by class-group label, in
+    generator order: r<key> over a point (r<prime><key> over an extra one),
+    with a _j suffix when the point carries several divisors, and rdom."""
+    names = {}
+    for p in E.exceptional_points():
+        k = keys[p]
+        stem = "r" + ("" if p.tag is not None else prime) + k[1:]
+        divs = E.divisors_over(p)
+        for j in range(len(divs)):
+            names[f"X[{k},{j}]"] = stem + (f"_{j + 1}" if len(divs) > 1 else "")
+    if E.dominating_divisor() is not None:
+        names["Xdom"] = "rdom"
+    return names
 
 
 def cox_u_presentation(E: EmbeddingData) -> GradedPresentation:
@@ -131,33 +144,25 @@ def cox_u_presentation(E: EmbeddingData) -> GradedPresentation:
         GradedVariable("a", fiber_deg, n0, "coordinate"),
         GradedVariable("b", fiber_deg, n0, "coordinate"),
     ]
-    svar: dict[BasePoint, str] = {}
-    rvars: dict[tuple[BasePoint, int], str] = {}
+    names = _r_names(E, keys, "p")  # class-group label -> variable name
     for p in pts:
         k = keys[p]
         canonical = p.tag is not None
-        name = f"s{k[1:]}" if canonical else f"sp{k[1:]}"
-        svar[p] = name
+        names[f"E[{k}]"] = f"s{k[1:]}" if canonical else f"sp{k[1:]}"
         w = wtable[k] if canonical else n0
-        variables.append(GradedVariable(name, R.images[f"E[{k}]"], w, f"E[{k}]"))
-        divs = E.divisors_over(p)
-        for j, _ in enumerate(divs):
-            rname = (f"r{k[1:]}" if canonical else f"rp{k[1:]}")
-            rname += f"_{j + 1}" if len(divs) > 1 else ""
-            rvars[(p, j)] = rname
-            variables.append(GradedVariable(rname, R.images[f"X[{k},{j}]"], 0, f"X[{k},{j}]"))
-    if E.dominating_divisor() is not None:
-        variables.append(GradedVariable("rdom", R.images["Xdom"], 0, "Xdom"))
+        for lbl in _fiber_combo(E, keys, p):
+            variables.append(GradedVariable(names[lbl], R.images[lbl],
+                                            w if lbl == f"E[{k}]" else 0, lbl))
+    if "Xdom" in names:
+        variables.append(GradedVariable(names["Xdom"], R.images["Xdom"], 0, "Xdom"))
 
     relations: list[SparsePoly] = []
     for p in pts:
-        alpha, beta = _point_coords(E, p)
+        alpha, beta = point_coordinates(F, p)
         lam = GAUSS_ONE
         if not F.is_cyclic and p.tag == "xf":
             lam = exceptional_relation_scalar(F)
-        mono = {svar[p]: E.color_multiplicity(p)}
-        for j, d in enumerate(E.divisors_over(p)):
-            mono[rvars[(p, j)]] = d.h
+        mono = {names[lbl]: e for lbl, e in _fiber_combo(E, keys, p).items()}
         rel = (SparsePoly.term(beta, {"a": 1})
                + SparsePoly.term(-alpha, {"b": 1})
                + SparsePoly.term(-lam, mono))
@@ -295,6 +300,7 @@ class FullCoxResult:
     warnings: list[str]
     class_group: cg.ClassGroupResult
     embedding: EmbeddingData  # after augmentation, if any
+    functions: dict[str, GPoly]  # each generator's function on SL2 (r sections: 1)
 
 
 _LETTERS = "stuvwz"
@@ -551,10 +557,7 @@ def full_cox_presentation_cyclic(E: EmbeddingData, bound: int = 128) -> FullCoxR
 
     def make_module(p: BasePoint | None, role: str) -> SectionModule:
         if p is not None:
-            if p.tag is not None:
-                alpha, beta = canonical_coordinates(F)[p.tag]
-            else:
-                alpha, beta = p.alpha, p.beta
+            alpha, beta = point_coordinates(F, p)
         else:
             alpha, beta = (gauss(0), gauss(1)) if role == "x0" else (gauss(1), gauss(0))
         combo = {f"E[{keys[p]}]": 1} if p is not None else dict(base_fiber)
@@ -600,16 +603,11 @@ def full_cox_presentation_cyclic(E: EmbeddingData, bound: int = 128) -> FullCoxR
         deg = R.image_of(m.color_combo)
         for nm, w in zip(m.names, m.weights):
             variables.append(GradedVariable(nm, deg, w, f"V(E^{m.point_key})"))
-    rvar: dict[str, str] = {}
-    for p in pts:
-        k = keys[p]
-        divs = E.divisors_over(p)
-        for j, _ in enumerate(divs):
-            nm = f"r{k[1:]}" + (f"_{j + 1}" if len(divs) > 1 else "")
-            rvar[f"X[{k},{j}]"] = nm
-            variables.append(GradedVariable(nm, R.images[f"X[{k},{j}]"], 0, f"X[{k},{j}]"))
-    if E.dominating_divisor() is not None:
-        variables.append(GradedVariable("rdom", R.images["Xdom"], 0, "Xdom"))
+    rvar = _r_names(E, keys, "")
+    for lbl, nm in rvar.items():
+        variables.append(GradedVariable(nm, R.images[lbl], 0, lbl))
+    functions = {nm: f for m in point_order for nm, f in zip(m.names, m.fns)}
+    functions.update((nm, GPoly.const(1)) for nm in rvar.values())
 
     ctx = _Ctx(E, R, mod0, modinf, rvar, bound, warnings, p0, pinf)
 
@@ -629,12 +627,8 @@ def full_cox_presentation_cyclic(E: EmbeddingData, bound: int = 128) -> FullCoxR
         relations.extend(r.poly for r in rows)
 
     pres = GradedPresentation(variables, relations, R.group)
-    degs = pres.degree_map()
-    wts = pres.weight_map()
-    for rel in relations:
-        relation_degree(rel, degs, R.group)
-        relation_b_weight(rel, wts)
-    return FullCoxResult(pres, rel_modules, log, warnings, R, E)
+    _check_homogeneous(pres)
+    return FullCoxResult(pres, rel_modules, log, warnings, R, E, functions)
 
 
 # -- Batyrev-Haddad parameters ----------------------------------------------------
@@ -751,71 +745,36 @@ def _check_bh_grading(E: EmbeddingData, p: int, q: int, k: int):
 # -- exact verification of emitted relations --------------------------------------
 
 
-def verify_full_cox(result: FullCoxResult) -> None:
-    """Re-check every emitted relation: Cl- and B-homogeneity plus the exact
-    vanishing of the function part in the matrix coordinates of SL2."""
-    E = result.embedding
-    R = result.class_group
-    pres = result.presentation
-    degs = pres.degree_map()
-    wts = pres.weight_map()
-    fn_map = _full_cox_fn_map(E, R)
-    for rel in pres.relations:
-        relation_degree(rel, degs, R.group)
+def _check_homogeneous(P: GradedPresentation) -> None:
+    """Every relation is homogeneous in Cl(X) and in the B-weight."""
+    degs = P.degree_map()
+    wts = P.weight_map()
+    for rel in P.relations:
+        relation_degree(rel, degs, P.grading)
         relation_b_weight(rel, wts)
+
+
+def _require_vanishing(relations, functions: dict[str, GPoly], message: str) -> None:
+    """Substitute each variable's function on SL2 into every relation and
+    raise RuntimeError(message) unless the result is exactly zero."""
+    for rel in relations:
         acc = GPoly()
         for mono, c in rel.terms.items():
             f = GPoly.const(1)
             for v, e in mono:
-                f = f * fn_map[v].pow(e)
+                f = f * functions[v].pow(e)
             acc = acc + f.scale(c)
         if not acc.is_zero():
-            raise RuntimeError("relation does not vanish identically on the orbit")
+            raise RuntimeError(message)
 
 
-def _full_cox_fn_map(E: EmbeddingData, R: cg.ClassGroupResult) -> dict[str, GPoly]:
-    """Function parts of the full-presentation variables (r sections are 1)."""
-    F = E.group
-    n, nb = F.n, F.nbar
-    keys = R.point_keys
-    pts = list(E.exceptional_points())
-    uniform = n <= 2
-    fn: dict[str, GPoly] = {}
-    if n >= 3:
-        fn["s0"], fn["t0"] = G3, G1
-        fn["sinf"], fn["tinf"] = G4, G2
-        for p in E.extra_points:
-            idx = keys[p][1:]
-            names = _basis_names(nb, idx)
-            for k, nm in enumerate(names):
-                fn[nm] = ((G3.pow(nb - k) * G1.pow(k)).scale(p.beta)
-                          - (G4.pow(nb - k) * G2.pow(k)).scale(p.alpha))
-    else:
-        def put(idx, alpha, beta):
-            fn[f"s{idx}"] = G3.scale(beta) - G4.scale(alpha)
-            fn[f"t{idx}"] = G2.scale(alpha) - G1.scale(beta)
-
-        for p in pts:
-            put(keys[p][1:], p.alpha, p.beta)
-        if not any(p == point(0, 1) for p in pts):
-            put("0", gauss(0), gauss(1))
-        if not any(p == point(1, 0) for p in pts):
-            put("inf", gauss(1), gauss(0))
-    for v in _all_r_names(E, keys):
-        fn[v] = GPoly.const(1)
-    return fn
-
-
-def _all_r_names(E: EmbeddingData, keys: dict) -> list[str]:
-    out = []
-    for p in E.exceptional_points():
-        k = keys[p]
-        divs = E.divisors_over(p)
-        for j, _ in enumerate(divs):
-            out.append(f"r{k[1:]}" + (f"_{j + 1}" if len(divs) > 1 else ""))
-    if E.dominating_divisor() is not None:
-        out.append("rdom")
-    return out
+def verify_full_cox(result: FullCoxResult) -> None:
+    """Re-check every emitted relation: Cl- and B-homogeneity plus the exact
+    vanishing of the function part in the matrix coordinates of SL2, with
+    the generator functions recorded by the construction."""
+    _check_homogeneous(result.presentation)
+    _require_vanishing(result.presentation.relations, result.functions,
+                       "relation does not vanish identically on the orbit")
 
 
 def verify_cox_u(E: EmbeddingData, P: GradedPresentation) -> None:
@@ -823,46 +782,26 @@ def verify_cox_u(E: EmbeddingData, P: GradedPresentation) -> None:
     the matrix coordinates, polyhedral ones in the subregular semi-invariants
     modulo the single exceptional relation."""
     F = E.group
-    degs = P.degree_map()
-    wts = P.weight_map()
-    R = cg.class_group(E)
-    for rel in P.relations:
-        relation_degree(rel, degs, R.group)
-        relation_b_weight(rel, wts)
-    if F.is_cyclic:
-        nb = F.nbar
-        keys = R.point_keys
-        fn: dict[str, GPoly] = {"a": G3.pow(nb), "b": G4.pow(nb)}
-        for p in E.exceptional_points():
-            k = keys[p]
-            if p.tag == "x0":
-                fn[f"s{k[1:]}"] = G3
-            elif p.tag == "xinf":
-                fn[f"s{k[1:]}"] = G4
-            else:
-                fn[f"sp{k[1:]}"] = G3.pow(nb).scale(p.beta) - G4.pow(nb).scale(p.alpha)
-            divs = E.divisors_over(p)
-            for j, _ in enumerate(divs):
-                nm = (f"r{k[1:]}" if p.tag else f"rp{k[1:]}") + (
-                    f"_{j + 1}" if len(divs) > 1 else "")
-                fn[nm] = GPoly.const(1)
-        if E.dominating_divisor() is not None:
-            fn["rdom"] = GPoly.const(1)
-        for rel in P.relations:
-            acc = GPoly()
-            for mono, c in rel.terms.items():
-                f = GPoly.const(1)
-                for v, e in mono:
-                    f = f * fn[v].pow(e)
-                acc = acc + f.scale(c)
-            if not acc.is_zero():
-                raise RuntimeError("cox_u relation does not vanish on the orbit")
-    else:
-        _verify_cox_u_polyhedral(E, P, R)
+    keys = cg.point_keys(E)
+    _check_homogeneous(P)
+    if not F.is_cyclic:
+        _verify_cox_u_polyhedral(E, P, keys)
+        return
+    nb = F.nbar
+    fn: dict[str, GPoly] = {"a": G3.pow(nb), "b": G4.pow(nb)}
+    for p in E.exceptional_points():
+        k = keys[p]
+        if p.tag == "x0":
+            fn[f"s{k[1:]}"] = G3
+        elif p.tag == "xinf":
+            fn[f"s{k[1:]}"] = G4
+        else:
+            fn[f"sp{k[1:]}"] = G3.pow(nb).scale(p.beta) - G4.pow(nb).scale(p.alpha)
+    fn.update((nm, GPoly.const(1)) for nm in _r_names(E, keys, "p").values())
+    _require_vanishing(P.relations, fn, "cox_u relation does not vanish on the orbit")
 
 
-def _verify_cox_u_polyhedral(E: EmbeddingData, P: GradedPresentation,
-                             R: cg.ClassGroupResult) -> None:
+def _verify_cox_u_polyhedral(E: EmbeddingData, P: GradedPresentation, keys: dict) -> None:
     """Check relations in k[f_v, f_e, f_f] modulo the exceptional relation."""
     F = E.group
     mult = F.canonical_multiplicities()
@@ -910,7 +849,6 @@ def _verify_cox_u_polyhedral(E: EmbeddingData, P: GradedPresentation,
         return out
 
     one = {(0, 0, 0): gauss(1)}
-    keys = R.point_keys
     fn: dict[str, dict] = {
         "a": {(nv, 0, 0): gauss(1)},
         "b": {(0, ne, 0): gauss(-1)},

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .embedding import EmbeddingData
 from .hyperspace import (
@@ -67,28 +66,12 @@ def is_platonic_ring(ap0) -> PlatonicVerdict:
     """Platonic-ring test on the trinomial input data (A, exponent vectors, m).
 
     True when r <= 1 or every cross-tuple (one entry per exponent vector) is
-    Platonic.  The fast path checks the tuple of per-vector maxima, which
-    dominates every cross-tuple entrywise after sorting, and Platonicity is
-    downward closed under that dominance; exhaustive enumeration is kept for
-    small instances as a cross-check.
+    Platonic.  The tuple of per-vector maxima is itself a cross-tuple and
+    dominates every other one entrywise after sorting, and Platonicity is
+    closed downward under that dominance, so testing the maxima alone is
+    exact (Arzhantsev-Braun-Hausen-Wrobel, Eur. J. Math. 2018).  A failing
+    verdict carries the sorted maxima tuple as its witness.
     """
-    _, vectors, _ = ap0
-    if len(vectors) <= 2:
-        return PlatonicVerdict(True)
-    size = 1
-    for v in vectors:
-        size *= len(v)
-    if size <= 10 ** 6:
-        for tup in product(*vectors):
-            verdict = is_platonic_tuple(tup)
-            if not verdict:
-                return verdict
-        return PlatonicVerdict(True)
-    return is_platonic_tuple(tuple(max(v) for v in vectors))
-
-
-def is_platonic_ring_fast(ap0) -> PlatonicVerdict:
-    """Maxima-only path, exposed for the agreement property test."""
     _, vectors, _ = ap0
     if len(vectors) <= 2:
         return PlatonicVerdict(True)

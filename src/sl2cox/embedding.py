@@ -126,7 +126,6 @@ class EmbeddingData:
         v: list[Violation] = []
         F = self.group
         canon = self.canonical_points()
-        canon_coords = {c: canonical_coordinates(F).get(c.tag) for c in canon}
 
         seen: list[BasePoint] = []
         for p in self.extra_points:
@@ -136,8 +135,8 @@ class EmbeddingData:
             if any(p == q for q in seen):
                 v.append(Violation("DuplicatePoint", f"extra point {p} repeated"))
             seen.append(p)
-            for c, coords in canon_coords.items():
-                if coords is not None and p == point(*coords):
+            for c in canon:
+                if p == point(*point_coordinates(F, c)):
                     v.append(Violation(
                         "PointClashesCanonical", f"extra point {p} equals canonical {c}"))
 
@@ -214,6 +213,14 @@ def canonical_coordinates(F: FiniteSubgroup) -> dict[str, tuple]:
     return {"xv": (gauss(0), gauss(1)), "xe": (gauss(1), gauss(0)), "xf": third}
 
 
+def point_coordinates(F: FiniteSubgroup, p: BasePoint) -> tuple:
+    """Homogeneous coordinates (alpha, beta) of an exceptional point: from
+    ``canonical_coordinates`` for a canonical tag, as given otherwise."""
+    if p.tag is not None:
+        return canonical_coordinates(F)[p.tag]
+    return (p.alpha, p.beta)
+
+
 def exceptional_relation_scalar(F: FiniteSubgroup):
     """Scalar c with relation  a - b = c * (third semi-invariant power)  ...
 
@@ -238,14 +245,10 @@ def derive_ap0_input(E: EmbeddingData):
     divisor dominating P^1.
     """
     E.require_valid()
-    coords = canonical_coordinates(E.group)
     cols: list[tuple[GaussianRational, GaussianRational]] = []
     exponents: list[tuple[int, ...]] = []
     for p in E.exceptional_points():
-        if p.tag is not None:
-            cols.append(coords[p.tag])
-        else:
-            cols.append((p.alpha, p.beta))
+        cols.append(point_coordinates(E.group, p))
         exponents.append((E.color_multiplicity(p),)
                          + tuple(d.h for d in E.divisors_over(p)))
     m = 1 if E.dominating_divisor() is not None else 0

@@ -21,7 +21,7 @@ from sl2cox.coxring import (
     verify_full_cox,
 )
 from sl2cox.diagnostics import (
-    is_platonic_ring_fast,
+    is_platonic_ring,
     is_platonic_tuple,
     special_fiber_normal,
 )
@@ -216,7 +216,7 @@ def test_criterion_6_platonic_machinery():
             continue
         ring_checked += 1
         exhaustive = all(brute_force_platonic(t) for t in product(*vectors))
-        assert is_platonic_ring_fast((None, vectors, 0)).is_platonic == exhaustive
+        assert is_platonic_ring((None, vectors, 0)).is_platonic == exhaustive
     t = budget.check()
     report(6, f"{count} tuples exhaustively vs brute force and {ring_checked} "
               f"random rings vs enumeration, exact ({t:.2f}s < 30s)")

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -37,7 +38,7 @@ from sl2cox.presentation import (
 )
 
 from test_embedding import mu3_example, trivial_four_points
-from test_ogpoly import sl2z_points
+from test_ogpoly import evaluate, sl2z_points
 
 
 def rel(*terms) -> SparsePoly:
@@ -250,6 +251,7 @@ class TestFullCoxTrivial:
         expect_keys(res.presentation, PRINTED_TRIVIAL)
         assert res.preprocessing_log == [] and res.warnings == []
         verify_full_cox(res)
+        _assert_relations_vanish(res)
 
     def test_plucker_syzygy(self):
         # s_k D_lm - s_l D_km + s_m D_kl = 0 identically, and the induced
@@ -272,18 +274,8 @@ class TestFullCoxTrivial:
                  - s[2] * by_pair[("x1", "x3")]
                  + s[3] * by_pair[("x1", "x2")])
         # the combination contains only r-monomial multiples of s-variables,
-        # and its function part on the orbit vanishes
-        from sl2cox.coxring import _full_cox_fn_map
-        from sl2cox.ogpoly import GPoly
-
-        fn = _full_cox_fn_map(res.embedding, res.class_group)
-        acc = GPoly()
-        for mono, c in combo.terms.items():
-            f = GPoly.const(1)
-            for v, e in mono:
-                f = f * fn[v].pow(e)
-            acc = acc + f.scale(c)
-        assert acc.is_zero()
+        # and its function part vanishes at integer points of SL2
+        _assert_relations_vanish(res, [combo])
 
 
 PRINTED_MU3 = {
@@ -353,6 +345,7 @@ class TestFullCoxShapes:
                 m for m in poly.terms if all(v.startswith("r") for v, _ in m))))
             assert mono == ({rname: int(b)} if b else {})
             verify_full_cox(res)
+            _assert_relations_vanish(res)
 
     def test_point_free_embedding_is_determinant(self):
         # X = G: the Cox ring is O(SL2), one relation s_inf t_0 - s_0 t_inf = 1
@@ -362,6 +355,7 @@ class TestFullCoxShapes:
         expected = rel((1, {"s0": 1, "tinf": 1}), (-1, {"t0": 1, "sinf": 1}), (1, {}))
         expect_keys(res.presentation, [expected])
         verify_full_cox(res)
+        _assert_relations_vanish(res)
 
     def test_augmentation_when_fiber_not_normal(self):
         x1, x2 = point(2, 3), point(1, 1)
@@ -436,6 +430,8 @@ class TestFullCoxShapes:
             except (TorsionAfterAugmentation, NotAffineShape):
                 continue
             verify_full_cox(res)
+            _assert_relations_vanish(res)
+            _assert_functions_match_oracle(res)
             done += 1
 
     def test_homogeneity_of_everything(self):
@@ -475,30 +471,44 @@ class TestRaisingMatrix:
 
 
 def _orbit_value(var: GradedVariable, E: EmbeddingData, keys: dict, g):
-    """The function on SL2 behind a cyclic (n >= 3) full-presentation
-    variable, at the integer matrix g: s0, t0 = g3, g1; sinf, tinf = g4, g2;
-    the weight-(nbar - 2k) vector of an extra point [alpha:beta] is
-    beta g3^(nbar-k) g1^k - alpha g4^(nbar-k) g2^k; the r sections are 1."""
+    """The function on SL2 behind a full-presentation variable, at the integer
+    matrix g; the r sections are 1.  For n >= 3: s0, t0 = g3, g1; sinf, tinf =
+    g4, g2; the weight-(nbar - 2k) vector of an extra point [alpha:beta] is
+    beta g3^(nbar-k) g1^k - alpha g4^(nbar-k) g2^k.  For n <= 2 every module
+    is s = beta g3 - alpha g4, t = alpha g2 - beta g1 for its point, and the
+    modules x0, xinf of absent points are those of [0:1] and [1:0]."""
     g1, g2, g3, g4 = g
-    nb = E.group.nbar
-    if var.module_tag == "V(E^x0)":
+    if not var.module_tag.startswith("V(E^"):
+        return gauss(1)
+    key = var.module_tag[len("V(E^"):-1]
+    if E.group.n >= 3 and key == "x0":
         return gauss(g3 if var.b_weight == 1 else g1)
-    if var.module_tag == "V(E^xinf)":
+    if E.group.n >= 3 and key == "xinf":
         return gauss(g4 if var.b_weight == 1 else g2)
-    if var.module_tag.startswith("V(E^"):
-        p = next(q for q in E.extra_points if var.module_tag == f"V(E^{keys[q]})")
-        k = (nb - var.b_weight) // 2
-        return p.beta * (g3 ** (nb - k) * g1 ** k) - p.alpha * (g4 ** (nb - k) * g2 ** k)
-    return gauss(1)
+    p = next((q for q in E.extra_points if keys[q] == key), None)
+    if p is not None:
+        alpha, beta = p.alpha, p.beta
+    else:
+        alpha, beta = {"x0": (gauss(0), gauss(1)), "xinf": (gauss(1), gauss(0))}[key]
+    if E.group.n <= 2:
+        return beta * g3 - alpha * g4 if var.b_weight == 1 else alpha * g2 - beta * g1
+    nb = E.group.nbar
+    k = (nb - var.b_weight) // 2
+    return beta * (g3 ** (nb - k) * g1 ** k) - alpha * (g4 ** (nb - k) * g2 ** k)
 
 
-def _assert_relations_vanish(res):
-    """Every relation of a full presentation vanishes at integer points of SL2."""
-    P = res.presentation
+def _oracle_values(res, g) -> dict:
     keys = res.class_group.point_keys
+    return {v.name: _orbit_value(v, res.embedding, keys, g)
+            for v in res.presentation.variables}
+
+
+def _assert_relations_vanish(res, polys=None):
+    """Every relation of a full presentation (or every poly given) vanishes
+    at integer points of SL2."""
     for g in sl2z_points(3):
-        val = {v.name: _orbit_value(v, res.embedding, keys, g) for v in P.variables}
-        for r in P.relations:
+        val = _oracle_values(res, g)
+        for r in res.presentation.relations if polys is None else polys:
             acc = gauss(0)
             for mono, c in r.terms.items():
                 term = c
@@ -507,6 +517,62 @@ def _assert_relations_vanish(res):
                         term = term * val[v]
                 acc = acc + term
             assert not acc
+
+
+def _assert_functions_match_oracle(res):
+    """The generator functions recorded by the construction take the oracle's
+    values at integer points of SL2."""
+    assert set(res.functions) == {v.name for v in res.presentation.variables}
+    for g in sl2z_points(2):
+        val = _oracle_values(res, g)
+        for name, f in res.functions.items():
+            assert evaluate(f, g) == val[name], name
+
+
+def _perturbed(P: GradedPresentation) -> GradedPresentation:
+    """P with the coefficient of one term of its first relation doubled: the
+    relation stays homogeneous but no longer vanishes."""
+    mono, c = next(iter(P.relations[0].terms.items()))
+    bad = P.relations[0] + SparsePoly.term(c, dict(mono))
+    return replace(P, relations=[bad] + P.relations[1:])
+
+
+def _with_inhomogeneous(P: GradedPresentation) -> GradedPresentation:
+    """P plus the relation s - 1 for a generator s of non-zero B-weight:
+    neither Cl- nor B-homogeneous."""
+    s = next(v.name for v in P.variables if v.b_weight)
+    bad = SparsePoly.variable(s) - SparsePoly.term(1, {})
+    return replace(P, relations=P.relations + [bad])
+
+
+class TestVerifiersReject:
+    def test_full_cox_perturbed_coefficient(self):
+        res = full_cox_presentation_cyclic(mu3_example())
+        verify_full_cox(res)
+        with pytest.raises(RuntimeError, match="does not vanish"):
+            verify_full_cox(replace(res, presentation=_perturbed(res.presentation)))
+        with pytest.raises(ValueError, match="homogeneous"):
+            verify_full_cox(replace(res, presentation=_with_inhomogeneous(res.presentation)))
+
+    def test_cyclic_cox_u_perturbed_coefficient(self):
+        E = mu3_example()
+        P = cox_u_presentation(E)
+        verify_cox_u(E, P)
+        with pytest.raises(RuntimeError, match="does not vanish"):
+            verify_cox_u(E, _perturbed(P))
+        with pytest.raises(ValueError, match="homogeneous"):
+            verify_cox_u(E, _with_inhomogeneous(P))
+
+    def test_polyhedral_cox_u_perturbed_coefficient(self):
+        E = EmbeddingData(TETRA, (point(2, 3),), (
+            GStableDivisorSpec(XV, 1, -1), GStableDivisorSpec(XE, 1, -3),
+            GStableDivisorSpec(XF, 2, -2), GStableDivisorSpec(point(2, 3), 1, -1)))
+        P = cox_u_presentation(E)
+        verify_cox_u(E, P)
+        with pytest.raises(RuntimeError, match="does not vanish"):
+            verify_cox_u(E, _perturbed(P))
+        with pytest.raises(ValueError, match="homogeneous"):
+            verify_cox_u(E, _with_inhomogeneous(P))
 
 
 class TestFullCoxScale:

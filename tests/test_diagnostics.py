@@ -9,7 +9,6 @@ from sl2cox.diagnostics import (
     classify_hypercone_orbit,
     constant_functions_only,
     is_platonic_ring,
-    is_platonic_ring_fast,
     is_platonic_tuple,
     log_terminal_total_space,
     log_terminal_X,
@@ -80,6 +79,9 @@ class TestPlatonicRing:
     def test_examples(self):
         assert is_platonic_ring((None, [(3, 1), (3, 1), (1, 1)], 0)).is_platonic
         assert not is_platonic_ring((None, [(2,), (3,), (7,)], 0)).is_platonic
+        # the witness of a failure is the sorted tuple of per-vector maxima
+        verdict = is_platonic_ring((None, [(2, 1), (3, 3), (1, 7), (1,)], 0))
+        assert not verdict and verdict.witness == (7, 3, 2, 1)
         assert is_platonic_ring((None, [(9, 4, 7)], 0)).is_platonic  # r <= 1
 
     def test_fast_path_agreement(self):
@@ -97,9 +99,7 @@ class TestPlatonicRing:
                 continue
             checked += 1
             exhaustive = all(brute_force_platonic(t) for t in product(*vectors))
-            ap0 = (None, vectors, 0)
-            assert is_platonic_ring_fast(ap0).is_platonic == exhaustive
-            assert is_platonic_ring(ap0).is_platonic == exhaustive
+            assert is_platonic_ring((None, vectors, 0)).is_platonic == exhaustive
 
 
 class TestLogTerminalTotalSpace:

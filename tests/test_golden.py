@@ -1,0 +1,76 @@
+"""Golden outputs: every subcommand's JSON report on every fixture.
+
+Each case runs ``sl2cox.cli.main`` in process from the repository root (so the
+report's input path is ``fixtures/<name>.json``) and compares its exit code and
+stdout byte for byte with ``tests/golden``.  Regenerate the files, only when an
+output change is intended, with::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import os
+
+import pytest
+
+from sl2cox.cli import main
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+FIXTURES = ("affine_mu5", "mu3", "sl2_trivial_4pts", "tetrahedral")
+COMMANDS = {
+    "validate": [],
+    "classgroup": [],
+    "cox-u": ["--verify", "--special-fiber"],
+    "cox-full": ["--verify"],
+    "diagnose": [],
+    "iterate": [],
+    "batyrev-haddad": [],
+}
+CASES = [(cmd, fx) for cmd in COMMANDS for fx in FIXTURES]
+
+
+def _argv(cmd: str, fx: str) -> list[str]:
+    return [cmd, *COMMANDS[cmd], f"fixtures/{fx}.json", "--format", "json"]
+
+
+def _out_path(cmd: str, fx: str) -> str:
+    return os.path.join(GOLDEN, f"{cmd}.{fx}.out")
+
+
+def _exit_codes() -> dict:
+    with open(os.path.join(GOLDEN, "exit_codes.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("cmd,fx", CASES)
+def test_golden_output(cmd, fx, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    rc = main(_argv(cmd, fx))
+    out = capsys.readouterr().out
+    with open(_out_path(cmd, fx), "rb") as fh:
+        expected = fh.read()
+    assert rc == _exit_codes()[f"{cmd} {fx}"]
+    assert out.encode("utf-8") == expected
+
+
+def _regenerate() -> None:
+    import contextlib
+    import io
+
+    os.makedirs(GOLDEN, exist_ok=True)
+    os.chdir(ROOT)
+    codes = {}
+    for cmd, fx in CASES:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            codes[f"{cmd} {fx}"] = main(_argv(cmd, fx))
+        with open(_out_path(cmd, fx), "wb") as fh:
+            fh.write(buf.getvalue().encode("utf-8"))
+    with open(os.path.join(GOLDEN, "exit_codes.json"), "w", encoding="utf-8") as fh:
+        json.dump(codes, fh, indent=2)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    _regenerate()

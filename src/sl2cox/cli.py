@@ -92,11 +92,7 @@ def _presentation_pretty(P: GradedPresentation, title: str) -> list[str]:
 
 
 def _load(path: str) -> EmbeddingData:
-    E = load_embedding(path)
-    violations = E.validate()
-    if violations:
-        raise InvalidEmbedding(violations)
-    return E
+    return load_embedding(path).require_valid()
 
 
 def cmd_validate(args) -> int:

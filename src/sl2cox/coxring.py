@@ -1,6 +1,6 @@
 """Cox-ring presentations for normal SL2/F-embeddings.
 
-Three layers:
+Four layers:
 
   * ``cox_u_presentation``: the U-invariant algebra by generators a, b, the
     canonical sections of the exceptional divisors, and one relation per
@@ -15,10 +15,12 @@ Three layers:
     Clebsch-Gordan components in the formal tensor algebra, evaluating them
     in the matrix coordinates of SL2, and matching the value against the
     unique monomial in the canonical sections of the same degree and weight,
-    whose exponents come from a non-negative class-group computation.  The
-    function on SL2 behind each generator is recorded once, in
-    ``FullCoxResult.functions``, and ``verify_full_cox`` substitutes exactly
-    those functions into the relations.
+    whose exponents come from a non-negative class-group computation.
+
+  * ``verify_cox_u`` and ``verify_full_cox``: both constructions record each
+    generator's function once, in ``GradedVariable.function`` (on SL2 for
+    cyclic F, in the subregular semi-invariants for polyhedral F), and both
+    verifiers substitute exactly those functions into the relations.
 
   * ``batyrev_haddad``: height and hypersurface parameters of the affine
     shape (a single G-stable divisor over x0), cross-checked against the
@@ -37,7 +39,7 @@ from .embedding import (
     exceptional_relation_scalar,
     point_coordinates,
 )
-from .exactmath import GAUSS_ONE, GaussianRational, gauss
+from .exactmath import GAUSS_ONE, gauss
 from .groups import FiniteSubgroup, gcd_pos
 from .hyperspace import BasePoint, X0, XINF, point
 from .ogpoly import (
@@ -129,32 +131,49 @@ def _r_names(E: EmbeddingData, keys: dict, prime: str) -> dict[str, str]:
 def cox_u_presentation(E: EmbeddingData) -> GradedPresentation:
     """Generators a, b, s_i, s'_i, r_ij, r'_ij and one relation per
     exceptional point; the section of a divisor dominating P^1 appears as a
-    free generator in no relation."""
+    free generator in no relation.
+
+    Each generator carries its function: on SL2 for cyclic F (a = g3^nbar,
+    b = g4^nbar, s over x0 = g3, s over xinf = g4), in the subregular
+    semi-invariants fv, fe, ff otherwise (a = fv^nv, b = -fe^ne, s over xv,
+    xe, xf = fv, fe, ff); s' over [alpha:beta] is beta*a - alpha*b and every
+    r section is 1.
+    """
     E.require_valid()
     R = cg.class_group(E)
     keys = R.point_keys
     F = E.group
     n0, wtable = _b_weight_table(F)
+    if F.is_cyclic:
+        one, a_fn, b_fn, s_fn = GPoly.const(1), G3.pow(n0), G4.pow(n0), {"x0": G3, "xinf": G4}
+    else:
+        mult = F.canonical_multiplicities()
+        s_fn = {t: SparsePoly.variable("f" + t[1:]) for t in ("xv", "xe", "xf")}
+        one = SparsePoly.term(1, {})
+        a_fn = s_fn["xv"].pow(mult["xv"])
+        b_fn = s_fn["xe"].pow(mult["xe"]).scale(-1)
 
     pts = list(E.exceptional_points())
     base_fiber = _fiber_combo(E, keys, pts[0]) if pts else {"Dxd": 1}
     fiber_deg = R.image_of(base_fiber)
 
     variables: list[GradedVariable] = [
-        GradedVariable("a", fiber_deg, n0, "coordinate"),
-        GradedVariable("b", fiber_deg, n0, "coordinate"),
+        GradedVariable("a", fiber_deg, n0, "coordinate", a_fn),
+        GradedVariable("b", fiber_deg, n0, "coordinate", b_fn),
     ]
     names = _r_names(E, keys, "p")  # class-group label -> variable name
     for p in pts:
         k = keys[p]
-        canonical = p.tag is not None
-        names[f"E[{k}]"] = f"s{k[1:]}" if canonical else f"sp{k[1:]}"
-        w = wtable[k] if canonical else n0
+        color = f"E[{k}]"
+        if p.tag is not None:
+            names[color], w, fn = f"s{k[1:]}", wtable[k], s_fn[p.tag]
+        else:
+            names[color], w, fn = f"sp{k[1:]}", n0, a_fn.scale(p.beta) - b_fn.scale(p.alpha)
         for lbl in _fiber_combo(E, keys, p):
-            variables.append(GradedVariable(names[lbl], R.images[lbl],
-                                            w if lbl == f"E[{k}]" else 0, lbl))
+            variables.append(GradedVariable(names[lbl], R.images[lbl], w if lbl == color else 0,
+                                            lbl, fn if lbl == color else one))
     if "Xdom" in names:
-        variables.append(GradedVariable(names["Xdom"], R.images["Xdom"], 0, "Xdom"))
+        variables.append(GradedVariable(names["Xdom"], R.images["Xdom"], 0, "Xdom", one))
 
     relations: list[SparsePoly] = []
     for p in pts:
@@ -300,7 +319,6 @@ class FullCoxResult:
     warnings: list[str]
     class_group: cg.ClassGroupResult
     embedding: EmbeddingData  # after augmentation, if any
-    functions: dict[str, GPoly]  # each generator's function on SL2 (r sections: 1)
 
 
 _LETTERS = "stuvwz"
@@ -601,13 +619,11 @@ def full_cox_presentation_cyclic(E: EmbeddingData, bound: int = 128) -> FullCoxR
     variables: list[GradedVariable] = []
     for m in point_order:
         deg = R.image_of(m.color_combo)
-        for nm, w in zip(m.names, m.weights):
-            variables.append(GradedVariable(nm, deg, w, f"V(E^{m.point_key})"))
+        for nm, w, f in zip(m.names, m.weights, m.fns):
+            variables.append(GradedVariable(nm, deg, w, f"V(E^{m.point_key})", f))
     rvar = _r_names(E, keys, "")
     for lbl, nm in rvar.items():
-        variables.append(GradedVariable(nm, R.images[lbl], 0, lbl))
-    functions = {nm: f for m in point_order for nm, f in zip(m.names, m.fns)}
-    functions.update((nm, GPoly.const(1)) for nm in rvar.values())
+        variables.append(GradedVariable(nm, R.images[lbl], 0, lbl, GPoly.const(1)))
 
     ctx = _Ctx(E, R, mod0, modinf, rvar, bound, warnings, p0, pinf)
 
@@ -628,7 +644,7 @@ def full_cox_presentation_cyclic(E: EmbeddingData, bound: int = 128) -> FullCoxR
 
     pres = GradedPresentation(variables, relations, R.group)
     _check_homogeneous(pres)
-    return FullCoxResult(pres, rel_modules, log, warnings, R, E, functions)
+    return FullCoxResult(pres, rel_modules, log, warnings, R, E)
 
 
 # -- Batyrev-Haddad parameters ----------------------------------------------------
@@ -754,18 +770,43 @@ def _check_homogeneous(P: GradedPresentation) -> None:
         relation_b_weight(rel, wts)
 
 
-def _require_vanishing(relations, functions: dict[str, GPoly], message: str) -> None:
-    """Substitute each variable's function on SL2 into every relation and
-    raise RuntimeError(message) unless the result is exactly zero."""
-    for rel in relations:
-        acc = GPoly()
+def _require_vanishing(P: GradedPresentation, one, message: str,
+                       reduce=lambda f: f) -> None:
+    """Substitute each generator's function (``GradedVariable.function``, in
+    the ring with unit ``one``) into every relation and raise
+    RuntimeError(message) unless the result, after ``reduce``, is exactly
+    zero."""
+    functions = {v.name: v.function for v in P.variables}
+    for rel in P.relations:
+        acc = one.scale(0)
         for mono, c in rel.terms.items():
-            f = GPoly.const(1)
+            f = one
             for v, e in mono:
                 f = f * functions[v].pow(e)
             acc = acc + f.scale(c)
-        if not acc.is_zero():
+        if not reduce(acc).is_zero():
             raise RuntimeError(message)
+
+
+def _exceptional_reduction(F: FiniteSubgroup):
+    """Normal form in k[fv, fe, ff] modulo the exceptional relation
+    c_v fv^nv + c_e fe^ne + lam ff^nf = 0: ff^(q nf + r) -> ff^r R^q with
+    R = -(c_v fv^nv + c_e fe^ne) / lam, which has no ff, so one step is
+    enough."""
+    mult = F.canonical_multiplicities()
+    c_v = gauss(-1) if F.kind == "dihedral" else gauss(1)  # c_e = 1
+    R = (SparsePoly.term(c_v, {"fv": mult["xv"]}) + SparsePoly.term(1, {"fe": mult["xe"]})
+         ).scale(-exceptional_relation_scalar(F).inverse())
+
+    def reduce(f: SparsePoly) -> SparsePoly:
+        out = SparsePoly()
+        for mono, c in f.terms.items():
+            exps = dict(mono)
+            q, exps["ff"] = divmod(exps.get("ff", 0), mult["xf"])
+            out = out + SparsePoly.term(c, exps) * R.pow(q)
+        return out
+
+    return reduce
 
 
 def verify_full_cox(result: FullCoxResult) -> None:
@@ -773,106 +814,18 @@ def verify_full_cox(result: FullCoxResult) -> None:
     vanishing of the function part in the matrix coordinates of SL2, with
     the generator functions recorded by the construction."""
     _check_homogeneous(result.presentation)
-    _require_vanishing(result.presentation.relations, result.functions,
+    _require_vanishing(result.presentation, GPoly.const(1),
                        "relation does not vanish identically on the orbit")
 
 
 def verify_cox_u(E: EmbeddingData, P: GradedPresentation) -> None:
-    """Exact vanishing of the cox_u relations: cyclic groups are checked in
-    the matrix coordinates, polyhedral ones in the subregular semi-invariants
-    modulo the single exceptional relation."""
-    F = E.group
-    keys = cg.point_keys(E)
+    """Exact vanishing of the cox_u relations with the generator functions
+    recorded by the construction: cyclic groups in the matrix coordinates,
+    polyhedral ones in the subregular semi-invariants modulo the single
+    exceptional relation."""
     _check_homogeneous(P)
-    if not F.is_cyclic:
-        _verify_cox_u_polyhedral(E, P, keys)
-        return
-    nb = F.nbar
-    fn: dict[str, GPoly] = {"a": G3.pow(nb), "b": G4.pow(nb)}
-    for p in E.exceptional_points():
-        k = keys[p]
-        if p.tag == "x0":
-            fn[f"s{k[1:]}"] = G3
-        elif p.tag == "xinf":
-            fn[f"s{k[1:]}"] = G4
-        else:
-            fn[f"sp{k[1:]}"] = G3.pow(nb).scale(p.beta) - G4.pow(nb).scale(p.alpha)
-    fn.update((nm, GPoly.const(1)) for nm in _r_names(E, keys, "p").values())
-    _require_vanishing(P.relations, fn, "cox_u relation does not vanish on the orbit")
-
-
-def _verify_cox_u_polyhedral(E: EmbeddingData, P: GradedPresentation, keys: dict) -> None:
-    """Check relations in k[f_v, f_e, f_f] modulo the exceptional relation."""
-    F = E.group
-    mult = F.canonical_multiplicities()
-    nv, ne, nf = mult["xv"], mult["xe"], mult["xf"]
-    lam = exceptional_relation_scalar(F)
-    if F.kind == "dihedral":
-        c_v, c_e = gauss(-1), gauss(1)  # -f_v^2 + f_e^2 + lam f_f^n = 0
+    if E.group.is_cyclic:
+        _require_vanishing(P, GPoly.const(1), "cox_u relation does not vanish on the orbit")
     else:
-        c_v, c_e = gauss(1), gauss(1)  # f_v^a + f_e^2 + f_f^c = 0, lam = 1
-    # rewrite rule: ff^nf = -(c_v fv^nv + c_e fe^ne) / lam
-
-    def reduce3(terms: dict[tuple[int, int, int], GaussianRational]):
-        out: dict[tuple[int, int, int], GaussianRational] = {}
-        work = list(terms.items())
-        while work:
-            (ev, ee, ef), c = work.pop()
-            if not c:
-                continue
-            if ef >= nf:
-                base = (ev, ee, ef - nf)
-                inv = lam.inverse()
-                work.append(((base[0] + nv, base[1], base[2]), -c * c_v * inv))
-                work.append(((base[0], base[1] + ne, base[2]), -c * c_e * inv))
-                continue
-            key = (ev, ee, ef)
-            cur = out.get(key, gauss(0)) + c
-            if cur:
-                out[key] = cur
-            else:
-                out.pop(key, None)
-        return out
-
-    def fmul(t1, t2):
-        acc: dict[tuple[int, int, int], GaussianRational] = {}
-        for m1, a in t1.items():
-            for m2, b in t2.items():
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                acc[m] = acc.get(m, gauss(0)) + a * b
-        return reduce3(acc)
-
-    def fpow(t, k):
-        out = {(0, 0, 0): gauss(1)}
-        for _ in range(k):
-            out = fmul(out, t)
-        return out
-
-    one = {(0, 0, 0): gauss(1)}
-    fn: dict[str, dict] = {
-        "a": {(nv, 0, 0): gauss(1)},
-        "b": {(0, ne, 0): gauss(-1)},
-        "sv": {(1, 0, 0): gauss(1)},
-        "se": {(0, 1, 0): gauss(1)},
-        "sf": {(0, 0, 1): gauss(1)},
-    }
-    for p in E.extra_points:
-        k = keys[p]
-        fn[f"sp{k[1:]}"] = reduce3({
-            (nv, 0, 0): gauss(p.beta),
-            (0, ne, 0): gauss(p.alpha),
-        })
-    for v in P.variables:
-        if v.name.startswith("r"):
-            fn[v.name] = dict(one)
-    for rel in P.relations:
-        acc: dict = {}
-        for mono, c in rel.terms.items():
-            f = dict(one)
-            for vname, e in mono:
-                f = fmul(f, fpow(fn[vname], e))
-            for m, a in f.items():
-                acc[m] = acc.get(m, gauss(0)) + a * c
-        acc = reduce3(acc)
-        if acc:
-            raise RuntimeError("polyhedral cox_u relation does not vanish")
+        _require_vanishing(P, SparsePoly.term(1, {}), "polyhedral cox_u relation does not vanish",
+                           _exceptional_reduction(E.group))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .exactmath import GaussianRational, gauss, rat
@@ -123,6 +124,11 @@ class EmbeddingData:
     # -- validation -----------------------------------------------------------
 
     def validate(self) -> list[Violation]:
+        return list(self._violations)
+
+    @cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        """The structural violations, computed once per (immutable) embedding."""
         v: list[Violation] = []
         F = self.group
         canon = self.canonical_points()
@@ -188,12 +194,11 @@ class EmbeddingData:
                 v.append(Violation("SectionAtCanonical",
                                    "the section divisor cannot sit at a canonical color"))
 
-        return sorted(v, key=lambda x: (x.code, x.detail))
+        return tuple(sorted(v, key=lambda x: (x.code, x.detail)))
 
     def require_valid(self) -> "EmbeddingData":
-        violations = self.validate()
-        if violations:
-            raise InvalidEmbedding(violations)
+        if self._violations:
+            raise InvalidEmbedding(self._violations)
         return self
 
 

@@ -59,16 +59,6 @@ class FiniteSubgroup:
         return self.kind in _POLYHEDRAL
 
     @property
-    def order(self) -> int:
-        return {
-            CYCLIC: self.n,
-            DIHEDRAL: 4 * self.n,
-            TETRAHEDRAL: 24,
-            OCTAHEDRAL: 48,
-            ICOSAHEDRAL: 120,
-        }[self.kind]
-
-    @property
     def nbar(self) -> int:
         """n for odd n, n/2 for even n (cyclic only)."""
         if not self.is_cyclic:

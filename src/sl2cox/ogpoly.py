@@ -61,10 +61,6 @@ class GPoly:
     # -- constructors ----------------------------------------------------------
 
     @staticmethod
-    def zero() -> "GPoly":
-        return GPoly()
-
-    @staticmethod
     def const(c) -> "GPoly":
         c = gauss(c)
         return GPoly({(0, 0, 0, 0): c}, reduced=True) if c else GPoly()
@@ -134,18 +130,7 @@ class GPoly:
             parts.append(f"({self.terms[m]})" + ("*" + "*".join(factors) if factors else ""))
         return " + ".join(parts)
 
-    # -- torus weight and sl2 operators ------------------------------------------
-
-    def weight(self) -> int | None:
-        """Common torus weight of all monomials, None when mixed or zero."""
-        w = None
-        for (a, b, c, d) in self.terms:
-            cur = (c + d) - (a + b)
-            if w is None:
-                w = cur
-            elif w != cur:
-                return None
-        return w
+    # -- sl2 operators -----------------------------------------------------------
 
     def raise_op(self) -> "GPoly":
         acc: dict[Mono, GaussianRational] = {}

@@ -9,8 +9,13 @@ and the test suite run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
 from .exactmath import FinAbGroup, GAUSS_ONE, GAUSS_ZERO, GaussianRational, gauss
+
+if TYPE_CHECKING:
+    from .ogpoly import GPoly
 
 Monomial = tuple[tuple[str, int], ...]  # sorted by variable name, exponents > 0
 
@@ -24,10 +29,6 @@ class SparsePoly:
             for m, c in terms.items():
                 if c:
                     self.terms[m] = c
-
-    @staticmethod
-    def zero() -> "SparsePoly":
-        return SparsePoly()
 
     @staticmethod
     def term(coeff, exps: dict[str, int]) -> "SparsePoly":
@@ -165,7 +166,9 @@ class GradedVariable:
     degree: tuple[int, ...]  # adapted coordinates in Cl(X)
     b_weight: int
     module_tag: str = ""
-    pretty: str = ""
+    # the generator as a function: on SL2 (GPoly) for cyclic F, in the
+    # subregular semi-invariants fv, fe, ff (SparsePoly) for polyhedral F
+    function: GPoly | SparsePoly | None = field(default=None, compare=False)
 
 
 @dataclass

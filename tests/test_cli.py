@@ -163,6 +163,22 @@ class TestOtherCommands:
                          "--verify", "--seed-free")
         assert rc == 0
 
+    def test_cox_u_verify_validates_once(self, capsys, monkeypatch):
+        # the validation body tests the valuation cone once per divisor; every
+        # layer's require_valid() after the first reuses the stored result
+        import sl2cox.embedding as emb
+
+        calls = []
+        inner = emb.valuation_cone_contains
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(emb, "valuation_cone_contains", counting)
+        rc, _, _ = run(capsys, "cox-u", "--verify", fixture("mu3.json"))
+        assert rc == 0 and len(calls) == 3  # mu3.json has three divisors
+
     def test_verify_only_changes_warnings(self, capsys):
         rc1, out1, _ = run(capsys, "cox-full", fixture("mu3.json"), "--format", "json")
         rc2, out2, _ = run(capsys, "cox-full", fixture("mu3.json"), "--format", "json",

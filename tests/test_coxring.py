@@ -74,6 +74,7 @@ class TestCoxU:
             GStableDivisorSpec(p1, 2, -1), GStableDivisorSpec(p2, 3, -2)))
         P = cox_u_presentation(E)
         verify_cox_u(E, P)
+        _assert_cox_u_oracle(E, P)
         Q, log = eliminate(P)
         assert Q.relations == []
         assert len(log) == 2
@@ -82,6 +83,7 @@ class TestCoxU:
         E = mu3_example()  # x1 = [2:3]
         P = cox_u_presentation(E)
         verify_cox_u(E, P)
+        _assert_cox_u_oracle(E, P)
         Q, log = eliminate(P)
         assert log[0].startswith("a = ")
         assert log[1].startswith("b = ")
@@ -96,6 +98,14 @@ class TestCoxU:
             GStableDivisorSpec(XF, 2, -2), GStableDivisorSpec(point(2, 3), 1, -1)))
         P = cox_u_presentation(E)
         verify_cox_u(E, P)
+        # functions in the subregular semi-invariants: a = fv^3, b = -fe^2,
+        # s' over [2:3] is 3a - 2b
+        assert {v.name: v.function for v in P.variables} == {
+            "a": rel((1, {"fv": 3})), "b": rel((-1, {"fe": 2})),
+            "sv": rel((1, {"fv": 1})), "se": rel((1, {"fe": 1})), "sf": rel((1, {"ff": 1})),
+            "sp1": rel((3, {"fv": 3}), (2, {"fe": 2})),
+            "rv": rel((1, {})), "re": rel((1, {})), "rf": rel((1, {})), "rp1": rel((1, {})),
+        }
         Q, _ = eliminate(P)
         expected = [
             rel((1, {"sv": 3, "rv": 1}), (1, {"se": 2, "re": 1}), (1, {"sf": 3, "rf": 2})),
@@ -111,6 +121,11 @@ class TestCoxU:
         assert not E.validate()
         P = cox_u_presentation(E)
         verify_cox_u(E, P)
+        assert {v.name: v.function for v in P.variables} == {
+            "a": rel((1, {"fv": 2})), "b": rel((-1, {"fe": 2})),
+            "sv": rel((1, {"fv": 1})), "se": rel((1, {"fe": 1})), "sf": rel((1, {"ff": 1})),
+            "rv": rel((1, {})), "re": rel((1, {})), "rf": rel((1, {})),
+        }
         Q, _ = eliminate(P)
         lam = 4 * gauss_ipow(-n)
         expected = [rel(
@@ -135,6 +150,27 @@ class TestCoxU:
         P = cox_u_presentation(E)
         assert "rdom" in P.var_order()
         assert all("rdom" not in r.variables() for r in P.relations)
+        _assert_cox_u_oracle(E, P)
+
+    def test_random_cyclic_sweep_matches_oracle(self):
+        rng = random.Random(271828)
+        coords = [(1, 1), (2, 1), (3, 1), (1, 3), (5, 2), (-1, 2)]
+        for n in range(1, 9):
+            done = 0
+            while done < 3:
+                extras = tuple(point(*c) for c in rng.sample(coords, k=rng.randint(0, 3)))
+                divisors = [GStableDivisorSpec(p, rng.randint(1, 3), -rng.randint(1, 3))
+                            for p in extras]
+                if n >= 3:
+                    divisors += [GStableDivisorSpec(p, rng.randint(1, 3), -rng.randint(1, 2))
+                                 for p in (X0, XINF) if rng.random() < 0.7]
+                E = EmbeddingData(cyclic(n), extras, tuple(divisors))
+                if E.validate():
+                    continue
+                P = cox_u_presentation(E)
+                verify_cox_u(E, P)
+                _assert_cox_u_oracle(E, P)
+                done += 1
 
     def test_degrees_and_weights_homogeneous(self):
         for E in (mu3_example(), trivial_four_points()):
@@ -497,6 +533,47 @@ def _orbit_value(var: GradedVariable, E: EmbeddingData, keys: dict, g):
     return beta * (g3 ** (nb - k) * g1 ** k) - alpha * (g4 ** (nb - k) * g2 ** k)
 
 
+def _cox_u_value(var: GradedVariable, E: EmbeddingData, keys: dict, g):
+    """The function on SL2 behind a cyclic cox_u variable, at the integer
+    matrix g: a = g3^nbar, b = g4^nbar, s0 = g3, sinf = g4, s' over
+    [alpha:beta] = beta g3^nbar - alpha g4^nbar, and 1 for every r section."""
+    g1, g2, g3, g4 = g
+    nb = E.group.nbar
+    if var.name in ("a", "b"):
+        return gauss(g3 ** nb if var.name == "a" else g4 ** nb)
+    if not var.module_tag.startswith("E["):
+        return gauss(1)
+    key = var.module_tag[2:-1]
+    if key in ("x0", "xinf"):
+        return gauss(g3 if key == "x0" else g4)
+    p = next(q for q in E.extra_points if keys[q] == key)
+    return p.beta * g3 ** nb - p.alpha * g4 ** nb
+
+
+def _assert_cox_u_oracle(E: EmbeddingData, P: GradedPresentation):
+    """Each cyclic cox_u generator's recorded function takes the closed-form
+    value at integer points of SL2, and every relation vanishes there."""
+    keys = cg.point_keys(E)
+    for g in sl2z_points(3):
+        val = {v.name: _cox_u_value(v, E, keys, g) for v in P.variables}
+        for v in P.variables:
+            assert evaluate(v.function, g) == val[v.name], v.name
+        for r in P.relations:
+            assert not _value_at(r, val)
+
+
+def _value_at(poly: SparsePoly, val: dict):
+    """poly with every variable replaced by its value in ``val``."""
+    acc = gauss(0)
+    for mono, c in poly.terms.items():
+        term = c
+        for v, e in mono:
+            for _ in range(e):
+                term = term * val[v]
+        acc = acc + term
+    return acc
+
+
 def _oracle_values(res, g) -> dict:
     keys = res.class_group.point_keys
     return {v.name: _orbit_value(v, res.embedding, keys, g)
@@ -509,24 +586,16 @@ def _assert_relations_vanish(res, polys=None):
     for g in sl2z_points(3):
         val = _oracle_values(res, g)
         for r in res.presentation.relations if polys is None else polys:
-            acc = gauss(0)
-            for mono, c in r.terms.items():
-                term = c
-                for v, e in mono:
-                    for _ in range(e):
-                        term = term * val[v]
-                acc = acc + term
-            assert not acc
+            assert not _value_at(r, val)
 
 
 def _assert_functions_match_oracle(res):
     """The generator functions recorded by the construction take the oracle's
     values at integer points of SL2."""
-    assert set(res.functions) == {v.name for v in res.presentation.variables}
     for g in sl2z_points(2):
         val = _oracle_values(res, g)
-        for name, f in res.functions.items():
-            assert evaluate(f, g) == val[name], name
+        for v in res.presentation.variables:
+            assert evaluate(v.function, g) == val[v.name], v.name
 
 
 def _perturbed(P: GradedPresentation) -> GradedPresentation:

@@ -73,6 +73,13 @@ class TestValidate:
         v2 = E.validate()
         assert v1 == v2 == sorted(v1, key=lambda x: (x.code, x.detail))
 
+    def test_returned_list_is_a_copy(self):
+        E = EmbeddingData(cyclic(5), (), (GStableDivisorSpec(X0, 1, 1),))
+        first = E.validate()
+        expected = list(first)
+        first.clear()
+        assert E.validate() == expected != []
+
 
 class TestCounts:
     def test_trivial_example(self):

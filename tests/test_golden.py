@@ -1,8 +1,10 @@
-"""Golden outputs: every subcommand's JSON report on every fixture.
+"""Golden outputs: every subcommand's JSON report on every fixture, and the
+polyhedral subcommands on one input per polyhedral family.
 
 Each case runs ``sl2cox.cli.main`` in process from the repository root (so the
-report's input path is ``fixtures/<name>.json``) and compares its exit code and
-stdout byte for byte with ``tests/golden``.  Regenerate the files, only when an
+report's input path is ``fixtures/<name>.json`` or
+``tests/golden/inputs/<name>.json``) and compares its exit code and stdout
+byte for byte with ``tests/golden``.  Regenerate the files, only when an
 output change is intended, with::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -27,11 +29,17 @@ COMMANDS = {
     "iterate": [],
     "batyrev-haddad": [],
 }
-CASES = [(cmd, fx) for cmd in COMMANDS for fx in FIXTURES]
+# one input per polyhedral family not covered by the fixtures, each with
+# divisors over xv, xe, xf and one extra point; dihedral(3) has lambda = 4i
+POLYHEDRAL = ("dihedral3", "dihedral4", "octahedral", "icosahedral")
+POLYHEDRAL_COMMANDS = ("cox-u", "classgroup", "diagnose", "iterate")
+CASES = ([(cmd, fx) for cmd in COMMANDS for fx in FIXTURES]
+         + [(cmd, fx) for cmd in POLYHEDRAL_COMMANDS for fx in POLYHEDRAL])
 
 
 def _argv(cmd: str, fx: str) -> list[str]:
-    return [cmd, *COMMANDS[cmd], f"fixtures/{fx}.json", "--format", "json"]
+    path = f"fixtures/{fx}.json" if fx in FIXTURES else f"tests/golden/inputs/{fx}.json"
+    return [cmd, *COMMANDS[cmd], path, "--format", "json"]
 
 
 def _out_path(cmd: str, fx: str) -> str:

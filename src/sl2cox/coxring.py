@@ -9,13 +9,15 @@ Four layers:
     ``special_fiber_u`` cuts the invariant-divisor sections to zero.
 
   * ``full_cox_presentation_cyclic``: the full Cox ring for cyclic F.  The
-    generators are bases of the simple modules spanned by the canonical
-    sections of the exceptional colors; the relations are found per pair of
-    modules by computing the highest-weight vectors of the non-leading
-    Clebsch-Gordan components in the formal tensor algebra, evaluating them
-    in the matrix coordinates of SL2, and matching the value against the
-    unique monomial in the canonical sections of the same degree and weight,
-    whose exponents come from a non-negative class-group computation.
+    generators are weight bases of the simple modules spanned by the
+    canonical sections of the exceptional colors, with raise(fn_k) =
+    a_k fn_(k-1).  Per pair of modules, the highest-weight vector of each
+    non-leading Clebsch-Gordan component is a closed-form chain in the a_k
+    (the classical transvectant); its value in the matrix coordinates of SL2
+    is matched against the unique monomial in the canonical sections of the
+    same degree and weight, whose exponents come from a non-negative
+    class-group computation.  The scalars of the N-modules are read off the
+    g3^nbar and g4^nbar coefficients of the sections.
 
   * ``verify_cox_u`` and ``verify_full_cox``: both constructions record each
     generator's function once, in ``GradedVariable.function`` (on SL2 for
@@ -39,7 +41,7 @@ from .embedding import (
     exceptional_relation_scalar,
     point_coordinates,
 )
-from .exactmath import GAUSS_ONE, gauss
+from .exactmath import GAUSS_ONE, GAUSS_ZERO, gauss
 from .groups import FiniteSubgroup, gcd_pos
 from .hyperspace import BasePoint, X0, XINF, point
 from .ogpoly import (
@@ -48,7 +50,6 @@ from .ogpoly import (
     G3,
     G4,
     GPoly,
-    gr_nullspace,
 )
 from .presentation import (
     GradedPresentation,
@@ -334,25 +335,25 @@ def _basis_names(nbar: int, idx: str) -> list[str]:
     return names
 
 
-def _raising_matrix(mod: SectionModule):
-    """Matrix A with raise(fn_j) = sum_k A[k][j] * fn_k.
+def _raising_scalars(mod: SectionModule) -> list:
+    """Scalars a_k with raise(fn_k) = a_k * fn_(k-1), and a_0 = 0.
 
-    The basis is a weight basis with distinct weights, so raise(fn_j) is a
-    multiple of the one fn_k of weight w_j + 2, or zero; the scalar is read
-    off one term and confirmed by exact equality.
+    The basis is a weight basis with weights descending by 2, so each scalar
+    is read off one term and confirmed by exact equality; fn_0 must be a
+    highest-weight vector and no other basis vector may be raised to zero.
     """
-    A = [[gauss(0)] * mod.dim for _ in range(mod.dim)]
-    for j, f in enumerate(mod.fns):
+    message = "raising operator does not stabilize a section module"
+    if not mod.fns[0].raise_op().is_zero():
+        raise RuntimeError(message)
+    scalars = [GAUSS_ZERO]
+    for above, f in zip(mod.fns, mod.fns[1:]):
         raised = f.raise_op()
-        if raised.is_zero():
-            continue
-        k = next((k for k, w in enumerate(mod.weights) if w == mod.weights[j] + 2), None)
-        mono, c = next(iter(raised.terms.items()))
-        base = mod.fns[k].terms.get(mono) if k is not None else None
-        if base is None or raised != mod.fns[k].scale(c / base):
-            raise RuntimeError("raising operator does not stabilize a section module")
-        A[k][j] = c / base
-    return A
+        mono, c = next(iter(raised.terms.items()), (None, None))
+        base = above.terms.get(mono)
+        if base is None or raised != above.scale(c / base):
+            raise RuntimeError(message)
+        scalars.append(c / base)
+    return scalars
 
 
 def _augment(E: EmbeddingData) -> tuple[EmbeddingData, list[str]]:
@@ -409,54 +410,40 @@ class _Ctx:
         return out
 
 
+def _transvectant(a: list, b: list, k: int, sym: bool) -> dict:
+    """Non-zero coefficients {(i, j): c_ij}, i + j = k, in ascending i, of
+    the highest-weight vector sum c_ij fn_i (x) fn_j in A (x) B, where
+    raise(fn_i) = a_i fn_(i-1) on A and b_j on B: the k-th transvectant
+    c_0k = 1, c_(i+1),(k-i-1) = -c_i,(k-i) b_(k-i) / a_(i+1), folded onto
+    i <= j (the monomials of Sym^2) when ``sym``, scaled to lead with 1."""
+    chain: dict = {}
+    c = GAUSS_ONE
+    for i in range(k + 1):
+        key = (min(i, k - i), max(i, k - i)) if sym else (i, k - i)
+        chain[key] = chain.get(key, GAUSS_ZERO) + c
+        if i < k:
+            c = -c * b[k - i] / a[i + 1]
+    lead = next(x for x in chain.values() if x)
+    return {key: x / lead for key, x in chain.items() if x}
+
+
 def _pair_rows(A: SectionModule, B: SectionModule, ctx: _Ctx) -> list[ModuleRow]:
-    """Rows of M_{AB}: one per non-leading Clebsch-Gordan component."""
+    """Rows of M_{AB}: one per non-leading Clebsch-Gordan component V_m, from
+    its highest-weight vector, the transvectant of order
+    k = (w_A0 + w_B0 - m)/2."""
     sym = A is B
-    da, db = A.dim - 1, B.dim - 1
-    comps = clebsch_gordan(da, db)[1:]  # drop the Cartan component
+    comps = clebsch_gordan(A.dim - 1, B.dim - 1)[1:]  # drop the Cartan component
     if sym:
         comps = comps[1::2]  # Sym^2(V_d) = V_2d + V_{2d-4} + ...
     rows: list[ModuleRow] = []
     if not comps:
         return rows
-    ra = _raising_matrix(A)
-    rb = ra if sym else _raising_matrix(B)
+    a = _raising_scalars(A)
+    b = a if sym else _raising_scalars(B)
     for m in comps:
-        pairs = [(i, j) for i in range(A.dim) for j in range(B.dim)
-                 if A.weights[i] + B.weights[j] == m and (not sym or i <= j)]
-        if not pairs:
-            continue
-        up_pairs = [(i, j) for i in range(A.dim) for j in range(B.dim)
-                    if A.weights[i] + B.weights[j] == m + 2 and (not sym or i <= j)]
-        up_index = {p: r for r, p in enumerate(up_pairs)}
-        mat = [[gauss(0)] * len(pairs) for _ in up_pairs]
-
-        def bump(i, j, c, col):
-            key = (min(i, j), max(i, j)) if sym else (i, j)
-            r = up_index.get(key)
-            if r is not None:
-                mat[r][col] = mat[r][col] + c
-
-        for col, (i, j) in enumerate(pairs):
-            for k in range(A.dim):
-                if ra[k][i]:
-                    bump(k, j, ra[k][i], col)
-            for k in range(B.dim):
-                if rb[k][j]:
-                    bump(i, k, rb[k][j], col)
-        null = gr_nullspace(mat, len(pairs))
-        if not null:
-            continue
-        if len(null) != 1:
-            raise RuntimeError("Clebsch-Gordan component is not multiplicity free")
-        coeffs = null[0]
-        lead = next(c for c in coeffs if c)
-        coeffs = [c / lead for c in coeffs]
         y = SparsePoly()
         fy = GPoly()
-        for c, (i, j) in zip(coeffs, pairs):
-            if not c:
-                continue
+        for (i, j), c in _transvectant(a, b, (A.weights[0] + B.weights[0] - m) // 2, sym).items():
             mono = {A.names[i]: 1}
             mono[B.names[j]] = mono.get(B.names[j], 0) + 1
             y = y + SparsePoly.term(c, mono)
@@ -489,21 +476,21 @@ def _pair_rows(A: SectionModule, B: SectionModule, ctx: _Ctx) -> list[ModuleRow]
     return rows
 
 
-def _n_rows(mod: SectionModule, ctx: _Ctx, E: EmbeddingData, keys: dict,
-            p: BasePoint, include_lowered: bool) -> list[ModuleRow]:
-    """The N-module of one non-designated exceptional point: scalars solved
-    from the function identity between s0^nbar r0^h, sinf^nbar rinf^h and
-    s_i r_i^h; for nbar = 1 the lowered (t-)row completes the module."""
-    from .ogpoly import combination_nullspace
-
+def _n_rows(mod: SectionModule, ctx: _Ctx, p: BasePoint,
+            include_lowered: bool) -> list[ModuleRow]:
+    """The N-module of one non-designated exceptional point: the row
+    c0 s0^nbar r0^h + cinf sinf^nbar rinf^h - s_i r_i^h, with c0 and cinf
+    read off the g3^nbar and g4^nbar coefficients of s_i over those of
+    s0^nbar and sinf^nbar and confirmed by exact equality; for nbar = 1 the
+    lowered (t-)row completes the module."""
     mod0, modinf = ctx.mod0, ctx.modinf
+    E, keys = ctx.E, ctx.R.point_keys
     nb = E.group.nbar
-    null = combination_nullspace([mod0.fns[0].pow(nb), modinf.fns[0].pow(nb), mod.fns[0]])
-    if len(null) != 1:
-        raise RuntimeError("section identity for an N module is not unique")
-    c0, cinf, ci = null[0]
-    scalefac = gauss(-1) / ci  # normalize the s_i coefficient to -1
-    c0, cinf, ci = c0 * scalefac, cinf * scalefac, gauss(-1)
+    s0, sinf, si = mod0.fns[0].pow(nb), modinf.fns[0].pow(nb), mod.fns[0]
+    c0 = si.terms.get((0, 0, nb, 0), GAUSS_ZERO) / s0.terms[(0, 0, nb, 0)]
+    cinf = si.terms.get((0, 0, 0, nb), GAUSS_ZERO) / sinf.terms[(0, 0, 0, nb)]
+    if s0.scale(c0) + sinf.scale(cinf) != si:
+        raise RuntimeError("an N-module section is not c0 s0^nbar + cinf sinf^nbar")
 
     def r_mono(q: BasePoint | None) -> dict[str, int]:
         if q is None:
@@ -520,7 +507,7 @@ def _n_rows(mod: SectionModule, ctx: _Ctx, E: EmbeddingData, keys: dict,
         ms = {mod.names[index]: 1}
         ms.update(r_mono(p))
         return (SparsePoly.term(c0, m0) + SparsePoly.term(cinf, minf)
-                + SparsePoly.term(ci, ms))
+                + SparsePoly.term(-1, ms))
 
     rows = [ModuleRow(nb, nb, build(0))]
     if include_lowered:
@@ -638,7 +625,7 @@ def full_cox_presentation_cyclic(E: EmbeddingData, bound: int = 128) -> FullCoxR
                 relations.extend(r.poly for r in rows)
     for m in extra_modules:
         p = extra_pts[extra_modules.index(m)]
-        rows = _n_rows(m, ctx, E, keys, p, include_lowered=(nb == 1))
+        rows = _n_rows(m, ctx, p, include_lowered=(nb == 1))
         rel_modules.append(RelationModule("N", (m.point_key,), tuple(rows)))
         relations.extend(r.poly for r in rows)
 

@@ -44,12 +44,14 @@ class BasePoint:
     """A point of P^1: a symbolic canonical tag or homogeneous coordinates.
 
     Coordinate points are compared projectively; symbolic tags compare by
-    tag and never equal a coordinate point.
+    tag and never equal a coordinate point.  The comparison key is computed
+    once: the tag, alpha/beta, or None for [1:0].
     """
 
     tag: str | None = None
     alpha: GaussianRational | None = None
     beta: GaussianRational | None = None
+    _key: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tag is not None:
@@ -62,21 +64,16 @@ class BasePoint:
                 raise ValueError("coordinate point needs alpha and beta")
             if not self.alpha and not self.beta:
                 raise ValueError("[0:0] is not a point of P^1")
-
-    def normalized(self) -> tuple[GaussianRational, GaussianRational] | str:
-        if self.tag is not None:
-            return self.tag
-        if self.beta:
-            return (self.alpha / self.beta, gauss(1))
-        return (gauss(1), gauss(0))
+        object.__setattr__(self, "_key", self.tag if self.tag is not None
+                           else self.alpha / self.beta if self.beta else None)
 
     def __eq__(self, other):
         if not isinstance(other, BasePoint):
             return NotImplemented
-        return self.normalized() == other.normalized()
+        return self._key == other._key
 
     def __hash__(self):
-        return hash(str(self.normalized()))
+        return hash(self._key)
 
     def __str__(self):
         if self.tag is not None:

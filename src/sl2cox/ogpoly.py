@@ -157,6 +157,8 @@ G1, G2, G3, G4 = GPoly.gen(1), GPoly.gen(2), GPoly.gen(3), GPoly.gen(4)
 
 
 # -- linear algebra over the Gaussian rationals ----------------------------------
+# Only gr_rref has a caller in the package; perfbench/spans.py wraps the other
+# four by name, and the tests use the two nullspaces as oracles.
 
 
 def gr_rref(rows: list[list[GaussianRational]]) -> tuple[list[list[GaussianRational]], list[int]]:

@@ -12,7 +12,8 @@ from sl2cox.coxring import (
     NotLinearInTarget,
     SectionModule,
     TorsionAfterAugmentation,
-    _raising_matrix,
+    _raising_scalars,
+    _transvectant,
     batyrev_haddad,
     classify_fiber_presentation,
     clebsch_gordan,
@@ -27,7 +28,7 @@ from sl2cox.embedding import EmbeddingData, GStableDivisorSpec, affine_embedding
 from sl2cox.exactmath import FinAbGroup, gauss, gauss_ipow
 from sl2cox.groups import ICOSA, OCTA, TETRA, cyclic, dihedral
 from sl2cox.hyperspace import Section, X0, XE, XF, XINF, XV, point
-from sl2cox.ogpoly import G1, G2, G3, G4
+from sl2cox.ogpoly import G1, G2, G3, G4, GPoly, combination_nullspace, gr_nullspace
 from sl2cox.presentation import (
     GradedPresentation,
     GradedVariable,
@@ -480,30 +481,150 @@ class TestFullCoxShapes:
                 relation_b_weight(r, wts)
 
 
-class TestRaisingMatrix:
+def _extra_module(nb: int, alpha, beta, idx: str = "1") -> SectionModule:
+    """The extra-point module of [alpha:beta] for nbar = nb, built as in the
+    construction: beta g3^(nb-k) g1^k - alpha g4^(nb-k) g2^k, weight nb - 2k."""
+    alpha, beta = gauss(alpha), gauss(beta)
+    fns = tuple((G3.pow(nb - k) * G1.pow(k)).scale(beta)
+                - (G4.pow(nb - k) * G2.pow(k)).scale(alpha)
+                for k in range(nb + 1))
+    names = tuple(f"m{k}_{idx}" for k in range(nb + 1))
+    return SectionModule(f"x{idx}", {}, names, fns, tuple(nb - 2 * k for k in range(nb + 1)))
+
+
+def _uniform_module(alpha, beta, idx: str = "1") -> SectionModule:
+    """The n <= 2 module of [alpha:beta]: beta g3 - alpha g4, alpha g2 - beta g1."""
+    alpha, beta = gauss(alpha), gauss(beta)
+    fns = (G3.scale(beta) - G4.scale(alpha), G2.scale(alpha) - G1.scale(beta))
+    return SectionModule(f"x{idx}", {}, (f"s{idx}", f"t{idx}"), fns, (1, -1))
+
+
+X0_MODULE = SectionModule("x0", {}, ("s0", "t0"), (G3, G1), (1, -1))
+XINF_MODULE = SectionModule("xinf", {}, ("sinf", "tinf"), (G4, G2), (1, -1))
+
+
+class TestRaisingScalars:
     def test_extra_point_module(self):
-        alpha, beta = gauss(2), gauss(3)
         for nb in range(1, 13):
-            fns = tuple((G3.pow(nb - k) * G1.pow(k)).scale(beta)
-                        - (G4.pow(nb - k) * G2.pow(k)).scale(alpha)
-                        for k in range(nb + 1))
-            weights = tuple(nb - 2 * k for k in range(nb + 1))
-            names = tuple(f"m{k}" for k in range(nb + 1))
-            A = _raising_matrix(SectionModule("x1", {}, names, fns, weights))
-            for i in range(nb + 1):
-                for j in range(nb + 1):
-                    assert A[i][j] == gauss(j if i == j - 1 else 0)
+            assert _raising_scalars(_extra_module(nb, 2, 3)) == [gauss(k) for k in range(nb + 1)]
 
     def test_uniform_module(self):
-        alpha, beta = gauss(2), gauss(3)
-        fns = (G3.scale(beta) - G4.scale(alpha), G2.scale(alpha) - G1.scale(beta))
-        A = _raising_matrix(SectionModule("x1", {}, ("s1", "t1"), fns, (1, -1)))
-        assert A == [[gauss(0), gauss(-1)], [gauss(0), gauss(0)]]
+        assert _raising_scalars(_uniform_module(2, 3)) == [gauss(0), gauss(-1)]
+
+    def test_x0_and_xinf_modules(self):
+        assert _raising_scalars(X0_MODULE) == [gauss(0), gauss(1)]
+        assert _raising_scalars(XINF_MODULE) == [gauss(0), gauss(1)]
 
     def test_non_stable_module_is_rejected(self):
         mod = SectionModule("x1", {}, ("s1", "t1"), (G3, G2), (1, -1))
         with pytest.raises(RuntimeError, match="does not stabilize"):
-            _raising_matrix(mod)
+            _raising_scalars(mod)
+
+    def test_raise_killing_a_lower_vector_is_rejected(self):
+        # raise(g4) = 0, so g4 is not the image of a lowering of g3
+        mod = SectionModule("x1", {}, ("s1", "t1"), (G3, G4), (1, -1))
+        with pytest.raises(RuntimeError, match="does not stabilize"):
+            _raising_scalars(mod)
+
+
+def _dense_raising(mod: SectionModule) -> list:
+    """Oracle: the matrix M with raise(fn_j) = sum_k M[k][j] fn_k, found by
+    matching raise(fn_j) against the one basis vector of weight w_j + 2."""
+    M = [[gauss(0)] * mod.dim for _ in range(mod.dim)]
+    for j, f in enumerate(mod.fns):
+        raised = f.raise_op()
+        if raised.is_zero():
+            continue
+        k = next(k for k, w in enumerate(mod.weights) if w == mod.weights[j] + 2)
+        mono, c = next(iter(raised.terms.items()))
+        M[k][j] = c / mod.fns[k].terms[mono]
+        assert raised == mod.fns[k].scale(M[k][j])
+    return M
+
+
+def _nullspace_hwv(A: SectionModule, B: SectionModule, m: int) -> dict:
+    """Oracle: the highest-weight vector of V_m in A (x) B (in Sym^2 A when
+    A is B) as the kernel of the raising operator on the formal tensors of
+    weight m, computed by ``gr_nullspace``; normalized so its first non-zero
+    coefficient, in ascending i, is 1."""
+    sym = A is B
+    ra, rb = _dense_raising(A), _dense_raising(B)
+
+    def fold(i, j):
+        return (min(i, j), max(i, j)) if sym else (i, j)
+
+    pairs = [(i, j) for i in range(A.dim) for j in range(B.dim)
+             if A.weights[i] + B.weights[j] == m and (not sym or i <= j)]
+    up = [(i, j) for i in range(A.dim) for j in range(B.dim)
+          if A.weights[i] + B.weights[j] == m + 2 and (not sym or i <= j)]
+    mat = [[gauss(0)] * len(pairs) for _ in up]
+    for col, (i, j) in enumerate(pairs):
+        images = [((k, j), ra[k][i]) for k in range(A.dim)]
+        images += [((i, k), rb[k][j]) for k in range(B.dim)]
+        for key, c in images:
+            if c and fold(*key) in up:
+                row = up.index(fold(*key))
+                mat[row][col] = mat[row][col] + c
+    null = gr_nullspace(mat, len(pairs))
+    assert len(null) == 1
+    lead = next(c for c in null[0] if c)
+    return {p: c / lead for p, c in zip(pairs, null[0]) if c}
+
+
+class TestTransvectant:
+    def _check(self, A: SectionModule, B: SectionModule):
+        sym = A is B
+        comps = clebsch_gordan(A.dim - 1, B.dim - 1)[1:]
+        if sym:
+            comps = comps[1::2]
+        a = _raising_scalars(A)
+        b = a if sym else _raising_scalars(B)
+        for m in comps:
+            k = (A.weights[0] + B.weights[0] - m) // 2
+            chain = _transvectant(a, b, k, sym)
+            assert list(chain.items()) == list(_nullspace_hwv(A, B, m).items()), (A.names, B.names, m)
+
+    def test_cyclic_modules_match_nullspace(self):
+        for nb in range(1, 13):
+            mods = [X0_MODULE, XINF_MODULE, _extra_module(nb, 2, 3, "1"),
+                    _extra_module(nb, 1, 1, "2")]
+            for i, A in enumerate(mods):
+                for B in mods[i:]:
+                    self._check(A, B)
+
+    def test_uniform_modules_match_nullspace(self):
+        mods = [_uniform_module(0, 1, "1"), _uniform_module(1, 0, "2"),
+                _uniform_module(2, 3, "3")]
+        for i, A in enumerate(mods):
+            for B in mods[i:]:
+                self._check(A, B)
+
+    def test_n_module_scalars_match_combination_nullspace(self):
+        # n = 2 with three or more points keeps torsion here, so n <= 2 is n = 1;
+        # [0:2] and [3:0] give s0 and sinf coefficients other than 1
+        cases = [(n, (point(1, 1), point(2, 3))) for n in (3, 4, 5, 7, 8)]
+        cases += [(1, (point(0, 2), point(3, 0), point(1, 1), point(2, 1))),
+                  (1, (point(0, 1), point(1, 0), point(2, 3)))]
+        for n, extras in cases:
+            over = extras if n <= 2 else (X0, XINF) + extras
+            E = EmbeddingData(cyclic(n), extras, tuple(GStableDivisorSpec(p, 1, -1) for p in over))
+            res = full_cox_presentation_cyclic(E)
+            fn = {v.name: v.function for v in res.presentation.variables}
+            n_rows = [r for mod in res.modules if mod.kind == "N" for r in mod.rows]
+            assert n_rows
+            for row in n_rows:
+                monos, coeffs = zip(*row.poly.terms.items())
+                polys = []
+                for mono in monos:
+                    f = GPoly.const(1)
+                    for v, e in mono:
+                        f = f * fn[v].pow(e)
+                    polys.append(f)
+                null = combination_nullspace(polys)
+                assert len(null) == 1
+                j = next(j for j, c in enumerate(null[0]) if c)
+                assert [c * coeffs[j] / null[0][j] for c in null[0]] == list(coeffs)
+                assert gauss(-1) in coeffs
 
 
 def _orbit_value(var: GradedVariable, E: EmbeddingData, keys: dict, g):
@@ -652,6 +773,15 @@ class TestFullCoxScale:
         res = full_cox_presentation_cyclic(E)
         verify_full_cox(res)
         assert len(res.presentation.relations) == 39
+        _assert_relations_vanish(res)
+
+    def test_cyclic_64_with_two_extra_points(self):
+        extras = (point(1, 1), point(2, 1))
+        E = EmbeddingData(cyclic(64), extras, tuple(
+            GStableDivisorSpec(p, 1, -1) for p in (X0, XINF) + extras))
+        res = full_cox_presentation_cyclic(E)
+        verify_full_cox(res)
+        assert len(res.presentation.relations) == 71
         _assert_relations_vanish(res)
 
     def test_cyclic_3_with_twenty_invariant_divisors(self):

@@ -1,5 +1,6 @@
 """Golden outputs: every subcommand's JSON report on every fixture, and the
-polyhedral subcommands on one input per polyhedral family.
+polyhedral subcommands on one input per polyhedral family, and ``cox-full``
+on one larger cyclic input.
 
 Each case runs ``sl2cox.cli.main`` in process from the repository root (so the
 report's input path is ``fixtures/<name>.json`` or
@@ -33,8 +34,13 @@ COMMANDS = {
 # divisors over xv, xe, xf and one extra point; dihedral(3) has lambda = 4i
 POLYHEDRAL = ("dihedral3", "dihedral4", "octahedral", "icosahedral")
 POLYHEDRAL_COMMANDS = ("cox-u", "classgroup", "diagnose", "iterate")
+# mu_12 with two extra points and (1, -1) over every point: n-bar = 6, so the
+# self-products of the section modules and the cross products both carry
+# several Clebsch-Gordan components
+CYCLIC = ("cyclic12",)
 CASES = ([(cmd, fx) for cmd in COMMANDS for fx in FIXTURES]
-         + [(cmd, fx) for cmd in POLYHEDRAL_COMMANDS for fx in POLYHEDRAL])
+         + [(cmd, fx) for cmd in POLYHEDRAL_COMMANDS for fx in POLYHEDRAL]
+         + [("cox-full", fx) for fx in CYCLIC])
 
 
 def _argv(cmd: str, fx: str) -> list[str]:

@@ -37,6 +37,30 @@ class TestBasePoint:
     def test_gaussian_coordinates(self):
         assert point({"re": "1", "im": "1"}, 1) == point({"re": "2", "im": "2"}, 2)
 
+    def test_eq_and_hash_agree_across_representatives(self):
+        i = {"re": "0", "im": "1"}
+        classes = [
+            [point(1, 2), point(2, 4), point(-3, -6)],
+            [point(1, 0), point(3, 0), point(i, 0)],
+            [point(0, 1), point(0, {"re": "2", "im": "-1"})],
+            [point(1, i), point({"re": "0", "im": "-1"}, 1), point({"re": "2", "im": "2"},
+                                                                     {"re": "-2", "im": "2"})],
+        ]
+        for cls in classes:
+            for p in cls:
+                for q in cls:
+                    assert p == q and hash(p) == hash(q)
+        assert len({p for cls in classes for p in cls}) == len(classes)
+        for a, b in ((0, 1), (0, 2), (1, 3), (2, 3)):
+            assert classes[a][0] != classes[b][0]
+
+    def test_tag_never_equals_a_coordinate_point(self):
+        coords = [point(0, 1), point(1, 0), point(1, 1), point(-1, 1)]
+        for tag in (X0, XINF, XV, XE, XF, XD):
+            assert all(tag != p for p in coords)
+            assert tag not in set(coords)
+        assert len({X0, XINF, XV, XE, XF, XD}) == 6
+
 
 class TestValuationCone:
     def test_cyclic_examples(self):

@@ -348,11 +348,12 @@ def _raising_scalars(mod: SectionModule) -> list:
     scalars = [GAUSS_ZERO]
     for above, f in zip(mod.fns, mod.fns[1:]):
         raised = f.raise_op()
-        mono, c = next(iter(raised.terms.items()), (None, None))
-        base = above.terms.get(mono)
-        if base is None or raised != above.scale(c / base):
+        mono = next(iter(raised.num), None)
+        base = above.coeff(mono)
+        scalar = raised.coeff(mono) / base if base else GAUSS_ZERO
+        if not scalar or raised != above.scale(scalar):
             raise RuntimeError(message)
-        scalars.append(c / base)
+        scalars.append(scalar)
     return scalars
 
 
@@ -487,8 +488,8 @@ def _n_rows(mod: SectionModule, ctx: _Ctx, p: BasePoint,
     E, keys = ctx.E, ctx.R.point_keys
     nb = E.group.nbar
     s0, sinf, si = mod0.fns[0].pow(nb), modinf.fns[0].pow(nb), mod.fns[0]
-    c0 = si.terms.get((0, 0, nb, 0), GAUSS_ZERO) / s0.terms[(0, 0, nb, 0)]
-    cinf = si.terms.get((0, 0, 0, nb), GAUSS_ZERO) / sinf.terms[(0, 0, 0, nb)]
+    c0 = si.coeff((0, 0, nb, 0)) / s0.coeff((0, 0, nb, 0))
+    cinf = si.coeff((0, 0, 0, nb)) / sinf.coeff((0, 0, 0, nb))
     if s0.scale(c0) + sinf.scale(cinf) != si:
         raise RuntimeError("an N-module section is not c0 s0^nbar + cinf sinf^nbar")
 
@@ -762,14 +763,17 @@ def _require_vanishing(P: GradedPresentation, one, message: str,
     """Substitute each generator's function (``GradedVariable.function``, in
     the ring with unit ``one``) into every relation and raise
     RuntimeError(message) unless the result, after ``reduce``, is exactly
-    zero."""
+    zero.  Each power of a generator's function is computed once."""
     functions = {v.name: v.function for v in P.variables}
+    powers: dict[tuple[str, int], object] = {}
     for rel in P.relations:
         acc = one.scale(0)
         for mono, c in rel.terms.items():
             f = one
             for v, e in mono:
-                f = f * functions[v].pow(e)
+                if (v, e) not in powers:
+                    powers[v, e] = functions[v].pow(e)
+                f = f * powers[v, e]
             acc = acc + f.scale(c)
         if not reduce(acc).is_zero():
             raise RuntimeError(message)

@@ -163,32 +163,6 @@ class IntMatrix:
     def __repr__(self):
         return f"IntMatrix({self.data!r}, cols={self.cols})"
 
-    def det(self) -> int:
-        """Exact determinant via fraction-free Bareiss elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [row[:] for row in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k]:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
 
 @dataclass(frozen=True)
 class SmithDecomposition:
@@ -498,17 +472,3 @@ def solve_integer(
         return None
     x = snf.V.mulvec(z)
     return tuple(x[:n])
-
-
-def gcd_of_minors(M: IntMatrix, k: int) -> int:
-    """gcd of all k x k minors; independent oracle for invariant factors."""
-    from itertools import combinations
-
-    if k == 0:
-        return 1
-    g = 0
-    for rs in combinations(range(M.rows), k):
-        for cs in combinations(range(M.cols), k):
-            sub = IntMatrix([[M.data[i][j] for j in cs] for i in rs], cols=k)
-            g = gcd(g, abs(sub.det()))
-    return g

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -10,11 +12,49 @@ from sl2cox.exactmath import (
     IntMatrix,
     cokernel,
     gauss,
-    gcd_of_minors,
     smith_normal_form,
     solve_integer,
     solve_nonneg,
 )
+
+
+def det(M: IntMatrix) -> int:
+    """Exact determinant via fraction-free Bareiss elimination."""
+    if M.rows != M.cols:
+        raise ValueError("determinant of non-square matrix")
+    n = M.rows
+    if n == 0:
+        return 1
+    m = [row[:] for row in M.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def gcd_of_minors(M: IntMatrix, k: int) -> int:
+    """gcd of all k x k minors; independent oracle for invariant factors."""
+    if k == 0:
+        return 1
+    g = 0
+    for rs in combinations(range(M.rows), k):
+        for cs in combinations(range(M.cols), k):
+            sub = IntMatrix([[M.data[i][j] for j in cs] for i in rs], cols=k)
+            g = gcd(g, abs(det(sub)))
+    return g
 
 
 def snf_oracle_factors(M: IntMatrix):
@@ -92,8 +132,8 @@ class TestSmithNormalForm:
                            for _ in range(rows)])
             s = smith_normal_form(M)
             assert (s.U * M * s.V) == s.D
-            assert abs(s.U.det()) == 1
-            assert abs(s.V.det()) == 1
+            assert abs(det(s.U)) == 1
+            assert abs(det(s.V)) == 1
             for a, b in zip(s.invariant_factors, s.invariant_factors[1:]):
                 assert b % a == 0
             for i in range(s.D.rows):
@@ -116,7 +156,7 @@ class TestCokernel:
         grp, proj = cokernel(IntMatrix([[0, 0, 0]], cols=3))
         assert grp == FinAbGroup(3)
         # projection must be unimodular on Z^3
-        assert abs(proj.det()) == 1
+        assert abs(det(proj)) == 1
 
     def test_single_relation(self):
         grp, proj = cokernel(IntMatrix([[2]], cols=1))
@@ -226,7 +266,7 @@ class TestSolveNonneg:
         for n in (8, 20):
             while True:
                 A = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-                if A.det():
+                if det(A):
                     break
             x0 = tuple(rng.randint(0, 40) for _ in range(n))
             assert solve_nonneg(A, A.mulvec(list(x0)), 128) == [x0]

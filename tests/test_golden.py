@@ -1,6 +1,7 @@
 """Golden outputs: every subcommand's JSON report on every fixture, and the
-polyhedral subcommands on one input per polyhedral family, and ``cox-full``
-on one larger cyclic input.
+polyhedral subcommands on one input per polyhedral family, ``cox-full`` on
+one larger cyclic input, and both Cox-ring subcommands on one cyclic input
+with non-real, non-integral points.
 
 Each case runs ``sl2cox.cli.main`` in process from the repository root (so the
 report's input path is ``fixtures/<name>.json`` or
@@ -38,9 +39,13 @@ POLYHEDRAL_COMMANDS = ("cox-u", "classgroup", "diagnose", "iterate")
 # self-products of the section modules and the cross products both carry
 # several Clebsch-Gordan components
 CYCLIC = ("cyclic12",)
+# mu_6 with extra points [1/2 + i : 3] and [2/3 : i] and l = -1/2 over x0: the
+# relations carry coefficients such as 1/2 + i, 3 - i/2 and 2i/3
+GAUSS = ("cyclic6_gauss",)
 CASES = ([(cmd, fx) for cmd in COMMANDS for fx in FIXTURES]
          + [(cmd, fx) for cmd in POLYHEDRAL_COMMANDS for fx in POLYHEDRAL]
-         + [("cox-full", fx) for fx in CYCLIC])
+         + [("cox-full", fx) for fx in CYCLIC]
+         + [(cmd, fx) for cmd in ("cox-full", "cox-u") for fx in GAUSS])
 
 
 def _argv(cmd: str, fx: str) -> list[str]:

@@ -1,8 +1,10 @@
-"""GPoly against an oracle independent of its normal form: exact evaluation
-at integer matrices of determinant 1."""
+"""GPoly against oracles independent of its normal form and of its integer
+coefficient storage: exact evaluation at integer matrices of determinant 1,
+and a product over GaussianRational dictionaries."""
 
 import random
-from math import comb
+from fractions import Fraction
+from math import comb, gcd
 
 from sl2cox.exactmath import GAUSS_ZERO, GaussianRational, gauss
 from sl2cox.ogpoly import G1, G2, G3, G4, GPoly
@@ -37,13 +39,64 @@ def evaluate(p: GPoly, g) -> GaussianRational:
     return acc
 
 
+def random_gaussian(rng: random.Random) -> GaussianRational:
+    """re + im*i with small numerators and denominators 1 to 6."""
+    return gauss((Fraction(rng.randint(-4, 4), rng.randint(1, 6)),
+                  Fraction(rng.randint(-2, 2), rng.randint(1, 6))))
+
+
 def random_gpoly(rng: random.Random) -> GPoly:
-    """A few terms with small exponents, g1 and g4 allowed together."""
+    """A few terms with small exponents, g1 and g4 allowed together, and
+    coefficients in Q(i)."""
     terms = {}
     for _ in range(rng.randint(1, 4)):
         mono = tuple(rng.randint(0, 3) for _ in range(4))
-        terms[mono] = gauss((rng.randint(-4, 4), rng.randint(-2, 2)))
+        terms[mono] = random_gaussian(rng)
     return GPoly(terms)
+
+
+def reference_accumulate(out: dict, terms: dict) -> None:
+    """The normal-form step over GaussianRational coefficients: an oracle
+    that shares nothing with GPoly's integer numerators."""
+    for (a, b, c, d), coeff in terms.items():
+        if not coeff:
+            continue
+        m = min(a, d)
+        if m:
+            expansion = [((a - m, b + i, c + i, d - m), coeff * comb(m, i))
+                         for i in range(m + 1)]
+        else:
+            expansion = (((a, b, c, d), coeff),)
+        for mono, x in expansion:
+            prev = out.get(mono)
+            if prev is None:
+                out[mono] = x
+                continue
+            cur = prev + x
+            if cur:
+                out[mono] = cur
+            else:
+                del out[mono]
+
+
+def reference_mul(p: dict, q: dict) -> dict:
+    """The product of two normal-form term dictionaries, in normal form."""
+    acc = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
+            c = c1 * c2
+            prev = acc.get(m)
+            acc[m] = prev + c if prev is not None else c
+    out = {}
+    reference_accumulate(out, acc)
+    return out
+
+
+def is_canonical(p: GPoly) -> bool:
+    """den > 0, no zero pair, and gcd(den, numerators) = 1 (so den = 1 for 0)."""
+    nums = [v for xy in p.num.values() for v in xy]
+    return p.den > 0 and (0, 0) not in p.num.values() and gcd(p.den, *nums) == 1
 
 
 def in_normal_form(p: GPoly) -> bool:
@@ -78,8 +131,9 @@ def test_ring_laws_on_random_polynomials():
         assert p * (q + r) == p * q + p * r
         assert (p + q) + r == p + (q + r)
         assert p * q == q * p
-        for s in (p, q, p * q, p + q):
+        for s in (p, q, p * q, p + q, p - q):
             assert in_normal_form(s)
+            assert is_canonical(s)
         for g in POINTS:
             assert evaluate(p * q, g) == evaluate(p, g) * evaluate(q, g)
             assert evaluate(p + q, g) == evaluate(p, g) + evaluate(q, g)
@@ -100,3 +154,43 @@ def test_high_power_of_the_determinant_term_is_binomial():
     p = G1.pow(64) * G4.pow(64)
     assert len(p.terms) == 65
     assert p.terms == {(0, i, i, 0): gauss(comb(64, i)) for i in range(65)}
+
+
+def test_products_match_the_gaussian_rational_reference():
+    rng = random.Random(17)
+    for _ in range(200):
+        p, q = random_gpoly(rng), random_gpoly(rng)
+        want = reference_mul(p.terms, q.terms)
+        got = p * q
+        assert got.terms == want
+        assert len(got.terms) == len(got.num)
+        assert is_canonical(got)
+
+
+def test_canonical_form():
+    assert GPoly.const(Fraction(2, 4)) == GPoly.const(Fraction(1, 2))
+    assert GPoly.const(Fraction(2, 4)).den == 2
+    assert GPoly.const(0) == GPoly() and GPoly().den == 1
+    rng = random.Random(19)
+    for _ in range(40):
+        p = random_gpoly(rng)
+        assert p.scale(Fraction(1, 3)).scale(3) == p
+        assert p.scale(gauss((0, 1))).scale(gauss((0, -1))) == p
+        zero = p - p
+        assert zero.is_zero() and zero.den == 1 and zero == GPoly()
+        assert (p * (p - p)).den == 1
+        c = random_gaussian(rng)
+        assert p.scale(c).terms == {m: x * c for m, x in p.terms.items() if x * c}
+
+
+def test_coefficients_at_the_boundary():
+    p = GPoly({(0, 0, 2, 1): gauss((Fraction(1, 2), 1)), (1, 0, 0, 0): gauss(Fraction(2, 3))})
+    assert p.coeff((0, 0, 2, 1)) == gauss((Fraction(1, 2), 1))
+    assert p.coeff((1, 0, 0, 0)) == gauss(Fraction(2, 3))
+    assert p.coeff((0, 1, 0, 0)) == GAUSS_ZERO
+    assert p.den == 6 and p.num == {(0, 0, 2, 1): (3, 6), (1, 0, 0, 0): (4, 0)}
+    assert p.as_g34_monomial() is None
+    assert GPoly.monomial(gauss((0, Fraction(-3, 4))), 0, 0, 5, 2).as_g34_monomial() == (
+        gauss((0, Fraction(-3, 4))), 5, 2)
+    # (1/2) g1^2 raised is g1*g3: the factor 2 cancels the denominator
+    assert GPoly.monomial(Fraction(1, 2), 2).raise_op() == G1 * G3

@@ -56,6 +56,14 @@ class ClassGroupResult:
             acc = [a + c * x for a, x in zip(acc, img)]
         return self.group.reduce(acc)
 
+    def linear_system(self, labels: list[str]) -> tuple[IntMatrix, list[int]]:
+        """(A, moduli): the columns of A are the adapted coordinates of the
+        labels, and row i is read modulo moduli[i] (0 on the free part)."""
+        n = self.group.free_rank + len(self.group.torsion)
+        cols = [self.images[lbl] for lbl in labels]
+        A = IntMatrix([[col[i] for col in cols] for i in range(n)], cols=len(cols))
+        return A, [0] * self.group.free_rank + list(self.group.torsion)
+
 
 def point_keys(E: EmbeddingData) -> dict:
     keys = {}
@@ -166,12 +174,8 @@ def express_in_basis(R: ClassGroupResult, target: dict, basis_labels: list[str])
     """Integer coefficients writing the target class over the given labels,
     or None; used e.g. to express the exceptional colors in the invariant
     divisors when the latter form a basis."""
-    n = R.group.free_rank + len(R.group.torsion)
-    cols = [R.images[lbl] for lbl in basis_labels]
-    A = IntMatrix([[cols[j][i] for j in range(len(cols))] for i in range(n)], cols=len(cols))
-    b = R.image_of(target)
-    moduli = [0] * R.group.free_rank + list(R.group.torsion)
-    return solve_integer(A, b, moduli)
+    A, moduli = R.linear_system(basis_labels)
+    return solve_integer(A, R.image_of(target), moduli)
 
 
 def express_in_invariant_divisors(
@@ -186,12 +190,8 @@ def express_in_invariant_divisors(
     with a torsion-obstruction diagnostic when only the torsion part fails.
     """
     labels = [g.label for g in R.generators if g.kind == "divisor"]
-    n = R.group.free_rank + len(R.group.torsion)
-    cols = [R.images[lbl] for lbl in labels]
-    A = IntMatrix([[cols[j][i] for j in range(len(cols))] for i in range(n)],
-                  cols=len(labels))
+    A, moduli = R.linear_system(labels)
     b = list(R.image_of(target))
-    moduli = [0] * R.group.free_rank + list(R.group.torsion)
     try:
         sols = solve_nonneg(A, b, bound, moduli)
     except EmptySolutionSet:

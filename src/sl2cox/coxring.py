@@ -55,6 +55,7 @@ from .presentation import (
     GradedPresentation,
     GradedVariable,
     SparsePoly,
+    monomial,
     pretty_poly,
     relation_b_weight,
     relation_degree,
@@ -250,12 +251,12 @@ def classify_fiber_presentation(P: GradedPresentation) -> str:
 
     nontrivial = []
     for rel in P.relations:
-        if all(sum(e for _, e in m) <= 1 for m in rel.terms):
+        if all(sum(e for _, e in m) <= 1 for m in rel.num):
             continue  # linear relations just delete generators
         nontrivial.append(rel)
     if not nontrivial:
         return "polynomial"
-    support = sorted({m for rel in nontrivial for m in rel.terms})
+    support = sorted({m for rel in nontrivial for m in rel.num})
     if any(len(m) != 1 or m[0][1] < 2 for m in support):
         return "other"
     idx = {m: i for i, m in enumerate(support)}
@@ -790,11 +791,15 @@ def _exceptional_reduction(F: FiniteSubgroup):
          ).scale(-exceptional_relation_scalar(F).inverse())
 
     def reduce(f: SparsePoly) -> SparsePoly:
-        out = SparsePoly()
-        for mono, c in f.terms.items():
+        # terms grouped by q, so each R^q is computed once
+        parts: dict[int, dict] = {}
+        for mono, xy in f.num.items():
             exps = dict(mono)
             q, exps["ff"] = divmod(exps.get("ff", 0), mult["xf"])
-            out = out + SparsePoly.term(c, exps) * R.pow(q)
+            parts.setdefault(q, {})[monomial(exps)] = xy
+        out = SparsePoly()
+        for q, num in parts.items():
+            out = out + SparsePoly._canonical(num, f.den) * R.pow(q)
         return out
 
     return reduce

@@ -55,7 +55,7 @@ def torsion_characters(E: EmbeddingData) -> frozenset:
 
 def _torsion_image(E: EmbeddingData, R: cg.ClassGroupResult) -> frozenset:
     """Restriction image of Cl(X)_tor, via an adapted-basis preimage."""
-    from .exactmath import IntMatrix, solve_integer
+    from .exactmath import solve_integer
 
     F = E.group
     grp = R.group
@@ -65,10 +65,7 @@ def _torsion_image(E: EmbeddingData, R: cg.ClassGroupResult) -> frozenset:
         return F.char_subgroup([])
     # columns: images of the generators; find, for each torsion basis vector
     # e_i, an integer combination of generators mapping to it
-    cols = [R.images[lbl] for lbl in labels]
-    A = IntMatrix([[cols[j][i] for j in range(len(cols))] for i in range(n)],
-                  cols=len(cols))
-    moduli = [0] * grp.free_rank + list(grp.torsion)
+    A, moduli = R.linear_system(labels)
     gens = []
     for i in range(len(grp.torsion)):
         target = [0] * n

@@ -1,23 +1,29 @@
-"""Exact polynomial arithmetic on the coordinate ring of SL2.
+"""Exact sparse polynomials over the Gaussian rationals, and the coordinate
+ring of SL2.
 
-O(SL2) = k[g1,g2,g3,g4]/(g1*g4 - g2*g3 - 1) over the Gaussian rationals.
-The normal form has no monomial containing both g1 and g4, so equality is a
-dictionary comparison.  A monomial g1^a g2^b g3^c g4^d is reduced in one step
-by the binomial expansion of (g1*g4)^m = (1 + g2*g3)^m with m = min(a, d):
+One core, two monomial types.  ``QiPoly`` holds the coefficients of every
+polynomial in the package: Gaussian integers over one common denominator.
+``num`` maps each monomial to the pair (re, im) of integer numerators and
+``den`` is a positive integer, so the coefficient of m is (re + im*i) / den.
+The form is canonical: no pair is (0, 0), gcd(den, every numerator) = 1, and
+the zero polynomial has den = 1.  Sums, products, scaling and powers run on
+Python ints, with one gcd pass per result; ``GaussianRational`` appears only
+where a coefficient enters (the constructor, ``scale``) or leaves (``terms``,
+``coeff``).  A ring is a subclass that supplies its unit monomial ``_ONE``,
+its monomial product ``_mono_mul`` and its normal-form step
+``_reduce_into``: ``GPoly`` below is O(SL2), and ``presentation.SparsePoly``
+is the polynomial ring over named variables.
+
+O(SL2) = k[g1,g2,g3,g4]/(g1*g4 - g2*g3 - 1), with monomials the exponent
+4-tuples.  The normal form has no monomial containing both g1 and g4, so
+equality is a dictionary comparison.  A monomial g1^a g2^b g3^c g4^d is
+reduced in one step by the binomial expansion of (g1*g4)^m = (1 + g2*g3)^m
+with m = min(a, d):
 
     sum_i C(m, i) * g1^(a-m) g2^(b+i) g3^(c+i) g4^(d-m),
 
 which is already in normal form, so the cost is m + 1 terms, not the 2^m of
 rewriting one g1*g4 factor at a time.
-
-Coefficients are Gaussian integers over one common denominator: ``num`` maps
-each monomial to the pair (re, im) of integer numerators and ``den`` is a
-positive integer, so the coefficient of m is (re + im*i) / den.  The form is
-canonical: no pair is (0, 0), gcd(den, every numerator) = 1, and the zero
-polynomial has den = 1.  Ring operations run on Python ints, with one gcd
-pass per result; ``GaussianRational`` appears only where a coefficient enters
-(the constructor, ``const``, ``monomial``, ``scale``) or leaves (``terms``,
-``coeff``, ``as_g34_monomial``).
 
 Under the left translation action the torus weights are -1 on g1, g2 and +1
 on g3, g4 (units of the fundamental character), the raising operator acts as
@@ -32,7 +38,6 @@ from math import comb, gcd, lcm
 
 from .exactmath import GAUSS_ONE, GAUSS_ZERO, GaussianRational, gauss
 
-Mono = tuple[int, int, int, int]
 Num = tuple[int, int]
 
 
@@ -43,61 +48,173 @@ def _split(c) -> tuple[int, int, int]:
     return c.re.numerator * (r // c.re.denominator), c.im.numerator * (r // c.im.denominator), r
 
 
-def _reduce_into(out: dict[Mono, Num], items) -> None:
-    """Add the (monomial, numerator pair) items to ``out`` in normal form,
-    expanding g1^m g4^m binomially and dropping terms that cancel."""
+def _collect(out: dict, items) -> None:
+    """Add the (monomial, numerator pair) items to ``out``, dropping terms
+    that cancel: the normal-form step of a polynomial ring without
+    relations."""
     get = out.get
-    for (a, b, c, d), (x, y) in items:
-        if not (x or y):
+    for mono, (x, y) in items:
+        prev = get(mono)
+        if prev is None:
+            if x or y:
+                out[mono] = (x, y)
             continue
-        m = min(a, d)
-        if m:
-            expansion = [((a - m, b + i, c + i, d - m), comb(m, i)) for i in range(m + 1)]
+        sx, sy = prev[0] + x, prev[1] + y
+        if sx or sy:
+            out[mono] = (sx, sy)
         else:
-            expansion = (((a, b, c, d), 1),)
-        for mono, k in expansion:
-            prev = get(mono)
-            if prev is None:
-                out[mono] = (x * k, y * k)
-                continue
-            sx, sy = prev[0] + x * k, prev[1] + y * k
-            if sx or sy:
-                out[mono] = (sx, sy)
-            else:
-                del out[mono]
+            del out[mono]
 
 
-def _canonical(num: dict[Mono, Num], den: int) -> "GPoly":
-    """The GPoly num / den with gcd(den, numerators) divided out (so den = 1
-    when num is empty); ``num`` must be in normal form without zero pairs."""
-    if den != 1:
-        g = den
-        for x, y in num.values():
-            g = gcd(g, x, y)
-            if g == 1:
-                break
-        if g != 1:
-            num = {m: (x // g, y // g) for m, (x, y) in num.items()}
-            den //= g
-    p = GPoly.__new__(GPoly)
-    p.num = num
-    p.den = den
-    return p
+class QiPoly:
+    """A sparse polynomial over Q(i) in canonical integer form.  A subclass
+    is one ring: it sets ``_ONE`` and ``_mono_mul``, and overrides
+    ``_reduce_into`` when its monomials have relations."""
 
-
-class GPoly:
     __slots__ = ("num", "den")
+    _ONE: tuple = ()
+    _reduce_into = staticmethod(_collect)
 
-    def __init__(self, terms: dict[Mono, GaussianRational] | None = None):
-        self.num: dict[Mono, Num] = {}
+    def __init__(self, terms: dict[tuple, GaussianRational] | None = None):
+        self.num: dict[tuple, Num] = {}
         self.den = 1
         if terms:
             split = [(m, _split(c)) for m, c in terms.items()]
             den = lcm(*(r for _, (_, _, r) in split))
-            num: dict[Mono, Num] = {}
-            _reduce_into(num, [(m, (p * (den // r), q * (den // r))) for m, (p, q, r) in split])
-            canonical = _canonical(num, den)
+            num: dict[tuple, Num] = {}
+            self._reduce_into(num, [(m, (p * (den // r), q * (den // r))) for m, (p, q, r) in split])
+            canonical = self._canonical(num, den)
             self.num, self.den = canonical.num, canonical.den
+
+    @classmethod
+    def _canonical(cls, num: dict[tuple, Num], den: int):
+        """The polynomial num / den with gcd(den, numerators) divided out (so
+        den = 1 when num is empty); ``num`` must be in normal form without
+        zero pairs."""
+        if den != 1:
+            g = den
+            for x, y in num.values():
+                g = gcd(g, x, y)
+                if g == 1:
+                    break
+            if g != 1:
+                num = {m: (x // g, y // g) for m, (x, y) in num.items()}
+                den //= g
+        p = cls.__new__(cls)
+        p.num = num
+        p.den = den
+        return p
+
+    # -- coefficients at the boundary -------------------------------------------
+
+    @property
+    def terms(self) -> dict[tuple, GaussianRational]:
+        """The monomial -> coefficient view of the normal form (a new dict)."""
+        den = self.den
+        return {m: GaussianRational(Fraction(x, den), Fraction(y, den))
+                for m, (x, y) in self.num.items()}
+
+    def coeff(self, mono: tuple) -> GaussianRational:
+        """The coefficient of one normal-form monomial (0 when absent)."""
+        xy = self.num.get(mono)
+        if xy is None:
+            return GAUSS_ZERO
+        return GaussianRational(Fraction(xy[0], self.den), Fraction(xy[1], self.den))
+
+    # -- ring operations --------------------------------------------------------
+
+    def _add(self, other, sign: int):
+        """self + sign * other, over the lcm of the two denominators; a sum
+        of normal forms is a normal form, so terms are only collected."""
+        d1, d2 = self.den, other.den
+        g = gcd(d1, d2)
+        f1, f2 = d2 // g, sign * (d1 // g)
+        out = dict(self.num)
+        if f1 != 1:
+            out = {m: (x * f1, y * f1) for m, (x, y) in out.items()}
+        _collect(out, ((m, (x * f2, y * f2)) for m, (x, y) in other.num.items()))
+        return self._canonical(out, d1 * f1)
+
+    def __add__(self, other):
+        return self._add(other, 1)
+
+    def __sub__(self, other):
+        return self._add(other, -1)
+
+    def __mul__(self, other):
+        acc: dict[tuple, Num] = {}
+        get = acc.get
+        mono_mul = self._mono_mul
+        items2 = other.num.items()
+        for m1, (x1, y1) in self.num.items():
+            for m2, (x2, y2) in items2:
+                m = mono_mul(m1, m2)
+                x = x1 * x2 - y1 * y2
+                y = x1 * y2 + y1 * x2
+                prev = get(m)
+                acc[m] = (prev[0] + x, prev[1] + y) if prev is not None else (x, y)
+        out: dict[tuple, Num] = {}
+        self._reduce_into(out, acc.items())
+        return self._canonical(out, self.den * other.den)
+
+    def scale(self, c):
+        p, q, r = _split(c)
+        if not (p or q):
+            return type(self)()
+        return self._canonical({m: (x * p - y * q, x * q + y * p) for m, (x, y) in self.num.items()},
+                               self.den * r)
+
+    def pow(self, k: int):
+        out = self._canonical({self._ONE: (1, 0)}, 1)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.den == other.den and self.num == other.num
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.terms!r})"
+
+
+# -- the coordinate ring of SL2 ---------------------------------------------------
+
+Mono = tuple[int, int, int, int]
+
+
+def _expand_g1g4(items):
+    """The (monomial, numerator pair) items with each g1^m g4^m expanded
+    binomially."""
+    for (a, b, c, d), (x, y) in items:
+        m = min(a, d)
+        if not m:
+            yield (a, b, c, d), (x, y)
+            continue
+        for i in range(m + 1):
+            k = comb(m, i)
+            yield (a - m, b + i, c + i, d - m), (x * k, y * k)
+
+
+class GPoly(QiPoly):
+    """A function on SL2: a polynomial in g1..g4 in normal form."""
+
+    __slots__ = ()
+    _ONE = (0, 0, 0, 0)
+
+    @staticmethod
+    def _reduce_into(out: dict[Mono, Num], items) -> None:
+        _collect(out, _expand_g1g4(items))
+
+    @staticmethod
+    def _mono_mul(m1: Mono, m2: Mono) -> Mono:
+        return (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
 
     # -- constructors ----------------------------------------------------------
 
@@ -116,108 +233,18 @@ class GPoly:
     def monomial(c, e1=0, e2=0, e3=0, e4=0) -> "GPoly":
         return GPoly({(e1, e2, e3, e4): c})
 
-    # -- coefficients at the boundary -------------------------------------------
-
-    @property
-    def terms(self) -> dict[Mono, GaussianRational]:
-        """The monomial -> coefficient view of the normal form (a new dict)."""
-        den = self.den
-        return {m: GaussianRational(Fraction(x, den), Fraction(y, den))
-                for m, (x, y) in self.num.items()}
-
-    def coeff(self, mono: Mono) -> GaussianRational:
-        """The coefficient of one normal-form monomial (0 when absent)."""
-        xy = self.num.get(mono)
-        if xy is None:
-            return GAUSS_ZERO
-        return GaussianRational(Fraction(xy[0], self.den), Fraction(xy[1], self.den))
-
-    # -- ring operations --------------------------------------------------------
-
-    def _add(self, other: "GPoly", sign: int) -> "GPoly":
-        """self + sign * other, over the lcm of the two denominators."""
-        d1, d2 = self.den, other.den
-        g = gcd(d1, d2)
-        f1, f2 = d2 // g, sign * (d1 // g)
-        out = dict(self.num)
-        if f1 != 1:
-            out = {m: (x * f1, y * f1) for m, (x, y) in out.items()}
-        _reduce_into(out, ((m, (x * f2, y * f2)) for m, (x, y) in other.num.items()))
-        return _canonical(out, d1 * f1)
-
-    def __add__(self, other: "GPoly") -> "GPoly":
-        return self._add(other, 1)
-
-    def __sub__(self, other: "GPoly") -> "GPoly":
-        return self._add(other, -1)
-
-    def __mul__(self, other: "GPoly") -> "GPoly":
-        acc: dict[Mono, Num] = {}
-        get = acc.get
-        items2 = other.num.items()
-        for (a1, b1, c1, d1), (x1, y1) in self.num.items():
-            for (a2, b2, c2, d2), (x2, y2) in items2:
-                m = (a1 + a2, b1 + b2, c1 + c2, d1 + d2)
-                x = x1 * x2 - y1 * y2
-                y = x1 * y2 + y1 * x2
-                prev = get(m)
-                acc[m] = (prev[0] + x, prev[1] + y) if prev is not None else (x, y)
-        out: dict[Mono, Num] = {}
-        _reduce_into(out, acc.items())
-        return _canonical(out, self.den * other.den)
-
-    def scale(self, c) -> "GPoly":
-        p, q, r = _split(c)
-        if not (p or q):
-            return GPoly()
-        return _canonical({m: (x * p - y * q, x * q + y * p) for m, (x, y) in self.num.items()},
-                          self.den * r)
-
-    def pow(self, k: int) -> "GPoly":
-        out = _canonical({(0, 0, 0, 0): (1, 0)}, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def __eq__(self, other):
-        return isinstance(other, GPoly) and self.den == other.den and self.num == other.num
-
-    def __repr__(self):
-        if not self.num:
-            return "0"
-        names = ("g1", "g2", "g3", "g4")
-        terms = self.terms
-        parts = []
-        for m in sorted(terms):
-            factors = [f"{names[i]}^{e}" if e > 1 else names[i]
-                       for i, e in enumerate(m) if e]
-            parts.append(f"({terms[m]})" + ("*" + "*".join(factors) if factors else ""))
-        return " + ".join(parts)
-
     # -- sl2 operators -----------------------------------------------------------
 
     def raise_op(self) -> "GPoly":
-        acc: dict[Mono, Num] = {}
-        get = acc.get
+        items = []
         for (a, b, c, d), (x, y) in self.num.items():
             if a:
-                m = (a - 1, b, c + 1, d)
-                prev = get(m, (0, 0))
-                acc[m] = (prev[0] + x * a, prev[1] + y * a)
+                items.append(((a - 1, b, c + 1, d), (x * a, y * a)))
             if b:
-                m = (a, b - 1, c, d + 1)
-                prev = get(m, (0, 0))
-                acc[m] = (prev[0] + x * b, prev[1] + y * b)
+                items.append(((a, b - 1, c, d + 1), (x * b, y * b)))
         out: dict[Mono, Num] = {}
-        _reduce_into(out, acc.items())
-        return _canonical(out, self.den)
+        self._reduce_into(out, items)
+        return self._canonical(out, self.den)
 
     def as_g34_monomial(self) -> tuple[GaussianRational, int, int] | None:
         """(c, p, q) when the normal form is c * g3^p * g4^q, else None."""
@@ -295,7 +322,7 @@ def gr_solve(rows: list[list[GaussianRational]], rhs: list[GaussianRational]):
 
 def express_in_span(vecs: list[GPoly], target: GPoly):
     """Coefficients writing target in the span of vecs, or None."""
-    monos = sorted({m for v in vecs for m in v.terms} | set(target.terms))
+    monos = sorted({m for v in vecs for m in v.num} | set(target.num))
     idx = {m: i for i, m in enumerate(monos)}
     rows = [[GAUSS_ZERO] * len(vecs) for _ in monos]
     for j, v in enumerate(vecs):
@@ -309,7 +336,7 @@ def express_in_span(vecs: list[GPoly], target: GPoly):
 
 def combination_nullspace(polys: list[GPoly]) -> list[list[GaussianRational]]:
     """Basis of {c : sum c_i * polys_i = 0 in O(SL2)}."""
-    monos = sorted({m for p in polys for m in p.terms})
+    monos = sorted({m for p in polys for m in p.num})
     idx = {m: i for i, m in enumerate(monos)}
     rows = [[GAUSS_ZERO] * len(polys) for _ in monos]
     for j, p in enumerate(polys):

@@ -1,8 +1,11 @@
 """Graded presentations: variables with degrees, sparse polynomial relations.
 
-Polynomials have Gaussian-rational coefficients and monomials over named
-variables; a presentation fixes the variable order, the Cl(X)-degrees in
-adapted coordinates and the B-weights.  Every emitted relation must be
+Relations are ``SparsePoly``: polynomials over the Gaussian rationals in
+named variables, on the integer-backed core ``ogpoly.QiPoly``.  The ring
+part here is only the monomial type, a tuple of (name, exponent) pairs
+sorted by name: its product, its unit () and plain collection of terms as
+the normal form.  A presentation fixes the variable order, the Cl(X)-degrees
+in adapted coordinates and the B-weights.  Every emitted relation must be
 homogeneous for both gradings, and the checkers here are what ``--verify``
 and the test suite run.
 """
@@ -10,124 +13,70 @@ and the test suite run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-from .exactmath import FinAbGroup, GAUSS_ONE, GAUSS_ZERO, GaussianRational, gauss
-
-if TYPE_CHECKING:
-    from .ogpoly import GPoly
+from .exactmath import FinAbGroup, GAUSS_ONE, GaussianRational, gauss
+from .ogpoly import GPoly, QiPoly
 
 Monomial = tuple[tuple[str, int], ...]  # sorted by variable name, exponents > 0
 
 
-class SparsePoly:
-    __slots__ = ("terms",)
+def monomial(exps: dict[str, int]) -> Monomial:
+    """The monomial with the given exponents (zero exponents dropped)."""
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
 
-    def __init__(self, terms: dict[Monomial, GaussianRational] | None = None):
-        self.terms: dict[Monomial, GaussianRational] = {}
-        if terms:
-            for m, c in terms.items():
-                if c:
-                    self.terms[m] = c
+
+class SparsePoly(QiPoly):
+    """A polynomial over Q(i) in named variables."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+        if not m1 or not m2:
+            return m1 or m2
+        d = dict(m1)
+        for v, e in m2:
+            d[v] = d.get(v, 0) + e
+        return tuple(sorted(d.items()))
 
     @staticmethod
     def term(coeff, exps: dict[str, int]) -> "SparsePoly":
-        coeff = gauss(coeff)
-        mono = tuple(sorted((v, e) for v, e in exps.items() if e))
-        return SparsePoly({mono: coeff}) if coeff else SparsePoly()
+        return SparsePoly({monomial(exps): coeff})
 
     @staticmethod
     def variable(name: str) -> "SparsePoly":
         return SparsePoly.term(1, {name: 1})
 
-    def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            cur = out.get(m, GAUSS_ZERO) + c
-            if cur:
-                out[m] = cur
-            else:
-                out.pop(m, None)
-        return SparsePoly(out)
-
-    def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "SparsePoly":
-        c = gauss(c)
-        if not c:
-            return SparsePoly()
-        return SparsePoly({m: x * c for m, x in self.terms.items()})
-
-    def __mul__(self, other: "SparsePoly") -> "SparsePoly":
-        out: dict[Monomial, GaussianRational] = {}
-        for m1, c1 in self.terms.items():
-            d1 = dict(m1)
-            for m2, c2 in other.terms.items():
-                d = dict(d1)
-                for v, e in m2:
-                    d[v] = d.get(v, 0) + e
-                mono = tuple(sorted(d.items()))
-                c = c1 * c2
-                cur = out.get(mono, GAUSS_ZERO) + c
-                if cur:
-                    out[mono] = cur
-                else:
-                    out.pop(mono, None)
-        return SparsePoly(out)
-
-    def pow(self, k: int) -> "SparsePoly":
-        out = SparsePoly.term(1, {})
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def variables(self) -> set[str]:
-        return {v for m in self.terms for v, _ in m}
+        return {v for m in self.num for v, _ in m}
 
     def substitute(self, name: str, value: "SparsePoly") -> "SparsePoly":
-        out = SparsePoly()
-        for m, c in self.terms.items():
-            rest = {v: e for v, e in m if v != name}
+        """``value`` in place of the variable ``name``: the terms are grouped
+        by their exponent k of ``name``, so each value^k is computed once."""
+        parts: dict[int, dict[Monomial, tuple[int, int]]] = {}
+        for m, xy in self.num.items():
             k = dict(m).get(name, 0)
-            piece = SparsePoly.term(c, rest)
-            if k:
-                piece = piece * value.pow(k)
-            out = out + piece
+            parts.setdefault(k, {})[tuple((v, e) for v, e in m if v != name)] = xy
+        out = SparsePoly()
+        for k, num in parts.items():
+            out = out + self._canonical(num, self.den) * value.pow(k)
         return out
 
     def kill_variables(self, names) -> "SparsePoly":
         names = set(names)
-        out: dict[Monomial, GaussianRational] = {}
-        for m, c in self.terms.items():
-            if any(v in names for v, _ in m):
-                continue
-            out[m] = c
-        return SparsePoly(out)
+        return self._canonical({m: xy for m, xy in self.num.items()
+                                if not any(v in names for v, _ in m)}, self.den)
 
     def coefficient_of_linear(self, name: str) -> GaussianRational | None:
         """Coefficient of the bare monomial ``name`` when the variable occurs
         nowhere else in the polynomial; None otherwise."""
         target: Monomial = ((name, 1),)
-        if target not in self.terms:
+        if target not in self.num:
             return None
-        for m in self.terms:
+        for m in self.num:
             if m != target and any(v == name for v, _ in m):
                 return None
-        return self.terms[target]
-
-    def __eq__(self, other):
-        return isinstance(other, SparsePoly) and self.terms == other.terms
-
-    def __repr__(self):
-        return f"SparsePoly({self.terms!r})"
+        return self.coeff(target)
 
 
 def _mono_key(m: Monomial, order: dict[str, int]):
@@ -146,8 +95,8 @@ def canonicalize(poly: SparsePoly, var_order: list[str]) -> SparsePoly:
     if poly.is_zero():
         return poly
     order = {v: i for i, v in enumerate(var_order)}
-    lead = max(poly.terms, key=lambda m: _mono_key(m, order))
-    c = poly.terms[lead]
+    lead = max(poly.num, key=lambda m: _mono_key(m, order))
+    c = poly.coeff(lead)
     flip = c.re < 0 or (c.re == 0 and c.im < 0)
     return poly.scale(-1) if flip else poly
 
@@ -203,7 +152,7 @@ def term_degree(m: Monomial, degrees: dict[str, tuple[int, ...]], group: FinAbGr
 def relation_degree(poly: SparsePoly, degrees, group: FinAbGroup):
     """Common degree of all terms; raises when inhomogeneous."""
     deg = None
-    for m in poly.terms:
+    for m in poly.num:
         cur = term_degree(m, degrees, group)
         if deg is None:
             deg = cur
@@ -215,7 +164,7 @@ def relation_degree(poly: SparsePoly, degrees, group: FinAbGroup):
 def relation_b_weight(poly: SparsePoly, weights: dict[str, int]):
     """Common B-weight of all terms; raises when inhomogeneous."""
     w = None
-    for m in poly.terms:
+    for m in poly.num:
         cur = sum(e * weights[v] for v, e in m)
         if w is None:
             w = cur

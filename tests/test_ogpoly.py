@@ -1,6 +1,7 @@
-"""GPoly against oracles independent of its normal form and of its integer
-coefficient storage: exact evaluation at integer matrices of determinant 1,
-and a product over GaussianRational dictionaries."""
+"""GPoly and SparsePoly against oracles independent of their normal forms
+and of the integer coefficient storage they share: exact evaluation at
+integer matrices of determinant 1, and products and sums over
+GaussianRational dictionaries."""
 
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from math import comb, gcd
 
 from sl2cox.exactmath import GAUSS_ZERO, GaussianRational, gauss
 from sl2cox.ogpoly import G1, G2, G3, G4, GPoly
+from sl2cox.presentation import SparsePoly, monomial
 
 
 def sl2z_points(count: int, seed: int = 20200918) -> list[tuple[int, int, int, int]]:
@@ -93,7 +95,71 @@ def reference_mul(p: dict, q: dict) -> dict:
     return out
 
 
-def is_canonical(p: GPoly) -> bool:
+def random_sparsepoly(rng: random.Random) -> SparsePoly:
+    """A few terms over named variables (the constant term included), with
+    coefficients in Q(i)."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        names = rng.sample(("a", "b", "s0", "sinf"), rng.randint(0, 3))
+        terms[monomial({v: rng.randint(1, 3) for v in names})] = random_gaussian(rng)
+    return SparsePoly(terms)
+
+
+def reference_sparse_mul(p: dict, q: dict) -> dict:
+    """The product of two term dictionaries over named variables, in
+    GaussianRational arithmetic throughout."""
+    out = {}
+    for m1, c1 in p.items():
+        d1 = dict(m1)
+        for m2, c2 in q.items():
+            d = dict(d1)
+            for v, e in m2:
+                d[v] = d.get(v, 0) + e
+            mono = tuple(sorted(d.items()))
+            cur = out.get(mono, GAUSS_ZERO) + c1 * c2
+            if cur:
+                out[mono] = cur
+            else:
+                out.pop(mono, None)
+    return out
+
+
+def reference_sparse_add(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for m, c in q.items():
+        cur = out.get(m, GAUSS_ZERO) + c
+        if cur:
+            out[m] = cur
+        else:
+            out.pop(m, None)
+    return out
+
+
+def reference_substitute(p: dict, name: str, q: dict) -> dict:
+    """q in place of the variable ``name``, one factor q at a time."""
+    out = {}
+    for m, c in p.items():
+        piece = {tuple((v, e) for v, e in m if v != name): c}
+        for _ in range(dict(m).get(name, 0)):
+            piece = reference_sparse_mul(piece, q)
+        out = reference_sparse_add(out, piece)
+    return out
+
+
+def reference_add(p: dict, q: dict) -> dict:
+    out = dict(p)
+    reference_accumulate(out, q)
+    return out
+
+
+# ring -> (random element, unit monomial, reference product, reference sum)
+RINGS = {
+    GPoly: (random_gpoly, (0, 0, 0, 0), reference_mul, reference_add),
+    SparsePoly: (random_sparsepoly, (), reference_sparse_mul, reference_sparse_add),
+}
+
+
+def is_canonical(p) -> bool:
     """den > 0, no zero pair, and gcd(den, numerators) = 1 (so den = 1 for 0)."""
     nums = [v for xy in p.num.values() for v in xy]
     return p.den > 0 and (0, 0) not in p.num.values() and gcd(p.den, *nums) == 1
@@ -157,30 +223,46 @@ def test_high_power_of_the_determinant_term_is_binomial():
 
 
 def test_products_match_the_gaussian_rational_reference():
-    rng = random.Random(17)
-    for _ in range(200):
-        p, q = random_gpoly(rng), random_gpoly(rng)
-        want = reference_mul(p.terms, q.terms)
-        got = p * q
-        assert got.terms == want
-        assert len(got.terms) == len(got.num)
-        assert is_canonical(got)
+    for ring, (random_poly, _, ref_mul, ref_add) in RINGS.items():
+        rng = random.Random(17)
+        for _ in range(200):
+            p, q = random_poly(rng), random_poly(rng)
+            for got, want in ((p * q, ref_mul(p.terms, q.terms)),
+                              (p + q, ref_add(p.terms, q.terms))):
+                assert type(got) is ring
+                assert got.terms == want
+                assert len(got.terms) == len(got.num)
+                assert is_canonical(got)
 
 
 def test_canonical_form():
-    assert GPoly.const(Fraction(2, 4)) == GPoly.const(Fraction(1, 2))
-    assert GPoly.const(Fraction(2, 4)).den == 2
-    assert GPoly.const(0) == GPoly() and GPoly().den == 1
-    rng = random.Random(19)
+    for ring, (random_poly, one, _, _) in RINGS.items():
+        assert ring({one: Fraction(2, 4)}) == ring({one: Fraction(1, 2)})
+        assert ring({one: Fraction(2, 4)}).den == 2
+        assert ring({one: 0}) == ring() and ring().den == 1
+        rng = random.Random(19)
+        for _ in range(40):
+            p = random_poly(rng)
+            assert p.scale(Fraction(1, 3)).scale(3) == p
+            assert p.scale(gauss((0, 1))).scale(gauss((0, -1))) == p
+            zero = p - p
+            assert zero.is_zero() and zero.den == 1 and zero == ring()
+            assert (p * (p - p)).den == 1
+            c = random_gaussian(rng)
+            assert p.scale(c).terms == {m: x * c for m, x in p.terms.items() if x * c}
+    assert SparsePoly() != GPoly() and GPoly() != SparsePoly()
+    rng = random.Random(23)
     for _ in range(40):
-        p = random_gpoly(rng)
-        assert p.scale(Fraction(1, 3)).scale(3) == p
-        assert p.scale(gauss((0, 1))).scale(gauss((0, -1))) == p
-        zero = p - p
-        assert zero.is_zero() and zero.den == 1 and zero == GPoly()
-        assert (p * (p - p)).den == 1
-        c = random_gaussian(rng)
-        assert p.scale(c).terms == {m: x * c for m, x in p.terms.items() if x * c}
+        p, q = random_sparsepoly(rng), random_sparsepoly(rng)
+        killed = p.kill_variables(["a", "s0"])
+        assert is_canonical(killed)
+        assert killed.terms == {m: c for m, c in p.terms.items()
+                                if not any(v in ("a", "s0") for v, _ in m)}
+        for name in ("a", "b"):
+            got = p.substitute(name, q)
+            assert is_canonical(got)
+            assert got.terms == reference_substitute(p.terms, name, q.terms)
+            assert p.substitute(name, SparsePoly.variable(name)) == p
 
 
 def test_coefficients_at_the_boundary():

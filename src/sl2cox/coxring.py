@@ -11,9 +11,11 @@ Four layers:
   * ``full_cox_presentation_cyclic``: the full Cox ring for cyclic F.  The
     generators are weight bases of the simple modules spanned by the
     canonical sections of the exceptional colors, with raise(fn_k) =
-    a_k fn_(k-1).  Per pair of modules, the highest-weight vector of each
-    non-leading Clebsch-Gordan component is a closed-form chain in the a_k
-    (the classical transvectant); its value in the matrix coordinates of SL2
+    a_k fn_(k-1); the a_k are integers, read once per module.  Per pair of
+    modules, the highest-weight vector of each non-leading Clebsch-Gordan
+    component is a closed-form chain in the a_k (the classical
+    transvectant), run fraction-free on Python ints as a prefix product
+    times a suffix product; its value in the matrix coordinates of SL2
     is matched against the unique monomial in the canonical sections of the
     same degree and weight, whose exponents come from a non-negative
     class-group computation.  The scalars of the N-modules are read off the
@@ -336,17 +338,19 @@ def _basis_names(nbar: int, idx: str) -> list[str]:
     return names
 
 
-def _raising_scalars(mod: SectionModule) -> list:
-    """Scalars a_k with raise(fn_k) = a_k * fn_(k-1), and a_0 = 0.
+def _raising_scalars(mod: SectionModule) -> list[int]:
+    """Integer scalars a_k with raise(fn_k) = a_k * fn_(k-1), and a_0 = 0.
 
     The basis is a weight basis with weights descending by 2, so each scalar
     is read off one term and confirmed by exact equality; fn_0 must be a
-    highest-weight vector and no other basis vector may be raised to zero.
+    highest-weight vector, no other basis vector may be raised to zero, and
+    every scalar must be an integer (k on an extra-point module, 1 on x0 and
+    xinf, -1 on a uniform one), so that the chains run on ints.
     """
     message = "raising operator does not stabilize a section module"
     if not mod.fns[0].raise_op().is_zero():
         raise RuntimeError(message)
-    scalars = [GAUSS_ZERO]
+    scalars = [0]
     for above, f in zip(mod.fns, mod.fns[1:]):
         raised = f.raise_op()
         mono = next(iter(raised.num), None)
@@ -354,7 +358,9 @@ def _raising_scalars(mod: SectionModule) -> list:
         scalar = raised.coeff(mono) / base if base else GAUSS_ZERO
         if not scalar or raised != above.scale(scalar):
             raise RuntimeError(message)
-        scalars.append(scalar)
+        if scalar.im or scalar.re.denominator != 1:
+            raise RuntimeError(f"raising scalar {scalar} of a section module is not an integer")
+        scalars.append(int(scalar.re))
     return scalars
 
 
@@ -376,7 +382,7 @@ class _Ctx:
     """Shared state of one full-presentation computation."""
 
     def __init__(self, E, R, mod0, modinf, rvar, bound, warnings,
-                 p0_point=None, pinf_point=None):
+                 p0_point=None, pinf_point=None, scalars=None):
         self.E = E
         self.R = R
         self.mod0 = mod0
@@ -386,6 +392,7 @@ class _Ctx:
         self.warnings = warnings
         self.p0_point = p0_point
         self.pinf_point = pinf_point
+        self.scalars = scalars  # point_key -> _raising_scalars of its module
 
     def solve_section_monomials(self, combo: dict, n0: int, ninf: int):
         """All monomials s0^n0 sinf^ninf * r^a with the class of ``combo``.
@@ -412,21 +419,28 @@ class _Ctx:
         return out
 
 
-def _transvectant(a: list, b: list, k: int, sym: bool) -> dict:
+def _transvectant(a: list[int], b: list[int], k: int, sym: bool) -> dict:
     """Non-zero coefficients {(i, j): c_ij}, i + j = k, in ascending i, of
     the highest-weight vector sum c_ij fn_i (x) fn_j in A (x) B, where
-    raise(fn_i) = a_i fn_(i-1) on A and b_j on B: the k-th transvectant
-    c_0k = 1, c_(i+1),(k-i-1) = -c_i,(k-i) b_(k-i) / a_(i+1), folded onto
-    i <= j (the monomials of Sym^2) when ``sym``, scaled to lead with 1."""
+    raise(fn_i) = a_i fn_(i-1) on A and b_j on B, all non-zero integers: the
+    k-th transvectant c_0k = 1, c_(i+1),(k-i-1) = -c_i,(k-i) b_(k-i) / a_(i+1),
+    folded onto i <= j (the monomials of Sym^2) when ``sym``, scaled to lead
+    with 1.  Fraction-free: the chain is run as C_i = c_i * a_1 ... a_k =
+    (-1)^i * b_k ... b_(k-i+1) * a_(i+1) ... a_k, a prefix product times a
+    suffix product; an entry is an int where the lead divides it, else a
+    Fraction."""
+    suffix = [1] * (k + 1)  # suffix[i] = a_(i+1) ... a_k
+    for i in range(k - 1, -1, -1):
+        suffix[i] = suffix[i + 1] * a[i + 1]
     chain: dict = {}
-    c = GAUSS_ONE
+    prefix = 1  # (-1)^i * b_k ... b_(k-i+1)
     for i in range(k + 1):
         key = (min(i, k - i), max(i, k - i)) if sym else (i, k - i)
-        chain[key] = chain.get(key, GAUSS_ZERO) + c
-        if i < k:
-            c = -c * b[k - i] / a[i + 1]
+        chain[key] = chain.get(key, 0) + prefix * suffix[i]
+        prefix *= -b[k - i]
     lead = next(x for x in chain.values() if x)
-    return {key: x / lead for key, x in chain.items() if x}
+    return {key: x // lead if x % lead == 0 else Fraction(x, lead)
+            for key, x in chain.items() if x}
 
 
 def _pair_rows(A: SectionModule, B: SectionModule, ctx: _Ctx) -> list[ModuleRow]:
@@ -440,16 +454,16 @@ def _pair_rows(A: SectionModule, B: SectionModule, ctx: _Ctx) -> list[ModuleRow]
     rows: list[ModuleRow] = []
     if not comps:
         return rows
-    a = _raising_scalars(A)
-    b = a if sym else _raising_scalars(B)
+    a, b = ctx.scalars[A.point_key], ctx.scalars[B.point_key]
     for m in comps:
-        y = SparsePoly()
+        terms = {}
         fy = GPoly()
         for (i, j), c in _transvectant(a, b, (A.weights[0] + B.weights[0] - m) // 2, sym).items():
             mono = {A.names[i]: 1}
             mono[B.names[j]] = mono.get(B.names[j], 0) + 1
-            y = y + SparsePoly.term(c, mono)
+            terms[monomial(mono)] = c
             fy = fy + (A.fns[i] * B.fns[j]).scale(c)
+        y = SparsePoly(terms)
         if fy.is_zero():
             rows.append(ModuleRow(m, m, y, (), True))
             continue
@@ -579,11 +593,10 @@ def full_cox_presentation_cyclic(E: EmbeddingData, bound: int = 128) -> FullCoxR
             return SectionModule("xinf", combo, ("sinf", "tinf"), (G4, G2), (1, -1))
         idx = keys[p][1:]
         names = tuple(_basis_names(nb, idx))
-        fns = tuple(
-            (G3.pow(nb - k) * G1.pow(k)).scale(beta)
-            - (G4.pow(nb - k) * G2.pow(k)).scale(alpha)
-            for k in range(nb + 1)
-        )
+        # beta g1^k g3^(nb-k) - alpha g2^k g4^(nb-k): no g1 next to g4, so
+        # already in normal form
+        fns = tuple(GPoly.monomial(beta, k, 0, nb - k, 0) - GPoly.monomial(alpha, 0, k, 0, nb - k)
+                    for k in range(nb + 1))
         weights = tuple(nb - 2 * k for k in range(nb + 1))
         return SectionModule(keys[p], combo, names, fns, weights)
 
@@ -614,7 +627,8 @@ def full_cox_presentation_cyclic(E: EmbeddingData, bound: int = 128) -> FullCoxR
     for lbl, nm in rvar.items():
         variables.append(GradedVariable(nm, R.images[lbl], 0, lbl, GPoly.const(1)))
 
-    ctx = _Ctx(E, R, mod0, modinf, rvar, bound, warnings, p0, pinf)
+    scalars = {m.point_key: _raising_scalars(m) for m in point_order}
+    ctx = _Ctx(E, R, mod0, modinf, rvar, bound, warnings, p0, pinf, scalars)
 
     rel_modules: list[RelationModule] = []
     relations: list[SparsePoly] = []
@@ -770,12 +784,12 @@ def _require_vanishing(P: GradedPresentation, one, message: str,
     for rel in P.relations:
         acc = one.scale(0)
         for mono, c in rel.terms.items():
-            f = one
+            f = None  # no product by the unit: start from the first power
             for v, e in mono:
                 if (v, e) not in powers:
                     powers[v, e] = functions[v].pow(e)
-                f = f * powers[v, e]
-            acc = acc + f.scale(c)
+                f = powers[v, e] if f is None else f * powers[v, e]
+            acc = acc + (one if f is None else f).scale(c)
         if not reduce(acc).is_zero():
             raise RuntimeError(message)
 

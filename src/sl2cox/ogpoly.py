@@ -165,12 +165,20 @@ class QiPoly:
                                self.den * r)
 
     def pow(self, k: int):
-        out = self._canonical({self._ONE: (1, 0)}, 1)
+        """self^k for k >= 0 by repeated squaring, starting from the lowest
+        factor it needs: floor(log2 k) + popcount(k) - 1 products."""
+        if not k:
+            return self._canonical({self._ONE: (1, 0)}, 1)
         base = self
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        out = base
+        k >>= 1
         while k:
+            base = base * base
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
         return out
 

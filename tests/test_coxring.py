@@ -25,7 +25,7 @@ from sl2cox.coxring import (
     verify_full_cox,
 )
 from sl2cox.embedding import EmbeddingData, GStableDivisorSpec, affine_embedding
-from sl2cox.exactmath import FinAbGroup, gauss, gauss_ipow
+from sl2cox.exactmath import GAUSS_ONE, GAUSS_ZERO, FinAbGroup, gauss, gauss_ipow
 from sl2cox.groups import ICOSA, OCTA, TETRA, cyclic, dihedral
 from sl2cox.hyperspace import Section, X0, XE, XF, XINF, XV, point
 from sl2cox.ogpoly import G1, G2, G3, G4, GPoly, combination_nullspace, gr_nullspace
@@ -506,14 +506,14 @@ XINF_MODULE = SectionModule("xinf", {}, ("sinf", "tinf"), (G4, G2), (1, -1))
 class TestRaisingScalars:
     def test_extra_point_module(self):
         for nb in range(1, 13):
-            assert _raising_scalars(_extra_module(nb, 2, 3)) == [gauss(k) for k in range(nb + 1)]
+            assert _raising_scalars(_extra_module(nb, 2, 3)) == list(range(nb + 1))
 
     def test_uniform_module(self):
-        assert _raising_scalars(_uniform_module(2, 3)) == [gauss(0), gauss(-1)]
+        assert _raising_scalars(_uniform_module(2, 3)) == [0, -1]
 
     def test_x0_and_xinf_modules(self):
-        assert _raising_scalars(X0_MODULE) == [gauss(0), gauss(1)]
-        assert _raising_scalars(XINF_MODULE) == [gauss(0), gauss(1)]
+        assert _raising_scalars(X0_MODULE) == [0, 1]
+        assert _raising_scalars(XINF_MODULE) == [0, 1]
 
     def test_non_stable_module_is_rejected(self):
         mod = SectionModule("x1", {}, ("s1", "t1"), (G3, G2), (1, -1))
@@ -524,6 +524,12 @@ class TestRaisingScalars:
         # raise(g4) = 0, so g4 is not the image of a lowering of g3
         mod = SectionModule("x1", {}, ("s1", "t1"), (G3, G4), (1, -1))
         with pytest.raises(RuntimeError, match="does not stabilize"):
+            _raising_scalars(mod)
+
+    def test_non_integer_scalar_is_rejected(self):
+        # raise(g1 / 2) = g3 / 2: the module is stable, with scalar 1/2
+        mod = SectionModule("x1", {}, ("s1", "t1"), (G3, G1.scale(Fraction(1, 2))), (1, -1))
+        with pytest.raises(RuntimeError, match="not an integer"):
             _raising_scalars(mod)
 
 
@@ -571,6 +577,21 @@ def _nullspace_hwv(A: SectionModule, B: SectionModule, m: int) -> dict:
     return {p: c / lead for p, c in zip(pairs, null[0]) if c}
 
 
+def _reference_transvectant(a: list, b: list, k: int, sym: bool) -> dict:
+    """The chain as a GaussianRational recurrence, one division per step:
+    c_0k = 1, c_(i+1),(k-i-1) = -c_i,(k-i) b_(k-i) / a_(i+1), folded when
+    ``sym`` and scaled to lead with 1."""
+    chain: dict = {}
+    c = GAUSS_ONE
+    for i in range(k + 1):
+        key = (min(i, k - i), max(i, k - i)) if sym else (i, k - i)
+        chain[key] = chain.get(key, GAUSS_ZERO) + c
+        if i < k:
+            c = -c * gauss(b[k - i]) / gauss(a[i + 1])
+    lead = next(x for x in chain.values() if x)
+    return {key: x / lead for key, x in chain.items() if x}
+
+
 class TestTransvectant:
     def _check(self, A: SectionModule, B: SectionModule):
         sym = A is B
@@ -581,8 +602,8 @@ class TestTransvectant:
         b = a if sym else _raising_scalars(B)
         for m in comps:
             k = (A.weights[0] + B.weights[0] - m) // 2
-            chain = _transvectant(a, b, k, sym)
-            assert list(chain.items()) == list(_nullspace_hwv(A, B, m).items()), (A.names, B.names, m)
+            chain = [(key, gauss(c)) for key, c in _transvectant(a, b, k, sym).items()]
+            assert chain == list(_nullspace_hwv(A, B, m).items()), (A.names, B.names, m)
 
     def test_cyclic_modules_match_nullspace(self):
         for nb in range(1, 13):
@@ -598,6 +619,23 @@ class TestTransvectant:
         for i, A in enumerate(mods):
             for B in mods[i:]:
                 self._check(A, B)
+
+    def test_integer_chain_matches_the_gaussian_rational_recurrence(self):
+        # Sym^2 components have even k; an odd k can fold to zero
+        rng = random.Random(29)
+        nonzero = [x for x in range(-7, 8) if x]
+        for _ in range(300):
+            k = rng.randint(0, 30)
+            a = [0] + [rng.choice(nonzero) for _ in range(k)]
+            b = [0] + [rng.choice(nonzero) for _ in range(k)]
+            for sym in (False, True):
+                if sym and k % 2:
+                    continue
+                chain = _transvectant(a, b, k, sym)
+                assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+                           for c in chain.values())
+                got = [(key, gauss(c)) for key, c in chain.items()]
+                assert got == list(_reference_transvectant(a, b, k, sym).items()), (a, b, k, sym)
 
     def test_n_module_scalars_match_combination_nullspace(self):
         # n = 2 with three or more points keeps torsion here, so n <= 2 is n = 1;

@@ -222,6 +222,23 @@ def test_high_power_of_the_determinant_term_is_binomial():
     assert p.terms == {(0, i, i, 0): gauss(comb(64, i)) for i in range(65)}
 
 
+def test_pow_starts_from_the_first_factor(monkeypatch):
+    # floor(log2 e) squarings and popcount(e) - 1 products (3 for e = 8): none by the unit
+    count = 0
+    mul = GPoly.__mul__
+
+    def counting_mul(self, other):
+        nonlocal count
+        count += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(GPoly, "__mul__", counting_mul)
+    for e in range(25):
+        count = 0
+        assert G3.pow(e) == GPoly.monomial(1, 0, 0, e, 0)
+        assert count == (e.bit_length() - 1 + bin(e).count("1") - 1 if e else 0), e
+
+
 def test_products_match_the_gaussian_rational_reference():
     for ring, (random_poly, _, ref_mul, ref_add) in RINGS.items():
         rng = random.Random(17)

@@ -3,11 +3,12 @@
 Generators are the exceptional divisors (exceptional colors and G-stable
 divisors) plus the parametric colors with a non-zero coordinate on E; under
 the default section the only such color is the distinguished one D^{x_d}.
-The relations identify all pullback fibers with a base fiber and add the
-single relation coming from the divisor of the weight-lattice generator,
-with denominators cleared by u.  The cokernel, adapted-basis images of the
-generators, non-negative expressions of classes in the invariant divisors
-and the restriction to the character group of F are all computed exactly.
+The relations identify all pullback fibers (``fiber``) with a base fiber
+and add the single relation coming from the divisor of the weight-lattice
+generator, with denominators cleared by u.  The cokernel, adapted-basis
+images of the generators, non-negative expressions of classes in the
+invariant divisors and the restriction to the character group of F are all
+computed exactly.
 """
 
 from __future__ import annotations
@@ -111,17 +112,17 @@ def divisor_generators(E: EmbeddingData) -> list[Generator]:
     return gens
 
 
-def _fiber(E: EmbeddingData, p: BasePoint, gens: list[Generator]) -> list[int]:
-    row = [0] * len(gens)
-    for i, g in enumerate(gens):
-        if g.point == p:
-            if g.kind == "color":
-                row[i] = E.color_multiplicity(p)
-            elif g.kind == "divisor":
-                row[i] = E.divisors_over(p)[g.j].h
-            elif g.kind == "distinguished":
-                row[i] = 1
-    return row
+def fiber(E: EmbeddingData, p: BasePoint) -> dict[str, int]:
+    """The pullback fiber over p as {generator label: multiplicity}: the
+    color with its multiplicity and each invariant divisor with its h, or
+    D^{x_d} once over x_d."""
+    if p == XD:
+        return {"Dxd": 1}
+    k = point_keys(E)[p]
+    combo = {f"E[{k}]": E.color_multiplicity(p)}
+    for j, d in enumerate(E.divisors_over(p)):
+        combo[f"X[{k},{j}]"] = d.h
+    return combo
 
 
 def _l_value(E: EmbeddingData, g: Generator) -> Fraction:
@@ -141,18 +142,14 @@ def presentation_matrix(E: EmbeddingData) -> tuple[list[Generator], IntMatrix]:
     has_d = any(g.kind == "distinguished" for g in gens)
     rows: list[list[int]] = []
     if has_d:
-        base = _fiber(E, XD, gens)
+        base = fiber(E, XD)
         fiber_pts = pts
     else:
-        if pts:
-            base = _fiber(E, pts[0], gens)
-            fiber_pts = pts[1:]
-        else:
-            base = None
-            fiber_pts = []
+        base = fiber(E, pts[0]) if pts else {}
+        fiber_pts = pts[1:]
     for p in fiber_pts:
-        f = _fiber(E, p, gens)
-        rows.append([a - b for a, b in zip(f, base)])
+        f = fiber(E, p)
+        rows.append([f.get(g.label, 0) - base.get(g.label, 0) for g in gens])
     u = E.group.u if E.group.is_cyclic else 1
     lrow = [u * _l_value(E, g) for g in gens]
     if any(x.denominator != 1 for x in lrow):
@@ -178,10 +175,14 @@ def express_in_basis(R: ClassGroupResult, target: dict, basis_labels: list[str])
     return solve_integer(A, R.image_of(target), moduli)
 
 
+EXPONENT_BOUND = 128  # per invariant divisor, in express_in_invariant_divisors
+
+
 def express_in_invariant_divisors(
-    R: ClassGroupResult, target: dict, bound: int = 128
+    R: ClassGroupResult, target: dict
 ) -> tuple[list[str], list[tuple[int, ...]]]:
-    """Non-negative exponent vectors over the invariant divisors.
+    """Non-negative exponent vectors over the invariant divisors, each entry
+    at most EXPONENT_BOUND.
 
     Solves target = sum m_ij [X^{x_i}_j] in Cl(X) (torsion part included;
     the dominating divisor never enters a relation and is excluded).
@@ -193,13 +194,13 @@ def express_in_invariant_divisors(
     A, moduli = R.linear_system(labels)
     b = list(R.image_of(target))
     try:
-        sols = solve_nonneg(A, b, bound, moduli)
+        sols = solve_nonneg(A, b, EXPONENT_BOUND, moduli)
     except EmptySolutionSet:
         if R.group.torsion:
             free_rows = R.group.free_rank
             A_free = IntMatrix(A.data[:free_rows], cols=len(labels))
             try:
-                solve_nonneg(A_free, b[:free_rows], bound)
+                solve_nonneg(A_free, b[:free_rows], EXPONENT_BOUND)
             except EmptySolutionSet:
                 raise
             raise EmptySolutionSet(

@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Subcommands: validate, classgroup, cox-u, cox-full, diagnose, iterate,
-batyrev-haddad.  Input is an embedding file (JSON, see README); output is a
-pretty report or a JSON document (--format json).  Exit codes: 0 success,
-1 invalid input, 2 computation error, 3 usage error.
+``COMMANDS`` holds one row per subcommand (validate, classgroup, cox-u,
+cox-full, diagnose, iterate, batyrev-haddad): its handler, help text and own
+flags.  ``main`` loads and validates the embedding file (JSON, see README;
+``embedding`` reads every input file), calls the handler, which returns the
+report and its pretty lines, adds the command name and the input digest,
+and prints a pretty report or a JSON document (--format json).  Exit codes:
+0 success, 1 invalid, unreadable or malformed input, 2 computation error,
+3 usage error.
 """
 
 from __future__ import annotations
@@ -17,22 +21,15 @@ from . import coxring as cx
 from . import diagnostics as dg
 from . import iteration as it
 from .embedding import (
-    EmbeddingData,
     InvalidEmbedding,
     SchemaError,
     derive_ap0_input,
+    input_digest,
     load_embedding,
+    load_hypercones,
 )
 from .exactmath import EmptySolutionSet
-from .hyperspace import (
-    BasePoint,
-    HyperspaceVector,
-    MalformedGenerators,
-    WrongKind,
-    epsilon,
-    color_vector,
-    hypercone_from_generators,
-)
+from .hyperspace import MalformedGenerators, WrongKind
 from .presentation import (
     GradedPresentation,
     poly_to_json,
@@ -51,14 +48,6 @@ def _emit(report: dict, fmt: str, pretty_lines) -> None:
     else:
         for line in pretty_lines:
             print(line)
-
-
-def _input_digest(path: str) -> dict:
-    import hashlib
-
-    with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    return {"path": path, "sha256": digest}
 
 
 def _group_json(g) -> dict:
@@ -91,21 +80,18 @@ def _presentation_pretty(P: GradedPresentation, title: str) -> list[str]:
     return lines
 
 
-def _load(path: str) -> EmbeddingData:
-    return load_embedding(path).require_valid()
-
-
-def cmd_validate(args) -> int:
+def validate(args) -> int:
+    """The one handler that reads the file itself: its result is the file's
+    validity, a schema error included."""
     try:
-        E = load_embedding(args.file)
+        violations = load_embedding(args.file).validate()
     except SchemaError as exc:
         _emit({"command": "validate", "valid": False, "schema_error": str(exc)},
               args.format, [f"schema error: {exc}"])
         return EXIT_INVALID
-    violations = E.validate()
     report = {
         "command": "validate",
-        "input": _input_digest(args.file),
+        "input": input_digest(args.file),
         "valid": not violations,
         "violations": [{"code": v.code, "detail": v.detail} for v in violations],
     }
@@ -115,12 +101,9 @@ def cmd_validate(args) -> int:
     return EXIT_OK if not violations else EXIT_INVALID
 
 
-def cmd_classgroup(args) -> int:
-    E = _load(args.file)
+def classgroup(E, args):
     R = cg.class_group(E)
     report = {
-        "command": "classgroup",
-        "input": _input_digest(args.file),
         "group": _group_json(R.group),
         "generators": [g.label for g in R.generators],
         "presentation_matrix": R.presentation.data,
@@ -132,30 +115,20 @@ def cmd_classgroup(args) -> int:
     lines += ["  " + " ".join(f"{x:4d}" for x in row) for row in R.presentation.data]
     lines.append("adapted-basis images (free part, then torsion part):")
     lines += [f"  {g.pretty}: {list(R.images[g.label])}" for g in R.generators]
-    _emit(report, args.format, lines)
-    return EXIT_OK
+    return report, lines
 
 
-def cmd_cox_u(args) -> int:
-    E = _load(args.file)
+def cox_u(E, args):
     P = cx.cox_u_presentation(E)
     Q, log = cx.eliminate(P)
     warnings: list[str] = []
     if args.verify:
         cx.verify_cox_u(E, P)
         warnings.append("verify: raw relations are exactly homogeneous and vanish on the orbit")
-    shown = Q
-    title = "Cox(X)^U after eliminating a, b"
-    lines = _presentation_pretty(shown, title)
+    lines = _presentation_pretty(Q, "Cox(X)^U after eliminating a, b")
     if log:
         lines += ["  eliminations:"] + [f"    {s}" for s in log]
-    report = {
-        "command": "cox-u",
-        "input": _input_digest(args.file),
-        "presentation": _presentation_json(shown),
-        "eliminations": log,
-        "warnings": warnings,
-    }
+    report = {"presentation": _presentation_json(Q), "eliminations": log, "warnings": warnings}
     if args.special_fiber:
         fib = cx.special_fiber_u(Q, E)
         verdict = cx.classify_fiber_presentation(fib)
@@ -167,12 +140,10 @@ def cmd_cox_u(args) -> int:
         }
         lines += _presentation_pretty(fib, "special fiber (all r = 0)")
         lines.append(f"  classification: {verdict}; normal per criterion: {normal}")
-    _emit(report, args.format, lines)
-    return EXIT_OK
+    return report, lines
 
 
-def cmd_cox_full(args) -> int:
-    E = _load(args.file)
+def cox_full(E, args):
     res = cx.full_cox_presentation_cyclic(E)
     if args.verify:
         cx.verify_full_cox(res)
@@ -187,13 +158,9 @@ def cmd_cox_full(args) -> int:
             lines.append(f"    {mod.kind}_{{{pts}}} = V_{row.iso_m} "
                          f"({tagk}B-weight {row.b_weight}w): "
                          + pretty_poly(row.poly, order))
-    for s in res.preprocessing_log:
-        lines.append(f"  preprocessing: {s}")
-    for s in res.warnings:
-        lines.append(f"  warning: {s}")
+    lines += [f"  preprocessing: {s}" for s in res.preprocessing_log]
+    lines += [f"  warning: {s}" for s in res.warnings]
     report = {
-        "command": "cox-full",
-        "input": _input_digest(args.file),
         "presentation": _presentation_json(res.presentation),
         "modules": [
             {"kind": mod.kind, "points": list(mod.points),
@@ -205,18 +172,14 @@ def cmd_cox_full(args) -> int:
         "preprocessing": res.preprocessing_log,
         "warnings": res.warnings,
     }
-    _emit(report, args.format, lines)
-    return EXIT_OK
+    return report, lines
 
 
-def cmd_diagnose(args) -> int:
-    E = _load(args.file)
+def diagnose(E, args):
     ap0 = derive_ap0_input(E)
     total = dg.log_terminal_total_space(E)
     fiber = dg.special_fiber_normal(E)
     report = {
-        "command": "diagnose",
-        "input": _input_digest(args.file),
         "special_fiber_normal": fiber,
         "total_space_log_terminal": total.is_platonic,
         "platonic_witness": list(total.witness) if total.witness else None,
@@ -244,16 +207,12 @@ def cmd_diagnose(args) -> int:
         lines.append("orbit classes: " + ", ".join(
             o.kind + (str(o.tuple) if o.tuple else "") for o in orbits))
         lines.append(f"X log terminal: {verdict.is_platonic}")
-    _emit(report, args.format, lines)
-    return EXIT_OK
+    return report, lines
 
 
-def cmd_iterate(args) -> int:
-    E = _load(args.file)
+def iterate(E, args):
     rep = it.iterate(E)
     report = {
-        "command": "iterate",
-        "input": _input_digest(args.file),
         "m_lo": rep.m_lo,
         "m_hi": rep.m_hi,
         "determined": rep.determined,
@@ -271,68 +230,31 @@ def cmd_iterate(args) -> int:
              "steps: " + " > ".join(str(s.subgroup) for s in rep.steps),
              "admissible chains:"]
     lines += ["  " + " > ".join(cseq) for cseq in rep.chains]
-    _emit(report, args.format, lines)
-    return EXIT_OK
+    return report, lines
 
 
-def cmd_batyrev_haddad(args) -> int:
-    E = _load(args.file)
+def batyrev_haddad(E, args):
     bh = cx.batyrev_haddad(E)
-    report = {
-        "command": "batyrev-haddad",
-        "input": _input_digest(args.file),
-        "p": bh.p, "q": bh.q, "k": bh.k, "a": bh.a, "b": bh.b,
-        "height": str(bh.height),
-    }
+    report = {"p": bh.p, "q": bh.q, "k": bh.k, "a": bh.a, "b": bh.b, "height": str(bh.height)}
     lines = [f"height h_P = {bh.height} = {bh.p}/{bh.q}",
              f"k = {bh.k}, a = {bh.a}, b = {bh.b}",
              f"total coordinate space: y^{bh.b} = t1 t4 - t2 t3"]
-    _emit(report, args.format, lines)
-    return EXIT_OK
+    return report, lines
 
 
-# -- hypercone files ---------------------------------------------------------
-
-
-def load_hypercones(path: str, E: EmbeddingData):
-    """JSON list of hypercones: slices with explicit vectors or "color",
-    omitted points, epsilon implied elsewhere.  Point references extend the
-    embedding ones by "xd" (the distinguished point) and inline coordinates
-    {"alpha": .., "beta": ..}."""
-    from .embedding import SchemaError, _parse_coord, _point_ref
-    from .exactmath import rat
-    from .hyperspace import XD, BasePoint
-
-    def ref(r, where):
-        if isinstance(r, dict):
-            alpha = _parse_coord(r.get("alpha", 0), where)
-            beta = _parse_coord(r.get("beta", 0), where)
-            return BasePoint(alpha=alpha, beta=beta)
-        if r == "xd":
-            return XD
-        return _point_ref(r, extras, where)
-
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, list):
-        raise SchemaError("hypercones file must be a JSON list")
-    extras = list(E.extra_points)
-    cones = []
-    for i, c in enumerate(doc):
-        gens: list[HyperspaceVector] = []
-        e_parts = [rat(x) for x in c.get("e_generators", [])]
-        omitted = [ref(r, f"hypercones[{i}].omitted") for r in c.get("omitted", [])]
-        for s in c.get("slices", []):
-            p = ref(s["point"], f"hypercones[{i}]")
-            for v in s.get("vectors", []):
-                if v == "color":
-                    gens.append(color_vector(E.group, p, E.section))
-                elif v == "epsilon":
-                    gens.append(epsilon(p))
-                else:
-                    gens.append(HyperspaceVector(p, rat(v["h"]), rat(v["l"])))
-        cones.append(hypercone_from_generators(gens, e_parts, omitted))
-    return cones
+# name -> (handler, help, own flags as (flag, add_argument keywords)); every
+# handler but validate maps (valid embedding, args) to (report, pretty lines)
+COMMANDS = {
+    "validate": (validate, "check an embedding file", ()),
+    "classgroup": (classgroup, "divisor class group by generators and relations", ()),
+    "cox-u": (cox_u, "presentation of the U-invariant Cox ring",
+              (("--special-fiber", {"action": "store_true"}),)),
+    "cox-full": (cox_full, "full Cox-ring presentation (cyclic F)", ()),
+    "diagnose": (diagnose, "singularity and fiber diagnostics",
+                 (("--hypercones", {"help": "JSON file of colored hypercones"}),)),
+    "iterate": (iterate, "Cox ring iteration sequence", ()),
+    "batyrev-haddad": (batyrev_haddad, "affine-case hypersurface parameters", ()),
+}
 
 
 # -- entry point ---------------------------------------------------------------
@@ -350,41 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--verify", action="store_true",
                         help="re-run substitution checks on every emitted relation")
     sub = ap.add_subparsers(dest="command")
-
-    p = sub.add_parser("validate", parents=[common], help="check an embedding file")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_validate)
-
-    p = sub.add_parser("classgroup", parents=[common],
-                       help="divisor class group by generators and relations")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_classgroup)
-
-    p = sub.add_parser("cox-u", parents=[common],
-                       help="presentation of the U-invariant Cox ring")
-    p.add_argument("file")
-    p.add_argument("--special-fiber", action="store_true")
-    p.set_defaults(fn=cmd_cox_u)
-
-    p = sub.add_parser("cox-full", parents=[common],
-                       help="full Cox-ring presentation (cyclic F)")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_cox_full)
-
-    p = sub.add_parser("diagnose", parents=[common],
-                       help="singularity and fiber diagnostics")
-    p.add_argument("file")
-    p.add_argument("--hypercones", help="JSON file of colored hypercones")
-    p.set_defaults(fn=cmd_diagnose)
-
-    p = sub.add_parser("iterate", parents=[common], help="Cox ring iteration sequence")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_iterate)
-
-    p = sub.add_parser("batyrev-haddad", parents=[common],
-                       help="affine-case hypersurface parameters")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_batyrev_haddad)
+    for name, (_, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        p.add_argument("file")
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
     return ap
 
 
@@ -407,13 +299,19 @@ def _self_check(seed_free: bool) -> None:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if not getattr(args, "fn", None):
+    if args.command is None:
         ap.print_usage(sys.stderr)
         return EXIT_USAGE
+    handler = COMMANDS[args.command][0]
     try:
         if args.verify:
             _self_check(args.seed_free)
-        return args.fn(args)
+        if handler is validate:
+            return validate(args)
+        report, lines = handler(load_embedding(args.file).require_valid(), args)
+        _emit({"command": args.command, "input": input_digest(args.file), **report},
+              args.format, lines)
+        return EXIT_OK
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INVALID

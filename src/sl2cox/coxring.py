@@ -45,7 +45,7 @@ from .embedding import (
 )
 from .exactmath import GAUSS_ONE, GAUSS_ZERO, gauss
 from .groups import FiniteSubgroup, gcd_pos
-from .hyperspace import BasePoint, X0, XINF, point
+from .hyperspace import BasePoint, X0, XD, XINF, point
 from .ogpoly import (
     G1,
     G2,
@@ -108,14 +108,6 @@ def _b_weight_table(F: FiniteSubgroup) -> tuple[int, dict[str, int]]:
     return 2 * F.n, {"xv": F.n, "xe": F.n, "xf": 2}
 
 
-def _fiber_combo(E: EmbeddingData, keys: dict, p: BasePoint) -> dict:
-    k = keys[p]
-    combo = {f"E[{k}]": E.color_multiplicity(p)}
-    for j, d in enumerate(E.divisors_over(p)):
-        combo[f"X[{k},{j}]"] = d.h
-    return combo
-
-
 def _r_names(E: EmbeddingData, keys: dict, prime: str) -> dict[str, str]:
     """Names of the invariant-divisor sections by class-group label, in
     generator order: r<key> over a point (r<prime><key> over an extra one),
@@ -158,7 +150,7 @@ def cox_u_presentation(E: EmbeddingData) -> GradedPresentation:
         b_fn = s_fn["xe"].pow(mult["xe"]).scale(-1)
 
     pts = list(E.exceptional_points())
-    base_fiber = _fiber_combo(E, keys, pts[0]) if pts else {"Dxd": 1}
+    base_fiber = cg.fiber(E, pts[0] if pts else XD)
     fiber_deg = R.image_of(base_fiber)
 
     variables: list[GradedVariable] = [
@@ -173,7 +165,7 @@ def cox_u_presentation(E: EmbeddingData) -> GradedPresentation:
             names[color], w, fn = f"s{k[1:]}", wtable[k], s_fn[p.tag]
         else:
             names[color], w, fn = f"sp{k[1:]}", n0, a_fn.scale(p.beta) - b_fn.scale(p.alpha)
-        for lbl in _fiber_combo(E, keys, p):
+        for lbl in cg.fiber(E, p):
             variables.append(GradedVariable(names[lbl], R.images[lbl], w if lbl == color else 0,
                                             lbl, fn if lbl == color else one))
     if "Xdom" in names:
@@ -185,7 +177,7 @@ def cox_u_presentation(E: EmbeddingData) -> GradedPresentation:
         lam = GAUSS_ONE
         if not F.is_cyclic and p.tag == "xf":
             lam = exceptional_relation_scalar(F)
-        mono = {names[lbl]: e for lbl, e in _fiber_combo(E, keys, p).items()}
+        mono = {names[lbl]: e for lbl, e in cg.fiber(E, p).items()}
         rel = (SparsePoly.term(beta, {"a": 1})
                + SparsePoly.term(-alpha, {"b": 1})
                + SparsePoly.term(-lam, mono))
@@ -381,14 +373,13 @@ def _augment(E: EmbeddingData) -> tuple[EmbeddingData, list[str]]:
 class _Ctx:
     """Shared state of one full-presentation computation."""
 
-    def __init__(self, E, R, mod0, modinf, rvar, bound, warnings,
+    def __init__(self, E, R, mod0, modinf, rvar, warnings,
                  p0_point=None, pinf_point=None, scalars=None):
         self.E = E
         self.R = R
         self.mod0 = mod0
         self.modinf = modinf
         self.rvar = rvar
-        self.bound = bound
         self.warnings = warnings
         self.p0_point = p0_point
         self.pinf_point = pinf_point
@@ -404,7 +395,7 @@ class _Ctx:
             if power:
                 for lbl, c in mod.color_combo.items():
                     target[lbl] = target.get(lbl, 0) - power * c
-        labels, sols = cg.express_in_invariant_divisors(self.R, target, self.bound)
+        labels, sols = cg.express_in_invariant_divisors(self.R, target)
         out = []
         for sol in sols:
             mono: dict[str, int] = {}
@@ -531,7 +522,7 @@ def _n_rows(mod: SectionModule, ctx: _Ctx, p: BasePoint,
     return rows
 
 
-def full_cox_presentation_cyclic(E: EmbeddingData, bound: int = 128) -> FullCoxResult:
+def full_cox_presentation_cyclic(E: EmbeddingData) -> FullCoxResult:
     F = E.group
     if not F.is_cyclic:
         raise NotCyclic(f"{F} is not cyclic")
@@ -574,7 +565,7 @@ def full_cox_presentation_cyclic(E: EmbeddingData, bound: int = 128) -> FullCoxR
             raise NotAffineShape("a single exceptional point must sit at [0:1]")
 
     uniform = n <= 2
-    base_fiber = _fiber_combo(E, keys, pts[0]) if pts else {"Dxd": 1}
+    base_fiber = cg.fiber(E, pts[0] if pts else XD)
 
     def make_module(p: BasePoint | None, role: str) -> SectionModule:
         if p is not None:
@@ -628,7 +619,7 @@ def full_cox_presentation_cyclic(E: EmbeddingData, bound: int = 128) -> FullCoxR
         variables.append(GradedVariable(nm, R.images[lbl], 0, lbl, GPoly.const(1)))
 
     scalars = {m.point_key: _raising_scalars(m) for m in point_order}
-    ctx = _Ctx(E, R, mod0, modinf, rvar, bound, warnings, p0, pinf, scalars)
+    ctx = _Ctx(E, R, mod0, modinf, rvar, warnings, p0, pinf, scalars)
 
     rel_modules: list[RelationModule] = []
     relations: list[SparsePoly] = []
@@ -680,7 +671,7 @@ def _affine_divisor(E: EmbeddingData) -> GStableDivisorSpec:
     return d
 
 
-def batyrev_haddad(E: EmbeddingData, verify_degrees: bool = True) -> BatyrevHaddadParams:
+def batyrev_haddad(E: EmbeddingData) -> BatyrevHaddadParams:
     """Height h_P = p/q and the hypersurface data (k, a, b) of the affine
     total coordinate space y^b = t1 t4 - t2 t3."""
     E.require_valid()
@@ -703,8 +694,7 @@ def batyrev_haddad(E: EmbeddingData, verify_degrees: bool = True) -> BatyrevHadd
     b = (q - p) // k
     if b != -(h + 2 * l):
         raise RuntimeError("identity b = -(h + 2l) failed; data outside the affine regime")
-    if verify_degrees:
-        _check_bh_grading(E, p, q, k)
+    _check_bh_grading(E, p, q, k)
     return BatyrevHaddadParams(p, q, k, a, b, height)
 
 

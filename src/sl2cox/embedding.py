@@ -10,6 +10,11 @@ Validation checks exactly the structural invariants of this data: the
 valuation-cone inequalities per divisor, distinctness of points, integrality
 of u*l, at most one dominating divisor.  It does not attempt to reconstruct
 a hyperfan.
+
+Every input file is read here: embedding files (``load_embedding``) and the
+hypercones files of ``diagnose --hypercones`` (``load_hypercones``).  An
+unreadable file, invalid JSON or a document outside the schema raises
+``SchemaError``.
 """
 
 from __future__ import annotations
@@ -23,13 +28,18 @@ from .exactmath import GaussianRational, gauss, rat
 from .groups import DIHEDRAL, FiniteSubgroup, cyclic, dihedral, ICOSA, OCTA, TETRA
 from .hyperspace import (
     BasePoint,
+    ColoredHypercone,
     HyperspaceVector,
     Section,
     X0,
+    XD,
     XE,
     XF,
     XINF,
     XV,
+    color_vector,
+    epsilon,
+    hypercone_from_generators,
     point,
     valuation_cone_contains,
 )
@@ -50,14 +60,6 @@ class Violation:
 
     def __str__(self):
         return f"{self.code}: {self.detail}"
-
-
-@dataclass(frozen=True)
-class ExceptionalPointSpec:
-    """A canonical tag point or an extra coordinate point of P^1."""
-
-    pt: BasePoint
-    kind: str  # "canonical" | "extra"
 
 
 @dataclass(frozen=True)
@@ -296,6 +298,20 @@ def _check_keys(obj: dict, allowed: set[str], where: str):
         raise SchemaError(f"unknown keys {sorted(unknown)} in {where}")
 
 
+def _list(obj: dict, key: str, where: str) -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise SchemaError(f"{key!r} in {where} must be a list")
+    return value
+
+
+def _rat(x, where: str) -> Fraction:
+    try:
+        return rat(x)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
 def _parse_coord(x, where: str) -> GaussianRational:
     if isinstance(x, dict):
         _check_keys(x, {"re", "im"}, where)
@@ -305,15 +321,23 @@ def _parse_coord(x, where: str) -> GaussianRational:
         raise SchemaError(f"bad coordinate in {where}: {exc}") from exc
 
 
-def _point_ref(ref: str, extras: list[BasePoint], where: str) -> BasePoint:
-    if ref in _POINT_REFS:
+def _parse_point(p: dict, where: str) -> BasePoint:
+    _check_keys(p, {"alpha", "beta"}, where)
+    alpha = _parse_coord(p.get("alpha", 0), f"{where}.alpha")
+    beta = _parse_coord(p.get("beta", 0), f"{where}.beta")
+    if not alpha and not beta:
+        raise SchemaError(f"{where} is [0:0]")
+    return BasePoint(alpha=alpha, beta=beta)
+
+
+def _point_ref(ref, extras: list[BasePoint], where: str) -> BasePoint:
+    if isinstance(ref, str) and ref in _POINT_REFS:
         return _POINT_REFS[ref]
-    if ref.startswith("extra:"):
-        try:
-            idx = int(ref.split(":", 1)[1])
-            return extras[idx]
-        except (ValueError, IndexError) as exc:
-            raise SchemaError(f"bad extra-point reference {ref!r} in {where}") from exc
+    if isinstance(ref, str) and ref.startswith("extra:"):
+        idx = ref[len("extra:"):]
+        if not idx.isdecimal() or int(idx) >= len(extras):
+            raise SchemaError(f"bad extra-point reference {ref!r} in {where}")
+        return extras[int(idx)]
     raise SchemaError(f"bad point reference {ref!r} in {where}")
 
 
@@ -328,7 +352,7 @@ def embedding_from_dict(doc: dict) -> EmbeddingData:
     gtype = gspec.get("type")
     if gtype not in _GROUPS:
         raise SchemaError(f"unknown group type {gtype!r}")
-    if gtype in ("cyclic", "dihedral") and not isinstance(gspec.get("n"), int):
+    if gtype in ("cyclic", "dihedral") and type(gspec.get("n")) is not int:
         raise SchemaError(f"group type {gtype!r} needs an integer 'n'")
     try:
         group = _GROUPS[gtype](gspec.get("n", 0))
@@ -336,30 +360,22 @@ def embedding_from_dict(doc: dict) -> EmbeddingData:
         raise SchemaError(str(exc)) from exc
 
     extras: list[BasePoint] = []
-    for i, p in enumerate(doc.get("extra_points", [])):
+    for i, p in enumerate(_list(doc, "extra_points", "top level")):
         if not isinstance(p, dict):
             raise SchemaError(f"extra_points[{i}] must be an object")
-        _check_keys(p, {"alpha", "beta"}, f"extra_points[{i}]")
-        alpha = _parse_coord(p.get("alpha", 0), f"extra_points[{i}].alpha")
-        beta = _parse_coord(p.get("beta", 0), f"extra_points[{i}].beta")
-        if not alpha and not beta:
-            raise SchemaError(f"extra_points[{i}] is [0:0]")
-        extras.append(BasePoint(alpha=alpha, beta=beta))
+        extras.append(_parse_point(p, f"extra_points[{i}]"))
 
     divisors: list[GStableDivisorSpec] = []
-    for i, d in enumerate(doc.get("divisors", [])):
+    for i, d in enumerate(_list(doc, "divisors", "top level")):
         if not isinstance(d, dict):
             raise SchemaError(f"divisors[{i}] must be an object")
         _check_keys(d, {"over", "h", "l"}, f"divisors[{i}]")
         over = d.get("over")
         if not isinstance(over, str):
             raise SchemaError(f"divisors[{i}].over must be a string reference")
-        if not isinstance(d.get("h"), int):
+        if type(d.get("h")) is not int:
             raise SchemaError(f"divisors[{i}].h must be an integer")
-        try:
-            l = rat(d.get("l", 0))
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"divisors[{i}].l: {exc}") from exc
+        l = _rat(d.get("l", 0), f"divisors[{i}].l")
         if over == "dominating":
             divisors.append(GStableDivisorSpec(None, d["h"], l))
         else:
@@ -378,13 +394,74 @@ def embedding_from_dict(doc: dict) -> EmbeddingData:
     return EmbeddingData(group, tuple(extras), tuple(divisors), section)
 
 
+def _read(path: str) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path!r}: {exc.strerror}") from exc
+
+
+def _read_json(path: str, what: str = ""):
+    try:
+        return json.loads(_read(path).decode("utf-8"))
+    except ValueError as exc:  # invalid UTF-8 or invalid JSON
+        raise SchemaError(f"{what}not valid JSON: {exc}") from exc
+
+
+def input_digest(path: str) -> dict:
+    """The path and SHA-256 of an input file, as reports cite it."""
+    import hashlib
+
+    return {"path": path, "sha256": hashlib.sha256(_read(path)).hexdigest()}
+
+
 def load_embedding(path: str) -> EmbeddingData:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from exc
-    return embedding_from_dict(doc)
+    return embedding_from_dict(_read_json(path))
+
+
+def load_hypercones(path: str, E: EmbeddingData) -> list[ColoredHypercone]:
+    """JSON list of hypercones: slices with explicit vectors {"h", "l"},
+    "color" or "epsilon", omitted points, generators on E; epsilon is
+    implied elsewhere.  Point references extend the embedding ones by "xd"
+    (the distinguished point) and inline coordinates {"alpha", "beta"}."""
+    doc = _read_json(path, "hypercones file: ")
+    if not isinstance(doc, list):
+        raise SchemaError("hypercones file must be a JSON list")
+    extras = list(E.extra_points)
+
+    def ref(r, where):
+        if isinstance(r, dict):
+            return _parse_point(r, where)
+        return XD if r == "xd" else _point_ref(r, extras, where)
+
+    cones = []
+    for i, c in enumerate(doc):
+        where = f"hypercones[{i}]"
+        if not isinstance(c, dict):
+            raise SchemaError(f"{where} must be an object")
+        _check_keys(c, {"slices", "omitted", "e_generators"}, where)
+        e_parts = [_rat(x, f"{where}.e_generators") for x in _list(c, "e_generators", where)]
+        omitted = [ref(r, f"{where}.omitted") for r in _list(c, "omitted", where)]
+        gens: list[HyperspaceVector] = []
+        for s in _list(c, "slices", where):
+            if not isinstance(s, dict) or "point" not in s:
+                raise SchemaError(f"a slice in {where} is not an object with a 'point'")
+            _check_keys(s, {"point", "vectors"}, f"a slice in {where}")
+            p = ref(s["point"], where)
+            for v in _list(s, "vectors", where):
+                if v == "color":
+                    gens.append(color_vector(E.group, p, E.section))
+                elif v == "epsilon":
+                    gens.append(epsilon(p))
+                elif isinstance(v, dict):
+                    _check_keys(v, {"h", "l"}, f"a vector in {where}")
+                    gens.append(HyperspaceVector(p, _rat(v.get("h"), f"{where}.h"),
+                                                 _rat(v.get("l"), f"{where}.l")))
+                else:
+                    raise SchemaError(f"bad vector {v!r} in {where}")
+        cones.append(hypercone_from_generators(gens, e_parts, omitted))
+    return cones
 
 
 def _coord_json(x: GaussianRational):

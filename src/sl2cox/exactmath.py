@@ -16,8 +16,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-Rational = Fraction
-
 
 def rat(x) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to an exact rational."""

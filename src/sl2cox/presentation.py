@@ -209,19 +209,16 @@ def _coeff_str(c: GaussianRational) -> str:
     return f"({c})"
 
 
-def pretty_poly(poly: SparsePoly, var_order: list[str],
-                names: dict[str, str] | None = None) -> str:
+def pretty_poly(poly: SparsePoly, var_order: list[str]) -> str:
     if poly.is_zero():
         return "0"
     order = {v: i for i, v in enumerate(var_order)}
-    names = names or {}
     items = sorted(poly.terms.items(), key=lambda kv: _mono_key(kv[0], order), reverse=True)
     parts: list[str] = []
     for m, c in items:
         mono = ""
         for v, e in sorted(m, key=lambda ve: order[ve[0]]):
-            nm = names.get(v) or pretty_name(v)
-            mono += nm + (str(e).translate(_SUP) if e > 1 else "")
+            mono += pretty_name(v) + (str(e).translate(_SUP) if e > 1 else "")
         if not mono:
             neg = c.re < 0 or (c.re == 0 and c.im < 0)
             parts.append(("-" if neg else "+", _coeff_str(-c if neg else c)))

@@ -197,3 +197,32 @@ class TestPolyJson:
         p = (SparsePoly.term(gauss({"re": "1/2", "im": "-3"}), {"x": 2, "y": 1})
              + SparsePoly.term(5, {}))
         assert poly_from_json(poly_to_json(p)).terms == p.terms
+
+
+class TestInputErrors:
+    """Unreadable or malformed input files exit 1 with a one-line message."""
+
+    def test_missing_file(self, tmp_path, capsys):
+        rc, out, err = run(capsys, "classgroup", str(tmp_path / "missing.json"))
+        assert rc == 1 and err.startswith("input error: ") and out == ""
+
+    def test_missing_file_validate(self, tmp_path, capsys):
+        rc, out, err = run(capsys, "validate", str(tmp_path / "missing.json"),
+                           "--format", "json")
+        doc = json.loads(out)
+        assert rc == 1 and doc["valid"] is False and "schema_error" in doc
+
+    @pytest.mark.parametrize("text", [
+        "[{]",
+        json.dumps([5]),
+        json.dumps([{"slices": [{"vectors": ["color"]}]}]),
+        json.dumps([{"slices": [{"point": "x0", "vectors": [{"h": "x", "l": "-1"}]}]}]),
+        json.dumps([{"slices": [{"point": {"alpha": "0", "beta": "0"}, "vectors": []}]}]),
+        json.dumps([{"slices": [{"point": "x0", "vector": ["color"]}]}]),
+    ], ids=["invalid-json", "entry-not-object", "slice-without-point", "bad-h",
+            "point-zero-zero", "unknown-key"])
+    def test_bad_hypercones(self, text, tmp_path, capsys):
+        f = tmp_path / "cones.json"
+        f.write_text(text)
+        rc, out, err = run(capsys, "diagnose", fixture("mu3.json"), "--hypercones", str(f))
+        assert rc == 1 and err.startswith("input error: ")

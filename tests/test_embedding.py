@@ -11,6 +11,7 @@ from sl2cox.embedding import (
     derive_ap0_input,
     embedding_from_dict,
     embedding_to_dict,
+    load_embedding,
 )
 from sl2cox.exactmath import gauss
 from sl2cox.groups import ICOSA, TETRA, cyclic, dihedral
@@ -167,3 +168,31 @@ class TestJson:
                 "group": {"type": "cyclic", "n": 3},
                 "divisors": [{"over": "extra:0", "h": 1, "l": "-1"}],
             })
+
+
+def _mu3_doc(**changes) -> dict:
+    doc = embedding_to_dict(mu3_example())
+    doc.update(changes)
+    return doc
+
+
+class TestSchemaErrors:
+    """Malformed documents raise SchemaError, never another exception and
+    never a silently reinterpreted embedding."""
+
+    @pytest.mark.parametrize("changes", [
+        {"divisors": [{"over": "extra:-1", "h": 1, "l": "-1"}]},
+        {"extra_points": 5},
+        {"divisors": 7},
+        {"section": {"at": 5}},
+        {"divisors": [{"over": "x0", "h": True, "l": "-1"}]},
+        {"group": {"type": "cyclic", "n": True}},
+    ], ids=["negative-extra-index", "extra-points-not-list", "divisors-not-list",
+            "section-point-not-string", "bool-h", "bool-n"])
+    def test_rejected(self, changes):
+        with pytest.raises(SchemaError):
+            embedding_from_dict(_mu3_doc(**changes))
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(SchemaError):
+            load_embedding(str(tmp_path / "missing.json"))

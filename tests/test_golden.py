@@ -1,7 +1,8 @@
 """Golden outputs: every subcommand's JSON report on every fixture, and the
 polyhedral subcommands on one input per polyhedral family, ``cox-full`` on
 one larger cyclic input, and both Cox-ring subcommands on one cyclic input
-with non-real, non-integral points.
+with non-real, non-integral points; and every subcommand's pretty report on
+every fixture (``<cmd>.<fixture>.pretty.out``).
 
 Each case runs ``sl2cox.cli.main`` in process from the repository root (so the
 report's input path is ``fixtures/<name>.json`` or
@@ -17,6 +18,7 @@ import os
 
 import pytest
 
+from sl2cox import cli
 from sl2cox.cli import main
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -46,15 +48,21 @@ CASES = ([(cmd, fx) for cmd in COMMANDS for fx in FIXTURES]
          + [(cmd, fx) for cmd in POLYHEDRAL_COMMANDS for fx in POLYHEDRAL]
          + [("cox-full", fx) for fx in CYCLIC]
          + [(cmd, fx) for cmd in ("cox-full", "cox-u") for fx in GAUSS])
+PRETTY_CASES = [(cmd, fx) for cmd in COMMANDS for fx in FIXTURES]
 
 
-def _argv(cmd: str, fx: str) -> list[str]:
+def _argv(cmd: str, fx: str, fmt: str = "json") -> list[str]:
     path = f"fixtures/{fx}.json" if fx in FIXTURES else f"tests/golden/inputs/{fx}.json"
-    return [cmd, *COMMANDS[cmd], path, "--format", "json"]
+    return [cmd, *COMMANDS[cmd], path, "--format", fmt]
 
 
-def _out_path(cmd: str, fx: str) -> str:
-    return os.path.join(GOLDEN, f"{cmd}.{fx}.out")
+def _out_path(cmd: str, fx: str, fmt: str = "json") -> str:
+    suffix = ".pretty" if fmt == "pretty" else ""
+    return os.path.join(GOLDEN, f"{cmd}.{fx}{suffix}.out")
+
+
+def _code_key(cmd: str, fx: str, fmt: str = "json") -> str:
+    return f"{cmd} {fx}" + (" pretty" if fmt == "pretty" else "")
 
 
 def _exit_codes() -> dict:
@@ -62,15 +70,28 @@ def _exit_codes() -> dict:
         return json.load(fh)
 
 
+def _check(cmd, fx, fmt, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    rc = main(_argv(cmd, fx, fmt))
+    out = capsys.readouterr().out
+    with open(_out_path(cmd, fx, fmt), "rb") as fh:
+        expected = fh.read()
+    assert rc == _exit_codes()[_code_key(cmd, fx, fmt)]
+    assert out.encode("utf-8") == expected
+
+
 @pytest.mark.parametrize("cmd,fx", CASES)
 def test_golden_output(cmd, fx, capsys, monkeypatch):
-    monkeypatch.chdir(ROOT)
-    rc = main(_argv(cmd, fx))
-    out = capsys.readouterr().out
-    with open(_out_path(cmd, fx), "rb") as fh:
-        expected = fh.read()
-    assert rc == _exit_codes()[f"{cmd} {fx}"]
-    assert out.encode("utf-8") == expected
+    _check(cmd, fx, "json", capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("cmd,fx", PRETTY_CASES)
+def test_golden_pretty_output(cmd, fx, capsys, monkeypatch):
+    _check(cmd, fx, "pretty", capsys, monkeypatch)
+
+
+def test_every_subcommand_has_goldens():
+    assert set(cli.COMMANDS) == set(COMMANDS)
 
 
 def _regenerate() -> None:
@@ -80,11 +101,12 @@ def _regenerate() -> None:
     os.makedirs(GOLDEN, exist_ok=True)
     os.chdir(ROOT)
     codes = {}
-    for cmd, fx in CASES:
+    cases = [(*c, "json") for c in CASES] + [(*c, "pretty") for c in PRETTY_CASES]
+    for cmd, fx, fmt in cases:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
-            codes[f"{cmd} {fx}"] = main(_argv(cmd, fx))
-        with open(_out_path(cmd, fx), "wb") as fh:
+            codes[_code_key(cmd, fx, fmt)] = main(_argv(cmd, fx, fmt))
+        with open(_out_path(cmd, fx, fmt), "wb") as fh:
             fh.write(buf.getvalue().encode("utf-8"))
     with open(os.path.join(GOLDEN, "exit_codes.json"), "w", encoding="utf-8") as fh:
         json.dump(codes, fh, indent=2)

@@ -9,6 +9,7 @@ exact rational / Gaussian-rational arithmetic.
 
 from .exactmath import (
     EmptySolutionSet,
+    FactoredSystem,
     FinAbGroup,
     GaussianRational,
     IntMatrix,

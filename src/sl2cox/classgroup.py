@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .embedding import EmbeddingData, InvalidEmbedding
 from .exactmath import (
-    EmptySolutionSet,
+    FactoredSystem,
     FinAbGroup,
     IntMatrix,
     cokernel,
@@ -64,6 +65,15 @@ class ClassGroupResult:
         cols = [self.images[lbl] for lbl in labels]
         A = IntMatrix([[col[i] for col in cols] for i in range(n)], cols=len(cols))
         return A, [0] * self.group.free_rank + list(self.group.torsion)
+
+    @cached_property
+    def divisor_labels(self) -> list[str]:
+        return [g.label for g in self.generators if g.kind == "divisor"]
+
+    @cached_property
+    def divisor_system(self) -> FactoredSystem:
+        """The invariant-divisor system, factored on first use."""
+        return FactoredSystem(*self.linear_system(self.divisor_labels))
 
 
 def point_keys(E: EmbeddingData) -> dict:
@@ -175,38 +185,27 @@ def express_in_basis(R: ClassGroupResult, target: dict, basis_labels: list[str])
     return solve_integer(A, R.image_of(target), moduli)
 
 
-EXPONENT_BOUND = 128  # per invariant divisor, in express_in_invariant_divisors
-
-
 def express_in_invariant_divisors(
     R: ClassGroupResult, target: dict
 ) -> tuple[list[str], list[tuple[int, ...]]]:
-    """Non-negative exponent vectors over the invariant divisors, each entry
-    at most EXPONENT_BOUND.
+    """The non-negative exponent vector over the invariant divisors.
 
     Solves target = sum m_ij [X^{x_i}_j] in Cl(X) (torsion part included;
-    the dominating divisor never enters a relation and is excluded).
-    Returns (labels, solutions); several solutions signal an ambiguous
-    family and all are returned.  Raises EmptySolutionSet when none exists,
-    with a torsion-obstruction diagnostic when only the torsion part fails.
+    the dominating divisor never enters a relation and is excluded) on
+    ``R.divisor_system``, factored once per R.  The invariant divisors are
+    independent in Cl(X)⊗Q (a relation among them is the divisor of a unit
+    on SL2/F, and such units are constant), so the solution is unique:
+    returns (labels, [m]).  Raises EmptySolutionSet when m is not a
+    non-negative integer vector, with a torsion-obstruction diagnostic when
+    only the torsion part fails, and RuntimeError when the factored rank
+    breaks the independence.
     """
-    labels = [g.label for g in R.generators if g.kind == "divisor"]
-    A, moduli = R.linear_system(labels)
-    b = list(R.image_of(target))
-    try:
-        sols = solve_nonneg(A, b, EXPONENT_BOUND, moduli)
-    except EmptySolutionSet:
-        if R.group.torsion:
-            free_rows = R.group.free_rank
-            A_free = IntMatrix(A.data[:free_rows], cols=len(labels))
-            try:
-                solve_nonneg(A_free, b[:free_rows], EXPONENT_BOUND)
-            except EmptySolutionSet:
-                raise
-            raise EmptySolutionSet(
-                "free parts match but the torsion part of the class obstructs")
-        raise
-    return labels, sols
+    system = R.divisor_system
+    if system.rank < system.A.cols:
+        raise RuntimeError(
+            f"invariant divisors dependent in Cl(X)⊗Q: rank {system.rank} "
+            f"of {system.A.cols} divisors")
+    return R.divisor_labels, solve_nonneg(system, R.image_of(target))
 
 
 def restrict_to_Fhat(E: EmbeddingData, combo: dict) -> tuple[int, ...]:

@@ -296,7 +296,7 @@ class ModuleRow:
     iso_m: int  # the component is isomorphic to V_m
     b_weight: int
     poly: SparsePoly
-    monomials: tuple = ()  # every solved section monomial (name, exp) tuple
+    monomials: tuple = ()  # (the solved section monomial as (name, exp) pairs,) or ()
     in_kernel: bool = False
 
 
@@ -373,41 +373,34 @@ def _augment(E: EmbeddingData) -> tuple[EmbeddingData, list[str]]:
 class _Ctx:
     """Shared state of one full-presentation computation."""
 
-    def __init__(self, E, R, mod0, modinf, rvar, warnings,
-                 p0_point=None, pinf_point=None, scalars=None):
+    def __init__(self, E, R, mod0, modinf, rvar, p0_point=None, pinf_point=None, scalars=None):
         self.E = E
         self.R = R
         self.mod0 = mod0
         self.modinf = modinf
         self.rvar = rvar
-        self.warnings = warnings
         self.p0_point = p0_point
         self.pinf_point = pinf_point
         self.scalars = scalars  # point_key -> _raising_scalars of its module
 
-    def solve_section_monomials(self, combo: dict, n0: int, ninf: int):
-        """All monomials s0^n0 sinf^ninf * r^a with the class of ``combo``.
-
-        Returns a list of exponent dicts over variable names.
-        """
+    def solve_section_monomial(self, combo: dict, n0: int, ninf: int) -> dict[str, int]:
+        """The monomial s0^n0 sinf^ninf * r^a with the class of ``combo``,
+        as an exponent dict over variable names."""
         target = dict(combo)
         for mod, power in ((self.mod0, n0), (self.modinf, ninf)):
             if power:
                 for lbl, c in mod.color_combo.items():
                     target[lbl] = target.get(lbl, 0) - power * c
-        labels, sols = cg.express_in_invariant_divisors(self.R, target)
-        out = []
-        for sol in sols:
-            mono: dict[str, int] = {}
-            if n0:
-                mono[self.mod0.names[0]] = n0
-            if ninf:
-                mono[self.modinf.names[0]] = mono.get(self.modinf.names[0], 0) + ninf
-            for lbl, e in zip(labels, sol):
-                if e:
-                    mono[self.rvar[lbl]] = e
-            out.append(mono)
-        return out
+        labels, (sol,) = cg.express_in_invariant_divisors(self.R, target)
+        mono: dict[str, int] = {}
+        if n0:
+            mono[self.mod0.names[0]] = n0
+        if ninf:
+            mono[self.modinf.names[0]] = mono.get(self.modinf.names[0], 0) + ninf
+        for lbl, e in zip(labels, sol):
+            if e:
+                mono[self.rvar[lbl]] = e
+        return mono
 
 
 def _transvectant(a: list[int], b: list[int], k: int, sym: bool) -> dict:
@@ -472,14 +465,9 @@ def _pair_rows(A: SectionModule, B: SectionModule, ctx: _Ctx) -> list[ModuleRow]
         for mod in (A, B):
             for lbl, c in mod.color_combo.items():
                 combo[lbl] = combo.get(lbl, 0) + c
-        monos = ctx.solve_section_monomials(combo, n0, ninf)
-        if len(monos) > 1:
-            ctx.warnings.append(
-                f"AmbiguousSolution: {len(monos)} exponent vectors for the "
-                f"({A.point_key},{B.point_key}) component of weight {m}")
-        poly = y + SparsePoly.term(-q, monos[0])
+        mono = ctx.solve_section_monomial(combo, n0, ninf)
         rows.append(ModuleRow(
-            m, m, poly, tuple(tuple(sorted(mm.items())) for mm in monos), False))
+            m, m, y + SparsePoly.term(-q, mono), (tuple(sorted(mono.items())),), False))
     return rows
 
 
@@ -530,7 +518,6 @@ def full_cox_presentation_cyclic(E: EmbeddingData) -> FullCoxResult:
     n = F.n
     nb = F.nbar
     log: list[str] = []
-    warnings: list[str] = []
 
     many_points = len(E.exceptional_points()) >= 3
     if many_points and n >= 3:
@@ -619,7 +606,7 @@ def full_cox_presentation_cyclic(E: EmbeddingData) -> FullCoxResult:
         variables.append(GradedVariable(nm, R.images[lbl], 0, lbl, GPoly.const(1)))
 
     scalars = {m.point_key: _raising_scalars(m) for m in point_order}
-    ctx = _Ctx(E, R, mod0, modinf, rvar, warnings, p0, pinf, scalars)
+    ctx = _Ctx(E, R, mod0, modinf, rvar, p0, pinf, scalars)
 
     rel_modules: list[RelationModule] = []
     relations: list[SparsePoly] = []
@@ -638,7 +625,7 @@ def full_cox_presentation_cyclic(E: EmbeddingData) -> FullCoxResult:
 
     pres = GradedPresentation(variables, relations, R.group)
     _check_homogeneous(pres)
-    return FullCoxResult(pres, rel_modules, log, warnings, R, E)
+    return FullCoxResult(pres, rel_modules, log, [], R, E)
 
 
 # -- Batyrev-Haddad parameters ----------------------------------------------------

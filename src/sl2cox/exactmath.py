@@ -4,7 +4,7 @@ Rationals are ``fractions.Fraction`` (always reduced, positive denominator).
 On top of that this module provides Gaussian rationals, dense arbitrary
 precision integer matrices, Smith normal form with unimodular transforms,
 cokernels of integer matrices as finitely generated abelian groups, and
-bounded enumeration of non-negative integer solutions of linear systems.
+the non-negative integer solution of a factored full-column-rank system.
 
 Everything here is pure and immutable after construction; no floating point.
 """
@@ -21,7 +21,7 @@ def rat(x) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to an exact rational."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x.strip())
@@ -330,115 +330,78 @@ def cokernel(M: IntMatrix) -> tuple[FinAbGroup, IntMatrix]:
 
 
 class EmptySolutionSet(Exception):
-    """No non-negative solution exists within the requested bound."""
+    """The system has no non-negative integer solution."""
 
 
-def solve_nonneg(
-    A: IntMatrix,
-    b: Sequence[int],
-    bound: int,
-    moduli: Sequence[int] | None = None,
-) -> list[tuple[int, ...]]:
-    """All x >= 0 with A x = b (row i taken mod moduli[i] when > 0), x_j <= bound.
+class FactoredSystem:
+    """A x = b (row i taken mod moduli[i] when > 0), factored once for any b.
 
-    Solutions come back in lexicographic order.  Raises EmptySolutionSet when
-    none exists within the bound.  When the exact rows have full column rank,
-    one fraction-free elimination pass brings them, each augmented by its
-    right-hand side, to an integer echelon form (each row reduced against the
-    rows kept so far and divided by its gcd); integer back-substitution over
-    the n pivot rows gives the only candidate, which is then checked against
-    every row.  Otherwise a depth-first enumeration runs over the coordinate
-    box with interval pruning on the exact rows.
+    One fraction-free elimination pass runs over the exact rows of [A | I]:
+    each row is reduced against the echelon rows kept so far (keyed by pivot
+    column) and divided by its gcd; the pass stops at n pivots.  The identity
+    part records which combination of exact rows each echelon row is, so a
+    target b becomes its right-hand side by one dot product.  ``rank`` is the
+    number of pivots found: a certificate, never assumed.
     """
-    if bound <= 0:
-        raise ValueError("bound must be positive")
-    rows, n = A.rows, A.cols
-    bb = list(map(int, b))
-    if len(bb) != rows:
-        raise ValueError("right-hand side length mismatch")
-    mods = list(moduli) if moduli is not None else [0] * rows
-    if len(mods) != rows:
-        raise ValueError("moduli length mismatch")
-    if n == 0:
-        ok = all((x % m == 0 if m else x == 0) for x, m in zip(bb, mods))
-        if ok:
-            return [()]
-        raise EmptySolutionSet("inconsistent system with no variables")
 
-    exact_rows = [i for i in range(rows) if mods[i] == 0]
-    empty = f"no x >= 0 with coordinates <= {bound} solves the system"
-
-    # Full column rank: the unique rational solution is the only candidate.
-    if len(exact_rows) >= n:
-        echelon: dict[int, list[int]] = {}  # pivot column -> row, zero left of it
-        for i in exact_rows:
-            r = A.data[i] + [bb[i]]
-            for p in sorted(echelon):
-                e = echelon[p]
+    def __init__(self, A: IntMatrix, moduli: Sequence[int] | None = None):
+        mods = list(moduli) if moduli is not None else [0] * A.rows
+        if len(mods) != A.rows:
+            raise ValueError("moduli length mismatch")
+        self.A, self.moduli = A, mods
+        self.exact_rows = [i for i in range(A.rows) if mods[i] == 0]
+        n, m = A.cols, len(self.exact_rows)
+        # pivot column -> n coefficients, zero left of it, then the m weights
+        # of the exact rows combined into them
+        self.echelon: dict[int, list[int]] = {}
+        for k, i in enumerate(self.exact_rows):
+            if len(self.echelon) == n:
+                break
+            r = A.data[i] + [int(t == k) for t in range(m)]
+            for p in sorted(self.echelon):
                 if r[p]:
+                    e = self.echelon[p]
                     g = gcd(e[p], r[p])
                     u, v = e[p] // g, r[p] // g
                     r = [u * a - v * c for a, c in zip(r, e)]
             p = next((j for j in range(n) if r[j]), None)
-            if p is None:
-                continue  # dependent: the candidate check or the DFS tests its b[i]
-            g = gcd(*r)
-            echelon[p] = [a // g for a in r]
-            if len(echelon) == n:
-                break
-        if len(echelon) == n:
-            x = [0] * n
-            for k in range(n - 1, -1, -1):
-                e = echelon[k]
-                q, rem = divmod(e[n] - sum(e[j] * x[j] for j in range(k + 1, n)), e[k])
-                if rem or not 0 <= q <= bound:
-                    raise EmptySolutionSet(empty)
-                x[k] = q
-            if not _check_solution(A, bb, mods, x):
-                raise EmptySolutionSet(empty)
-            return [tuple(x)]
+            if p is not None:
+                g = gcd(*r)
+                self.echelon[p] = [a // g for a in r]
+        self.rank = len(self.echelon)
 
-    # General case: DFS over the box with interval pruning on exact rows.
-    solutions: list[tuple[int, ...]] = []
-    neg = [[min(A.data[i][j], 0) for j in range(n)] for i in range(rows)]
-    pos = [[max(A.data[i][j], 0) for j in range(n)] for i in range(rows)]
-    lo_tail = [[0] * (n + 1) for _ in range(rows)]
-    hi_tail = [[0] * (n + 1) for _ in range(rows)]
-    for i in range(rows):
-        for j in range(n - 1, -1, -1):
-            lo_tail[i][j] = lo_tail[i][j + 1] + neg[i][j] * bound
-            hi_tail[i][j] = hi_tail[i][j + 1] + pos[i][j] * bound
 
+def solve_nonneg(system: FactoredSystem, b: Sequence[int]) -> list[tuple[int, ...]]:
+    """The non-negative integer solution of a factored full-column-rank system.
+
+    Integer back-substitution over the n pivot rows gives the only rational
+    solution; it must be integral and non-negative, and is then checked
+    against every row.  The rows with a modulus are the torsion part: when
+    only they fail, the message says so.  Returns ``[x]``; raises
+    ``EmptySolutionSet`` when x does not exist and ``ValueError`` when the
+    rank is below the number of columns (the solution would not be unique).
+    """
+    A, mods, n = system.A, system.moduli, system.A.cols
+    bb = list(map(int, b))
+    if len(bb) != A.rows:
+        raise ValueError("right-hand side length mismatch")
+    if system.rank < n:
+        raise ValueError(f"system of rank {system.rank} in {n} unknowns")
+    rhs = [bb[i] for i in system.exact_rows]
     x = [0] * n
-
-    def dfs(j: int, acc: list[int]):
-        if j == n:
-            if all((v - t) % m == 0 if m else v == t
-                   for v, t, m in zip(acc, bb, mods)):
-                solutions.append(tuple(x))
-            return
-        for val in range(bound + 1):
-            nxt = [a + A.data[i][j] * val for i, a in enumerate(acc)]
-            ok = True
-            for i in exact_rows:
-                if not (nxt[i] + lo_tail[i][j + 1] <= bb[i] <= nxt[i] + hi_tail[i][j + 1]):
-                    ok = False
-                    break
-            if ok:
-                x[j] = val
-                dfs(j + 1, nxt)
-        x[j] = 0
-
-    dfs(0, [0] * rows)
-    solutions.sort()
-    if not solutions:
-        raise EmptySolutionSet(empty)
-    return solutions
-
-
-def _check_solution(A: IntMatrix, b: list[int], mods: list[int], x: Sequence[int]) -> bool:
-    vals = A.mulvec(list(x))
-    return all((v - t) % m == 0 if m else v == t for v, t, m in zip(vals, b, mods))
+    for k in range(n - 1, -1, -1):
+        e = system.echelon[k]
+        t = sum(c * v for c, v in zip(e[n:], rhs)) - sum(e[j] * x[j] for j in range(k + 1, n))
+        q, rem = divmod(t, e[k])
+        if rem or q < 0:
+            raise EmptySolutionSet("no integer x >= 0 solves the exact rows")
+        x[k] = q
+    vals = A.mulvec(x)
+    if any(v != t for v, t, m in zip(vals, bb, mods) if not m):
+        raise EmptySolutionSet("no integer x >= 0 solves the exact rows")
+    if any((v - t) % m for v, t, m in zip(vals, bb, mods) if m):
+        raise EmptySolutionSet("free parts match but the torsion part of the class obstructs")
+    return [tuple(x)]
 
 
 def solve_integer(

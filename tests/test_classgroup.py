@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from sl2cox import classgroup as cg
+from sl2cox.coxring import full_cox_presentation_cyclic
 from sl2cox.embedding import EmbeddingData, GStableDivisorSpec, affine_embedding
 from sl2cox.exactmath import EmptySolutionSet, FinAbGroup, IntMatrix
 from sl2cox.groups import ICOSA, OCTA, TETRA, cyclic, dihedral
@@ -160,6 +162,94 @@ class TestExpress:
         R = cg.class_group(E)
         with pytest.raises(EmptySolutionSet):
             cg.express_in_invariant_divisors(R, {"E[x0]": 1})
+
+    def test_torsion_obstruction_message(self):
+        # E[x0] has image (1, 0) and X[x0,0] (-1, 1): -E[x0] = X[x0,0] on the
+        # free part, but the torsion parts 0 and 1 differ
+        R = cg.class_group(affine_embedding(4, 6, Fraction(-7, 2)))
+        with pytest.raises(EmptySolutionSet) as exc:
+            cg.express_in_invariant_divisors(R, {"E[x0]": -1})
+        assert str(exc.value) == "free parts match but the torsion part of the class obstructs"
+
+    def test_dependent_invariant_divisors_raise(self):
+        # a class group whose two divisor columns coincide breaks the
+        # independence the solver relies on
+        R = cg.class_group(mu3_example())
+        images = dict(R.images, **{"X[xinf,0]": R.images["X[x0,0]"]})
+        broken = cg.ClassGroupResult(R.group, R.generators, R.presentation, images,
+                                     R.point_keys)
+        assert broken.divisor_system.rank == 2
+        with pytest.raises(RuntimeError, match="invariant divisors dependent"):
+            cg.express_in_invariant_divisors(broken, {})
+
+
+COORDS = [(1, 1), (2, 1), (3, 1), (1, 3), (5, 2), (2, 5), (3, 7)]
+FAMILIES = {
+    "cyclic": lambda rng: cyclic(rng.randint(3, 12)),
+    "n<=2": lambda rng: cyclic(rng.randint(1, 2)),
+    "dihedral": lambda rng: dihedral(rng.randint(2, 6)),
+    "tetrahedral": lambda rng: TETRA,
+    "octahedral": lambda rng: OCTA,
+    "icosahedral": lambda rng: ICOSA,
+}
+
+
+def _random_embedding(rng, family: str) -> EmbeddingData:
+    """Up to three extra points and up to three divisors over every
+    exceptional point, sometimes a dominating divisor; may be invalid."""
+    if family == "affine":
+        l = -Fraction(rng.randint(1, 12), rng.choice([1, 2]))
+        return affine_embedding(rng.randint(1, 9), rng.randint(1, 9), l)
+    F = FAMILIES[family](rng)
+    k = rng.randint(1 if F.n <= 2 else 0, 3)
+    extras = tuple(point(*c) for c in rng.sample(COORDS, k))
+    divisors = [GStableDivisorSpec(p, rng.randint(1, 4),
+                                   -Fraction(rng.randint(1, 9), rng.choice([1, 1, 2])))
+                for p in EmbeddingData(F, extras).exceptional_points()
+                for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.2:
+        divisors.append(GStableDivisorSpec(None, 0, -1))
+    return EmbeddingData(F, extras, tuple(divisors))
+
+
+class TestRankCertificate:
+    @pytest.mark.parametrize("family", [*FAMILIES, "affine"])
+    def test_invariant_divisors_have_full_rank(self, family):
+        rng = random.Random(f"rank-{family}")
+        valid = 0
+        for _ in range(600):
+            E = _random_embedding(rng, family)
+            if E.validate():
+                continue
+            R = cg.class_group(E)
+            assert R.divisor_system.rank == len(R.divisor_labels), E
+            valid += 1
+            if valid == 20:
+                break
+        assert valid == 20
+
+    def test_one_factorization_per_presentation(self, monkeypatch):
+        counts = {"factor": 0, "express": 0}
+
+        class Counting(cg.FactoredSystem):
+            def __init__(self, *args):
+                counts["factor"] += 1
+                super().__init__(*args)
+
+        express = cg.express_in_invariant_divisors
+
+        def counting_express(*args):
+            counts["express"] += 1
+            return express(*args)
+
+        monkeypatch.setattr(cg, "FactoredSystem", Counting)
+        monkeypatch.setattr(cg, "express_in_invariant_divisors", counting_express)
+        extras = (point(1, 1), point(2, 1))
+        E = EmbeddingData(cyclic(5), extras, tuple(
+            GStableDivisorSpec(p, 1, -j) for p in (X0, XINF) + extras for j in (1, 2)))
+        full_cox_presentation_cyclic(E)
+        assert counts["express"] > 1
+        assert counts["factor"] == 1
 
 
 class TestRestriction:

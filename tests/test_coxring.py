@@ -822,6 +822,24 @@ class TestFullCoxScale:
         assert len(res.presentation.relations) == 71
         _assert_relations_vanish(res)
 
+    def test_cyclic_64_with_three_divisors_per_point(self):
+        # the unique exponent vector of one relation reaches 192: no cap on
+        # the exponents may turn this valid input into an error
+        extras = (point(1, 1), point(2, 1))
+        E = EmbeddingData(cyclic(64), extras, tuple(
+            GStableDivisorSpec(p, 1, -j) for p in (X0, XINF) + extras for j in (1, 2, 3)))
+        res = full_cox_presentation_cyclic(E)
+        verify_full_cox(res)
+        r_names = {v.name for v in res.presentation.variables if v.name.startswith("r")}
+        assert len(r_names) == 12
+
+        def top(rel):
+            return max((e for mono in rel.terms for v, e in mono if v in r_names), default=0)
+
+        deepest = [r for r in res.presentation.relations if top(r) == 192]
+        assert deepest and max(map(top, res.presentation.relations)) == 192
+        _assert_relations_vanish(res, deepest)
+
     def test_cyclic_3_with_twenty_invariant_divisors(self):
         extras = (point(1, 1), point(2, 1))
         E = EmbeddingData(cyclic(3), extras, tuple(

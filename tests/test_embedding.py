@@ -187,8 +187,10 @@ class TestSchemaErrors:
         {"section": {"at": 5}},
         {"divisors": [{"over": "x0", "h": True, "l": "-1"}]},
         {"group": {"type": "cyclic", "n": True}},
+        {"divisors": [{"over": "x0", "h": 1, "l": True}]},
+        {"extra_points": [{"alpha": True, "beta": "1"}]},
     ], ids=["negative-extra-index", "extra-points-not-list", "divisors-not-list",
-            "section-point-not-string", "bool-h", "bool-n"])
+            "section-point-not-string", "bool-h", "bool-n", "bool-l", "bool-coordinate"])
     def test_rejected(self, changes):
         with pytest.raises(SchemaError):
             embedding_from_dict(_mu3_doc(**changes))

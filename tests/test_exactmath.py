@@ -7,6 +7,7 @@ import pytest
 
 from sl2cox.exactmath import (
     EmptySolutionSet,
+    FactoredSystem,
     FinAbGroup,
     GaussianRational,
     IntMatrix,
@@ -70,16 +71,32 @@ def snf_oracle_factors(M: IntMatrix):
     return tuple(out)
 
 
-def brute_force_nonneg(A: IntMatrix, b, bound, moduli=None):
-    from itertools import product
-
+def rational_solution(A: IntMatrix, b, moduli=None):
+    """Independent oracle on the exact rows: Fraction Gauss-Jordan gives
+    (rank, x) with x the rational solution when the rank is full and the
+    rows are consistent, else None."""
     mods = list(moduli) if moduli else [0] * A.rows
-    sols = []
-    for x in product(range(bound + 1), repeat=A.cols):
-        vals = A.mulvec(list(x))
-        if all((v - t) % m == 0 if m else v == t for v, t, m in zip(vals, b, mods)):
-            sols.append(tuple(x))
-    return sols
+    n = A.cols
+    m = [[Fraction(a) for a in A.data[i]] + [Fraction(b[i])]
+         for i in range(A.rows) if not mods[i]]
+    rank = 0
+    for col in range(n):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        m[rank] = [a / m[rank][col] for a in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                m[i] = [a - m[i][col] * c for a, c in zip(m[i], m[rank])]
+        rank += 1
+    consistent = all(row[n] == 0 for row in m[rank:])
+    x = [m[k][n] for k in range(n)] if rank == n and consistent else None
+    return rank, x
+
+
+def solve(A: IntMatrix, b, moduli=None):
+    return solve_nonneg(FactoredSystem(A, moduli), b)
 
 
 # the 4x8 presentation matrix of the four-point example
@@ -194,23 +211,24 @@ class TestCokernel:
 class TestSolveNonneg:
     def test_zero_rhs_contains_origin(self):
         A = IntMatrix([[1, 2], [3, 4]])
-        sols = solve_nonneg(A, [0, 0], 5)
-        assert (0, 0) in sols
+        assert (0, 0) in solve(A, [0, 0])
 
     def test_unique_solution(self):
         A = IntMatrix([[1, 0], [0, 1]])
-        assert solve_nonneg(A, [3, 4], 10) == [(3, 4)]
+        assert solve(A, [3, 4]) == [(3, 4)]
 
     def test_empty_raises(self):
         A = IntMatrix([[2]])
         with pytest.raises(EmptySolutionSet):
-            solve_nonneg(A, [3], 10)
+            solve(A, [3])
 
     def test_brute_force_agreement(self):
-        # wide, square and tall systems; planted x0 may leave the box and b
-        # may be perturbed, so empty, fractional and modular failures occur
+        # wide, square and tall systems; planted x0 may be negative and b
+        # may be perturbed, so empty, fractional and modular failures occur;
+        # systems without full exact-row rank must raise instead
         rng = random.Random(99)
-        for _ in range(200):
+        full = 0
+        for _ in range(400):
             rows = rng.randint(1, 6)
             cols = rng.randint(1, 4)
             A = IntMatrix([[rng.randint(-4, 4) for _ in range(cols)]
@@ -220,62 +238,76 @@ class TestSolveNonneg:
             b = A.mulvec(x0)
             if rng.random() < 0.25:
                 b[rng.randrange(rows)] += rng.choice([-1, 1])
+            system = FactoredSystem(A, mods)
+            rank, x = rational_solution(A, b, mods)
+            assert system.rank == rank
+            if rank < cols:
+                with pytest.raises(ValueError):
+                    solve_nonneg(system, b)
+                continue
+            full += 1
             try:
-                got = solve_nonneg(A, b, 4, mods)
+                (got,) = solve_nonneg(system, b)
             except EmptySolutionSet:
-                got = []
-            assert got == brute_force_nonneg(A, b, 4, mods)
+                assert (x is None or any(v.denominator != 1 or v < 0 for v in x)
+                        or any((v - t) % m for v, t, m in zip(A.mulvec(x), b, mods) if m))
+                continue
+            vals = A.mulvec(list(got))
+            assert all((v - t) % m == 0 if m else v == t for v, t, m in zip(vals, b, mods))
+            assert list(got) == x and min(got, default=0) >= 0
+        assert full >= 150
 
     def test_non_integral_candidate(self):
         A = IntMatrix([[1, 1], [1, -1]])
         with pytest.raises(EmptySolutionSet):
-            solve_nonneg(A, [3, 0], 10)  # x = (3/2, 3/2)
-        assert solve_nonneg(A, [4, 0], 10) == [(2, 2)]
+            solve(A, [3, 0])  # x = (3/2, 3/2)
+        assert solve(A, [4, 0]) == [(2, 2)]
 
     def test_negative_candidate(self):
         A = IntMatrix([[1, 1], [1, -1]])
         with pytest.raises(EmptySolutionSet):
-            solve_nonneg(A, [1, 3], 10)  # x = (2, -1)
-
-    def test_candidate_above_bound(self):
-        A = IntMatrix([[1, 0], [0, 1]])
-        with pytest.raises(EmptySolutionSet):
-            solve_nonneg(A, [3, 11], 10)
-        assert solve_nonneg(A, [3, 10], 10) == [(3, 10)]
+            solve(A, [1, 3])  # x = (2, -1)
 
     def test_candidate_checked_against_every_row(self):
         A = IntMatrix([[1, 0], [0, 1], [1, 1]])
-        with pytest.raises(EmptySolutionSet):
-            solve_nonneg(A, [1, 2, 0], 10, [0, 0, 2])  # 1 + 2 is odd
-        assert solve_nonneg(A, [1, 2, 1], 10, [0, 0, 2]) == [(1, 2)]
-        with pytest.raises(EmptySolutionSet):
-            solve_nonneg(A, [1, 2, 4], 10)  # the exact row after the pivots
+        with pytest.raises(EmptySolutionSet, match="torsion part"):
+            solve(A, [1, 2, 0], [0, 0, 2])  # 1 + 2 is odd
+        assert solve(A, [1, 2, 1], [0, 0, 2]) == [(1, 2)]
+        with pytest.raises(EmptySolutionSet, match="exact rows"):
+            solve(A, [1, 2, 4])  # the exact row after the pivots
 
     def test_dependent_rows_ahead_of_independent_ones(self):
         A = IntMatrix([[1, 2], [2, 4], [3, 6], [0, 1]])
-        assert solve_nonneg(A, [5, 10, 15, 2], 10) == [(1, 2)]
+        assert solve(A, [5, 10, 15, 2]) == [(1, 2)]
         with pytest.raises(EmptySolutionSet):
-            solve_nonneg(A, [5, 11, 15, 2], 10)  # the second row is inconsistent
+            solve(A, [5, 11, 15, 2])  # the second row is inconsistent
 
-    def test_rank_deficient_tall_system_enumerates(self):
-        A = IntMatrix([[1, 1], [2, 2], [3, 3]])
-        assert solve_nonneg(A, [3, 6, 9], 3) == [(0, 3), (1, 2), (2, 1), (3, 0)]
+    def test_rank_deficient_system_raises(self):
+        for A in (IntMatrix([[1, 1], [2, 2], [3, 3]]), IntMatrix([[1, 1]])):
+            system = FactoredSystem(A)
+            assert system.rank == 1
+            with pytest.raises(ValueError):
+                solve_nonneg(system, A.mulvec([1, 2]))
+
+    def test_no_unknowns(self):
+        system = FactoredSystem(IntMatrix([[], []], cols=0), [0, 3])
+        assert solve_nonneg(system, [0, 6]) == [()]
+        with pytest.raises(EmptySolutionSet):
+            solve_nonneg(system, [0, 1])
 
     def test_square_system_finds_planted_solution(self):
+        # exponents far above any fixed cap, all from one factorization
         rng = random.Random(7)
         for n in (8, 20):
             while True:
                 A = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
                 if det(A):
                     break
-            x0 = tuple(rng.randint(0, 40) for _ in range(n))
-            assert solve_nonneg(A, A.mulvec(list(x0)), 128) == [x0]
-
-    def test_lexicographic_order(self):
-        A = IntMatrix([[1, 1]])
-        sols = solve_nonneg(A, [3], 3)
-        assert sols == sorted(sols)
-        assert sols == [(0, 3), (1, 2), (2, 1), (3, 0)]
+            system = FactoredSystem(A)
+            assert system.rank == n
+            for _ in range(5):
+                x0 = tuple(rng.randint(0, 400) for _ in range(n))
+                assert solve_nonneg(system, A.mulvec(list(x0))) == [x0]
 
 
 class TestSolveInteger:

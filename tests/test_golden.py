@@ -1,6 +1,6 @@
 """Golden outputs: every subcommand's JSON report on every fixture, and the
 polyhedral subcommands on one input per polyhedral family, ``cox-full`` on
-one larger cyclic input, and both Cox-ring subcommands on one cyclic input
+one larger cyclic input and on one with a large exponent, and both Cox-ring subcommands on one cyclic input
 with non-real, non-integral points; and every subcommand's pretty report on
 every fixture (``<cmd>.<fixture>.pretty.out``).
 
@@ -44,9 +44,12 @@ CYCLIC = ("cyclic12",)
 # mu_6 with extra points [1/2 + i : 3] and [2/3 : i] and l = -1/2 over x0: the
 # relations carry coefficients such as 1/2 + i, 3 - i/2 and 2i/3
 GAUSS = ("cyclic6_gauss",)
+# mu_9 with extra point [1:1], (1, -1) and (1, -9) over x0 and (1, -1) over
+# xinf and x1: one relation needs the r-exponent 137, past any small cap
+DEEP = ("cyclic9_deep",)
 CASES = ([(cmd, fx) for cmd in COMMANDS for fx in FIXTURES]
          + [(cmd, fx) for cmd in POLYHEDRAL_COMMANDS for fx in POLYHEDRAL]
-         + [("cox-full", fx) for fx in CYCLIC]
+         + [("cox-full", fx) for fx in CYCLIC + DEEP]
          + [(cmd, fx) for cmd in ("cox-full", "cox-u") for fx in GAUSS])
 PRETTY_CASES = [(cmd, fx) for cmd in COMMANDS for fx in FIXTURES]
 

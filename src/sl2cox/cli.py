@@ -145,9 +145,10 @@ def cox_u(E, args):
 
 def cox_full(E, args):
     res = cx.full_cox_presentation_cyclic(E)
+    warnings: list[str] = []
     if args.verify:
         cx.verify_full_cox(res)
-        res.warnings.append("verify: all relations vanish identically on the orbit")
+        warnings.append("verify: all relations vanish identically on the orbit")
     order = res.presentation.var_order()
     lines = _presentation_pretty(res.presentation, "Cox(X) by generators and relations")
     lines.append("  relation modules:")
@@ -159,7 +160,7 @@ def cox_full(E, args):
                          f"({tagk}B-weight {row.b_weight}w): "
                          + pretty_poly(row.poly, order))
     lines += [f"  preprocessing: {s}" for s in res.preprocessing_log]
-    lines += [f"  warning: {s}" for s in res.warnings]
+    lines += [f"  warning: {s}" for s in warnings]
     report = {
         "presentation": _presentation_json(res.presentation),
         "modules": [
@@ -170,7 +171,7 @@ def cox_full(E, args):
             for mod in res.modules
         ],
         "preprocessing": res.preprocessing_log,
-        "warnings": res.warnings,
+        "warnings": warnings,
     }
     return report, lines
 

@@ -15,11 +15,11 @@ Four layers:
     modules, the highest-weight vector of each non-leading Clebsch-Gordan
     component is a closed-form chain in the a_k (the classical
     transvectant), run fraction-free on Python ints as a prefix product
-    times a suffix product; its value in the matrix coordinates of SL2
-    is matched against the unique monomial in the canonical sections of the
-    same degree and weight, whose exponents come from a non-negative
-    class-group computation.  The scalars of the N-modules are read off the
-    g3^nbar and g4^nbar coefficients of the sections.
+    times a suffix product; its function on SL2, one monomial c g3^n0
+    g4^ninf written down from the points' coordinates, is matched against
+    the unique monomial in the canonical sections of the same degree and
+    weight, whose exponents come from a non-negative class-group
+    computation.  The N-module scalars are ratios of coordinates.
 
   * ``verify_cox_u`` and ``verify_full_cox``: both constructions record each
     generator's function once, in ``GradedVariable.function`` (on SL2 for
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import classgroup as cg
 from .embedding import (
@@ -43,16 +44,10 @@ from .embedding import (
     exceptional_relation_scalar,
     point_coordinates,
 )
-from .exactmath import GAUSS_ONE, GAUSS_ZERO, gauss
+from .exactmath import GAUSS_ONE, GAUSS_ZERO, GaussianRational, gauss
 from .groups import FiniteSubgroup, gcd_pos
 from .hyperspace import BasePoint, X0, XD, XINF, point
-from .ogpoly import (
-    G1,
-    G2,
-    G3,
-    G4,
-    GPoly,
-)
+from .ogpoly import G3, G4, GPoly, Num, _collect, _split
 from .presentation import (
     GradedPresentation,
     GradedVariable,
@@ -198,14 +193,8 @@ def eliminate(P: GradedPresentation, targets=("a", "b")) -> tuple[GradedPresenta
     log: list[str] = []
     order = P.var_order()
     for name in targets:
-        used = None
-        for i, rel in enumerate(relations):
-            if name in rel.variables():
-                c = rel.coefficient_of_linear(name)
-                if c is None:
-                    continue
-                used = (i, c)
-                break
+        used = next(((i, c) for i, rel in enumerate(relations)
+                     if (c := rel.coefficient_of_linear(name)) is not None), None)
         if used is None:
             if any(name in rel.variables() for rel in relations):
                 raise NotLinearInTarget(f"{name} never occurs linearly")
@@ -224,12 +213,8 @@ def special_fiber_u(P: GradedPresentation, E: EmbeddingData) -> GradedPresentati
     """Quotient by all invariant-divisor sections (the r-variables)."""
     rnames = [v.name for v in P.variables if v.name.startswith("r")]
     variables = [v for v in P.variables if v.name not in rnames]
-    relations = []
-    for rel in P.relations:
-        cut = rel.kill_variables(rnames)
-        if not cut.is_zero():
-            relations.append(cut)
-    return GradedPresentation(variables, relations, P.grading)
+    cuts = (rel.kill_variables(rnames) for rel in P.relations)
+    return GradedPresentation(variables, [c for c in cuts if not c.is_zero()], P.grading)
 
 
 def classify_fiber_presentation(P: GradedPresentation) -> str:
@@ -243,11 +228,8 @@ def classify_fiber_presentation(P: GradedPresentation) -> str:
     """
     from .ogpoly import gr_rref
 
-    nontrivial = []
-    for rel in P.relations:
-        if all(sum(e for _, e in m) <= 1 for m in rel.num):
-            continue  # linear relations just delete generators
-        nontrivial.append(rel)
+    # linear relations just delete generators
+    nontrivial = [rel for rel in P.relations if any(sum(e for _, e in m) > 1 for m in rel.num)]
     if not nontrivial:
         return "polynomial"
     support = sorted({m for rel in nontrivial for m in rel.num})
@@ -278,13 +260,17 @@ def classify_fiber_presentation(P: GradedPresentation) -> str:
 @dataclass(frozen=True)
 class SectionModule:
     """Simple module spanned by the canonical section of one exceptional
-    color: variable names, their functions on SL2, weights, color class."""
+    color: variable names, weights, color class, and its functions on SL2,
+    fn_i = eps_i (beta g1^i g3^(d-i) - alpha g2^i g4^(d-i)), built from the
+    recorded coordinates (alpha, beta); eps_i = sign(a_1 ... a_i)."""
 
     point_key: str  # "x0", "xinf", "x1", ... or a parametric designate
     color_combo: dict
     names: tuple[str, ...]
     fns: tuple[GPoly, ...]
     weights: tuple[int, ...]
+    alpha: GaussianRational
+    beta: GaussianRational
 
     @property
     def dim(self) -> int:
@@ -312,7 +298,6 @@ class FullCoxResult:
     presentation: GradedPresentation
     modules: list[RelationModule]
     preprocessing_log: list[str]
-    warnings: list[str]
     class_group: cg.ClassGroupResult
     embedding: EmbeddingData  # after augmentation, if any
 
@@ -321,13 +306,7 @@ _LETTERS = "stuvwz"
 
 
 def _basis_names(nbar: int, idx: str) -> list[str]:
-    names = []
-    for k in range(nbar + 1):
-        if k < len(_LETTERS):
-            names.append(f"{_LETTERS[k]}{idx}")
-        else:
-            names.append(f"m{k}_{idx}")
-    return names
+    return [f"{_LETTERS[k]}{idx}" if k < len(_LETTERS) else f"m{k}_{idx}" for k in range(nbar + 1)]
 
 
 def _raising_scalars(mod: SectionModule) -> list[int]:
@@ -370,18 +349,18 @@ def _augment(E: EmbeddingData) -> tuple[EmbeddingData, list[str]]:
     return EmbeddingData(E.group, E.extra_points, tuple(divisors), E.section), log
 
 
+@dataclass
 class _Ctx:
     """Shared state of one full-presentation computation."""
 
-    def __init__(self, E, R, mod0, modinf, rvar, p0_point=None, pinf_point=None, scalars=None):
-        self.E = E
-        self.R = R
-        self.mod0 = mod0
-        self.modinf = modinf
-        self.rvar = rvar
-        self.p0_point = p0_point
-        self.pinf_point = pinf_point
-        self.scalars = scalars  # point_key -> _raising_scalars of its module
+    E: EmbeddingData
+    R: cg.ClassGroupResult
+    mod0: SectionModule
+    modinf: SectionModule
+    rvar: dict[str, str]
+    p0_point: BasePoint | None
+    pinf_point: BasePoint | None
+    scalars: dict[str, list[int]]  # point_key -> _raising_scalars of its module
 
     def solve_section_monomial(self, combo: dict, n0: int, ninf: int) -> dict[str, int]:
         """The monomial s0^n0 sinf^ninf * r^a with the class of ``combo``,
@@ -427,65 +406,95 @@ def _transvectant(a: list[int], b: list[int], k: int, sym: bool) -> dict:
             for key, x in chain.items() if x}
 
 
+def _gmul(x: Num, y: Num) -> Num:
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _coords(mod: SectionModule) -> tuple[Num, Num, int]:
+    """(alpha, beta) as Gaussian-integer numerators over one denominator."""
+    (ar, ai, ad), (br, bi, bd) = _split(mod.alpha), _split(mod.beta)
+    d = lcm(ad, bd)
+    return (ar * (d // ad), ai * (d // ad)), (br * (d // bd), bi * (d // bd)), d
+
+
+def _product_monomial(A: SectionModule, B: SectionModule, b: list[int], k: int,
+                      sym: bool) -> tuple[int, int, int, int, int] | None:
+    """The function on SL2 of the chain ``_transvectant(a, b, k, sym)``,
+    k >= 1: (x, y, r, n0, ninf) for (x + y i)/r g3^n0 g4^ninf, or None for 0.
+    With fn_i = eps_i P_i as in ``SectionModule``, a_i = i eps_i / eps_(i-1)
+    and the chain is eps^B_k sum_i (-1)^i C(k, i) P^A_i P^B_(k-i), halved
+    when A is B; the
+    transvectant identity (l1^p, l2^q)_k = [l1, l2]^k l1^(p-k) l2^(q-k), with
+    bracket g1 g4 - g2 g3 = 1 between the columns (g1, g3), (g2, g4) and 0
+    within one, makes it -(-1)^k eps^B_k (beta_A alpha_B g3^(dA-k) g4^(dB-k)
+    + (-1)^k alpha_A beta_B g3^(dB-k) g4^(dA-k)).  For dA != dB one module is
+    x0 or xinf, so one of the two products is 0."""
+    alpha_a, beta_a, den_a = _coords(A)
+    alpha_b, beta_b, den_b = _coords(B)
+    da, db = A.dim - 1, B.dim - 1
+    t1, t2 = _gmul(beta_a, alpha_b), _gmul(alpha_a, beta_b)
+    if k % 2:
+        t2 = (-t2[0], -t2[1])
+    if da == db:
+        c, n0, ninf = (t1[0] + t2[0], t1[1] + t2[1]), da - k, da - k
+    elif any(t1) and any(t2):
+        raise RuntimeError("internal invariant broken: a product semi-invariant of "
+                           "section modules of different degrees has two monomials")
+    else:
+        c, n0, ninf = (t1, da - k, db - k) if any(t1) else (t2, db - k, da - k)
+    if not any(c):
+        return None
+    sign = 1 if (k + sum(x < 0 for x in b[1:k + 1])) % 2 else -1  # -lam
+    return sign * c[0], sign * c[1], den_a * den_b * (2 if sym else 1), n0, ninf
+
+
 def _pair_rows(A: SectionModule, B: SectionModule, ctx: _Ctx) -> list[ModuleRow]:
-    """Rows of M_{AB}: one per non-leading Clebsch-Gordan component V_m, from
-    its highest-weight vector, the transvectant of order
-    k = (w_A0 + w_B0 - m)/2."""
+    """Rows of M_{AB}: one per non-leading Clebsch-Gordan component V_m, its
+    highest-weight vector (the transvectant of order k = (w_A0 + w_B0 - m)/2)
+    minus its function c g3^n0 g4^ninf (``_product_monomial``) times the
+    section monomial s0^n0 sinf^ninf r^...  That monomial is g3^n0 g4^ninf
+    on SL2: s0 = g3 and sinf = g4 for n >= 3, and n0 = ninf = 0 on the
+    degree-1 modules of n <= 2.  No polynomial on SL2 is formed."""
     sym = A is B
     comps = clebsch_gordan(A.dim - 1, B.dim - 1)[1:]  # drop the Cartan component
     if sym:
         comps = comps[1::2]  # Sym^2(V_d) = V_2d + V_{2d-4} + ...
     rows: list[ModuleRow] = []
-    if not comps:
-        return rows
     a, b = ctx.scalars[A.point_key], ctx.scalars[B.point_key]
+    combo = dict(A.color_combo)
+    for lbl, c in B.color_combo.items():
+        combo[lbl] = combo.get(lbl, 0) + c
     for m in comps:
+        k = (A.weights[0] + B.weights[0] - m) // 2
         terms = {}
-        fy = GPoly()
-        for (i, j), c in _transvectant(a, b, (A.weights[0] + B.weights[0] - m) // 2, sym).items():
+        for (i, j), c in _transvectant(a, b, k, sym).items():
             mono = {A.names[i]: 1}
             mono[B.names[j]] = mono.get(B.names[j], 0) + 1
             terms[monomial(mono)] = c
-            fy = fy + (A.fns[i] * B.fns[j]).scale(c)
-        y = SparsePoly(terms)
-        if fy.is_zero():
-            rows.append(ModuleRow(m, m, y, (), True))
+        closed = _product_monomial(A, B, b, k, sym)
+        if closed is None:
+            rows.append(ModuleRow(m, m, SparsePoly(terms), (), True))
             continue
-        g34 = fy.as_g34_monomial()
-        if g34 is None:
-            raise RuntimeError(
-                "a product semi-invariant is not a single monomial in the "
-                "exceptional sections; the data lies outside the regime of "
-                "the cyclic presentation method")
-        c_mono, n0, ninf = g34
-        x_fn = ctx.mod0.fns[0].pow(n0) * ctx.modinf.fns[0].pow(ninf)
-        c_x, _, _ = x_fn.as_g34_monomial()
-        q = c_mono / c_x
-        combo: dict = {}
-        for mod in (A, B):
-            for lbl, c in mod.color_combo.items():
-                combo[lbl] = combo.get(lbl, 0) + c
+        x, y, r, n0, ninf = closed
         mono = ctx.solve_section_monomial(combo, n0, ninf)
-        rows.append(ModuleRow(
-            m, m, y + SparsePoly.term(-q, mono), (tuple(sorted(mono.items())),), False))
+        # a chain monomial has a basis vector of index >= 1, never this key
+        terms[monomial(mono)] = GaussianRational(Fraction(-x, r), Fraction(-y, r))
+        rows.append(ModuleRow(m, m, SparsePoly(terms), (tuple(sorted(mono.items())),), False))
     return rows
 
 
 def _n_rows(mod: SectionModule, ctx: _Ctx, p: BasePoint,
             include_lowered: bool) -> list[ModuleRow]:
     """The N-module of one non-designated exceptional point: the row
-    c0 s0^nbar r0^h + cinf sinf^nbar rinf^h - s_i r_i^h, with c0 and cinf
-    read off the g3^nbar and g4^nbar coefficients of s_i over those of
-    s0^nbar and sinf^nbar and confirmed by exact equality; for nbar = 1 the
+    c0 s0^nbar r0^h + cinf sinf^nbar rinf^h - s_i r_i^h, with s_i =
+    beta g3^nbar - alpha g4^nbar and s0^nbar, sinf^nbar = g3^nbar, g4^nbar
+    for n >= 3 or beta_x0 g3, -alpha_xinf g4 for n <= 2 (nbar = 1), so
+    c0 = beta / beta_x0 and cinf = alpha / alpha_xinf; for nbar = 1 the
     lowered (t-)row completes the module."""
     mod0, modinf = ctx.mod0, ctx.modinf
     E, keys = ctx.E, ctx.R.point_keys
     nb = E.group.nbar
-    s0, sinf, si = mod0.fns[0].pow(nb), modinf.fns[0].pow(nb), mod.fns[0]
-    c0 = si.coeff((0, 0, nb, 0)) / s0.coeff((0, 0, nb, 0))
-    cinf = si.coeff((0, 0, 0, nb)) / sinf.coeff((0, 0, 0, nb))
-    if s0.scale(c0) + sinf.scale(cinf) != si:
-        raise RuntimeError("an N-module section is not c0 s0^nbar + cinf sinf^nbar")
+    c0, cinf = mod.beta / mod0.beta, mod.alpha / modinf.alpha
 
     def r_mono(q: BasePoint | None) -> dict[str, int]:
         if q is None:
@@ -515,8 +524,7 @@ def full_cox_presentation_cyclic(E: EmbeddingData) -> FullCoxResult:
     if not F.is_cyclic:
         raise NotCyclic(f"{F} is not cyclic")
     E.require_valid()
-    n = F.n
-    nb = F.nbar
+    n, nb = F.n, F.nbar
     log: list[str] = []
 
     many_points = len(E.exceptional_points()) >= 3
@@ -536,8 +544,7 @@ def full_cox_presentation_cyclic(E: EmbeddingData) -> FullCoxResult:
 
     # designate the x0 / xinf roles
     if n >= 3:
-        p0: BasePoint | None = X0
-        pinf: BasePoint | None = XINF
+        p0, pinf = X0, XINF
     else:
         p0 = next((p for p in pts if p == point(0, 1)), None)
         pinf = next((p for p in pts if p == point(1, 0)), None)
@@ -555,46 +562,28 @@ def full_cox_presentation_cyclic(E: EmbeddingData) -> FullCoxResult:
     base_fiber = cg.fiber(E, pts[0] if pts else XD)
 
     def make_module(p: BasePoint | None, role: str) -> SectionModule:
-        if p is not None:
+        key = keys[p] if p is not None else role
+        combo = {f"E[{key}]": 1} if p is not None else dict(base_fiber)
+        if p is not None and (uniform or p.tag is None):
             alpha, beta = point_coordinates(F, p)
-        else:
-            alpha, beta = (gauss(0), gauss(1)) if role == "x0" else (gauss(1), gauss(0))
-        combo = {f"E[{keys[p]}]": 1} if p is not None else dict(base_fiber)
-        if uniform:
-            fns = (G3.scale(beta) - G4.scale(alpha), G2.scale(alpha) - G1.scale(beta))
-            idx = keys[p][1:] if p is not None else role[1:]
-            return SectionModule(keys[p] if p is not None else role, combo,
-                                 (f"s{idx}", f"t{idx}"), fns, (1, -1))
-        if p is None or p.tag is not None:
-            if role == "x0":
-                return SectionModule("x0", combo, ("s0", "t0"), (G3, G1), (1, -1))
-            return SectionModule("xinf", combo, ("sinf", "tinf"), (G4, G2), (1, -1))
-        idx = keys[p][1:]
-        names = tuple(_basis_names(nb, idx))
-        # beta g1^k g3^(nb-k) - alpha g2^k g4^(nb-k): no g1 next to g4, so
-        # already in normal form
-        fns = tuple(GPoly.monomial(beta, k, 0, nb - k, 0) - GPoly.monomial(alpha, 0, k, 0, nb - k)
-                    for k in range(nb + 1))
-        weights = tuple(nb - 2 * k for k in range(nb + 1))
-        return SectionModule(keys[p], combo, names, fns, weights)
+        else:  # s0 = g3; sinf = g4 for n >= 3, -g4 for n <= 2
+            alpha, beta = (0, 1) if role == "x0" else (1 if uniform else -1, 0)
+            alpha, beta = gauss(alpha), gauss(beta)
+        d = 1 if uniform or p.tag is not None else nb
+        # beta g1^k g3^(d-k) - alpha g2^k g4^(d-k): no g1 next to g4, so
+        # already in normal form; for n <= 2, t is its negative
+        fns = tuple((GPoly.monomial(beta, k, 0, d - k, 0) - GPoly.monomial(alpha, 0, k, 0, d - k))
+                    .scale(-1 if uniform and k else 1) for k in range(d + 1))
+        return SectionModule(key, combo, tuple(_basis_names(d, key[1:])), fns,
+                             tuple(d - 2 * k for k in range(d + 1)), alpha, beta)
 
     mod0 = make_module(p0, "x0")
     modinf = make_module(pinf, "xinf")
-    extra_pts = [p for p in pts if p not in (p0, pinf)]
-    extra_modules = [make_module(p, "extra") for p in extra_pts]
+    extra_modules = {p: make_module(p, "extra") for p in pts if p not in (p0, pinf)}
 
     # generator order follows the paper: the points in their listed order
-    point_order: list[SectionModule] = []
-    for p in pts:
-        if p == p0:
-            point_order.append(mod0)
-        elif p == pinf:
-            point_order.append(modinf)
-        else:
-            point_order.append(extra_modules[extra_pts.index(p)])
-    for m, q in ((mod0, p0), (modinf, pinf)):
-        if q is None:
-            point_order.append(m)
+    point_order = [mod0 if p == p0 else modinf if p == pinf else extra_modules[p] for p in pts]
+    point_order += [m for m, q in ((mod0, p0), (modinf, pinf)) if q is None]
 
     variables: list[GradedVariable] = []
     for m in point_order:
@@ -610,22 +599,20 @@ def full_cox_presentation_cyclic(E: EmbeddingData) -> FullCoxResult:
 
     rel_modules: list[RelationModule] = []
     relations: list[SparsePoly] = []
-    for i in range(len(point_order)):
-        for j in range(i, len(point_order)):
-            A, B = point_order[i], point_order[j]
+    for i, A in enumerate(point_order):
+        for B in point_order[i:]:
             rows = _pair_rows(A, B, ctx)
             if rows:
                 rel_modules.append(RelationModule("M", (A.point_key, B.point_key), tuple(rows)))
                 relations.extend(r.poly for r in rows)
-    for m in extra_modules:
-        p = extra_pts[extra_modules.index(m)]
+    for p, m in extra_modules.items():
         rows = _n_rows(m, ctx, p, include_lowered=(nb == 1))
         rel_modules.append(RelationModule("N", (m.point_key,), tuple(rows)))
         relations.extend(r.poly for r in rows)
 
     pres = GradedPresentation(variables, relations, R.group)
     _check_homogeneous(pres)
-    return FullCoxResult(pres, rel_modules, log, [], R, E)
+    return FullCoxResult(pres, rel_modules, log, R, E)
 
 
 # -- Batyrev-Haddad parameters ----------------------------------------------------
@@ -689,8 +676,6 @@ def _check_bh_grading(E: EmbeddingData, p: int, q: int, k: int):
     """The classes of E^{x0}, X^{x0}, E^{xinf} match the hypersurface degrees
     (-p, ub - v), (k, u), (q, v) with -qu + kv = 1, up to an automorphism of
     Z x Z/d (the automorphisms are (x, y) -> (sx, cy + tx), c invertible)."""
-    from math import gcd as _gcd
-
     R = cg.class_group(E)
     grp = R.group
     if grp.free_rank != 1 or len(grp.torsion) > 1:
@@ -709,17 +694,13 @@ def _check_bh_grading(E: EmbeddingData, p: int, q: int, k: int):
     targets = {lbl_e0: -p, lbl_x0: k}
     if lbl_einf is not None:
         targets[lbl_einf] = q
-    sign = None
-    for s in (1, -1):
-        if all(s * free[lbl] == t for lbl, t in targets.items()):
-            sign = s
-            break
+    sign = next((s for s in (1, -1) if all(s * free[lbl] == t for lbl, t in targets.items())),
+                None)
     if sign is None:
         raise RuntimeError("free parts of the degrees do not match (-p, k, q)")
     if dtor == 1:
         return
-    b = -(E.divisors[0].h + 2 * E.divisors[0].l)
-    b = int(b)
+    b = int(-(E.divisors[0].h + 2 * E.divisors[0].l))
     # one Bezout pair (u, v) with -q*u + k*v = 1; Aut(Z/d) absorbs the choice
     pairs = [(uu, (1 + q * uu) // k) for uu in range(-6 * dtor, 6 * dtor + 1)
              if k and (1 + q * uu) % k == 0]
@@ -728,7 +709,7 @@ def _check_bh_grading(E: EmbeddingData, p: int, q: int, k: int):
         if lbl_einf is not None:
             expected[lbl_einf] = vv
         for c in range(1, dtor):
-            if _gcd(c, dtor) != 1:
+            if gcd(c, dtor) != 1:
                 continue
             for t in range(dtor):
                 if all((c * tor[lbl] + t * sign * free[lbl]) % dtor == e % dtor
@@ -755,19 +736,30 @@ def _require_vanishing(P: GradedPresentation, one, message: str,
     """Substitute each generator's function (``GradedVariable.function``, in
     the ring with unit ``one``) into every relation and raise
     RuntimeError(message) unless the result, after ``reduce``, is exactly
-    zero.  Each power of a generator's function is computed once."""
+    zero: the transvectant identity behind a cyclic M-row is checked, not
+    assumed.  Powers are computed once, unit factors (the r sections) are
+    skipped, and the terms' integer numerators are summed over one common
+    denominator."""
     functions = {v.name: v.function for v in P.variables}
+    units = {name for name, f in functions.items() if f == one}
     powers: dict[tuple[str, int], object] = {}
     for rel in P.relations:
-        acc = one.scale(0)
-        for mono, c in rel.terms.items():
-            f = None  # no product by the unit: start from the first power
+        den, out = 1, {}
+        for mono, (x, y) in rel.num.items():
+            f = one
             for v, e in mono:
+                if v in units:
+                    continue
                 if (v, e) not in powers:
                     powers[v, e] = functions[v].pow(e)
-                f = powers[v, e] if f is None else f * powers[v, e]
-            acc = acc + (one if f is None else f).scale(c)
-        if not reduce(acc).is_zero():
+                f = powers[v, e] if f is one else f * powers[v, e]
+            if den % f.den:  # bring the sum so far to a common denominator
+                g = f.den // gcd(den, f.den)
+                out = {m: (p * g, q * g) for m, (p, q) in out.items()}
+                den *= g
+            x, y = x * (den // f.den), y * (den // f.den)
+            _collect(out, ((m, (x * p - y * q, x * q + y * p)) for m, (p, q) in f.num.items()))
+        if not reduce(one._canonical(out, den * rel.den)).is_zero():
             raise RuntimeError(message)
 
 

@@ -42,7 +42,12 @@ Num = tuple[int, int]
 
 
 def _split(c) -> tuple[int, int, int]:
-    """(p, q, r) with c = (p + q*i) / r and r > 0."""
+    """(p, q, r) with c = (p + q*i) / r and r > 0; an int or a Fraction is
+    read directly, anything else through ``gauss``."""
+    if type(c) is int:
+        return c, 0, 1
+    if type(c) is Fraction:
+        return c.numerator, 0, c.denominator
     c = gauss(c)
     r = lcm(c.re.denominator, c.im.denominator)
     return c.re.numerator * (r // c.re.denominator), c.im.numerator * (r // c.im.denominator), r
@@ -253,16 +258,6 @@ class GPoly(QiPoly):
         out: dict[Mono, Num] = {}
         self._reduce_into(out, items)
         return self._canonical(out, self.den)
-
-    def as_g34_monomial(self) -> tuple[GaussianRational, int, int] | None:
-        """(c, p, q) when the normal form is c * g3^p * g4^q, else None."""
-        if len(self.num) != 1:
-            return None
-        (mono,) = self.num
-        a, b, c3, c4 = mono
-        if a or b:
-            return None
-        return self.coeff(mono), c3, c4
 
 
 G1, G2, G3, G4 = GPoly.gen(1), GPoly.gen(2), GPoly.gen(3), GPoly.gen(4)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sl2cox import classgroup as cg
+from sl2cox import coxring
 from sl2cox.coxring import (
     HeightOutOfRange,
     NotAffineShape,
@@ -12,6 +13,7 @@ from sl2cox.coxring import (
     NotLinearInTarget,
     SectionModule,
     TorsionAfterAugmentation,
+    _product_monomial,
     _raising_scalars,
     _transvectant,
     batyrev_haddad,
@@ -25,7 +27,14 @@ from sl2cox.coxring import (
     verify_full_cox,
 )
 from sl2cox.embedding import EmbeddingData, GStableDivisorSpec, affine_embedding
-from sl2cox.exactmath import GAUSS_ONE, GAUSS_ZERO, FinAbGroup, gauss, gauss_ipow
+from sl2cox.exactmath import (
+    GAUSS_ONE,
+    GAUSS_ZERO,
+    FinAbGroup,
+    GaussianRational,
+    gauss,
+    gauss_ipow,
+)
 from sl2cox.groups import ICOSA, OCTA, TETRA, cyclic, dihedral
 from sl2cox.hyperspace import Section, X0, XE, XF, XINF, XV, point
 from sl2cox.ogpoly import G1, G2, G3, G4, GPoly, combination_nullspace, gr_nullspace
@@ -286,7 +295,7 @@ class TestFullCoxTrivial:
                          "r1", "r2", "r3", "r4"]
         assert len(res.presentation.relations) == 10
         expect_keys(res.presentation, PRINTED_TRIVIAL)
-        assert res.preprocessing_log == [] and res.warnings == []
+        assert res.preprocessing_log == []
         verify_full_cox(res)
         _assert_relations_vanish(res)
 
@@ -471,6 +480,34 @@ class TestFullCoxShapes:
             _assert_functions_match_oracle(res)
             done += 1
 
+    def test_gaussian_sweep_matches_the_point_oracle(self):
+        # the closed-form product monomials against exact evaluation at
+        # integer points of SL2, with Gaussian coordinates and n up to 24
+        rng = random.Random(2718)
+        coords = [(gauss((2, 1)), 3), (gauss((0, -3)), 1), (1, gauss((1, 2))), (2, 7),
+                  (gauss((1, -1)), gauss((0, 2))), (Fraction(1, 2), gauss((3, 1))), (-1, 1)]
+        done, sizes = 0, set()
+        while done < 14:
+            n = rng.randint(1, 24)
+            extras = [point(*c) for c in rng.sample(coords, k=rng.randint(0, 4))]
+            if n <= 2:
+                extras = [point(0, 1), point(1, 0)] + extras
+            over = extras if n <= 2 else [X0, XINF] + extras
+            E = EmbeddingData(cyclic(n), tuple(extras), tuple(
+                GStableDivisorSpec(p, rng.randint(1, 3), -rng.randint(1, 3)) for p in over))
+            if E.validate():
+                continue
+            try:
+                res = full_cox_presentation_cyclic(E)
+            except (TorsionAfterAugmentation, NotAffineShape):
+                continue
+            verify_full_cox(res)
+            _assert_relations_vanish(res)
+            done += 1
+            sizes.add((n <= 2, len(extras) - 2 * (n <= 2)))
+        assert any(small for small, _ in sizes)
+        assert any(not small and k >= 3 for small, k in sizes)
+
     def test_homogeneity_of_everything(self):
         for E in (trivial_four_points(), mu3_example(), affine_embedding(5, 7, -4)):
             res = full_cox_presentation_cyclic(E)
@@ -489,18 +526,19 @@ def _extra_module(nb: int, alpha, beta, idx: str = "1") -> SectionModule:
                 - (G4.pow(nb - k) * G2.pow(k)).scale(alpha)
                 for k in range(nb + 1))
     names = tuple(f"m{k}_{idx}" for k in range(nb + 1))
-    return SectionModule(f"x{idx}", {}, names, fns, tuple(nb - 2 * k for k in range(nb + 1)))
+    return SectionModule(f"x{idx}", {}, names, fns, tuple(nb - 2 * k for k in range(nb + 1)),
+                         alpha, beta)
 
 
 def _uniform_module(alpha, beta, idx: str = "1") -> SectionModule:
     """The n <= 2 module of [alpha:beta]: beta g3 - alpha g4, alpha g2 - beta g1."""
     alpha, beta = gauss(alpha), gauss(beta)
     fns = (G3.scale(beta) - G4.scale(alpha), G2.scale(alpha) - G1.scale(beta))
-    return SectionModule(f"x{idx}", {}, (f"s{idx}", f"t{idx}"), fns, (1, -1))
+    return SectionModule(f"x{idx}", {}, (f"s{idx}", f"t{idx}"), fns, (1, -1), alpha, beta)
 
 
-X0_MODULE = SectionModule("x0", {}, ("s0", "t0"), (G3, G1), (1, -1))
-XINF_MODULE = SectionModule("xinf", {}, ("sinf", "tinf"), (G4, G2), (1, -1))
+X0_MODULE = SectionModule("x0", {}, ("s0", "t0"), (G3, G1), (1, -1), gauss(0), gauss(1))
+XINF_MODULE = SectionModule("xinf", {}, ("sinf", "tinf"), (G4, G2), (1, -1), gauss(-1), gauss(0))
 
 
 class TestRaisingScalars:
@@ -516,19 +554,20 @@ class TestRaisingScalars:
         assert _raising_scalars(XINF_MODULE) == [0, 1]
 
     def test_non_stable_module_is_rejected(self):
-        mod = SectionModule("x1", {}, ("s1", "t1"), (G3, G2), (1, -1))
+        mod = SectionModule("x1", {}, ("s1", "t1"), (G3, G2), (1, -1), GAUSS_ZERO, GAUSS_ONE)
         with pytest.raises(RuntimeError, match="does not stabilize"):
             _raising_scalars(mod)
 
     def test_raise_killing_a_lower_vector_is_rejected(self):
         # raise(g4) = 0, so g4 is not the image of a lowering of g3
-        mod = SectionModule("x1", {}, ("s1", "t1"), (G3, G4), (1, -1))
+        mod = SectionModule("x1", {}, ("s1", "t1"), (G3, G4), (1, -1), GAUSS_ZERO, GAUSS_ONE)
         with pytest.raises(RuntimeError, match="does not stabilize"):
             _raising_scalars(mod)
 
     def test_non_integer_scalar_is_rejected(self):
         # raise(g1 / 2) = g3 / 2: the module is stable, with scalar 1/2
-        mod = SectionModule("x1", {}, ("s1", "t1"), (G3, G1.scale(Fraction(1, 2))), (1, -1))
+        mod = SectionModule("x1", {}, ("s1", "t1"), (G3, G1.scale(Fraction(1, 2))), (1, -1),
+                            GAUSS_ZERO, GAUSS_ONE)
         with pytest.raises(RuntimeError, match="not an integer"):
             _raising_scalars(mod)
 
@@ -592,16 +631,22 @@ def _reference_transvectant(a: list, b: list, k: int, sym: bool) -> dict:
     return {key: x / lead for key, x in chain.items() if x}
 
 
+def _components(A: SectionModule, B: SectionModule) -> list[int]:
+    """Transvectant orders k of the non-leading Clebsch-Gordan components of
+    A (x) B (of Sym^2 A when A is B), as the construction builds them."""
+    comps = clebsch_gordan(A.dim - 1, B.dim - 1)[1:]
+    if A is B:
+        comps = comps[1::2]
+    return [(A.weights[0] + B.weights[0] - m) // 2 for m in comps]
+
+
 class TestTransvectant:
     def _check(self, A: SectionModule, B: SectionModule):
         sym = A is B
-        comps = clebsch_gordan(A.dim - 1, B.dim - 1)[1:]
-        if sym:
-            comps = comps[1::2]
         a = _raising_scalars(A)
         b = a if sym else _raising_scalars(B)
-        for m in comps:
-            k = (A.weights[0] + B.weights[0] - m) // 2
+        for k in _components(A, B):
+            m = A.weights[0] + B.weights[0] - 2 * k
             chain = [(key, gauss(c)) for key, c in _transvectant(a, b, k, sym).items()]
             assert chain == list(_nullspace_hwv(A, B, m).items()), (A.names, B.names, m)
 
@@ -663,6 +708,66 @@ class TestTransvectant:
                 j = next(j for j, c in enumerate(null[0]) if c)
                 assert [c * coeffs[j] / null[0][j] for c in null[0]] == list(coeffs)
                 assert gauss(-1) in coeffs
+
+
+def _chain_sum_monomial(A: SectionModule, B: SectionModule, k: int):
+    """Oracle: (c, n0, ninf, in_kernel) of the chain's function on SL2,
+    summed term by term in GPoly arithmetic; c is 0 for a kernel row."""
+    sym = A is B
+    a, b = _raising_scalars(A), _raising_scalars(B)
+    fy = GPoly()
+    for (i, j), c in _transvectant(a, b, k, sym).items():
+        fy = fy + (A.fns[i] * B.fns[j]).scale(c)
+    if fy.is_zero():
+        return GAUSS_ZERO, None, None, True
+    ((e1, e2, n0, ninf),) = fy.num  # a single monomial in g3, g4
+    assert e1 == e2 == 0
+    return fy.coeff((0, 0, n0, ninf)), n0, ninf, False
+
+
+def _closed_monomial(A: SectionModule, B: SectionModule, k: int):
+    closed = _product_monomial(A, B, _raising_scalars(B), k, A is B)
+    if closed is None:
+        return GAUSS_ZERO, None, None, True
+    x, y, r, n0, ninf = closed
+    return GaussianRational(Fraction(x, r), Fraction(y, r)), n0, ninf, False
+
+
+class TestProductMonomial:
+    """The closed form of ``_product_monomial`` against the GPoly chain sum
+    on every component of every pair, A is B included."""
+
+    def _check_all_pairs(self, mods):
+        kernel = 0
+        for i, A in enumerate(mods):
+            for B in mods[i:]:
+                for k in _components(A, B):
+                    got = _closed_monomial(A, B, k)
+                    assert got == _chain_sum_monomial(A, B, k), (A.names, B.names, k)
+                    kernel += got[3]
+        return kernel
+
+    def test_cyclic_modules(self):
+        for nb in range(1, 25):
+            self._check_all_pairs([X0_MODULE, XINF_MODULE, _extra_module(nb, 2, 3, "1"),
+                                   _extra_module(nb, gauss((2, 1)), gauss((0, -3)), "2")])
+
+    def test_rational_gaussian_coordinates(self):
+        coords = [(Fraction(1, 2), gauss((Fraction(2, 3), 1))), (gauss((0, -3)), 1), (-1, 1), (1, 1)]
+        for nb in range(1, 9):
+            mods = [_extra_module(nb, al, be, str(j)) for j, (al, be) in enumerate(coords)]
+            self._check_all_pairs([X0_MODULE, XINF_MODULE] + mods)
+
+    def test_uniform_modules(self):
+        mods = [_uniform_module(0, 1, "1"), _uniform_module(1, 0, "2"), _uniform_module(2, 3, "3"),
+                _uniform_module(gauss((2, 1)), gauss((0, -3)), "4"), _uniform_module(0, 2, "5")]
+        # [0:1] with itself and [0:1] with [0:2]: alpha beta' + alpha' beta = 0
+        assert self._check_all_pairs(mods) > 0
+
+    def test_antipodal_points_give_a_kernel_component(self):
+        # alpha1 beta2 + alpha2 beta1 = 0 kills the even-k components
+        A, B = _extra_module(3, 1, 1, "1"), _extra_module(3, -1, 1, "2")
+        assert [_closed_monomial(A, B, k)[3] for k in _components(A, B)] == [False, True, False]
 
 
 def _orbit_value(var: GradedVariable, E: EmbeddingData, keys: dict, g):
@@ -757,12 +862,25 @@ def _assert_functions_match_oracle(res):
             assert evaluate(v.function, g) == val[v.name], v.name
 
 
-def _perturbed(P: GradedPresentation) -> GradedPresentation:
-    """P with the coefficient of one term of its first relation doubled: the
-    relation stays homogeneous but no longer vanishes."""
-    mono, c = next(iter(P.relations[0].terms.items()))
-    bad = P.relations[0] + SparsePoly.term(c, dict(mono))
-    return replace(P, relations=[bad] + P.relations[1:])
+def _perturbed(P: GradedPresentation, pick=lambda mono, c: True) -> GradedPresentation:
+    """P with the coefficient of its first term (in relation order) that
+    satisfies ``pick`` doubled: the relation stays homogeneous but no longer
+    vanishes."""
+    for i, r in enumerate(P.relations):
+        for mono, c in r.terms.items():
+            if pick(mono, c):
+                bad = r + SparsePoly.term(c, dict(mono))
+                return replace(P, relations=P.relations[:i] + [bad] + P.relations[i + 1:])
+    raise AssertionError("no term to perturb")
+
+
+def _unit_names(P: GradedPresentation, one) -> set:
+    """The generators whose function is the unit: the r sections."""
+    return {v.name for v in P.variables if v.function == one}
+
+
+def _gaussian(mono, c) -> bool:
+    return c.im != 0
 
 
 def _with_inhomogeneous(P: GradedPresentation) -> GradedPresentation:
@@ -781,6 +899,38 @@ class TestVerifiersReject:
             verify_full_cox(replace(res, presentation=_perturbed(res.presentation)))
         with pytest.raises(ValueError, match="homogeneous"):
             verify_full_cox(replace(res, presentation=_with_inhomogeneous(res.presentation)))
+
+    def test_full_cox_perturbed_unit_or_gaussian_term(self):
+        x1 = point(gauss((2, 1)), 3)
+        E = EmbeddingData(cyclic(3), (x1,), tuple(
+            GStableDivisorSpec(p, 1, -1) for p in (X0, XINF, x1)))
+        res = full_cox_presentation_cyclic(E)
+        verify_full_cox(res)
+        units = _unit_names(res.presentation, GPoly.const(1))
+        assert units == {"r0", "rinf", "r1"}
+
+        def unit_only(mono, c):
+            return all(v in units for v, _ in mono)
+
+        for pick in (unit_only, _gaussian):
+            with pytest.raises(RuntimeError, match="does not vanish"):
+                verify_full_cox(replace(res, presentation=_perturbed(res.presentation, pick)))
+
+    def test_polyhedral_cox_u_unit_or_gaussian_term(self):
+        x1 = point(gauss((2, 1)), 3)
+        E = EmbeddingData(TETRA, (x1,), (
+            GStableDivisorSpec(XV, 1, -1), GStableDivisorSpec(XE, 1, -3),
+            GStableDivisorSpec(XF, 2, -2), GStableDivisorSpec(x1, 1, -1)))
+        P = cox_u_presentation(E)
+        verify_cox_u(E, P)
+        with pytest.raises(RuntimeError, match="does not vanish"):
+            verify_cox_u(E, _perturbed(P, _gaussian))
+        # every cox_u term has B-weight n0, so no term is a product of r
+        # sections alone; a one-term relation i * r^2 is one (and homogeneous)
+        r = min(_unit_names(P, SparsePoly.term(1, {})))
+        unit_rel = SparsePoly.term(gauss((0, 1)), {r: 2})
+        with pytest.raises(RuntimeError, match="does not vanish"):
+            verify_cox_u(E, replace(P, relations=P.relations + [unit_rel]))
 
     def test_cyclic_cox_u_perturbed_coefficient(self):
         E = mu3_example()
@@ -801,6 +951,39 @@ class TestVerifiersReject:
             verify_cox_u(E, _perturbed(P))
         with pytest.raises(ValueError, match="homogeneous"):
             verify_cox_u(E, _with_inhomogeneous(P))
+
+
+class TestWork:
+    def test_pair_rows_does_no_gpoly_arithmetic(self, monkeypatch):
+        extras = (point(1, 1), point(2, 1), point(3, 1))
+        E = EmbeddingData(cyclic(24), extras, tuple(
+            GStableDivisorSpec(p, 1, -1) for p in (X0, XINF) + extras))
+        calls = {True: 0, False: 0}  # keyed by "inside _pair_rows"
+        inside = [False]
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[inside[0]] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("__mul__", "__add__", "scale", "pow"):
+            monkeypatch.setattr(GPoly, name, counted(getattr(GPoly, name)))
+        pair_rows = coxring._pair_rows
+
+        def tracked(*args):
+            inside[0] = True
+            try:
+                return pair_rows(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(coxring, "_pair_rows", tracked)
+        res = full_cox_presentation_cyclic(E)
+        assert sum(len(m.rows) for m in res.modules if m.kind == "M") > 40
+        verify_full_cox(res)
+        assert calls[True] == 0
+        assert calls[False] > 0  # the counters do see the verifier's products
 
 
 class TestFullCoxScale:

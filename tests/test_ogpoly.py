@@ -288,8 +288,23 @@ def test_coefficients_at_the_boundary():
     assert p.coeff((1, 0, 0, 0)) == gauss(Fraction(2, 3))
     assert p.coeff((0, 1, 0, 0)) == GAUSS_ZERO
     assert p.den == 6 and p.num == {(0, 0, 2, 1): (3, 6), (1, 0, 0, 0): (4, 0)}
-    assert p.as_g34_monomial() is None
-    assert GPoly.monomial(gauss((0, Fraction(-3, 4))), 0, 0, 5, 2).as_g34_monomial() == (
-        gauss((0, Fraction(-3, 4))), 5, 2)
     # (1/2) g1^2 raised is g1*g3: the factor 2 cancels the denominator
     assert GPoly.monomial(Fraction(1, 2), 2).raise_op() == G1 * G3
+
+
+def test_int_fraction_and_gaussian_coefficients_agree():
+    # int and Fraction coefficients take a shortcut past GaussianRational
+    rng = random.Random(41)
+    for _ in range(50):
+        raw = [(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(3)]
+        monos = [(0, 0, 1, 0), (2, 0, 0, 1), (1, 1, 0, 0)]
+        as_int = GPoly({m: p for m, (p, _) in zip(monos, raw)})
+        assert as_int == GPoly({m: Fraction(p) for m, (p, _) in zip(monos, raw)})
+        assert as_int == GPoly({m: gauss(p) for m, (p, _) in zip(monos, raw)})
+        as_frac = GPoly({m: Fraction(p, q) for m, (p, q) in zip(monos, raw)})
+        assert as_frac == GPoly({m: gauss(Fraction(p, q)) for m, (p, q) in zip(monos, raw)})
+        assert is_canonical(as_int) and is_canonical(as_frac)
+        p, q = raw[0]
+        for c in (p, Fraction(p, q)):
+            assert as_frac.scale(c) == as_frac.scale(gauss(c))
+            assert SparsePoly.term(c, {"x": 2}) == SparsePoly.term(gauss(c), {"x": 2})

@@ -10,14 +10,13 @@ Four layers:
 
   * ``full_cox_presentation_cyclic``: the full Cox ring for cyclic F.  The
     generators are weight bases of the simple modules spanned by the
-    canonical sections of the exceptional colors, with raise(fn_k) =
-    a_k fn_(k-1); the a_k are integers, read once per module.  Per pair of
+    canonical sections of the exceptional colors, written by one formula
+    from the point's coordinates (alpha, beta) and a sign eps.  Per pair of
     modules, the highest-weight vector of each non-leading Clebsch-Gordan
-    component is a closed-form chain in the a_k (the classical
-    transvectant), run fraction-free on Python ints as a prefix product
-    times a suffix product; its function on SL2, one monomial c g3^n0
-    g4^ninf written down from the points' coordinates, is matched against
-    the unique monomial in the canonical sections of the same degree and
+    component is the classical transvectant, coefficients (-1)^i C(k, i) up
+    to the signs eps; its function on SL2, one monomial c g3^n0 g4^ninf
+    written down from the points' coordinates, is matched against the
+    unique monomial in the canonical sections of the same degree and
     weight, whose exponents come from a non-negative class-group
     computation.  The N-module scalars are ratios of coordinates.
 
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from . import classgroup as cg
 from .embedding import (
@@ -44,7 +43,7 @@ from .embedding import (
     exceptional_relation_scalar,
     point_coordinates,
 )
-from .exactmath import GAUSS_ONE, GAUSS_ZERO, GaussianRational, gauss
+from .exactmath import GAUSS_ONE, GaussianRational, gauss
 from .groups import FiniteSubgroup, gcd_pos
 from .hyperspace import BasePoint, X0, XD, XINF, point
 from .ogpoly import G3, G4, GPoly, Num, _collect, _split
@@ -260,21 +259,30 @@ def classify_fiber_presentation(P: GradedPresentation) -> str:
 @dataclass(frozen=True)
 class SectionModule:
     """Simple module spanned by the canonical section of one exceptional
-    color: variable names, weights, color class, and its functions on SL2,
+    color: variable names, color class, and its functions on SL2,
     fn_i = eps_i (beta g1^i g3^(d-i) - alpha g2^i g4^(d-i)), built from the
-    recorded coordinates (alpha, beta); eps_i = sign(a_1 ... a_i)."""
+    recorded coordinates (alpha, beta) and sign ``eps`` = eps_i for i >= 1
+    (eps_0 = 1; eps is -1 only on a uniform module, n <= 2).  The raising
+    operator g3 d/dg1 + g4 d/dg2 maps fn_i to i eps_i / eps_(i-1) fn_(i-1)."""
 
     point_key: str  # "x0", "xinf", "x1", ... or a parametric designate
     color_combo: dict
     names: tuple[str, ...]
     fns: tuple[GPoly, ...]
-    weights: tuple[int, ...]
     alpha: GaussianRational
     beta: GaussianRational
+    eps: int
 
     @property
     def dim(self) -> int:
         return len(self.names)
+
+    @property
+    def weights(self) -> tuple[int, ...]:
+        return tuple(self.dim - 1 - 2 * i for i in range(self.dim))
+
+    def sign(self, i: int) -> int:  # eps_i
+        return self.eps if i else 1
 
 
 @dataclass(frozen=True)
@@ -309,32 +317,6 @@ def _basis_names(nbar: int, idx: str) -> list[str]:
     return [f"{_LETTERS[k]}{idx}" if k < len(_LETTERS) else f"m{k}_{idx}" for k in range(nbar + 1)]
 
 
-def _raising_scalars(mod: SectionModule) -> list[int]:
-    """Integer scalars a_k with raise(fn_k) = a_k * fn_(k-1), and a_0 = 0.
-
-    The basis is a weight basis with weights descending by 2, so each scalar
-    is read off one term and confirmed by exact equality; fn_0 must be a
-    highest-weight vector, no other basis vector may be raised to zero, and
-    every scalar must be an integer (k on an extra-point module, 1 on x0 and
-    xinf, -1 on a uniform one), so that the chains run on ints.
-    """
-    message = "raising operator does not stabilize a section module"
-    if not mod.fns[0].raise_op().is_zero():
-        raise RuntimeError(message)
-    scalars = [0]
-    for above, f in zip(mod.fns, mod.fns[1:]):
-        raised = f.raise_op()
-        mono = next(iter(raised.num), None)
-        base = above.coeff(mono)
-        scalar = raised.coeff(mono) / base if base else GAUSS_ZERO
-        if not scalar or raised != above.scale(scalar):
-            raise RuntimeError(message)
-        if scalar.im or scalar.re.denominator != 1:
-            raise RuntimeError(f"raising scalar {scalar} of a section module is not an integer")
-        scalars.append(int(scalar.re))
-    return scalars
-
-
 def _augment(E: EmbeddingData) -> tuple[EmbeddingData, list[str]]:
     """Add a virtual divisor over x0 / xinf when that family is empty, making
     the special fiber normal; the Cox ring of the input is the quotient of
@@ -360,7 +342,6 @@ class _Ctx:
     rvar: dict[str, str]
     p0_point: BasePoint | None
     pinf_point: BasePoint | None
-    scalars: dict[str, list[int]]  # point_key -> _raising_scalars of its module
 
     def solve_section_monomial(self, combo: dict, n0: int, ninf: int) -> dict[str, int]:
         """The monomial s0^n0 sinf^ninf * r^a with the class of ``combo``,
@@ -382,28 +363,19 @@ class _Ctx:
         return mono
 
 
-def _transvectant(a: list[int], b: list[int], k: int, sym: bool) -> dict:
-    """Non-zero coefficients {(i, j): c_ij}, i + j = k, in ascending i, of
-    the highest-weight vector sum c_ij fn_i (x) fn_j in A (x) B, where
-    raise(fn_i) = a_i fn_(i-1) on A and b_j on B, all non-zero integers: the
-    k-th transvectant c_0k = 1, c_(i+1),(k-i-1) = -c_i,(k-i) b_(k-i) / a_(i+1),
-    folded onto i <= j (the monomials of Sym^2) when ``sym``, scaled to lead
-    with 1.  Fraction-free: the chain is run as C_i = c_i * a_1 ... a_k =
-    (-1)^i * b_k ... b_(k-i+1) * a_(i+1) ... a_k, a prefix product times a
-    suffix product; an entry is an int where the lead divides it, else a
-    Fraction."""
-    suffix = [1] * (k + 1)  # suffix[i] = a_(i+1) ... a_k
-    for i in range(k - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * a[i + 1]
-    chain: dict = {}
-    prefix = 1  # (-1)^i * b_k ... b_(k-i+1)
-    for i in range(k + 1):
-        key = (min(i, k - i), max(i, k - i)) if sym else (i, k - i)
-        chain[key] = chain.get(key, 0) + prefix * suffix[i]
-        prefix *= -b[k - i]
-    lead = next(x for x in chain.values() if x)
-    return {key: x // lead if x % lead == 0 else Fraction(x, lead)
-            for key, x in chain.items() if x}
+def _transvectant(A: SectionModule, B: SectionModule, k: int, sym: bool) -> dict:
+    """Coefficients {(i, j): c_ij}, i + j = k >= 1, in ascending i, of the
+    highest-weight vector sum c_ij fn_i (x) fn_j in A (x) B.  As raise(fn_i)
+    = i eps_i / eps_(i-1) fn_(i-1), it is the k-th transvectant (Olver,
+    Classical Invariant Theory, ch. 5), c_i,(k-i) = (-1)^i C(k, i) eps^A_i
+    eps^B_k eps^B_(k-i), led by c_0k = 1.  When ``sym`` (A is B, k even) the
+    equal terms i and k - i fold onto i <= j, the monomials of Sym^2, and
+    the sum is halved: only the middle term (-1)^(k/2) C(k, k/2) changes."""
+    chain = {(i, k - i): (-1) ** i * comb(k, i) * A.sign(i) * B.sign(k) * B.sign(k - i)
+             for i in range(k // 2 + 1 if sym else k + 1)}
+    if sym:
+        chain[k // 2, k // 2] //= 2  # C(k, k/2) is even
+    return chain
 
 
 def _gmul(x: Num, y: Num) -> Num:
@@ -417,13 +389,12 @@ def _coords(mod: SectionModule) -> tuple[Num, Num, int]:
     return (ar * (d // ad), ai * (d // ad)), (br * (d // bd), bi * (d // bd)), d
 
 
-def _product_monomial(A: SectionModule, B: SectionModule, b: list[int], k: int,
+def _product_monomial(A: SectionModule, B: SectionModule, k: int,
                       sym: bool) -> tuple[int, int, int, int, int] | None:
-    """The function on SL2 of the chain ``_transvectant(a, b, k, sym)``,
+    """The function on SL2 of the chain ``_transvectant(A, B, k, sym)``,
     k >= 1: (x, y, r, n0, ninf) for (x + y i)/r g3^n0 g4^ninf, or None for 0.
-    With fn_i = eps_i P_i as in ``SectionModule``, a_i = i eps_i / eps_(i-1)
-    and the chain is eps^B_k sum_i (-1)^i C(k, i) P^A_i P^B_(k-i), halved
-    when A is B; the
+    With fn_i = eps_i P_i as in ``SectionModule``, the chain is
+    eps^B_k sum_i (-1)^i C(k, i) P^A_i P^B_(k-i), halved when A is B; the
     transvectant identity (l1^p, l2^q)_k = [l1, l2]^k l1^(p-k) l2^(q-k), with
     bracket g1 g4 - g2 g3 = 1 between the columns (g1, g3), (g2, g4) and 0
     within one, makes it -(-1)^k eps^B_k (beta_A alpha_B g3^(dA-k) g4^(dB-k)
@@ -444,7 +415,7 @@ def _product_monomial(A: SectionModule, B: SectionModule, b: list[int], k: int,
         c, n0, ninf = (t1, da - k, db - k) if any(t1) else (t2, db - k, da - k)
     if not any(c):
         return None
-    sign = 1 if (k + sum(x < 0 for x in b[1:k + 1])) % 2 else -1  # -lam
+    sign = (-1) ** (k + 1) * B.sign(k)
     return sign * c[0], sign * c[1], den_a * den_b * (2 if sym else 1), n0, ninf
 
 
@@ -460,18 +431,17 @@ def _pair_rows(A: SectionModule, B: SectionModule, ctx: _Ctx) -> list[ModuleRow]
     if sym:
         comps = comps[1::2]  # Sym^2(V_d) = V_2d + V_{2d-4} + ...
     rows: list[ModuleRow] = []
-    a, b = ctx.scalars[A.point_key], ctx.scalars[B.point_key]
     combo = dict(A.color_combo)
     for lbl, c in B.color_combo.items():
         combo[lbl] = combo.get(lbl, 0) + c
     for m in comps:
-        k = (A.weights[0] + B.weights[0] - m) // 2
+        k = (A.dim + B.dim - 2 - m) // 2
         terms = {}
-        for (i, j), c in _transvectant(a, b, k, sym).items():
+        for (i, j), c in _transvectant(A, B, k, sym).items():
             mono = {A.names[i]: 1}
             mono[B.names[j]] = mono.get(B.names[j], 0) + 1
             terms[monomial(mono)] = c
-        closed = _product_monomial(A, B, b, k, sym)
+        closed = _product_monomial(A, B, k, sym)
         if closed is None:
             rows.append(ModuleRow(m, m, SparsePoly(terms), (), True))
             continue
@@ -570,12 +540,12 @@ def full_cox_presentation_cyclic(E: EmbeddingData) -> FullCoxResult:
             alpha, beta = (0, 1) if role == "x0" else (1 if uniform else -1, 0)
             alpha, beta = gauss(alpha), gauss(beta)
         d = 1 if uniform or p.tag is not None else nb
+        eps = -1 if uniform else 1  # for n <= 2, t is -(beta g1 - alpha g2)
         # beta g1^k g3^(d-k) - alpha g2^k g4^(d-k): no g1 next to g4, so
-        # already in normal form; for n <= 2, t is its negative
+        # already in normal form
         fns = tuple((GPoly.monomial(beta, k, 0, d - k, 0) - GPoly.monomial(alpha, 0, k, 0, d - k))
-                    .scale(-1 if uniform and k else 1) for k in range(d + 1))
-        return SectionModule(key, combo, tuple(_basis_names(d, key[1:])), fns,
-                             tuple(d - 2 * k for k in range(d + 1)), alpha, beta)
+                    .scale(eps if k else 1) for k in range(d + 1))
+        return SectionModule(key, combo, tuple(_basis_names(d, key[1:])), fns, alpha, beta, eps)
 
     mod0 = make_module(p0, "x0")
     modinf = make_module(pinf, "xinf")
@@ -594,8 +564,7 @@ def full_cox_presentation_cyclic(E: EmbeddingData) -> FullCoxResult:
     for lbl, nm in rvar.items():
         variables.append(GradedVariable(nm, R.images[lbl], 0, lbl, GPoly.const(1)))
 
-    scalars = {m.point_key: _raising_scalars(m) for m in point_order}
-    ctx = _Ctx(E, R, mod0, modinf, rvar, p0, pinf, scalars)
+    ctx = _Ctx(E, R, mod0, modinf, rvar, p0, pinf)
 
     rel_modules: list[RelationModule] = []
     relations: list[SparsePoly] = []
@@ -701,20 +670,21 @@ def _check_bh_grading(E: EmbeddingData, p: int, q: int, k: int):
     if dtor == 1:
         return
     b = int(-(E.divisors[0].h + 2 * E.divisors[0].l))
-    # one Bezout pair (u, v) with -q*u + k*v = 1; Aut(Z/d) absorbs the choice
-    pairs = [(uu, (1 + q * uu) // k) for uu in range(-6 * dtor, 6 * dtor + 1)
-             if k and (1 + q * uu) % k == 0]
-    for uu, vv in pairs:
-        expected = {lbl_e0: uu * b - vv, lbl_x0: uu}
-        if lbl_einf is not None:
-            expected[lbl_einf] = vv
-        for c in range(1, dtor):
-            if gcd(c, dtor) != 1:
-                continue
-            for t in range(dtor):
-                if all((c * tor[lbl] + t * sign * free[lbl]) % dtor == e % dtor
-                       for lbl, e in expected.items()):
-                    return
+    # one Bezout pair (u, v) with -q*u + k*v = 1 (gcd(q, k) = 1, as k | q - p
+    # and gcd(p, q) = 1); any other pair adds a multiple of (-p, k, q), the
+    # free part, which the shear t already ranges over
+    uu = -pow(q, -1, k) % k
+    vv = (1 + q * uu) // k
+    expected = {lbl_e0: uu * b - vv, lbl_x0: uu}
+    if lbl_einf is not None:
+        expected[lbl_einf] = vv
+    for c in range(1, dtor):
+        if gcd(c, dtor) != 1:
+            continue
+        for t in range(dtor):
+            if all((c * tor[lbl] + t * sign * free[lbl]) % dtor == e % dtor
+                   for lbl, e in expected.items()):
+                return
     raise RuntimeError("torsion parts of the degrees do not match any "
                        "automorphism of Z x Z/d")
 

@@ -246,19 +246,6 @@ class GPoly(QiPoly):
     def monomial(c, e1=0, e2=0, e3=0, e4=0) -> "GPoly":
         return GPoly({(e1, e2, e3, e4): c})
 
-    # -- sl2 operators -----------------------------------------------------------
-
-    def raise_op(self) -> "GPoly":
-        items = []
-        for (a, b, c, d), (x, y) in self.num.items():
-            if a:
-                items.append(((a - 1, b, c + 1, d), (x * a, y * a)))
-            if b:
-                items.append(((a, b - 1, c, d + 1), (x * b, y * b)))
-        out: dict[Mono, Num] = {}
-        self._reduce_into(out, items)
-        return self._canonical(out, self.den)
-
 
 G1, G2, G3, G4 = GPoly.gen(1), GPoly.gen(2), GPoly.gen(3), GPoly.gen(4)
 

@@ -216,7 +216,6 @@ def restrict_to_Fhat(E: EmbeddingData, combo: dict) -> tuple[int, ...]:
     """
     F = E.group
     gens = {g.label: g for g in divisor_generators(E)}
-    keys = point_keys(E)
     acc = F.char_zero()
     for label, c in combo.items():
         g = gens[label]
@@ -225,7 +224,6 @@ def restrict_to_Fhat(E: EmbeddingData, combo: dict) -> tuple[int, ...]:
         if g.kind == "distinguished":
             w = F.color_restriction("parametric")
         else:
-            tag = keys[g.point]
-            w = F.color_restriction(tag if tag in ("x0", "xinf", "xv", "xe", "xf") else "extra")
+            w = F.color_restriction(g.point.tag or "extra")
         acc = F.char_add(acc, F.char_scale(c, w))
     return acc

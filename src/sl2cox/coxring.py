@@ -44,7 +44,7 @@ from .embedding import (
     point_coordinates,
 )
 from .exactmath import GAUSS_ONE, GaussianRational, gauss
-from .groups import FiniteSubgroup, gcd_pos
+from .groups import FiniteSubgroup
 from .hyperspace import BasePoint, X0, XD, XINF, point
 from .ogpoly import G3, G4, GPoly, Num, _collect, _split
 from .presentation import (
@@ -89,17 +89,16 @@ def clebsch_gordan(n: int, m: int) -> list[int]:
 
 
 def _b_weight_table(F: FiniteSubgroup) -> tuple[int, dict[str, int]]:
-    """Common weight n0 of a, b and the weights of the subregular sections."""
+    """Common weight n0 of a, b (the order of F's image in PSL2: nbar, 2n, 12,
+    24, 60) and the weight n0 // m of the subregular section over each
+    canonical point of multiplicity m (``F.canonical_multiplicities()``)."""
     if F.is_cyclic:
-        return F.nbar, {"x0": 1, "xinf": 1}
-    table = {
-        "tetrahedral": (12, {"xv": 4, "xe": 6, "xf": 4}),
-        "octahedral": (24, {"xv": 8, "xe": 12, "xf": 6}),
-        "icosahedral": (60, {"xv": 12, "xe": 30, "xf": 20}),
-    }
-    if F.kind in table:
-        return table[F.kind]
-    return 2 * F.n, {"xv": F.n, "xe": F.n, "xf": 2}
+        n0 = F.nbar
+    elif F.kind == "dihedral":
+        n0 = 2 * F.n
+    else:
+        n0 = {"tetrahedral": 12, "octahedral": 24, "icosahedral": 60}[F.kind]
+    return n0, {t: n0 // m for t, m in F.canonical_multiplicities().items()}
 
 
 def _r_names(E: EmbeddingData, keys: dict, prime: str) -> dict[str, str]:
@@ -138,7 +137,7 @@ def cox_u_presentation(E: EmbeddingData) -> GradedPresentation:
         one, a_fn, b_fn, s_fn = GPoly.const(1), G3.pow(n0), G4.pow(n0), {"x0": G3, "xinf": G4}
     else:
         mult = F.canonical_multiplicities()
-        s_fn = {t: SparsePoly.variable("f" + t[1:]) for t in ("xv", "xe", "xf")}
+        s_fn = {t: SparsePoly.variable("f" + t[1:]) for t in mult}
         one = SparsePoly.term(1, {})
         a_fn = s_fn["xv"].pow(mult["xv"])
         b_fn = s_fn["xe"].pow(mult["xe"]).scale(-1)
@@ -290,7 +289,6 @@ class ModuleRow:
     iso_m: int  # the component is isomorphic to V_m
     b_weight: int
     poly: SparsePoly
-    monomials: tuple = ()  # (the solved section monomial as (name, exp) pairs,) or ()
     in_kernel: bool = False
 
 
@@ -443,13 +441,13 @@ def _pair_rows(A: SectionModule, B: SectionModule, ctx: _Ctx) -> list[ModuleRow]
             terms[monomial(mono)] = c
         closed = _product_monomial(A, B, k, sym)
         if closed is None:
-            rows.append(ModuleRow(m, m, SparsePoly(terms), (), True))
+            rows.append(ModuleRow(m, m, SparsePoly(terms), True))
             continue
         x, y, r, n0, ninf = closed
         mono = ctx.solve_section_monomial(combo, n0, ninf)
         # a chain monomial has a basis vector of index >= 1, never this key
         terms[monomial(mono)] = GaussianRational(Fraction(-x, r), Fraction(-y, r))
-        rows.append(ModuleRow(m, m, SparsePoly(terms), (tuple(sorted(mono.items())),), False))
+        rows.append(ModuleRow(m, m, SparsePoly(terms)))
     return rows
 
 
@@ -462,16 +460,13 @@ def _n_rows(mod: SectionModule, ctx: _Ctx, p: BasePoint,
     c0 = beta / beta_x0 and cinf = alpha / alpha_xinf; for nbar = 1 the
     lowered (t-)row completes the module."""
     mod0, modinf = ctx.mod0, ctx.modinf
-    E, keys = ctx.E, ctx.R.point_keys
-    nb = E.group.nbar
+    nb = ctx.E.group.nbar
     c0, cinf = mod.beta / mod0.beta, mod.alpha / modinf.alpha
 
     def r_mono(q: BasePoint | None) -> dict[str, int]:
         if q is None:
             return {}
-        k = keys[q]
-        return {ctx.rvar[f"X[{k},{j}]"]: d.h
-                for j, d in enumerate(E.divisors_over(q))}
+        return {ctx.rvar[lbl]: h for lbl, h in cg.fiber(ctx.E, q).items() if lbl in ctx.rvar}
 
     def build(index: int) -> SparsePoly:
         m0 = {mod0.names[index]: nb}
@@ -532,13 +527,15 @@ def full_cox_presentation_cyclic(E: EmbeddingData) -> FullCoxResult:
     base_fiber = cg.fiber(E, pts[0] if pts else XD)
 
     def make_module(p: BasePoint | None, role: str) -> SectionModule:
+        """The section module of the point p in the given role, with (alpha,
+        beta) from ``point_coordinates`` whenever p is given; the role fixes
+        them only for n <= 2 with no point at [0:1] or [1:0]."""
         key = keys[p] if p is not None else role
         combo = {f"E[{key}]": 1} if p is not None else dict(base_fiber)
-        if p is not None and (uniform or p.tag is None):
+        if p is not None:
             alpha, beta = point_coordinates(F, p)
-        else:  # s0 = g3; sinf = g4 for n >= 3, -g4 for n <= 2
-            alpha, beta = (0, 1) if role == "x0" else (1 if uniform else -1, 0)
-            alpha, beta = gauss(alpha), gauss(beta)
+        else:  # s0 = g3, sinf = -g4
+            alpha, beta = (gauss(0), gauss(1)) if role == "x0" else (gauss(1), gauss(0))
         d = 1 if uniform or p.tag is not None else nb
         eps = -1 if uniform else 1  # for n <= 2, t is -(beta g1 - alpha g2)
         # beta g1^k g3^(d-k) - alpha g2^k g4^(d-k): no g1 next to g4, so
@@ -629,10 +626,10 @@ def batyrev_haddad(E: EmbeddingData) -> BatyrevHaddadParams:
     height = Fraction(alpha_num) / Fraction(alpha_den)
     if not (0 < height <= 1):
         raise HeightOutOfRange(f"alpha = {height} is outside (0, 1]")
-    if gcd_pos(h, int(u * l)) != 1:
+    if gcd(h, int(u * l)) != 1:
         raise NotAffineShape(f"h and u*l must be coprime, got ({h}, {u * l})")
     p, q = height.numerator, height.denominator
-    k = gcd_pos(q - p, n)
+    k = gcd(q - p, n)
     a = n // k
     b = (q - p) // k
     if b != -(h + 2 * l):
@@ -653,11 +650,9 @@ def _check_bh_grading(E: EmbeddingData, p: int, q: int, k: int):
     F = E.group
     if F.n >= 3:
         lbl_e0, lbl_x0, lbl_einf = "E[x0]", "X[x0,0]", "E[xinf]"
-        img = {lbl: R.images[lbl] for lbl in (lbl_e0, lbl_x0, lbl_einf)}
     else:
-        lbl_e0, lbl_x0 = "E[x1]", "X[x1,0]"
-        img = {lbl: R.images[lbl] for lbl in (lbl_e0, lbl_x0)}
-        lbl_einf = None
+        lbl_e0, lbl_x0, lbl_einf = "E[x1]", "X[x1,0]", None
+    img = {lbl: R.images[lbl] for lbl in (lbl_e0, lbl_x0, lbl_einf) if lbl is not None}
     free = {lbl: v[0] for lbl, v in img.items()}
     tor = {lbl: (v[1] if grp.torsion else 0) for lbl, v in img.items()}
     targets = {lbl_e0: -p, lbl_x0: k}
@@ -693,12 +688,16 @@ def _check_bh_grading(E: EmbeddingData, p: int, q: int, k: int):
 
 
 def _check_homogeneous(P: GradedPresentation) -> None:
-    """Every relation is homogeneous in Cl(X) and in the B-weight."""
+    """Every relation is homogeneous in Cl(X) and in the B-weight; raises
+    RuntimeError otherwise, like a relation that does not vanish."""
     degs = P.degree_map()
     wts = P.weight_map()
-    for rel in P.relations:
-        relation_degree(rel, degs, P.grading)
-        relation_b_weight(rel, wts)
+    try:
+        for rel in P.relations:
+            relation_degree(rel, degs, P.grading)
+            relation_b_weight(rel, wts)
+    except ValueError as exc:
+        raise RuntimeError(str(exc)) from exc
 
 
 def _require_vanishing(P: GradedPresentation, one, message: str,

@@ -93,17 +93,13 @@ class EmbeddingData:
     # -- point bookkeeping ----------------------------------------------------
 
     def canonical_points(self) -> tuple[BasePoint, ...]:
-        return tuple({"x0": X0, "xinf": XINF, "xv": XV, "xe": XE, "xf": XF}[t]
-                     for t in self.group.canonical_tags())
+        return tuple(_POINT_REFS[t] for t in self.group.canonical_tags())
 
     def exceptional_points(self) -> tuple[BasePoint, ...]:
         return self.canonical_points() + tuple(self.extra_points)
 
     def color_multiplicity(self, p: BasePoint) -> int:
-        mult = self.group.canonical_multiplicities()
-        if p.tag is not None and p.tag in mult:
-            return mult[p.tag]
-        return 1
+        return self.group.canonical_multiplicities().get(p.tag, 1)
 
     def divisors_over(self, p: BasePoint) -> tuple[GStableDivisorSpec, ...]:
         return tuple(d for d in self.divisors if not d.dominating and d.over == p)
@@ -481,9 +477,7 @@ def embedding_to_dict(E: EmbeddingData) -> dict:
             {"alpha": _coord_json(p.alpha), "beta": _coord_json(p.beta)}
             for p in E.extra_points
         ]
-    refs: dict[BasePoint, str] = {}
-    for t, p in _POINT_REFS.items():
-        refs[p] = t
+    refs = {p: t for t, p in _POINT_REFS.items()}
     for i, p in enumerate(E.extra_points):
         refs[p] = f"extra:{i}"
     if E.divisors:

@@ -19,7 +19,6 @@ Character group elements are canonical tuples:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 CYCLIC = "cyclic"
 DIHEDRAL = "dihedral"
@@ -63,7 +62,7 @@ class FiniteSubgroup:
         """n for odd n, n/2 for even n (cyclic only)."""
         if not self.is_cyclic:
             raise ValueError("nbar is defined for cyclic subgroups")
-        return self.n if self.n % 2 else self.n // 2
+        return nbar_of(self.n)
 
     @property
     def u(self) -> int:
@@ -87,11 +86,14 @@ class FiniteSubgroup:
         return {"xv": 5, "xe": 2, "xf": 3}  # icosahedral
 
     def canonical_tags(self) -> tuple[str, ...]:
-        if self.is_cyclic:
-            return ("x0", "xinf") if self.n >= 3 else ()
-        return ("xv", "xe", "xf")
+        return tuple(self.canonical_multiplicities())
 
     # -- character group -----------------------------------------------------
+
+    @property
+    def _char_modulus(self) -> int:
+        """Order of the character group when it is cyclic (not dihedral)."""
+        return {CYCLIC: self.n, TETRAHEDRAL: 3, OCTAHEDRAL: 2, ICOSAHEDRAL: 1}[self.kind]
 
     def char_zero(self) -> tuple[int, ...]:
         return (0, 0) if self.kind == DIHEDRAL else (0,)
@@ -105,8 +107,7 @@ class FiniteSubgroup:
                 raise ValueError(f"{chi} is not a character of {self}")
             return (s, t)
         (k,) = chi
-        mod = {CYCLIC: self.n, TETRAHEDRAL: 3, OCTAHEDRAL: 2, ICOSAHEDRAL: 1}[self.kind]
-        return (k % mod,)
+        return (k % self._char_modulus,)
 
     def char_add(self, a, b) -> tuple[int, ...]:
         return self.char_reduce(tuple(x + y for x, y in zip(a, b)))
@@ -117,8 +118,7 @@ class FiniteSubgroup:
     def char_elements(self) -> list[tuple[int, ...]]:
         if self.kind == DIHEDRAL:
             return [(s, t) for s in range(2) for t in range(4) if (t - self.n * s) % 2 == 0]
-        mod = {CYCLIC: self.n, TETRAHEDRAL: 3, OCTAHEDRAL: 2, ICOSAHEDRAL: 1}[self.kind]
-        return [(k,) for k in range(mod)]
+        return [(k,) for k in range(self._char_modulus)]
 
     def char_subgroup(self, gens) -> frozenset[tuple[int, ...]]:
         """Closure of the given characters under the group law."""
@@ -209,7 +209,3 @@ def dtilde(n: int, d: int) -> int:
     if n % d:
         raise ValueError("d must divide n")
     return nbar_of(n) // nbar_of(n // d)
-
-
-def gcd_pos(a: int, b: int) -> int:
-    return gcd(abs(a), abs(b))

@@ -143,11 +143,10 @@ def _special_points(F: FiniteSubgroup, section: Section) -> tuple[BasePoint, ...
 def valuation_cone_contains(
     F: FiniteSubgroup, v: HyperspaceVector, section: Section = Section.default()
 ) -> bool:
-    """Membership of (x,h,l) in the valuation cone, Appendix-table inequalities."""
-    special = v.base in _special_points(F, section)
-    if F.is_cyclic:
-        return 2 * v.l - v.h <= 0 if special else 2 * v.l + v.h <= 0
-    return v.l <= 0 if special else v.l + v.h <= 0
+    """Membership of (x,h,l) in the valuation cone: f(h,l) <= 0 for the
+    Appendix-table form f = ``valuation_cone_form`` at x."""
+    a, b = valuation_cone_form(F, v.base, section)
+    return a * v.h + b * v.l <= 0
 
 
 def valuation_cone_form(F: FiniteSubgroup, base: BasePoint, section: Section = Section.default()):
@@ -161,31 +160,23 @@ def valuation_cone_form(F: FiniteSubgroup, base: BasePoint, section: Section = S
 def color_vector(
     F: FiniteSubgroup, p: BasePoint, section: Section = Section.default()
 ) -> HyperspaceVector:
-    """Hyperspace coordinates of the color over p for the chosen section."""
-    if F.is_cyclic:
-        nb = F.nbar
-        canonical_l = -Fraction(nb - 1, 2)
-        if section.kind == "color_at":
-            if p == section.at_point:
-                return HyperspaceVector(p, Fraction(1), Fraction(1))
-            if F.n >= 3 and p in (X0, XINF):
-                return HyperspaceVector(p, Fraction(nb), canonical_l)
-            return epsilon(p)
-        if p == XD:
-            return HyperspaceVector(p, Fraction(1), Fraction(1))
-        if F.n >= 3 and p in (X0, XINF):
-            return HyperspaceVector(p, Fraction(nb), canonical_l)
-        return epsilon(p)
+    """Hyperspace coordinates of the color over p for the chosen section:
+    (1, 1) over the special point of a cyclic section (``_special_points``),
+    (m, l) over a canonical point of multiplicity m
+    (``F.canonical_multiplicities()``), epsilon elsewhere."""
+    if F.is_cyclic and p in _special_points(F, section):
+        return HyperspaceVector(p, Fraction(1), Fraction(1))
     mults = F.canonical_multiplicities()
-    if p == XV:
-        return HyperspaceVector(p, Fraction(mults["xv"]), Fraction(1))
-    if p == XE:
-        l = Fraction(1) if F.kind == DIHEDRAL else Fraction(-1)
-        return HyperspaceVector(p, Fraction(mults["xe"]), l)
-    if p == XF:
-        l = Fraction(1 - F.n) if F.kind == DIHEDRAL else Fraction(1)
-        return HyperspaceVector(p, Fraction(mults["xf"]), l)
-    return epsilon(p)
+    if p.tag not in mults:
+        return epsilon(p)
+    m = mults[p.tag]
+    if F.is_cyclic:
+        l = -Fraction(m - 1, 2)
+    elif F.kind == DIHEDRAL:
+        l = {"xv": 1, "xe": 1, "xf": 1 - F.n}[p.tag]
+    else:
+        l = {"xv": 1, "xe": -1, "xf": 1}[p.tag]
+    return HyperspaceVector(p, Fraction(m), Fraction(l))
 
 
 # -- sectors in a half-plane E_x ---------------------------------------------

@@ -155,9 +155,9 @@ def cyclic_iteration_exact(E: EmbeddingData) -> IterationReport:
     R = cg.class_group(E)
     n = F.n
     d = R.group.torsion_order()
-    dt = dtilde(n, d) if n % d == 0 else None
-    if dt is None:
+    if n % d:
         raise RuntimeError("torsion order does not divide n; restriction broken")
+    dt = dtilde(n, d)
     _, nprime = E.counts()
     evidence = {"d": d, "dtilde": dt, "Nprime": nprime, "class_group": str(R.group)}
     if R.group.is_trivial:

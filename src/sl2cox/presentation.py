@@ -87,18 +87,21 @@ def _mono_key(m: Monomial, order: dict[str, int]):
     return (deg, tuple(dense))
 
 
+def _negative(c: GaussianRational) -> bool:
+    """The sign convention on Q(i): c is negative when its real part is, or
+    when the real part vanishes and the imaginary part is negative."""
+    return c.re < 0 or (c.re == 0 and c.im < 0)
+
+
 def canonicalize(poly: SparsePoly, var_order: list[str]) -> SparsePoly:
     """Normalize the global unit: the leading term (graded-lex in the given
-    variable order) gets a coefficient with positive real part (or positive
-    imaginary part when the real part vanishes).  Only +-1 is used so
-    integrality of coefficients is preserved."""
+    variable order) gets a coefficient that is not ``_negative``.  Only +-1
+    is used so integrality of coefficients is preserved."""
     if poly.is_zero():
         return poly
     order = {v: i for i, v in enumerate(var_order)}
     lead = max(poly.num, key=lambda m: _mono_key(m, order))
-    c = poly.coeff(lead)
-    flip = c.re < 0 or (c.re == 0 and c.im < 0)
-    return poly.scale(-1) if flip else poly
+    return poly.scale(-1) if _negative(poly.coeff(lead)) else poly
 
 
 def canonical_key(poly: SparsePoly, var_order: list[str]):
@@ -214,28 +217,18 @@ def pretty_poly(poly: SparsePoly, var_order: list[str]) -> str:
         return "0"
     order = {v: i for i, v in enumerate(var_order)}
     items = sorted(poly.terms.items(), key=lambda kv: _mono_key(kv[0], order), reverse=True)
-    parts: list[str] = []
+    s = ""
     for m, c in items:
         mono = ""
         for v, e in sorted(m, key=lambda ve: order[ve[0]]):
             mono += pretty_name(v) + (str(e).translate(_SUP) if e > 1 else "")
-        if not mono:
-            neg = c.re < 0 or (c.re == 0 and c.im < 0)
-            parts.append(("-" if neg else "+", _coeff_str(-c if neg else c)))
-            continue
-        neg = c.re < 0 or (c.re == 0 and c.im < 0)
+        neg = _negative(c)
         mag = -c if neg else c
-        if mag == GAUSS_ONE:
-            body = mono
+        body = mono if mono and mag == GAUSS_ONE else _coeff_str(mag) + mono
+        if s:
+            s += f" {'-' if neg else '+'} {body}"
         else:
-            body = _coeff_str(mag) + mono
-        parts.append(("-" if neg else "+", body))
-    s = ""
-    for i, (sign, body) in enumerate(parts):
-        if i == 0:
-            s += ("-" if sign == "-" else "") + body
-        else:
-            s += f" {sign} {body}"
+            s = ("-" if neg else "") + body
     return s
 
 

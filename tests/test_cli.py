@@ -104,6 +104,26 @@ class TestCoxCommands:
         rc, out, err = run(capsys, "cox-full", fixture("tetrahedral.json"))
         assert rc == 2 and "NotCyclic" in err
 
+    def test_cox_full_verify_inhomogeneous_exit_code(self, capsys, monkeypatch):
+        # a homogeneity failure under --verify is a computation error, like a
+        # non-vanishing relation, and prints no traceback
+        from dataclasses import replace
+
+        import sl2cox.coxring as cx
+        from test_coxring import _with_inhomogeneous
+
+        build = cx.full_cox_presentation_cyclic
+
+        def inhomogeneous(E):
+            res = build(E)
+            return replace(res, presentation=_with_inhomogeneous(res.presentation))
+
+        monkeypatch.setattr(cx, "full_cox_presentation_cyclic", inhomogeneous)
+        rc, out, err = run(capsys, "cox-full", fixture("mu3.json"), "--verify")
+        assert rc == 2 and out == ""
+        assert "computation error" in err and "homogeneous" in err
+        assert "Traceback" not in err
+
     def test_cox_u_special_fiber(self, capsys):
         rc, out, _ = run(capsys, "cox-u", fixture("tetrahedral.json"),
                          "--special-fiber", "--verify", "--format", "json")

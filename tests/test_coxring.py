@@ -36,7 +36,7 @@ from sl2cox.exactmath import (
 )
 from sl2cox.groups import ICOSA, OCTA, TETRA, cyclic, dihedral
 from sl2cox.hyperspace import Section, X0, XE, XF, XINF, XV, point
-from sl2cox.ogpoly import G1, G2, G3, G4, GPoly, combination_nullspace, gr_nullspace
+from sl2cox.ogpoly import G1, G2, G3, G4, GPoly, combination_nullspace
 from sl2cox.presentation import (
     GradedPresentation,
     GradedVariable,
@@ -636,11 +636,43 @@ def _dense_raising(mod: SectionModule) -> list:
     return M
 
 
+def _kernel_vector(rows: list[dict], ncols: int) -> list:
+    """The vector spanning the one-dimensional right kernel of the sparse
+    rows {column: coefficient}: row echelon form, eliminating only below
+    each pivot and touching only non-zero entries, then back-substitution
+    with the free variable set to 1."""
+    rows = [{k: x for k, x in r.items() if x} for r in rows]
+    pivots = {}  # column -> its pivot row, non-zero only from that column on
+    for c in range(ncols):
+        piv = next((r for r in rows if c in r), None)
+        if piv is None:
+            continue
+        rows = [r for r in rows if r is not piv]
+        for r in rows:
+            if c in r:
+                f = r[c] / piv[c]
+                for k, x in piv.items():
+                    y = r.get(k, GAUSS_ZERO) - f * x
+                    if y:
+                        r[k] = y
+                    else:
+                        del r[k]
+        pivots[c] = piv
+    free = [c for c in range(ncols) if c not in pivots]
+    assert len(free) == 1
+    v = {free[0]: GAUSS_ONE}
+    for c in sorted(pivots, reverse=True):
+        s = sum((x * v[k] for k, x in pivots[c].items() if k in v), GAUSS_ZERO)
+        if s:
+            v[c] = -s / pivots[c][c]
+    return [v.get(c, GAUSS_ZERO) for c in range(ncols)]
+
+
 def _nullspace_hwv(A: SectionModule, B: SectionModule, m: int, ra: list, rb: list) -> dict:
     """Oracle: the highest-weight vector of V_m in A (x) B (in Sym^2 A when
     A is B) as the kernel of the raising operator, with matrices ra =
     ``_dense_raising(A)`` and rb on B, on the formal tensors of weight m,
-    computed by ``gr_nullspace``; normalized so its first non-zero
+    computed by ``_kernel_vector``; normalized so its first non-zero
     coefficient, in ascending i, is 1."""
     sym = A is B
     wa, wb = A.weights, B.weights
@@ -652,18 +684,17 @@ def _nullspace_hwv(A: SectionModule, B: SectionModule, m: int, ra: list, rb: lis
              if wa[i] + wb[j] == m and (not sym or i <= j)]
     up = [(i, j) for i in range(A.dim) for j in range(B.dim)
           if wa[i] + wb[j] == m + 2 and (not sym or i <= j)]
-    mat = [[gauss(0)] * len(pairs) for _ in up]
+    mat = [{} for _ in up]
     for col, (i, j) in enumerate(pairs):
         images = [((k, j), ra[k][i]) for k in range(A.dim)]
         images += [((i, k), rb[k][j]) for k in range(B.dim)]
         for key, c in images:
             if c and fold(*key) in up:
-                row = up.index(fold(*key))
-                mat[row][col] = mat[row][col] + c
-    null = gr_nullspace(mat, len(pairs))
-    assert len(null) == 1
-    lead = next(c for c in null[0] if c)
-    return {p: c / lead for p, c in zip(pairs, null[0]) if c}
+                row = mat[up.index(fold(*key))]
+                row[col] = row.get(col, GAUSS_ZERO) + c
+    null = _kernel_vector(mat, len(pairs))
+    lead = next(c for c in null if c)
+    return {p: c / lead for p, c in zip(pairs, null) if c}
 
 
 def _reference_transvectant(a: list, b: list, k: int, sym: bool) -> dict:
@@ -932,7 +963,7 @@ class TestVerifiersReject:
         verify_full_cox(res)
         with pytest.raises(RuntimeError, match="does not vanish"):
             verify_full_cox(replace(res, presentation=_perturbed(res.presentation)))
-        with pytest.raises(ValueError, match="homogeneous"):
+        with pytest.raises(RuntimeError, match="homogeneous"):
             verify_full_cox(replace(res, presentation=_with_inhomogeneous(res.presentation)))
 
     def test_full_cox_perturbed_unit_or_gaussian_term(self):
@@ -973,7 +1004,7 @@ class TestVerifiersReject:
         verify_cox_u(E, P)
         with pytest.raises(RuntimeError, match="does not vanish"):
             verify_cox_u(E, _perturbed(P))
-        with pytest.raises(ValueError, match="homogeneous"):
+        with pytest.raises(RuntimeError, match="homogeneous"):
             verify_cox_u(E, _with_inhomogeneous(P))
 
     def test_polyhedral_cox_u_perturbed_coefficient(self):
@@ -984,7 +1015,7 @@ class TestVerifiersReject:
         verify_cox_u(E, P)
         with pytest.raises(RuntimeError, match="does not vanish"):
             verify_cox_u(E, _perturbed(P))
-        with pytest.raises(ValueError, match="homogeneous"):
+        with pytest.raises(RuntimeError, match="homogeneous"):
             verify_cox_u(E, _with_inhomogeneous(P))
 
 

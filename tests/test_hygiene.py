@@ -1,0 +1,32 @@
+"""Source hygiene of the package, checked with the standard ``ast`` module."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sl2cox"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import statement anywhere in the module and never
+    read as a name in it (``from __future__`` imports excepted)."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_check_sees_an_unused_import():
+    tree = ast.parse("from math import gcd, lcm\nimport json\nx = lcm(2, 3)\n")
+    assert _unused_imports(tree) == ["gcd", "json"]

@@ -19,14 +19,15 @@ from functools import cached_property
 
 from .embedding import EmbeddingData, InvalidEmbedding
 from .exactmath import (
+    EmptySolutionSet,
     FactoredSystem,
     FinAbGroup,
     IntMatrix,
     cokernel,
-    solve_integer,
     solve_nonneg,
 )
 from .hyperspace import BasePoint, XD, color_vector
+from .presentation import _SUB
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,7 @@ class ClassGroupResult:
     presentation: IntMatrix
     images: dict  # label -> adapted coordinates (free part, then torsion part)
     point_keys: dict  # BasePoint -> short key like "x0", "x1"
+    basis_change: IntMatrix  # the cokernel's U: adapted coordinates lead U x
 
     def image_of(self, combo: dict) -> tuple[int, ...]:
         """Adapted coordinates of an integer combination {label: coeff}."""
@@ -85,17 +87,11 @@ def point_keys(E: EmbeddingData) -> dict:
     return keys
 
 
-def _sub(i: int | str) -> str:
-    s = str(i)
-    subs = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
-    return s.translate(subs)
-
-
 def _pretty_point(key: str) -> str:
     if key == "xinf":
         return "x∞"
     if key.startswith("x"):
-        return "x" + _sub(key[1:])
+        return "x" + key[1:].translate(_SUB)
     return key
 
 
@@ -170,19 +166,22 @@ def presentation_matrix(E: EmbeddingData) -> tuple[list[Generator], IntMatrix]:
 
 def class_group(E: EmbeddingData) -> ClassGroupResult:
     gens, P = presentation_matrix(E)
-    group, proj = cokernel(P)
-    images = {g.label: tuple(proj.data[i][j] for i in range(proj.rows))
+    group, U = cokernel(P)
+    k = group.free_rank + len(group.torsion)
+    images = {g.label: group.reduce([U.data[i][j] for i in range(k)])
               for j, g in enumerate(gens)}
-    images = {label: group.reduce(img) for label, img in images.items()}
-    return ClassGroupResult(group, tuple(gens), P, images, point_keys(E))
+    return ClassGroupResult(group, tuple(gens), P, images, point_keys(E), U)
 
 
 def express_in_basis(R: ClassGroupResult, target: dict, basis_labels: list[str]):
     """Integer coefficients writing the target class over the given labels,
     or None; used e.g. to express the exceptional colors in the invariant
-    divisors when the latter form a basis."""
-    A, moduli = R.linear_system(basis_labels)
-    return solve_integer(A, R.image_of(target), moduli)
+    divisors when the latter form a basis.  The labels must be independent
+    in Cl(X)⊗Q (ValueError otherwise), so the coefficients are unique."""
+    try:
+        return FactoredSystem(*R.linear_system(basis_labels)).solve(R.image_of(target))
+    except EmptySolutionSet:
+        return None
 
 
 def express_in_invariant_divisors(

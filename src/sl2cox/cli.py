@@ -29,7 +29,7 @@ from .embedding import (
     load_hypercones,
 )
 from .exactmath import EmptySolutionSet
-from .hyperspace import MalformedGenerators, WrongKind
+from .hyperspace import WrongKind
 from .presentation import (
     GradedPresentation,
     poly_to_json,
@@ -269,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("pretty", "json"), default="pretty")
     common.add_argument("--seed-free", action="store_true",
-                        help="skip the randomized self-checks run under --verify")
+                        help="accepted for compatibility; has no effect (every "
+                             "check is deterministic)")
     common.add_argument("--verify", action="store_true",
                         help="re-run substitution checks on every emitted relation")
     sub = ap.add_subparsers(dest="command")
@@ -281,22 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _self_check(seed_free: bool) -> None:
-    """Randomized Smith-normal-form spot check (skipped under --seed-free)."""
-    if seed_free:
-        return
-    import random
-
-    from .exactmath import IntMatrix, smith_normal_form
-
-    rng = random.Random(20240817)
-    for _ in range(5):
-        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        M = IntMatrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
-        s = smith_normal_form(M)
-        assert (s.U * M * s.V) == s.D
-
-
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
@@ -305,8 +290,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     handler = COMMANDS[args.command][0]
     try:
-        if args.verify:
-            _self_check(args.seed_free)
         if handler is validate:
             return validate(args)
         report, lines = handler(load_embedding(args.file).require_valid(), args)
@@ -323,8 +306,7 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except (EmptySolutionSet, cx.NotCyclic, cx.NotAffineShape, cx.HeightOutOfRange,
             cx.TorsionAfterAugmentation, cx.NotLinearInTarget, WrongKind,
-            MalformedGenerators, dg.HypothesesNotMet, it.UnknownCharacterLattice,
-            RuntimeError) as exc:
+            dg.HypothesesNotMet, it.UnknownCharacterLattice, RuntimeError) as exc:
         print(f"computation error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

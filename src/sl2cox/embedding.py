@@ -30,6 +30,7 @@ from .hyperspace import (
     BasePoint,
     ColoredHypercone,
     HyperspaceVector,
+    MalformedGenerators,
     Section,
     X0,
     XD,
@@ -346,7 +347,7 @@ def embedding_from_dict(doc: dict) -> EmbeddingData:
         raise SchemaError("missing or malformed 'group'")
     _check_keys(gspec, {"type", "n"}, "group")
     gtype = gspec.get("type")
-    if gtype not in _GROUPS:
+    if not isinstance(gtype, str) or gtype not in _GROUPS:
         raise SchemaError(f"unknown group type {gtype!r}")
     if gtype in ("cyclic", "dihedral") and type(gspec.get("n")) is not int:
         raise SchemaError(f"group type {gtype!r} needs an integer 'n'")
@@ -440,23 +441,26 @@ def load_hypercones(path: str, E: EmbeddingData) -> list[ColoredHypercone]:
         e_parts = [_rat(x, f"{where}.e_generators") for x in _list(c, "e_generators", where)]
         omitted = [ref(r, f"{where}.omitted") for r in _list(c, "omitted", where)]
         gens: list[HyperspaceVector] = []
-        for s in _list(c, "slices", where):
-            if not isinstance(s, dict) or "point" not in s:
-                raise SchemaError(f"a slice in {where} is not an object with a 'point'")
-            _check_keys(s, {"point", "vectors"}, f"a slice in {where}")
-            p = ref(s["point"], where)
-            for v in _list(s, "vectors", where):
-                if v == "color":
-                    gens.append(color_vector(E.group, p, E.section))
-                elif v == "epsilon":
-                    gens.append(epsilon(p))
-                elif isinstance(v, dict):
-                    _check_keys(v, {"h", "l"}, f"a vector in {where}")
-                    gens.append(HyperspaceVector(p, _rat(v.get("h"), f"{where}.h"),
-                                                 _rat(v.get("l"), f"{where}.l")))
-                else:
-                    raise SchemaError(f"bad vector {v!r} in {where}")
-        cones.append(hypercone_from_generators(gens, e_parts, omitted))
+        try:
+            for s in _list(c, "slices", where):
+                if not isinstance(s, dict) or "point" not in s:
+                    raise SchemaError(f"a slice in {where} is not an object with a 'point'")
+                _check_keys(s, {"point", "vectors"}, f"a slice in {where}")
+                p = ref(s["point"], where)
+                for v in _list(s, "vectors", where):
+                    if v == "color":
+                        gens.append(color_vector(E.group, p, E.section))
+                    elif v == "epsilon":
+                        gens.append(epsilon(p))
+                    elif isinstance(v, dict):
+                        _check_keys(v, {"h", "l"}, f"a vector in {where}")
+                        gens.append(HyperspaceVector(p, _rat(v.get("h"), f"{where}.h"),
+                                                     _rat(v.get("l"), f"{where}.l")))
+                    else:
+                        raise SchemaError(f"bad vector {v!r} in {where}")
+            cones.append(hypercone_from_generators(gens, e_parts, omitted))
+        except MalformedGenerators as exc:  # h < 0, or h = 0 in a slice
+            raise SchemaError(f"{where}: {exc}") from exc
     return cones
 
 

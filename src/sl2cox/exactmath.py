@@ -4,7 +4,8 @@ Rationals are ``fractions.Fraction`` (always reduced, positive denominator).
 On top of that this module provides Gaussian rationals, dense arbitrary
 precision integer matrices, Smith normal form with unimodular transforms,
 cokernels of integer matrices as finitely generated abelian groups, and
-the non-negative integer solution of a factored full-column-rank system.
+the one integer solver: a full-column-rank system factored once, solved
+for any right-hand side.
 
 Everything here is pure and immutable after construction; no floating point.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 
@@ -152,7 +154,7 @@ class IntMatrix:
     def mulvec(self, v: Sequence[int]) -> list[int]:
         if len(v) != self.cols:
             raise ValueError("dimension mismatch")
-        return [sum(a * x for a, x in zip(row, v)) for row in self.data]
+        return [sum(map(mul, row, v)) for row in self.data]
 
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.rows == other.rows
@@ -305,32 +307,28 @@ class FinAbGroup:
 
 
 def cokernel(M: IntMatrix) -> tuple[FinAbGroup, IntMatrix]:
-    """Z^cols modulo the row space of M.
+    """Z^cols modulo the row space of M, and its change of basis U.
 
-    Returns the group together with the projection matrix whose j-th column
-    holds the adapted-basis coordinates (free part first, then torsion part)
-    of the j-th standard generator.  A 0 x n matrix gives Z^n.
+    U is n x n and unimodular, its rows ordered free part, torsion part,
+    then the coordinates M kills: the adapted-basis coordinates of x are
+    the leading entries of U x, reduced by ``FinAbGroup.reduce``.  The Smith
+    form is certified on M itself: U Mᵀ V = D, else RuntimeError.  A 0 x n
+    matrix gives Z^n.
     """
-    snf = smith_normal_form(M.transpose())
-    n = M.cols
-    u = snf.U  # n x n, unimodular: coordinates y = U x are adapted
+    Mt = M.transpose()
+    snf = smith_normal_form(Mt)
+    if snf.U * Mt * snf.V != snf.D:
+        raise RuntimeError("internal invariant broken: U·Mᵀ·V ≠ D in the Smith form")
     factors = snf.invariant_factors
-    rank = len(factors)
-    free_rows = list(range(rank, n))
+    rank, n = len(factors), M.cols
     tor_rows = [i for i in range(rank) if factors[i] > 1]
-    tor_factors = tuple(factors[i] for i in tor_rows)
-    group = FinAbGroup(n - rank, tor_factors)
-    proj_rows = []
-    for i in free_rows:
-        proj_rows.append(u.data[i][:])
-    for i in tor_rows:
-        proj_rows.append([a % factors[i] for a in u.data[i]])
-    proj = IntMatrix(proj_rows, cols=n)
-    return group, proj
+    order = list(range(rank, n)) + tor_rows + [i for i in range(rank) if factors[i] == 1]
+    return (FinAbGroup(n - rank, tuple(factors[i] for i in tor_rows)),
+            IntMatrix([snf.U.data[i] for i in order], cols=n))
 
 
 class EmptySolutionSet(Exception):
-    """The system has no non-negative integer solution."""
+    """The system has no (non-negative) integer solution."""
 
 
 class FactoredSystem:
@@ -370,66 +368,42 @@ class FactoredSystem:
                 self.echelon[p] = [a // g for a in r]
         self.rank = len(self.echelon)
 
+    def solve(self, b: Sequence[int]) -> tuple[int, ...]:
+        """The integer solution x of A x = b, unique at full column rank.
+
+        Integer back-substitution over the n pivot rows gives the only
+        rational solution; it must be integral, and is then checked against
+        every row.  The rows with a modulus are the torsion part: when only
+        they fail, the message says so.  Raises ``EmptySolutionSet`` when x
+        does not exist and ``ValueError`` when the rank is below the number
+        of columns (the solution would not be unique).
+        """
+        A, mods, n = self.A, self.moduli, self.A.cols
+        bb = list(map(int, b))
+        if len(bb) != A.rows:
+            raise ValueError("right-hand side length mismatch")
+        if self.rank < n:
+            raise ValueError(f"system of rank {self.rank} in {n} unknowns")
+        rhs = [bb[i] for i in self.exact_rows]
+        x = [0] * n
+        for k in range(n - 1, -1, -1):
+            e = self.echelon[k]
+            t = sum(map(mul, e[n:], rhs)) - sum(map(mul, e[k + 1:n], x[k + 1:]))
+            x[k], rem = divmod(t, e[k])
+            if rem:
+                raise EmptySolutionSet("no integer x solves the exact rows")
+        vals = A.mulvec(x)
+        if any(v != t for v, t, m in zip(vals, bb, mods) if not m):
+            raise EmptySolutionSet("no integer x solves the exact rows")
+        if any((v - t) % m for v, t, m in zip(vals, bb, mods) if m):
+            raise EmptySolutionSet("free parts match but the torsion part of the class obstructs")
+        return tuple(x)
+
 
 def solve_nonneg(system: FactoredSystem, b: Sequence[int]) -> list[tuple[int, ...]]:
-    """The non-negative integer solution of a factored full-column-rank system.
-
-    Integer back-substitution over the n pivot rows gives the only rational
-    solution; it must be integral and non-negative, and is then checked
-    against every row.  The rows with a modulus are the torsion part: when
-    only they fail, the message says so.  Returns ``[x]``; raises
-    ``EmptySolutionSet`` when x does not exist and ``ValueError`` when the
-    rank is below the number of columns (the solution would not be unique).
-    """
-    A, mods, n = system.A, system.moduli, system.A.cols
-    bb = list(map(int, b))
-    if len(bb) != A.rows:
-        raise ValueError("right-hand side length mismatch")
-    if system.rank < n:
-        raise ValueError(f"system of rank {system.rank} in {n} unknowns")
-    rhs = [bb[i] for i in system.exact_rows]
-    x = [0] * n
-    for k in range(n - 1, -1, -1):
-        e = system.echelon[k]
-        t = sum(c * v for c, v in zip(e[n:], rhs)) - sum(e[j] * x[j] for j in range(k + 1, n))
-        q, rem = divmod(t, e[k])
-        if rem or q < 0:
-            raise EmptySolutionSet("no integer x >= 0 solves the exact rows")
-        x[k] = q
-    vals = A.mulvec(x)
-    if any(v != t for v, t, m in zip(vals, bb, mods) if not m):
+    """``[x]`` for the solution x = ``system.solve(b)`` when x >= 0; raises
+    ``EmptySolutionSet`` when x does not exist or has a negative entry."""
+    x = system.solve(b)
+    if min(x, default=0) < 0:
         raise EmptySolutionSet("no integer x >= 0 solves the exact rows")
-    if any((v - t) % m for v, t, m in zip(vals, bb, mods) if m):
-        raise EmptySolutionSet("free parts match but the torsion part of the class obstructs")
-    return [tuple(x)]
-
-
-def solve_integer(
-    A: IntMatrix, b: Sequence[int], moduli: Sequence[int] | None = None
-) -> tuple[int, ...] | None:
-    """One integer solution of A x = b (row i mod moduli[i] when > 0), or None.
-
-    Rows with a modulus get a slack variable, then the pure Z-system is
-    solved through the Smith normal form.
-    """
-    rows, n = A.rows, A.cols
-    mods = list(moduli) if moduli is not None else [0] * rows
-    data = [row[:] for row in A.data]
-    slack = [i for i in range(rows) if mods[i]]
-    for k, i in enumerate(slack):
-        for r in range(rows):
-            data[r].append(mods[i] if r == i else 0)
-    ext = IntMatrix(data, cols=n + len(slack))
-    snf = smith_normal_form(ext)
-    y = snf.U.mulvec(list(b))
-    rank = snf.rank
-    z = [0] * ext.cols
-    for i in range(rank):
-        d = snf.D.data[i][i]
-        if y[i] % d:
-            return None
-        z[i] = y[i] // d
-    if any(y[i] for i in range(rank, len(y))):
-        return None
-    x = snf.V.mulvec(z)
-    return tuple(x[:n])
+    return [x]

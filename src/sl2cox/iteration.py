@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from . import classgroup as cg
 from .embedding import EmbeddingData
+from .exactmath import EmptySolutionSet, FactoredSystem
 from .groups import (
     CYCLIC,
     DIHEDRAL,
@@ -54,26 +55,22 @@ def torsion_characters(E: EmbeddingData) -> frozenset:
 
 
 def _torsion_image(E: EmbeddingData, R: cg.ClassGroupResult) -> frozenset:
-    """Restriction image of Cl(X)_tor, via an adapted-basis preimage."""
-    from .exactmath import solve_integer
-
+    """Restriction image of Cl(X)_tor: torsion basis vector e_i lifts to the
+    generator combination x with U x = e_i, U the cokernel's unimodular
+    change of basis, all from one factorization of U."""
     F = E.group
-    grp = R.group
-    n = grp.free_rank + len(grp.torsion)
-    labels = [g.label for g in R.generators]
+    grp, U = R.group, R.basis_change
     if not grp.torsion:
         return F.char_subgroup([])
-    # columns: images of the generators; find, for each torsion basis vector
-    # e_i, an integer combination of generators mapping to it
-    A, moduli = R.linear_system(labels)
+    lift = FactoredSystem(U)
     gens = []
-    for i in range(len(grp.torsion)):
-        target = [0] * n
-        target[grp.free_rank + i] = 1
-        sol = solve_integer(A, target, moduli)
-        if sol is None:
-            raise RuntimeError("adapted torsion basis has no generator preimage")
-        combo = {lbl: c for lbl, c in zip(labels, sol) if c}
+    for i in range(grp.free_rank, grp.free_rank + len(grp.torsion)):
+        try:
+            x = lift.solve([int(k == i) for k in range(U.rows)])
+        except (EmptySolutionSet, ValueError) as exc:
+            raise RuntimeError(f"internal invariant broken: the cokernel's change "
+                               f"of basis is not unimodular ({exc})") from exc
+        combo = {g.label: c for g, c in zip(R.generators, x) if c}
         gens.append(cg.restrict_to_Fhat(E, combo))
     return F.char_subgroup(gens)
 

@@ -6,9 +6,10 @@ import pytest
 from sl2cox import classgroup as cg
 from sl2cox.coxring import full_cox_presentation_cyclic
 from sl2cox.embedding import EmbeddingData, GStableDivisorSpec, affine_embedding
-from sl2cox.exactmath import EmptySolutionSet, FinAbGroup, IntMatrix
+from sl2cox.exactmath import EmptySolutionSet, FinAbGroup, IntMatrix, smith_normal_form
 from sl2cox.groups import ICOSA, OCTA, TETRA, cyclic, dihedral
 from sl2cox.hyperspace import Section, X0, XE, XF, XINF, XV, point
+from sl2cox.iteration import torsion_characters
 
 from test_embedding import mu3_example, trivial_four_points
 
@@ -62,6 +63,22 @@ class TestClassGroup:
         }
         for lbl, coeffs in expected.items():
             assert cg.express_in_basis(R, {lbl: 1}, basis) == coeffs
+
+    def test_express_in_basis_needs_independent_labels(self):
+        R = cg.class_group(trivial_four_points())
+        with pytest.raises(ValueError):
+            cg.express_in_basis(R, {"E[x1]": 1}, ["X[x1,0]", "X[x1,0]"])
+
+    def test_express_in_basis_unsolvable_target(self):
+        # Cl = Z x Z/4: E[x0] is (1, 0) and X[x0,0] is (-1, 1); no integer
+        # multiple of X[x0,0] has free part -1 and torsion part 0
+        R = cg.class_group(affine_embedding(4, 6, Fraction(-7, 2)))
+        assert cg.express_in_basis(R, {"E[x0]": -1}, ["X[x0,0]"]) is None
+        assert cg.express_in_basis(R, {"X[x0,0]": 3}, ["X[x0,0]"]) == (3,)
+
+    def test_corrupted_smith_form_raises(self, corrupted_smith_form):
+        with pytest.raises(RuntimeError, match="internal invariant broken"):
+            cg.class_group(mu3_example())
 
     def test_mu3_free_rank_3(self):
         R = cg.class_group(mu3_example())
@@ -177,7 +194,7 @@ class TestExpress:
         R = cg.class_group(mu3_example())
         images = dict(R.images, **{"X[xinf,0]": R.images["X[x0,0]"]})
         broken = cg.ClassGroupResult(R.group, R.generators, R.presentation, images,
-                                     R.point_keys)
+                                     R.point_keys, R.basis_change)
         assert broken.divisor_system.rank == 2
         with pytest.raises(RuntimeError, match="invariant divisors dependent"):
             cg.express_in_invariant_divisors(broken, {})
@@ -298,3 +315,66 @@ class TestRestriction:
             R = cg.class_group(E)
             chars = torsion_characters(E)
             assert len(chars) == R.group.torsion_order(), (E.group, R.group)
+
+    def test_torsion_lift_agrees_with_smith_oracle(self):
+        # each torsion basis vector lifted by an independent Smith-form solve
+        # of the generator images restricts to the same characters
+        rng = random.Random("torsion-lift")
+        with_torsion = 0
+        for family in ("cyclic", "n<=2", "dihedral", "tetrahedral", "octahedral",
+                       "icosahedral"):
+            for _ in range(170):
+                E = _valid_embedding(rng, family)
+                R = cg.class_group(E)
+                labels = [g.label for g in R.generators]
+                A, moduli = R.linear_system(labels)
+                chars = []
+                for i in range(R.group.free_rank, len(moduli)):
+                    sol = solve_integer(A, [int(k == i) for k in range(len(moduli))], moduli)
+                    chars.append(cg.restrict_to_Fhat(
+                        E, {lbl: c for lbl, c in zip(labels, sol) if c}))
+                assert torsion_characters(E) == E.group.char_subgroup(chars), E
+                with_torsion += bool(R.group.torsion)
+        assert with_torsion >= 200
+
+
+def _valid_embedding(rng, family: str) -> EmbeddingData:
+    """Like ``_random_embedding``, but every l lies in the valuation cone
+    (l <= -h/2 for cyclic F, l <= -h otherwise) and every extra point
+    carries a divisor, so a draw is rarely invalid."""
+    F = FAMILIES[family](rng)
+    u = F.u if F.is_cyclic else 1
+    while True:
+        extras = tuple(point(*c) for c in rng.sample(COORDS, rng.randint(0, 2)))
+        divisors = []
+        for p in EmbeddingData(F, extras).exceptional_points():
+            for _ in range(rng.randint(1 if p in extras else 0, 2)):
+                h = rng.randint(1, 4)
+                lo = -(-u * h // 2) if F.is_cyclic else h
+                divisors.append(GStableDivisorSpec(p, h, -Fraction(lo + rng.randint(0, 3), u)))
+        if rng.random() < 0.2:
+            divisors.append(GStableDivisorSpec(None, 0, -1))
+        E = EmbeddingData(F, extras, tuple(divisors))
+        if not E.validate():
+            return E
+
+
+def solve_integer(A: IntMatrix, b, moduli):
+    """One integer solution of A x = b (row i mod moduli[i] when > 0), or
+    None: every modulus gets a slack column, then the pure Z-system is
+    solved through its own Smith normal form."""
+    rows, n = A.rows, A.cols
+    slack = [i for i in range(rows) if moduli[i]]
+    ext = IntMatrix([row + [moduli[i] if r == i else 0 for i in slack]
+                     for r, row in enumerate(A.data)], cols=n + len(slack))
+    snf = smith_normal_form(ext)
+    y = snf.U.mulvec(list(b))
+    z = [0] * ext.cols
+    for i in range(snf.rank):
+        d = snf.D.data[i][i]
+        if y[i] % d:
+            return None
+        z[i] = y[i] // d
+    if any(y[snf.rank:]):
+        return None
+    return tuple(snf.V.mulvec(z)[:n])

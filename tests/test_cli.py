@@ -124,6 +124,12 @@ class TestCoxCommands:
         assert "computation error" in err and "homogeneous" in err
         assert "Traceback" not in err
 
+    def test_corrupted_smith_form_exit_code(self, capsys, corrupted_smith_form):
+        # the cokernel certifies its Smith form on the presentation matrix
+        rc, out, err = run(capsys, "classgroup", fixture("mu3.json"))
+        assert rc == 2 and out == ""
+        assert err.startswith("computation error: RuntimeError: internal invariant broken")
+
     def test_cox_u_special_fiber(self, capsys):
         rc, out, _ = run(capsys, "cox-u", fixture("tetrahedral.json"),
                          "--special-fiber", "--verify", "--format", "json")
@@ -239,10 +245,22 @@ class TestInputErrors:
         json.dumps([{"slices": [{"point": "x0", "vectors": [{"h": "x", "l": "-1"}]}]}]),
         json.dumps([{"slices": [{"point": {"alpha": "0", "beta": "0"}, "vectors": []}]}]),
         json.dumps([{"slices": [{"point": "x0", "vector": ["color"]}]}]),
+        json.dumps([{"slices": [{"point": "x0", "vectors": [{"h": -1, "l": 0}]}]}]),
+        json.dumps([{"slices": [{"point": "x0", "vectors": [{"h": 0, "l": 1}]}]}]),
     ], ids=["invalid-json", "entry-not-object", "slice-without-point", "bad-h",
-            "point-zero-zero", "unknown-key"])
+            "point-zero-zero", "unknown-key", "negative-h", "zero-h-in-slice"])
     def test_bad_hypercones(self, text, tmp_path, capsys):
         f = tmp_path / "cones.json"
         f.write_text(text)
         rc, out, err = run(capsys, "diagnose", fixture("mu3.json"), "--hypercones", str(f))
         assert rc == 1 and err.startswith("input error: ")
+
+    @pytest.mark.parametrize("gtype", [[1], {}], ids=["list", "object"])
+    def test_non_string_group_type(self, gtype, tmp_path, capsys):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps({"group": {"type": gtype, "n": 3}}))
+        rc, out, err = run(capsys, "classgroup", str(f))
+        assert rc == 1 and err.startswith("input error: unknown group type") and out == ""
+        rc, out, _ = run(capsys, "validate", str(f), "--format", "json")
+        doc = json.loads(out)
+        assert rc == 1 and doc["valid"] is False and "group type" in doc["schema_error"]

@@ -14,7 +14,6 @@ from sl2cox.exactmath import (
     cokernel,
     gauss,
     smith_normal_form,
-    solve_integer,
     solve_nonneg,
 )
 
@@ -170,13 +169,13 @@ class TestSmithNormalForm:
 
 class TestCokernel:
     def test_zero_matrix(self):
-        grp, proj = cokernel(IntMatrix([[0, 0, 0]], cols=3))
+        grp, U = cokernel(IntMatrix([[0, 0, 0]], cols=3))
         assert grp == FinAbGroup(3)
-        # projection must be unimodular on Z^3
-        assert abs(det(proj)) == 1
+        # the change of basis must be unimodular on Z^3
+        assert abs(det(U)) == 1
 
     def test_single_relation(self):
-        grp, proj = cokernel(IntMatrix([[2]], cols=1))
+        grp, _ = cokernel(IntMatrix([[2]], cols=1))
         assert grp == FinAbGroup(0, (2,))
 
     def test_row_operations_invariance(self):
@@ -186,7 +185,8 @@ class TestCokernel:
             cols = rng.randint(1, 5)
             data = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
             M = IntMatrix(data)
-            g1, _ = cokernel(M)
+            g1, U = cokernel(M)
+            assert abs(det(U)) == 1
             # permute rows, negate one, add one row to another
             perm = data[:]
             rng.shuffle(perm)
@@ -198,12 +198,12 @@ class TestCokernel:
             assert g1 == g2
 
     def test_images_kill_relations(self):
-        grp, proj = cokernel(P4x8)
+        grp, U = cokernel(P4x8)
         n = grp.free_rank + len(grp.torsion)
         for row in P4x8.data:
             img = [0] * n
             for j, c in enumerate(row):
-                col = [proj.data[i][j] for i in range(n)]
+                col = [U.data[i][j] for i in range(n)]
                 img = [a + c * x for a, x in zip(img, col)]
             assert grp.reduce(img) == tuple([0] * n)
 
@@ -311,24 +311,34 @@ class TestSolveNonneg:
 
 
 class TestSolveInteger:
+    """``FactoredSystem.solve``: the integer solution at full column rank."""
+
     def test_roundtrip(self):
+        # planted x of either sign; rows taken mod 4 constrain nothing more
         rng = random.Random(5)
-        for _ in range(60):
-            rows = rng.randint(1, 4)
+        full = 0
+        for _ in range(120):
+            rows = rng.randint(1, 5)
             cols = rng.randint(1, 4)
             A = IntMatrix([[rng.randint(-6, 6) for _ in range(cols)]
                            for _ in range(rows)])
-            x0 = [rng.randint(-5, 5) for _ in range(cols)]
+            x0 = tuple(rng.randint(-5, 5) for _ in range(cols))
             mods = [rng.choice([0, 0, 4]) for _ in range(rows)]
-            b = A.mulvec(x0)
-            got = solve_integer(A, b, mods)
-            assert got is not None
-            vals = A.mulvec(list(got))
-            assert all((v - t) % m == 0 if m else v == t
-                       for v, t, m in zip(vals, b, mods))
+            system = FactoredSystem(A, mods)
+            if system.rank < cols:
+                continue
+            full += 1
+            assert system.solve(A.mulvec(list(x0))) == x0
+        assert full >= 40
 
     def test_no_solution(self):
-        assert solve_integer(IntMatrix([[2]]), [3]) is None
+        with pytest.raises(EmptySolutionSet, match="exact rows"):
+            FactoredSystem(IntMatrix([[2]])).solve([3])
+        # x = -3 solves the exact row; the torsion row mod 4 decides
+        system = FactoredSystem(IntMatrix([[1], [1]]), [0, 4])
+        assert system.solve([-3, 1]) == (-3,)
+        with pytest.raises(EmptySolutionSet, match="torsion part"):
+            system.solve([-3, 2])
 
 
 class TestGaussianRational:

@@ -30,3 +30,26 @@ def test_every_import_is_used(path):
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("from math import gcd, lcm\nimport json\nx = lcm(2, 3)\n")
     assert _unused_imports(tree) == ["gcd", "json"]
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """Top-level names of the modules imported anywhere in the module,
+    nested imports included (relative imports excepted)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_random(path):
+    # outputs depend on the input alone: no check draws random numbers
+    assert "random" not in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def test_the_check_sees_a_nested_import():
+    tree = ast.parse("def f():\n    import random.abc\n    from os import path\n")
+    assert _imported_modules(tree) == {"random", "os"}

@@ -7,13 +7,15 @@ flags.  ``main`` loads and validates the embedding file (JSON, see README;
 report and its pretty lines, adds the command name and the input digest,
 and prints a pretty report or a JSON document (--format json).  Exit codes:
 0 success, 1 invalid, unreadable or malformed input, 2 computation error,
-3 usage error.
+3 usage error, 141 (128 + SIGPIPE) when stdout is closed before the report
+is written, as in ``sl2cox cox-full file | head -1``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import classgroup as cg
@@ -40,6 +42,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_COMPUTE = 2
 EXIT_USAGE = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _emit(report: dict, fmt: str, pretty_lines) -> None:
@@ -48,6 +51,7 @@ def _emit(report: dict, fmt: str, pretty_lines) -> None:
     else:
         for line in pretty_lines:
             print(line)
+    sys.stdout.flush()  # a closed pipe raises here, inside main
 
 
 def _group_json(g) -> dict:
@@ -309,6 +313,13 @@ def main(argv=None) -> int:
             dg.HypothesesNotMet, it.UnknownCharacterLattice, RuntimeError) as exc:
         print(f"computation error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # interpreter's last flush does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -23,7 +23,9 @@ Four layers:
   * ``verify_cox_u`` and ``verify_full_cox``: both constructions record each
     generator's function once, in ``GradedVariable.function`` (on SL2 for
     cyclic F, in the subregular semi-invariants for polyhedral F), and both
-    verifiers substitute exactly those functions into the relations.
+    verifiers substitute exactly those functions into the relations.  On
+    SL2 the substitution runs in the free ring Q(i)[g1..g4], and vanishing
+    is decided by homogenizing each torus-weight part with the determinant.
 
   * ``batyrev_haddad``: height and hypersurface parameters of the affine
     shape (a single G-stable divisor over x0), cross-checked against the
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 
 from . import classgroup as cg
 from .embedding import (
@@ -434,20 +436,20 @@ def _pair_rows(A: SectionModule, B: SectionModule, ctx: _Ctx) -> list[ModuleRow]
         combo[lbl] = combo.get(lbl, 0) + c
     for m in comps:
         k = (A.dim + B.dim - 2 - m) // 2
-        terms = {}
+        closed = _product_monomial(A, B, k, sym)
+        r = closed[2] if closed else 1
+        num = {}
         for (i, j), c in _transvectant(A, B, k, sym).items():
             mono = {A.names[i]: 1}
             mono[B.names[j]] = mono.get(B.names[j], 0) + 1
-            terms[monomial(mono)] = c
-        closed = _product_monomial(A, B, k, sym)
+            num[monomial(mono)] = (c * r, 0)
         if closed is None:
-            rows.append(ModuleRow(m, m, SparsePoly(terms), True))
+            rows.append(ModuleRow(m, m, SparsePoly._canonical(num, 1), True))
             continue
-        x, y, r, n0, ninf = closed
-        mono = ctx.solve_section_monomial(combo, n0, ninf)
+        x, y, _, n0, ninf = closed
         # a chain monomial has a basis vector of index >= 1, never this key
-        terms[monomial(mono)] = GaussianRational(Fraction(-x, r), Fraction(-y, r))
-        rows.append(ModuleRow(m, m, SparsePoly(terms)))
+        num[monomial(ctx.solve_section_monomial(combo, n0, ninf))] = (-x, -y)
+        rows.append(ModuleRow(m, m, SparsePoly._canonical(num, r)))
     return rows
 
 
@@ -538,8 +540,6 @@ def full_cox_presentation_cyclic(E: EmbeddingData) -> FullCoxResult:
             alpha, beta = (gauss(0), gauss(1)) if role == "x0" else (gauss(1), gauss(0))
         d = 1 if uniform or p.tag is not None else nb
         eps = -1 if uniform else 1  # for n <= 2, t is -(beta g1 - alpha g2)
-        # beta g1^k g3^(d-k) - alpha g2^k g4^(d-k): no g1 next to g4, so
-        # already in normal form
         fns = tuple((GPoly.monomial(beta, k, 0, d - k, 0) - GPoly.monomial(alpha, 0, k, 0, d - k))
                     .scale(eps if k else 1) for k in range(d + 1))
         return SectionModule(key, combo, tuple(_basis_names(d, key[1:])), fns, alpha, beta, eps)
@@ -689,46 +689,57 @@ def _check_bh_grading(E: EmbeddingData, p: int, q: int, k: int):
 
 def _check_homogeneous(P: GradedPresentation) -> None:
     """Every relation is homogeneous in Cl(X) and in the B-weight; raises
-    RuntimeError otherwise, like a relation that does not vanish."""
+    RuntimeError otherwise, like a relation that does not vanish.  The
+    Cl-degree is computed once per degree signature (the basis vectors of
+    one section module share a degree), the B-weight per monomial."""
     degs = P.degree_map()
     wts = P.weight_map()
+    memo: dict = {}
     try:
         for rel in P.relations:
-            relation_degree(rel, degs, P.grading)
+            relation_degree(rel, degs, P.grading, memo)
             relation_b_weight(rel, wts)
     except ValueError as exc:
         raise RuntimeError(str(exc)) from exc
 
 
-def _require_vanishing(P: GradedPresentation, one, message: str,
-                       reduce=lambda f: f) -> None:
+def _require_vanishing(P: GradedPresentation, one, message: str, vanishes) -> None:
     """Substitute each generator's function (``GradedVariable.function``, in
     the ring with unit ``one``) into every relation and raise
-    RuntimeError(message) unless the result, after ``reduce``, is exactly
-    zero: the transvectant identity behind a cyclic M-row is checked, not
-    assumed.  Powers are computed once, unit factors (the r sections) are
-    skipped, and the terms' integer numerators are summed over one common
-    denominator."""
+    RuntimeError(message) unless ``vanishes`` holds for the result: the
+    transvectant identity behind a cyclic M-row is checked, not assumed.
+    Powers are computed once, unit factors (the r sections) are skipped, and
+    each term's factor powers are multiplied straight into the relation's
+    integer numerators over one common denominator."""
     functions = {v.name: v.function for v in P.variables}
     units = {name for name, f in functions.items() if f == one}
     powers: dict[tuple[str, int], object] = {}
+    mono_mul = one._mono_mul
     for rel in P.relations:
         den, out = 1, {}
         for mono, (x, y) in rel.num.items():
-            f = one
+            factors = []
             for v, e in mono:
-                if v in units:
-                    continue
-                if (v, e) not in powers:
-                    powers[v, e] = functions[v].pow(e)
-                f = powers[v, e] if f is one else f * powers[v, e]
-            if den % f.den:  # bring the sum so far to a common denominator
-                g = f.den // gcd(den, f.den)
+                if v not in units:
+                    f = powers.get((v, e))
+                    if f is None:
+                        f = powers[v, e] = functions[v].pow(e)
+                    factors.append(f)
+            fden = prod(f.den for f in factors)
+            if den % fden:  # bring the sum so far to a common denominator
+                g = fden // gcd(den, fden)
                 out = {m: (p * g, q * g) for m, (p, q) in out.items()}
                 den *= g
-            x, y = x * (den // f.den), y * (den // f.den)
-            _collect(out, ((m, (x * p - y * q, x * q + y * p)) for m, (p, q) in f.num.items()))
-        if not reduce(one._canonical(out, den * rel.den)).is_zero():
+            x, y = x * (den // fden), y * (den // fden)
+            if factors:
+                items = [(m, (x * p - y * q, x * q + y * p)) for m, (p, q) in factors[0].num.items()]
+            else:
+                items = [(one._ONE, (x, y))]
+            for f in factors[1:]:
+                items = [(mono_mul(m1, m2), (x1 * x2 - y1 * y2, x1 * y2 + y1 * x2))
+                         for m1, (x1, y1) in items for m2, (x2, y2) in f.num.items()]
+            _collect(out, items)
+        if not vanishes(one._canonical(out, den * rel.den)):
             raise RuntimeError(message)
 
 
@@ -759,21 +770,23 @@ def _exceptional_reduction(F: FiniteSubgroup):
 
 def verify_full_cox(result: FullCoxResult) -> None:
     """Re-check every emitted relation: Cl- and B-homogeneity plus the exact
-    vanishing of the function part in the matrix coordinates of SL2, with
-    the generator functions recorded by the construction."""
+    vanishing on SL2 of the function part, with the generator functions
+    recorded by the construction, decided by ``GPoly.vanishes_on_sl2``."""
     _check_homogeneous(result.presentation)
     _require_vanishing(result.presentation, GPoly.const(1),
-                       "relation does not vanish identically on the orbit")
+                       "relation does not vanish identically on the orbit", GPoly.vanishes_on_sl2)
 
 
 def verify_cox_u(E: EmbeddingData, P: GradedPresentation) -> None:
     """Exact vanishing of the cox_u relations with the generator functions
-    recorded by the construction: cyclic groups in the matrix coordinates,
-    polyhedral ones in the subregular semi-invariants modulo the single
-    exceptional relation."""
+    recorded by the construction: cyclic groups in the matrix coordinates
+    (``GPoly.vanishes_on_sl2``), polyhedral ones in the subregular
+    semi-invariants modulo the single exceptional relation."""
     _check_homogeneous(P)
     if E.group.is_cyclic:
-        _require_vanishing(P, GPoly.const(1), "cox_u relation does not vanish on the orbit")
+        _require_vanishing(P, GPoly.const(1), "cox_u relation does not vanish on the orbit",
+                           GPoly.vanishes_on_sl2)
     else:
+        reduce = _exceptional_reduction(E.group)
         _require_vanishing(P, SparsePoly.term(1, {}), "polyhedral cox_u relation does not vanish",
-                           _exceptional_reduction(E.group))
+                           lambda f: reduce(f).is_zero())

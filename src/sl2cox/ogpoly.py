@@ -1,5 +1,5 @@
-"""Exact sparse polynomials over the Gaussian rationals, and the coordinate
-ring of SL2.
+"""Exact sparse polynomials over the Gaussian rationals, and functions on
+SL2 as polynomials in the matrix entries.
 
 One core, two monomial types.  ``QiPoly`` holds the coefficients of every
 polynomial in the package: Gaussian integers over one common denominator.
@@ -9,21 +9,18 @@ The form is canonical: no pair is (0, 0), gcd(den, every numerator) = 1, and
 the zero polynomial has den = 1.  Sums, products, scaling and powers run on
 Python ints, with one gcd pass per result; ``GaussianRational`` appears only
 where a coefficient enters (the constructor, ``scale``) or leaves (``terms``,
-``coeff``).  A ring is a subclass that supplies its unit monomial ``_ONE``,
-its monomial product ``_mono_mul`` and its normal-form step
-``_reduce_into``: ``GPoly`` below is O(SL2), and ``presentation.SparsePoly``
-is the polynomial ring over named variables.
+``coeff``).  A ring is a subclass that supplies its unit monomial ``_ONE``
+and its monomial product ``_mono_mul``; both rings are free, so collecting
+terms is the normal form and equality is a dictionary comparison.
+``GPoly`` below is Q(i)[g1, g2, g3, g4], and ``presentation.SparsePoly`` is
+the polynomial ring over named variables.
 
-O(SL2) = k[g1,g2,g3,g4]/(g1*g4 - g2*g3 - 1), with monomials the exponent
-4-tuples.  The normal form has no monomial containing both g1 and g4, so
-equality is a dictionary comparison.  A monomial g1^a g2^b g3^c g4^d is
-reduced in one step by the binomial expansion of (g1*g4)^m = (1 + g2*g3)^m
-with m = min(a, d):
-
-    sum_i C(m, i) * g1^(a-m) g2^(b+i) g3^(c+i) g4^(d-m),
-
-which is already in normal form, so the cost is m + 1 terms, not the 2^m of
-rewriting one g1*g4 factor at a time.
+A ``GPoly`` stands for a function on SL2, but it is not reduced modulo
+g1*g4 - g2*g3 - 1: two GPolys can differ and agree on SL2.  Whether one
+vanishes on SL2 is decided by ``vanishes_on_sl2``, with the certificate
+stated there; products in the free ring are sums of exponents, so an
+order-k Clebsch-Gordan chain costs O(k) terms, not the O(k^2) of a normal
+form that expands g1^a g4^d binomially.
 
 Under the left translation action the torus weights are -1 on g1, g2 and +1
 on g3, g4 (units of the fundamental character), the raising operator acts as
@@ -55,8 +52,7 @@ def _split(c) -> tuple[int, int, int]:
 
 def _collect(out: dict, items) -> None:
     """Add the (monomial, numerator pair) items to ``out``, dropping terms
-    that cancel: the normal-form step of a polynomial ring without
-    relations."""
+    that cancel: the normal form of a free polynomial ring."""
     get = out.get
     for mono, (x, y) in items:
         prev = get(mono)
@@ -73,12 +69,10 @@ def _collect(out: dict, items) -> None:
 
 class QiPoly:
     """A sparse polynomial over Q(i) in canonical integer form.  A subclass
-    is one ring: it sets ``_ONE`` and ``_mono_mul``, and overrides
-    ``_reduce_into`` when its monomials have relations."""
+    is one free ring: it sets ``_ONE`` and ``_mono_mul``."""
 
     __slots__ = ("num", "den")
     _ONE: tuple = ()
-    _reduce_into = staticmethod(_collect)
 
     def __init__(self, terms: dict[tuple, GaussianRational] | None = None):
         self.num: dict[tuple, Num] = {}
@@ -87,15 +81,14 @@ class QiPoly:
             split = [(m, _split(c)) for m, c in terms.items()]
             den = lcm(*(r for _, (_, _, r) in split))
             num: dict[tuple, Num] = {}
-            self._reduce_into(num, [(m, (p * (den // r), q * (den // r))) for m, (p, q, r) in split])
+            _collect(num, [(m, (p * (den // r), q * (den // r))) for m, (p, q, r) in split])
             canonical = self._canonical(num, den)
             self.num, self.den = canonical.num, canonical.den
 
     @classmethod
     def _canonical(cls, num: dict[tuple, Num], den: int):
         """The polynomial num / den with gcd(den, numerators) divided out (so
-        den = 1 when num is empty); ``num`` must be in normal form without
-        zero pairs."""
+        den = 1 when num is empty); ``num`` must have no zero pairs."""
         if den != 1:
             g = den
             for x, y in num.values():
@@ -114,13 +107,13 @@ class QiPoly:
 
     @property
     def terms(self) -> dict[tuple, GaussianRational]:
-        """The monomial -> coefficient view of the normal form (a new dict)."""
+        """The monomial -> coefficient view (a new dict)."""
         den = self.den
         return {m: GaussianRational(Fraction(x, den), Fraction(y, den))
                 for m, (x, y) in self.num.items()}
 
     def coeff(self, mono: tuple) -> GaussianRational:
-        """The coefficient of one normal-form monomial (0 when absent)."""
+        """The coefficient of one monomial (0 when absent)."""
         xy = self.num.get(mono)
         if xy is None:
             return GAUSS_ZERO
@@ -129,8 +122,7 @@ class QiPoly:
     # -- ring operations --------------------------------------------------------
 
     def _add(self, other, sign: int):
-        """self + sign * other, over the lcm of the two denominators; a sum
-        of normal forms is a normal form, so terms are only collected."""
+        """self + sign * other, over the lcm of the two denominators."""
         d1, d2 = self.den, other.den
         g = gcd(d1, d2)
         f1, f2 = d2 // g, sign * (d1 // g)
@@ -158,9 +150,8 @@ class QiPoly:
                 y = x1 * y2 + y1 * x2
                 prev = get(m)
                 acc[m] = (prev[0] + x, prev[1] + y) if prev is not None else (x, y)
-        out: dict[tuple, Num] = {}
-        self._reduce_into(out, acc.items())
-        return self._canonical(out, self.den * other.den)
+        return self._canonical({m: xy for m, xy in acc.items() if xy != (0, 0)},
+                               self.den * other.den)
 
     def scale(self, c):
         p, q, r = _split(c)
@@ -197,33 +188,47 @@ class QiPoly:
         return f"{type(self).__name__}({self.terms!r})"
 
 
-# -- the coordinate ring of SL2 ---------------------------------------------------
+# -- functions on SL2 ---------------------------------------------------------------
 
 Mono = tuple[int, int, int, int]
 
 
-def _expand_g1g4(items):
-    """The (monomial, numerator pair) items with each g1^m g4^m expanded
-    binomially."""
-    for (a, b, c, d), (x, y) in items:
-        m = min(a, d)
-        if not m:
-            yield (a, b, c, d), (x, y)
-            continue
-        for i in range(m + 1):
-            k = comb(m, i)
-            yield (a - m, b + i, c + i, d - m), (x * k, y * k)
-
-
 class GPoly(QiPoly):
-    """A function on SL2: a polynomial in g1..g4 in normal form."""
+    """A polynomial in g1..g4, read as a function on SL2."""
 
     __slots__ = ()
     _ONE = (0, 0, 0, 0)
 
-    @staticmethod
-    def _reduce_into(out: dict[Mono, Num], items) -> None:
-        _collect(out, _expand_g1g4(items))
+    def vanishes_on_sl2(self) -> bool:
+        """Whether this polynomial F is zero on SL2, decided in the free ring.
+
+        Split F by the weight w = deg(g1, g2) - deg(g3, g4) of the left torus
+        diag(t, 1/t), let D_w be the top total degree of weight w, and form
+        H_w = sum over the terms m of weight w of det^((D_w - |m|)/2) * m,
+        det = g1*g4 - g2*g3 (|m| = w mod 2, so the exponent is an integer).
+        F vanishes on SL2 iff every H_w is zero.  Proof: distinct torus
+        characters separate the weight parts, so F = 0 on SL2 iff every F_w
+        is.  H_w agrees with F_w on SL2 and has bidegree ((D_w + w)/2,
+        (D_w - w)/2) in the two rows; scaling the top row by s carries SL2
+        onto det = s, so H_w vanishes on every det = s != 0, that is on GL2,
+        which is dense in the 2 x 2 matrices.  The H_w have disjoint
+        weights, so their sum is zero iff each is."""
+        top: dict[int, int] = {}
+        for a, b, c, d in self.num:
+            w, deg = a + b - c - d, a + b + c + d
+            if top.get(w, -1) < deg:
+                top[w] = deg
+
+        def homogenized():
+            for (a, b, c, d), (x, y) in self.num.items():
+                j = (top[a + b - c - d] - a - b - c - d) // 2
+                for i in range(j + 1):
+                    k = (-1) ** i * comb(j, i)
+                    yield (a + j - i, b + i, c + i, d + j - i), (x * k, y * k)
+
+        out: dict[Mono, Num] = {}
+        _collect(out, homogenized())
+        return not out
 
     @staticmethod
     def _mono_mul(m1: Mono, m2: Mono) -> Mono:
@@ -325,7 +330,7 @@ def express_in_span(vecs: list[GPoly], target: GPoly):
 
 
 def combination_nullspace(polys: list[GPoly]) -> list[list[GaussianRational]]:
-    """Basis of {c : sum c_i * polys_i = 0 in O(SL2)}."""
+    """Basis of {c : sum c_i * polys_i = 0} in the free ring."""
     monos = sorted({m for p in polys for m in p.num})
     idx = {m: i for i, m in enumerate(monos)}
     rows = [[GAUSS_ZERO] * len(polys) for _ in monos]

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +10,7 @@ from sl2cox.exactmath import FinAbGroup, IntMatrix
 from sl2cox.presentation import poly_from_json, poly_to_json
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def fixture(name: str) -> str:
@@ -264,3 +267,22 @@ class TestInputErrors:
         rc, out, _ = run(capsys, "validate", str(f), "--format", "json")
         doc = json.loads(out)
         assert rc == 1 and doc["valid"] is False and "group type" in doc["schema_error"]
+
+
+class TestBrokenPipe:
+    @pytest.mark.parametrize("argv", [
+        ("cox-full", "--verify"), ("classgroup", "--format", "json"), ("validate",)])
+    def test_closed_stdout_exits_quietly(self, argv):
+        # the read end is closed before the child starts, so its first write
+        # to stdout fails with EPIPE, as when `| head -1` has exited
+        r, w = os.pipe()
+        os.close(r)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        try:
+            proc = subprocess.run([sys.executable, "-m", "sl2cox.cli", *argv, fixture("mu3.json")],
+                                  stdout=w, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(w)
+        assert proc.returncode == 141
+        assert proc.stderr == b""

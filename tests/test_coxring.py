@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -47,7 +48,7 @@ from sl2cox.presentation import (
 )
 
 from test_embedding import mu3_example, trivial_four_points
-from test_ogpoly import evaluate, raise_op, sl2z_points
+from test_ogpoly import evaluate, raise_op, sl2_normal_form, sl2z_points
 
 
 def rel(*terms) -> SparsePoly:
@@ -780,10 +781,12 @@ class TestTransvectant:
 
 def _chain_sum_monomial(A: SectionModule, B: SectionModule, k: int):
     """Oracle: (c, n0, ninf, in_kernel) of the chain's function on SL2,
-    summed term by term in GPoly arithmetic; c is 0 for a kernel row."""
+    summed term by term in GPoly arithmetic and brought to the SL2 normal
+    form; c is 0 for a kernel row."""
     fy = GPoly()
     for (i, j), c in _transvectant(A, B, k, A is B).items():
         fy = fy + (A.fns[i] * B.fns[j]).scale(c)
+    fy = sl2_normal_form(fy)
     if fy.is_zero():
         return GAUSS_ZERO, None, None, True
     ((e1, e2, n0, ninf),) = fy.num  # a single monomial in g3, g4
@@ -1050,6 +1053,52 @@ class TestWork:
         verify_full_cox(res)
         assert calls[True] == 0
         assert calls[False] > 0  # the counters do see the verifier's products
+
+
+# (n, extra points, divisors per point) of the benchmark's full_cyclic_sweep
+# and many_divisors inputs
+BENCH_SHAPES = ((4, 3, 1), (8, 2, 1), (12, 3, 1), (16, 2, 1), (20, 3, 1), (24, 2, 1),
+                (3, 2, 5), (4, 2, 4), (5, 3, 2), (3, 2, 3))
+COPRIME = [(a, b) for a in range(1, 8) for b in range(1, 8) if a != b and gcd(a, b) == 1]
+
+
+def _shaped_input(rng, n: int, k: int, d: int) -> EmbeddingData:
+    """cyclic(n) with k extra points at seeded coprime [a:b] and d divisors
+    (1, l) over each point, l = -2 for odd n and -3/2 for even n."""
+    extras = tuple(point(a, b) for a, b in rng.sample(COPRIME, k))
+    l = Fraction(-2) if n % 2 else Fraction(-3, 2)
+    return EmbeddingData(cyclic(n), extras, tuple(
+        GStableDivisorSpec(p, 1, l) for p in (X0, XINF) + extras for _ in range(d)))
+
+
+def _on_sl2(rel: SparsePoly, functions: dict) -> GPoly:
+    """The relation's function on SL2 in the SL2 normal form (the oracle)."""
+    out = GPoly()
+    for mono, c in rel.terms.items():
+        term = GPoly.const(c)
+        for v, e in mono:
+            term = term * functions[v].pow(e)
+        out = out + term
+    return sl2_normal_form(out)
+
+
+class TestMutantsOnBenchmarkShapes:
+    @pytest.mark.parametrize("shape", BENCH_SHAPES, ids=str)
+    def test_doubled_coefficient_is_rejected(self, shape):
+        rng = random.Random(f"mutants:{shape}")
+        res = full_cox_presentation_cyclic(_shaped_input(rng, *shape))
+        verify_full_cox(res)
+        P = res.presentation
+        functions = {v.name: v.function for v in P.variables}
+        for _ in range(10):
+            i = rng.randrange(len(P.relations))
+            mono, c = rng.choice(sorted(P.relations[i].terms.items()))
+            bad = P.relations[i] + SparsePoly.term(c, dict(mono))
+            assert _on_sl2(P.relations[i], functions).is_zero()
+            assert not _on_sl2(bad, functions).is_zero()
+            mutant = replace(P, relations=P.relations[:i] + [bad] + P.relations[i + 1:])
+            with pytest.raises(RuntimeError, match="does not vanish"):
+                verify_full_cox(replace(res, presentation=mutant))
 
 
 class TestFullCoxScale:

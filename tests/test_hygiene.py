@@ -1,11 +1,14 @@
 """Source hygiene of the package, checked with the standard ``ast`` module."""
 
 import ast
+import importlib.util
 import pathlib
+import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sl2cox"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sl2cox"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -53,3 +56,26 @@ def test_no_module_imports_random(path):
 def test_the_check_sees_a_nested_import():
     tree = ast.parse("def f():\n    import random.abc\n    from os import path\n")
     assert _imported_modules(tree) == {"random", "os"}
+
+
+def _load_spans():
+    """perfbench/spans.py as a module, loaded without writing bytecode next
+    to it."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's --trace 1 wraps these library functions by name
+    spans = _load_spans()
+    assert len(spans.TRACED) > 30
+    for name in spans.TRACED:
+        owner, attr, fn = spans._resolve(name)
+        assert callable(getattr(owner, attr)), name

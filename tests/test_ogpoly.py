@@ -1,14 +1,18 @@
-"""GPoly and SparsePoly against oracles independent of their normal forms
-and of the integer coefficient storage they share: exact evaluation at
-integer matrices of determinant 1, and products and sums over
-GaussianRational dictionaries."""
+"""GPoly and SparsePoly against oracles independent of the integer
+coefficient storage they share: exact evaluation at integer matrices of
+determinant 1, and products and sums over GaussianRational dictionaries.
+GPoly is the free ring Q(i)[g1..g4]; the SL2 normal form below (modulo
+g1*g4 - g2*g3 - 1) is the oracle for equality on SL2 and for
+``GPoly.vanishes_on_sl2``."""
 
 import random
 from fractions import Fraction
 from math import comb, gcd
 
+import pytest
+
 from sl2cox.exactmath import GAUSS_ZERO, GaussianRational, gauss
-from sl2cox.ogpoly import G1, G2, G3, G4, GPoly
+from sl2cox.ogpoly import G1, G2, G3, G4, GPoly, _collect
 from sl2cox.presentation import SparsePoly, monomial
 
 
@@ -44,8 +48,7 @@ def evaluate(p: GPoly, g) -> GaussianRational:
 def raise_op(p: GPoly) -> GPoly:
     """The raising operator g3 d/dg1 + g4 d/dg2 of the left translation
     action, term by term; it kills g1 g4 - g2 g3 - 1, so it is well defined
-    on O(SL2), and each image monomial is brought to normal form by the
-    constructor."""
+    on O(SL2)."""
     out = GPoly()
     for (a, b, c, d), coeff in p.terms.items():
         if a:
@@ -53,6 +56,29 @@ def raise_op(p: GPoly) -> GPoly:
         if b:
             out = out + GPoly.monomial(coeff * b, a, b - 1, c, d + 1)
     return out
+
+
+def expand_g1g4(items):
+    """The (monomial, numerator pair) items with each g1^m g4^m expanded
+    binomially, (g1 g4)^m = (1 + g2 g3)^m: g1^a g2^b g3^c g4^d with
+    m = min(a, d) becomes sum_i C(m, i) g1^(a-m) g2^(b+i) g3^(c+i) g4^(d-m),
+    which holds no g1 next to g4."""
+    for (a, b, c, d), (x, y) in items:
+        m = min(a, d)
+        if not m:
+            yield (a, b, c, d), (x, y)
+            continue
+        for i in range(m + 1):
+            k = comb(m, i)
+            yield (a - m, b + i, c + i, d - m), (x * k, y * k)
+
+
+def sl2_normal_form(p: GPoly) -> GPoly:
+    """p modulo g1*g4 - g2*g3 - 1, with no monomial holding both g1 and g4:
+    two polynomials agree on SL2 iff their normal forms are equal."""
+    out = {}
+    _collect(out, expand_g1g4(p.num.items()))
+    return GPoly._canonical(out, p.den)
 
 
 def random_gaussian(rng: random.Random) -> GaussianRational:
@@ -71,13 +97,14 @@ def random_gpoly(rng: random.Random) -> GPoly:
     return GPoly(terms)
 
 
-def reference_accumulate(out: dict, terms: dict) -> None:
-    """The normal-form step over GaussianRational coefficients: an oracle
-    that shares nothing with GPoly's integer numerators."""
+def reference_accumulate(out: dict, terms: dict, sl2: bool = False) -> None:
+    """Add ``terms`` to ``out`` over GaussianRational coefficients, an oracle
+    that shares nothing with GPoly's integer numerators; with ``sl2`` each
+    term is first brought to the SL2 normal form."""
     for (a, b, c, d), coeff in terms.items():
         if not coeff:
             continue
-        m = min(a, d)
+        m = min(a, d) if sl2 else 0
         if m:
             expansion = [((a - m, b + i, c + i, d - m), coeff * comb(m, i))
                          for i in range(m + 1)]
@@ -95,8 +122,9 @@ def reference_accumulate(out: dict, terms: dict) -> None:
                 del out[mono]
 
 
-def reference_mul(p: dict, q: dict) -> dict:
-    """The product of two normal-form term dictionaries, in normal form."""
+def reference_mul(p: dict, q: dict, sl2: bool = False) -> dict:
+    """The product of two term dictionaries in the free ring, or with
+    ``sl2`` in the SL2 normal form."""
     acc = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
@@ -105,7 +133,7 @@ def reference_mul(p: dict, q: dict) -> dict:
             prev = acc.get(m)
             acc[m] = prev + c if prev is not None else c
     out = {}
-    reference_accumulate(out, acc)
+    reference_accumulate(out, acc, sl2)
     return out
 
 
@@ -194,13 +222,13 @@ def test_monomial_products_match_integer_products():
         for d in range(13):
             b, c = rng.randint(0, 2), rng.randint(0, 2)
             prod = G1.pow(a) * G2.pow(b) * G3.pow(c) * G4.pow(d)
-            direct = GPoly.monomial(1, a, b, c, d)
-            assert prod == direct
-            assert in_normal_form(prod)
-            assert len(prod.terms) == min(a, d) + 1
+            assert prod == GPoly.monomial(1, a, b, c, d)
+            reduced = sl2_normal_form(prod)
+            assert in_normal_form(reduced)
+            assert len(reduced.terms) == min(a, d) + 1
             for g in POINTS:
                 want = g[0] ** a * g[1] ** b * g[2] ** c * g[3] ** d
-                assert evaluate(prod, g) == gauss(want)
+                assert evaluate(prod, g) == evaluate(reduced, g) == gauss(want)
 
 
 def test_ring_laws_on_random_polynomials():
@@ -212,28 +240,68 @@ def test_ring_laws_on_random_polynomials():
         assert (p + q) + r == p + (q + r)
         assert p * q == q * p
         for s in (p, q, p * q, p + q, p - q):
-            assert in_normal_form(s)
             assert is_canonical(s)
+            assert in_normal_form(sl2_normal_form(s))
+        # the normal form is a ring map
+        assert sl2_normal_form(p * q) == sl2_normal_form(sl2_normal_form(p) * sl2_normal_form(q))
+        assert sl2_normal_form(p + q) == sl2_normal_form(p) + sl2_normal_form(q)
         for g in POINTS:
             assert evaluate(p * q, g) == evaluate(p, g) * evaluate(q, g)
             assert evaluate(p + q, g) == evaluate(p, g) + evaluate(q, g)
 
 
 def test_determinant_multiples_cancel():
-    # (g1*g4 - g2*g3 - 1) * q, each product reduced on its own, is zero
+    # (g1*g4 - g2*g3 - 1) * q is zero on SL2 but not in the free ring
     rng = random.Random(13)
     for _ in range(20):
         p, q = random_gpoly(rng), random_gpoly(rng)
         shifted = p + G1 * (G4 * q) - G2 * (G3 * q) - q
-        assert shifted == p
+        assert shifted != p
+        assert sl2_normal_form(shifted) == sl2_normal_form(p)
+        assert (shifted - p).vanishes_on_sl2()
         assert all(evaluate(shifted, g) == evaluate(p, g) for g in POINTS)
 
 
 def test_high_power_of_the_determinant_term_is_binomial():
     # one g1*g4 factor at a time this needs 2^64 rewrites
-    p = G1.pow(64) * G4.pow(64)
+    p = sl2_normal_form(G1.pow(64) * G4.pow(64))
     assert len(p.terms) == 65
     assert p.terms == {(0, i, i, 0): gauss(comb(64, i)) for i in range(65)}
+
+
+DET = G1 * G4 - G2 * G3
+ONE = GPoly.const(1)
+
+
+@pytest.mark.parametrize("poly, vanishes", [
+    (DET - ONE, True),
+    (DET - GPoly.const(2), False),
+    (DET.pow(5) - ONE, True),
+    ((DET - ONE) * G3 + (DET - ONE) * G1, True),  # weights -1 and +1
+    (DET - ONE + G3 - G4, False),
+], ids=["det-1", "det-2", "det^5-1", "weight-mixed", "det-1+g3-g4"])
+def test_vanishing_on_sl2_explicit_cases(poly, vanishes):
+    assert poly.vanishes_on_sl2() is vanishes
+    assert sl2_normal_form(poly).is_zero() is vanishes
+    if vanishes:
+        assert all(evaluate(poly, g) == GAUSS_ZERO for g in POINTS)
+
+
+def test_vanishing_on_sl2_agrees_with_the_normal_form():
+    rng = random.Random(29)
+    seen = {True: 0, False: 0}
+    for _ in range(150):
+        p, q, r = (random_gpoly(rng) for _ in range(3))
+        # det multiples of mixed weights and degrees, and their mutants
+        zero = q * (DET.pow(rng.randint(1, 3)) - ONE) + r * (DET - ONE).pow(rng.randint(1, 2))
+        mutant = zero + GPoly.monomial(1, *(rng.randint(0, 3) for _ in range(4)))
+        for f in (p, zero, p - sl2_normal_form(p), mutant, p * zero + q, sl2_normal_form(zero * p)):
+            got = f.vanishes_on_sl2()
+            assert got == sl2_normal_form(f).is_zero()
+            seen[got] += 1
+            if got:
+                assert all(evaluate(f, g) == GAUSS_ZERO for g in POINTS)
+    assert min(seen.values()) > 100
 
 
 def test_pow_starts_from_the_first_factor(monkeypatch):
@@ -264,6 +332,10 @@ def test_products_match_the_gaussian_rational_reference():
                 assert got.terms == want
                 assert len(got.terms) == len(got.num)
                 assert is_canonical(got)
+    rng = random.Random(17)
+    for _ in range(200):
+        p, q = random_gpoly(rng), random_gpoly(rng)
+        assert sl2_normal_form(p * q).terms == reference_mul(p.terms, q.terms, sl2=True)
 
 
 def test_canonical_form():

@@ -185,11 +185,12 @@ def express_in_basis(R: ClassGroupResult, target: dict, basis_labels: list[str])
 
 
 def express_in_invariant_divisors(
-    R: ClassGroupResult, target: dict
+    R: ClassGroupResult, target: tuple[int, ...]
 ) -> tuple[list[str], list[tuple[int, ...]]]:
     """The non-negative exponent vector over the invariant divisors.
 
-    Solves target = sum m_ij [X^{x_i}_j] in Cl(X) (torsion part included;
+    Solves target = sum m_ij [X^{x_i}_j] in Cl(X) for a class in adapted
+    coordinates, such as ``R.image_of(combo)`` (torsion part included;
     the dominating divisor never enters a relation and is excluded) on
     ``R.divisor_system``, factored once per R.  The invariant divisors are
     independent in Cl(X)⊗Q (a relation among them is the divisor of a unit
@@ -204,7 +205,7 @@ def express_in_invariant_divisors(
         raise RuntimeError(
             f"invariant divisors dependent in Cl(X)⊗Q: rank {system.rank} "
             f"of {system.A.cols} divisors")
-    return R.divisor_labels, solve_nonneg(system, R.image_of(target))
+    return R.divisor_labels, solve_nonneg(system, target)
 
 
 def restrict_to_Fhat(E: EmbeddingData, combo: dict) -> tuple[int, ...]:

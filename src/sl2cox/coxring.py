@@ -26,6 +26,8 @@ Four layers:
     verifiers substitute exactly those functions into the relations.  On
     SL2 the substitution runs in the free ring Q(i)[g1..g4], and vanishing
     is decided by homogenizing each torus-weight part with the determinant.
+    Each also re-checks, as the construction does, that every relation is
+    homogeneous, on one packed integer key per term (``_check_homogeneous``).
 
   * ``batyrev_haddad``: height and hypersurface parameters of the affine
     shape (a single G-stable divisor over x0), cross-checked against the
@@ -34,9 +36,10 @@ Four layers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
+from operator import itemgetter
 
 from . import classgroup as cg
 from .embedding import (
@@ -55,8 +58,7 @@ from .presentation import (
     SparsePoly,
     monomial,
     pretty_poly,
-    relation_b_weight,
-    relation_degree,
+    term_degree,
 )
 
 
@@ -257,6 +259,13 @@ def classify_fiber_presentation(P: GradedPresentation) -> str:
 # -- full presentation for cyclic F ----------------------------------------------
 
 
+def _numerators(alpha, beta) -> tuple[Num, Num, int]:
+    """(alpha, beta) as Gaussian-integer numerators over one denominator."""
+    (ar, ai, ad), (br, bi, bd) = _split(alpha), _split(beta)
+    d = lcm(ad, bd)
+    return (ar * (d // ad), ai * (d // ad)), (br * (d // bd), bi * (d // bd)), d
+
+
 @dataclass(frozen=True)
 class SectionModule:
     """Simple module spanned by the canonical section of one exceptional
@@ -264,7 +273,8 @@ class SectionModule:
     fn_i = eps_i (beta g1^i g3^(d-i) - alpha g2^i g4^(d-i)), built from the
     recorded coordinates (alpha, beta) and sign ``eps`` = eps_i for i >= 1
     (eps_0 = 1; eps is -1 only on a uniform module, n <= 2).  The raising
-    operator g3 d/dg1 + g4 d/dg2 maps fn_i to i eps_i / eps_(i-1) fn_(i-1)."""
+    operator g3 d/dg1 + g4 d/dg2 maps fn_i to i eps_i / eps_(i-1) fn_(i-1).
+    ``coords`` is ``_numerators(alpha, beta)``, computed once."""
 
     point_key: str  # "x0", "xinf", "x1", ... or a parametric designate
     color_combo: dict
@@ -273,6 +283,10 @@ class SectionModule:
     alpha: GaussianRational
     beta: GaussianRational
     eps: int
+    coords: tuple[Num, Num, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "coords", _numerators(self.alpha, self.beta))
 
     @property
     def dim(self) -> int:
@@ -313,8 +327,8 @@ class FullCoxResult:
 _LETTERS = "stuvwz"
 
 
-def _basis_names(nbar: int, idx: str) -> list[str]:
-    return [f"{_LETTERS[k]}{idx}" if k < len(_LETTERS) else f"m{k}_{idx}" for k in range(nbar + 1)]
+def _basis_names(nbar: int, idx: str) -> tuple[str, ...]:
+    return tuple(_LETTERS[k] + idx if k < len(_LETTERS) else f"m{k}_{idx}" for k in range(nbar + 1))
 
 
 def _augment(E: EmbeddingData) -> tuple[EmbeddingData, list[str]]:
@@ -342,16 +356,14 @@ class _Ctx:
     rvar: dict[str, str]
     p0_point: BasePoint | None
     pinf_point: BasePoint | None
+    degree: dict[str, tuple[int, ...]]  # point key -> the module's class
 
-    def solve_section_monomial(self, combo: dict, n0: int, ninf: int) -> dict[str, int]:
-        """The monomial s0^n0 sinf^ninf * r^a with the class of ``combo``,
-        as an exponent dict over variable names."""
-        target = dict(combo)
-        for mod, power in ((self.mod0, n0), (self.modinf, ninf)):
-            if power:
-                for lbl, c in mod.color_combo.items():
-                    target[lbl] = target.get(lbl, 0) - power * c
-        labels, (sol,) = cg.express_in_invariant_divisors(self.R, target)
+    def solve_section_monomial(self, target: list[int], n0: int, ninf: int) -> dict[str, int]:
+        """The monomial s0^n0 sinf^ninf * r^a of the class ``target`` (adapted
+        coordinates) as an exponent dict: r^a has class target - n0 deg s0 - ninf deg sinf."""
+        d0, dinf = self.degree[self.mod0.point_key], self.degree[self.modinf.point_key]
+        rest = self.R.group.reduce([t - n0 * a - ninf * b for t, a, b in zip(target, d0, dinf)])
+        labels, (sol,) = cg.express_in_invariant_divisors(self.R, rest)
         mono: dict[str, int] = {}
         if n0:
             mono[self.mod0.names[0]] = n0
@@ -382,13 +394,6 @@ def _gmul(x: Num, y: Num) -> Num:
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
-def _coords(mod: SectionModule) -> tuple[Num, Num, int]:
-    """(alpha, beta) as Gaussian-integer numerators over one denominator."""
-    (ar, ai, ad), (br, bi, bd) = _split(mod.alpha), _split(mod.beta)
-    d = lcm(ad, bd)
-    return (ar * (d // ad), ai * (d // ad)), (br * (d // bd), bi * (d // bd)), d
-
-
 def _product_monomial(A: SectionModule, B: SectionModule, k: int,
                       sym: bool) -> tuple[int, int, int, int, int] | None:
     """The function on SL2 of the chain ``_transvectant(A, B, k, sym)``,
@@ -400,8 +405,8 @@ def _product_monomial(A: SectionModule, B: SectionModule, k: int,
     within one, makes it -(-1)^k eps^B_k (beta_A alpha_B g3^(dA-k) g4^(dB-k)
     + (-1)^k alpha_A beta_B g3^(dB-k) g4^(dA-k)).  For dA != dB one module is
     x0 or xinf, so one of the two products is 0."""
-    alpha_a, beta_a, den_a = _coords(A)
-    alpha_b, beta_b, den_b = _coords(B)
+    alpha_a, beta_a, den_a = A.coords
+    alpha_b, beta_b, den_b = B.coords
     da, db = A.dim - 1, B.dim - 1
     t1, t2 = _gmul(beta_a, alpha_b), _gmul(alpha_a, beta_b)
     if k % 2:
@@ -431,9 +436,7 @@ def _pair_rows(A: SectionModule, B: SectionModule, ctx: _Ctx) -> list[ModuleRow]
     if sym:
         comps = comps[1::2]  # Sym^2(V_d) = V_2d + V_{2d-4} + ...
     rows: list[ModuleRow] = []
-    combo = dict(A.color_combo)
-    for lbl, c in B.color_combo.items():
-        combo[lbl] = combo.get(lbl, 0) + c
+    target = [a + b for a, b in zip(ctx.degree[A.point_key], ctx.degree[B.point_key])]
     for m in comps:
         k = (A.dim + B.dim - 2 - m) // 2
         closed = _product_monomial(A, B, k, sym)
@@ -448,7 +451,7 @@ def _pair_rows(A: SectionModule, B: SectionModule, ctx: _Ctx) -> list[ModuleRow]
             continue
         x, y, _, n0, ninf = closed
         # a chain monomial has a basis vector of index >= 1, never this key
-        num[monomial(ctx.solve_section_monomial(combo, n0, ninf))] = (-x, -y)
+        num[monomial(ctx.solve_section_monomial(target, n0, ninf))] = (-x, -y)
         rows.append(ModuleRow(m, m, SparsePoly._canonical(num, r)))
     return rows
 
@@ -540,9 +543,12 @@ def full_cox_presentation_cyclic(E: EmbeddingData) -> FullCoxResult:
             alpha, beta = (gauss(0), gauss(1)) if role == "x0" else (gauss(1), gauss(0))
         d = 1 if uniform or p.tag is not None else nb
         eps = -1 if uniform else 1  # for n <= 2, t is -(beta g1 - alpha g2)
-        fns = tuple((GPoly.monomial(beta, k, 0, d - k, 0) - GPoly.monomial(alpha, 0, k, 0, d - k))
-                    .scale(eps if k else 1) for k in range(d + 1))
-        return SectionModule(key, combo, tuple(_basis_names(d, key[1:])), fns, alpha, beta, eps)
+        (ar, ai), (br, bi), den = _numerators(alpha, beta)
+        fns = []
+        for k, s in enumerate([1] + [eps] * d):
+            num = {(k, 0, d - k, 0): (s * br, s * bi), (0, k, 0, d - k): (-s * ar, -s * ai)}
+            fns.append(GPoly._canonical({m: xy for m, xy in num.items() if any(xy)}, den))
+        return SectionModule(key, combo, _basis_names(d, key[1:]), tuple(fns), alpha, beta, eps)
 
     mod0 = make_module(p0, "x0")
     modinf = make_module(pinf, "xinf")
@@ -553,15 +559,15 @@ def full_cox_presentation_cyclic(E: EmbeddingData) -> FullCoxResult:
     point_order += [m for m, q in ((mod0, p0), (modinf, pinf)) if q is None]
 
     variables: list[GradedVariable] = []
+    degree = {m.point_key: R.image_of(m.color_combo) for m in point_order}
     for m in point_order:
-        deg = R.image_of(m.color_combo)
         for nm, w, f in zip(m.names, m.weights, m.fns):
-            variables.append(GradedVariable(nm, deg, w, f"V(E^{m.point_key})", f))
+            variables.append(GradedVariable(nm, degree[m.point_key], w, f"V(E^{m.point_key})", f))
     rvar = _r_names(E, keys, "")
     for lbl, nm in rvar.items():
         variables.append(GradedVariable(nm, R.images[lbl], 0, lbl, GPoly.const(1)))
 
-    ctx = _Ctx(E, R, mod0, modinf, rvar, p0, pinf)
+    ctx = _Ctx(E, R, mod0, modinf, rvar, p0, pinf, degree)
 
     rel_modules: list[RelationModule] = []
     relations: list[SparsePoly] = []
@@ -689,18 +695,44 @@ def _check_bh_grading(E: EmbeddingData, p: int, q: int, k: int):
 
 def _check_homogeneous(P: GradedPresentation) -> None:
     """Every relation is homogeneous in Cl(X) and in the B-weight; raises
-    RuntimeError otherwise, like a relation that does not vanish.  The
-    Cl-degree is computed once per degree signature (the basis vectors of
-    one section module share a degree), the B-weight per monomial."""
-    degs = P.degree_map()
-    wts = P.weight_map()
-    memo: dict = {}
-    try:
-        for rel in P.relations:
-            relation_degree(rel, degs, P.grading, memo)
-            relation_b_weight(rel, wts)
-    except ValueError as exc:
-        raise RuntimeError(str(exc)) from exc
+    RuntimeError otherwise, like a relation that does not vanish.
+
+    Both gradings are linear in the exponents, so variable v gets the key
+    K_v = sum_i c_i B^i (Kronecker substitution), with digits c_i its free
+    coordinates, its B-weight, then its torsion coordinates, and a term
+    the key sum_v e_v K_v.  B is a power of two above 4 T C, T the largest
+    total degree of a term and C the largest |c_i|: the digits of a key lie
+    in [-T C, T C], those of a difference of two keys in (-B/2, B/2), where
+    an integer has one base-B expansion.  So two terms have equal degrees
+    iff their keys differ by zero free and weight digits and torsion digits
+    divisible by their d_i; equal keys, the common case, cost nothing more."""
+    grading, free = P.grading, P.grading.free_rank
+    T = max((sum(map(itemgetter(1), m)) for rel in P.relations for m in rel.num), default=0)
+    C = max((abs(c) for v in P.variables for c in (*v.degree, v.b_weight)), default=0)
+    bits = (4 * T * C).bit_length()
+    B = 1 << bits
+    exact = (1 << (bits * (free + 1))) - 1  # the free and weight digits
+    K = {v.name: sum(c << (bits * i) for i, c in
+                     enumerate((*v.degree[:free], v.b_weight, *v.degree[free:])))
+         for v in P.variables}
+    for rel in P.relations:
+        keys = {sum([e * K[v] for v, e in m]): m for m in rel.num}
+        if len(keys) < 2:
+            continue
+        first, *others = keys
+        for key in others:
+            diff = key - first
+            same = not diff & exact
+            diff >>= bits * (free + 1)
+            for d in grading.torsion:
+                digit = ((diff + B // 2) & (B - 1)) - B // 2  # balanced
+                same = same and not digit % d
+                diff = (diff - digit) >> bits
+            if not same:
+                degs, wts = P.degree_map(), P.weight_map()
+                a, b = ((term_degree(m, degs, grading), sum(e * wts[v] for v, e in m))
+                        for m in (keys[first], keys[key]))
+                raise RuntimeError(f"relation not homogeneous: (Cl-degree, B-weight) {a} vs {b}")
 
 
 def _require_vanishing(P: GradedPresentation, one, message: str, vanishes) -> None:

@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
@@ -26,7 +28,7 @@ from sl2cox.coxring import (
     verify_cox_u,
     verify_full_cox,
 )
-from sl2cox.embedding import EmbeddingData, GStableDivisorSpec, affine_embedding
+from sl2cox.embedding import EmbeddingData, GStableDivisorSpec, affine_embedding, point_coordinates
 from sl2cox.exactmath import (
     GAUSS_ONE,
     GAUSS_ZERO,
@@ -43,8 +45,10 @@ from sl2cox.presentation import (
     GradedVariable,
     SparsePoly,
     canonical_key,
+    monomial,
     relation_b_weight,
     relation_degree,
+    term_degree,
 )
 
 from test_embedding import mu3_example, trivial_four_points
@@ -1053,6 +1057,238 @@ class TestWork:
         verify_full_cox(res)
         assert calls[True] == 0
         assert calls[False] > 0  # the counters do see the verifier's products
+
+    def test_one_exponent_solve_per_m_row_outside_the_kernel(self, monkeypatch):
+        # mu_64 with ten extra points and three divisors per point: 1631
+        # relations, of which the 10 N rows need no solve
+        pts = [(2, 7), (5, 11), (3, 13), (7, 2), (11, 5), (13, 3), (4, 9), (9, 4), (6, 17), (17, 6)]
+        extras = tuple(point(a, b) for a, b in pts)
+        E = EmbeddingData(cyclic(64), extras, tuple(
+            GStableDivisorSpec(p, 1, -j) for p in (X0, XINF) + extras for j in (1, 2, 3)))
+        calls = [0]
+        solve = cg.solve_nonneg
+
+        def counting(*args):
+            calls[0] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(cg, "solve_nonneg", counting)
+        res = full_cox_presentation_cyclic(E)
+        rows = [(mod.kind, row.in_kernel) for mod in res.modules for row in mod.rows]
+        assert len(rows) == 1631 and rows.count(("N", False)) == 10
+        assert calls[0] == rows.count(("M", False)) == 1621
+
+
+def _gpoly_module_fns(alpha, beta, d: int, eps: int) -> tuple[GPoly, ...]:
+    """Oracle: the basis fn_k = eps_k (beta g1^k g3^(d-k) - alpha g2^k
+    g4^(d-k)) of a section module in GPoly arithmetic."""
+    return tuple((GPoly.monomial(beta, k, 0, d - k, 0) - GPoly.monomial(alpha, 0, k, 0, d - k))
+                 .scale(eps if k else 1) for k in range(d + 1))
+
+
+class TestIntegerModules:
+    def test_module_functions_match_the_gpoly_formula(self):
+        coords = [(2, 3), (gauss((2, 1)), 3), (Fraction(1, 2), gauss((Fraction(2, 3), 1))),
+                  (gauss((0, -3)), 1), (-1, 1)]
+        # no extra points for n = 2 mod 4, whose class groups keep torsion
+        cases = [(n, [] if n % 4 == 2 else [coords[n % 5], coords[(n + 2) % 5]])
+                 for n in range(3, 25)]
+        cases += [(1, [(0, 1)]), (1, [(0, 2), (3, 0), (2, 3)]), (2, [(0, 1), (1, 0)])]
+        for n, cs in cases:
+            extras = [point(*c) for c in cs]
+            over = extras if n <= 2 else [X0, XINF] + extras
+            E = EmbeddingData(cyclic(n), tuple(extras),
+                              tuple(GStableDivisorSpec(p, 1, -1) for p in over))
+            res = full_cox_presentation_cyclic(E)
+            keys = res.class_group.point_keys
+            at = {"x0": (gauss(0), gauss(1)), "xinf": (gauss(1), gauss(0))}  # no point there
+            at.update((keys[p], point_coordinates(E.group, p))
+                      for p in res.embedding.exceptional_points())
+            for tag, fns in _module_functions(res).items():
+                alpha, beta = at[tag[len("V(E^"):-1]]
+                assert fns == list(_gpoly_module_fns(alpha, beta, len(fns) - 1,
+                                                     -1 if n <= 2 else 1)), (n, tag)
+
+    def test_coords_are_the_coordinates_over_one_denominator(self):
+        mod = _extra_module(2, Fraction(1, 2), gauss((Fraction(2, 3), 1)))
+        (ar, ai), (br, bi), den = mod.coords
+        assert den == 6 and (ar, ai, br, bi) == (3, 0, 4, 6)
+        assert _uniform_module(0, 1).coords == ((0, 0), (1, 0), 1)
+
+
+# -- the packed homogeneity check against the term-by-term oracle -----------------
+
+
+def _oracle_homogeneous(P: GradedPresentation, r: SparsePoly) -> bool:
+    """Oracle: all terms of r share one Cl-degree and one B-weight."""
+    try:
+        relation_degree(r, P.degree_map(), P.grading)
+        relation_b_weight(r, P.weight_map())
+    except ValueError:
+        return False
+    return True
+
+
+def _packed_homogeneous(P: GradedPresentation, r: SparsePoly) -> bool:
+    try:
+        coxring._check_homogeneous(replace(P, relations=[r]))
+    except RuntimeError as exc:
+        assert "not homogeneous" in str(exc)
+        return False
+    return True
+
+
+def _parts(P: GradedPresentation, m) -> tuple:
+    """(free part, torsion part, B-weight) of a monomial, term by term."""
+    deg = term_degree(m, P.degree_map(), P.grading)
+    free = P.grading.free_rank
+    return deg[:free], deg[free:], sum(e * P.weight_map()[v] for v, e in m)
+
+
+def _seeded_relations(P: GradedPresentation, rng, count: int):
+    """Relations of two or three terms in three of P's generators, exponents
+    up to the largest torsion order; mostly drawn from one class of equal
+    free part and B-weight, so that the torsion parts decide."""
+    top = max(P.grading.torsion, default=2)
+    for _ in range(count):
+        vs = rng.sample(P.var_order(), min(3, len(P.variables)))
+        monos = [monomial(dict(zip(vs, exps)))
+                 for exps in itertools.product(range(top + 1), repeat=len(vs))]
+        classes: dict = {}
+        for m in monos:
+            free, _, w = _parts(P, m)
+            classes.setdefault((free, w), []).append(m)
+        pools = [ms for ms in classes.values() if len(ms) > 1]
+        pool = rng.choice(pools) if pools and rng.random() < 0.8 else monos
+        picked = rng.sample(pool, min(len(pool), rng.randint(2, 3)))
+        yield rel(*[(rng.choice([1, -2, gauss((1, 1))]), dict(m)) for m in picked])
+
+
+def _pair_differing_in(P: GradedPresentation, part: int):
+    """Monomials m1, m2 of total degree <= 5 whose (free part, torsion part,
+    B-weight) differ in entry ``part`` alone."""
+    seen: dict = {}
+    names = P.var_order()
+    for t in range(6):
+        for vs in itertools.combinations_with_replacement(names, t):
+            m = monomial(Counter(vs))
+            parts = _parts(P, m)
+            m1, p1 = seen.setdefault(parts[:part] + parts[part + 1:], (m, parts[part]))
+            if p1 != parts[part]:
+                return m1, m
+    raise AssertionError(f"no monomials differing in part {part} alone")
+
+
+def _shifted(r: SparsePoly, m1, m2) -> SparsePoly:
+    """r with its first term multiplied by m1 and every other one by m2."""
+    (m0, c0), *rest = r.terms.items()
+    out = rel((c0, dict(m0))) * rel((1, dict(m1)))
+    return out + rel(*[(c, dict(m)) for m, c in rest]) * rel((1, dict(m2)))
+
+
+class TestPackedHomogeneity:
+    def _sweep(self, presentations, rng) -> dict:
+        verdicts = {True: 0, False: 0}
+        for P in presentations:
+            coxring._check_homogeneous(P)
+            for r in _seeded_relations(P, rng, 12):
+                ok = _oracle_homogeneous(P, r)
+                assert _packed_homogeneous(P, r) == ok, (P.grading, r)
+                verdicts[ok] += 1
+        return verdicts
+
+    def test_cyclic_with_torsion_agrees_with_the_oracle(self):
+        rng = random.Random(1729)
+        coords = [(1, 1), (2, 1), (3, 1), (1, 3), (gauss((2, 1)), 3)]
+        found: list[GradedPresentation] = []
+        while len(found) < 10:
+            n = rng.randint(1, 12)
+            extras = [point(*c) for c in rng.sample(coords, k=rng.randint(0, 2))]
+            if n <= 2:
+                extras = [point(0, 1), point(1, 0)][:rng.randint(1, 2)]
+            over = extras if n <= 2 else [X0, XINF] + extras
+            E = EmbeddingData(cyclic(n), tuple(extras), tuple(
+                GStableDivisorSpec(p, rng.randint(1, 3), -rng.randint(1, 3))
+                for p in over if rng.random() < 0.8))
+            if E.validate():
+                continue
+            try:
+                res = full_cox_presentation_cyclic(E)
+            except (TorsionAfterAugmentation, NotAffineShape):
+                continue
+            found += [P for P in (res.presentation, cox_u_presentation(E)) if P.grading.torsion]
+        verdicts = self._sweep(found, rng)
+        assert min(verdicts.values()) >= 20
+
+    def test_cox_u_of_every_family_agrees_with_the_oracle(self):
+        rng = random.Random(31)
+        presentations = [cox_u_presentation(E) for E in (
+            mu3_example(), trivial_four_points(), affine_embedding(4, 6, Fraction(-7, 2)))]
+        for F, third_h in ((TETRA, 2), (OCTA, 3), (ICOSA, 2), (dihedral(4), 3), (dihedral(3), 2)):
+            presentations.append(cox_u_presentation(EmbeddingData(F, (point(2, 3),), (
+                GStableDivisorSpec(XV, 1, -2), GStableDivisorSpec(XE, 1, -3),
+                GStableDivisorSpec(XF, third_h, -third_h), GStableDivisorSpec(point(2, 3), 1, -1)))))
+        verdicts = self._sweep(presentations, rng)
+        assert min(verdicts.values()) >= 10
+
+    @pytest.mark.parametrize("part", [0, 1, 2], ids=["free", "torsion", "weight"])
+    def test_mutant_inhomogeneous_in_one_part_is_rejected(self, part):
+        E = affine_embedding(4, 6, Fraction(-7, 2))  # Cl = Z x Z/4
+        res = full_cox_presentation_cyclic(E)
+        cases = [(res.presentation, lambda P: verify_full_cox(replace(res, presentation=P))),
+                 (cox_u_presentation(E), lambda P: verify_cox_u(E, P))]
+        for P, verify in cases:
+            assert P.grading == FinAbGroup(1, (4,))
+            verify(P)
+            bad = _shifted(P.relations[0], *_pair_differing_in(P, part))
+            assert not _oracle_homogeneous(P, bad)
+            with pytest.raises(RuntimeError, match="not homogeneous"):
+                verify(replace(P, relations=P.relations + [bad]))
+
+    def test_digits_close_to_half_the_base(self):
+        # C = 7 and T = 146 give 4 T C = 4088, so B = 4096: x^146 against
+        # y^146 differs by 2044 in the free and the weight digit, 4 below B/2
+        P = GradedPresentation([GradedVariable("x", (7, 0), 7), GradedVariable("y", (-7, 0), -7),
+                                GradedVariable("u", (7, 4), 7), GradedVariable("z", (0, 7), 0)],
+                               [], FinAbGroup(1, (8,)))
+        assert not _packed_homogeneous(P, rel((1, {"x": 146}), (-1, {"y": 146})))
+        assert _packed_homogeneous(P, rel((1, {"x": 146}), (-1, {"x": 144, "u": 2})))
+        assert not _packed_homogeneous(P, rel((1, {"x": 146}), (-1, {"x": 145, "u": 1})))
+        assert _packed_homogeneous(P, rel((1, {"x": 73, "y": 73}), (-1, {"z": 144, "x": 1, "y": 1})))
+        rng = random.Random(4096)
+        widest = 0
+        for _ in range(300):
+            monos = set()
+            for _ in range(rng.randint(2, 3)):
+                # total degree 146, nearly all of it on one generator
+                exps = Counter(rng.choice("xyuz") for _ in range(rng.randint(0, 8)))
+                exps[rng.choice("xyuz")] += 146 - sum(exps.values())
+                monos.add(monomial(exps))
+            r = rel(*[(1, dict(m)) for m in monos])
+            assert _packed_homogeneous(P, r) == _oracle_homogeneous(P, r), r
+            free = [_parts(P, m)[0][0] for m in r.num]
+            widest = max(widest, max(free) - min(free))
+        assert widest >= 2000
+
+    def test_a_base_at_the_bound_is_needed(self):
+        # x^64 against y^63 w: free parts (512, 0) and (-512, 1), so the key
+        # difference is 1024 - B, which vanishes for B = 1024 > T C but not
+        # for the B = 4096 > 4 T C of the check
+        P = GradedPresentation([GradedVariable("x", (8, 0), 0), GradedVariable("y", (-8, 0), 0),
+                                GradedVariable("w", (-8, 1), 0)], [], FinAbGroup(2))
+        r = rel((1, {"x": 64}), (-1, {"y": 63, "w": 1}))
+        assert not _oracle_homogeneous(P, r) and not _packed_homogeneous(P, r)
+        # torsion coordinates +-7 (unreduced) in Z/3, T = 146: a torsion digit
+        # 2030 of the difference, which a base of 2048 > 2 T C would read as -18
+        P = GradedPresentation([GradedVariable("a", (0, 7), 0), GradedVariable("b", (0, -7), 0),
+                                GradedVariable("z", (0, 0), 0), GradedVariable("c", (0, 1), 0)],
+                               [], FinAbGroup(1, (3,)))
+        r = rel((1, {"a": 146}), (-1, {"b": 144, "z": 2}))
+        assert not _oracle_homogeneous(P, r) and not _packed_homogeneous(P, r)
+        # torsion digits +-3, divisible by 3 only when read balanced (in one
+        # term order the difference is -3)
+        for r in (rel((1, {"z": 3}), (-1, {"c": 3})), rel((1, {"c": 3}), (-1, {"z": 3}))):
+            assert _oracle_homogeneous(P, r) and _packed_homogeneous(P, r)
 
 
 # (n, extra points, divisors per point) of the benchmark's full_cyclic_sweep

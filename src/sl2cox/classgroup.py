@@ -1,14 +1,18 @@
 """Divisor class group of an SL2/F-embedding by generators and relations.
 
-Generators are the exceptional divisors (exceptional colors and G-stable
-divisors) plus the parametric colors with a non-zero coordinate on E; under
-the default section the only such color is the distinguished one D^{x_d}.
-The relations identify all pullback fibers (``fiber``) with a base fiber
-and add the single relation coming from the divisor of the weight-lattice
-generator, with denominators cleared by u.  The cokernel, adapted-basis
-images of the generators, non-negative expressions of classes in the
-invariant divisors and the restriction to the character group of F are all
-computed exactly.
+One walk over the embedding (``_walk``) writes the generator table: the
+distinguished color D^{x_d} when the section gives it a non-zero l, then
+per exceptional point its color and the invariant divisors over it, then
+the dominating divisor, each with its label, point, multiplicity in the
+fiber over its point and l-value.  The labels ``E[k]``, ``X[k,j]``,
+``Xdom`` and ``Dxd`` are formatted here and nowhere else; every consumer
+(both Cox-ring constructions, the restriction to the character group of F)
+reads the table and the fibers from the ``ClassGroupResult``.  The relations
+identify all pullback fibers with a base fiber and add the single relation
+coming from the divisor of the weight-lattice generator, with denominators
+cleared by u.  The cokernel, adapted-basis images of the generators,
+non-negative expressions of classes in the invariant divisors and the
+restriction to the character group of F are all computed exactly.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .exactmath import (
     cokernel,
     solve_nonneg,
 )
+from .groups import FiniteSubgroup
 from .hyperspace import BasePoint, XD, color_vector
 from .presentation import _SUB
 
@@ -33,13 +38,17 @@ from .presentation import _SUB
 @dataclass(frozen=True)
 class Generator:
     """One generator of Cl(X): label is unique, pretty mirrors the notation
-    E^{x_i}, X^{x_i}_j, X^inf, D^{x_d}."""
+    E^{x_i}, X^{x_i}_j, X^inf, D^{x_d}; ``suffix`` is the _j that tells the
+    divisors over one point apart, empty when the point carries only one."""
 
     label: str
     kind: str  # "color" | "divisor" | "dominating" | "distinguished"
     point: BasePoint | None
     j: int = 0
     pretty: str = ""
+    multiplicity: int = 0  # in the fiber over its point
+    l: Fraction = Fraction(0)
+    suffix: str = ""
 
 
 @dataclass(frozen=True)
@@ -50,6 +59,7 @@ class ClassGroupResult:
     images: dict  # label -> adapted coordinates (free part, then torsion part)
     point_keys: dict  # BasePoint -> short key like "x0", "x1"
     basis_change: IntMatrix  # the cokernel's U: adapted coordinates lead U x
+    F: FiniteSubgroup
 
     def image_of(self, combo: dict) -> tuple[int, ...]:
         """Adapted coordinates of an integer combination {label: coeff}."""
@@ -69,6 +79,15 @@ class ClassGroupResult:
         return A, [0] * self.group.free_rank + list(self.group.torsion)
 
     @cached_property
+    def fibers(self) -> dict[BasePoint, dict[str, int]]:
+        """``_fibers`` of the generator table."""
+        return _fibers(self.generators)
+
+    def color(self, p: BasePoint) -> str:
+        """Label of the color over p, which leads the fiber over p."""
+        return next(iter(self.fibers[p]))
+
+    @cached_property
     def divisor_labels(self) -> list[str]:
         return [g.label for g in self.generators if g.kind == "divisor"]
 
@@ -76,15 +95,6 @@ class ClassGroupResult:
     def divisor_system(self) -> FactoredSystem:
         """The invariant-divisor system, factored on first use."""
         return FactoredSystem(*self.linear_system(self.divisor_labels))
-
-
-def point_keys(E: EmbeddingData) -> dict:
-    keys = {}
-    for p in E.canonical_points():
-        keys[p] = p.tag
-    for i, p in enumerate(E.extra_points):
-        keys[p] = f"x{i + 1}"
-    return keys
 
 
 def _pretty_point(key: str) -> str:
@@ -95,82 +105,77 @@ def _pretty_point(key: str) -> str:
     return key
 
 
-def divisor_generators(E: EmbeddingData) -> list[Generator]:
-    """Fixed, documented generator order: the distinguished color first when
-    the section gives it a non-zero l, then per exceptional point the color
-    followed by the invariant divisors over it, then the dominating divisor."""
+def _walk(E: EmbeddingData) -> tuple[list[Generator], dict]:
+    """The generator table in its fixed, documented order and the point keys
+    (canonical tags, then x1, x2, ... for the extra points): the
+    distinguished color first when the section gives it a non-zero l, then
+    per exceptional point the color followed by the invariant divisors over
+    it, then the dominating divisor.  The one scan of the divisors over
+    each exceptional point."""
     E.require_valid()
-    keys = point_keys(E)
+    F = E.group
+    keys = {p: p.tag for p in E.canonical_points()}
+    keys.update((p, f"x{i + 1}") for i, p in enumerate(E.extra_points))
     gens: list[Generator] = []
-    if E.group.is_cyclic and E.section.kind == "default":
-        gens.append(Generator("Dxd", "distinguished", XD, pretty="D^{x_d}"))
+    if F.is_cyclic and E.section.kind == "default":
+        gens.append(Generator("Dxd", "distinguished", XD, pretty="D^{x_d}",
+                              multiplicity=1, l=Fraction(1)))
     for p in E.exceptional_points():
-        k = keys[p]
-        gens.append(Generator(f"E[{k}]", "color", p, pretty=f"E^{{{_pretty_point(k)}}}"))
+        k, pk = keys[p], _pretty_point(keys[p])
+        gens.append(Generator(f"E[{k}]", "color", p, pretty=f"E^{{{pk}}}",
+                              multiplicity=E.color_multiplicity(p),
+                              l=color_vector(F, p, E.section).l))
         divs = E.divisors_over(p)
-        for j, _ in enumerate(divs):
+        for j, d in enumerate(divs):
             suffix = "" if len(divs) == 1 else f"_{j + 1}"
-            gens.append(Generator(
-                f"X[{k},{j}]", "divisor", p, j,
-                pretty=f"X^{{{_pretty_point(k)}}}{suffix}"))
-    if E.dominating_divisor() is not None:
-        gens.append(Generator("Xdom", "dominating", None, pretty="X^{inf}"))
-    return gens
+            gens.append(Generator(f"X[{k},{j}]", "divisor", p, j, f"X^{{{pk}}}{suffix}",
+                                  d.h, d.l, suffix))
+    dom = E.dominating_divisor()
+    if dom is not None:
+        gens.append(Generator("Xdom", "dominating", None, pretty="X^{inf}", l=dom.l))
+    return gens, keys
 
 
-def fiber(E: EmbeddingData, p: BasePoint) -> dict[str, int]:
-    """The pullback fiber over p as {generator label: multiplicity}: the
-    color with its multiplicity and each invariant divisor with its h, or
-    D^{x_d} once over x_d."""
-    if p == XD:
-        return {"Dxd": 1}
-    k = point_keys(E)[p]
-    combo = {f"E[{k}]": E.color_multiplicity(p)}
-    for j, d in enumerate(E.divisors_over(p)):
-        combo[f"X[{k},{j}]"] = d.h
-    return combo
+def _fibers(gens) -> dict[BasePoint, dict[str, int]]:
+    """The pullback fiber over each exceptional point as {generator label:
+    multiplicity}, in point order: the color with its multiplicity, then
+    each invariant divisor over the point with its h; led by {"Dxd": 1}
+    over x_d when D^{x_d} is a generator."""
+    fibers: dict[BasePoint, dict[str, int]] = {}
+    for g in gens:
+        if g.point is not None:
+            fibers.setdefault(g.point, {})[g.label] = g.multiplicity
+    return fibers
 
 
-def _l_value(E: EmbeddingData, g: Generator) -> Fraction:
-    if g.kind == "distinguished":
-        return Fraction(1)
-    if g.kind == "color":
-        return color_vector(E.group, g.point, E.section).l
-    if g.kind == "divisor":
-        return E.divisors_over(g.point)[g.j].l
-    return E.dominating_divisor().l
-
-
-def presentation_matrix(E: EmbeddingData) -> tuple[list[Generator], IntMatrix]:
-    """Rows: [fiber(x)] - [fiber(base)] per exceptional point, then u * l-row."""
-    gens = divisor_generators(E)
-    pts = list(E.exceptional_points())
-    has_d = any(g.kind == "distinguished" for g in gens)
-    rows: list[list[int]] = []
-    if has_d:
-        base = fiber(E, XD)
-        fiber_pts = pts
-    else:
-        base = fiber(E, pts[0]) if pts else {}
-        fiber_pts = pts[1:]
-    for p in fiber_pts:
-        f = fiber(E, p)
-        rows.append([f.get(g.label, 0) - base.get(g.label, 0) for g in gens])
+def _relations(E: EmbeddingData, gens: list[Generator]) -> IntMatrix:
+    """Rows: [fiber(x)] - [fiber(base)] per exceptional point, the base being
+    x_d when D^{x_d} is a generator and the first point otherwise, then the
+    u * l-row."""
+    base, *others = _fibers(gens).values() or [{}]
+    rows = [[f.get(g.label, 0) - base.get(g.label, 0) for g in gens] for f in others]
     u = E.group.u if E.group.is_cyclic else 1
-    lrow = [u * _l_value(E, g) for g in gens]
+    lrow = [u * g.l for g in gens]
     if any(x.denominator != 1 for x in lrow):
         raise InvalidEmbedding(["FractionalL: l-row not integral after clearing by u"])
     rows.append([int(x) for x in lrow])
-    return gens, IntMatrix(rows, cols=len(gens))
+    return IntMatrix(rows, cols=len(gens))
+
+
+def presentation_matrix(E: EmbeddingData) -> tuple[list[Generator], IntMatrix]:
+    """The generator table and the relation matrix (``_relations``)."""
+    gens, _ = _walk(E)
+    return gens, _relations(E, gens)
 
 
 def class_group(E: EmbeddingData) -> ClassGroupResult:
-    gens, P = presentation_matrix(E)
+    gens, keys = _walk(E)
+    P = _relations(E, gens)
     group, U = cokernel(P)
     k = group.free_rank + len(group.torsion)
     images = {g.label: group.reduce([U.data[i][j] for i in range(k)])
               for j, g in enumerate(gens)}
-    return ClassGroupResult(group, tuple(gens), P, images, point_keys(E), U)
+    return ClassGroupResult(group, tuple(gens), P, images, keys, U, E.group)
 
 
 def express_in_basis(R: ClassGroupResult, target: dict, basis_labels: list[str]):
@@ -208,22 +213,18 @@ def express_in_invariant_divisors(
     return R.divisor_labels, solve_nonneg(system, target)
 
 
-def restrict_to_Fhat(E: EmbeddingData, combo: dict) -> tuple[int, ...]:
+def restrict_to_Fhat(R: ClassGroupResult, combo: dict) -> tuple[int, ...]:
     """Image of a class {label: coeff} in the character group of F.
 
     Invariant divisors restrict to zero; colors restrict to the F-weight of
     the semi-invariant cutting them out.
     """
-    F = E.group
-    gens = {g.label: g for g in divisor_generators(E)}
+    F = R.F
+    gens = {g.label: g for g in R.generators}
     acc = F.char_zero()
     for label, c in combo.items():
         g = gens[label]
-        if g.kind in ("divisor", "dominating"):
-            continue
-        if g.kind == "distinguished":
-            w = F.color_restriction("parametric")
-        else:
-            w = F.color_restriction(g.point.tag or "extra")
-        acc = F.char_add(acc, F.char_scale(c, w))
+        if g.kind in ("color", "distinguished"):
+            tag = "parametric" if g.kind == "distinguished" else g.point.tag or "extra"
+            acc = F.char_add(acc, F.char_scale(c, F.color_restriction(tag)))
     return acc

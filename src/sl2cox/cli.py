@@ -134,7 +134,7 @@ def cox_u(E, args):
         lines += ["  eliminations:"] + [f"    {s}" for s in log]
     report = {"presentation": _presentation_json(Q), "eliminations": log, "warnings": warnings}
     if args.special_fiber:
-        fib = cx.special_fiber_u(Q, E)
+        fib = cx.special_fiber_u(Q)
         verdict = cx.classify_fiber_presentation(fib)
         normal = dg.special_fiber_normal(E)
         report["special_fiber"] = {

@@ -32,6 +32,11 @@ Four layers:
   * ``batyrev_haddad``: height and hypersurface parameters of the affine
     shape (a single G-stable divisor over x0), cross-checked against the
     class group up to automorphism.
+
+Every layer reads the generators, their classes, the pullback fibers and
+the point keys from the class group's generator table
+(``classgroup.ClassGroupResult``); only ``_augment`` looks at the divisors
+of the embedding itself.
 """
 
 from __future__ import annotations
@@ -105,19 +110,17 @@ def _b_weight_table(F: FiniteSubgroup) -> tuple[int, dict[str, int]]:
     return n0, {t: n0 // m for t, m in F.canonical_multiplicities().items()}
 
 
-def _r_names(E: EmbeddingData, keys: dict, prime: str) -> dict[str, str]:
+def _r_names(R: cg.ClassGroupResult, prime: str) -> dict[str, str]:
     """Names of the invariant-divisor sections by class-group label, in
-    generator order: r<key> over a point (r<prime><key> over an extra one),
-    with a _j suffix when the point carries several divisors, and rdom."""
+    generator order: r<key> over a point (r<prime><key> over an extra one)
+    with the generator's suffix, and rdom."""
     names = {}
-    for p in E.exceptional_points():
-        k = keys[p]
-        stem = "r" + ("" if p.tag is not None else prime) + k[1:]
-        divs = E.divisors_over(p)
-        for j in range(len(divs)):
-            names[f"X[{k},{j}]"] = stem + (f"_{j + 1}" if len(divs) > 1 else "")
-    if E.dominating_divisor() is not None:
-        names["Xdom"] = "rdom"
+    for g in R.generators:
+        if g.kind == "divisor":
+            tick = "" if g.point.tag is not None else prime
+            names[g.label] = "r" + tick + R.point_keys[g.point][1:] + g.suffix
+        elif g.kind == "dominating":
+            names[g.label] = "rdom"
     return names
 
 
@@ -147,26 +150,25 @@ def cox_u_presentation(E: EmbeddingData) -> GradedPresentation:
         b_fn = s_fn["xe"].pow(mult["xe"]).scale(-1)
 
     pts = list(E.exceptional_points())
-    base_fiber = cg.fiber(E, pts[0] if pts else XD)
-    fiber_deg = R.image_of(base_fiber)
+    fiber_deg = R.image_of(R.fibers[pts[0] if pts else XD])
 
     variables: list[GradedVariable] = [
         GradedVariable("a", fiber_deg, n0, "coordinate", a_fn),
         GradedVariable("b", fiber_deg, n0, "coordinate", b_fn),
     ]
-    names = _r_names(E, keys, "p")  # class-group label -> variable name
+    names = _r_names(R, "p")  # class-group label -> variable name
     for p in pts:
-        k = keys[p]
-        color = f"E[{k}]"
+        k, color = keys[p], R.color(p)
         if p.tag is not None:
             names[color], w, fn = f"s{k[1:]}", wtable[k], s_fn[p.tag]
         else:
             names[color], w, fn = f"sp{k[1:]}", n0, a_fn.scale(p.beta) - b_fn.scale(p.alpha)
-        for lbl in cg.fiber(E, p):
+        for lbl in R.fibers[p]:
             variables.append(GradedVariable(names[lbl], R.images[lbl], w if lbl == color else 0,
                                             lbl, fn if lbl == color else one))
-    if "Xdom" in names:
-        variables.append(GradedVariable(names["Xdom"], R.images["Xdom"], 0, "Xdom", one))
+    for g in R.generators:
+        if g.kind == "dominating":
+            variables.append(GradedVariable(names[g.label], R.images[g.label], 0, g.label, one))
 
     relations: list[SparsePoly] = []
     for p in pts:
@@ -174,7 +176,7 @@ def cox_u_presentation(E: EmbeddingData) -> GradedPresentation:
         lam = GAUSS_ONE
         if not F.is_cyclic and p.tag == "xf":
             lam = exceptional_relation_scalar(F)
-        mono = {names[lbl]: e for lbl, e in cg.fiber(E, p).items()}
+        mono = {names[lbl]: e for lbl, e in R.fibers[p].items()}
         rel = (SparsePoly.term(beta, {"a": 1})
                + SparsePoly.term(-alpha, {"b": 1})
                + SparsePoly.term(-lam, mono))
@@ -211,7 +213,7 @@ def eliminate(P: GradedPresentation, targets=("a", "b")) -> tuple[GradedPresenta
     return GradedPresentation(variables, relations, P.grading), log
 
 
-def special_fiber_u(P: GradedPresentation, E: EmbeddingData) -> GradedPresentation:
+def special_fiber_u(P: GradedPresentation) -> GradedPresentation:
     """Quotient by all invariant-divisor sections (the r-variables)."""
     rnames = [v.name for v in P.variables if v.name.startswith("r")]
     variables = [v for v in P.variables if v.name not in rnames]
@@ -222,7 +224,9 @@ def special_fiber_u(P: GradedPresentation, E: EmbeddingData) -> GradedPresentati
 def classify_fiber_presentation(P: GradedPresentation) -> str:
     """Structural verdict on the special fiber: 'polynomial' (affine space),
     'reduced_reducible' (an irredundant binomial in two pure powers: a union
-    of planes), 'nonreduced' (the relations span a pure power), or 'other'.
+    of planes), 'brieskorn_pham' (a single relation of three or more pure
+    powers in distinct variables: normal and irreducible, with an isolated
+    singularity), 'nonreduced' (the relations span a pure power), or 'other'.
 
     The non-linear relations are reduced against each other first, so that
     e.g. two independent combinations of s0^n and sinf^n are recognized as
@@ -245,15 +249,15 @@ def classify_fiber_presentation(P: GradedPresentation) -> str:
             row[idx[m]] = c
         rows.append(row)
     reduced, _ = gr_rref(rows)
-    verdict = "polynomial"
-    for row in reduced:
-        nz = [i for i, c in enumerate(row) if c]
-        if not nz:
-            continue
-        if len(nz) == 1:
-            return "nonreduced"
-        verdict = "reduced_reducible"
-    return verdict
+    supports = [[support[i][0][0] for i, c in enumerate(row) if c] for row in reduced]
+    supports = [vs for vs in supports if vs]
+    if any(len(vs) == 1 for vs in supports):
+        return "nonreduced"
+    if all(len(vs) == 2 for vs in supports):
+        return "reduced_reducible"
+    if len(supports) == 1 and len(set(supports[0])) == len(supports[0]):
+        return "brieskorn_pham"
+    return "other"
 
 
 # -- full presentation for cyclic F ----------------------------------------------
@@ -469,19 +473,15 @@ def _n_rows(mod: SectionModule, ctx: _Ctx, p: BasePoint,
     c0, cinf = mod.beta / mod0.beta, mod.alpha / modinf.alpha
 
     def r_mono(q: BasePoint | None) -> dict[str, int]:
-        if q is None:
-            return {}
-        return {ctx.rvar[lbl]: h for lbl, h in cg.fiber(ctx.E, q).items() if lbl in ctx.rvar}
+        fiber = ctx.R.fibers[q] if q is not None else {}
+        return {ctx.rvar[lbl]: h for lbl, h in fiber.items() if lbl in ctx.rvar}
+
+    r0, rinf, rp = r_mono(ctx.p0_point), r_mono(ctx.pinf_point), r_mono(p)
 
     def build(index: int) -> SparsePoly:
-        m0 = {mod0.names[index]: nb}
-        m0.update(r_mono(ctx.p0_point))
-        minf = {modinf.names[index]: nb}
-        minf.update(r_mono(ctx.pinf_point))
-        ms = {mod.names[index]: 1}
-        ms.update(r_mono(p))
-        return (SparsePoly.term(c0, m0) + SparsePoly.term(cinf, minf)
-                + SparsePoly.term(-1, ms))
+        return (SparsePoly.term(c0, {mod0.names[index]: nb, **r0})
+                + SparsePoly.term(cinf, {modinf.names[index]: nb, **rinf})
+                + SparsePoly.term(-1, {mod.names[index]: 1, **rp}))
 
     rows = [ModuleRow(nb, nb, build(0))]
     if include_lowered:
@@ -529,14 +529,14 @@ def full_cox_presentation_cyclic(E: EmbeddingData) -> FullCoxResult:
             raise NotAffineShape("a single exceptional point must sit at [0:1]")
 
     uniform = n <= 2
-    base_fiber = cg.fiber(E, pts[0] if pts else XD)
+    base_fiber = R.fibers[pts[0] if pts else XD]
 
     def make_module(p: BasePoint | None, role: str) -> SectionModule:
         """The section module of the point p in the given role, with (alpha,
         beta) from ``point_coordinates`` whenever p is given; the role fixes
         them only for n <= 2 with no point at [0:1] or [1:0]."""
         key = keys[p] if p is not None else role
-        combo = {f"E[{key}]": 1} if p is not None else dict(base_fiber)
+        combo = {R.color(p): 1} if p is not None else dict(base_fiber)
         if p is not None:
             alpha, beta = point_coordinates(F, p)
         else:  # s0 = g3, sinf = -g4
@@ -563,7 +563,7 @@ def full_cox_presentation_cyclic(E: EmbeddingData) -> FullCoxResult:
     for m in point_order:
         for nm, w, f in zip(m.names, m.weights, m.fns):
             variables.append(GradedVariable(nm, degree[m.point_key], w, f"V(E^{m.point_key})", f))
-    rvar = _r_names(E, keys, "")
+    rvar = _r_names(R, "")
     for lbl, nm in rvar.items():
         variables.append(GradedVariable(nm, R.images[lbl], 0, lbl, GPoly.const(1)))
 
@@ -640,24 +640,22 @@ def batyrev_haddad(E: EmbeddingData) -> BatyrevHaddadParams:
     b = (q - p) // k
     if b != -(h + 2 * l):
         raise RuntimeError("identity b = -(h + 2l) failed; data outside the affine regime")
-    _check_bh_grading(E, p, q, k)
+    _check_bh_grading(E, d, p, q, k)
     return BatyrevHaddadParams(p, q, k, a, b, height)
 
 
-def _check_bh_grading(E: EmbeddingData, p: int, q: int, k: int):
-    """The classes of E^{x0}, X^{x0}, E^{xinf} match the hypersurface degrees
-    (-p, ub - v), (k, u), (q, v) with -qu + kv = 1, up to an automorphism of
-    Z x Z/d (the automorphisms are (x, y) -> (sx, cy + tx), c invertible)."""
+def _check_bh_grading(E: EmbeddingData, d: GStableDivisorSpec, p: int, q: int, k: int):
+    """The classes of the color and the divisor d over d's point and of
+    E^{xinf} (n >= 3) match the hypersurface degrees (-p, ub - v), (k, u),
+    (q, v) with -qu + kv = 1, up to an automorphism of Z x Z/d (the
+    automorphisms are (x, y) -> (sx, cy + tx), c invertible)."""
     R = cg.class_group(E)
     grp = R.group
     if grp.free_rank != 1 or len(grp.torsion) > 1:
         raise RuntimeError(f"affine class group should be Z x Z/d, got {grp}")
     dtor = grp.torsion[0] if grp.torsion else 1
-    F = E.group
-    if F.n >= 3:
-        lbl_e0, lbl_x0, lbl_einf = "E[x0]", "X[x0,0]", "E[xinf]"
-    else:
-        lbl_e0, lbl_x0, lbl_einf = "E[x1]", "X[x1,0]", None
+    lbl_e0, lbl_x0 = R.fibers[d.over]  # the color, then d
+    lbl_einf = R.color(XINF) if E.group.n >= 3 else None
     img = {lbl: R.images[lbl] for lbl in (lbl_e0, lbl_x0, lbl_einf) if lbl is not None}
     free = {lbl: v[0] for lbl, v in img.items()}
     tor = {lbl: (v[1] if grp.torsion else 0) for lbl, v in img.items()}
@@ -670,7 +668,7 @@ def _check_bh_grading(E: EmbeddingData, p: int, q: int, k: int):
         raise RuntimeError("free parts of the degrees do not match (-p, k, q)")
     if dtor == 1:
         return
-    b = int(-(E.divisors[0].h + 2 * E.divisors[0].l))
+    b = int(-(d.h + 2 * d.l))
     # one Bezout pair (u, v) with -q*u + k*v = 1 (gcd(q, k) = 1, as k | q - p
     # and gcd(p, q) = 1); any other pair adds a multiple of (-p, k, q), the
     # free part, which the shear t already ranges over

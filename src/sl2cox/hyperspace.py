@@ -272,8 +272,6 @@ class ColoredHypercone:
     # derived, filled by __post_init__
     kind: str = field(default="", compare=False)
     K: str = field(default="", compare=False)  # "zero" | "neg" | "pos" | "line"
-    P_lo: Fraction = field(default=Fraction(0), compare=False)
-    P_hi: Fraction = field(default=Fraction(0), compare=False)
     B_lo: object = field(default=None, compare=False)  # Fraction | "-inf"
     B_hi: object = field(default=None, compare=False)  # Fraction | "+inf"
     strictly_convex: bool = field(default=True, compare=False)
@@ -318,8 +316,6 @@ class ColoredHypercone:
         object.__setattr__(self, "omitted", tuple(sorted(omitted, key=str)))
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "K", k)
-        object.__setattr__(self, "P_lo", p_lo)
-        object.__setattr__(self, "P_hi", p_hi)
         object.__setattr__(self, "B_lo", b_lo)
         object.__setattr__(self, "B_hi", b_hi)
         object.__setattr__(self, "strictly_convex", convex)

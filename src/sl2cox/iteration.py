@@ -51,14 +51,14 @@ def torsion_characters(E: EmbeddingData) -> frozenset:
     """Image in F-hat of the torsion subgroup of Cl(X), as a character set."""
     E.require_valid()
     R = cg.class_group(E)
-    return _torsion_image(E, R)
+    return _torsion_image(R)
 
 
-def _torsion_image(E: EmbeddingData, R: cg.ClassGroupResult) -> frozenset:
+def _torsion_image(R: cg.ClassGroupResult) -> frozenset:
     """Restriction image of Cl(X)_tor: torsion basis vector e_i lifts to the
     generator combination x with U x = e_i, U the cokernel's unimodular
     change of basis, all from one factorization of U."""
-    F = E.group
+    F = R.F
     grp, U = R.group, R.basis_change
     if not grp.torsion:
         return F.char_subgroup([])
@@ -71,7 +71,7 @@ def _torsion_image(E: EmbeddingData, R: cg.ClassGroupResult) -> frozenset:
             raise RuntimeError(f"internal invariant broken: the cokernel's change "
                                f"of basis is not unimodular ({exc})") from exc
         combo = {g.label: c for g, c in zip(R.generators, x) if c}
-        gens.append(cg.restrict_to_Fhat(E, combo))
+        gens.append(cg.restrict_to_Fhat(R, combo))
     return F.char_subgroup(gens)
 
 
@@ -207,7 +207,7 @@ def iterate(E: EmbeddingData) -> IterationReport:
     E.require_valid()
     R = cg.class_group(E)
     bound = bound_for(F)
-    tor = _torsion_image(E, R)
+    tor = _torsion_image(R)
     evidence = {"class_group": str(R.group), "torsion_characters": sorted(tor)}
     if R.group.is_trivial:
         return IterationReport([IterationStep(F, 1, True)], 0, 0, bound,

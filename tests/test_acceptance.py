@@ -185,7 +185,7 @@ def test_criterion_5_special_fiber_shapes():
         if E.validate():
             continue
         P, _ = eliminate(cox_u_presentation(E))
-        verdict = classify_fiber_presentation(special_fiber_u(P, E))
+        verdict = classify_fiber_presentation(special_fiber_u(P))
         assert verdict == expected, (E, verdict)
         assert (verdict == "polynomial") == special_fiber_normal(E)
         verdicts[verdict] += 1

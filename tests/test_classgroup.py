@@ -194,7 +194,7 @@ class TestExpress:
         R = cg.class_group(mu3_example())
         images = dict(R.images, **{"X[xinf,0]": R.images["X[x0,0]"]})
         broken = cg.ClassGroupResult(R.group, R.generators, R.presentation, images,
-                                     R.point_keys, R.basis_change)
+                                     R.point_keys, R.basis_change, R.F)
         assert broken.divisor_system.rank == 2
         with pytest.raises(RuntimeError, match="invariant divisors dependent"):
             cg.express_in_invariant_divisors(broken, broken.image_of({}))
@@ -271,20 +271,20 @@ class TestRankCertificate:
 
 class TestRestriction:
     def test_invariant_divisors_restrict_to_zero(self):
-        E = mu3_example()
-        assert cg.restrict_to_Fhat(E, {"X[x0,0]": 1, "X[x1,0]": 5}) == (0,)
+        R = cg.class_group(mu3_example())
+        assert cg.restrict_to_Fhat(R, {"X[x0,0]": 1, "X[x1,0]": 5}) == (0,)
 
     def test_cyclic_weights(self):
-        E = mu3_example()
-        assert cg.restrict_to_Fhat(E, {"E[x0]": 1}) == (1,)
-        assert cg.restrict_to_Fhat(E, {"E[xinf]": 1}) == (2,)
-        assert cg.restrict_to_Fhat(E, {"E[x1]": 1}) == (0,)  # nbar mod n
+        R = cg.class_group(mu3_example())
+        assert cg.restrict_to_Fhat(R, {"E[x0]": 1}) == (1,)
+        assert cg.restrict_to_Fhat(R, {"E[xinf]": 1}) == (2,)
+        assert cg.restrict_to_Fhat(R, {"E[x1]": 1}) == (0,)  # nbar mod n
 
     def test_tetrahedral_weights(self):
-        E = EmbeddingData(TETRA, (), (GStableDivisorSpec(XV, 1, -2),))
-        assert cg.restrict_to_Fhat(E, {"E[xv]": 1}) == (1,)
-        assert cg.restrict_to_Fhat(E, {"E[xe]": 1}) == (0,)
-        assert cg.restrict_to_Fhat(E, {"E[xf]": 1}) == (2,)
+        R = cg.class_group(EmbeddingData(TETRA, (), (GStableDivisorSpec(XV, 1, -2),)))
+        assert cg.restrict_to_Fhat(R, {"E[xv]": 1}) == (1,)
+        assert cg.restrict_to_Fhat(R, {"E[xe]": 1}) == (0,)
+        assert cg.restrict_to_Fhat(R, {"E[xf]": 1}) == (2,)
 
     def test_torsion_injects_into_Fhat(self):
         # exactness of 0 -> Z^{N+N'} -> Cl(X) -> F-hat -> 0 on torsion
@@ -332,7 +332,7 @@ class TestRestriction:
                 for i in range(R.group.free_rank, len(moduli)):
                     sol = solve_integer(A, [int(k == i) for k in range(len(moduli))], moduli)
                     chars.append(cg.restrict_to_Fhat(
-                        E, {lbl: c for lbl, c in zip(labels, sol) if c}))
+                        R, {lbl: c for lbl, c in zip(labels, sol) if c}))
                 assert torsion_characters(E) == E.group.char_subgroup(chars), E
                 with_torsion += bool(R.group.torsion)
         assert with_torsion >= 200

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -226,7 +227,7 @@ class TestEliminate:
 class TestSpecialFiber:
     def _fiber(self, E):
         P, _ = eliminate(cox_u_presentation(E))
-        return special_fiber_u(P, E)
+        return special_fiber_u(P)
 
     def test_three_shapes(self):
         x1, x2 = point(2, 3), point(1, 1)
@@ -259,6 +260,49 @@ class TestSpecialFiber:
                 continue
             verdict = classify_fiber_presentation(self._fiber(E))
             assert (verdict == "polynomial") == special_fiber_normal(E), E
+
+    def test_brieskorn_pham_trinomials(self):
+        # with no points and no divisors the one relation is a trinomial of
+        # pure powers in distinct variables, e.g. sv^3 + sf^3 + se^2 (T)
+        from sl2cox.diagnostics import special_fiber_normal
+
+        for F in (TETRA, OCTA, ICOSA, dihedral(2), dihedral(3), dihedral(4)):
+            E = EmbeddingData(F, (), ())
+            fib = self._fiber(E)
+            assert [len(r.terms) for r in fib.relations] == [3], F
+            assert classify_fiber_presentation(fib) == "brieskorn_pham", F
+            assert special_fiber_normal(E), F
+
+    def test_pure_powers_of_one_variable_are_not_brieskorn_pham(self):
+        P = GradedPresentation(
+            [GradedVariable("s", (0,), 0), GradedVariable("t", (0,), 0)],
+            [rel((1, {"s": 2}), (1, {"s": 3}), (1, {"t": 2}))], FinAbGroup(1))
+        assert classify_fiber_presentation(P) == "other"
+
+    def test_polyhedral_shapes_match_normality_randomized(self):
+        # affine space and a Brieskorn-Pham trinomial are the normal verdicts
+        from sl2cox.diagnostics import special_fiber_normal
+
+        rng = random.Random("polyhedral-fibers")
+        groups = [TETRA, OCTA, ICOSA] + [dihedral(n) for n in range(2, 8)]
+        verdicts = Counter()
+        for _ in range(200):
+            F = rng.choice(groups)
+            over = [p for p in (XV, XE, XF) if rng.random() < 0.5]
+            extras = list(dict.fromkeys(point(rng.randint(2, 9), rng.randint(2, 9))
+                                        for _ in range(rng.randint(0, 2))))
+            divisors = []
+            for p in over + extras:
+                h = rng.randint(1, 3)
+                divisors.append(GStableDivisorSpec(p, h, -h - rng.randint(0, 2)))
+            E = EmbeddingData(F, tuple(extras), tuple(divisors))
+            if E.validate():
+                continue
+            verdict = classify_fiber_presentation(self._fiber(E))
+            assert (verdict in ("polynomial", "brieskorn_pham")) == special_fiber_normal(E), E
+            verdicts[verdict] += 1
+        assert set(verdicts) == {"polynomial", "brieskorn_pham", "reduced_reducible",
+                                 "nonreduced"}, verdicts
 
     def test_fiber_dimension_counts(self):
         # normal cyclic fiber: affine space of dimension 2 + #extras
@@ -890,7 +934,7 @@ def _cox_u_value(var: GradedVariable, E: EmbeddingData, keys: dict, g):
 def _assert_cox_u_oracle(E: EmbeddingData, P: GradedPresentation):
     """Each cyclic cox_u generator's recorded function takes the closed-form
     value at integer points of SL2, and every relation vanishes there."""
-    keys = cg.point_keys(E)
+    keys = cg.class_group(E).point_keys
     for g in sl2z_points(3):
         val = {v.name: _cox_u_value(v, E, keys, g) for v in P.variables}
         for v in P.variables:
@@ -1077,6 +1121,43 @@ class TestWork:
         rows = [(mod.kind, row.in_kernel) for mod in res.modules for row in mod.rows]
         assert len(rows) == 1631 and rows.count(("N", False)) == 10
         assert calls[0] == rows.count(("M", False)) == 1621
+
+    def test_the_divisors_of_the_embedding_are_scanned_once_per_point(self, monkeypatch):
+        # mu_64 with ten extra points and 1 or 3 divisors per point: one
+        # class_group call scans the divisors over each exceptional point
+        # once, and the full presentation reads everything else from the
+        # class group, so neither count grows with the divisors per point
+        scans = []
+        divisors_over = EmbeddingData.divisors_over
+
+        def counted(self, p):
+            frame, names = sys._getframe(1), set()
+            while frame is not None:
+                names.add(frame.f_code.co_name)
+                frame = frame.f_back
+            scans.append(names)
+            return divisors_over(self, p)
+
+        monkeypatch.setattr(EmbeddingData, "divisors_over", counted)
+        excused = {"_augment", "_violations", "special_fiber_normal"}
+        counts = []
+        pts = [(2, 7), (5, 11), (3, 13), (7, 2), (11, 5), (13, 3), (4, 9), (9, 4), (6, 17), (17, 6)]
+        extras = tuple(point(a, b) for a, b in pts)
+        for per_point in (1, 3):
+            E = EmbeddingData(cyclic(64), extras, tuple(
+                GStableDivisorSpec(p, 1, -j) for p in (X0, XINF) + extras
+                for j in range(1, per_point + 1)))
+            E.validate()
+            scans.clear()
+            cg.class_group(E)
+            in_class_group = len(scans)
+            assert in_class_group <= len(E.exceptional_points()) == 12
+            scans.clear()
+            full_cox_presentation_cyclic(E)
+            outside = [s for s in scans if not s & excused]
+            assert all("class_group" in s for s in outside)
+            counts.append((in_class_group, len(outside)))
+        assert counts[0] == counts[1] == (12, 12)
 
 
 def _gpoly_module_fns(alpha, beta, d: int, eps: int) -> tuple[GPoly, ...]:

@@ -79,3 +79,40 @@ def test_every_traced_name_resolves():
     for name in spans.TRACED:
         owner, attr, fn = spans._resolve(name)
         assert callable(getattr(owner, attr)), name
+
+
+LABEL_PREFIXES = ("E[", "X[")
+LABEL_CONSTANTS = {"Xdom", "Dxd"}
+
+
+def _label_literals(tree: ast.Module) -> list[str]:
+    """String constants and f-strings that begin a class-group generator
+    label (``E[k]``, ``X[k,j]``) or are one of the constant labels; an
+    f-string counts by its leading literal part only."""
+    found = []
+    inside_fstrings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            inside_fstrings |= {id(v) for v in node.values}
+            head = node.values[0] if node.values else None
+            if isinstance(head, ast.Constant) and head.value.startswith(LABEL_PREFIXES):
+                found.append(head.value)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and id(node) not in inside_fstrings
+                and (node.value.startswith(LABEL_PREFIXES) or node.value in LABEL_CONSTANTS)):
+            found.append(node.value)
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "classgroup.py"],
+                         ids=lambda p: p.name)
+def test_only_classgroup_formats_generator_labels(path):
+    # every other module reads the labels from the class group's generator table
+    assert _label_literals(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_check_sees_a_formatted_label():
+    tree = ast.parse('a = f"E[{k}]"\nb = {"X[x0,0]": 1}\nc = "Xdom" in d\ne = ["Dxd"]\n'
+                     'f = f"V(E^{k})"\ng = f"{k}E["\nh = "XDom"\n')
+    assert _label_literals(tree) == ["E[", "X[x0,0]", "Xdom", "Dxd"]

@@ -2,18 +2,23 @@
 
 ``COMMANDS`` holds one row per subcommand (validate, classgroup, cox-u,
 cox-full, diagnose, iterate, batyrev-haddad): its handler, help text and own
-flags.  ``main`` loads and validates the embedding file (JSON, see README;
-``embedding`` reads every input file), calls the handler, which returns the
-report and its pretty lines, adds the command name and the input digest,
-and prints a pretty report or a JSON document (--format json).  Exit codes:
-0 success, 1 invalid, unreadable or malformed input, 2 computation error,
-3 usage error, 141 (128 + SIGPIPE) when stdout is closed before the report
-is written, as in ``sl2cox cox-full file | head -1``.
+flags.  ``build_parser`` turns the table into the argument parser, once per
+process: every ``main`` call in one process parses with the same parser.
+``main`` reads the embedding file once (JSON, see README; ``embedding``
+reads every input file), parses and validates those bytes, calls the
+handler, which returns the report and its pretty lines, adds the command
+name and the input digest (the SHA-256 of the bytes it parsed), and prints a
+pretty report or a JSON document (--format json).  Exit codes: 0 success
+(``--help`` included), 1 invalid, unreadable or malformed input, 2
+computation error, 3 usage error (argparse's own errors included), 141
+(128 + SIGPIPE) when stdout is closed before the report is written, as in
+``sl2cox cox-full file | head -1``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -26,9 +31,9 @@ from .embedding import (
     InvalidEmbedding,
     SchemaError,
     derive_ap0_input,
-    input_digest,
     load_embedding,
     load_hypercones,
+    read_input,
 )
 from .exactmath import EmptySolutionSet
 from .hyperspace import WrongKind
@@ -84,18 +89,25 @@ def _presentation_pretty(P: GradedPresentation, title: str) -> list[str]:
     return lines
 
 
+def _load(path: str):
+    """The embedding in the file and the file's digest, from one read."""
+    data, cited = read_input(path)
+    return load_embedding(path, data), cited
+
+
 def validate(args) -> int:
     """The one handler that reads the file itself: its result is the file's
     validity, a schema error included."""
     try:
-        violations = load_embedding(args.file).validate()
+        E, cited = _load(args.file)
+        violations = E.validate()
     except SchemaError as exc:
         _emit({"command": "validate", "valid": False, "schema_error": str(exc)},
               args.format, [f"schema error: {exc}"])
         return EXIT_INVALID
     report = {
         "command": "validate",
-        "input": input_digest(args.file),
+        "input": cited,
         "valid": not violations,
         "violations": [{"code": v.code, "detail": v.detail} for v in violations],
     }
@@ -265,6 +277,7 @@ COMMANDS = {
 # -- entry point ---------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sl2cox",
@@ -288,7 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     if args.command is None:
         ap.print_usage(sys.stderr)
         return EXIT_USAGE
@@ -296,8 +312,9 @@ def main(argv=None) -> int:
     try:
         if handler is validate:
             return validate(args)
-        report, lines = handler(load_embedding(args.file).require_valid(), args)
-        _emit({"command": args.command, "input": input_digest(args.file), **report},
+        E, cited = _load(args.file)
+        report, lines = handler(E.require_valid(), args)
+        _emit({"command": args.command, "input": cited, **report},
               args.format, lines)
         return EXIT_OK
     except SchemaError as exc:

@@ -11,9 +11,10 @@ valuation-cone inequalities per divisor, distinctness of points, integrality
 of u*l, at most one dominating divisor.  It does not attempt to reconstruct
 a hyperfan.
 
-Every input file is read here: embedding files (``load_embedding``) and the
-hypercones files of ``diagnose --hypercones`` (``load_hypercones``).  An
-unreadable file, invalid JSON or a document outside the schema raises
+Every input file is read here: embedding files (``load_embedding``, or
+``read_input`` for the bytes and their digest, parsed by ``load_embedding``)
+and the hypercones files of ``diagnose --hypercones`` (``load_hypercones``).
+An unreadable file, invalid JSON or a document outside the schema raises
 ``SchemaError``.
 """
 
@@ -399,22 +400,26 @@ def _read(path: str) -> bytes:
         raise SchemaError(f"cannot read {path!r}: {exc.strerror}") from exc
 
 
-def _read_json(path: str, what: str = ""):
+def _parse_json(data: bytes, what: str = ""):
     try:
-        return json.loads(_read(path).decode("utf-8"))
+        return json.loads(data.decode("utf-8"))
     except ValueError as exc:  # invalid UTF-8 or invalid JSON
         raise SchemaError(f"{what}not valid JSON: {exc}") from exc
 
 
-def input_digest(path: str) -> dict:
-    """The path and SHA-256 of an input file, as reports cite it."""
+def read_input(path: str) -> tuple[bytes, dict]:
+    """An input file's bytes, and the file as reports cite it: its path and
+    the SHA-256 of exactly these bytes."""
     import hashlib
 
-    return {"path": path, "sha256": hashlib.sha256(_read(path)).hexdigest()}
+    data = _read(path)
+    return data, {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
 
 
-def load_embedding(path: str) -> EmbeddingData:
-    return embedding_from_dict(_read_json(path))
+def load_embedding(path: str, data: bytes | None = None) -> EmbeddingData:
+    """The embedding in the file at path, parsed from data when the caller
+    has read the file already (``read_input``)."""
+    return embedding_from_dict(_parse_json(_read(path) if data is None else data))
 
 
 def load_hypercones(path: str, E: EmbeddingData) -> list[ColoredHypercone]:
@@ -422,7 +427,7 @@ def load_hypercones(path: str, E: EmbeddingData) -> list[ColoredHypercone]:
     "color" or "epsilon", omitted points, generators on E; epsilon is
     implied elsewhere.  Point references extend the embedding ones by "xd"
     (the distinguished point) and inline coordinates {"alpha", "beta"}."""
-    doc = _read_json(path, "hypercones file: ")
+    doc = _parse_json(_read(path), "hypercones file: ")
     if not isinstance(doc, list):
         raise SchemaError("hypercones file must be a JSON list")
     extras = list(E.extra_points)

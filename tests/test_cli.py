@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -5,7 +7,7 @@ import sys
 
 import pytest
 
-from sl2cox.cli import main
+from sl2cox.cli import build_parser, main
 from sl2cox.exactmath import FinAbGroup, IntMatrix
 from sl2cox.presentation import poly_from_json, poly_to_json
 
@@ -21,6 +23,23 @@ def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def child_env() -> dict:
+    """The environment of a ``python -m sl2cox.cli`` child, with src/ on its path."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+# one colored hypercone on mu3.json, of A_l type (1, 1, 1)
+MU3_CONES = [{
+    "slices": [
+        {"point": "x0", "vectors": [{"h": "1", "l": "-1"}]},
+        {"point": "xinf", "vectors": [{"h": "1", "l": "-1"}]},
+        {"point": "extra:0", "vectors": [{"h": "1", "l": "-1"}]},
+        {"point": "xd", "vectors": ["color"]},
+    ],
+}]
 
 
 class TestValidate:
@@ -170,16 +189,8 @@ class TestOtherCommands:
         assert doc["constant_functions"]["holds"] is True
 
     def test_diagnose_with_hypercones(self, tmp_path, capsys):
-        cones = [{
-            "slices": [
-                {"point": "x0", "vectors": [{"h": "1", "l": "-1"}]},
-                {"point": "xinf", "vectors": [{"h": "1", "l": "-1"}]},
-                {"point": "extra:0", "vectors": [{"h": "1", "l": "-1"}]},
-                {"point": "xd", "vectors": ["color"]},
-            ],
-        }]
         f = tmp_path / "cones.json"
-        f.write_text(json.dumps(cones))
+        f.write_text(json.dumps(MU3_CONES))
         rc, out, _ = run(capsys, "diagnose", fixture("mu3.json"),
                          "--hypercones", str(f), "--format", "json")
         doc = json.loads(out)
@@ -277,12 +288,110 @@ class TestBrokenPipe:
         # to stdout fails with EPIPE, as when `| head -1` has exited
         r, w = os.pipe()
         os.close(r)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         try:
             proc = subprocess.run([sys.executable, "-m", "sl2cox.cli", *argv, fixture("mu3.json")],
-                                  stdout=w, stderr=subprocess.PIPE, env=env, timeout=120)
+                                  stdout=w, stderr=subprocess.PIPE, env=child_env(),
+                                  timeout=120)
         finally:
             os.close(w)
         assert proc.returncode == 141
         assert proc.stderr == b""
+
+
+class TestUsageErrors:
+    """Argparse's own errors are usage errors too: exit 3, not argparse's 2,
+    which would read as a computation error."""
+
+    USAGE_ERRORS = [("classgroup",), ("classgroup", fixture("mu3.json"), "--format", "xml"),
+                    ("bogus",), ("cox-u", fixture("mu3.json"), "--nope")]
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS,
+                             ids=["no-file", "bad-format", "bad-command", "bad-flag"])
+    def test_usage_error_exits_3(self, argv, capsys):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 3 and out == "" and err.startswith("usage: sl2cox")
+
+    @pytest.mark.parametrize("argv", [("--help",), ("cox-u", "--help")])
+    def test_help_exits_0(self, argv, capsys):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0 and out.startswith("usage: sl2cox") and err == ""
+
+    def test_exit_code_of_the_process(self):
+        proc = subprocess.run([sys.executable, "-m", "sl2cox.cli", "bogus"],
+                              capture_output=True, env=child_env(), timeout=120)
+        assert proc.returncode == 3
+        assert proc.stdout == b"" and proc.stderr.startswith(b"usage: sl2cox")
+
+
+class TestOneRead:
+    """Each call reads its input file once: the cited sha256 is the hash of
+    the bytes that were parsed."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        import sl2cox.embedding as emb
+
+        paths = []
+        inner = emb._read
+
+        def counting(path):
+            paths.append(path)
+            return inner(path)
+
+        monkeypatch.setattr(emb, "_read", counting)
+        return paths
+
+    @pytest.mark.parametrize("command", ["validate", "classgroup", "cox-u", "cox-full",
+                                         "diagnose", "iterate", "batyrev-haddad"])
+    def test_one_read_per_call(self, command, reads, capsys):
+        path = fixture("affine_mu5.json")
+        rc, out, _ = run(capsys, command, path, "--format", "json")
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert rc == 0 and reads == [path]
+        assert json.loads(out)["input"] == {"path": path, "sha256": digest}
+
+    def test_hypercones_file_is_one_more_read(self, reads, tmp_path, capsys):
+        f = tmp_path / "cones.json"
+        f.write_text(json.dumps(MU3_CONES))
+        rc, _, _ = run(capsys, "diagnose", fixture("mu3.json"), "--hypercones", str(f))
+        assert rc == 0 and reads == [fixture("mu3.json"), str(f)]
+
+
+class TestSharedParser:
+    """One parser per process: built on the first call, reused by every
+    later one, and no call changes what a later call prints."""
+
+    def test_parsers_are_built_only_by_the_first_call(self, monkeypatch, capsys):
+        built = []
+        inner = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            inner(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        build_parser.cache_clear()
+        calls = [("classgroup", fixture("mu3.json")), ("bogus",), ("cox-u", "--help"),
+                 ("iterate", fixture("affine_mu5.json"), "--format", "json"), ()]
+        counts = []
+        for argv in calls:
+            run(capsys, *argv)
+            counts.append(len(built))
+        # the top-level parser, the common flags and one parser per subcommand
+        assert counts == [9] * len(calls)
+        assert build_parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize("before", [
+        ("cox-u", fixture("mu3.json"), "--nope"),
+        ("cox-u", "--help"),
+        ("cox-u", "--special-fiber", fixture("mu3.json")),
+    ], ids=["after-usage-error", "after-help", "after-special-fiber"])
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    def test_no_state_carries_over(self, before, fmt, capsys):
+        argv = ("cox-u", fixture("mu3.json"), "--format", fmt)
+        build_parser.cache_clear()
+        first = run(capsys, *argv)
+        run(capsys, *before)
+        assert run(capsys, *argv) == first
+        assert first[0] == 0 and "special" not in first[1]

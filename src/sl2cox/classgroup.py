@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .embedding import EmbeddingData, InvalidEmbedding
+from .embedding import EmbeddingData
 from .exactmath import (
     EmptySolutionSet,
     FactoredSystem,
@@ -44,7 +44,6 @@ class Generator:
     label: str
     kind: str  # "color" | "divisor" | "dominating" | "distinguished"
     point: BasePoint | None
-    j: int = 0
     pretty: str = ""
     multiplicity: int = 0  # in the fiber over its point
     l: Fraction = Fraction(0)
@@ -128,8 +127,8 @@ def _walk(E: EmbeddingData) -> tuple[list[Generator], dict]:
         divs = E.divisors_over(p)
         for j, d in enumerate(divs):
             suffix = "" if len(divs) == 1 else f"_{j + 1}"
-            gens.append(Generator(f"X[{k},{j}]", "divisor", p, j, f"X^{{{pk}}}{suffix}",
-                                  d.h, d.l, suffix))
+            gens.append(Generator(f"X[{k},{j}]", "divisor", p, pretty=f"X^{{{pk}}}{suffix}",
+                                  multiplicity=d.h, l=d.l, suffix=suffix))
     dom = E.dominating_divisor()
     if dom is not None:
         gens.append(Generator("Xdom", "dominating", None, pretty="X^{inf}", l=dom.l))
@@ -156,8 +155,8 @@ def _relations(E: EmbeddingData, gens: list[Generator]) -> IntMatrix:
     rows = [[f.get(g.label, 0) - base.get(g.label, 0) for g in gens] for f in others]
     u = E.group.u if E.group.is_cyclic else 1
     lrow = [u * g.l for g in gens]
-    if any(x.denominator != 1 for x in lrow):
-        raise InvalidEmbedding(["FractionalL: l-row not integral after clearing by u"])
+    if any(x.denominator != 1 for x in lrow):  # validation rules out a fractional u * l
+        raise RuntimeError("internal invariant broken: l-row not integral after clearing by u")
     rows.append([int(x) for x in lrow])
     return IntMatrix(rows, cols=len(gens))
 

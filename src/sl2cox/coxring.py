@@ -23,9 +23,11 @@ Four layers:
   * ``verify_cox_u`` and ``verify_full_cox``: both constructions record each
     generator's function once, in ``GradedVariable.function`` (on SL2 for
     cyclic F, in the subregular semi-invariants for polyhedral F), and both
-    verifiers substitute exactly those functions into the relations.  On
-    SL2 the substitution runs in the free ring Q(i)[g1..g4], and vanishing
-    is decided by homogenizing each torus-weight part with the determinant.
+    verifiers substitute exactly those functions into the relations through
+    the one ring map ``SparsePoly.evaluate``.  On SL2 the substitution runs
+    in the free ring Q(i)[g1..g4], and vanishing is decided by homogenizing
+    each torus-weight part with the determinant; in the polyhedral case the
+    reduction modulo the exceptional relation is the same map again.
     Each also re-checks, as the construction does, that every relation is
     homogeneous, on one packed integer key per term (``_check_homogeneous``).
 
@@ -43,10 +45,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd, lcm, prod
+from functools import cache
+from math import comb, gcd, lcm
 from operator import itemgetter
 
 from . import classgroup as cg
+from .diagnostics import special_fiber_normal
 from .embedding import (
     EmbeddingData,
     GStableDivisorSpec,
@@ -56,7 +60,7 @@ from .embedding import (
 from .exactmath import GAUSS_ONE, GaussianRational, gauss
 from .groups import FiniteSubgroup
 from .hyperspace import BasePoint, X0, XD, XINF, point
-from .ogpoly import G3, G4, GPoly, Num, _collect, _split
+from .ogpoly import G3, G4, GPoly, Num, _split, gr_rref
 from .presentation import (
     GradedPresentation,
     GradedVariable,
@@ -232,8 +236,6 @@ def classify_fiber_presentation(P: GradedPresentation) -> str:
     e.g. two independent combinations of s0^n and sinf^n are recognized as
     the non-reduced ideal (s0^n, sinf^n).
     """
-    from .ogpoly import gr_rref
-
     # linear relations just delete generators
     nontrivial = [rel for rel in P.relations if any(sum(e for _, e in m) > 1 for m in rel.num)]
     if not nontrivial:
@@ -499,8 +501,6 @@ def full_cox_presentation_cyclic(E: EmbeddingData) -> FullCoxResult:
 
     many_points = len(E.exceptional_points()) >= 3
     if many_points and n >= 3:
-        from .diagnostics import special_fiber_normal
-
         if not special_fiber_normal(E):
             E, log = _augment(E)
     R = cg.class_group(E)
@@ -734,68 +734,38 @@ def _check_homogeneous(P: GradedPresentation) -> None:
 
 
 def _require_vanishing(P: GradedPresentation, one, message: str, vanishes) -> None:
-    """Substitute each generator's function (``GradedVariable.function``, in
-    the ring with unit ``one``) into every relation and raise
+    """Evaluate every relation at the generators' functions
+    (``GradedVariable.function``, in the ring with unit ``one``) and raise
     RuntimeError(message) unless ``vanishes`` holds for the result: the
     transvectant identity behind a cyclic M-row is checked, not assumed.
-    Powers are computed once, unit factors (the r sections) are skipped, and
-    each term's factor powers are multiplied straight into the relation's
-    integer numerators over one common denominator."""
-    functions = {v.name: v.function for v in P.variables}
-    units = {name for name, f in functions.items() if f == one}
-    powers: dict[tuple[str, int], object] = {}
-    mono_mul = one._mono_mul
+    Each power is computed once per call; the r sections, whose function is
+    1, are skipped."""
+    functions = {v.name: None if v.function == one else v.function for v in P.variables}
+    power = cache(lambda v, e: None if functions[v] is None else functions[v].pow(e))
     for rel in P.relations:
-        den, out = 1, {}
-        for mono, (x, y) in rel.num.items():
-            factors = []
-            for v, e in mono:
-                if v not in units:
-                    f = powers.get((v, e))
-                    if f is None:
-                        f = powers[v, e] = functions[v].pow(e)
-                    factors.append(f)
-            fden = prod(f.den for f in factors)
-            if den % fden:  # bring the sum so far to a common denominator
-                g = fden // gcd(den, fden)
-                out = {m: (p * g, q * g) for m, (p, q) in out.items()}
-                den *= g
-            x, y = x * (den // fden), y * (den // fden)
-            if factors:
-                items = [(m, (x * p - y * q, x * q + y * p)) for m, (p, q) in factors[0].num.items()]
-            else:
-                items = [(one._ONE, (x, y))]
-            for f in factors[1:]:
-                items = [(mono_mul(m1, m2), (x1 * x2 - y1 * y2, x1 * y2 + y1 * x2))
-                         for m1, (x1, y1) in items for m2, (x2, y2) in f.num.items()]
-            _collect(out, items)
-        if not vanishes(one._canonical(out, den * rel.den)):
+        if not vanishes(rel.evaluate(power, one)):
             raise RuntimeError(message)
 
 
 def _exceptional_reduction(F: FiniteSubgroup):
     """Normal form in k[fv, fe, ff] modulo the exceptional relation
-    c_v fv^nv + c_e fe^ne + lam ff^nf = 0: ff^(q nf + r) -> ff^r R^q with
-    R = -(c_v fv^nv + c_e fe^ne) / lam, which has no ff, so one step is
-    enough."""
+    c_v fv^nv + c_e fe^ne + lam ff^nf = 0: the ring map ff^(q nf + r) ->
+    ff^r R^q, v^e -> v^e otherwise, with R = -(c_v fv^nv + c_e fe^ne) / lam,
+    which has no ff, so one step is enough."""
     mult = F.canonical_multiplicities()
     c_v = gauss(-1) if F.kind == "dihedral" else gauss(1)  # c_e = 1
     R = (SparsePoly.term(c_v, {"fv": mult["xv"]}) + SparsePoly.term(1, {"fe": mult["xe"]})
          ).scale(-exceptional_relation_scalar(F).inverse())
+    one = SparsePoly.term(1, {})
 
-    def reduce(f: SparsePoly) -> SparsePoly:
-        # terms grouped by q, so each R^q is computed once
-        parts: dict[int, dict] = {}
-        for mono, xy in f.num.items():
-            exps = dict(mono)
-            q, exps["ff"] = divmod(exps.get("ff", 0), mult["xf"])
-            parts.setdefault(q, {})[monomial(exps)] = xy
-        out = SparsePoly()
-        for q, num in parts.items():
-            out = out + SparsePoly._canonical(num, f.den) * R.pow(q)
-        return out
+    @cache
+    def power(v: str, e: int) -> SparsePoly:
+        if v != "ff":
+            return SparsePoly._canonical({((v, e),): (1, 0)}, 1)
+        q, r = divmod(e, mult["xf"])
+        return SparsePoly.term(1, {v: r}) * R.pow(q)
 
-    return reduce
+    return lambda f: f.evaluate(power, one)
 
 
 def verify_full_cox(result: FullCoxResult) -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .embedding import EmbeddingData
+from .embedding import EmbeddingData, derive_ap0_input
 from .hyperspace import (
     BasePoint,
     ColoredHypercone,
@@ -23,6 +23,7 @@ from .hyperspace import (
     XD,
     XINF,
     color_vector,
+    epsilon,
 )
 
 
@@ -81,8 +82,6 @@ def is_platonic_ring(ap0) -> PlatonicVerdict:
 def log_terminal_total_space(E: EmbeddingData) -> PlatonicVerdict:
     """Log terminality of the total coordinate space: the Platonic-ring test
     on the derived trinomial data."""
-    from .embedding import derive_ap0_input
-
     return is_platonic_ring(derive_ap0_input(E))
 
 
@@ -152,8 +151,6 @@ def classify_hypercone_orbit(c: ColoredHypercone, E: EmbeddingData) -> OrbitClas
     """Fixed point iff the hypercone contains every color (cyclic F only);
     type A_l iff it is generated by one G-valuation over each of l distinct
     exceptional points together with the colors of all the other points."""
-    from .hyperspace import epsilon
-
     F = E.group
     section = E.section
     if c.omitted:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .exactmath import GaussianRational, gauss, rat
+from .exactmath import GAUSS_ONE, GaussianRational, gauss, gauss_ipow, rat
 from .groups import DIHEDRAL, FiniteSubgroup, cyclic, dihedral, ICOSA, OCTA, TETRA
 from .hyperspace import (
     BasePoint,
@@ -153,6 +153,12 @@ class EmbeddingData:
                     f"extra point {p} carries no G-stable divisor, so its "
                     f"fiber is parametric and the point is not exceptional"))
 
+        def fractional_l(d: GStableDivisorSpec, where: str) -> None:
+            if F.is_cyclic and (F.u * d.l).denominator != 1:
+                v.append(Violation("FractionalL", f"l = {d.l} {where} not in (1/{F.u})Z"))
+            if not F.is_cyclic and d.l.denominator != 1:
+                v.append(Violation("FractionalL", f"l = {d.l} {where} not integral"))
+
         dominating = [d for d in self.divisors if d.dominating]
         if len(dominating) > 1:
             v.append(Violation("TooManyDominating", "at most one divisor dominates P^1"))
@@ -161,6 +167,7 @@ class EmbeddingData:
                 v.append(Violation("DominatingH", "a dominating divisor has h = 0"))
             if d.l >= 0:
                 v.append(Violation("DominatingL", "a dominating divisor has l < 0"))
+            fractional_l(d, "on the dominating divisor")
 
         exceptional = set(self.exceptional_points())
         for d in self.divisors:
@@ -173,11 +180,7 @@ class EmbeddingData:
             if d.h < 1:
                 v.append(Violation("NonpositiveH", f"divisor over {d.over} has h = {d.h}"))
                 continue
-            if F.is_cyclic and (F.u * d.l).denominator != 1:
-                v.append(Violation(
-                    "FractionalL", f"l = {d.l} over {d.over} not in (1/{F.u})Z"))
-            if not F.is_cyclic and d.l.denominator != 1:
-                v.append(Violation("FractionalL", f"l = {d.l} over {d.over} not integral"))
+            fractional_l(d, f"over {d.over}")
             if not valuation_cone_contains(F, d.vector(), self.section):
                 v.append(Violation(
                     "ValuationOutsideCone",
@@ -234,8 +237,6 @@ def exceptional_relation_scalar(F: FiniteSubgroup):
     and this returns lam: 1 for the tetrahedral/octahedral/icosahedral cases,
     4*(-i)^n for the binary dihedral one.
     """
-    from .exactmath import GAUSS_ONE, gauss_ipow
-
     if F.kind == DIHEDRAL:
         return 4 * gauss_ipow(-F.n)
     return GAUSS_ONE
@@ -410,7 +411,7 @@ def _parse_json(data: bytes, what: str = ""):
 def read_input(path: str) -> tuple[bytes, dict]:
     """An input file's bytes, and the file as reports cite it: its path and
     the SHA-256 of exactly these bytes."""
-    import hashlib
+    import hashlib  # lazy: 5 ms of start-up that only reading an input file needs
 
     data = _read(path)
     return data, {"path": path, "sha256": hashlib.sha256(data).hexdigest()}

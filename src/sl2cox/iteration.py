@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import classgroup as cg
+from .coxring import NotCyclic
 from .embedding import EmbeddingData
 from .exactmath import EmptySolutionSet, FactoredSystem
 from .groups import (
@@ -143,8 +144,6 @@ def cyclic_iteration_exact(E: EmbeddingData) -> IterationReport:
     """Exact length for cyclic F: m = 0 iff Cl(X) = 0; otherwise the class
     group of the characteristic space is free of rank (dtilde - 1) N', so
     m = 1 when that rank vanishes and m = 2 otherwise."""
-    from .coxring import NotCyclic
-
     F = E.group
     if not F.is_cyclic:
         raise NotCyclic(f"{F} is not cyclic")

@@ -4,18 +4,22 @@ Relations are ``SparsePoly``: polynomials over the Gaussian rationals in
 named variables, on the integer-backed core ``ogpoly.QiPoly``.  The ring
 part here is only the monomial type, a tuple of (name, exponent) pairs
 sorted by name: its product, its unit () and plain collection of terms as
-the normal form.  A presentation fixes the variable order, the Cl(X)-degrees
-in adapted coordinates and the B-weights.  Every emitted relation must be
-homogeneous for both gradings; the term-by-term checkers here are the
-oracle for the packed check that ``--verify`` runs (``coxring``).
+the normal form; ``SparsePoly.evaluate`` is the one ring map out of it
+(substitution, the polyhedral reduction, both verifiers).  A presentation
+fixes the variable order, the Cl(X)-degrees in adapted coordinates and the
+B-weights.  Every emitted relation must be homogeneous for both gradings;
+the term-by-term checkers here are the oracle for the packed check that
+``--verify`` runs (``coxring``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from math import gcd, prod
 
 from .exactmath import FinAbGroup, GAUSS_ONE, GaussianRational, gauss
-from .ogpoly import GPoly, QiPoly
+from .ogpoly import GPoly, QiPoly, _collect
 
 Monomial = tuple[tuple[str, int], ...]  # sorted by variable name, exponents > 0
 
@@ -50,17 +54,41 @@ class SparsePoly(QiPoly):
     def variables(self) -> set[str]:
         return {v for m in self.num for v, _ in m}
 
+    def evaluate(self, power, one):
+        """The image under the ring map v^e -> ``power(v, e)`` into the ring
+        with unit ``one``; ``None`` means 1, and that factor is skipped.  Each
+        term's product starts from its first factor, in integer numerators
+        over one common denominator."""
+        mono_mul = one._mono_mul
+        den, out = 1, {}
+        for mono, (x, y) in self.num.items():
+            factors = []
+            for v, e in mono:
+                f = power(v, e)
+                if f is not None:
+                    factors.append(f)
+            fden = prod(f.den for f in factors)
+            if den % fden:  # bring the sum so far to a common denominator
+                g = fden // gcd(den, fden)
+                out = {m: (p * g, q * g) for m, (p, q) in out.items()}
+                den *= g
+            x, y = x * (den // fden), y * (den // fden)
+            first = factors[0].num.items() if factors else [(one._ONE, (1, 0))]
+            items = [(m, (x * p - y * q, x * q + y * p)) for m, (p, q) in first]
+            for f in factors[1:]:
+                items = [(mono_mul(m1, m2), (x1 * x2 - y1 * y2, x1 * y2 + y1 * x2))
+                         for m1, (x1, y1) in items for m2, (x2, y2) in f.num.items()]
+            _collect(out, items)
+        return one._canonical(out, den * self.den)
+
     def substitute(self, name: str, value: "SparsePoly") -> "SparsePoly":
-        """``value`` in place of the variable ``name``: the terms are grouped
-        by their exponent k of ``name``, so each value^k is computed once."""
-        parts: dict[int, dict[Monomial, tuple[int, int]]] = {}
-        for m, xy in self.num.items():
-            k = dict(m).get(name, 0)
-            parts.setdefault(k, {})[tuple((v, e) for v, e in m if v != name)] = xy
-        out = SparsePoly()
-        for k, num in parts.items():
-            out = out + self._canonical(num, self.den) * value.pow(k)
-        return out
+        """``value`` in place of the variable ``name``, each power computed once."""
+
+        @cache
+        def power(v: str, e: int) -> SparsePoly:
+            return value.pow(e) if v == name else SparsePoly._canonical({((v, e),): (1, 0)}, 1)
+
+        return self.evaluate(power, value.pow(0))  # the unit, without parsing a coefficient
 
     def kill_variables(self, names) -> "SparsePoly":
         names = set(names)

@@ -72,6 +72,40 @@ class TestValidate:
         assert rc == 3
 
 
+FRACTIONAL_DOMINATING = {
+    "mu3": ({"group": {"type": "cyclic", "n": 3},
+             "divisors": [{"over": "x0", "h": 1, "l": "-1"},
+                          {"over": "dominating", "h": 0, "l": "-1/3"}]},
+            "FractionalL: l = -1/3 on the dominating divisor not in (1/1)Z"),
+    "tetrahedral": ({"group": {"type": "tetrahedral"},
+                     "divisors": [{"over": "dominating", "h": 0, "l": "-1/2"}]},
+                    "FractionalL: l = -1/2 on the dominating divisor not integral"),
+}
+
+
+@pytest.mark.parametrize("name", FRACTIONAL_DOMINATING)
+class TestFractionalDominatingL:
+    """The l-value of the dominating divisor is held to the same rule as
+    every other divisor's: u * l in Z for cyclic F, l in Z otherwise."""
+
+    @pytest.fixture
+    def path(self, name, tmp_path):
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps(FRACTIONAL_DOMINATING[name][0]))
+        return str(f)
+
+    def test_validate_reports_it(self, name, path, capsys):
+        rc, out, _ = run(capsys, "validate", path)
+        assert rc == 1
+        assert out.splitlines() == ["invalid:", "  " + FRACTIONAL_DOMINATING[name][1]]
+
+    @pytest.mark.parametrize("command", ["diagnose", "classgroup"])
+    def test_commands_refuse_it(self, name, path, command, capsys):
+        rc, out, err = run(capsys, command, path)
+        assert rc == 1 and out == ""
+        assert err.splitlines() == ["invalid embedding:", "  " + FRACTIONAL_DOMINATING[name][1]]
+
+
 class TestClassgroup:
     def test_json_payload(self, capsys):
         rc, out, _ = run(capsys, "classgroup", fixture("sl2_trivial_4pts.json"),

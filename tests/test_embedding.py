@@ -57,6 +57,12 @@ class TestValidate:
         E = EmbeddingData(cyclic(4), (), (GStableDivisorSpec(X0, 1, Fraction(-1, 2)),))
         assert E.validate() == []
 
+    def test_dominating_l_follows_the_same_rule(self):
+        for F, l, valid in ((cyclic(3), Fraction(-1, 3), False), (cyclic(4), Fraction(-1, 2), True),
+                            (cyclic(5), Fraction(-1, 2), False), (TETRA, Fraction(-1, 2), False)):
+            E = EmbeddingData(F, (), (GStableDivisorSpec(None, 0, l),))
+            assert [v.code for v in E.validate()] == ([] if valid else ["FractionalL"])
+
     def test_extra_point_needs_divisor(self):
         E = EmbeddingData(cyclic(3), (point(1, 1),), (
             GStableDivisorSpec(X0, 1, -1),))

@@ -58,6 +58,43 @@ def test_the_check_sees_a_nested_import():
     assert _imported_modules(tree) == {"random", "os"}
 
 
+def _nested_imports(tree: ast.Module) -> list[tuple[str, str]]:
+    """(enclosing function or class, module) for each import statement
+    below module level; a relative module keeps its leading dots."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name)
+                continue
+            if owner is not None and isinstance(child, ast.Import):
+                found.extend((owner, a.name) for a in child.names)
+            elif owner is not None and isinstance(child, ast.ImportFrom):
+                found.append((owner, "." * child.level + (child.module or "")))
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+# hashlib costs about 5 ms to import, and only reading an input file needs it
+NESTED_IMPORTS_ALLOWED = {"embedding.py": [("read_input", "hashlib")]}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_are_at_module_level(path):
+    found = _nested_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert found == NESTED_IMPORTS_ALLOWED.get(path.name, [])
+
+
+def test_the_check_sees_an_import_below_module_level():
+    tree = ast.parse("import sys\nif sys:\n    import json\ndef f():\n    from .x import y\n"
+                     "    for _ in y:\n        import os.path\n"
+                     "class C:\n    def g(self):\n        from math import gcd\n")
+    assert _nested_imports(tree) == [("f", ".x"), ("f", "os.path"), ("g", "math")]
+
+
 def _load_spans():
     """perfbench/spans.py as a module, loaded without writing bytecode next
     to it."""

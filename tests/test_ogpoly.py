@@ -3,17 +3,26 @@ coefficient storage they share: exact evaluation at integer matrices of
 determinant 1, and products and sums over GaussianRational dictionaries.
 GPoly is the free ring Q(i)[g1..g4]; the SL2 normal form below (modulo
 g1*g4 - g2*g3 - 1) is the oracle for equality on SL2 and for
-``GPoly.vanishes_on_sl2``."""
+``GPoly.vanishes_on_sl2``.  The ring map ``SparsePoly.evaluate``, which
+both verifiers use, is checked against substitution one factor at a
+time."""
 
+import pathlib
 import random
 from fractions import Fraction
 from math import comb, gcd
 
 import pytest
 
+from sl2cox.coxring import _exceptional_reduction, full_cox_presentation_cyclic, verify_full_cox
+from sl2cox.embedding import exceptional_relation_scalar, load_embedding, point_coordinates
 from sl2cox.exactmath import GAUSS_ZERO, GaussianRational, gauss
+from sl2cox.groups import ICOSA, OCTA, TETRA, dihedral
+from sl2cox.hyperspace import XF
 from sl2cox.ogpoly import G1, G2, G3, G4, GPoly, _collect
 from sl2cox.presentation import SparsePoly, monomial
+
+GOLDEN_INPUTS = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def sl2z_points(count: int, seed: int = 20200918) -> list[tuple[int, int, int, int]]:
@@ -394,3 +403,86 @@ def test_int_fraction_and_gaussian_coefficients_agree():
         for c in (p, Fraction(p, q)):
             assert as_frac.scale(c) == as_frac.scale(gauss(c))
             assert SparsePoly.term(c, {"x": 2}) == SparsePoly.term(gauss(c), {"x": 2})
+
+
+def reference_evaluate(p: dict, images: dict, unit, ref_mul, ref_add) -> dict:
+    """The image of p with each variable replaced by its image, one factor at
+    a time; a variable whose image is None is replaced by 1."""
+    out = {}
+    for m, c in p.items():
+        piece = {unit: c}
+        for v, e in m:
+            for _ in range(e if images[v] is not None else 0):
+                piece = ref_mul(piece, images[v].terms)
+        out = ref_add(out, piece)
+    return out
+
+
+def test_evaluate_matches_one_factor_at_a_time():
+    for ring, (random_poly, unit, ref_mul, ref_add) in RINGS.items():
+        rng = random.Random(43)
+        one = ring({unit: 1})
+        skipped = 0
+        for _ in range(100):
+            p = random_sparsepoly(rng)
+            images = {v: None if rng.random() < 0.25 else random_poly(rng)
+                      for v in ("a", "b", "s0", "sinf")}
+            skipped += any(images[v] is None for v in p.variables())
+            got = p.evaluate(lambda v, e: None if images[v] is None else images[v].pow(e), one)
+            assert type(got) is ring
+            assert got.terms == reference_evaluate(p.terms, images, unit, ref_mul, ref_add)
+            assert is_canonical(got)
+        assert skipped > 20
+
+
+def reference_exceptional_reduction(f: dict, F) -> dict:
+    """f with ff^nf replaced by R one step at a time, until no term holds
+    ff^nf.  R comes from the fiber relation over xf, beta a - alpha b =
+    lam ff^nf with a = fv^nv and b = -fe^ne: R = (beta fv^nv + alpha fe^ne)
+    / lam, (alpha, beta) the coordinates of xf."""
+    mult = F.canonical_multiplicities()
+    alpha, beta = point_coordinates(F, XF)
+    inv = exceptional_relation_scalar(F).inverse()
+    R = {monomial({"fv": mult["xv"]}): beta * inv, monomial({"fe": mult["xe"]}): alpha * inv}
+    out = dict(f)
+    while (m := next((m for m in out if dict(m).get("ff", 0) >= mult["xf"]), None)) is not None:
+        exps = dict(m)
+        exps["ff"] -= mult["xf"]
+        out = reference_sparse_add(out, reference_sparse_mul({monomial(exps): out.pop(m)}, R))
+    return out
+
+
+@pytest.mark.parametrize("F", [TETRA, OCTA, ICOSA] + [dihedral(n) for n in range(2, 7)],
+                         ids=lambda F: F.kind if F.kind != "dihedral" else f"BD{F.n}")
+def test_exceptional_reduction_matches_one_step_at_a_time(F):
+    rng = random.Random(47)
+    reduce = _exceptional_reduction(F)
+    nf = F.canonical_multiplicities()["xf"]
+    for _ in range(40):
+        f = SparsePoly({monomial({"fv": rng.randint(0, 3), "fe": rng.randint(0, 3),
+                                  "ff": rng.randint(0, 3 * nf)}): random_gaussian(rng)
+                        for _ in range(rng.randint(1, 4))})
+        got = reduce(f)
+        assert got.terms == reference_exceptional_reduction(f.terms, F)
+        assert is_canonical(got)
+
+
+def test_verify_full_cox_computes_each_power_once(monkeypatch):
+    result = full_cox_presentation_cyclic(load_embedding(str(GOLDEN_INPUTS / "cyclic12.json")))
+    P = result.presentation
+    functions = {v.name: v.function for v in P.variables}
+    wanted = {(v, e) for rel in P.relations for m in rel.num for v, e in m
+              if functions[v] != GPoly.const(1)}
+    assert len(wanted) > 20 and any(e > 1 for _, e in wanted)
+    calls = []
+    pow_ = GPoly.pow
+
+    def counting_pow(self, k):
+        calls.append((id(self), k))
+        return pow_(self, k)
+
+    monkeypatch.setattr(GPoly, "pow", counting_pow)
+    for passes in (1, 2):  # the powers are not kept from one call to the next
+        verify_full_cox(result)
+        assert len(calls) == passes * len(wanted)
+    assert len(set(calls)) == len(wanted)

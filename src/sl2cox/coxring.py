@@ -17,8 +17,9 @@ Four layers:
     to the signs eps; its function on SL2, one monomial c g3^n0 g4^ninf
     written down from the points' coordinates, is matched against the
     unique monomial in the canonical sections of the same degree and
-    weight, whose exponents come from a non-negative class-group
-    computation.  The N-module scalars are ratios of coordinates.
+    weight, whose exponents come from one non-negative class-group solve
+    per pair, walked along the pair's rows.  The N-module scalars are
+    ratios of coordinates, in integers.
 
   * ``verify_cox_u`` and ``verify_full_cox``: both constructions record each
     generator's function once, in ``GradedVariable.function`` (on SL2 for
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import comb, gcd, lcm
-from operator import itemgetter
+from operator import add, itemgetter
 
 from . import classgroup as cg
 from .diagnostics import special_fiber_normal
@@ -57,7 +58,7 @@ from .embedding import (
     exceptional_relation_scalar,
     point_coordinates,
 )
-from .exactmath import GAUSS_ONE, GaussianRational, gauss
+from .exactmath import GAUSS_ONE, EmptySolutionSet, GaussianRational, gauss
 from .groups import FiniteSubgroup
 from .hyperspace import BasePoint, X0, XD, XINF, point
 from .ogpoly import G3, G4, GPoly, Num, _split, gr_rref
@@ -65,7 +66,6 @@ from .presentation import (
     GradedPresentation,
     GradedVariable,
     SparsePoly,
-    monomial,
     pretty_poly,
     term_degree,
 )
@@ -211,7 +211,8 @@ def eliminate(P: GradedPresentation, targets=("a", "b")) -> tuple[GradedPresenta
         rest = relations[i] + SparsePoly.term(-c, {name: 1})
         value = rest.scale(GAUSS_ONE / (-c))
         log.append(f"{name} = {pretty_poly(value, order)}")
-        relations = [r.substitute(name, value) for j, r in enumerate(relations) if j != i]
+        power, one = SparsePoly.substitution(name, value), value.pow(0)
+        relations = [r.evaluate(power, one) for j, r in enumerate(relations) if j != i]
         variables = [v for v in variables if v.name != name]
     relations = [r for r in relations if not r.is_zero()]
     return GradedPresentation(variables, relations, P.grading), log
@@ -363,22 +364,29 @@ class _Ctx:
     p0_point: BasePoint | None
     pinf_point: BasePoint | None
     degree: dict[str, tuple[int, ...]]  # point key -> the module's class
+    steps: dict[int, tuple[int, ...] | None] = field(default_factory=dict)  # gap -> y_gap
 
-    def solve_section_monomial(self, target: list[int], n0: int, ninf: int) -> dict[str, int]:
-        """The monomial s0^n0 sinf^ninf * r^a of the class ``target`` (adapted
-        coordinates) as an exponent dict: r^a has class target - n0 deg s0 - ninf deg sinf."""
+    def r_exponents(self, target: list[int], k: int, n0: int, ninf: int, last) -> tuple[int, ...]:
+        """Exponents x over ``R.divisor_labels``, unique at full column rank,
+        with s0^n0 sinf^ninf r^x of the class ``target``.  From ``last`` =
+        (k', x') of the same pair, x = x' + y_g with [r^y_g] = g ([s0] +
+        [sinf]), g = k - k', y_g solved once per g; without y_g, or when x
+        has a negative entry, the row's own solve runs (and raises)."""
         d0, dinf = self.degree[self.mod0.point_key], self.degree[self.modinf.point_key]
+        if last is not None:
+            g = k - last[0]
+            if g not in self.steps:
+                step = [g * (a + b) for a, b in zip(d0, dinf)]
+                try:
+                    self.steps[g] = self.R.divisor_system.solve(step)
+                except EmptySolutionSet:
+                    self.steps[g] = None
+            if self.steps[g] is not None:
+                x = tuple(map(add, last[1], self.steps[g]))
+                if min(x, default=0) >= 0:
+                    return x
         rest = self.R.group.reduce([t - n0 * a - ninf * b for t, a, b in zip(target, d0, dinf)])
-        labels, (sol,) = cg.express_in_invariant_divisors(self.R, rest)
-        mono: dict[str, int] = {}
-        if n0:
-            mono[self.mod0.names[0]] = n0
-        if ninf:
-            mono[self.modinf.names[0]] = mono.get(self.modinf.names[0], 0) + ninf
-        for lbl, e in zip(labels, sol):
-            if e:
-                mono[self.rvar[lbl]] = e
-        return mono
+        return cg.express_in_invariant_divisors(self.R, rest)[1][0]
 
 
 def _transvectant(A: SectionModule, B: SectionModule, k: int, sym: bool) -> dict:
@@ -436,28 +444,33 @@ def _pair_rows(A: SectionModule, B: SectionModule, ctx: _Ctx) -> list[ModuleRow]
     minus its function c g3^n0 g4^ninf (``_product_monomial``) times the
     section monomial s0^n0 sinf^ninf r^...  That monomial is g3^n0 g4^ninf
     on SL2: s0 = g3 and sinf = g4 for n >= 3, and n0 = ninf = 0 on the
-    degree-1 modules of n <= 2.  No polynomial on SL2 is formed."""
+    degree-1 modules of n <= 2.  No polynomial on SL2 is formed.  The rows
+    run in k order, and n0, ninf both drop by one per unit of k, so the
+    r-exponents take one non-negative solve per pair (``_Ctx.r_exponents``)."""
     sym = A is B
     comps = clebsch_gordan(A.dim - 1, B.dim - 1)[1:]  # drop the Cartan component
     if sym:
         comps = comps[1::2]  # Sym^2(V_d) = V_2d + V_{2d-4} + ...
     rows: list[ModuleRow] = []
     target = [a + b for a, b in zip(ctx.degree[A.point_key], ctx.degree[B.point_key])]
+    last = None  # (k, r-exponents) of the last row with a section monomial
     for m in comps:
         k = (A.dim + B.dim - 2 - m) // 2
         closed = _product_monomial(A, B, k, sym)
         r = closed[2] if closed else 1
         num = {}
         for (i, j), c in _transvectant(A, B, k, sym).items():
-            mono = {A.names[i]: 1}
-            mono[B.names[j]] = mono.get(B.names[j], 0) + 1
-            num[monomial(mono)] = (c * r, 0)
+            a, b = sorted((A.names[i], B.names[j]))
+            num[((a, 2),) if a == b else ((a, 1), (b, 1))] = (c * r, 0)
         if closed is None:
             rows.append(ModuleRow(m, m, SparsePoly._canonical(num, 1), True))
             continue
         x, y, _, n0, ninf = closed
+        last = k, ctx.r_exponents(target, k, n0, ninf, last)
+        mono = [(ctx.rvar[lbl], e) for lbl, e in zip(ctx.R.divisor_labels, last[1]) if e]
+        mono += [(s.names[0], e) for s, e in ((ctx.mod0, n0), (ctx.modinf, ninf)) if e]
         # a chain monomial has a basis vector of index >= 1, never this key
-        num[monomial(ctx.solve_section_monomial(target, n0, ninf))] = (-x, -y)
+        num[tuple(sorted(mono))] = (-x, -y)
         rows.append(ModuleRow(m, m, SparsePoly._canonical(num, r)))
     return rows
 
@@ -468,22 +481,28 @@ def _n_rows(mod: SectionModule, ctx: _Ctx, p: BasePoint,
     c0 s0^nbar r0^h + cinf sinf^nbar rinf^h - s_i r_i^h, with s_i =
     beta g3^nbar - alpha g4^nbar and s0^nbar, sinf^nbar = g3^nbar, g4^nbar
     for n >= 3 or beta_x0 g3, -alpha_xinf g4 for n <= 2 (nbar = 1), so
-    c0 = beta / beta_x0 and cinf = alpha / alpha_xinf; for nbar = 1 the
+    c0 = beta / beta_x0 and cinf = alpha / alpha_xinf, written over one
+    denominator from the Gaussian-integer ``coords``; for nbar = 1 the
     lowered (t-)row completes the module."""
     mod0, modinf = ctx.mod0, ctx.modinf
     nb = ctx.E.group.nbar
-    c0, cinf = mod.beta / mod0.beta, mod.alpha / modinf.alpha
+    alpha, beta, den = mod.coords
+    (_, beta0, den0), (alphainf, _, deninf) = mod0.coords, modinf.coords
+    norm0, norminf = beta0[0] ** 2 + beta0[1] ** 2, alphainf[0] ** 2 + alphainf[1] ** 2
+    c0 = _gmul(beta, (beta0[0] * den0 * norminf, -beta0[1] * den0 * norminf))
+    cinf = _gmul(alpha, (alphainf[0] * deninf * norm0, -alphainf[1] * deninf * norm0))
 
-    def r_mono(q: BasePoint | None) -> dict[str, int]:
+    def r_items(q: BasePoint | None) -> list[tuple[str, int]]:
         fiber = ctx.R.fibers[q] if q is not None else {}
-        return {ctx.rvar[lbl]: h for lbl, h in fiber.items() if lbl in ctx.rvar}
+        return [(ctx.rvar[lbl], h) for lbl, h in fiber.items() if lbl in ctx.rvar]
 
-    r0, rinf, rp = r_mono(ctx.p0_point), r_mono(ctx.pinf_point), r_mono(p)
+    r0, rinf, rp = r_items(ctx.p0_point), r_items(ctx.pinf_point), r_items(p)
 
     def build(index: int) -> SparsePoly:
-        return (SparsePoly.term(c0, {mod0.names[index]: nb, **r0})
-                + SparsePoly.term(cinf, {modinf.names[index]: nb, **rinf})
-                + SparsePoly.term(-1, {mod.names[index]: 1, **rp}))
+        num = {tuple(sorted([(m.names[index], e), *rs])): c
+               for m, e, rs, c in ((mod0, nb, r0, c0), (modinf, nb, rinf, cinf),
+                                   (mod, 1, rp, (-den * norm0 * norminf, 0))) if any(c)}
+        return SparsePoly._canonical(num, den * norm0 * norminf)
 
     rows = [ModuleRow(nb, nb, build(0))]
     if include_lowered:

@@ -154,10 +154,10 @@ class EmbeddingData:
                     f"fiber is parametric and the point is not exceptional"))
 
         def fractional_l(d: GStableDivisorSpec, where: str) -> None:
-            if F.is_cyclic and (F.u * d.l).denominator != 1:
-                v.append(Violation("FractionalL", f"l = {d.l} {where} not in (1/{F.u})Z"))
-            if not F.is_cyclic and d.l.denominator != 1:
-                v.append(Violation("FractionalL", f"l = {d.l} {where} not integral"))
+            u = F.u if F.is_cyclic else 1
+            if (u * d.l).denominator != 1:
+                rule = f"in (1/{u})Z" if u != 1 else "integral"
+                v.append(Violation("FractionalL", f"l = {d.l} {where} not {rule}"))
 
         dominating = [d for d in self.divisors if d.dominating]
         if len(dominating) > 1:

@@ -222,6 +222,9 @@ class GPoly(QiPoly):
         def homogenized():
             for (a, b, c, d), (x, y) in self.num.items():
                 j = (top[a + b - c - d] - a - b - c - d) // 2
+                if not j:  # already at its weight's top degree
+                    yield (a, b, c, d), (x, y)
+                    continue
                 for i in range(j + 1):
                     k = (-1) ** i * comb(j, i)
                     yield (a + j - i, b + i, c + i, d + j - i), (x * k, y * k)

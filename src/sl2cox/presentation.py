@@ -8,18 +8,18 @@ the normal form; ``SparsePoly.evaluate`` is the one ring map out of it
 (substitution, the polyhedral reduction, both verifiers).  A presentation
 fixes the variable order, the Cl(X)-degrees in adapted coordinates and the
 B-weights.  Every emitted relation must be homogeneous for both gradings;
-the term-by-term checkers here are the oracle for the packed check that
-``--verify`` runs (``coxring``).
+the term-by-term Cl-degree checker here (with a B-weight one in the tests)
+is the oracle for the packed check that ``--verify`` runs (``coxring``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from math import gcd, prod
+from math import gcd
 
 from .exactmath import FinAbGroup, GAUSS_ONE, GaussianRational, gauss
-from .ogpoly import GPoly, QiPoly, _collect
+from .ogpoly import GPoly, QiPoly
 
 Monomial = tuple[tuple[str, int], ...]  # sorted by variable name, exponents > 0
 
@@ -56,39 +56,48 @@ class SparsePoly(QiPoly):
 
     def evaluate(self, power, one):
         """The image under the ring map v^e -> ``power(v, e)`` into the ring
-        with unit ``one``; ``None`` means 1, and that factor is skipped.  Each
-        term's product starts from its first factor, in integer numerators
-        over one common denominator."""
+        with unit ``one``; ``None`` means 1, and that factor is skipped.  One
+        pass per term: the product of its factors' integer numerators and
+        denominators, then the term's coefficient folded in while the
+        product is collected over the running common denominator."""
         mono_mul = one._mono_mul
+        unit = ((one._ONE, (1, 0)),)
         den, out = 1, {}
         for mono, (x, y) in self.num.items():
-            factors = []
+            items, fden = unit, 1
             for v, e in mono:
                 f = power(v, e)
                 if f is not None:
-                    factors.append(f)
-            fden = prod(f.den for f in factors)
+                    fden *= f.den
+                    items = f.num.items() if items is unit else [
+                        (mono_mul(m1, m2), (x1 * x2 - y1 * y2, x1 * y2 + y1 * x2))
+                        for m1, (x1, y1) in items for m2, (x2, y2) in f.num.items()]
             if den % fden:  # bring the sum so far to a common denominator
                 g = fden // gcd(den, fden)
                 out = {m: (p * g, q * g) for m, (p, q) in out.items()}
                 den *= g
-            x, y = x * (den // fden), y * (den // fden)
-            first = factors[0].num.items() if factors else [(one._ONE, (1, 0))]
-            items = [(m, (x * p - y * q, x * q + y * p)) for m, (p, q) in first]
-            for f in factors[1:]:
-                items = [(mono_mul(m1, m2), (x1 * x2 - y1 * y2, x1 * y2 + y1 * x2))
-                         for m1, (x1, y1) in items for m2, (x2, y2) in f.num.items()]
-            _collect(out, items)
+            s = den // fden
+            x, y = x * s, y * s
+            for m, (p, q) in items:
+                a, b = x * p - y * q, x * q + y * p
+                if (prev := out.get(m)) is not None:
+                    a, b = a + prev[0], b + prev[1]
+                if a or b:  # only a sum with an earlier term can vanish
+                    out[m] = (a, b)
+                else:
+                    del out[m]
         return one._canonical(out, den * self.den)
+
+    @staticmethod
+    def substitution(name: str, value: "SparsePoly"):
+        """``evaluate``'s ``power`` for ``value`` in place of the variable
+        ``name`` (unit ``value.pow(0)``): each power computed once per map."""
+        return cache(lambda v, e: value.pow(e) if v == name
+                     else SparsePoly._canonical({((v, e),): (1, 0)}, 1))
 
     def substitute(self, name: str, value: "SparsePoly") -> "SparsePoly":
         """``value`` in place of the variable ``name``, each power computed once."""
-
-        @cache
-        def power(v: str, e: int) -> SparsePoly:
-            return value.pow(e) if v == name else SparsePoly._canonical({((v, e),): (1, 0)}, 1)
-
-        return self.evaluate(power, value.pow(0))  # the unit, without parsing a coefficient
+        return self.evaluate(SparsePoly.substitution(name, value), value.pow(0))
 
     def kill_variables(self, names) -> "SparsePoly":
         names = set(names)
@@ -188,18 +197,6 @@ def relation_degree(poly: SparsePoly, degrees, group: FinAbGroup):
         elif deg != cur:
             raise ValueError(f"relation not Cl-homogeneous: {deg} vs {cur}")
     return deg
-
-
-def relation_b_weight(poly: SparsePoly, weights: dict[str, int]):
-    """Common B-weight of all terms; raises when inhomogeneous."""
-    w = None
-    for m in poly.num:
-        cur = sum(e * weights[v] for v, e in m)
-        if w is None:
-            w = cur
-        elif w != cur:
-            raise ValueError(f"relation not B-weight homogeneous: {w} vs {cur}")
-    return w
 
 
 # -- pretty printing -------------------------------------------------------------

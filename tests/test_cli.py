@@ -76,7 +76,7 @@ FRACTIONAL_DOMINATING = {
     "mu3": ({"group": {"type": "cyclic", "n": 3},
              "divisors": [{"over": "x0", "h": 1, "l": "-1"},
                           {"over": "dominating", "h": 0, "l": "-1/3"}]},
-            "FractionalL: l = -1/3 on the dominating divisor not in (1/1)Z"),
+            "FractionalL: l = -1/3 on the dominating divisor not integral"),
     "tetrahedral": ({"group": {"type": "tetrahedral"},
                      "divisors": [{"over": "dominating", "h": 0, "l": "-1/2"}]},
                     "FractionalL: l = -1/2 on the dominating divisor not integral"),

@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 import random
 import sys
 from collections import Counter
@@ -29,10 +30,18 @@ from sl2cox.coxring import (
     verify_cox_u,
     verify_full_cox,
 )
-from sl2cox.embedding import EmbeddingData, GStableDivisorSpec, affine_embedding, point_coordinates
+from sl2cox.embedding import (
+    EmbeddingData,
+    GStableDivisorSpec,
+    affine_embedding,
+    load_embedding,
+    point_coordinates,
+)
 from sl2cox.exactmath import (
     GAUSS_ONE,
     GAUSS_ZERO,
+    EmptySolutionSet,
+    FactoredSystem,
     FinAbGroup,
     GaussianRational,
     gauss,
@@ -47,13 +56,26 @@ from sl2cox.presentation import (
     SparsePoly,
     canonical_key,
     monomial,
-    relation_b_weight,
     relation_degree,
     term_degree,
 )
 
 from test_embedding import mu3_example, trivial_four_points
 from test_ogpoly import evaluate, raise_op, sl2_normal_form, sl2z_points
+
+GOLDEN_INPUTS = pathlib.Path(__file__).parent / "golden" / "inputs"
+
+
+def relation_b_weight(poly: SparsePoly, weights: dict[str, int]):
+    """Oracle: the common B-weight of all terms; raises when inhomogeneous."""
+    w = None
+    for m in poly.num:
+        cur = sum(e * weights[v] for v, e in m)
+        if w is None:
+            w = cur
+        elif w != cur:
+            raise ValueError(f"relation not B-weight homogeneous: {w} vs {cur}")
+    return w
 
 
 def rel(*terms) -> SparsePoly:
@@ -222,6 +244,25 @@ class TestEliminate:
         value = rel((1, {"s0": 3, "r0": 1}))
         killed = P.relations[0]
         assert killed.substitute("a", value).is_zero()
+
+
+    def test_one_power_map_per_target(self, monkeypatch):
+        # the relations of one eliminate call share the target's power map,
+        # so each power of each target's value is computed once
+        P = cox_u_presentation(_cyclic_with_points(5, [(2, 3), (3, 5), (1, 4), (4, 7)]))
+        want, _ = eliminate(P)
+        calls = []
+        pow_ = SparsePoly.pow
+
+        def counted(self, k):
+            calls.append((self, k))  # keeps self alive, so its id stays unique
+            return pow_(self, k)
+
+        monkeypatch.setattr(SparsePoly, "pow", counted)
+        Q, log = eliminate(P)
+        assert Q == want and len(log) == 2 and len(P.relations) == 6
+        assert Counter((id(p), k) for p, k in calls).most_common(1)[0][1] == 1
+        assert len(calls) == 4  # the unit and the first power of each value
 
 
 class TestSpecialFiber:
@@ -1102,25 +1143,36 @@ class TestWork:
         assert calls[True] == 0
         assert calls[False] > 0  # the counters do see the verifier's products
 
-    def test_one_exponent_solve_per_m_row_outside_the_kernel(self, monkeypatch):
+    def test_one_nonnegative_exponent_solve_per_m_module(self, monkeypatch):
         # mu_64 with ten extra points and three divisors per point: 1631
-        # relations, of which the 10 N rows need no solve
+        # relations, of which the 10 N rows need no solve; the 1621 M rows
+        # walk their r-exponents from one non-negative solve per module, plus
+        # one step solve per distinct gap between the rows of a module
         pts = [(2, 7), (5, 11), (3, 13), (7, 2), (11, 5), (13, 3), (4, 9), (9, 4), (6, 17), (17, 6)]
         extras = tuple(point(a, b) for a, b in pts)
         E = EmbeddingData(cyclic(64), extras, tuple(
             GStableDivisorSpec(p, 1, -j) for p in (X0, XINF) + extras for j in (1, 2, 3)))
-        calls = [0]
-        solve = cg.solve_nonneg
+        calls = Counter()
 
-        def counting(*args):
-            calls[0] += 1
-            return solve(*args)
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
 
-        monkeypatch.setattr(cg, "solve_nonneg", counting)
+        monkeypatch.setattr(cg, "solve_nonneg", counting("nonneg", cg.solve_nonneg))
+        monkeypatch.setattr(FactoredSystem, "solve", counting("solve", FactoredSystem.solve))
         res = full_cox_presentation_cyclic(E)
         rows = [(mod.kind, row.in_kernel) for mod in res.modules for row in mod.rows]
         assert len(rows) == 1631 and rows.count(("N", False)) == 10
-        assert calls[0] == rows.count(("M", False)) == 1621
+        assert rows.count(("M", False)) == 1621
+        solved = [[row.iso_m for row in mod.rows if not row.in_kernel]
+                  for mod in res.modules if mod.kind == "M"]
+        solved = [ms for ms in solved if ms]
+        # k = (d_A + d_B - m) / 2, so the gap in k between two rows is half the drop in m
+        gaps = {(m1 - m2) // 2 for ms in solved for m1, m2 in zip(ms, ms[1:])}
+        assert calls["nonneg"] == len(solved) == 76
+        assert calls["nonneg"] < calls["solve"] <= len(solved) + len(gaps)
 
     def test_the_divisors_of_the_embedding_are_scanned_once_per_point(self, monkeypatch):
         # mu_64 with ten extra points and 1 or 3 divisors per point: one
@@ -1158,6 +1210,143 @@ class TestWork:
             assert all("class_group" in s for s in outside)
             counts.append((in_class_group, len(outside)))
         assert counts[0] == counts[1] == (12, 12)
+
+
+# -- the exponent walk and the N-row scalars against per-row oracles ----------------
+
+
+def _direct_exponents(ctx, target, n0: int, ninf: int):
+    """Oracle: the row's own ``express_in_invariant_divisors`` solve."""
+    d0, dinf = ctx.degree[ctx.mod0.point_key], ctx.degree[ctx.modinf.point_key]
+    rest = ctx.R.group.reduce([t - n0 * a - ninf * b for t, a, b in zip(target, d0, dinf)])
+    labels, (sol,) = cg.express_in_invariant_divisors(ctx.R, rest)
+    assert labels == ctx.R.divisor_labels
+    return sol
+
+
+def _walk_sweep():
+    """(name, embedding): extra points [a:b] and [a:-b] for n = 3..12, whose
+    kernel rows at even k leave gaps of 2 (n = 2 mod 4 keeps torsion and
+    fails); mu_3 + 2 x 5; mu_1, one row per pair; cyclic9_deep (r-exponent
+    137)."""
+    rng = random.Random("exponent-walk")
+    for n in range(3, 13):
+        for _ in range(3):
+            a, b = rng.randint(1, 12), rng.randint(1, 12)
+            yield f"mu{n} [{a}:{b}] [{a}:{-b}]", _cyclic_with_points(n, [(a, b), (a, -b)])
+    pts = (point(2, 7), point(5, 11))
+    yield "mu3 + 2 x 5", EmbeddingData(cyclic(3), pts, tuple(
+        GStableDivisorSpec(p, 1, -j) for p in (X0, XINF) + pts for j in range(1, 6)))
+    yield "mu1", _cyclic_with_points(1, [(2, 3)])
+    yield "cyclic9_deep", load_embedding(GOLDEN_INPUTS / "cyclic9_deep.json")
+
+
+def _outcome(E):
+    """The presentation's relations, or the type and message it raised."""
+    try:
+        return full_cox_presentation_cyclic(E).presentation.relations
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestExponentWalk:
+    def test_walked_exponents_equal_a_solve_per_row(self, monkeypatch):
+        walk = coxring._Ctx.r_exponents
+        seen: dict = {}
+
+        def checked(ctx, target, k, n0, ninf, last):
+            got = walk(ctx, target, k, n0, ninf, last)
+            assert got == _direct_exponents(ctx, target, n0, ninf)
+            gaps[None if last is None else k - last[0]] += 1
+            tops[0] = max(tops[0], *got)
+            return got
+
+        monkeypatch.setattr(coxring._Ctx, "r_exponents", checked)
+        failed = []
+        for name, E in _walk_sweep():
+            gaps, tops = Counter(), [0]
+            try:
+                res = full_cox_presentation_cyclic(E)
+            except TorsionAfterAugmentation:
+                failed.append(name)
+                continue
+            verify_full_cox(res)
+            seen[name] = gaps, tops[0]
+        kernel = [name for name, (gaps, _) in seen.items() if gaps[2]]
+        assert len(seen) >= 20 and len(kernel) >= 10 and failed
+        assert seen["cyclic9_deep"][1] == 137
+        assert all(gaps[None] for gaps, _ in seen.values())
+        assert seen["mu3 + 2 x 5"][0][1] and seen["mu1"][0][None]
+
+    def test_every_outcome_matches_one_solve_per_row(self, monkeypatch):
+        walked = {name: _outcome(E) for name, E in _walk_sweep()}
+        walk = coxring._Ctx.r_exponents
+        monkeypatch.setattr(coxring._Ctx, "r_exponents",
+                            lambda ctx, *args: walk(ctx, *args[:-1], None))
+        per_row = {name: _outcome(E) for name, E in _walk_sweep()}
+        assert walked == per_row
+        assert any(type(out) is tuple for out in per_row.values())
+
+    def test_a_failed_step_falls_back_to_the_rows_own_solve(self, monkeypatch):
+        ctxs, calls = [], []
+        pair_rows = coxring._pair_rows
+
+        def capture(A, B, ctx):
+            ctxs.append(ctx)
+            return pair_rows(A, B, ctx)
+
+        monkeypatch.setattr(coxring, "_pair_rows", capture)
+        walk = coxring._Ctx.r_exponents
+        monkeypatch.setattr(coxring._Ctx, "r_exponents",
+                            lambda ctx, *args: calls.append(args) or walk(ctx, *args))
+        full_cox_presentation_cyclic(load_embedding(GOLDEN_INPUTS / "cyclic9_deep.json"))
+        ctx = ctxs[0]
+        target, k, n0, ninf, (k1, _) = next(c for c in calls if c[-1] is not None)
+        want = _direct_exponents(ctx, target, n0, ninf)
+        negative = (k1, tuple(-1 - e for e in ctx.steps[k - k1]))  # x' + y_g = (-1, ..., -1)
+        assert walk(ctx, target, k, n0, ninf, negative) == want
+        ctx.steps[k - k1] = None  # as when g ([s0] + [sinf]) has no integer solution
+        assert walk(ctx, target, k, n0, ninf, (k1, (0,) * len(want))) == want
+        # a class with no non-negative solution raises as the row's own solve does
+        with pytest.raises(EmptySolutionSet) as own:
+            _direct_exponents(ctx, target, n0 + 200, ninf)
+        with pytest.raises(EmptySolutionSet) as walked:
+            walk(ctx, target, k, n0 + 200, ninf, negative)
+        assert str(walked.value) == str(own.value)
+
+    def test_n_row_scalars_are_the_coordinate_ratios(self, monkeypatch):
+        rows = []
+        n_rows = coxring._n_rows
+
+        def capture(mod, ctx, p, include_lowered):
+            out = n_rows(mod, ctx, p, include_lowered)
+            rows.append((mod, ctx, out))
+            return out
+
+        monkeypatch.setattr(coxring, "_n_rows", capture)
+        rng = random.Random("n-row-scalars")
+
+        def coordinate():
+            return gauss((Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                          Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(2, 6))))
+
+        for n in (1, 3, 4, 5, 7, 8, 9, 12, 16):  # n = 2 keeps torsion with four points
+            extras = [point(coordinate(), coordinate()) for _ in range(2)]
+            if n <= 2:  # the designated points at non-real [0:b] and [a:0], |a|, |b| != 1
+                extras = [point(0, coordinate()), point(coordinate(), 0)] + extras
+            over = extras if n <= 2 else [X0, XINF] + extras
+            E = EmbeddingData(cyclic(n), tuple(extras),
+                              tuple(GStableDivisorSpec(p, 1, -1) for p in over))
+            rows.clear()
+            verify_full_cox(full_cox_presentation_cyclic(E))
+            assert len(rows) == 2
+            for mod, ctx, out in rows:
+                assert mod.alpha.im and mod.beta.im and mod.coords[2] > 1
+                want = (mod.beta / ctx.mod0.beta, mod.alpha / ctx.modinf.alpha, gauss(-1))
+                for i, row in enumerate(out):  # and the lowered row when nbar = 1
+                    names = (ctx.mod0.names[i], ctx.modinf.names[i], mod.names[i])
+                    got = {v: c for m, c in row.poly.terms.items() for v, _ in m if v in names}
+                    assert got == dict(zip(names, want)), (n, mod.point_key, i)
 
 
 def _gpoly_module_fns(alpha, beta, d: int, eps: int) -> tuple[GPoly, ...]:

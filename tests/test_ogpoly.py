@@ -435,6 +435,42 @@ def test_evaluate_matches_one_factor_at_a_time():
         assert skipped > 20
 
 
+def test_evaluate_matches_reference_substitute_over_mixed_denominators():
+    # coefficients over coprime denominators in both polynomials, so the
+    # running common denominator grows term by term; the variables in
+    # ``ones`` map to None (that is, to 1), so their factors are skipped
+    rng = random.Random(47)
+    dens = (1, 2, 3, 5, 7)
+
+    def coefficient():
+        return gauss((Fraction(rng.randint(-9, 9), rng.choice(dens)),
+                      Fraction(rng.randint(-9, 9), rng.choice(dens))))
+
+    def poly(names, terms):
+        return SparsePoly({monomial({v: rng.randint(0, 3) for v in rng.sample(names, 2)}):
+                           coefficient() for _ in range(terms)})
+
+    names = ("a", "b", "s0", "sinf", "r0")
+    for _ in range(60):
+        ps = [poly(names, rng.randint(2, 6)) for _ in range(3)]
+        name, value = rng.choice(("a", "b")), poly(("s0", "r0", "x"), rng.randint(1, 3))
+        ones = set(rng.sample(("sinf", "r0"), rng.randint(0, 2)))
+        substitution = SparsePoly.substitution(name, value)
+
+        def power(v, e):
+            return None if v in ones else substitution(v, e)
+
+        for p in ps:  # one map, shared by every polynomial
+            got = p.evaluate(power, value.pow(0))
+            cut = {}
+            for m, c in p.terms.items():
+                cut = reference_sparse_add(cut, {tuple((v, e) for v, e in m if v not in ones): c})
+            assert is_canonical(got)
+            assert got.terms == reference_substitute(cut, name, value.terms)
+            if not ones:
+                assert got == p.substitute(name, value)
+
+
 def reference_exceptional_reduction(f: dict, F) -> dict:
     """f with ff^nf replaced by R one step at a time, until no term holds
     ff^nf.  R comes from the fiber relation over xf, beta a - alpha b =

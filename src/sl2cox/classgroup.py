@@ -13,6 +13,12 @@ coming from the divisor of the weight-lattice generator, with denominators
 cleared by u.  The cokernel, adapted-basis images of the generators,
 non-negative expressions of classes in the invariant divisors and the
 restriction to the character group of F are all computed exactly.
+
+Cl(X) is Z^generators modulo the few rows of the relation matrix P, one per
+exceptional point, so a class is written in the invariant divisors in that
+relation lattice (``ClassGroupResult.lattice``), not in the adapted
+coordinates: the columns of the other generators fix the relation
+coefficients, and the divisor columns then give the exponents.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .exactmath import (
     FactoredSystem,
     FinAbGroup,
     IntMatrix,
+    RelationLattice,
     cokernel,
     solve_nonneg,
 )
@@ -91,9 +98,31 @@ class ClassGroupResult:
         return [g.label for g in self.generators if g.kind == "divisor"]
 
     @cached_property
-    def divisor_system(self) -> FactoredSystem:
-        """The invariant-divisor system, factored on first use."""
-        return FactoredSystem(*self.linear_system(self.divisor_labels))
+    def lattice(self) -> RelationLattice:
+        """Cl(X) as the relation lattice of ``presentation``, solved on the
+        invariant-divisor columns: one elimination of the columns of the
+        other generators, on first use.  The certificate: the invariant
+        divisors are independent in Cl(X)⊗Q iff the other columns have the
+        rank of P, and the relation coefficients are unique iff that is the
+        number of rows of P; RuntimeError otherwise."""
+        P = self.presentation
+        lattice = RelationLattice(P, [j for j, g in enumerate(self.generators)
+                                      if g.kind == "divisor"])
+        if lattice.rank < P.rows:
+            rank = FactoredSystem(P.transpose()).rank
+            if lattice.rank < rank:
+                raise RuntimeError(
+                    f"invariant divisors dependent in Cl(X)⊗Q: the relations have rank "
+                    f"{rank}, but rank {lattice.rank} off the invariant divisors")
+            raise RuntimeError(f"internal invariant broken: {P.rows} relations of rank {rank}")
+        return lattice
+
+    def numerators(self, combo: dict) -> tuple[int, ...]:
+        """``lattice.numerators`` of an integer combination {label: coeff};
+        KeyError on a label that names no generator, as in ``image_of``."""
+        if unknown := combo.keys() - self.images.keys():
+            raise KeyError(", ".join(sorted(unknown)))
+        return self.lattice.numerators([combo.get(g.label, 0) for g in self.generators])
 
 
 def _pretty_point(key: str) -> str:
@@ -189,27 +218,22 @@ def express_in_basis(R: ClassGroupResult, target: dict, basis_labels: list[str])
 
 
 def express_in_invariant_divisors(
-    R: ClassGroupResult, target: tuple[int, ...]
+    R: ClassGroupResult, combo: dict
 ) -> tuple[list[str], list[tuple[int, ...]]]:
     """The non-negative exponent vector over the invariant divisors.
 
-    Solves target = sum m_ij [X^{x_i}_j] in Cl(X) for a class in adapted
-    coordinates, such as ``R.image_of(combo)`` (torsion part included;
-    the dominating divisor never enters a relation and is excluded) on
-    ``R.divisor_system``, factored once per R.  The invariant divisors are
+    Solves [combo] = sum m_ij [X^{x_i}_j] in Cl(X) for an integer
+    combination {label: coeff} (the input of ``R.image_of``; the dominating
+    divisor never enters a fiber relation and is excluded) in the relation
+    lattice ``R.lattice``, eliminated once per R.  The invariant divisors are
     independent in Cl(X)⊗Q (a relation among them is the divisor of a unit
     on SL2/F, and such units are constant), so the solution is unique:
     returns (labels, [m]).  Raises EmptySolutionSet when m is not a
     non-negative integer vector, with a torsion-obstruction diagnostic when
-    only the torsion part fails, and RuntimeError when the factored rank
-    breaks the independence.
+    only the torsion part fails, and RuntimeError when the lattice's rank
+    certificate breaks the independence.
     """
-    system = R.divisor_system
-    if system.rank < system.A.cols:
-        raise RuntimeError(
-            f"invariant divisors dependent in Cl(X)⊗Q: rank {system.rank} "
-            f"of {system.A.cols} divisors")
-    return R.divisor_labels, solve_nonneg(system, target)
+    return R.divisor_labels, solve_nonneg(R.lattice, R.numerators(combo))
 
 
 def restrict_to_Fhat(R: ClassGroupResult, combo: dict) -> tuple[int, ...]:

@@ -17,9 +17,11 @@ Four layers:
     to the signs eps; its function on SL2, one monomial c g3^n0 g4^ninf
     written down from the points' coordinates, is matched against the
     unique monomial in the canonical sections of the same degree and
-    weight, whose exponents come from one non-negative class-group solve
-    per pair, walked along the pair's rows.  The N-module scalars are
-    ratios of coordinates, in integers.
+    weight.  Its exponents are read off the relation lattice of the class
+    group (``ClassGroupResult.lattice``): each module's class is solved
+    once, as integer numerators over one denominator, a row's class is a
+    sum of those, and along a pair's rows it moves by one step per gap.
+    The N-module scalars are ratios of coordinates, in integers.
 
   * ``verify_cox_u`` and ``verify_full_cox``: both constructions record each
     generator's function once, in ``GradedVariable.function`` (on SL2 for
@@ -47,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import add, itemgetter
 
 from . import classgroup as cg
@@ -58,7 +60,7 @@ from .embedding import (
     exceptional_relation_scalar,
     point_coordinates,
 )
-from .exactmath import GAUSS_ONE, EmptySolutionSet, GaussianRational, gauss
+from .exactmath import GAUSS_ONE, GaussianRational, gauss, require_nonneg
 from .groups import FiniteSubgroup
 from .hyperspace import BasePoint, X0, XD, XINF, point
 from .ogpoly import G3, G4, GPoly, Num, _split, gr_rref
@@ -303,9 +305,6 @@ class SectionModule:
     def weights(self) -> tuple[int, ...]:
         return tuple(self.dim - 1 - 2 * i for i in range(self.dim))
 
-    def sign(self, i: int) -> int:  # eps_i
-        return self.eps if i else 1
-
 
 @dataclass(frozen=True)
 class ModuleRow:
@@ -363,30 +362,28 @@ class _Ctx:
     rvar: dict[str, str]
     p0_point: BasePoint | None
     pinf_point: BasePoint | None
-    degree: dict[str, tuple[int, ...]]  # point key -> the module's class
-    steps: dict[int, tuple[int, ...] | None] = field(default_factory=dict)  # gap -> y_gap
+    classes: dict[str, tuple[int, ...]]  # point key -> the module's lattice numerators
+    steps: dict[int, tuple[int, ...]] = field(default_factory=dict)  # gap g -> g (X0 + Xinf)
 
-    def r_exponents(self, target: list[int], k: int, n0: int, ninf: int, last) -> tuple[int, ...]:
-        """Exponents x over ``R.divisor_labels``, unique at full column rank,
-        with s0^n0 sinf^ninf r^x of the class ``target``.  From ``last`` =
-        (k', x') of the same pair, x = x' + y_g with [r^y_g] = g ([s0] +
-        [sinf]), g = k - k', y_g solved once per g; without y_g, or when x
-        has a negative entry, the row's own solve runs (and raises)."""
-        d0, dinf = self.degree[self.mod0.point_key], self.degree[self.modinf.point_key]
-        if last is not None:
+    def r_exponents(self, A: SectionModule, B: SectionModule, k: int, n0: int, ninf: int,
+                    last) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(X, x): the lattice numerators X of [A] + [B] - n0 [s0] - ninf
+        [sinf] and the exponents x over ``R.divisor_labels`` they give, the
+        unique ones with s0^n0 sinf^ninf r^x of the class of A (x) B.  From
+        ``last`` = (k', X') of the same pair, X = X' + g (X0 + Xinf), g =
+        k - k'; no row or pair solves anything.  Raises EmptySolutionSet
+        with the row's own message when x is not a non-negative integer."""
+        X0, Xinf = self.classes[self.mod0.point_key], self.classes[self.modinf.point_key]
+        if last is None:
+            X = tuple(a + b - n0 * c - ninf * d for a, b, c, d in
+                      zip(self.classes[A.point_key], self.classes[B.point_key], X0, Xinf))
+        else:
             g = k - last[0]
-            if g not in self.steps:
-                step = [g * (a + b) for a, b in zip(d0, dinf)]
-                try:
-                    self.steps[g] = self.R.divisor_system.solve(step)
-                except EmptySolutionSet:
-                    self.steps[g] = None
-            if self.steps[g] is not None:
-                x = tuple(map(add, last[1], self.steps[g]))
-                if min(x, default=0) >= 0:
-                    return x
-        rest = self.R.group.reduce([t - n0 * a - ninf * b for t, a, b in zip(target, d0, dinf)])
-        return cg.express_in_invariant_divisors(self.R, rest)[1][0]
+            step = self.steps.get(g)
+            if step is None:
+                step = self.steps[g] = tuple(g * (a + b) for a, b in zip(X0, Xinf))
+            X = tuple(map(add, last[1], step))
+        return X, require_nonneg(self.R.lattice.solve(X))
 
 
 def _transvectant(A: SectionModule, B: SectionModule, k: int, sym: bool) -> dict:
@@ -394,11 +391,16 @@ def _transvectant(A: SectionModule, B: SectionModule, k: int, sym: bool) -> dict
     highest-weight vector sum c_ij fn_i (x) fn_j in A (x) B.  As raise(fn_i)
     = i eps_i / eps_(i-1) fn_(i-1), it is the k-th transvectant (Olver,
     Classical Invariant Theory, ch. 5), c_i,(k-i) = (-1)^i C(k, i) eps^A_i
-    eps^B_k eps^B_(k-i), led by c_0k = 1.  When ``sym`` (A is B, k even) the
-    equal terms i and k - i fold onto i <= j, the monomials of Sym^2, and
-    the sum is halved: only the middle term (-1)^(k/2) C(k, k/2) changes."""
-    chain = {(i, k - i): (-1) ** i * comb(k, i) * A.sign(i) * B.sign(k) * B.sign(k - i)
-             for i in range(k // 2 + 1 if sym else k + 1)}
+    eps^B_k eps^B_(k-i), led by c_0k = 1: eps^A_i is eps^A but for i = 0,
+    and eps^B_k eps^B_(k-i) is 1 but for i = k, where it is eps^B; C(k, i)
+    comes from C(k, i - 1) along the chain.  When ``sym`` (A is B, k even)
+    the equal terms i and k - i fold onto i <= j, the monomials of Sym^2,
+    and the sum is halved: only the middle term (-1)^(k/2) C(k, k/2)
+    changes."""
+    chain, c = {(0, k): 1}, 1
+    for i in range(1, k // 2 + 1 if sym else k + 1):
+        c = -c * (k - i + 1) // i
+        chain[i, k - i] = c * A.eps * (B.eps if i == k else 1)
     if sym:
         chain[k // 2, k // 2] //= 2  # C(k, k/2) is even
     return chain
@@ -434,7 +436,7 @@ def _product_monomial(A: SectionModule, B: SectionModule, k: int,
         c, n0, ninf = (t1, da - k, db - k) if any(t1) else (t2, db - k, da - k)
     if not any(c):
         return None
-    sign = (-1) ** (k + 1) * B.sign(k)
+    sign = (-1) ** (k + 1) * B.eps  # eps^B_k, k >= 1
     return sign * c[0], sign * c[1], den_a * den_b * (2 if sym else 1), n0, ninf
 
 
@@ -446,14 +448,13 @@ def _pair_rows(A: SectionModule, B: SectionModule, ctx: _Ctx) -> list[ModuleRow]
     on SL2: s0 = g3 and sinf = g4 for n >= 3, and n0 = ninf = 0 on the
     degree-1 modules of n <= 2.  No polynomial on SL2 is formed.  The rows
     run in k order, and n0, ninf both drop by one per unit of k, so the
-    r-exponents take one non-negative solve per pair (``_Ctx.r_exponents``)."""
+    r-exponents are walked along the pair (``_Ctx.r_exponents``)."""
     sym = A is B
     comps = clebsch_gordan(A.dim - 1, B.dim - 1)[1:]  # drop the Cartan component
     if sym:
         comps = comps[1::2]  # Sym^2(V_d) = V_2d + V_{2d-4} + ...
     rows: list[ModuleRow] = []
-    target = [a + b for a, b in zip(ctx.degree[A.point_key], ctx.degree[B.point_key])]
-    last = None  # (k, r-exponents) of the last row with a section monomial
+    last = None  # (k, lattice numerators) of the last row with a section monomial
     for m in comps:
         k = (A.dim + B.dim - 2 - m) // 2
         closed = _product_monomial(A, B, k, sym)
@@ -466,8 +467,9 @@ def _pair_rows(A: SectionModule, B: SectionModule, ctx: _Ctx) -> list[ModuleRow]
             rows.append(ModuleRow(m, m, SparsePoly._canonical(num, 1), True))
             continue
         x, y, _, n0, ninf = closed
-        last = k, ctx.r_exponents(target, k, n0, ninf, last)
-        mono = [(ctx.rvar[lbl], e) for lbl, e in zip(ctx.R.divisor_labels, last[1]) if e]
+        X, exps = ctx.r_exponents(A, B, k, n0, ninf, last)
+        last = k, X
+        mono = [(ctx.rvar[lbl], e) for lbl, e in zip(ctx.R.divisor_labels, exps) if e]
         mono += [(s.names[0], e) for s, e in ((ctx.mod0, n0), (ctx.modinf, ninf)) if e]
         # a chain monomial has a basis vector of index >= 1, never this key
         num[tuple(sorted(mono))] = (-x, -y)
@@ -586,7 +588,9 @@ def full_cox_presentation_cyclic(E: EmbeddingData) -> FullCoxResult:
     for lbl, nm in rvar.items():
         variables.append(GradedVariable(nm, R.images[lbl], 0, lbl, GPoly.const(1)))
 
-    ctx = _Ctx(E, R, mod0, modinf, rvar, p0, pinf, degree)
+    # each module's class is solved once in the relation lattice
+    classes = {m.point_key: R.numerators(m.color_combo) for m in point_order}
+    ctx = _Ctx(E, R, mod0, modinf, rvar, p0, pinf, classes)
 
     rel_modules: list[RelationModule] = []
     relations: list[SparsePoly] = []

@@ -4,8 +4,9 @@ Rationals are ``fractions.Fraction`` (always reduced, positive denominator).
 On top of that this module provides Gaussian rationals, dense arbitrary
 precision integer matrices, Smith normal form with unimodular transforms,
 cokernels of integer matrices as finitely generated abelian groups, and
-the one integer solver: a full-column-rank system factored once, solved
-for any right-hand side.
+two integer solvers on one fraction-free elimination pass: a
+full-column-rank system factored once, solved for any right-hand side, and
+a quotient of Z^n by a relation lattice, solved on a set of columns.
 
 Everything here is pure and immutable after construction; no floating point.
 """
@@ -331,14 +332,35 @@ class EmptySolutionSet(Exception):
     """The system has no (non-negative) integer solution."""
 
 
+def _echelon(rows, n: int) -> dict[int, list[int]]:
+    """The fraction-free elimination pass over integer rows whose first n
+    entries are the unknowns' coefficients: each row is reduced against the
+    echelon rows kept so far (keyed by pivot column, zero left of it) and
+    divided by its gcd; the pass stops at n pivots."""
+    echelon: dict[int, list[int]] = {}
+    for r in rows:
+        if len(echelon) == n:
+            break
+        for p in sorted(echelon):
+            if r[p]:
+                e = echelon[p]
+                g = gcd(e[p], r[p])
+                u, v = e[p] // g, r[p] // g
+                r = [u * a - v * c for a, c in zip(r, e)]
+        p = next((j for j in range(n) if r[j]), None)
+        if p is not None:
+            g = gcd(*r)
+            echelon[p] = [a // g for a in r]
+    return echelon
+
+
 class FactoredSystem:
     """A x = b (row i taken mod moduli[i] when > 0), factored once for any b.
 
-    One fraction-free elimination pass runs over the exact rows of [A | I]:
-    each row is reduced against the echelon rows kept so far (keyed by pivot
-    column) and divided by its gcd; the pass stops at n pivots.  The identity
-    part records which combination of exact rows each echelon row is, so a
-    target b becomes its right-hand side by one dot product.  ``rank`` is the
+    One fraction-free elimination pass (``_echelon``) runs over the exact
+    rows of [A | I], stopping at n pivots.  The identity part records which
+    combination of exact rows each echelon row is, so a target b becomes its
+    right-hand side by one dot product.  ``rank`` is the
     number of pivots found: a certificate, never assumed.
     """
 
@@ -351,21 +373,8 @@ class FactoredSystem:
         n, m = A.cols, len(self.exact_rows)
         # pivot column -> n coefficients, zero left of it, then the m weights
         # of the exact rows combined into them
-        self.echelon: dict[int, list[int]] = {}
-        for k, i in enumerate(self.exact_rows):
-            if len(self.echelon) == n:
-                break
-            r = A.data[i] + [int(t == k) for t in range(m)]
-            for p in sorted(self.echelon):
-                if r[p]:
-                    e = self.echelon[p]
-                    g = gcd(e[p], r[p])
-                    u, v = e[p] // g, r[p] // g
-                    r = [u * a - v * c for a, c in zip(r, e)]
-            p = next((j for j in range(n) if r[j]), None)
-            if p is not None:
-                g = gcd(*r)
-                self.echelon[p] = [a // g for a in r]
+        self.echelon = _echelon((A.data[i] + [int(t == k) for t in range(m)]
+                                 for k, i in enumerate(self.exact_rows)), n)
         self.rank = len(self.echelon)
 
     def solve(self, b: Sequence[int]) -> tuple[int, ...]:
@@ -400,10 +409,77 @@ class FactoredSystem:
         return tuple(x)
 
 
-def solve_nonneg(system: FactoredSystem, b: Sequence[int]) -> list[tuple[int, ...]]:
-    """``[x]`` for the solution x = ``system.solve(b)`` when x >= 0; raises
-    ``EmptySolutionSet`` when x does not exist or has a negative entry."""
-    x = system.solve(b)
+class RelationLattice:
+    """Z^n modulo the row space of an r x n matrix P, solved on the columns
+    ``cols``: for a class c, the integer x on those columns (zero elsewhere)
+    with c - x = Pᵀ y for an integer y.
+
+    The other columns Q of P fix y alone, by Qᵀ y = c_Q, one unknown per
+    row of P.  One pass (``_echelon``) over [Qᵀ | I] and a back-substitution
+    give an integer matrix L and a denominator D > 0 with y = L c_Q / D
+    whenever Qᵀ y = c_Q is solvable.  ``rank`` is rank Q, a certificate: at
+    rank Q = r, y is unique, and the columns ``cols`` are independent in the
+    quotient ⊗ Q iff rank P = r too.  The solve is thus linear in c:
+    ``numerators`` gives (x, y, residual) over D, x = D c_cols - P_colsᵀ y
+    and residual = D c_Q - Qᵀ y for y = L c_Q, so a sum of classes has the
+    sum of their numerators; ``solve`` reads x off them.
+    """
+
+    def __init__(self, P: IntMatrix, cols: Sequence[int]):
+        self.P, self.cols = P, list(cols)
+        solved = set(self.cols)
+        self.rest = [j for j in range(P.cols) if j not in solved]
+        r, m = P.rows, len(self.rest)
+        self._solved_cols = [[row[j] for row in P.data] for j in self.cols]
+        self._rest_cols = [[row[j] for row in P.data] for j in self.rest]
+        echelon = _echelon((col + [int(t == k) for t in range(m)]
+                            for k, col in enumerate(self._rest_cols)), r)
+        self.rank = len(echelon)
+        self.L, self.D = [], 1  # y_k+1, ..., y_r-1 = L c_Q / D
+        for k in range(r - 1, -1, -1) if self.rank == r else ():
+            e = echelon[k]
+            num = [self.D * w - sum(a * row[t] for a, row in zip(e[k + 1:r], self.L))
+                   for t, w in enumerate(e[r:])]
+            L, D = [num] + [[e[k] * a for a in row] for row in self.L], self.D * e[k]
+            g = gcd(D, *(a for row in L for a in row)) * (-1 if D < 0 else 1)
+            self.L, self.D = [[a // g for a in row] for row in L], D // g
+
+    def numerators(self, c: Sequence[int]) -> tuple[int, ...]:
+        """(x, y, residual) of the class c over ``D``, as one tuple; raises
+        ``ValueError`` when rank Q < r (y would not be unique)."""
+        if self.rank < self.P.rows:
+            raise ValueError(f"relations of rank {self.rank} off the solved columns "
+                             f"in {self.P.rows} unknowns")
+        D, rest = self.D, [c[j] for j in self.rest]
+        y = [sum(map(mul, row, rest)) for row in self.L]
+        x = [D * c[j] - sum(map(mul, col, y)) for j, col in zip(self.cols, self._solved_cols)]
+        residual = [D * t - sum(map(mul, col, y)) for t, col in zip(rest, self._rest_cols)]
+        return (*x, *y, *residual)
+
+    def solve(self, X: Sequence[int]) -> tuple[int, ...]:
+        """The integer x of numerators X (``numerators``, or a sum of them).
+
+        A non-zero residual (no rational y) or a non-integral x fails as the
+        exact rows of ``FactoredSystem.solve`` do.  With x integral, c - x is
+        torsion in the quotient, and zero there iff y is integral.  Raises
+        ``EmptySolutionSet``."""
+        nx, r, D = len(self.cols), self.P.rows, self.D
+        if any(X[nx + r:]) or (D > 1 and any(v % D for v in X[:nx])):
+            raise EmptySolutionSet("no integer x solves the exact rows")
+        if D > 1 and any(v % D for v in X[nx:nx + r]):
+            raise EmptySolutionSet("free parts match but the torsion part of the class obstructs")
+        return tuple(X[:nx]) if D == 1 else tuple(v // D for v in X[:nx])
+
+
+def require_nonneg(x: tuple[int, ...]) -> tuple[int, ...]:
+    """x when x >= 0; raises ``EmptySolutionSet`` on a negative entry."""
     if min(x, default=0) < 0:
         raise EmptySolutionSet("no integer x >= 0 solves the exact rows")
-    return [x]
+    return x
+
+
+def solve_nonneg(system: FactoredSystem | RelationLattice,
+                 b: Sequence[int]) -> list[tuple[int, ...]]:
+    """``[x]`` for the solution x = ``system.solve(b)`` when x >= 0; raises
+    ``EmptySolutionSet`` when x does not exist or has a negative entry."""
+    return [require_nonneg(system.solve(b))]

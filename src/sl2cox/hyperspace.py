@@ -44,14 +44,15 @@ class BasePoint:
     """A point of P^1: a symbolic canonical tag or homogeneous coordinates.
 
     Coordinate points are compared projectively; symbolic tags compare by
-    tag and never equal a coordinate point.  The comparison key is computed
-    once: the tag, alpha/beta, or None for [1:0].
+    tag and never equal a coordinate point.  The comparison key and its hash
+    are computed once: the tag, alpha/beta, or None for [1:0].
     """
 
     tag: str | None = None
     alpha: GaussianRational | None = None
     beta: GaussianRational | None = None
     _key: object = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tag is not None:
@@ -64,8 +65,9 @@ class BasePoint:
                 raise ValueError("coordinate point needs alpha and beta")
             if not self.alpha and not self.beta:
                 raise ValueError("[0:0] is not a point of P^1")
-        object.__setattr__(self, "_key", self.tag if self.tag is not None
-                           else self.alpha / self.beta if self.beta else None)
+        key = self.tag if self.tag is not None else self.alpha / self.beta if self.beta else None
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __eq__(self, other):
         if not isinstance(other, BasePoint):
@@ -73,7 +75,10 @@ class BasePoint:
         return self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
+
+    def __reduce__(self):  # rebuilt on unpickling: a str hash differs across processes
+        return BasePoint, (self.tag, self.alpha, self.beta)
 
     def __str__(self):
         if self.tag is not None:

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,7 +8,16 @@ import pytest
 from sl2cox import classgroup as cg
 from sl2cox.coxring import full_cox_presentation_cyclic
 from sl2cox.embedding import EmbeddingData, GStableDivisorSpec, affine_embedding
-from sl2cox.exactmath import EmptySolutionSet, FinAbGroup, IntMatrix, smith_normal_form
+from sl2cox.exactmath import (
+    EmptySolutionSet,
+    FactoredSystem,
+    FinAbGroup,
+    IntMatrix,
+    RelationLattice,
+    cokernel,
+    smith_normal_form,
+    solve_nonneg,
+)
 from sl2cox.groups import ICOSA, OCTA, TETRA, cyclic, dihedral
 from sl2cox.hyperspace import Section, X0, XE, XF, XINF, XV, point
 from sl2cox.iteration import torsion_characters
@@ -141,6 +152,28 @@ class TestClassGroup:
             assert cg.class_group(E).group.is_torsion_free
 
 
+class AdaptedOracle:
+    """Oracle: a class {label: coeff} in the invariant divisors, solved in
+    the adapted coordinates of the Smith form by one ``FactoredSystem`` over
+    the divisors' images (the solve the relation lattice replaced)."""
+
+    def __init__(self, R: cg.ClassGroupResult):
+        self.R = R
+        self.system = FactoredSystem(*R.linear_system(R.divisor_labels))
+        assert self.system.rank == len(R.divisor_labels)
+
+    def __call__(self, combo: dict) -> tuple[int, ...]:
+        return solve_nonneg(self.system, self.R.image_of(combo))[0]
+
+
+def outcome(solve, *args):
+    """What ``solve(*args)`` returned, or the type and message it raised."""
+    try:
+        return solve(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 class TestExpress:
     def test_affine_exponent(self):
         for (n, h, l) in [(5, 7, -4), (3, 2, Fraction(-3, 2)) if False else (5, 7, -4),
@@ -149,55 +182,65 @@ class TestExpress:
             if E.validate():
                 continue
             R = cg.class_group(E)
-            labels, sols = cg.express_in_invariant_divisors(
-                R, R.image_of({"E[x0]": 1, "E[xinf]": 1}))
+            labels, sols = cg.express_in_invariant_divisors(R, {"E[x0]": 1, "E[xinf]": 1})
             assert labels == ["X[x0,0]"]
             assert sols == [(-(h + 2 * l),)]
 
     def test_trivial_example_pairs(self):
         R = cg.class_group(trivial_four_points())
-        labels, sols = cg.express_in_invariant_divisors(R, R.image_of({"E[x1]": 1, "E[x2]": 1}))
+        labels, sols = cg.express_in_invariant_divisors(R, {"E[x1]": 1, "E[x2]": 1})
         assert sols == [(4, 7, 2, 8)]
-        labels, sols = cg.express_in_invariant_divisors(R, R.image_of({"E[x1]": 1, "E[x3]": 1}))
+        labels, sols = cg.express_in_invariant_divisors(R, {"E[x1]": 1, "E[x3]": 1})
         assert sols == [(4, 10, 1, 8)]
 
     def test_mu3_with_prescribed_powers(self):
         # [E^{x0}] + [E^{x1}] - 2[E^{xinf}] = r0 + 2 rinf + r1
         R = cg.class_group(mu3_example())
         labels, sols = cg.express_in_invariant_divisors(
-            R, R.image_of({"E[x0]": 1, "E[x1]": 1, "E[xinf]": -2}))
+            R, {"E[x0]": 1, "E[x1]": 1, "E[xinf]": -2})
         assert labels == ["X[x0,0]", "X[xinf,0]", "X[x1,0]"]
         assert sols == [(1, 2, 1)]
 
     def test_zero_target(self):
         R = cg.class_group(mu3_example())
-        _, sols = cg.express_in_invariant_divisors(R, R.image_of({}))
+        _, sols = cg.express_in_invariant_divisors(R, {})
         assert (0, 0, 0) in sols
+        with pytest.raises(KeyError):  # as R.image_of does
+            cg.express_in_invariant_divisors(R, {"X[x9,0]": 1})
 
     def test_empty_with_torsion_diagnostic(self):
         E = affine_embedding(4, 6, Fraction(-7, 2))  # Cl = Z x Z/4
         R = cg.class_group(E)
         with pytest.raises(EmptySolutionSet):
-            cg.express_in_invariant_divisors(R, R.image_of({"E[x0]": 1}))
+            cg.express_in_invariant_divisors(R, {"E[x0]": 1})
 
     def test_torsion_obstruction_message(self):
         # E[x0] has image (1, 0) and X[x0,0] (-1, 1): -E[x0] = X[x0,0] on the
         # free part, but the torsion parts 0 and 1 differ
         R = cg.class_group(affine_embedding(4, 6, Fraction(-7, 2)))
         with pytest.raises(EmptySolutionSet) as exc:
-            cg.express_in_invariant_divisors(R, R.image_of({"E[x0]": -1}))
+            cg.express_in_invariant_divisors(R, {"E[x0]": -1})
         assert str(exc.value) == "free parts match but the torsion part of the class obstructs"
 
     def test_dependent_invariant_divisors_raise(self):
-        # a class group whose two divisor columns coincide breaks the
-        # independence the solver relies on
+        # a relation among the invariant divisors alone breaks the
+        # independence the solver relies on; a repeated relation breaks the
+        # uniqueness of the relation coefficients
         R = cg.class_group(mu3_example())
-        images = dict(R.images, **{"X[xinf,0]": R.images["X[x0,0]"]})
-        broken = cg.ClassGroupResult(R.group, R.generators, R.presentation, images,
-                                     R.point_keys, R.basis_change, R.F)
-        assert broken.divisor_system.rank == 2
+        P = R.presentation
+        among = [int(g.label == "X[x0,0]") - int(g.label == "X[xinf,0]") for g in R.generators]
+        broken = replace(R, presentation=IntMatrix(P.data + [among]))
+        group, U = cokernel(broken.presentation)  # the oracle sees the relation
+        k = group.free_rank + len(group.torsion)
+        image = {g.label: group.reduce([U.data[i][j] for i in range(k)])
+                 for j, g in enumerate(R.generators)}
+        assert image["X[x0,0]"] == image["X[xinf,0]"]
         with pytest.raises(RuntimeError, match="invariant divisors dependent"):
-            cg.express_in_invariant_divisors(broken, broken.image_of({}))
+            cg.express_in_invariant_divisors(broken, {})
+        repeated = replace(R, presentation=IntMatrix(P.data + [P.data[0]]))
+        with pytest.raises(RuntimeError, match=f"{P.rows + 1} relations of rank {P.rows}"):
+            cg.express_in_invariant_divisors(repeated, {})
+        assert cg.express_in_invariant_divisors(R, {}) == (R.divisor_labels, [(0, 0, 0)])
 
 
 COORDS = [(1, 1), (2, 1), (3, 1), (1, 3), (5, 2), (2, 5), (3, 7)]
@@ -232,6 +275,8 @@ def _random_embedding(rng, family: str) -> EmbeddingData:
 class TestRankCertificate:
     @pytest.mark.parametrize("family", [*FAMILIES, "affine"])
     def test_invariant_divisors_have_full_rank(self, family):
+        # the lattice certificate (rank off the divisors = rank P = rows of
+        # P) holds, and so does the adapted-coordinate one it replaced
         rng = random.Random(f"rank-{family}")
         valid = 0
         for _ in range(600):
@@ -239,34 +284,38 @@ class TestRankCertificate:
             if E.validate():
                 continue
             R = cg.class_group(E)
-            assert R.divisor_system.rank == len(R.divisor_labels), E
+            lattice = R.lattice
+            assert lattice.rank == R.presentation.rows, E
+            assert FactoredSystem(R.presentation.transpose()).rank == lattice.rank, E
+            oracle = FactoredSystem(*R.linear_system(R.divisor_labels))
+            assert oracle.rank == len(R.divisor_labels), E
             valid += 1
             if valid == 20:
                 break
         assert valid == 20
 
     def test_one_factorization_per_presentation(self, monkeypatch):
-        counts = {"factor": 0, "express": 0}
+        # one lattice elimination per class group, and a cyclic presentation
+        # builds no FactoredSystem
+        counts = Counter()
 
-        class Counting(cg.FactoredSystem):
-            def __init__(self, *args):
-                counts["factor"] += 1
-                super().__init__(*args)
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
 
-        express = cg.express_in_invariant_divisors
-
-        def counting_express(*args):
-            counts["express"] += 1
-            return express(*args)
-
-        monkeypatch.setattr(cg, "FactoredSystem", Counting)
-        monkeypatch.setattr(cg, "express_in_invariant_divisors", counting_express)
+        monkeypatch.setattr(RelationLattice, "__init__",
+                            counting("lattice", RelationLattice.__init__))
+        monkeypatch.setattr(RelationLattice, "solve", counting("solve", RelationLattice.solve))
+        monkeypatch.setattr(FactoredSystem, "__init__", counting("factor", FactoredSystem.__init__))
         extras = (point(1, 1), point(2, 1))
         E = EmbeddingData(cyclic(5), extras, tuple(
             GStableDivisorSpec(p, 1, -j) for p in (X0, XINF) + extras for j in (1, 2)))
         full_cox_presentation_cyclic(E)
-        assert counts["express"] > 1
-        assert counts["factor"] == 1
+        assert counts["solve"] > 1
+        assert counts["lattice"] == 1
+        assert counts["factor"] == 0
 
 
 class TestRestriction:

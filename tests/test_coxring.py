@@ -10,7 +10,7 @@ from math import gcd
 import pytest
 
 from sl2cox import classgroup as cg
-from sl2cox import coxring
+from sl2cox import coxring, exactmath
 from sl2cox.coxring import (
     HeightOutOfRange,
     NotAffineShape,
@@ -44,6 +44,7 @@ from sl2cox.exactmath import (
     FactoredSystem,
     FinAbGroup,
     GaussianRational,
+    RelationLattice,
     gauss,
     gauss_ipow,
 )
@@ -60,6 +61,7 @@ from sl2cox.presentation import (
     term_degree,
 )
 
+from test_classgroup import AdaptedOracle, outcome
 from test_embedding import mu3_example, trivial_four_points
 from test_ogpoly import evaluate, raise_op, sl2_normal_form, sl2z_points
 
@@ -1143,11 +1145,11 @@ class TestWork:
         assert calls[True] == 0
         assert calls[False] > 0  # the counters do see the verifier's products
 
-    def test_one_nonnegative_exponent_solve_per_m_module(self, monkeypatch):
+    def test_no_exponent_solve_per_row_or_pair(self, monkeypatch):
         # mu_64 with ten extra points and three divisors per point: 1631
-        # relations, of which the 10 N rows need no solve; the 1621 M rows
-        # walk their r-exponents from one non-negative solve per module, plus
-        # one step solve per distinct gap between the rows of a module
+        # relations, of which the 10 N rows need no exponents; the 1621 M
+        # rows read theirs off sums of the lattice numerators of the twelve
+        # section modules, after one elimination in the whole build
         pts = [(2, 7), (5, 11), (3, 13), (7, 2), (11, 5), (13, 3), (4, 9), (9, 4), (6, 17), (17, 6)]
         extras = tuple(point(a, b) for a, b in pts)
         E = EmbeddingData(cyclic(64), extras, tuple(
@@ -1161,18 +1163,20 @@ class TestWork:
             return wrapper
 
         monkeypatch.setattr(cg, "solve_nonneg", counting("nonneg", cg.solve_nonneg))
+        monkeypatch.setattr(FactoredSystem, "__init__", counting("factor", FactoredSystem.__init__))
         monkeypatch.setattr(FactoredSystem, "solve", counting("solve", FactoredSystem.solve))
+        monkeypatch.setattr(exactmath, "_echelon", counting("eliminate", exactmath._echelon))
+        monkeypatch.setattr(RelationLattice, "numerators",
+                            counting("numerators", RelationLattice.numerators))
+        monkeypatch.setattr(RelationLattice, "solve", counting("read", RelationLattice.solve))
         res = full_cox_presentation_cyclic(E)
         rows = [(mod.kind, row.in_kernel) for mod in res.modules for row in mod.rows]
         assert len(rows) == 1631 and rows.count(("N", False)) == 10
         assert rows.count(("M", False)) == 1621
-        solved = [[row.iso_m for row in mod.rows if not row.in_kernel]
-                  for mod in res.modules if mod.kind == "M"]
-        solved = [ms for ms in solved if ms]
-        # k = (d_A + d_B - m) / 2, so the gap in k between two rows is half the drop in m
-        gaps = {(m1 - m2) // 2 for ms in solved for m1, m2 in zip(ms, ms[1:])}
-        assert calls["nonneg"] == len(solved) == 76
-        assert calls["nonneg"] < calls["solve"] <= len(solved) + len(gaps)
+        assert calls["nonneg"] == calls["factor"] == calls["solve"] == 0
+        assert calls["eliminate"] == 1
+        assert calls["numerators"] == len(E.exceptional_points()) == 12
+        assert calls["read"] == 1621
 
     def test_the_divisors_of_the_embedding_are_scanned_once_per_point(self, monkeypatch):
         # mu_64 with ten extra points and 1 or 3 divisors per point: one
@@ -1215,13 +1219,13 @@ class TestWork:
 # -- the exponent walk and the N-row scalars against per-row oracles ----------------
 
 
-def _direct_exponents(ctx, target, n0: int, ninf: int):
-    """Oracle: the row's own ``express_in_invariant_divisors`` solve."""
-    d0, dinf = ctx.degree[ctx.mod0.point_key], ctx.degree[ctx.modinf.point_key]
-    rest = ctx.R.group.reduce([t - n0 * a - ninf * b for t, a, b in zip(target, d0, dinf)])
-    labels, (sol,) = cg.express_in_invariant_divisors(ctx.R, rest)
-    assert labels == ctx.R.divisor_labels
-    return sol
+def _row_combo(ctx, A, B, n0: int, ninf: int) -> dict:
+    """[A] + [B] - n0 [s0] - ninf [sinf] as a combination of generators."""
+    combo = Counter()
+    for mod, c in ((A, 1), (B, 1), (ctx.mod0, -n0), (ctx.modinf, -ninf)):
+        for lbl, e in mod.color_combo.items():
+            combo[lbl] += c * e
+    return dict(combo)
 
 
 def _walk_sweep():
@@ -1243,28 +1247,37 @@ def _walk_sweep():
 
 def _outcome(E):
     """The presentation's relations, or the type and message it raised."""
-    try:
-        return full_cox_presentation_cyclic(E).presentation.relations
-    except Exception as exc:
-        return type(exc), str(exc)
+    return outcome(lambda: full_cox_presentation_cyclic(E).presentation.relations)
 
 
 class TestExponentWalk:
     def test_walked_exponents_equal_a_solve_per_row(self, monkeypatch):
+        # every walked row has the numerators of its own class, and the
+        # exponents of the adapted-coordinate solve
         walk = coxring._Ctx.r_exponents
         seen: dict = {}
 
-        def checked(ctx, target, k, n0, ninf, last):
-            got = walk(ctx, target, k, n0, ninf, last)
-            assert got == _direct_exponents(ctx, target, n0, ninf)
+        def checked(ctx, A, B, k, n0, ninf, last):
+            X, got = walk(ctx, A, B, k, n0, ninf, last)
+            assert X == walk(ctx, A, B, k, n0, ninf, None)[0]
+            assert got == oracle(_row_combo(ctx, A, B, n0, ninf))
             gaps[None if last is None else k - last[0]] += 1
             tops[0] = max(tops[0], *got)
-            return got
+            return X, got
 
         monkeypatch.setattr(coxring._Ctx, "r_exponents", checked)
+        capture = coxring._pair_rows
+
+        def pair_rows(A, B, ctx):
+            nonlocal oracle
+            if oracle is None or oracle.R is not ctx.R:
+                oracle = AdaptedOracle(ctx.R)
+            return capture(A, B, ctx)
+
+        monkeypatch.setattr(coxring, "_pair_rows", pair_rows)
         failed = []
         for name, E in _walk_sweep():
-            gaps, tops = Counter(), [0]
+            gaps, tops, oracle = Counter(), [0], None
             try:
                 res = full_cox_presentation_cyclic(E)
             except TorsionAfterAugmentation:
@@ -1287,7 +1300,7 @@ class TestExponentWalk:
         assert walked == per_row
         assert any(type(out) is tuple for out in per_row.values())
 
-    def test_a_failed_step_falls_back_to_the_rows_own_solve(self, monkeypatch):
+    def test_a_walked_row_raises_as_its_own_solve(self, monkeypatch):
         ctxs, calls = [], []
         pair_rows = coxring._pair_rows
 
@@ -1297,22 +1310,26 @@ class TestExponentWalk:
 
         monkeypatch.setattr(coxring, "_pair_rows", capture)
         walk = coxring._Ctx.r_exponents
-        monkeypatch.setattr(coxring._Ctx, "r_exponents",
-                            lambda ctx, *args: calls.append(args) or walk(ctx, *args))
+
+        def recorded(ctx, *args):
+            out = walk(ctx, *args)
+            calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(coxring._Ctx, "r_exponents", recorded)
         full_cox_presentation_cyclic(load_embedding(GOLDEN_INPUTS / "cyclic9_deep.json"))
         ctx = ctxs[0]
-        target, k, n0, ninf, (k1, _) = next(c for c in calls if c[-1] is not None)
-        want = _direct_exponents(ctx, target, n0, ninf)
-        negative = (k1, tuple(-1 - e for e in ctx.steps[k - k1]))  # x' + y_g = (-1, ..., -1)
-        assert walk(ctx, target, k, n0, ninf, negative) == want
-        ctx.steps[k - k1] = None  # as when g ([s0] + [sinf]) has no integer solution
-        assert walk(ctx, target, k, n0, ninf, (k1, (0,) * len(want))) == want
-        # a class with no non-negative solution raises as the row's own solve does
-        with pytest.raises(EmptySolutionSet) as own:
-            _direct_exponents(ctx, target, n0 + 200, ninf)
-        with pytest.raises(EmptySolutionSet) as walked:
-            walk(ctx, target, k, n0 + 200, ninf, negative)
-        assert str(walked.value) == str(own.value)
+        oracle = AdaptedOracle(ctx.R)
+        (A, B, k, n0, ninf, last), (X, x) = next(c for c in calls if c[0][-1] is not None)
+        assert x == oracle(_row_combo(ctx, A, B, n0, ninf))
+        # with n0, ninf 200 higher (as if the last row sat 200 units of k
+        # further on) no non-negative solution exists, and the walk raises
+        # what the row's own solve raises
+        deeper = (last[0] + 200, last[1])
+        want = outcome(oracle, _row_combo(ctx, A, B, n0 + 200, ninf + 200))
+        assert want == (EmptySolutionSet, "no integer x >= 0 solves the exact rows")
+        assert outcome(walk, ctx, A, B, k, n0 + 200, ninf + 200, None) == want
+        assert outcome(walk, ctx, A, B, k, n0 + 200, ninf + 200, deeper) == want
 
     def test_n_row_scalars_are_the_coordinate_ratios(self, monkeypatch):
         rows = []
@@ -1347,6 +1364,131 @@ class TestExponentWalk:
                     names = (ctx.mod0.names[i], ctx.modinf.names[i], mod.names[i])
                     got = {v: c for m, c in row.poly.terms.items() for v, _ in m if v in names}
                     assert got == dict(zip(names, want)), (n, mod.point_key, i)
+
+
+def _lattice_sweep(rng, count: int):
+    """``count`` seeded valid cyclic embeddings: n = 1..12, 0-3 extra points
+    (for n <= 2 led by [0:1] and [1:0], where the presentation wants them),
+    1-5 divisors over each exceptional point, a dominating divisor one time
+    in four; the h of one embedding often share a factor, which leaves
+    torsion in the class group."""
+    made = 0
+    while made < count:
+        n = rng.randint(1, 12)
+        k = rng.randint(0, 3)
+        coords = set()
+        while len(coords) < k:
+            coords.add(point(rng.randint(1, 9), rng.choice([-1, 1]) * rng.randint(1, 9)))
+        extras = sorted(coords, key=str)
+        if n <= 2:
+            extras = [point(0, 1), point(1, 0), *extras][:k]
+        F = cyclic(n)
+        hs = rng.choice([(1, 2, 3), (2, 4, 6), (3, 6, 9)])
+        divisors = []
+        for p in EmbeddingData(F, tuple(extras)).exceptional_points():
+            for _ in range(rng.randint(1, 5)):
+                h = rng.choice(hs)
+                lo = -(-F.u * h // 2)
+                divisors.append(GStableDivisorSpec(p, h, -Fraction(lo + rng.randint(0, 3), F.u)))
+        if rng.random() < 0.25:
+            divisors.append(GStableDivisorSpec(None, 0, -1))
+        E = EmbeddingData(F, tuple(extras), tuple(divisors))
+        if not E.validate():
+            made += 1
+            yield E
+
+
+def _raised(out) -> bool:
+    """Whether an ``outcome`` is a raised (type, message) pair."""
+    return isinstance(out, tuple) and len(out) == 2 and isinstance(out[0], type)
+
+
+def _random_combos(rng, R, count: int):
+    """Classes sum x_j X_j + P^T y, x >= 0, of which about half are moved by
+    one unit on a random generator or by a non-zero torsion class: solvable
+    ones, and ones that fail for each reason."""
+    labels = [g.label for g in R.generators]
+    U, free = R.basis_change, R.group.free_rank
+    torsion = [FactoredSystem(U).solve([int(i == free + t) for i in range(U.rows)])
+               for t in range(len(R.group.torsion))]  # a lift of each torsion generator
+    for _ in range(count):
+        combo = Counter({lbl: rng.randint(0, 3) for lbl in R.divisor_labels})
+        for row in R.presentation.data:
+            y = rng.randint(-2, 2)
+            for lbl, a in zip(labels, row):
+                combo[lbl] += y * a
+        if torsion and rng.random() < 0.3:
+            for lbl, a in zip(labels, rng.choice(torsion)):
+                combo[lbl] += a
+        elif rng.random() < 0.5:
+            combo[rng.choice(labels)] += rng.choice([-1, 1])
+        yield dict(combo)
+
+
+class TestLatticeOracle:
+    def test_every_row_and_random_class_matches_the_adapted_solve(self, monkeypatch):
+        # the lattice solve against the adapted-coordinate one: the same
+        # exponents, or the same exception type and message, on every M-row
+        # of every presentation and on random classes
+        rng = random.Random("lattice-oracle")
+        walk = coxring._Ctx.r_exponents
+        oracles: dict = {}
+        rows, combos, builds, kinds = Counter(), Counter(), Counter(), Counter()
+
+        def checked(ctx, A, B, k, n0, ninf, last):
+            if ctx.R not in oracles.values():
+                oracles.clear()
+                oracles[AdaptedOracle(ctx.R)] = ctx.R
+            (oracle,) = oracles
+            got = outcome(walk, ctx, A, B, k, n0, ninf, last)
+            want = outcome(oracle, _row_combo(ctx, A, B, n0, ninf))
+            assert (got if _raised(got) else got[1]) == want
+            rows[want[1] if _raised(want) else "solved"] += 1
+            return walk(ctx, A, B, k, n0, ninf, last)
+
+        monkeypatch.setattr(coxring._Ctx, "r_exponents", checked)
+        for E in _lattice_sweep(rng, 100):
+            R = cg.class_group(E)
+            oracle = AdaptedOracle(R)
+            for combo in _random_combos(rng, R, 10):
+                got = outcome(lambda c: cg.express_in_invariant_divisors(R, c)[1][0], combo)
+                want = outcome(oracle, combo)
+                assert got == want, (E, combo)
+                combos[want[1] if _raised(want) else "solved"] += 1
+            kinds["n<=2"] += E.group.n <= 2
+            kinds["torsion"] += bool(R.group.torsion)
+            kinds["dominating"] += E.dominating_divisor() is not None
+            kinds["extra points"] += len(E.extra_points)
+            built = outcome(full_cox_presentation_cyclic, E)
+            builds[built[0].__name__ if _raised(built) else "built"] += 1
+        assert set(combos) == {"solved", "no integer x solves the exact rows",
+                               "no integer x >= 0 solves the exact rows",
+                               "free parts match but the torsion part of the class obstructs"}
+        assert min(combos.values()) >= 10
+        assert rows["solved"] >= 500 and sum(rows.values()) > rows["solved"]
+        assert builds["built"] >= 60
+        assert min(kinds.values()) >= 10
+
+    def test_mu3_with_thirty_divisors_per_point(self, monkeypatch):
+        # mu_3 + 2 x 30: 120 invariant divisors, and still one elimination,
+        # of the columns of the other generators
+        pts = (point(2, 7), point(5, 11))
+        E = EmbeddingData(cyclic(3), pts, tuple(
+            GStableDivisorSpec(p, 1, -j) for p in (X0, XINF) + pts for j in range(1, 31)))
+        calls = Counter()
+        echelon = exactmath._echelon
+
+        def counted(rows, n):
+            calls[n] += 1
+            return echelon(rows, n)
+
+        monkeypatch.setattr(exactmath, "_echelon", counted)
+        res = full_cox_presentation_cyclic(E)
+        assert len(res.class_group.divisor_labels) == 120
+        assert calls == {res.class_group.presentation.rows: 1}
+        verify_full_cox(res)
+        ranks = ([row.iso_m for row in mod.rows] for mod in res.modules if mod.kind == "M")
+        assert sum(map(len, ranks)) > 0
 
 
 def _gpoly_module_fns(alpha, beta, d: int, eps: int) -> tuple[GPoly, ...]:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -11,11 +12,14 @@ from sl2cox.exactmath import (
     FinAbGroup,
     GaussianRational,
     IntMatrix,
+    RelationLattice,
     cokernel,
     gauss,
     smith_normal_form,
     solve_nonneg,
 )
+
+from test_classgroup import solve_integer
 
 
 def det(M: IntMatrix) -> int:
@@ -339,6 +343,58 @@ class TestSolveInteger:
         assert system.solve([-3, 1]) == (-3,)
         with pytest.raises(EmptySolutionSet, match="torsion part"):
             system.solve([-3, 2])
+
+
+class TestRelationLattice:
+    """``RelationLattice``: Z^n modulo the rows of P, solved on some columns."""
+
+    def test_brute_force_agreement(self):
+        # c = x0 on the solved columns + P^T y0, sometimes moved by a unit or
+        # by a fraction of a relation (a torsion class); the Smith-form solve
+        # of [I_cols | P^T] (x, y) = c is the oracle, unique at rank Q = r
+        rng = random.Random(22)
+        seen = Counter()
+        for _ in range(400):
+            r, n = rng.randint(1, 3), rng.randint(2, 7)
+            P = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)])
+            cols = sorted(rng.sample(range(n), rng.randint(0, n - 1)))
+            lattice = RelationLattice(P, cols)
+            rest = [j for j in range(n) if j not in cols]
+            if lattice.rank < r:
+                assert FactoredSystem(IntMatrix([[row[j] for row in P.data] for j in rest])).rank \
+                    == lattice.rank
+                with pytest.raises(ValueError):
+                    lattice.numerators([0] * n)
+                continue
+            A = IntMatrix([[int(j == i) for i in cols] + [row[j] for row in P.data]
+                           for j in range(n)])
+            x0, y0 = [rng.randint(-2, 4) for _ in cols], [rng.randint(-3, 3) for _ in range(r)]
+            c = A.mulvec(x0 + y0)
+            kind = rng.choice(["planted", "unit", "torsion"])
+            if kind == "unit":
+                c[rng.randrange(n)] += rng.choice([-1, 1])
+            elif kind == "torsion":
+                d, row = rng.randint(2, 3), rng.randrange(r)
+                if any(a % d for a in P.data[row]):
+                    continue
+                c = [t + a // d for t, a in zip(c, P.data[row])]
+            sol = solve_integer(A, c, [0] * n)
+            try:
+                x = lattice.solve(lattice.numerators(c))
+            except EmptySolutionSet as exc:
+                assert sol is None, (P.data, cols, c)
+                seen[str(exc)] += 1
+                continue
+            assert sol is not None and list(x) == list(sol[:len(cols)]), (P.data, cols, c)
+            seen["solved"] += 1
+        assert min(seen.values()) >= 5 and len(seen) == 3
+
+    def test_numerators_add(self):
+        P = IntMatrix([[2, 1, 0, 3], [0, 2, 2, 1]])
+        lattice = RelationLattice(P, [3])
+        a, b = [1, 2, 3, 4], [-5, 0, 7, 1]
+        total = [s + t for s, t in zip(lattice.numerators(a), lattice.numerators(b))]
+        assert total == list(lattice.numerators([s + t for s, t in zip(a, b)]))
 
 
 class TestGaussianRational:

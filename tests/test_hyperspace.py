@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,20 @@ class TestBasePoint:
         assert len({p for cls in classes for p in cls}) == len(classes)
         for a, b in ((0, 1), (0, 2), (1, 3), (2, 3)):
             assert classes[a][0] != classes[b][0]
+
+    def test_hash_is_fixed_at_construction(self):
+        # projectively equal points hash alike and find one dict entry; the
+        # hash is computed once, in __post_init__, and rebuilt on unpickling
+        i = {"re": "0", "im": "1"}
+        pairs = [(point(2, 4), point(1, 2)),
+                 (point({"re": "1", "im": "1"}, 1), point({"re": "2", "im": "2"}, 2)),
+                 (point(i, 1), point(-1, i)), (point(3, 0), point(i, 0)), (XD, XD)]
+        table = {p: k for k, (p, _) in enumerate(pairs)}
+        for k, (p, q) in enumerate(pairs):
+            assert hash(p) == hash(q) == p._hash == hash(p._key)
+            assert table[q] == k
+            copy = pickle.loads(pickle.dumps(q))
+            assert copy == q and hash(copy) == hash(q) and table[copy] == k
 
     def test_tag_never_equals_a_coordinate_point(self):
         coords = [point(0, 1), point(1, 0), point(1, 1), point(-1, 1)]

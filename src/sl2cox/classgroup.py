@@ -1,18 +1,28 @@
 """Divisor class group of an SL2/F-embedding by generators and relations.
 
-One walk over the embedding (``_walk``) writes the generator table: the
-distinguished color D^{x_d} when the section gives it a non-zero l, then
-per exceptional point its color and the invariant divisors over it, then
-the dominating divisor, each with its label, point, multiplicity in the
-fiber over its point and l-value.  The labels ``E[k]``, ``X[k,j]``,
-``Xdom`` and ``Dxd`` are formatted here and nowhere else; every consumer
-(both Cox-ring constructions, the restriction to the character group of F)
-reads the table and the fibers from the ``ClassGroupResult``.  The relations
-identify all pullback fibers with a base fiber and add the single relation
-coming from the divisor of the weight-lattice generator, with denominators
-cleared by u.  The cokernel, adapted-basis images of the generators,
-non-negative expressions of classes in the invariant divisors and the
-restriction to the character group of F are all computed exactly.
+One walk over the embedding (``_walk``) groups the divisors by point in a
+single pass and writes the generator table: the distinguished color D^{x_d}
+when the section gives it a non-zero l, then per exceptional point its
+color and the invariant divisors over it, then the dominating divisor, each
+with its label, point, multiplicity in the fiber over its point and
+l-value.  The labels ``E[k]``, ``X[k,j]``, ``Xdom`` and ``Dxd`` are
+formatted here and nowhere else; every consumer (both Cox-ring
+constructions, the restriction to the character group of F) reads the table
+and the fibers (built once, in ``class_group``) from the
+``ClassGroupResult``.  The relations identify all pullback fibers with a
+base fiber and add the single relation coming from the divisor of the
+weight-lattice generator, with denominators cleared by u.  The cokernel,
+adapted-basis images of the generators, non-negative expressions of classes
+in the invariant divisors and the restriction to the character group of F
+are all computed exactly.
+
+The relation matrix P is r x N for N generators, with at most one row per
+exceptional point plus the u * l-row, so r stays near a dozen while N grows
+with the divisors.  ``exactmath.cokernel`` keeps the change of basis U as
+sparse rows; the images are read off its first free rank + torsion rows in
+one pass over their non-zeros, and the dense N x N matrix
+(``basis_change``) is built only when read, by the torsion lift of
+``iteration``.
 
 Cl(X) is Z^generators modulo the few rows of the relation matrix P, one per
 exceptional point, so a class is written in the invariant divisors in that
@@ -64,8 +74,14 @@ class ClassGroupResult:
     presentation: IntMatrix
     images: dict  # label -> adapted coordinates (free part, then torsion part)
     point_keys: dict  # BasePoint -> short key like "x0", "x1"
-    basis_change: IntMatrix  # the cokernel's U: adapted coordinates lead U x
+    basis_rows: tuple  # the cokernel's U as sparse rows: adapted coordinates lead U x
     F: FiniteSubgroup
+    fibers: dict  # ``_fibers`` of the generator table
+
+    @cached_property
+    def basis_change(self) -> IntMatrix:
+        """The cokernel's U, dense, built on first read."""
+        return IntMatrix.from_sparse(self.basis_rows, len(self.generators))
 
     def image_of(self, combo: dict) -> tuple[int, ...]:
         """Adapted coordinates of an integer combination {label: coeff}."""
@@ -83,11 +99,6 @@ class ClassGroupResult:
         cols = [self.images[lbl] for lbl in labels]
         A = IntMatrix([[col[i] for col in cols] for i in range(n)], cols=len(cols))
         return A, [0] * self.group.free_rank + list(self.group.torsion)
-
-    @cached_property
-    def fibers(self) -> dict[BasePoint, dict[str, int]]:
-        """``_fibers`` of the generator table."""
-        return _fibers(self.generators)
 
     def color(self, p: BasePoint) -> str:
         """Label of the color over p, which leads the fiber over p."""
@@ -138,12 +149,19 @@ def _walk(E: EmbeddingData) -> tuple[list[Generator], dict]:
     (canonical tags, then x1, x2, ... for the extra points): the
     distinguished color first when the section gives it a non-zero l, then
     per exceptional point the color followed by the invariant divisors over
-    it, then the dominating divisor.  The one scan of the divisors over
-    each exceptional point."""
+    it, then the dominating divisor.  The one scan of the divisors, which
+    groups them by point."""
     E.require_valid()
     F = E.group
     keys = {p: p.tag for p in E.canonical_points()}
     keys.update((p, f"x{i + 1}") for i, p in enumerate(E.extra_points))
+    over: dict[BasePoint, list] = {p: [] for p in keys}
+    dom = None
+    for d in E.divisors:  # valid: each over an exceptional point, one dominating at most
+        if d.dominating:
+            dom = d
+        else:
+            over[d.over].append(d)
     gens: list[Generator] = []
     if F.is_cyclic and E.section.kind == "default":
         gens.append(Generator("Dxd", "distinguished", XD, pretty="D^{x_d}",
@@ -153,12 +171,11 @@ def _walk(E: EmbeddingData) -> tuple[list[Generator], dict]:
         gens.append(Generator(f"E[{k}]", "color", p, pretty=f"E^{{{pk}}}",
                               multiplicity=E.color_multiplicity(p),
                               l=color_vector(F, p, E.section).l))
-        divs = E.divisors_over(p)
+        divs = over[p]
         for j, d in enumerate(divs):
             suffix = "" if len(divs) == 1 else f"_{j + 1}"
             gens.append(Generator(f"X[{k},{j}]", "divisor", p, pretty=f"X^{{{pk}}}{suffix}",
                                   multiplicity=d.h, l=d.l, suffix=suffix))
-    dom = E.dominating_divisor()
     if dom is not None:
         gens.append(Generator("Xdom", "dominating", None, pretty="X^{inf}", l=dom.l))
     return gens, keys
@@ -176,34 +193,39 @@ def _fibers(gens) -> dict[BasePoint, dict[str, int]]:
     return fibers
 
 
-def _relations(E: EmbeddingData, gens: list[Generator]) -> IntMatrix:
+def _relations(E: EmbeddingData, gens: list[Generator], fibers: dict) -> IntMatrix:
     """Rows: [fiber(x)] - [fiber(base)] per exceptional point, the base being
     x_d when D^{x_d} is a generator and the first point otherwise, then the
-    u * l-row."""
-    base, *others = _fibers(gens).values() or [{}]
+    u * l-row; ``fibers`` is ``_fibers(gens)``."""
+    base, *others = fibers.values() or [{}]
     rows = [[f.get(g.label, 0) - base.get(g.label, 0) for g in gens] for f in others]
     u = E.group.u if E.group.is_cyclic else 1
-    lrow = [u * g.l for g in gens]
-    if any(x.denominator != 1 for x in lrow):  # validation rules out a fractional u * l
+    lrow = [divmod(u * g.l.numerator, g.l.denominator) for g in gens]
+    if any(rem for _, rem in lrow):  # validation rules out a fractional u * l
         raise RuntimeError("internal invariant broken: l-row not integral after clearing by u")
-    rows.append([int(x) for x in lrow])
+    rows.append([x for x, _ in lrow])
     return IntMatrix(rows, cols=len(gens))
 
 
 def presentation_matrix(E: EmbeddingData) -> tuple[list[Generator], IntMatrix]:
     """The generator table and the relation matrix (``_relations``)."""
     gens, _ = _walk(E)
-    return gens, _relations(E, gens)
+    return gens, _relations(E, gens, _fibers(gens))
 
 
 def class_group(E: EmbeddingData) -> ClassGroupResult:
     gens, keys = _walk(E)
-    P = _relations(E, gens)
-    group, U = cokernel(P)
+    fibers = _fibers(gens)
+    P = _relations(E, gens, fibers)
+    group, basis_rows = cokernel(P)
+    # the images: the first free rank + torsion rows of U, read by column
     k = group.free_rank + len(group.torsion)
-    images = {g.label: group.reduce([U.data[i][j] for i in range(k)])
-              for j, g in enumerate(gens)}
-    return ClassGroupResult(group, tuple(gens), P, images, keys, U, E.group)
+    cols = [[0] * k for _ in gens]
+    for i, row in enumerate(basis_rows[:k]):
+        for j, a in row.items():
+            cols[j][i] = a
+    images = {g.label: group.reduce(col) for g, col in zip(gens, cols)}
+    return ClassGroupResult(group, tuple(gens), P, images, keys, basis_rows, E.group, fibers)
 
 
 def express_in_basis(R: ClassGroupResult, target: dict, basis_labels: list[str]):

@@ -49,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from itertools import compress
 from math import gcd, lcm
 from operator import add, itemgetter
 
@@ -729,13 +730,14 @@ def _check_homogeneous(P: GradedPresentation) -> None:
     divisible by their d_i; equal keys, the common case, cost nothing more."""
     grading, free = P.grading, P.grading.free_rank
     T = max((sum(map(itemgetter(1), m)) for rel in P.relations for m in rel.num), default=0)
-    C = max((abs(c) for v in P.variables for c in (*v.degree, v.b_weight)), default=0)
+    digits = {v.name: (*v.degree[:free], v.b_weight, *v.degree[free:]) for v in P.variables}
+    C = max((max(map(abs, c)) for c in digits.values()), default=0)
     bits = (4 * T * C).bit_length()
     B = 1 << bits
     exact = (1 << (bits * (free + 1))) - 1  # the free and weight digits
-    K = {v.name: sum(c << (bits * i) for i, c in
-                     enumerate((*v.degree[:free], v.b_weight, *v.degree[free:])))
-         for v in P.variables}
+    # most degrees have a single non-zero coordinate; only those enter a key
+    K = {name: sum(c[i] << (bits * i) for i in compress(range(len(c)), c))
+         for name, c in digits.items()}
     for rel in P.relations:
         keys = {sum([e * K[v] for v, e in m]): m for m in rel.num}
         if len(keys) < 2:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress, islice
 from math import gcd
 from operator import mul
 from typing import Sequence
@@ -134,9 +136,18 @@ class IntMatrix:
     def zero(rows: int, cols: int) -> "IntMatrix":
         return IntMatrix([[0] * cols for _ in range(rows)], cols=cols)
 
+    @staticmethod
+    def from_sparse(rows: Sequence[dict[int, int]], cols: int) -> "IntMatrix":
+        """The dense matrix of rows given as {column: coefficient}."""
+        data = [[0] * cols for _ in rows]
+        for out, row in zip(data, rows):
+            for j, a in row.items():
+                out[j] = a
+        return IntMatrix(data, cols=cols)
+
     def transpose(self) -> "IntMatrix":
-        return IntMatrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-                         cols=self.rows)
+        data = [list(col) for col in zip(*self.data)] if self.rows else [[]] * self.cols
+        return IntMatrix(data, cols=self.rows)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -167,9 +178,12 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U*M*V = D with U, V unimodular, D diagonal, factors divisibility chained."""
+    """U*M*V = D with U, V unimodular, D diagonal, factors divisibility chained.
 
-    U: IntMatrix
+    U is kept as its rows, sparse ({column: coefficient}, zeros left out);
+    the dense ``U`` is built on first read."""
+
+    u_rows: tuple[dict[int, int], ...]
     D: IntMatrix
     V: IntMatrix
     invariant_factors: tuple[int, ...]
@@ -178,89 +192,111 @@ class SmithDecomposition:
     def rank(self) -> int:
         return len(self.invariant_factors)
 
+    @cached_property
+    def U(self) -> IntMatrix:
+        return IntMatrix.from_sparse(self.u_rows, len(self.u_rows))
+
+    def certifies(self, M: IntMatrix) -> bool:
+        """Whether U·(M·V) = D: M·V is formed once, O(rows·cols²), then each
+        sparse row of U combines its rows, O(nnz(U)·cols)."""
+        if (M.rows, M.cols) != (self.D.rows, self.D.cols) or len(self.u_rows) != M.rows:
+            return False
+        vcols = list(zip(*self.V.data))
+        MV = [[sum(map(mul, row, col)) for col in vcols] for row in M.data]
+        for u, d in zip(self.u_rows, self.D.data):
+            acc = [0] * M.cols
+            for k, a in u.items():
+                acc = [x + a * y for x, y in zip(acc, MV[k])]
+            if acc != d:
+                return False
+        return True
+
+
+def _add_row(u: dict[int, int], q: int, w: dict[int, int]) -> None:
+    """u += q w on sparse rows, dropping the zeros."""
+    for k, b in w.items():
+        x = u.get(k, 0) + q * b
+        if x:
+            u[k] = x
+        else:
+            u.pop(k, None)
+
 
 def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
     """Smith normal form by elementary row/column operations.
 
-    Pivots are chosen with minimal absolute value to limit coefficient
-    growth; fine for the matrix sizes arising here (far below 100x100).
+    Each round takes the first entry of minimal |a| in row-major order as
+    the pivot, which limits coefficient growth, and clears its row and
+    column with balanced quotients.  M is the class group's N x r matrix Pᵀ
+    (N generators, r <= about a dozen relations): M is held column-major,
+    so a clearing sweep is r list operations of length N, and U's rows are
+    sparse, so a row operation costs the non-zeros of one row of U, not N.
+    A round thus costs O(N r) plus the touched entries of U.
     """
     rows, cols = M.rows, M.cols
-    d = [row[:] for row in M.data]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        d[i] = [a - q * b for a, b in zip(d[i], d[j])]
-        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(rows):
-            d[r][i] -= q * d[r][j]
-        for r in range(cols):
-            v[r][i] -= q * v[r][j]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            d[r][i], d[r][j] = d[r][j], d[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def negate_row(i):
-        d[i] = [-a for a in d[i]]
-        u[i] = [-a for a in u[i]]
+    c = [list(col) for col in zip(*M.data)] if rows else [[] for _ in range(cols)]
+    u = [{i: 1} for i in range(rows)]
+    v = [[int(i == j) for i in range(cols)] for j in range(cols)]  # columns of V
 
     t = 0
     while True:
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                a = d[i][j]
-                if a and (best is None or abs(a) < best):
-                    best = abs(a)
-                    pivot = (i, j)
-        if pivot is None:
+        # rows above t are zero in the columns from t on
+        absolute = [[*map(abs, c[j])] for j in range(t, cols)]
+        mins = [min(filter(None, a), default=0) for a in absolute]
+        best = min(filter(None, mins), default=0)
+        if not best:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        if d[t][t] < 0:
-            negate_row(t)
-        p = d[t][t]
+        i, j = min((a.index(best), j + t) for j, (a, m) in enumerate(zip(absolute, mins))
+                   if m == best)
+        for col in c:
+            col[t], col[i] = col[i], col[t]
+        u[t], u[i] = u[i], u[t]
+        c[t], c[j] = c[j], c[t]
+        v[t], v[j] = v[j], v[t]
+        if c[t][t] < 0:
+            for col in c:
+                col[t] = -col[t]
+            u[t] = {k: -a for k, a in u[t].items()}
+        p, h = c[t][t], c[t][t] // 2
         # one clearing sweep with balanced quotients; remainders stay put and
         # the global minimal pivot is re-selected on the next round, so the
-        # pivot strictly decreases and entries stay tame
-        for i in range(t + 1, rows):
-            if d[i][t]:
-                row_op(i, t, (d[i][t] + p // 2) // p)
+        # pivot strictly decreases and entries stay tame.  Every row
+        # operation subtracts a multiple of row t, which none changes, and
+        # every column operation a multiple of column t: each sweep is one
+        # vector operation per column
+        q = c[t][:] if p == 1 else [(a + h) // p for a in c[t]]
+        q[t] = 0
+        for j in range(t, cols):
+            x = c[j][t]
+            if x:
+                c[j] = [a - b * x for a, b in zip(c[j], q)]
+        for i in compress(range(rows), q):
+            _add_row(u[i], -q[i], u[t])
+        pivot_col, pivot_v = c[t], v[t]
         for j in range(t + 1, cols):
-            if d[t][j]:
-                col_op(j, t, (d[t][j] + p // 2) // p)
-        if any(d[i][t] for i in range(t + 1, rows)) or \
-                any(d[t][j] for j in range(t + 1, cols)):
+            x = c[j][t]
+            if x:
+                x = (x + h) // p
+                c[j] = [a - x * b for a, b in zip(c[j], pivot_col)]
+                v[j] = [a - x * b for a, b in zip(v[j], pivot_v)]
+        if any(islice(pivot_col, t + 1, None)) or any(c[j][t] for j in range(t + 1, cols)):
             continue
-        # force the pivot to divide every remaining entry
-        fixed = False
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if d[i][j] % p:
-                    row_op(t, i, -1)  # fold row i into row t, then re-run
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
+        # force the pivot to divide every remaining entry: fold the first row
+        # (row-major) holding an entry it does not divide into row t, re-run
+        if p > 1:
+            i = min((next((i for i in range(t + 1, rows) if c[j][i] % p), rows)
+                     for j in range(t + 1, cols)), default=rows)
+            if i < rows:
+                for col in c:
+                    col[t] += col[i]
+                _add_row(u[t], 1, u[i])
+                continue
         t += 1
 
-    factors = tuple(d[i][i] for i in range(min(rows, cols)) if d[i][i] != 0)
-    return SmithDecomposition(
-        IntMatrix(u, cols=rows), IntMatrix(d, cols=cols), IntMatrix(v, cols=cols), factors
-    )
+    factors = tuple(c[i][i] for i in range(min(rows, cols)) if c[i][i])
+    D = [list(r) for r in zip(*c)] if cols else [[] for _ in range(rows)]
+    return SmithDecomposition(tuple(u), IntMatrix(D, cols=cols),
+                              IntMatrix([list(r) for r in zip(*v)], cols=cols), factors)
 
 
 @dataclass(frozen=True)
@@ -307,25 +343,26 @@ class FinAbGroup:
         return " x ".join(parts) if parts else "0"
 
 
-def cokernel(M: IntMatrix) -> tuple[FinAbGroup, IntMatrix]:
-    """Z^cols modulo the row space of M, and its change of basis U.
+def cokernel(M: IntMatrix) -> tuple[FinAbGroup, tuple[dict[int, int], ...]]:
+    """Z^cols modulo the row space of M, and the rows of its change of basis U.
 
-    U is n x n and unimodular, its rows ordered free part, torsion part,
-    then the coordinates M kills: the adapted-basis coordinates of x are
-    the leading entries of U x, reduced by ``FinAbGroup.reduce``.  The Smith
-    form is certified on M itself: U Mᵀ V = D, else RuntimeError.  A 0 x n
-    matrix gives Z^n.
+    U is n x n and unimodular, its rows sparse ({column: coefficient}) and
+    ordered free part, torsion part, then the coordinates M kills: the
+    adapted-basis coordinates of x are the leading entries of U x, reduced
+    by ``FinAbGroup.reduce``; ``IntMatrix.from_sparse`` gives U dense.  The
+    Smith form is certified on M itself: U Mᵀ V = D, else RuntimeError.  A
+    0 x n matrix gives Z^n.
     """
     Mt = M.transpose()
     snf = smith_normal_form(Mt)
-    if snf.U * Mt * snf.V != snf.D:
+    if not snf.certifies(Mt):
         raise RuntimeError("internal invariant broken: U·Mᵀ·V ≠ D in the Smith form")
     factors = snf.invariant_factors
     rank, n = len(factors), M.cols
     tor_rows = [i for i in range(rank) if factors[i] > 1]
     order = list(range(rank, n)) + tor_rows + [i for i in range(rank) if factors[i] == 1]
     return (FinAbGroup(n - rank, tuple(factors[i] for i in tor_rows)),
-            IntMatrix([snf.U.data[i] for i in order], cols=n))
+            tuple(snf.u_rows[i] for i in order))
 
 
 class EmptySolutionSet(Exception):
@@ -430,9 +467,10 @@ class RelationLattice:
         solved = set(self.cols)
         self.rest = [j for j in range(P.cols) if j not in solved]
         r, m = P.rows, len(self.rest)
-        self._solved_cols = [[row[j] for row in P.data] for j in self.cols]
-        self._rest_cols = [[row[j] for row in P.data] for j in self.rest]
-        echelon = _echelon((col + [int(t == k) for t in range(m)]
+        columns = list(zip(*P.data)) if r else [()] * P.cols
+        self._solved_cols = [columns[j] for j in self.cols]
+        self._rest_cols = [columns[j] for j in self.rest]
+        echelon = _echelon(([*col, *(int(t == k) for t in range(m))]
                             for k, col in enumerate(self._rest_cols)), r)
         self.rank = len(echelon)
         self.L, self.D = [], 1  # y_k+1, ..., y_r-1 = L c_Q / D

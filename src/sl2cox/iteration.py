@@ -60,9 +60,10 @@ def _torsion_image(R: cg.ClassGroupResult) -> frozenset:
     generator combination x with U x = e_i, U the cokernel's unimodular
     change of basis, all from one factorization of U."""
     F = R.F
-    grp, U = R.group, R.basis_change
+    grp = R.group
     if not grp.torsion:
         return F.char_subgroup([])
+    U = R.basis_change
     lift = FactoredSystem(U)
     gens = []
     for i in range(grp.free_rank, grp.free_rank + len(grp.torsion)):

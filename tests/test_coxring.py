@@ -49,7 +49,7 @@ from sl2cox.exactmath import (
     gauss_ipow,
 )
 from sl2cox.groups import ICOSA, OCTA, TETRA, cyclic, dihedral
-from sl2cox.hyperspace import Section, X0, XE, XF, XINF, XV, point
+from sl2cox.hyperspace import BasePoint, Section, X0, XE, XF, XINF, XV, point
 from sl2cox.ogpoly import G1, G2, G3, G4, GPoly, combination_nullspace
 from sl2cox.presentation import (
     GradedPresentation,
@@ -1179,12 +1179,14 @@ class TestWork:
         assert calls["read"] == 1621
 
     def test_the_divisors_of_the_embedding_are_scanned_once_per_point(self, monkeypatch):
-        # mu_64 with ten extra points and 1 or 3 divisors per point: one
-        # class_group call scans the divisors over each exceptional point
-        # once, and the full presentation reads everything else from the
-        # class group, so neither count grows with the divisors per point
-        scans = []
-        divisors_over = EmbeddingData.divisors_over
+        # mu_64 with ten extra points and 1 or 3 divisors per point, those
+        # over an extra point given a fresh copy of it: one class_group call
+        # groups the divisors by point in a single pass (no divisors_over
+        # scan, and one point comparison per fresh copy, where a scan per
+        # point compares every divisor with every point), and the full
+        # presentation reads everything else from the class group
+        scans, compared = [], [0]
+        divisors_over, eq = EmbeddingData.divisors_over, BasePoint.__eq__
 
         def counted(self, p):
             frame, names = sys._getframe(1), set()
@@ -1194,26 +1196,31 @@ class TestWork:
             scans.append(names)
             return divisors_over(self, p)
 
+        def counted_eq(self, other):
+            compared[0] += 1
+            return eq(self, other)
+
         monkeypatch.setattr(EmbeddingData, "divisors_over", counted)
+        monkeypatch.setattr(BasePoint, "__eq__", counted_eq)
         excused = {"_augment", "_violations", "special_fiber_normal"}
         counts = []
         pts = [(2, 7), (5, 11), (3, 13), (7, 2), (11, 5), (13, 3), (4, 9), (9, 4), (6, 17), (17, 6)]
         extras = tuple(point(a, b) for a, b in pts)
         for per_point in (1, 3):
             E = EmbeddingData(cyclic(64), extras, tuple(
-                GStableDivisorSpec(p, 1, -j) for p in (X0, XINF) + extras
+                GStableDivisorSpec(p, 1, -j)
+                for p in (X0, XINF) + tuple(point(a, b) for a, b in pts)
                 for j in range(1, per_point + 1)))
             E.validate()
             scans.clear()
+            compared[0] = 0
             cg.class_group(E)
-            in_class_group = len(scans)
-            assert in_class_group <= len(E.exceptional_points()) == 12
+            counts.append((len(scans), compared[0]))
             scans.clear()
             full_cox_presentation_cyclic(E)
-            outside = [s for s in scans if not s & excused]
-            assert all("class_group" in s for s in outside)
-            counts.append((in_class_group, len(outside)))
-        assert counts[0] == counts[1] == (12, 12)
+            assert all(s & excused for s in scans)
+        assert counts[0][0] == counts[1][0] == 0
+        assert counts[1][1] - counts[0][1] == len(pts) * (3 - 1)
 
 
 # -- the exponent walk and the N-row scalars against per-row oracles ----------------

@@ -20,9 +20,9 @@ The relation matrix P is r x N for N generators, with at most one row per
 exceptional point plus the u * l-row, so r stays near a dozen while N grows
 with the divisors.  ``exactmath.cokernel`` keeps the change of basis U as
 sparse rows; the images are read off its first free rank + torsion rows in
-one pass over their non-zeros, and the dense N x N matrix
-(``basis_change``) is built only when read, by the torsion lift of
-``iteration``.
+one pass over their non-zeros, and each torsion generator's lift (the
+column of U⁻¹ that the restriction to the character group of F reads) comes
+from Pᵀ V = U⁻¹ D; no N x N matrix is built.
 
 Cl(X) is Z^generators modulo the few rows of the relation matrix P, one per
 exceptional point, so a class is written in the invariant divisors in that
@@ -67,6 +67,9 @@ class Generator:
     suffix: str = ""
 
 
+_STABLE = ("divisor", "dominating")  # the kinds of the G-stable divisors
+
+
 @dataclass(frozen=True)
 class ClassGroupResult:
     group: FinAbGroup
@@ -75,13 +78,9 @@ class ClassGroupResult:
     images: dict  # label -> adapted coordinates (free part, then torsion part)
     point_keys: dict  # BasePoint -> short key like "x0", "x1"
     basis_rows: tuple  # the cokernel's U as sparse rows: adapted coordinates lead U x
+    torsion_lifts: tuple  # per torsion generator the x with U x = e_i, from ``cokernel``
     F: FiniteSubgroup
     fibers: dict  # ``_fibers`` of the generator table
-
-    @cached_property
-    def basis_change(self) -> IntMatrix:
-        """The cokernel's U, dense, built on first read."""
-        return IntMatrix.from_sparse(self.basis_rows, len(self.generators))
 
     def image_of(self, combo: dict) -> tuple[int, ...]:
         """Adapted coordinates of an integer combination {label: coeff}."""
@@ -106,7 +105,9 @@ class ClassGroupResult:
 
     @cached_property
     def divisor_labels(self) -> list[str]:
-        return [g.label for g in self.generators if g.kind == "divisor"]
+        """The G-stable divisors: those over the exceptional points, then the
+        dominating one."""
+        return [g.label for g in self.generators if g.kind in _STABLE]
 
     @cached_property
     def lattice(self) -> RelationLattice:
@@ -118,7 +119,7 @@ class ClassGroupResult:
         number of rows of P; RuntimeError otherwise."""
         P = self.presentation
         lattice = RelationLattice(P, [j for j, g in enumerate(self.generators)
-                                      if g.kind == "divisor"])
+                                      if g.kind in _STABLE])
         if lattice.rank < P.rows:
             rank = FactoredSystem(P.transpose()).rank
             if lattice.rank < rank:
@@ -217,7 +218,7 @@ def class_group(E: EmbeddingData) -> ClassGroupResult:
     gens, keys = _walk(E)
     fibers = _fibers(gens)
     P = _relations(E, gens, fibers)
-    group, basis_rows = cokernel(P)
+    group, basis_rows, lifts = cokernel(P)
     # the images: the first free rank + torsion rows of U, read by column
     k = group.free_rank + len(group.torsion)
     cols = [[0] * k for _ in gens]
@@ -225,7 +226,8 @@ def class_group(E: EmbeddingData) -> ClassGroupResult:
         for j, a in row.items():
             cols[j][i] = a
     images = {g.label: group.reduce(col) for g, col in zip(gens, cols)}
-    return ClassGroupResult(group, tuple(gens), P, images, keys, basis_rows, E.group, fibers)
+    return ClassGroupResult(group, tuple(gens), P, images, keys, basis_rows, lifts, E.group,
+                            fibers)
 
 
 def express_in_basis(R: ClassGroupResult, target: dict, basis_labels: list[str]):
@@ -244,16 +246,17 @@ def express_in_invariant_divisors(
 ) -> tuple[list[str], list[tuple[int, ...]]]:
     """The non-negative exponent vector over the invariant divisors.
 
-    Solves [combo] = sum m_ij [X^{x_i}_j] in Cl(X) for an integer
-    combination {label: coeff} (the input of ``R.image_of``; the dominating
-    divisor never enters a fiber relation and is excluded) in the relation
-    lattice ``R.lattice``, eliminated once per R.  The invariant divisors are
-    independent in Cl(X)⊗Q (a relation among them is the divisor of a unit
-    on SL2/F, and such units are constant), so the solution is unique:
-    returns (labels, [m]).  Raises EmptySolutionSet when m is not a
-    non-negative integer vector, with a torsion-obstruction diagnostic when
-    only the torsion part fails, and RuntimeError when the lattice's rank
-    certificate breaks the independence.
+    Solves [combo] = sum m_ij [X^{x_i}_j] + m [X^inf] in Cl(X) for an integer
+    combination {label: coeff} (the input of ``R.image_of``) over
+    ``R.divisor_labels``, the divisors over the exceptional points and the
+    dominating one, in the relation lattice ``R.lattice``, eliminated once
+    per R.  These G-stable divisors are independent in Cl(X)⊗Q (a relation
+    among them is the divisor of a unit on SL2/F, and such units are
+    constant), so the solution is unique: returns (labels, [m]).  Raises
+    EmptySolutionSet when m is not a non-negative integer vector, with a
+    torsion-obstruction diagnostic when only the torsion part fails, and
+    RuntimeError when the lattice's rank certificate breaks the
+    independence.
     """
     return R.divisor_labels, solve_nonneg(R.lattice, R.numerators(combo))
 

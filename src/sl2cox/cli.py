@@ -289,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="accepted for compatibility; has no effect (every "
                              "check is deterministic)")
     common.add_argument("--verify", action="store_true",
-                        help="re-run substitution checks on every emitted relation")
+                        help="check every emitted relation for homogeneity and "
+                             "exact vanishing on the orbit")
     sub = ap.add_subparsers(dest="command")
     for name, (_, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=help_text)

@@ -31,8 +31,10 @@ Four layers:
     in the free ring Q(i)[g1..g4], and vanishing is decided by homogenizing
     each torus-weight part with the determinant; in the polyhedral case the
     reduction modulo the exceptional relation is the same map again.
-    Each also re-checks, as the construction does, that every relation is
-    homogeneous, on one packed integer key per term (``_check_homogeneous``).
+    Each also checks that every relation is homogeneous, on one packed
+    integer key per term (``_check_homogeneous``).  The constructions only
+    compute: the verifiers are the one place that checks, and the CLI runs
+    them under ``--verify``.
 
   * ``batyrev_haddad``: height and hypersurface parameters of the affine
     shape (a single G-stable divisor over x0), cross-checked against the
@@ -514,6 +516,9 @@ def _n_rows(mod: SectionModule, ctx: _Ctx, p: BasePoint,
 
 
 def full_cox_presentation_cyclic(E: EmbeddingData) -> FullCoxResult:
+    """The full Cox ring for cyclic F by generators and relations, with the
+    relation modules.  The relations are not checked here:
+    ``verify_full_cox`` checks their homogeneity and vanishing."""
     F = E.group
     if not F.is_cyclic:
         raise NotCyclic(f"{F} is not cyclic")
@@ -606,9 +611,7 @@ def full_cox_presentation_cyclic(E: EmbeddingData) -> FullCoxResult:
         rel_modules.append(RelationModule("N", (m.point_key,), tuple(rows)))
         relations.extend(r.poly for r in rows)
 
-    pres = GradedPresentation(variables, relations, R.group)
-    _check_homogeneous(pres)
-    return FullCoxResult(pres, rel_modules, log, R, E)
+    return FullCoxResult(GradedPresentation(variables, relations, R.group), rel_modules, log, R, E)
 
 
 # -- Batyrev-Haddad parameters ----------------------------------------------------
@@ -794,9 +797,10 @@ def _exceptional_reduction(F: FiniteSubgroup):
 
 
 def verify_full_cox(result: FullCoxResult) -> None:
-    """Re-check every emitted relation: Cl- and B-homogeneity plus the exact
-    vanishing on SL2 of the function part, with the generator functions
-    recorded by the construction, decided by ``GPoly.vanishes_on_sl2``."""
+    """Check every emitted relation, which the construction does not: Cl-
+    and B-homogeneity, then the exact vanishing on SL2 of the function part,
+    with the generator functions recorded by the construction, decided by
+    ``GPoly.vanishes_on_sl2``."""
     _check_homogeneous(result.presentation)
     _require_vanishing(result.presentation, GPoly.const(1),
                        "relation does not vanish identically on the orbit", GPoly.vanishes_on_sl2)

@@ -343,15 +343,20 @@ class FinAbGroup:
         return " x ".join(parts) if parts else "0"
 
 
-def cokernel(M: IntMatrix) -> tuple[FinAbGroup, tuple[dict[int, int], ...]]:
-    """Z^cols modulo the row space of M, and the rows of its change of basis U.
+def cokernel(M: IntMatrix) -> tuple[FinAbGroup, tuple[dict[int, int], ...],
+                                    tuple[tuple[int, ...], ...]]:
+    """Z^cols modulo the row space of M, the rows of its change of basis U,
+    and a lift of each torsion generator.
 
     U is n x n and unimodular, its rows sparse ({column: coefficient}) and
     ordered free part, torsion part, then the coordinates M kills: the
     adapted-basis coordinates of x are the leading entries of U x, reduced
     by ``FinAbGroup.reduce``; ``IntMatrix.from_sparse`` gives U dense.  The
-    Smith form is certified on M itself: U Mᵀ V = D, else RuntimeError.  A
-    0 x n matrix gives Z^n.
+    Smith form is certified on M itself: U Mᵀ V = D, else RuntimeError.  So
+    Mᵀ V = U⁻¹ D, and the torsion generator of Smith index i, factor d_i,
+    lifts to column i of U⁻¹, the x with U x = e_i: Mᵀ (column i of V) / d_i,
+    O(n r) each for r rows of M, with no n x n matrix.  A 0 x n matrix gives
+    Z^n.
     """
     Mt = M.transpose()
     snf = smith_normal_form(Mt)
@@ -361,8 +366,15 @@ def cokernel(M: IntMatrix) -> tuple[FinAbGroup, tuple[dict[int, int], ...]]:
     rank, n = len(factors), M.cols
     tor_rows = [i for i in range(rank) if factors[i] > 1]
     order = list(range(rank, n)) + tor_rows + [i for i in range(rank) if factors[i] == 1]
+    lifts = []
+    for i in tor_rows:
+        x = [divmod(a, factors[i]) for a in Mt.mulvec([row[i] for row in snf.V.data])]
+        if any(rem for _, rem in x):
+            raise RuntimeError("internal invariant broken: the cokernel's change of basis "
+                               "is not unimodular")
+        lifts.append(tuple(q for q, _ in x))
     return (FinAbGroup(n - rank, tuple(factors[i] for i in tor_rows)),
-            tuple(snf.u_rows[i] for i in order))
+            tuple(snf.u_rows[i] for i in order), tuple(lifts))
 
 
 class EmptySolutionSet(Exception):

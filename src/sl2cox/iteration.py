@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from . import classgroup as cg
 from .coxring import NotCyclic
 from .embedding import EmbeddingData
-from .exactmath import EmptySolutionSet, FactoredSystem
 from .groups import (
     CYCLIC,
     DIHEDRAL,
@@ -58,23 +57,10 @@ def torsion_characters(E: EmbeddingData) -> frozenset:
 def _torsion_image(R: cg.ClassGroupResult) -> frozenset:
     """Restriction image of Cl(X)_tor: torsion basis vector e_i lifts to the
     generator combination x with U x = e_i, U the cokernel's unimodular
-    change of basis, all from one factorization of U."""
-    F = R.F
-    grp = R.group
-    if not grp.torsion:
-        return F.char_subgroup([])
-    U = R.basis_change
-    lift = FactoredSystem(U)
-    gens = []
-    for i in range(grp.free_rank, grp.free_rank + len(grp.torsion)):
-        try:
-            x = lift.solve([int(k == i) for k in range(U.rows)])
-        except (EmptySolutionSet, ValueError) as exc:
-            raise RuntimeError(f"internal invariant broken: the cokernel's change "
-                               f"of basis is not unimodular ({exc})") from exc
-        combo = {g.label: c for g, c in zip(R.generators, x) if c}
-        gens.append(cg.restrict_to_Fhat(R, combo))
-    return F.char_subgroup(gens)
+    change of basis (``ClassGroupResult.torsion_lifts``)."""
+    return R.F.char_subgroup([
+        cg.restrict_to_Fhat(R, {g.label: c for g, c in zip(R.generators, x) if c})
+        for x in R.torsion_lifts])
 
 
 def descend_subgroup(F: FiniteSubgroup, chars) -> FiniteSubgroup:

@@ -211,6 +211,11 @@ def dense_smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatr
     return IntMatrix(u, cols=rows), IntMatrix(d, cols=cols), IntMatrix(v, cols=cols)
 
 
+def dense_u(R: cg.ClassGroupResult) -> IntMatrix:
+    """The cokernel's U, dense, from its sparse rows."""
+    return IntMatrix.from_sparse(R.basis_rows, len(R.generators))
+
+
 def dense_images(R: cg.ClassGroupResult) -> tuple[FinAbGroup, IntMatrix, dict]:
     """Oracle: the group, the cokernel's U and the generators' images, from
     ``dense_smith_normal_form`` of Pᵀ, rows ordered free part, torsion part,
@@ -262,7 +267,7 @@ class TestAgainstDenseSmith:
         R = cg.class_group(E)
         assert len(R.generators) == 325 and R.presentation.rows == 5
         assert R.group == FinAbGroup(320)
-        assert (R.group, R.basis_change, R.images) == dense_images(R)
+        assert (R.group, dense_u(R), R.images) == dense_images(R)
 
     def test_small_inputs_match_the_dense_oracle(self):
         # every family, torsion included: the same U and images
@@ -271,7 +276,7 @@ class TestAgainstDenseSmith:
         for trial in range(60):
             family = list(FAMILIES)[trial % len(FAMILIES)]
             R = cg.class_group(_valid_embedding(rng, family))
-            assert (R.group, R.basis_change, R.images) == dense_images(R)
+            assert (R.group, dense_u(R), R.images) == dense_images(R)
             with_torsion += bool(R.group.torsion)
         assert with_torsion
 
@@ -332,7 +337,7 @@ class TestExpress:
         P = R.presentation
         among = [int(g.label == "X[x0,0]") - int(g.label == "X[xinf,0]") for g in R.generators]
         broken = replace(R, presentation=IntMatrix(P.data + [among]))
-        group, rows = cokernel(broken.presentation)  # the oracle sees the relation
+        group, rows, _ = cokernel(broken.presentation)  # the oracle sees the relation
         U = IntMatrix.from_sparse(rows, broken.presentation.cols)
         k = group.free_rank + len(group.torsion)
         image = {g.label: group.reduce([U.data[i][j] for i in range(k)])

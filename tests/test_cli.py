@@ -180,6 +180,34 @@ class TestCoxCommands:
         assert "computation error" in err and "homogeneous" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("extra", [False, True])
+    def test_cox_full_with_a_dominating_divisor_verifies(self, capsys, tmp_path, extra):
+        # the dominating section rdom enters the section monomials: mu3 with
+        # (1, -1) over x0 and (h, l) = (0, -1), with and without [2:3]
+        doc = {"group": {"type": "cyclic", "n": 3},
+               "extra_points": [{"alpha": "2", "beta": "3"}] if extra else [],
+               "divisors": [{"over": "x0", "h": 1, "l": "-1"},
+                            {"over": "dominating", "h": 0, "l": "-1"}]
+               + [{"over": "extra:0", "h": 1, "l": "-1"}] * extra}
+        path = tmp_path / "dominating.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "validate", str(path))[0] == 0
+        rc, out, err = run(capsys, "cox-full", str(path), "--verify", "--format", "json")
+        assert rc == 0 and err == ""
+        relations = json.loads(out)["presentation"]["relations"]
+        assert any("rdom" in json.dumps(r) for r in relations)
+
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_cox_full_checks_homogeneity_only_under_verify(self, capsys, monkeypatch, verify):
+        # cox-full computes; --verify is the one place that checks
+        import sl2cox.coxring as cx
+
+        calls = []
+        check = cx._check_homogeneous
+        monkeypatch.setattr(cx, "_check_homogeneous", lambda P: calls.append(check(P)))
+        rc, _, _ = run(capsys, "cox-full", fixture("mu3.json"), *["--verify"] * verify)
+        assert rc == 0 and len(calls) == int(verify)
+
     def test_corrupted_smith_form_exit_code(self, capsys, corrupted_smith_form):
         # the cokernel certifies its Smith form on the presentation matrix
         rc, out, err = run(capsys, "classgroup", fixture("mu3.json"))

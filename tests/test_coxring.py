@@ -61,7 +61,7 @@ from sl2cox.presentation import (
     term_degree,
 )
 
-from test_classgroup import AdaptedOracle, outcome
+from test_classgroup import AdaptedOracle, dense_u, outcome
 from test_embedding import mu3_example, trivial_four_points
 from test_ogpoly import evaluate, raise_op, sl2_normal_form, sl2z_points
 
@@ -1051,6 +1051,20 @@ def _with_inhomogeneous(P: GradedPresentation) -> GradedPresentation:
     return replace(P, relations=P.relations + [bad])
 
 
+class TestConstructionComputesVerifierChecks:
+    def test_one_homogeneity_check_per_verified_build(self, monkeypatch):
+        # the construction checks no relation; verify_full_cox checks once
+        calls = []
+        check = coxring._check_homogeneous
+        monkeypatch.setattr(coxring, "_check_homogeneous", lambda P: calls.append(check(P)))
+        for E in (mu3_example(), trivial_four_points()):
+            calls.clear()
+            res = full_cox_presentation_cyclic(E)
+            assert not calls
+            verify_full_cox(res)
+            assert len(calls) == 1
+
+
 class TestVerifiersReject:
     def test_full_cox_perturbed_coefficient(self):
         res = full_cox_presentation_cyclic(mu3_example())
@@ -1415,7 +1429,7 @@ def _random_combos(rng, R, count: int):
     one unit on a random generator or by a non-zero torsion class: solvable
     ones, and ones that fail for each reason."""
     labels = [g.label for g in R.generators]
-    U, free = R.basis_change, R.group.free_rank
+    U, free = dense_u(R), R.group.free_rank
     torsion = [FactoredSystem(U).solve([int(i == free + t) for i in range(U.rows)])
                for t in range(len(R.group.torsion))]  # a lift of each torsion generator
     for _ in range(count):
@@ -1436,11 +1450,14 @@ class TestLatticeOracle:
     def test_every_row_and_random_class_matches_the_adapted_solve(self, monkeypatch):
         # the lattice solve against the adapted-coordinate one: the same
         # exponents, or the same exception type and message, on every M-row
-        # of every presentation and on random classes
+        # of every presentation and on random classes; every input with a
+        # dominating divisor that keeps no torsion past augmentation builds
+        # and verifies, rdom entering the section monomials
         rng = random.Random("lattice-oracle")
         walk = coxring._Ctx.r_exponents
         oracles: dict = {}
         rows, combos, builds, kinds = Counter(), Counter(), Counter(), Counter()
+        dominating_verified = 0
 
         def checked(ctx, A, B, k, n0, ninf, last):
             if ctx.R not in oracles.values():
@@ -1468,11 +1485,16 @@ class TestLatticeOracle:
             kinds["extra points"] += len(E.extra_points)
             built = outcome(full_cox_presentation_cyclic, E)
             builds[built[0].__name__ if _raised(built) else "built"] += 1
+            if E.dominating_divisor() is not None and \
+                    not (_raised(built) and built[0] is TorsionAfterAugmentation):
+                assert not _raised(built), (E, built)
+                verify_full_cox(built)
+                dominating_verified += 1
         assert set(combos) == {"solved", "no integer x solves the exact rows",
                                "no integer x >= 0 solves the exact rows",
                                "free parts match but the torsion part of the class obstructs"}
         assert min(combos.values()) >= 10
-        assert rows["solved"] >= 500 and sum(rows.values()) > rows["solved"]
+        assert rows["solved"] >= 500 and dominating_verified >= 10
         assert builds["built"] >= 60
         assert min(kinds.values()) >= 10
 

@@ -1,8 +1,12 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from sl2cox import classgroup as cg
+from sl2cox import exactmath
+from sl2cox.exactmath import FactoredSystem, IntMatrix
 from sl2cox.embedding import EmbeddingData, GStableDivisorSpec, affine_embedding
 from sl2cox.groups import FiniteSubgroup, ICOSA, OCTA, TETRA, cyclic, dihedral
 from sl2cox.hyperspace import X0, XE, XF, XINF, XV, point
@@ -12,9 +16,12 @@ from sl2cox.iteration import (
     bound_for,
     cyclic_iteration_exact,
     descend_subgroup,
+    _torsion_image,
     iterate,
     torsion_characters,
 )
+
+from test_classgroup import _valid_embedding, dense_u
 
 
 class TestRamificationCount:
@@ -201,3 +208,55 @@ class TestPolyhedral:
             if E.validate():
                 continue
             assert len(torsion_characters(E)) == gcd(n, h), (n, h, l)
+
+
+def _mu4_with_divisors(d: int) -> EmbeddingData:
+    """mu_4 with the extra points [2:7], [5:11] and the divisors (2, -j),
+    j = 2..d+1, over each of its four points: Cl = Z^(4d) x Z/2, N = 4d + 5
+    generators."""
+    extras = (point(2, 7), point(5, 11))
+    return EmbeddingData(cyclic(4), extras, tuple(
+        GStableDivisorSpec(p, 2, -j) for p in (X0, XINF) + extras for j in range(2, d + 2)))
+
+
+class TestTorsionLift:
+    def test_the_lift_builds_no_square_matrix(self, monkeypatch):
+        # the lift of each torsion generator comes from P^T V = U^-1 D: no
+        # matrix with N x N entries, N the number of generators
+        E = _mu4_with_divisors(40)
+        assert not E.validate()
+        sizes = []
+        init = IntMatrix.__init__
+
+        def recorded(self, data, cols=None):
+            init(self, data, cols)
+            sizes.append(self.rows * self.cols)
+
+        monkeypatch.setattr(exactmath.IntMatrix, "__init__", recorded)
+        chars = torsion_characters(E)
+        R = cg.class_group(E)
+        N = len(R.generators)
+        assert N == 165 and R.group.free_rank == 160 and R.group.torsion == (2,)
+        assert len(chars) == 2 and max(sizes) < N * N
+
+    def test_lifts_match_the_dense_lift(self):
+        # the oracle: x with U x = e_i from one elimination of the dense U;
+        # the same lifts, hence the same characters, on even-n cyclic inputs
+        # and on every polyhedral family
+        rng = random.Random("torsion-lift")
+        with_torsion = Counter()
+        for family in ("cyclic", "n<=2", "dihedral", "tetrahedral", "octahedral") * 40:
+            E = _valid_embedding(rng, family)
+            if E.group.is_cyclic and E.group.n % 2:
+                continue
+            R = cg.class_group(E)
+            U, free = dense_u(R), R.group.free_rank
+            lift = FactoredSystem(U)
+            dense = tuple(lift.solve([int(k == free + t) for k in range(U.rows)])
+                          for t in range(len(R.group.torsion)))
+            assert R.torsion_lifts == dense, E
+            chars = E.group.char_subgroup([cg.restrict_to_Fhat(
+                R, {g.label: c for g, c in zip(R.generators, x) if c}) for x in dense])
+            assert _torsion_image(R) == chars, E
+            with_torsion[family] += bool(R.group.torsion)
+        assert len(with_torsion) == 5 and min(with_torsion.values()) >= 5, with_torsion

@@ -5,10 +5,11 @@ cox-full, diagnose, iterate, batyrev-haddad): its handler, help text and own
 flags.  ``build_parser`` turns the table into the argument parser, once per
 process: every ``main`` call in one process parses with the same parser.
 ``main`` reads the embedding file once (JSON, see README; ``embedding``
-reads every input file), parses and validates those bytes, calls the
-handler, which returns the report and its pretty lines, adds the command
-name and the input digest (the SHA-256 of the bytes it parsed), and prints a
-pretty report or a JSON document (--format json).  Exit codes: 0 success
+reads every input file), parses and validates those bytes and calls the
+handler.  The handler computes once and renders only the format asked for:
+the pretty lines, or (--format json) the report dict, to which ``main`` adds
+the command name and the input digest (the SHA-256 of the bytes it parsed)
+before printing it as a JSON document.  Exit codes: 0 success
 (``--help`` included), 1 invalid, unreadable or malformed input, 2
 computation error, 3 usage error (argparse's own errors included), 141
 (128 + SIGPIPE) when stdout is closed before the report is written, as in
@@ -50,11 +51,12 @@ EXIT_USAGE = 3
 EXIT_BROKEN_PIPE = 141
 
 
-def _emit(report: dict, fmt: str, pretty_lines) -> None:
+def _emit(out, fmt: str) -> None:
+    """Print a report: a JSON document, or pretty lines."""
     if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(out, indent=2, sort_keys=True))
     else:
-        for line in pretty_lines:
+        for line in out:
             print(line)
     sys.stdout.flush()  # a closed pipe raises here, inside main
 
@@ -75,15 +77,15 @@ def _presentation_json(P: GradedPresentation) -> dict:
     }
 
 
-def _presentation_pretty(P: GradedPresentation, title: str) -> list[str]:
-    order = P.var_order()
+def _presentation_pretty(P: GradedPresentation, title: str, order, names) -> list[str]:
+    """The presentation as pretty lines, over its ``var_index()`` and
+    ``pretty_names()``, which the caller builds once."""
     lines = [title, f"  grading group: {P.grading}"]
     lines.append("  generators: " + ", ".join(
         f"{vn.name}(deg {list(vn.degree)}, wt {vn.b_weight})" for vn in P.variables))
     if P.relations:
         lines.append("  relations:")
-        for r in P.canonical_relations():
-            lines.append("    " + pretty_poly(r, order))
+        lines += ["    " + pretty_poly(r, order, names) for r in P.canonical_relations(order)]
     else:
         lines.append("  relations: none (polynomial algebra)")
     return lines
@@ -98,40 +100,40 @@ def _load(path: str):
 def validate(args) -> int:
     """The one handler that reads the file itself: its result is the file's
     validity, a schema error included."""
+    json_out = args.format == "json"
     try:
         E, cited = _load(args.file)
         violations = E.validate()
     except SchemaError as exc:
-        _emit({"command": "validate", "valid": False, "schema_error": str(exc)},
-              args.format, [f"schema error: {exc}"])
+        _emit({"command": "validate", "valid": False, "schema_error": str(exc)} if json_out
+              else [f"schema error: {exc}"], args.format)
         return EXIT_INVALID
-    report = {
-        "command": "validate",
-        "input": cited,
-        "valid": not violations,
-        "violations": [{"code": v.code, "detail": v.detail} for v in violations],
-    }
-    lines = ["valid" if not violations else "invalid:"]
-    lines += [f"  {v}" for v in violations]
-    _emit(report, args.format, lines)
+    if json_out:
+        _emit({"command": "validate", "input": cited, "valid": not violations,
+               "violations": [{"code": v.code, "detail": v.detail} for v in violations]},
+              args.format)
+    else:
+        _emit(["valid" if not violations else "invalid:"] + [f"  {v}" for v in violations],
+              args.format)
     return EXIT_OK if not violations else EXIT_INVALID
 
 
 def classgroup(E, args):
     R = cg.class_group(E)
-    report = {
-        "group": _group_json(R.group),
-        "generators": [g.label for g in R.generators],
-        "presentation_matrix": R.presentation.data,
-        "images": {lbl: list(img) for lbl, img in R.images.items()},
-    }
+    if args.format == "json":
+        return {
+            "group": _group_json(R.group),
+            "generators": [g.label for g in R.generators],
+            "presentation_matrix": R.presentation.data,
+            "images": {lbl: list(img) for lbl, img in R.images.items()},
+        }
     lines = [f"Cl(X) = {R.group}",
              "generators: " + ", ".join(g.pretty for g in R.generators),
              "presentation matrix (rows = relations):"]
     lines += ["  " + " ".join(f"{x:4d}" for x in row) for row in R.presentation.data]
     lines.append("adapted-basis images (free part, then torsion part):")
     lines += [f"  {g.pretty}: {list(R.images[g.label])}" for g in R.generators]
-    return report, lines
+    return lines
 
 
 def cox_u(E, args):
@@ -141,22 +143,26 @@ def cox_u(E, args):
     if args.verify:
         cx.verify_cox_u(E, P)
         warnings.append("verify: raw relations are exactly homogeneous and vanish on the orbit")
-    lines = _presentation_pretty(Q, "Cox(X)^U after eliminating a, b")
-    if log:
-        lines += ["  eliminations:"] + [f"    {s}" for s in log]
-    report = {"presentation": _presentation_json(Q), "eliminations": log, "warnings": warnings}
     if args.special_fiber:
         fib = cx.special_fiber_u(Q)
         verdict = cx.classify_fiber_presentation(fib)
         normal = dg.special_fiber_normal(E)
-        report["special_fiber"] = {
-            "presentation": _presentation_json(fib),
-            "classification": verdict,
-            "normal": normal,
-        }
-        lines += _presentation_pretty(fib, "special fiber (all r = 0)")
+    if args.format == "json":
+        report = {"presentation": _presentation_json(Q), "eliminations": log,
+                  "warnings": warnings}
+        if args.special_fiber:
+            report["special_fiber"] = {"presentation": _presentation_json(fib),
+                                       "classification": verdict, "normal": normal}
+        return report
+    lines = _presentation_pretty(Q, "Cox(X)^U after eliminating a, b",
+                                 Q.var_index(), Q.pretty_names())
+    if log:
+        lines += ["  eliminations:"] + [f"    {s}" for s in log]
+    if args.special_fiber:
+        lines += _presentation_pretty(fib, "special fiber (all r = 0)",
+                                      fib.var_index(), fib.pretty_names())
         lines.append(f"  classification: {verdict}; normal per criterion: {normal}")
-    return report, lines
+    return lines
 
 
 def cox_full(E, args):
@@ -165,8 +171,22 @@ def cox_full(E, args):
     if args.verify:
         cx.verify_full_cox(res)
         warnings.append("verify: all relations vanish identically on the orbit")
-    order = res.presentation.var_order()
-    lines = _presentation_pretty(res.presentation, "Cox(X) by generators and relations")
+    if args.format == "json":
+        return {
+            "presentation": _presentation_json(res.presentation),
+            "modules": [
+                {"kind": mod.kind, "points": list(mod.points),
+                 "rows": [{"iso": row.iso_m, "b_weight": row.b_weight,
+                           "in_kernel": row.in_kernel,
+                           "poly": poly_to_json(row.poly)} for row in mod.rows]}
+                for mod in res.modules
+            ],
+            "preprocessing": res.preprocessing_log,
+            "warnings": warnings,
+        }
+    order, names = res.presentation.var_index(), res.presentation.pretty_names()
+    lines = _presentation_pretty(res.presentation, "Cox(X) by generators and relations",
+                                 order, names)
     lines.append("  relation modules:")
     for mod in res.modules:
         pts = ",".join(mod.points)
@@ -174,93 +194,88 @@ def cox_full(E, args):
             tagk = "kernel, " if row.in_kernel else ""
             lines.append(f"    {mod.kind}_{{{pts}}} = V_{row.iso_m} "
                          f"({tagk}B-weight {row.b_weight}w): "
-                         + pretty_poly(row.poly, order))
+                         + pretty_poly(row.poly, order, names))
     lines += [f"  preprocessing: {s}" for s in res.preprocessing_log]
     lines += [f"  warning: {s}" for s in warnings]
-    report = {
-        "presentation": _presentation_json(res.presentation),
-        "modules": [
-            {"kind": mod.kind, "points": list(mod.points),
-             "rows": [{"iso": row.iso_m, "b_weight": row.b_weight,
-                       "in_kernel": row.in_kernel,
-                       "poly": poly_to_json(row.poly)} for row in mod.rows]}
-            for mod in res.modules
-        ],
-        "preprocessing": res.preprocessing_log,
-        "warnings": warnings,
-    }
-    return report, lines
+    return lines
 
 
 def diagnose(E, args):
     ap0 = derive_ap0_input(E)
     total = dg.log_terminal_total_space(E)
     fiber = dg.special_fiber_normal(E)
-    report = {
-        "special_fiber_normal": fiber,
-        "total_space_log_terminal": total.is_platonic,
-        "platonic_witness": list(total.witness) if total.witness else None,
-        "exponent_vectors": [list(v) for v in ap0[1]],
-    }
-    lines = [
-        f"special fiber normal: {fiber}",
-        f"total coordinate space log terminal (Platonic ring): {total.is_platonic}"
-        + (f" (witness {total.witness})" if total.witness else ""),
-    ]
     try:
         ok, cert = dg.constant_functions_only(E)
-        report["constant_functions"] = {"holds": ok, "certificate": str(cert)}
-        lines.append(f"only constant global functions: {ok} "
-                     f"(certificate {cert} {'<' if ok else '>='} 0)")
+        skipped = None
     except dg.HypothesesNotMet as exc:
-        report["constant_functions"] = {"holds": None, "reason": str(exc)}
-        lines.append(f"constant-function test not applicable: {exc}")
+        skipped = exc
     if args.hypercones:
         cones = load_hypercones(args.hypercones, E)
         verdict = dg.log_terminal_X(E, cones)
         orbits = [dg.classify_hypercone_orbit(c, E) for c in cones]
-        report["orbits"] = [{"kind": o.kind, "tuple": list(o.tuple)} for o in orbits]
-        report["X_log_terminal"] = verdict.is_platonic
+    if args.format == "json":
+        report = {
+            "special_fiber_normal": fiber,
+            "total_space_log_terminal": total.is_platonic,
+            "platonic_witness": list(total.witness) if total.witness else None,
+            "exponent_vectors": [list(v) for v in ap0[1]],
+            "constant_functions": ({"holds": None, "reason": str(skipped)} if skipped
+                                   else {"holds": ok, "certificate": str(cert)}),
+        }
+        if args.hypercones:
+            report["orbits"] = [{"kind": o.kind, "tuple": list(o.tuple)} for o in orbits]
+            report["X_log_terminal"] = verdict.is_platonic
+        return report
+    lines = [
+        f"special fiber normal: {fiber}",
+        f"total coordinate space log terminal (Platonic ring): {total.is_platonic}"
+        + (f" (witness {total.witness})" if total.witness else ""),
+        f"constant-function test not applicable: {skipped}" if skipped
+        else f"only constant global functions: {ok} (certificate {cert} {'<' if ok else '>='} 0)",
+    ]
+    if args.hypercones:
         lines.append("orbit classes: " + ", ".join(
             o.kind + (str(o.tuple) if o.tuple else "") for o in orbits))
         lines.append(f"X log terminal: {verdict.is_platonic}")
-    return report, lines
+    return lines
 
 
 def iterate(E, args):
     rep = it.iterate(E)
-    report = {
-        "m_lo": rep.m_lo,
-        "m_hi": rep.m_hi,
-        "determined": rep.determined,
-        "bound": rep.bound,
-        "master_factorial": rep.master_factorial,
-        "steps": [{"subgroup": str(s.subgroup),
-                   "torsion_order": s.torsion_order,
-                   "determined": s.determined} for s in rep.steps],
-        "chains": [list(c) for c in rep.chains],
-        "evidence": {k: (v if isinstance(v, (int, str)) else str(v))
-                     for k, v in rep.evidence.items()},
-    }
+    if args.format == "json":
+        return {
+            "m_lo": rep.m_lo,
+            "m_hi": rep.m_hi,
+            "determined": rep.determined,
+            "bound": rep.bound,
+            "master_factorial": rep.master_factorial,
+            "steps": [{"subgroup": str(s.subgroup),
+                       "torsion_order": s.torsion_order,
+                       "determined": s.determined} for s in rep.steps],
+            "chains": [list(c) for c in rep.chains],
+            "evidence": {k: (v if isinstance(v, (int, str)) else str(v))
+                         for k, v in rep.evidence.items()},
+        }
     mtxt = str(rep.m_lo) if rep.determined else f"[{rep.m_lo}, {rep.m_hi}]"
     lines = [f"iteration length m = {mtxt} (bound {rep.bound})",
              "steps: " + " > ".join(str(s.subgroup) for s in rep.steps),
              "admissible chains:"]
     lines += ["  " + " > ".join(cseq) for cseq in rep.chains]
-    return report, lines
+    return lines
 
 
 def batyrev_haddad(E, args):
     bh = cx.batyrev_haddad(E)
-    report = {"p": bh.p, "q": bh.q, "k": bh.k, "a": bh.a, "b": bh.b, "height": str(bh.height)}
-    lines = [f"height h_P = {bh.height} = {bh.p}/{bh.q}",
-             f"k = {bh.k}, a = {bh.a}, b = {bh.b}",
-             f"total coordinate space: y^{bh.b} = t1 t4 - t2 t3"]
-    return report, lines
+    if args.format == "json":
+        return {"p": bh.p, "q": bh.q, "k": bh.k, "a": bh.a, "b": bh.b, "height": str(bh.height)}
+    return [f"height h_P = {bh.height} = {bh.p}/{bh.q}",
+            f"k = {bh.k}, a = {bh.a}, b = {bh.b}",
+            f"total coordinate space: y^{bh.b} = t1 t4 - t2 t3"]
 
 
 # name -> (handler, help, own flags as (flag, add_argument keywords)); every
-# handler but validate maps (valid embedding, args) to (report, pretty lines)
+# handler but validate maps (valid embedding, args) to the report in the
+# requested format: the JSON report dict, or the pretty lines
 COMMANDS = {
     "validate": (validate, "check an embedding file", ()),
     "classgroup": (classgroup, "divisor class group by generators and relations", ()),
@@ -314,9 +329,10 @@ def main(argv=None) -> int:
         if handler is validate:
             return validate(args)
         E, cited = _load(args.file)
-        report, lines = handler(E.require_valid(), args)
-        _emit({"command": args.command, "input": cited, **report},
-              args.format, lines)
+        out = handler(E.require_valid(), args)
+        if args.format == "json":
+            out = {"command": args.command, "input": cited, **out}
+        _emit(out, args.format)
         return EXIT_OK
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -66,7 +66,7 @@ from .embedding import (
 from .exactmath import GAUSS_ONE, GaussianRational, gauss, require_nonneg
 from .groups import FiniteSubgroup
 from .hyperspace import BasePoint, X0, XD, XINF, point
-from .ogpoly import G3, G4, GPoly, Num, _split, gr_rref
+from .ogpoly import G3, G4, GPOLY_ONE, GPoly, Num, _split, gr_rref
 from .presentation import (
     GradedPresentation,
     GradedVariable,
@@ -150,7 +150,7 @@ def cox_u_presentation(E: EmbeddingData) -> GradedPresentation:
     F = E.group
     n0, wtable = _b_weight_table(F)
     if F.is_cyclic:
-        one, a_fn, b_fn, s_fn = GPoly.const(1), G3.pow(n0), G4.pow(n0), {"x0": G3, "xinf": G4}
+        one, a_fn, b_fn, s_fn = GPOLY_ONE, G3.pow(n0), G4.pow(n0), {"x0": G3, "xinf": G4}
     else:
         mult = F.canonical_multiplicities()
         s_fn = {t: SparsePoly.variable("f" + t[1:]) for t in mult}
@@ -204,7 +204,7 @@ def eliminate(P: GradedPresentation, targets=("a", "b")) -> tuple[GradedPresenta
     variables = list(P.variables)
     relations = list(P.relations)
     log: list[str] = []
-    order = P.var_order()
+    order, names = P.var_index(), P.pretty_names()
     for name in targets:
         used = next(((i, c) for i, rel in enumerate(relations)
                      if (c := rel.coefficient_of_linear(name)) is not None), None)
@@ -215,7 +215,7 @@ def eliminate(P: GradedPresentation, targets=("a", "b")) -> tuple[GradedPresenta
         i, c = used
         rest = relations[i] + SparsePoly.term(-c, {name: 1})
         value = rest.scale(GAUSS_ONE / (-c))
-        log.append(f"{name} = {pretty_poly(value, order)}")
+        log.append(f"{name} = {pretty_poly(value, order, names)}")
         power, one = SparsePoly.substitution(name, value), value.pow(0)
         relations = [r.evaluate(power, one) for j, r in enumerate(relations) if j != i]
         variables = [v for v in variables if v.name != name]
@@ -592,7 +592,7 @@ def full_cox_presentation_cyclic(E: EmbeddingData) -> FullCoxResult:
             variables.append(GradedVariable(nm, degree[m.point_key], w, f"V(E^{m.point_key})", f))
     rvar = _r_names(R, "")
     for lbl, nm in rvar.items():
-        variables.append(GradedVariable(nm, R.images[lbl], 0, lbl, GPoly.const(1)))
+        variables.append(GradedVariable(nm, R.images[lbl], 0, lbl, GPOLY_ONE))
 
     # each module's class is solved once in the relation lattice
     classes = {m.point_key: R.numerators(m.color_combo) for m in point_order}
@@ -802,7 +802,7 @@ def verify_full_cox(result: FullCoxResult) -> None:
     with the generator functions recorded by the construction, decided by
     ``GPoly.vanishes_on_sl2``."""
     _check_homogeneous(result.presentation)
-    _require_vanishing(result.presentation, GPoly.const(1),
+    _require_vanishing(result.presentation, GPOLY_ONE,
                        "relation does not vanish identically on the orbit", GPoly.vanishes_on_sl2)
 
 
@@ -813,7 +813,7 @@ def verify_cox_u(E: EmbeddingData, P: GradedPresentation) -> None:
     semi-invariants modulo the single exceptional relation."""
     _check_homogeneous(P)
     if E.group.is_cyclic:
-        _require_vanishing(P, GPoly.const(1), "cox_u relation does not vanish on the orbit",
+        _require_vanishing(P, GPOLY_ONE, "cox_u relation does not vanish on the orbit",
                            GPoly.vanishes_on_sl2)
     else:
         reduce = _exceptional_reduction(E.group)

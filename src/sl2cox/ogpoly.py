@@ -256,6 +256,7 @@ class GPoly(QiPoly):
 
 
 G1, G2, G3, G4 = GPoly.gen(1), GPoly.gen(2), GPoly.gen(3), GPoly.gen(4)
+GPOLY_ONE = GPoly.const(1)  # shared: no QiPoly operation mutates its operands
 
 
 # -- linear algebra over the Gaussian rationals ----------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from math import gcd
 
-from .exactmath import FinAbGroup, GAUSS_ONE, GaussianRational, gauss
+from .exactmath import FinAbGroup, GaussianRational, gauss
 from .ogpoly import GPoly, QiPoly
 
 Monomial = tuple[tuple[str, int], ...]  # sorted by variable name, exponents > 0
@@ -117,34 +117,33 @@ class SparsePoly(QiPoly):
 
 
 def _mono_key(m: Monomial, order: dict[str, int]):
-    deg = sum(e for _, e in m)
-    dense = [0] * len(order)
-    for v, e in m:
-        dense[order[v]] = e
-    return (deg, tuple(dense))
+    """Graded-lex key in the variable order: the total degree, then the
+    (-index, exponent) pairs by increasing index, which compare as the
+    dense exponent vectors would."""
+    return (sum(e for _, e in m), tuple(sorted([(-order[v], e) for v, e in m], reverse=True)))
 
 
-def _negative(c: GaussianRational) -> bool:
-    """The sign convention on Q(i): c is negative when its real part is, or
-    when the real part vanishes and the imaginary part is negative."""
-    return c.re < 0 or (c.re == 0 and c.im < 0)
+def _negative(x: int, y: int) -> bool:
+    """The sign convention on Q(i), for (x + y*i) / den with den > 0: negative
+    when the real part is, or when it vanishes and the imaginary part is."""
+    return x < 0 or (x == 0 and y < 0)
 
 
-def canonicalize(poly: SparsePoly, var_order: list[str]) -> SparsePoly:
-    """Normalize the global unit: the leading term (graded-lex in the given
-    variable order) gets a coefficient that is not ``_negative``.  Only +-1
-    is used so integrality of coefficients is preserved."""
+def canonicalize(poly: SparsePoly, order: dict[str, int]) -> SparsePoly:
+    """Normalize the global unit: the leading term (graded-lex in the
+    variable order, ``order`` mapping each name to its index) gets a
+    coefficient that is not ``_negative``.  Only +-1 is used so integrality
+    of coefficients is preserved."""
     if poly.is_zero():
         return poly
-    order = {v: i for i, v in enumerate(var_order)}
     lead = max(poly.num, key=lambda m: _mono_key(m, order))
-    return poly.scale(-1) if _negative(poly.coeff(lead)) else poly
+    return poly.scale(-1) if _negative(*poly.num[lead]) else poly
 
 
 def canonical_key(poly: SparsePoly, var_order: list[str]):
     """Hashable canonical form for exact comparison of relations."""
-    p = canonicalize(poly, var_order)
     order = {v: i for i, v in enumerate(var_order)}
+    p = canonicalize(poly, order)
     return tuple(sorted(((_mono_key(m, order), (c.re, c.im))
                          for m, c in p.terms.items()), reverse=True))
 
@@ -169,14 +168,21 @@ class GradedPresentation:
     def var_order(self) -> list[str]:
         return [v.name for v in self.variables]
 
+    def var_index(self) -> dict[str, int]:
+        return {v.name: i for i, v in enumerate(self.variables)}
+
+    def pretty_names(self) -> list[str]:
+        return [pretty_name(v.name) for v in self.variables]
+
     def degree_map(self) -> dict[str, tuple[int, ...]]:
         return {v.name: v.degree for v in self.variables}
 
     def weight_map(self) -> dict[str, int]:
         return {v.name: v.b_weight for v in self.variables}
 
-    def canonical_relations(self) -> list[SparsePoly]:
-        order = self.var_order()
+    def canonical_relations(self, order: dict[str, int] | None = None) -> list[SparsePoly]:
+        """Each relation canonicalized once, over ``var_index()`` unless given."""
+        order = order or self.var_index()
         return [canonicalize(r, order) for r in self.relations]
 
 
@@ -229,25 +235,40 @@ def pretty_name(name: str) -> str:
     return head + prime + sub
 
 
-def _coeff_str(c: GaussianRational) -> str:
-    if c.im == 0:
-        return str(c.re)
-    return f"({c})"
+def _frac_str(x: int, den: int) -> str:
+    """``str(Fraction(x, den))`` for den > 0, without the Fraction."""
+    if den == 1:
+        return str(x)
+    g = gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
 
 
-def pretty_poly(poly: SparsePoly, var_order: list[str]) -> str:
+def _coeff_str(x: int, y: int, den: int) -> str:
+    """The coefficient (x + y*i) / den as pretty text: the rational alone, or
+    the Gaussian rational in parentheses."""
+    if not y:
+        return _frac_str(x, den)
+    im = _frac_str(abs(y), den) + "i"
+    if not x:
+        return f"({'-' if y < 0 else ''}{im})"
+    return f"({_frac_str(x, den)}{'-' if y < 0 else '+'}{im})"
+
+
+def pretty_poly(poly: SparsePoly, order: dict[str, int], names: list[str]) -> str:
+    """The polynomial in graded-lex order, leading term first; ``order``
+    maps each variable to its index and ``names`` holds the pretty names
+    by index, both built once per presentation."""
     if poly.is_zero():
         return "0"
-    order = {v: i for i, v in enumerate(var_order)}
-    items = sorted(poly.terms.items(), key=lambda kv: _mono_key(kv[0], order), reverse=True)
+    den = poly.den
     s = ""
-    for m, c in items:
-        mono = ""
-        for v, e in sorted(m, key=lambda ve: order[ve[0]]):
-            mono += pretty_name(v) + (str(e).translate(_SUP) if e > 1 else "")
-        neg = _negative(c)
-        mag = -c if neg else c
-        body = mono if mono and mag == GAUSS_ONE else _coeff_str(mag) + mono
+    for (_, pairs), (x, y) in sorted(((_mono_key(m, order), xy) for m, xy in poly.num.items()),
+                                     reverse=True):
+        mono = "".join(names[-i] + (str(e).translate(_SUP) if e > 1 else "") for i, e in pairs)
+        neg = _negative(x, y)
+        if neg:
+            x, y = -x, -y
+        body = mono if mono and x == den and not y else _coeff_str(x, y, den) + mono
         if s:
             s += f" {'-' if neg else '+'} {body}"
         else:
@@ -256,13 +277,9 @@ def pretty_poly(poly: SparsePoly, var_order: list[str]) -> str:
 
 
 def poly_to_json(poly: SparsePoly) -> list[dict]:
-    out = []
-    for m, c in sorted(poly.terms.items()):
-        out.append({
-            "coeff": {"re": str(c.re), "im": str(c.im)},
-            "monomial": {v: e for v, e in m},
-        })
-    return out
+    den = poly.den
+    return [{"coeff": {"re": _frac_str(x, den), "im": _frac_str(y, den)}, "monomial": dict(m)}
+            for m, (x, y) in sorted(poly.num.items())]
 
 
 def poly_from_json(doc: list[dict]) -> SparsePoly:

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+from sl2cox import cli, coxring, presentation
 from sl2cox.cli import build_parser, main
+from sl2cox.embedding import load_embedding
 from sl2cox.exactmath import FinAbGroup, IntMatrix
 from sl2cox.presentation import poly_from_json, poly_to_json
 
@@ -344,7 +346,9 @@ class TestInputErrors:
 
 class TestBrokenPipe:
     @pytest.mark.parametrize("argv", [
-        ("cox-full", "--verify"), ("classgroup", "--format", "json"), ("validate",)])
+        ("cox-full", "--verify"), ("cox-full", "--format", "json"),
+        ("cox-u", "--special-fiber", "--format", "json"), ("classgroup", "--format", "json"),
+        ("validate",)])
     def test_closed_stdout_exits_quietly(self, argv):
         # the read end is closed before the child starts, so its first write
         # to stdout fails with EPIPE, as when `| head -1` has exited
@@ -358,6 +362,65 @@ class TestBrokenPipe:
             os.close(w)
         assert proc.returncode == 141
         assert proc.stderr == b""
+
+
+class TestRenderOnce:
+    """A run renders only the format it asks for, and canonicalizes each
+    presentation once: counted calls through every binding of the render
+    helpers (``cli`` and ``coxring`` hold their own ``pretty_poly``)."""
+
+    BINDINGS = [(cli, "pretty_poly"), (coxring, "pretty_poly"), (cli, "poly_to_json"),
+                (presentation, "pretty_name"), (presentation, "canonicalize")]
+
+    @staticmethod
+    def counted(monkeypatch, capsys, *argv) -> dict:
+        counts = {}
+        for mod, name in TestRenderOnce.BINDINGS:
+            key = f"{mod.__name__.split('.')[-1]}.{name}"
+            counts[key] = 0
+
+            def wrapper(*a, _fn=getattr(mod, name), _key=key, **kw):
+                counts[_key] += 1
+                return _fn(*a, **kw)
+            monkeypatch.setattr(mod, name, wrapper)
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0 and out
+        return counts
+
+    def test_cox_full(self, monkeypatch, capsys):
+        path = fixture("sl2_trivial_4pts.json")
+        res = coxring.full_cox_presentation_cyclic(load_embedding(path))
+        P = res.presentation
+        rows = sum(len(mod.rows) for mod in res.modules)
+        assert self.counted(monkeypatch, capsys, "cox-full", path, "--format", "json") == {
+            "cli.pretty_poly": 0, "coxring.pretty_poly": 0, "presentation.pretty_name": 0,
+            "cli.poly_to_json": len(P.relations) + rows,
+            "presentation.canonicalize": len(P.relations)}
+        assert self.counted(monkeypatch, capsys, "cox-full", path) == {
+            "cli.pretty_poly": len(P.relations) + rows, "coxring.pretty_poly": 0,
+            "presentation.pretty_name": len(P.variables), "cli.poly_to_json": 0,
+            "presentation.canonicalize": len(P.relations)}
+
+    @pytest.mark.parametrize("name", ["sl2_trivial_4pts.json", "tetrahedral.json"])
+    def test_cox_u_special_fiber(self, name, monkeypatch, capsys):
+        # the elimination log is report content in both formats: eliminate
+        # renders each substituted value, over the names of the presentation
+        # it starts from
+        path = fixture(name)
+        P = coxring.cox_u_presentation(load_embedding(path))
+        Q, log = coxring.eliminate(P)
+        fib = coxring.special_fiber_u(Q)
+        assert log and Q.relations
+        relations = len(Q.relations) + len(fib.relations)
+        argv = ("cox-u", path, "--special-fiber", "--verify")
+        assert self.counted(monkeypatch, capsys, *argv, "--format", "json") == {
+            "cli.pretty_poly": 0, "coxring.pretty_poly": len(log),
+            "presentation.pretty_name": len(P.variables),
+            "cli.poly_to_json": relations, "presentation.canonicalize": relations}
+        assert self.counted(monkeypatch, capsys, *argv) == {
+            "cli.pretty_poly": relations, "coxring.pretty_poly": len(log),
+            "presentation.pretty_name": len(P.variables) + len(Q.variables) + len(fib.variables),
+            "cli.poly_to_json": 0, "presentation.canonicalize": relations}
 
 
 class TestUsageErrors:

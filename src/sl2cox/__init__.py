@@ -9,7 +9,6 @@ exact rational / Gaussian-rational arithmetic.
 
 from .exactmath import (
     EmptySolutionSet,
-    FactoredSystem,
     FinAbGroup,
     GaussianRational,
     IntMatrix,
@@ -52,9 +51,7 @@ from .embedding import (
 from .classgroup import (
     ClassGroupResult,
     class_group,
-    express_in_basis,
     express_in_invariant_divisors,
-    presentation_matrix,
     restrict_to_Fhat,
 )
 from .coxring import (

@@ -28,7 +28,9 @@ Cl(X) is Z^generators modulo the few rows of the relation matrix P, one per
 exceptional point, so a class is written in the invariant divisors in that
 relation lattice (``ClassGroupResult.lattice``), not in the adapted
 coordinates: the columns of the other generators fix the relation
-coefficients, and the divisor columns then give the exponents.
+coefficients, and the divisor columns then give the exponents.  This
+lattice is the only integer solver: ``R.lattice.solve(R.numerators(c))``
+writes a class c in the invariant divisors.
 """
 
 from __future__ import annotations
@@ -39,11 +41,10 @@ from functools import cached_property
 
 from .embedding import EmbeddingData
 from .exactmath import (
-    EmptySolutionSet,
-    FactoredSystem,
     FinAbGroup,
     IntMatrix,
     RelationLattice,
+    _echelon,
     cokernel,
     solve_nonneg,
 )
@@ -91,14 +92,6 @@ class ClassGroupResult:
             acc = [a + c * x for a, x in zip(acc, img)]
         return self.group.reduce(acc)
 
-    def linear_system(self, labels: list[str]) -> tuple[IntMatrix, list[int]]:
-        """(A, moduli): the columns of A are the adapted coordinates of the
-        labels, and row i is read modulo moduli[i] (0 on the free part)."""
-        n = self.group.free_rank + len(self.group.torsion)
-        cols = [self.images[lbl] for lbl in labels]
-        A = IntMatrix([[col[i] for col in cols] for i in range(n)], cols=len(cols))
-        return A, [0] * self.group.free_rank + list(self.group.torsion)
-
     def color(self, p: BasePoint) -> str:
         """Label of the color over p, which leads the fiber over p."""
         return next(iter(self.fibers[p]))
@@ -116,12 +109,13 @@ class ClassGroupResult:
         other generators, on first use.  The certificate: the invariant
         divisors are independent in Cl(X)⊗Q iff the other columns have the
         rank of P, and the relation coefficients are unique iff that is the
-        number of rows of P; RuntimeError otherwise."""
+        number of rows of P; RuntimeError otherwise, with the rank of P
+        from the same elimination over all of its columns."""
         P = self.presentation
         lattice = RelationLattice(P, [j for j, g in enumerate(self.generators)
                                       if g.kind in _STABLE])
         if lattice.rank < P.rows:
-            rank = FactoredSystem(P.transpose()).rank
+            rank = len(_echelon(P.transpose().data, P.rows))
             if lattice.rank < rank:
                 raise RuntimeError(
                     f"invariant divisors dependent in Cl(X)⊗Q: the relations have rank "
@@ -208,12 +202,6 @@ def _relations(E: EmbeddingData, gens: list[Generator], fibers: dict) -> IntMatr
     return IntMatrix(rows, cols=len(gens))
 
 
-def presentation_matrix(E: EmbeddingData) -> tuple[list[Generator], IntMatrix]:
-    """The generator table and the relation matrix (``_relations``)."""
-    gens, _ = _walk(E)
-    return gens, _relations(E, gens, _fibers(gens))
-
-
 def class_group(E: EmbeddingData) -> ClassGroupResult:
     gens, keys = _walk(E)
     fibers = _fibers(gens)
@@ -228,17 +216,6 @@ def class_group(E: EmbeddingData) -> ClassGroupResult:
     images = {g.label: group.reduce(col) for g, col in zip(gens, cols)}
     return ClassGroupResult(group, tuple(gens), P, images, keys, basis_rows, lifts, E.group,
                             fibers)
-
-
-def express_in_basis(R: ClassGroupResult, target: dict, basis_labels: list[str]):
-    """Integer coefficients writing the target class over the given labels,
-    or None; used e.g. to express the exceptional colors in the invariant
-    divisors when the latter form a basis.  The labels must be independent
-    in Cl(X)⊗Q (ValueError otherwise), so the coefficients are unique."""
-    try:
-        return FactoredSystem(*R.linear_system(basis_labels)).solve(R.image_of(target))
-    except EmptySolutionSet:
-        return None
 
 
 def express_in_invariant_divisors(

@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import combinations
 
 from .exactmath import GAUSS_ONE, GaussianRational, gauss, gauss_ipow, rat
 from .groups import DIHEDRAL, FiniteSubgroup, cyclic, dihedral, ICOSA, OCTA, TETRA
@@ -42,6 +43,8 @@ from .hyperspace import (
     color_vector,
     epsilon,
     hypercone_from_generators,
+    interiors_disjoint,
+    is_supported,
     point,
     valuation_cone_contains,
 )
@@ -427,7 +430,9 @@ def load_hypercones(path: str, E: EmbeddingData) -> list[ColoredHypercone]:
     """JSON list of hypercones: slices with explicit vectors {"h", "l"},
     "color" or "epsilon", omitted points, generators on E; epsilon is
     implied elsewhere.  Point references extend the embedding ones by "xd"
-    (the distinguished point) and inline coordinates {"alpha", "beta"}."""
+    (the distinguished point) and inline coordinates {"alpha", "beta"}.  The
+    list must describe a colored fan: every type-B cone supported, and no
+    two cones with a common interior point in the valuation cone."""
     doc = _parse_json(_read(path), "hypercones file: ")
     if not isinstance(doc, list):
         raise SchemaError("hypercones file must be a JSON list")
@@ -467,6 +472,13 @@ def load_hypercones(path: str, E: EmbeddingData) -> list[ColoredHypercone]:
             cones.append(hypercone_from_generators(gens, e_parts, omitted))
         except MalformedGenerators as exc:  # h < 0, or h = 0 in a slice
             raise SchemaError(f"{where}: {exc}") from exc
+    F, section = E.group, E.section
+    for i, c in enumerate(cones):
+        if c.kind == "B" and not is_supported(c, F, section):
+            raise SchemaError(f"invalid cone list: hypercones[{i}] is type B and unsupported")
+    for (i, a), (j, b) in combinations(enumerate(cones), 2):
+        if not interiors_disjoint(a, b, F, section):
+            raise SchemaError(f"invalid cone list: hypercones[{i}] and [{j}] share interior points")
     return cones
 
 

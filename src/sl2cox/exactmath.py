@@ -3,10 +3,10 @@
 Rationals are ``fractions.Fraction`` (always reduced, positive denominator).
 On top of that this module provides Gaussian rationals, dense arbitrary
 precision integer matrices, Smith normal form with unimodular transforms,
-cokernels of integer matrices as finitely generated abelian groups, and
-two integer solvers on one fraction-free elimination pass: a
-full-column-rank system factored once, solved for any right-hand side, and
-a quotient of Z^n by a relation lattice, solved on a set of columns.
+cokernels of integer matrices as finitely generated abelian groups, and one
+integer solver: a quotient of Z^n by a relation lattice, solved on a set of
+columns by one fraction-free elimination pass (``_echelon``), the only
+integer elimination beside the Smith form.
 
 Everything here is pure and immutable after construction; no floating point.
 """
@@ -317,10 +317,6 @@ class FinAbGroup:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
-    @property
-    def is_torsion_free(self) -> bool:
-        return not self.torsion
-
     def torsion_order(self) -> int:
         n = 1
         for t in self.torsion:
@@ -403,61 +399,6 @@ def _echelon(rows, n: int) -> dict[int, list[int]]:
     return echelon
 
 
-class FactoredSystem:
-    """A x = b (row i taken mod moduli[i] when > 0), factored once for any b.
-
-    One fraction-free elimination pass (``_echelon``) runs over the exact
-    rows of [A | I], stopping at n pivots.  The identity part records which
-    combination of exact rows each echelon row is, so a target b becomes its
-    right-hand side by one dot product.  ``rank`` is the
-    number of pivots found: a certificate, never assumed.
-    """
-
-    def __init__(self, A: IntMatrix, moduli: Sequence[int] | None = None):
-        mods = list(moduli) if moduli is not None else [0] * A.rows
-        if len(mods) != A.rows:
-            raise ValueError("moduli length mismatch")
-        self.A, self.moduli = A, mods
-        self.exact_rows = [i for i in range(A.rows) if mods[i] == 0]
-        n, m = A.cols, len(self.exact_rows)
-        # pivot column -> n coefficients, zero left of it, then the m weights
-        # of the exact rows combined into them
-        self.echelon = _echelon((A.data[i] + [int(t == k) for t in range(m)]
-                                 for k, i in enumerate(self.exact_rows)), n)
-        self.rank = len(self.echelon)
-
-    def solve(self, b: Sequence[int]) -> tuple[int, ...]:
-        """The integer solution x of A x = b, unique at full column rank.
-
-        Integer back-substitution over the n pivot rows gives the only
-        rational solution; it must be integral, and is then checked against
-        every row.  The rows with a modulus are the torsion part: when only
-        they fail, the message says so.  Raises ``EmptySolutionSet`` when x
-        does not exist and ``ValueError`` when the rank is below the number
-        of columns (the solution would not be unique).
-        """
-        A, mods, n = self.A, self.moduli, self.A.cols
-        bb = list(map(int, b))
-        if len(bb) != A.rows:
-            raise ValueError("right-hand side length mismatch")
-        if self.rank < n:
-            raise ValueError(f"system of rank {self.rank} in {n} unknowns")
-        rhs = [bb[i] for i in self.exact_rows]
-        x = [0] * n
-        for k in range(n - 1, -1, -1):
-            e = self.echelon[k]
-            t = sum(map(mul, e[n:], rhs)) - sum(map(mul, e[k + 1:n], x[k + 1:]))
-            x[k], rem = divmod(t, e[k])
-            if rem:
-                raise EmptySolutionSet("no integer x solves the exact rows")
-        vals = A.mulvec(x)
-        if any(v != t for v, t, m in zip(vals, bb, mods) if not m):
-            raise EmptySolutionSet("no integer x solves the exact rows")
-        if any((v - t) % m for v, t, m in zip(vals, bb, mods) if m):
-            raise EmptySolutionSet("free parts match but the torsion part of the class obstructs")
-        return tuple(x)
-
-
 class RelationLattice:
     """Z^n modulo the row space of an r x n matrix P, solved on the columns
     ``cols``: for a class c, the integer x on those columns (zero elsewhere)
@@ -509,9 +450,10 @@ class RelationLattice:
     def solve(self, X: Sequence[int]) -> tuple[int, ...]:
         """The integer x of numerators X (``numerators``, or a sum of them).
 
-        A non-zero residual (no rational y) or a non-integral x fails as the
-        exact rows of ``FactoredSystem.solve`` do.  With x integral, c - x is
-        torsion in the quotient, and zero there iff y is integral.  Raises
+        A non-zero residual (no rational y) or a non-integral x means no
+        integer x matches c in the quotient ⊗ Q (the "exact rows" message).
+        With x integral, c - x is torsion in the quotient, and zero there iff
+        y is integral (the "torsion part" message).  Raises
         ``EmptySolutionSet``."""
         nx, r, D = len(self.cols), self.P.rows, self.D
         if any(X[nx + r:]) or (D > 1 and any(v % D for v in X[:nx])):
@@ -528,8 +470,8 @@ def require_nonneg(x: tuple[int, ...]) -> tuple[int, ...]:
     return x
 
 
-def solve_nonneg(system: FactoredSystem | RelationLattice,
-                 b: Sequence[int]) -> list[tuple[int, ...]]:
-    """``[x]`` for the solution x = ``system.solve(b)`` when x >= 0; raises
-    ``EmptySolutionSet`` when x does not exist or has a negative entry."""
-    return [require_nonneg(system.solve(b))]
+def solve_nonneg(lattice: RelationLattice, X: Sequence[int]) -> list[tuple[int, ...]]:
+    """``[x]`` for x = ``lattice.solve(X)``, X a sum of numerators, when
+    x >= 0; raises ``EmptySolutionSet`` when x does not exist or has a
+    negative entry."""
+    return [require_nonneg(lattice.solve(X))]

@@ -26,8 +26,6 @@ TETRAHEDRAL = "tetrahedral"
 OCTAHEDRAL = "octahedral"
 ICOSAHEDRAL = "icosahedral"
 
-_POLYHEDRAL = (DIHEDRAL, TETRAHEDRAL, OCTAHEDRAL, ICOSAHEDRAL)
-
 
 @dataclass(frozen=True)
 class FiniteSubgroup:
@@ -52,10 +50,6 @@ class FiniteSubgroup:
     @property
     def is_cyclic(self) -> bool:
         return self.kind == CYCLIC
-
-    @property
-    def is_polyhedral(self) -> bool:
-        return self.kind in _POLYHEDRAL
 
     @property
     def nbar(self) -> int:

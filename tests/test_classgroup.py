@@ -10,13 +10,11 @@ from sl2cox.coxring import full_cox_presentation_cyclic
 from sl2cox.embedding import EmbeddingData, GStableDivisorSpec, affine_embedding
 from sl2cox.exactmath import (
     EmptySolutionSet,
-    FactoredSystem,
     FinAbGroup,
     IntMatrix,
     RelationLattice,
     cokernel,
     smith_normal_form,
-    solve_nonneg,
 )
 from sl2cox.groups import ICOSA, OCTA, TETRA, cyclic, dihedral
 from sl2cox.hyperspace import Section, X0, XE, XF, XINF, XV, point
@@ -34,22 +32,22 @@ PRINTED_P = [
 
 class TestPresentationMatrix:
     def test_trivial_example_entry_for_entry(self):
-        gens, P = cg.presentation_matrix(trivial_four_points())
+        R = cg.class_group(trivial_four_points())
+        gens, P = R.generators, R.presentation
         assert [g.label for g in gens] == [
             "E[x1]", "X[x1,0]", "E[x2]", "X[x2,0]",
             "E[x3]", "X[x3,0]", "E[x4]", "X[x4,0]"]
         assert P.data == PRINTED_P
 
     def test_affine_matrix(self):
-        E = affine_embedding(3, 1, -1)
-        gens, P = cg.presentation_matrix(E)
+        R = cg.class_group(affine_embedding(3, 1, -1))
+        gens, P = R.generators, R.presentation
         assert [g.label for g in gens] == ["Dxd", "E[x0]", "X[x0,0]", "E[xinf]"]
         assert P.data == [[-1, 3, 1, 0], [-1, 0, 0, 3], [1, -1, -1, -1]]
 
     def test_affine_matrix_even(self):
         # n = 4: nbar = 2, u = 2, l = -3/2; the l-row is cleared by u
-        E = affine_embedding(4, 1, Fraction(-3, 2))
-        gens, P = cg.presentation_matrix(E)
+        P = cg.class_group(affine_embedding(4, 1, Fraction(-3, 2))).presentation
         assert P.data == [[-1, 2, 1, 0], [-1, 0, 0, 2], [2, -1, -3, -1]]
 
     def test_single_point_no_divisors(self):
@@ -63,9 +61,10 @@ class TestPresentationMatrix:
 
 class TestClassGroup:
     def test_trivial_example_group_and_identities(self):
+        # each color written in the invariant divisors, the printed basis
         R = cg.class_group(trivial_four_points())
         assert R.group == FinAbGroup(4)
-        basis = ["X[x1,0]", "X[x2,0]", "X[x3,0]", "X[x4,0]"]
+        assert R.divisor_labels == ["X[x1,0]", "X[x2,0]", "X[x3,0]", "X[x4,0]"]
         expected = {
             "E[x1]": (1, 5, 1, 4),
             "E[x2]": (3, 2, 1, 4),
@@ -73,19 +72,25 @@ class TestClassGroup:
             "E[x4]": (3, 5, 1, -1),
         }
         for lbl, coeffs in expected.items():
-            assert cg.express_in_basis(R, {lbl: 1}, basis) == coeffs
+            assert R.lattice.solve(R.numerators({lbl: 1})) == coeffs
 
-    def test_express_in_basis_needs_independent_labels(self):
+    def test_solving_needs_independent_labels(self):
+        # five classes in Cl = Z^4 are dependent: the relations keep rank 3
+        # off them, below the 4 unknowns, so no unique solve exists
         R = cg.class_group(trivial_four_points())
-        with pytest.raises(ValueError):
-            cg.express_in_basis(R, {"E[x1]": 1}, ["X[x1,0]", "X[x1,0]"])
+        lattice = RelationLattice(R.presentation, [0, 1, 3, 5, 7])
+        assert lattice.rank == 3
+        with pytest.raises(ValueError, match="rank 3 off the solved columns in 4 unknowns"):
+            lattice.numerators([0, 1, 0, 0, 0, 0, 0, 0])
 
-    def test_express_in_basis_unsolvable_target(self):
+    def test_unsolvable_target(self):
         # Cl = Z x Z/4: E[x0] is (1, 0) and X[x0,0] is (-1, 1); no integer
         # multiple of X[x0,0] has free part -1 and torsion part 0
         R = cg.class_group(affine_embedding(4, 6, Fraction(-7, 2)))
-        assert cg.express_in_basis(R, {"E[x0]": -1}, ["X[x0,0]"]) is None
-        assert cg.express_in_basis(R, {"X[x0,0]": 3}, ["X[x0,0]"]) == (3,)
+        assert R.divisor_labels == ["X[x0,0]"]
+        with pytest.raises(EmptySolutionSet, match="torsion part of the class obstructs"):
+            R.lattice.solve(R.numerators({"E[x0]": -1}))
+        assert R.lattice.solve(R.numerators({"X[x0,0]": 3})) == (3,)
 
     def test_corrupted_smith_form_raises(self, corrupted_smith_form):
         with pytest.raises(RuntimeError, match="internal invariant broken"):
@@ -149,7 +154,7 @@ class TestClassGroup:
         ]
         for E in cases:
             assert not E.validate()
-            assert cg.class_group(E).group.is_torsion_free
+            assert cg.class_group(E).group.torsion == ()
 
 
 def dense_smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -233,18 +238,44 @@ def dense_images(R: cg.ClassGroupResult) -> tuple[FinAbGroup, IntMatrix, dict]:
     return group, IntMatrix([U.data[i] for i in order], cols=P.cols), images
 
 
+def rank(M: IntMatrix) -> int:
+    """Oracle: the rank of M, the number of non-zero diagonal entries of
+    ``dense_smith_normal_form``."""
+    _, D, _ = dense_smith_normal_form(M)
+    return sum(1 for i in range(min(D.rows, D.cols)) if D.data[i][i])
+
+
+def adapted(R: cg.ClassGroupResult, labels) -> tuple[IntMatrix, list[int]]:
+    """(A, moduli): the columns of A are the labels' adapted coordinates
+    (``R.images``), row i read modulo moduli[i], 0 on the free part."""
+    n = R.group.free_rank + len(R.group.torsion)
+    A = IntMatrix([[R.images[lbl][i] for lbl in labels] for i in range(n)], cols=len(labels))
+    return A, [0] * R.group.free_rank + list(R.group.torsion)
+
+
 class AdaptedOracle:
     """Oracle: a class {label: coeff} in the invariant divisors, solved in
-    the adapted coordinates of the Smith form by one ``FactoredSystem`` over
-    the divisors' images (the solve the relation lattice replaced)."""
+    the adapted coordinates of the Smith form by ``solve_integer`` over the
+    divisors' images: on the free rows alone, where they have full column
+    rank and so a unique solution, then again with the torsion moduli."""
 
     def __init__(self, R: cg.ClassGroupResult):
         self.R = R
-        self.system = FactoredSystem(*R.linear_system(R.divisor_labels))
-        assert self.system.rank == len(R.divisor_labels)
+        self.A, self.moduli = adapted(R, R.divisor_labels)
+        free = R.group.free_rank
+        self.free = IntMatrix(self.A.data[:free], cols=self.A.cols)
+        assert rank(self.free) == len(R.divisor_labels)
 
     def __call__(self, combo: dict) -> tuple[int, ...]:
-        return solve_nonneg(self.system, self.R.image_of(combo))[0]
+        b = self.R.image_of(combo)
+        x = solve_integer(self.free, b[:self.free.rows], [0] * self.free.rows)
+        if x is None:
+            raise EmptySolutionSet("no integer x solves the exact rows")
+        if solve_integer(self.A, b, self.moduli) is None:
+            raise EmptySolutionSet("free parts match but the torsion part of the class obstructs")
+        if min(x, default=0) < 0:
+            raise EmptySolutionSet("no integer x >= 0 solves the exact rows")
+        return x
 
 
 def outcome(solve, *args):
@@ -383,7 +414,7 @@ class TestRankCertificate:
     @pytest.mark.parametrize("family", [*FAMILIES, "affine"])
     def test_invariant_divisors_have_full_rank(self, family):
         # the lattice certificate (rank off the divisors = rank P = rows of
-        # P) holds, and so does the adapted-coordinate one it replaced
+        # P) holds, and the divisors' adapted images have full rank
         rng = random.Random(f"rank-{family}")
         valid = 0
         for _ in range(600):
@@ -393,17 +424,15 @@ class TestRankCertificate:
             R = cg.class_group(E)
             lattice = R.lattice
             assert lattice.rank == R.presentation.rows, E
-            assert FactoredSystem(R.presentation.transpose()).rank == lattice.rank, E
-            oracle = FactoredSystem(*R.linear_system(R.divisor_labels))
-            assert oracle.rank == len(R.divisor_labels), E
+            assert rank(R.presentation) == lattice.rank, E
+            AdaptedOracle(R)  # asserts the full rank of the divisors' free images
             valid += 1
             if valid == 20:
                 break
         assert valid == 20
 
     def test_one_factorization_per_presentation(self, monkeypatch):
-        # one lattice elimination per class group, and a cyclic presentation
-        # builds no FactoredSystem
+        # one lattice elimination per class group
         counts = Counter()
 
         def counting(name, fn):
@@ -415,14 +444,12 @@ class TestRankCertificate:
         monkeypatch.setattr(RelationLattice, "__init__",
                             counting("lattice", RelationLattice.__init__))
         monkeypatch.setattr(RelationLattice, "solve", counting("solve", RelationLattice.solve))
-        monkeypatch.setattr(FactoredSystem, "__init__", counting("factor", FactoredSystem.__init__))
         extras = (point(1, 1), point(2, 1))
         E = EmbeddingData(cyclic(5), extras, tuple(
             GStableDivisorSpec(p, 1, -j) for p in (X0, XINF) + extras for j in (1, 2)))
         full_cox_presentation_cyclic(E)
         assert counts["solve"] > 1
         assert counts["lattice"] == 1
-        assert counts["factor"] == 0
 
 
 class TestRestriction:
@@ -483,7 +510,7 @@ class TestRestriction:
                 E = _valid_embedding(rng, family)
                 R = cg.class_group(E)
                 labels = [g.label for g in R.generators]
-                A, moduli = R.linear_system(labels)
+                A, moduli = adapted(R, labels)
                 chars = []
                 for i in range(R.group.free_rank, len(moduli)):
                     sol = solve_integer(A, [int(k == i) for k in range(len(moduli))], moduli)

@@ -333,6 +333,26 @@ class TestInputErrors:
         rc, out, err = run(capsys, "diagnose", fixture("mu3.json"), "--hypercones", str(f))
         assert rc == 1 and err.startswith("input error: ")
 
+    # well-formed cones that are no colored fan: the type-B cone over x0 listed
+    # twice (its interior meets itself), and a type-B cone with K positive
+    # whose slices all lie above the valuation cone (not supported)
+    @pytest.mark.parametrize("cones, message", [
+        ([{"slices": [{"point": "x0", "vectors": [{"h": 1, "l": "-1"}]}]}] * 2,
+         "hypercones[0] and [1] share interior points"),
+        ([{"slices": [{"point": "x0", "vectors": [{"h": 1, "l": "1"}]},
+                      {"point": "xd", "vectors": [{"h": 1, "l": "1"}]}],
+           "e_generators": ["1"]}],
+         "hypercones[0] is type B and unsupported"),
+    ], ids=["interiors-meet", "unsupported"])
+    def test_cone_list_that_is_no_colored_fan(self, cones, message, tmp_path, capsys):
+        f = tmp_path / "cones.json"
+        f.write_text(json.dumps(cones))
+        rc, out, err = run(capsys, "diagnose", fixture("mu3.json"), "--hypercones", str(f))
+        assert (rc, out, err) == (1, "", f"input error: invalid cone list: {message}\n")
+        f.write_text(json.dumps(MU3_CONES))
+        rc, out, _ = run(capsys, "diagnose", fixture("mu3.json"), "--hypercones", str(f))
+        assert rc == 0 and "X log terminal: True" in out
+
     @pytest.mark.parametrize("gtype", [[1], {}], ids=["list", "object"])
     def test_non_string_group_type(self, gtype, tmp_path, capsys):
         f = tmp_path / "bad.json"

@@ -41,7 +41,6 @@ from sl2cox.exactmath import (
     GAUSS_ONE,
     GAUSS_ZERO,
     EmptySolutionSet,
-    FactoredSystem,
     FinAbGroup,
     GaussianRational,
     RelationLattice,
@@ -61,7 +60,7 @@ from sl2cox.presentation import (
     term_degree,
 )
 
-from test_classgroup import AdaptedOracle, dense_u, outcome
+from test_classgroup import AdaptedOracle, dense_u, outcome, solve_integer
 from test_embedding import mu3_example, trivial_four_points
 from test_ogpoly import evaluate, raise_op, sl2_normal_form, sl2z_points
 
@@ -1177,8 +1176,6 @@ class TestWork:
             return wrapper
 
         monkeypatch.setattr(cg, "solve_nonneg", counting("nonneg", cg.solve_nonneg))
-        monkeypatch.setattr(FactoredSystem, "__init__", counting("factor", FactoredSystem.__init__))
-        monkeypatch.setattr(FactoredSystem, "solve", counting("solve", FactoredSystem.solve))
         monkeypatch.setattr(exactmath, "_echelon", counting("eliminate", exactmath._echelon))
         monkeypatch.setattr(RelationLattice, "numerators",
                             counting("numerators", RelationLattice.numerators))
@@ -1187,7 +1184,7 @@ class TestWork:
         rows = [(mod.kind, row.in_kernel) for mod in res.modules for row in mod.rows]
         assert len(rows) == 1631 and rows.count(("N", False)) == 10
         assert rows.count(("M", False)) == 1621
-        assert calls["nonneg"] == calls["factor"] == calls["solve"] == 0
+        assert calls["nonneg"] == 0
         assert calls["eliminate"] == 1
         assert calls["numerators"] == len(E.exceptional_points()) == 12
         assert calls["read"] == 1621
@@ -1430,7 +1427,7 @@ def _random_combos(rng, R, count: int):
     ones, and ones that fail for each reason."""
     labels = [g.label for g in R.generators]
     U, free = dense_u(R), R.group.free_rank
-    torsion = [FactoredSystem(U).solve([int(i == free + t) for i in range(U.rows)])
+    torsion = [solve_integer(U, [int(i == free + t) for i in range(U.rows)], [0] * U.rows)
                for t in range(len(R.group.torsion))]  # a lift of each torsion generator
     for _ in range(count):
         combo = Counter({lbl: rng.randint(0, 3) for lbl in R.divisor_labels})

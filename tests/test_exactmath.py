@@ -9,7 +9,6 @@ import pytest
 
 from sl2cox.exactmath import (
     EmptySolutionSet,
-    FactoredSystem,
     FinAbGroup,
     GaussianRational,
     IntMatrix,
@@ -21,6 +20,7 @@ from sl2cox.exactmath import (
 )
 
 from test_classgroup import dense_smith_normal_form, solve_integer
+from test_classgroup import rank as dense_rank
 
 
 def det(M: IntMatrix) -> int:
@@ -99,8 +99,23 @@ def rational_solution(A: IntMatrix, b, moduli=None):
     return rank, x
 
 
+def lattice_system(A: IntMatrix, moduli=None) -> RelationLattice:
+    """A x = b (row i taken mod moduli[i] when > 0) as a relation lattice:
+    Z^(k + rows) for k = A.cols, modulo the rows (-e_j, column j of A), one
+    per unknown, and (0, moduli[i] e_i), solved on the first k columns.  The
+    class (0, b) is x plus a relation iff A x = b, so ``solve`` reads x off
+    its numerators; the rank is that of the exact rows plus the number of
+    moduli, full iff the exact rows have rank k."""
+    mods = list(moduli) if moduli else [0] * A.rows
+    k = A.cols
+    rows = [[-int(t == j) for t in range(k)] + [row[j] for row in A.data] for j in range(k)]
+    rows += [[0] * k + [m * int(t == i) for t in range(A.rows)] for i, m in enumerate(mods) if m]
+    return RelationLattice(IntMatrix(rows, cols=k + A.rows), range(k))
+
+
 def solve(A: IntMatrix, b, moduli=None):
-    return solve_nonneg(FactoredSystem(A, moduli), b)
+    lattice = lattice_system(A, moduli)
+    return solve_nonneg(lattice, lattice.numerators([0] * A.cols + list(b)))
 
 
 # the 4x8 presentation matrix of the four-point example
@@ -283,16 +298,15 @@ class TestSolveNonneg:
             b = A.mulvec(x0)
             if rng.random() < 0.25:
                 b[rng.randrange(rows)] += rng.choice([-1, 1])
-            system = FactoredSystem(A, mods)
             rank, x = rational_solution(A, b, mods)
-            assert system.rank == rank
+            assert lattice_system(A, mods).rank == rank + sum(map(bool, mods))
             if rank < cols:
                 with pytest.raises(ValueError):
-                    solve_nonneg(system, b)
+                    solve(A, b, mods)
                 continue
             full += 1
             try:
-                (got,) = solve_nonneg(system, b)
+                (got,) = solve(A, b, mods)
             except EmptySolutionSet:
                 assert (x is None or any(v.denominator != 1 or v < 0 for v in x)
                         or any((v - t) % m for v, t, m in zip(A.mulvec(x), b, mods) if m))
@@ -329,16 +343,15 @@ class TestSolveNonneg:
 
     def test_rank_deficient_system_raises(self):
         for A in (IntMatrix([[1, 1], [2, 2], [3, 3]]), IntMatrix([[1, 1]])):
-            system = FactoredSystem(A)
-            assert system.rank == 1
+            assert lattice_system(A).rank == 1
             with pytest.raises(ValueError):
-                solve_nonneg(system, A.mulvec([1, 2]))
+                solve(A, A.mulvec([1, 2]))
 
     def test_no_unknowns(self):
-        system = FactoredSystem(IntMatrix([[], []], cols=0), [0, 3])
-        assert solve_nonneg(system, [0, 6]) == [()]
+        A = IntMatrix([[], []], cols=0)
+        assert solve(A, [0, 6], [0, 3]) == [()]
         with pytest.raises(EmptySolutionSet):
-            solve_nonneg(system, [0, 1])
+            solve(A, [0, 1], [0, 3])
 
     def test_square_system_finds_planted_solution(self):
         # exponents far above any fixed cap, all from one factorization
@@ -348,15 +361,17 @@ class TestSolveNonneg:
                 A = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
                 if det(A):
                     break
-            system = FactoredSystem(A)
-            assert system.rank == n
+            lattice = lattice_system(A)
+            assert lattice.rank == n
             for _ in range(5):
                 x0 = tuple(rng.randint(0, 400) for _ in range(n))
-                assert solve_nonneg(system, A.mulvec(list(x0))) == [x0]
+                X = lattice.numerators([0] * n + A.mulvec(list(x0)))
+                assert solve_nonneg(lattice, X) == [x0]
 
 
 class TestSolveInteger:
-    """``FactoredSystem.solve``: the integer solution at full column rank."""
+    """``RelationLattice.solve`` of ``lattice_system``: the integer solution
+    at full column rank."""
 
     def test_roundtrip(self):
         # planted x of either sign; rows taken mod 4 constrain nothing more
@@ -369,21 +384,22 @@ class TestSolveInteger:
                            for _ in range(rows)])
             x0 = tuple(rng.randint(-5, 5) for _ in range(cols))
             mods = [rng.choice([0, 0, 4]) for _ in range(rows)]
-            system = FactoredSystem(A, mods)
-            if system.rank < cols:
+            lattice = lattice_system(A, mods)
+            if lattice.rank < lattice.P.rows:
                 continue
             full += 1
-            assert system.solve(A.mulvec(list(x0))) == x0
+            assert lattice.solve(lattice.numerators([0] * cols + A.mulvec(list(x0)))) == x0
         assert full >= 40
 
     def test_no_solution(self):
+        lattice = lattice_system(IntMatrix([[2]]))
         with pytest.raises(EmptySolutionSet, match="exact rows"):
-            FactoredSystem(IntMatrix([[2]])).solve([3])
+            lattice.solve(lattice.numerators([0, 3]))
         # x = -3 solves the exact row; the torsion row mod 4 decides
-        system = FactoredSystem(IntMatrix([[1], [1]]), [0, 4])
-        assert system.solve([-3, 1]) == (-3,)
+        lattice = lattice_system(IntMatrix([[1], [1]]), [0, 4])
+        assert lattice.solve(lattice.numerators([0, -3, 1])) == (-3,)
         with pytest.raises(EmptySolutionSet, match="torsion part"):
-            system.solve([-3, 2])
+            lattice.solve(lattice.numerators([0, -3, 2]))
 
 
 class TestRelationLattice:
@@ -402,7 +418,7 @@ class TestRelationLattice:
             lattice = RelationLattice(P, cols)
             rest = [j for j in range(n) if j not in cols]
             if lattice.rank < r:
-                assert FactoredSystem(IntMatrix([[row[j] for row in P.data] for j in rest])).rank \
+                assert dense_rank(IntMatrix([[row[j] for row in P.data] for j in rest], cols=r)) \
                     == lattice.rank
                 with pytest.raises(ValueError):
                     lattice.numerators([0] * n)

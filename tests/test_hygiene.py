@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import inspect
 import pathlib
 import sys
 
@@ -110,12 +111,76 @@ def _load_spans():
 
 
 def test_every_traced_name_resolves():
-    # the benchmark's --trace 1 wraps these library functions by name
+    # the benchmark's --trace 1 wraps these library functions by name: each
+    # module.qualname must name a function of that sl2cox module (a method
+    # may be inherited, as GPoly's __mul__ is)
     spans = _load_spans()
     assert len(spans.TRACED) > 30
     for name in spans.TRACED:
         owner, attr, fn = spans._resolve(name)
-        assert callable(getattr(owner, attr)), name
+        assert inspect.isfunction(fn), name
+        assert (fn.__module__, fn.__name__) == (f"sl2cox.{name.split('.')[0]}", attr), name
+
+
+def _uncalled(modules: dict[str, ast.Module]) -> set[str]:
+    """module.qualname of each function, class and method (dunders excepted)
+    whose name is read nowhere in the modules outside its own definition; a
+    read is a name or an attribute access of that name."""
+    defs, reads = [], []
+
+    def visit(node, module, qual, owners):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.append((".".join([module, *qual, child.name]), child.name, id(child)))
+                visit(child, module, [*qual, child.name], owners | {id(child)})
+                continue
+            if isinstance(child, (ast.Name, ast.Attribute)):
+                reads.append((child.id if isinstance(child, ast.Name) else child.attr, owners))
+            visit(child, module, qual, owners)
+
+    for module, tree in modules.items():
+        visit(tree, module, [], frozenset())
+    return {qualname for qualname, name, node in defs
+            if not (name.startswith("__") and name.endswith("__"))
+            and not any(read == name and node not in owners for read, owners in reads)}
+
+
+# Definitions that nothing in src calls, kept for a reason; the names the
+# benchmark's tracer wraps (perfbench/spans.py TRACED) are allowed besides.
+UNCALLED_ALLOWED = {
+    "embedding.affine_embedding": "imported by perfbench/workloads.py",
+    "embedding.embedding_to_dict": "imported by perfbench/workloads.py",
+    "exactmath.IntMatrix.identity": "test oracle: the reference algebra of "
+                                    "test_exactmath.py::TestSmithNormalForm",
+    "exactmath.SmithDecomposition.U": "test oracle: the dense U of test_exactmath.py::"
+                                      "TestSmithNormalForm::test_same_operations_as_the_dense_oracle",
+    "iteration.torsion_characters": "test oracle: test_classgroup.py::TestRestriction::"
+                                    "test_torsion_injects_into_Fhat",
+    "presentation.SparsePoly.substitute": "test oracle: test_coxring.py::TestEliminate::"
+                                          "test_substitution_roundtrip",
+    "presentation.canonical_key": "test oracle: test_acceptance.py::"
+                                  "test_criterion_2_full_cox_of_trivial_example",
+    "presentation.poly_from_json": "test oracle: test_cli.py::TestPolyJson::test_roundtrip_gaussian",
+}
+
+
+def test_every_definition_is_called_in_src():
+    # a definition nothing in src reads is dead code unless allowed above; an
+    # allowed one that gains a caller must leave the list (the package's
+    # __init__ only re-exports, so its reads do not count)
+    traced = set(_load_spans().TRACED)
+    uncalled = _uncalled({p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES})
+    assert not traced & UNCALLED_ALLOWED.keys()
+    assert sorted(uncalled - traced) == sorted(UNCALLED_ALLOWED)
+
+
+def test_the_check_sees_an_uncalled_definition():
+    a = ast.parse("def f(n):\n    return f(n - 1)\n"
+                  "class C:\n    def m(self):\n        return self.n\n"
+                  "    def n(self):\n        pass\n    def __len__(self):\n        return 0\n"
+                  "def g():\n    def h():\n        pass\n    return C\n")
+    b = ast.parse("from .a import f, g\nx = g\n")
+    assert _uncalled({"a": a, "b": b}) == {"a.f", "a.C.m", "a.g.h"}
 
 
 LABEL_PREFIXES = ("E[", "X[")

@@ -100,7 +100,7 @@ class TestValuationCone:
         # every color is outside the open valuation cone for every group
         for F in ALL_GROUPS:
             pts = [X0, XINF] if (F.is_cyclic and F.n >= 3) else []
-            if F.is_polyhedral:
+            if not F.is_cyclic:
                 pts = [XV, XE, XF]
             if F.is_cyclic:
                 pts.append(XD)

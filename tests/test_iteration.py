@@ -6,7 +6,7 @@ import pytest
 
 from sl2cox import classgroup as cg
 from sl2cox import exactmath
-from sl2cox.exactmath import FactoredSystem, IntMatrix
+from sl2cox.exactmath import IntMatrix
 from sl2cox.embedding import EmbeddingData, GStableDivisorSpec, affine_embedding
 from sl2cox.groups import FiniteSubgroup, ICOSA, OCTA, TETRA, cyclic, dihedral
 from sl2cox.hyperspace import X0, XE, XF, XINF, XV, point
@@ -21,7 +21,7 @@ from sl2cox.iteration import (
     torsion_characters,
 )
 
-from test_classgroup import _valid_embedding, dense_u
+from test_classgroup import FAMILIES, _valid_embedding, dense_u, solve_integer
 
 
 class TestRamificationCount:
@@ -193,6 +193,23 @@ class TestPolyhedral:
             rep = iterate(E)
             assert rep.m_hi <= rep.bound == bound_for(E.group)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bound_respected_on_random_inputs(self, family):
+        # 150 seeded valid draws per family: the bound holds, and Cl(X) has
+        # torsion iff its restriction to the character group of F is
+        # non-trivial (the torsion injects into F-hat); both sides occur in
+        # every family but the icosahedral one, whose F-hat is trivial
+        rng = random.Random(f"iterate-{family}")
+        with_torsion = 0
+        for _ in range(150):
+            E = _valid_embedding(rng, family)
+            rep = iterate(E)
+            assert rep.m_hi <= rep.bound == bound_for(E.group), E
+            torsion = bool(cg.class_group(E).group.torsion)
+            assert torsion == (len(torsion_characters(E)) > 1), E
+            with_torsion += torsion
+        assert (with_torsion == 0) == (family == "icosahedral"), with_torsion
+
     def test_torsion_characters_examples(self):
         # trivial and icosahedral groups always give the trivial subgroup
         E = EmbeddingData(ICOSA, (), (GStableDivisorSpec(XV, 1, -2),))
@@ -240,7 +257,7 @@ class TestTorsionLift:
         assert len(chars) == 2 and max(sizes) < N * N
 
     def test_lifts_match_the_dense_lift(self):
-        # the oracle: x with U x = e_i from one elimination of the dense U;
+        # the oracle: x with U x = e_i by a Smith-form solve of the dense U;
         # the same lifts, hence the same characters, on even-n cyclic inputs
         # and on every polyhedral family
         rng = random.Random("torsion-lift")
@@ -251,9 +268,8 @@ class TestTorsionLift:
                 continue
             R = cg.class_group(E)
             U, free = dense_u(R), R.group.free_rank
-            lift = FactoredSystem(U)
-            dense = tuple(lift.solve([int(k == free + t) for k in range(U.rows)])
-                          for t in range(len(R.group.torsion)))
+            dense = tuple(solve_integer(U, [int(k == free + t) for k in range(U.rows)],
+                                        [0] * U.rows) for t in range(len(R.group.torsion)))
             assert R.torsion_lifts == dense, E
             chars = E.group.char_subgroup([cg.restrict_to_Fhat(
                 R, {g.label: c for g, c in zip(R.generators, x) if c}) for x in dense])

@@ -49,7 +49,7 @@ from .exactmath import (
     solve_nonneg,
 )
 from .groups import FiniteSubgroup
-from .hyperspace import BasePoint, XD, color_vector
+from .hyperspace import BasePoint, XD, color_coordinates
 from .presentation import _SUB
 
 
@@ -163,9 +163,8 @@ def _walk(E: EmbeddingData) -> tuple[list[Generator], dict]:
                               multiplicity=1, l=Fraction(1)))
     for p in E.exceptional_points():
         k, pk = keys[p], _pretty_point(keys[p])
-        gens.append(Generator(f"E[{k}]", "color", p, pretty=f"E^{{{pk}}}",
-                              multiplicity=E.color_multiplicity(p),
-                              l=color_vector(F, p, E.section).l))
+        m, l = color_coordinates(F, p, E.section)
+        gens.append(Generator(f"E[{k}]", "color", p, pretty=f"E^{{{pk}}}", multiplicity=m, l=l))
         divs = over[p]
         for j, d in enumerate(divs):
             suffix = "" if len(divs) == 1 else f"_{j + 1}"

@@ -9,7 +9,8 @@ convention fixing the l-coordinates of the colors.
 Validation checks exactly the structural invariants of this data: the
 valuation-cone inequalities per divisor, distinctness of points, integrality
 of u*l, at most one dominating divisor.  It does not attempt to reconstruct
-a hyperfan.
+a hyperfan.  It runs on integers and on tables built once per group, and
+builds no point and no hyperspace vector.
 
 Every input file is read here: embedding files (``load_embedding``, or
 ``read_input`` for the bytes and their digest, parsed by ``load_embedding``)
@@ -22,9 +23,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from itertools import combinations
+from types import MappingProxyType
 
 from .exactmath import GAUSS_ONE, GaussianRational, gauss, gauss_ipow, rat
 from .groups import DIHEDRAL, FiniteSubgroup, cyclic, dihedral, ICOSA, OCTA, TETRA
@@ -40,12 +42,14 @@ from .hyperspace import (
     XF,
     XINF,
     XV,
+    color_coordinates,
     color_vector,
     epsilon,
     hypercone_from_generators,
     interiors_disjoint,
     is_supported,
     point,
+    ratio_key,
     valuation_cone_contains,
 )
 
@@ -98,13 +102,10 @@ class EmbeddingData:
     # -- point bookkeeping ----------------------------------------------------
 
     def canonical_points(self) -> tuple[BasePoint, ...]:
-        return tuple(_POINT_REFS[t] for t in self.group.canonical_tags())
+        return tuple(_canonical_points(self.group).values())
 
     def exceptional_points(self) -> tuple[BasePoint, ...]:
         return self.canonical_points() + tuple(self.extra_points)
-
-    def color_multiplicity(self, p: BasePoint) -> int:
-        return self.group.canonical_multiplicities().get(p.tag, 1)
 
     def divisors_over(self, p: BasePoint) -> tuple[GStableDivisorSpec, ...]:
         return tuple(d for d in self.divisors if not d.dominating and d.over == p)
@@ -131,72 +132,68 @@ class EmbeddingData:
 
     @cached_property
     def _violations(self) -> tuple[Violation, ...]:
-        """The structural violations, computed once per (immutable) embedding."""
+        """The structural violations, computed once per (immutable) embedding
+        in one scan of the divisors that groups them by point."""
         v: list[Violation] = []
-        F = self.group
-        canon = self.canonical_points()
+        F, section = self.group, self.section
+        canon = _canonical_points(F)  # ratio key -> canonical point
+        u = F.u if F.is_cyclic else 1
 
-        seen: list[BasePoint] = []
+        over = dict.fromkeys(canon.values(), False)  # exceptional point -> carries a divisor
         for p in self.extra_points:
             if p.tag is not None:
                 v.append(Violation("ExtraPointIsTag", f"extra point {p} must be coordinates"))
+            else:
+                if p in over:
+                    v.append(Violation("DuplicatePoint", f"extra point {p} repeated"))
+                if p._key in canon:
+                    v.append(Violation("PointClashesCanonical",
+                                       f"extra point {p} equals canonical {canon[p._key]}"))
+            over.setdefault(p, False)
+
+        dominating = 0
+        for d in self.divisors:
+            if d.dominating:
+                dominating += 1
+                if d.h != 0:
+                    v.append(Violation("DominatingH", "a dominating divisor has h = 0"))
+                if d.l.numerator >= 0:
+                    v.append(Violation("DominatingL", "a dominating divisor has l < 0"))
+            elif d.over not in over:
+                v.append(Violation(
+                    "DivisorOverUnknownPoint", f"divisor over {d.over} which is not listed"))
                 continue
-            if any(p == q for q in seen):
-                v.append(Violation("DuplicatePoint", f"extra point {p} repeated"))
-            seen.append(p)
-            for c in canon:
-                if p == point(*point_coordinates(F, c)):
+            else:
+                over[d.over] = True
+                if d.h < 1:
+                    v.append(Violation("NonpositiveH", f"divisor over {d.over} has h = {d.h}"))
+                    continue
+                if not valuation_cone_contains(F, d.over, d.h, d.l, section):
                     v.append(Violation(
-                        "PointClashesCanonical", f"extra point {p} equals canonical {c}"))
+                        "ValuationOutsideCone",
+                        f"({d.over},{d.h},{d.l}) violates the valuation-cone inequality"))
+            if u % d.l.denominator:
+                where = "on the dominating divisor" if d.dominating else f"over {d.over}"
+                rule = f"in (1/{u})Z" if u != 1 else "integral"
+                v.append(Violation("FractionalL", f"l = {d.l} {where} not {rule}"))
+        if dominating > 1:
+            v.append(Violation("TooManyDominating", "at most one divisor dominates P^1"))
 
         for p in self.extra_points:
-            if p.tag is None and not self.divisors_over(p):
+            if p.tag is None and not over[p]:
                 v.append(Violation(
                     "ExtraPointWithoutDivisor",
                     f"extra point {p} carries no G-stable divisor, so its "
                     f"fiber is parametric and the point is not exceptional"))
 
-        def fractional_l(d: GStableDivisorSpec, where: str) -> None:
-            u = F.u if F.is_cyclic else 1
-            if (u * d.l).denominator != 1:
-                rule = f"in (1/{u})Z" if u != 1 else "integral"
-                v.append(Violation("FractionalL", f"l = {d.l} {where} not {rule}"))
-
-        dominating = [d for d in self.divisors if d.dominating]
-        if len(dominating) > 1:
-            v.append(Violation("TooManyDominating", "at most one divisor dominates P^1"))
-        for d in dominating:
-            if d.h != 0:
-                v.append(Violation("DominatingH", "a dominating divisor has h = 0"))
-            if d.l >= 0:
-                v.append(Violation("DominatingL", "a dominating divisor has l < 0"))
-            fractional_l(d, "on the dominating divisor")
-
-        exceptional = set(self.exceptional_points())
-        for d in self.divisors:
-            if d.dominating:
-                continue
-            if d.over not in exceptional:
-                v.append(Violation(
-                    "DivisorOverUnknownPoint", f"divisor over {d.over} which is not listed"))
-                continue
-            if d.h < 1:
-                v.append(Violation("NonpositiveH", f"divisor over {d.over} has h = {d.h}"))
-                continue
-            fractional_l(d, f"over {d.over}")
-            if not valuation_cone_contains(F, d.vector(), self.section):
-                v.append(Violation(
-                    "ValuationOutsideCone",
-                    f"({d.over},{d.h},{d.l}) violates the valuation-cone inequality"))
-
-        if self.section.kind == "color_at":
+        if section.kind == "color_at":
             if not F.is_cyclic:
                 v.append(Violation("SectionNotCyclic",
                                    "the color-at section is only defined for cyclic F"))
-            elif self.section.at_point not in exceptional:
+            elif section.at_point not in over:
                 v.append(Violation("SectionPointUnknown",
-                                   f"section point {self.section.at_point} is not exceptional"))
-            elif self.section.at_point in canon:
+                                   f"section point {section.at_point} is not exceptional"))
+            elif section.at_point in canon.values():
                 v.append(Violation("SectionAtCanonical",
                                    "the section divisor cannot sit at a canonical color"))
 
@@ -208,8 +205,10 @@ class EmbeddingData:
         return self
 
 
-def canonical_coordinates(F: FiniteSubgroup) -> dict[str, tuple]:
-    """Homogeneous coordinates of the canonical exceptional points.
+@cache
+def canonical_coordinates(F: FiniteSubgroup) -> MappingProxyType:
+    """Homogeneous coordinates of the canonical exceptional points, one
+    read-only table per group.
 
     Cyclic (n >= 3): x0 = [0:1], xinf = [-1:0] with respect to the pair of
     exceptional semi-invariants; polyhedral: xv = [0:1], xe = [1:0] and the
@@ -217,19 +216,23 @@ def canonical_coordinates(F: FiniteSubgroup) -> dict[str, tuple]:
     semi-invariants is the fiber relation over it.
     """
     if F.is_cyclic:
-        if F.n <= 2:
-            return {}
-        return {"x0": (gauss(0), gauss(1)), "xinf": (gauss(-1), gauss(0))}
-    third = (gauss(-1), gauss(1)) if F.kind == DIHEDRAL else (gauss(-1), gauss(-1))
-    return {"xv": (gauss(0), gauss(1)), "xe": (gauss(1), gauss(0)), "xf": third}
+        coords = {} if F.n <= 2 else {"x0": (0, 1), "xinf": (-1, 0)}
+    else:
+        coords = {"xv": (0, 1), "xe": (1, 0), "xf": (-1, 1 if F.kind == DIHEDRAL else -1)}
+    return MappingProxyType({t: (gauss(a), gauss(b)) for t, (a, b) in coords.items()})
+
+
+@cache
+def _canonical_points(F: FiniteSubgroup) -> dict:
+    """The canonical points of F by the ``ratio_key`` of their coordinates:
+    built once per group."""
+    return {ratio_key(a, b): _POINT_REFS[t] for t, (a, b) in canonical_coordinates(F).items()}
 
 
 def point_coordinates(F: FiniteSubgroup, p: BasePoint) -> tuple:
     """Homogeneous coordinates (alpha, beta) of an exceptional point: from
     ``canonical_coordinates`` for a canonical tag, as given otherwise."""
-    if p.tag is not None:
-        return canonical_coordinates(F)[p.tag]
-    return (p.alpha, p.beta)
+    return canonical_coordinates(F)[p.tag] if p.tag is not None else (p.alpha, p.beta)
 
 
 def exceptional_relation_scalar(F: FiniteSubgroup):
@@ -258,7 +261,7 @@ def derive_ap0_input(E: EmbeddingData):
     exponents: list[tuple[int, ...]] = []
     for p in E.exceptional_points():
         cols.append(point_coordinates(E.group, p))
-        exponents.append((E.color_multiplicity(p),)
+        exponents.append((color_coordinates(E.group, p, E.section)[0],)
                          + tuple(d.h for d in E.divisors_over(p)))
     m = 1 if E.dominating_divisor() is not None else 0
     return cols, exponents, m

@@ -23,13 +23,15 @@ from typing import Sequence
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to an exact rational."""
+    """Coerce ints, Fractions and 'p/q' strings to an exact rational; an
+    integer string skips the parser's regular expression."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x.strip())
+        s = x.strip()
+        return Fraction(int(s) if s.removeprefix("-").isdecimal() else s)
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 

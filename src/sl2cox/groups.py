@@ -19,6 +19,8 @@ Character group elements are canonical tuples:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from types import MappingProxyType
 
 CYCLIC = "cyclic"
 DIHEDRAL = "dihedral"
@@ -65,22 +67,15 @@ class FiniteSubgroup:
             raise ValueError("u is defined for cyclic subgroups")
         return 1 if self.n % 2 else 2
 
-    def canonical_multiplicities(self) -> dict[str, int]:
-        """Multiplicity of the exceptional color in the fiber, per canonical tag."""
+    @cache
+    def canonical_multiplicities(self) -> MappingProxyType:
+        """Multiplicity of the exceptional color in the fiber, per canonical
+        tag: one read-only table per group."""
         if self.is_cyclic:
-            if self.n <= 2:
-                return {}
-            return {"x0": self.nbar, "xinf": self.nbar}
-        if self.kind == DIHEDRAL:
-            return {"xv": 2, "xe": 2, "xf": self.n}
-        if self.kind == TETRAHEDRAL:
-            return {"xv": 3, "xe": 2, "xf": 3}
-        if self.kind == OCTAHEDRAL:
-            return {"xv": 3, "xe": 2, "xf": 4}
-        return {"xv": 5, "xe": 2, "xf": 3}  # icosahedral
-
-    def canonical_tags(self) -> tuple[str, ...]:
-        return tuple(self.canonical_multiplicities())
+            return MappingProxyType({} if self.n <= 2 else {"x0": self.nbar, "xinf": self.nbar})
+        return MappingProxyType(dict(zip(("xv", "xe", "xf"), {
+            DIHEDRAL: (2, 2, self.n), TETRAHEDRAL: (3, 2, 3), OCTAHEDRAL: (3, 2, 4),
+            ICOSAHEDRAL: (5, 2, 3)}[self.kind])))
 
     # -- character group -----------------------------------------------------
 

@@ -23,10 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
+from math import gcd
 from typing import Iterable, Sequence
 
 from .exactmath import GaussianRational, gauss, rat
 from .groups import DIHEDRAL, FiniteSubgroup
+from .ogpoly import _split
 
 _TAGS = ("x0", "xinf", "xv", "xe", "xf", "xd")
 
@@ -45,7 +48,7 @@ class BasePoint:
 
     Coordinate points are compared projectively; symbolic tags compare by
     tag and never equal a coordinate point.  The comparison key and its hash
-    are computed once: the tag, alpha/beta, or None for [1:0].
+    are computed once: the tag, or ``ratio_key(alpha, beta)``.
     """
 
     tag: str | None = None
@@ -65,7 +68,7 @@ class BasePoint:
                 raise ValueError("coordinate point needs alpha and beta")
             if not self.alpha and not self.beta:
                 raise ValueError("[0:0] is not a point of P^1")
-        key = self.tag if self.tag is not None else self.alpha / self.beta if self.beta else None
+        key = self.tag if self.tag is not None else ratio_key(self.alpha, self.beta)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
 
@@ -84,6 +87,15 @@ class BasePoint:
         if self.tag is not None:
             return self.tag
         return f"[{self.alpha}:{self.beta}]"
+
+
+def ratio_key(alpha, beta) -> tuple[int, int, int] | None:
+    """alpha/beta as the integer triple (x, y, d) with alpha/beta = (x + y*i)/d,
+    d > 0 and gcd(x, y, d) = 1, found by one gcd pass; None for beta = 0."""
+    (p, q, r), (s, t, w) = _split(alpha), _split(beta)
+    x, y, d = w * (p * s + q * t), w * (q * s - p * t), r * (s * s + t * t)
+    g = gcd(x, y, d)
+    return (x // g, y // g, d // g) if d else None
 
 
 def point(alpha, beta) -> BasePoint:
@@ -145,43 +157,51 @@ def _special_points(F: FiniteSubgroup, section: Section) -> tuple[BasePoint, ...
     return (XV, XF)
 
 
-def valuation_cone_contains(
-    F: FiniteSubgroup, v: HyperspaceVector, section: Section = Section.default()
-) -> bool:
-    """Membership of (x,h,l) in the valuation cone: f(h,l) <= 0 for the
-    Appendix-table form f = ``valuation_cone_form`` at x."""
-    a, b = valuation_cone_form(F, v.base, section)
-    return a * v.h + b * v.l <= 0
+def valuation_cone_contains(F: FiniteSubgroup, base: BasePoint, h, l,
+                            section: Section = Section.default()) -> bool:
+    """Membership of (base, h, l) in the valuation cone: f(h,l) <= 0 for the
+    Appendix-table form f = ``valuation_cone_form`` at base, tested on the
+    integer numerator and denominator of l."""
+    a, b = valuation_cone_form(F, base, section)
+    return a * h * l.denominator + b * l.numerator <= 0
 
 
 def valuation_cone_form(F: FiniteSubgroup, base: BasePoint, section: Section = Section.default()):
-    """Linear form f(h,l) with V_x = {f <= 0} at the given base point."""
+    """Linear form f(h,l) with V_x = {f <= 0} at the given base point, as
+    integer coefficients: 2l - h on the special slices of a cyclic F and
+    2l + h elsewhere; l, respectively l + h, for the polyhedral ones."""
     special = base in _special_points(F, section)
     if F.is_cyclic:
-        return (Fraction(-1), Fraction(2)) if special else (Fraction(1), Fraction(2))
-    return (Fraction(0), Fraction(1)) if special else (Fraction(1), Fraction(1))
+        return (-1, 2) if special else (1, 2)
+    return (0, 1) if special else (1, 1)
 
 
-def color_vector(
-    F: FiniteSubgroup, p: BasePoint, section: Section = Section.default()
-) -> HyperspaceVector:
-    """Hyperspace coordinates of the color over p for the chosen section:
-    (1, 1) over the special point of a cyclic section (``_special_points``),
-    (m, l) over a canonical point of multiplicity m
-    (``F.canonical_multiplicities()``), epsilon elsewhere."""
-    if F.is_cyclic and p in _special_points(F, section):
-        return HyperspaceVector(p, Fraction(1), Fraction(1))
+_ONE_ONE, _EPSILON = (1, Fraction(1)), (1, Fraction(0))
+
+
+@cache
+def _canonical_colors(F: FiniteSubgroup) -> dict[str, tuple[int, Fraction]]:
+    """(m, l) of the color over each canonical point of multiplicity m
+    (``F.canonical_multiplicities()``): one table per group."""
     mults = F.canonical_multiplicities()
-    if p.tag not in mults:
-        return epsilon(p)
-    m = mults[p.tag]
     if F.is_cyclic:
-        l = -Fraction(m - 1, 2)
-    elif F.kind == DIHEDRAL:
-        l = {"xv": 1, "xe": 1, "xf": 1 - F.n}[p.tag]
-    else:
-        l = {"xv": 1, "xe": -1, "xf": 1}[p.tag]
-    return HyperspaceVector(p, Fraction(m), Fraction(l))
+        return {t: (m, Fraction(1 - m, 2)) for t, m in mults.items()}
+    ls = {"xv": 1, "xe": 1, "xf": 1 - F.n} if F.kind == DIHEDRAL else {"xv": 1, "xe": -1, "xf": 1}
+    return {t: (m, Fraction(ls[t])) for t, m in mults.items()}
+
+
+def color_coordinates(F: FiniteSubgroup, p: BasePoint, section: Section = Section.default()):
+    """(h, l) of the color over p for the chosen section: (1, 1) over the
+    special point of a cyclic section (``_special_points``), the
+    ``_canonical_colors`` entry over a canonical point, (1, 0) elsewhere."""
+    if F.is_cyclic and p in _special_points(F, section):
+        return _ONE_ONE
+    return _canonical_colors(F).get(p.tag, _EPSILON)
+
+
+def color_vector(F: FiniteSubgroup, p: BasePoint, section: Section = Section.default()):
+    """The color over p as a hyperspace vector (``color_coordinates``)."""
+    return HyperspaceVector(p, *color_coordinates(F, p, section))
 
 
 # -- sectors in a half-plane E_x ---------------------------------------------

@@ -1213,7 +1213,7 @@ class TestWork:
 
         monkeypatch.setattr(EmbeddingData, "divisors_over", counted)
         monkeypatch.setattr(BasePoint, "__eq__", counted_eq)
-        excused = {"_augment", "_violations", "special_fiber_normal"}
+        excused = {"_augment", "special_fiber_normal"}
         counts = []
         pts = [(2, 7), (5, 11), (3, 13), (7, 2), (11, 5), (13, 3), (4, 9), (9, 4), (6, 17), (17, 6)]
         extras = tuple(point(a, b) for a, b in pts)

@@ -1,4 +1,6 @@
 import json
+import pathlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,9 +15,10 @@ from sl2cox.embedding import (
     embedding_to_dict,
     load_embedding,
 )
-from sl2cox.exactmath import gauss
+from sl2cox.classgroup import class_group
+from sl2cox.exactmath import GaussianRational, gauss
 from sl2cox.groups import ICOSA, TETRA, cyclic, dihedral
-from sl2cox.hyperspace import Section, X0, XE, XF, XINF, XV, point
+from sl2cox.hyperspace import BasePoint, HyperspaceVector, Section, X0, XE, XF, XINF, XV, point
 
 
 def trivial_four_points() -> EmbeddingData:
@@ -204,3 +207,40 @@ class TestSchemaErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SchemaError):
             load_embedding(str(tmp_path / "missing.json"))
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+INPUTS = sorted([*ROOT.glob("fixtures/*.json"), *ROOT.glob("tests/golden/inputs/*.json")])
+
+
+class TestInputWork:
+    """Loading and validating an input runs on integer keys and per-group
+    tables: the only points built are the file's own extra points."""
+
+    @staticmethod
+    def counted(monkeypatch) -> Counter:
+        counts = Counter()
+        for cls, name in ((BasePoint, "__post_init__"), (HyperspaceVector, "__post_init__"),
+                          (GaussianRational, "__truediv__"), (GaussianRational, "inverse")):
+            def wrapper(*args, _fn=getattr(cls, name), _key=f"{cls.__name__}.{name}"):
+                counts[_key] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(cls, name, wrapper)
+        return counts
+
+    @pytest.mark.parametrize("path", INPUTS, ids=lambda p: p.stem)
+    def test_load_validate_and_class_group_build_nothing_else(self, path, monkeypatch):
+        extras = len(json.loads(path.read_text(encoding="utf-8")).get("extra_points", []))
+        counts = self.counted(monkeypatch)
+        E = load_embedding(str(path))
+        assert E.validate() == []
+        assert counts == Counter({"BasePoint.__post_init__": extras})
+        counts.clear()
+        class_group(E)
+        assert counts["HyperspaceVector.__post_init__"] == 0
+
+    def test_inputs_cover_extra_points_and_every_family(self):
+        kinds = {load_embedding(str(p)).group.kind for p in INPUTS}
+        assert len(INPUTS) >= 11 and len(kinds) == 5
+        assert any(load_embedding(str(p)).extra_points for p in INPUTS)

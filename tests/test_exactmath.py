@@ -15,6 +15,7 @@ from sl2cox.exactmath import (
     RelationLattice,
     cokernel,
     gauss,
+    rat,
     smith_normal_form,
     solve_nonneg,
 )
@@ -452,6 +453,21 @@ class TestRelationLattice:
         a, b = [1, 2, 3, 4], [-5, 0, 7, 1]
         total = [s + t for s, t in zip(lattice.numerators(a), lattice.numerators(b))]
         assert total == list(lattice.numerators([s + t for s, t in zip(a, b)]))
+
+
+class TestRat:
+    @pytest.mark.parametrize("text", ["0", "-0", "7", "-12", " -3 ", "+4", "6/4", "-6/4", "1.5",
+                                      "2e3", "١٢", "-١٢", "0012", "-0012"])
+    def test_strings_read_as_fraction_reads_them(self, text):
+        # integer strings skip Fraction's parser; the value must not change
+        assert rat(text) == Fraction(text.strip())
+
+    @pytest.mark.parametrize("text", ["", "-", "--1", "1-", "- 1", "1_0 0", "i"])
+    def test_bad_strings_raise_as_fraction_does(self, text):
+        with pytest.raises(ValueError):
+            Fraction(text.strip())
+        with pytest.raises(ValueError):
+            rat(text)
 
 
 class TestGaussianRational:

@@ -1,8 +1,11 @@
 import pickle
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from sl2cox.exactmath import GaussianRational
 from sl2cox.groups import FiniteSubgroup, ICOSA, OCTA, TETRA, cyclic, dihedral
 from sl2cox.hyperspace import (
     HyperspaceVector,
@@ -21,8 +24,11 @@ from sl2cox.hyperspace import (
     interiors_disjoint,
     is_supported,
     point,
+    ratio_key,
     valuation_cone_contains,
 )
+
+from test_classgroup import FAMILIES
 
 ALL_GROUPS = [cyclic(1), cyclic(2), cyclic(3), cyclic(6), cyclic(7),
               dihedral(2), dihedral(3), dihedral(6), TETRA, OCTA, ICOSA]
@@ -77,15 +83,124 @@ class TestBasePoint:
         assert len({X0, XINF, XV, XE, XF, XD}) == 6
 
 
+# -- the former Q(i) point key and Fraction cone form, kept as oracles --------
+
+
+def oracle_key(p):
+    """The former comparison key of a point: its tag, alpha/beta in Q(i), or
+    None for beta = 0."""
+    if p.tag is not None:
+        return p.tag
+    return p.alpha / p.beta if p.beta else None
+
+
+def oracle_cone_contains(F, base, h, l, section):
+    """The former membership test: the Appendix-table form with Fraction
+    coefficients, the special slices found by comparing oracle keys."""
+    if F.is_cyclic:
+        special = [section.at_point] if section.kind == "color_at" else [XD]
+    else:
+        special = [XV, XE] if F.kind == "dihedral" else [XV, XF]
+    if any(oracle_key(base) == oracle_key(q) for q in special):
+        a, b = (Fraction(-1), Fraction(2)) if F.is_cyclic else (Fraction(0), Fraction(1))
+    else:
+        a, b = (Fraction(1), Fraction(2)) if F.is_cyclic else (Fraction(1), Fraction(1))
+    return a * Fraction(h) + b * Fraction(l) <= 0
+
+
+def _gaussian(rng, zero=0.2):
+    """A Gaussian rational as a JSON coordinate: zero with probability about
+    ``zero``, otherwise negative, Gaussian and unreduced parts ("4/6")."""
+    if rng.random() < zero:
+        return "0"
+    k = rng.randint(1, 3)  # writes each part unreduced, k times its numerator and denominator
+
+    def part():
+        return f"{k * rng.randint(-5, 5)}/{k * rng.randint(1, 4)}"
+
+    re, im = part(), part()
+    if rng.random() < 0.4:
+        im = "0"
+    if re.startswith("0/") and im.startswith("0"):
+        re = f"{k}/{k}"
+    return re if im == "0" else {"re": re, "im": im}
+
+
+def _random_points(rng):
+    """Coordinate points with alpha = 0 or beta = 0 among them, each with
+    complex scalar multiples of itself, plus the symbolic tags."""
+    pts = [X0, XINF, XV, XE, XF, XD, point(0, 1), point(1, 0), point(0, -3),
+           point({"re": "0", "im": "2"}, 0)]
+    for _ in range(8):
+        alpha, beta = _gaussian(rng), _gaussian(rng)
+        if alpha == beta == "0":
+            beta = "-1"
+        p = point(alpha, beta)
+        pts.append(p)
+        for _ in range(2):
+            lam = point(_gaussian(rng, zero=0), 1).alpha
+            pts.append(point(lam * p.alpha, lam * p.beta))
+    return pts
+
+
+class TestOracles:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equality_and_hash_agree_with_the_q_i_key(self, seed):
+        pts = _random_points(random.Random(f"point-key-{seed}"))
+        for p in pts:
+            for q in pts:
+                assert (p == q) == (oracle_key(p) == oracle_key(q)), (p, q)
+                if p == q:
+                    assert hash(p) == hash(q)
+        assert len(set(pts)) == len({oracle_key(p) for p in pts})
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ratio_key_is_the_reduced_quotient(self, seed):
+        for p in _random_points(random.Random(f"ratio-key-{seed}")):
+            if p.tag is not None:
+                continue
+            key = ratio_key(p.alpha, p.beta)
+            assert key == p._key
+            if key is None:
+                assert not p.beta
+                continue
+            x, y, d = key
+            assert d > 0 and gcd(x, y, d) == 1
+            assert oracle_key(p) == GaussianRational(Fraction(x, d), Fraction(y, d))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_cone_verdicts_agree_with_the_fraction_form(self, family):
+        # both sections, every point kind, and h, l on and around the
+        # boundaries 2l + h = 0, 2l - h = 0, l = 0 and l + h = 0
+        rng = random.Random(f"cone-form-{family}")
+        checked = 0
+        for _ in range(2):
+            F = FAMILIES[family](rng)
+            pts = _random_points(rng)
+            at = rng.choice([p for p in pts if p.tag is None])
+            copy = point(2 * at.alpha, 2 * at.beta)  # the section point, as another representative
+            for section in (Section.default(), Section.at(at)):
+                for base in pts + [copy]:
+                    for h in range(1, 4):
+                        ls = {Fraction(-h, 2), Fraction(h, 2), Fraction(0), Fraction(-h),
+                              Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3]))}
+                        for l in ls:
+                            for dl in (Fraction(0), Fraction(1, 2), Fraction(-1, 2)):
+                                assert (valuation_cone_contains(F, base, h, l + dl, section)
+                                        == oracle_cone_contains(F, base, h, l + dl, section)), (
+                                    F, base, h, l + dl, section)
+                                checked += 1
+        assert checked > 2000
+
+
 class TestValuationCone:
     def test_cyclic_examples(self):
-        assert valuation_cone_contains(cyclic(5), HyperspaceVector(point(3, 1), 1, -1))
-        assert valuation_cone_contains(cyclic(3), HyperspaceVector(XD, 1, 0))
-        assert not valuation_cone_contains(cyclic(5), HyperspaceVector(X0, 1, 1))
+        assert valuation_cone_contains(cyclic(5), point(3, 1), 1, -1)
+        assert valuation_cone_contains(cyclic(3), XD, 1, 0)
+        assert not valuation_cone_contains(cyclic(5), X0, 1, 1)
 
     def test_tetrahedral_color_is_not_valuation(self):
-        v = HyperspaceVector(XV, 3, 1)
-        assert not valuation_cone_contains(TETRA, v)
+        assert not valuation_cone_contains(TETRA, XV, 3, 1)
 
     def test_cyclic_grid(self):
         F = cyclic(4)
@@ -93,8 +208,8 @@ class TestValuationCone:
             for den in (1, 2):
                 h = Fraction(hnum, den)
                 for lnum in range(-10, 11):
-                    v = HyperspaceVector(point(9, 1), h, Fraction(lnum))
-                    assert valuation_cone_contains(F, v) == (2 * lnum + h <= 0)
+                    assert valuation_cone_contains(F, point(9, 1), h, Fraction(lnum)) == (
+                        2 * lnum + h <= 0)
 
     def test_colors_never_interior(self):
         # every color is outside the open valuation cone for every group
@@ -143,8 +258,8 @@ class TestColorVectors:
         assert color_vector(F, p, s) == HyperspaceVector(p, 1, 1)
         assert color_vector(F, XD, s) == epsilon(XD)
         # the special valuation slice moves to p
-        assert valuation_cone_contains(F, HyperspaceVector(p, 2, 1), s)
-        assert not valuation_cone_contains(F, HyperspaceVector(point(5, 1), 2, 1), s)
+        assert valuation_cone_contains(F, p, 2, 1, s)
+        assert not valuation_cone_contains(F, point(5, 1), 2, 1, s)
 
 
 class TestHypercone:

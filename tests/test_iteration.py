@@ -171,9 +171,9 @@ class TestPolyhedral:
             assert chain[0] == "F_O"
             # no chain is longer than bound + 1 subgroups
             assert len(chain) <= rep.bound + 1
-        assert ("F_O", "F_T", "BD_2", "mu_2") in {tuple(c[:4]) for c in rep.chains
-                                                  if len(c) >= 4} | {()} or True
-        full = [c for c in rep.chains if len(c) >= 4]
+        assert ("F_O", "F_T", "BD_2", "mu_2") in rep.chains
+        longest = max(rep.chains, key=len)
+        assert len(longest) == rep.bound + 1 and longest[-1] == "mu_1"
         assert all(c[2] == "BD_2" for c in rep.chains if len(c) >= 3)
 
     def test_bound_respected_on_sweep(self):

@@ -69,7 +69,6 @@ from .diagnostics import (
     constant_functions_only,
     is_platonic_ring,
     is_platonic_tuple,
-    log_terminal_total_space,
     log_terminal_X,
     special_fiber_normal,
 )

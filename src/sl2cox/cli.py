@@ -202,7 +202,7 @@ def cox_full(E, args):
 
 def diagnose(E, args):
     ap0 = derive_ap0_input(E)
-    total = dg.log_terminal_total_space(E)
+    total = dg.is_platonic_ring(ap0)
     fiber = dg.special_fiber_normal(E)
     try:
         ok, cert = dg.constant_functions_only(E)
@@ -210,9 +210,8 @@ def diagnose(E, args):
     except dg.HypothesesNotMet as exc:
         skipped = exc
     if args.hypercones:
-        cones = load_hypercones(args.hypercones, E)
-        verdict = dg.log_terminal_X(E, cones)
-        orbits = [dg.classify_hypercone_orbit(c, E) for c in cones]
+        orbits = [dg.classify_hypercone_orbit(c, E) for c in load_hypercones(args.hypercones, E)]
+        verdict = dg.log_terminal_X(orbits)
     if args.format == "json":
         report = {
             "special_fiber_normal": fiber,

@@ -15,16 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .embedding import EmbeddingData, derive_ap0_input
-from .hyperspace import (
-    BasePoint,
-    ColoredHypercone,
-    X0,
-    XD,
-    XINF,
-    color_vector,
-    epsilon,
-)
+from .embedding import EmbeddingData
+from .hyperspace import ColoredHypercone, X0, XD, XINF, color_coordinates
 
 
 class HypothesesNotMet(Exception):
@@ -77,12 +69,6 @@ def is_platonic_ring(ap0) -> PlatonicVerdict:
     if len(vectors) <= 2:
         return PlatonicVerdict(True)
     return is_platonic_tuple(tuple(max(v) for v in vectors))
-
-
-def log_terminal_total_space(E: EmbeddingData) -> PlatonicVerdict:
-    """Log terminality of the total coordinate space: the Platonic-ring test
-    on the derived trinomial data."""
-    return is_platonic_ring(derive_ap0_input(E))
 
 
 # -- special fiber -----------------------------------------------------------
@@ -148,67 +134,49 @@ class OrbitClass:
 
 
 def classify_hypercone_orbit(c: ColoredHypercone, E: EmbeddingData) -> OrbitClass:
-    """Fixed point iff the hypercone contains every color (cyclic F only);
-    type A_l iff it is generated by one G-valuation over each of l distinct
-    exceptional points together with the colors of all the other points."""
-    F = E.group
-    section = E.section
+    """The orbit class of a hypercone, read on rays: a generator counts only
+    as its slope.  Fixed point iff the hypercone contains every color
+    (cyclic F only); type A_l iff it is generated by the ray of one G-stable
+    divisor over each of l distinct exceptional points together with the
+    colors of all the other points.  An A_l entry is the h of the
+    embedding's divisor on the listed ray."""
     if c.omitted:
         return OrbitClass("other")
+    F, section = E.group, E.section
 
-    colors: dict[BasePoint, object] = {
-        p: color_vector(F, p, section) for p in E.exceptional_points()
-    }
+    def color(p):  # the slope of the color over p
+        h, l = color_coordinates(F, p, section)
+        return l / h
+
+    colored = set(E.exceptional_points())  # the colors elsewhere are epsilon
     if F.is_cyclic and section.kind == "default":
-        colors[XD] = color_vector(F, XD, section)
-    listed = {p: set(vecs) for p, vecs in c.slices}
-
-    def color_of(p):
-        return colors.get(p, epsilon(p))
-
-    def carries_color(p) -> bool:
-        col = color_of(p)
-        vecs = listed.get(p)
-        if vecs is None:
-            return col.h == 1 and col.l == 0  # implied epsilon generator
-        return col in vecs
-
-    if F.is_cyclic and all(carries_color(p) for p in set(colors) | set(listed)):
+        colored.add(XD)
+    listed = [p for p, _ in c.slices]
+    if F.is_cyclic and all(color(p) in c.slopes_at(p) for p in colored.union(listed)):
         return OrbitClass("fixed_point")
 
-    # type A_l: the listed slices are either exactly the point's color, or a
-    # single divisor vector of the embedding replacing the color
+    # type A_l: each listed slice is the ray of its color or of one divisor,
+    # and every unlisted point carries its color, so that color is epsilon
     tuple_h: list[int] = []
-    exceptional = set(E.exceptional_points())
-    for p, vecs in c.slices:
-        vset = set(vecs)
-        if vset == {color_of(p)}:
+    for p, slopes in c.slices:
+        if slopes == (color(p),):
             continue
-        if p in exceptional:
-            divs = {d.vector() for d in E.divisors_over(p)}
-            if len(vset) == 1 and vset <= divs:
-                tuple_h.append(int(next(iter(vset)).h))
-                continue
-        return OrbitClass("other")
-    # colors of the complementary points must all be present
-    for p, col in colors.items():
-        if p not in listed and not (col.h == 1 and col.l == 0):
+        hs = [d.h for d in E.divisors_over(p) if slopes == (d.l / d.h,)]
+        if not hs:
             return OrbitClass("other")
-    if c.kind == "B" and tuple_h:
-        return OrbitClass("A_l", tuple(tuple_h))
-    return OrbitClass("other")
+        tuple_h.append(hs[0])
+    if not tuple_h or any(color(p) for p in colored.difference(listed)):
+        return OrbitClass("other")
+    return OrbitClass("A_l", tuple(tuple_h))
 
 
-def log_terminal_X(E: EmbeddingData, hypercones) -> PlatonicVerdict:
-    """No G-fixed point, and the A_l orbit (if present) is Platonic; A_l
-    tuples of length <= 2 are Platonic by convention."""
-    E.require_valid()
-    for c in hypercones:
-        orbit = classify_hypercone_orbit(c, E)
+def log_terminal_X(orbits) -> PlatonicVerdict:
+    """Log terminality of X from the orbit classes of its hypercones: no
+    G-fixed point, and the A_l orbit (if present) Platonic; A_l tuples of
+    length <= 2 are Platonic by convention."""
+    for orbit in orbits:
         if orbit.kind == "fixed_point":
             return PlatonicVerdict(False, ())
-        if orbit.kind == "A_l" and len(orbit.tuple) > 2:
-            verdict = is_platonic_tuple(orbit.tuple)
-            if not verdict:
-                return PlatonicVerdict(False, orbit.tuple)
+        if orbit.kind == "A_l" and not is_platonic_tuple(orbit.tuple):
+            return PlatonicVerdict(False, orbit.tuple)
     return PlatonicVerdict(True)

@@ -86,11 +86,6 @@ class GStableDivisorSpec:
     def dominating(self) -> bool:
         return self.over is None
 
-    def vector(self) -> HyperspaceVector:
-        if self.dominating:
-            raise ValueError("a dominating divisor lives in E, not in a slice")
-        return HyperspaceVector(self.over, Fraction(self.h), self.l)
-
 
 @dataclass(frozen=True)
 class EmbeddingData:
@@ -200,8 +195,9 @@ class EmbeddingData:
         return tuple(sorted(v, key=lambda x: (x.code, x.detail)))
 
     def require_valid(self) -> "EmbeddingData":
-        if self._violations:
-            raise InvalidEmbedding(self._violations)
+        violations = self.validate()
+        if violations:
+            raise InvalidEmbedding(violations)
         return self
 
 
@@ -435,7 +431,8 @@ def load_hypercones(path: str, E: EmbeddingData) -> list[ColoredHypercone]:
     implied elsewhere.  Point references extend the embedding ones by "xd"
     (the distinguished point) and inline coordinates {"alpha", "beta"}.  The
     list must describe a colored fan: every type-B cone supported, and no
-    two cones with a common interior point in the valuation cone."""
+    two cones with a common interior point in the valuation cone, and every
+    cone strictly convex."""
     doc = _parse_json(_read(path), "hypercones file: ")
     if not isinstance(doc, list):
         raise SchemaError("hypercones file must be a JSON list")
@@ -477,6 +474,8 @@ def load_hypercones(path: str, E: EmbeddingData) -> list[ColoredHypercone]:
             raise SchemaError(f"{where}: {exc}") from exc
     F, section = E.group, E.section
     for i, c in enumerate(cones):
+        if not c.strictly_convex:
+            raise SchemaError(f"invalid cone list: hypercones[{i}] is not strictly convex")
         if c.kind == "B" and not is_supported(c, F, section):
             raise SchemaError(f"invalid cone list: hypercones[{i}] is type B and unsupported")
     for (i, a), (j, b) in combinations(enumerate(cones), 2):

@@ -135,10 +135,6 @@ class IntMatrix:
         return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
     @staticmethod
-    def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix([[0] * cols for _ in range(rows)], cols=cols)
-
-    @staticmethod
     def from_sparse(rows: Sequence[dict[int, int]], cols: int) -> "IntMatrix":
         """The dense matrix of rows given as {column: coefficient}."""
         data = [[0] * cols for _ in rows]

@@ -3,9 +3,11 @@
 G-valuations and colors of k(SL2/F) live as triples (x, h, l) in a union of
 half-planes E_x = Q_+ x E glued along E, and E is one-dimensional here, so
 every cone computation reduces to exact interval and sector arithmetic over
-Q.  The per-subgroup inequalities cutting out the valuation cone and the
-coordinates of the colors are hard-wired tables; the l-coordinates depend on
-the chosen section of the weight lattice inside k(X)^(B).
+Q.  Cones are generated by rays: a colored hypercone keeps each generator
+(x, h, l) with h > 0 as its slope l/h alone.  The per-subgroup inequalities
+cutting out the valuation cone and the coordinates of the colors are
+hard-wired tables; the l-coordinates depend on the chosen section of the
+weight lattice inside k(X)^(B).
 
 Two conventions for the section are supported:
 
@@ -166,10 +168,12 @@ def valuation_cone_contains(F: FiniteSubgroup, base: BasePoint, h, l,
     return a * h * l.denominator + b * l.numerator <= 0
 
 
-def valuation_cone_form(F: FiniteSubgroup, base: BasePoint, section: Section = Section.default()):
+def valuation_cone_form(F: FiniteSubgroup, base: BasePoint | None,
+                        section: Section = Section.default()):
     """Linear form f(h,l) with V_x = {f <= 0} at the given base point, as
     integer coefficients: 2l - h on the special slices of a cyclic F and
-    2l + h elsewhere; l, respectively l + h, for the polyhedral ones."""
+    2l + h elsewhere; l, respectively l + h, for the polyhedral ones.  A
+    base of None is a generic point."""
     special = base in _special_points(F, section)
     if F.is_cyclic:
         return (-1, 2) if special else (1, 2)
@@ -204,183 +208,102 @@ def color_vector(F: FiniteSubgroup, p: BasePoint, section: Section = Section.def
     return HyperspaceVector(p, *color_coordinates(F, p, section))
 
 
-# -- sectors in a half-plane E_x ---------------------------------------------
+# -- hypercones as rays ---------------------------------------------------------
 #
-# A direction in E_x is an E-ray (0,-1) or (0,+1), or a ray of slope l/h with
-# h > 0.  Angular order is E-neg < slopes (increasing) < E-pos, encoded as
-# sortable keys.
+# A direction in E_x is an E-ray, (0,-1) or (0,+1), or the ray of slope l/h
+# with h > 0.  Angular order is E-neg < slopes (increasing) < E-pos, encoded
+# as the sortable keys (-1, 0) < (0, slope) < (1, 0).
 
-_ENEG = (-1, Fraction(0))
-_EPOS = (1, Fraction(0))
-
-
-def _dir_key(h: Fraction, l: Fraction):
-    if h == 0:
-        if l < 0:
-            return _ENEG
-        if l > 0:
-            return _EPOS
-        raise ValueError("zero vector has no direction")
-    return (0, Fraction(l, h))
+_ENEG, _EPOS = (-1, 0), (1, 0)
 
 
-def _dir_vec(key) -> tuple[Fraction, Fraction]:
+def _form_at(key, form) -> Fraction:
+    """The form a*h + b*l on a direction: a + b*slope on a slope ray, -b and
+    +b on the two E-rays."""
     side, slope = key
-    if side == -1:
-        return (Fraction(0), Fraction(-1))
-    if side == 1:
-        return (Fraction(0), Fraction(1))
-    return (Fraction(1), slope)
+    a, b = form
+    return a + b * slope if side == 0 else side * b
 
 
 @dataclass(frozen=True)
 class Sector:
-    """Closed 2D cone in a half-plane, as an angular interval of directions."""
+    """Closed 2D cone in a half-plane, as the angular interval [lo, hi] of
+    direction keys; lo == hi is a single ray."""
 
-    lo: tuple  # direction keys; lo == hi means a single ray, None means {0}
+    lo: tuple
     hi: tuple
 
-    @staticmethod
-    def from_directions(keys) -> "Sector | None":
-        keys = sorted(set(keys))
-        if not keys:
-            return None
-        return Sector(keys[0], keys[-1])
-
-    @property
-    def is_two_dimensional(self) -> bool:
-        return self.lo != self.hi
-
-    def open_meets_halfplane(self, form: tuple[Fraction, Fraction]) -> bool:
-        """Does the 2D interior meet {form . (h,l) <= 0}?"""
-        if not self.is_two_dimensional:
-            return False
-        a, b = form
-        vlo, vhi = _dir_vec(self.lo), _dir_vec(self.hi)
-        flo = a * vlo[0] + b * vlo[1]
-        fhi = a * vhi[0] + b * vhi[1]
-        if flo < 0 or fhi < 0:
-            return True
-        if flo or fhi:
-            return False
-        # form vanishes on both boundary rays: decide on an interior direction
-        mid = (vlo[0] + vhi[0], vlo[1] + vhi[1])
-        if mid == (0, 0):  # full half-plane
-            mid = (Fraction(1), Fraction(0))
-        return a * mid[0] + b * mid[1] <= 0
+    def open_meets_halfplane(self, form: tuple[int, int]) -> bool:
+        """Does the 2D interior meet {form . (h,l) <= 0}?  It does iff the
+        form is negative on a boundary ray, unless the form vanishes on both;
+        that needs b = 0, and every ``valuation_cone_form`` has b in {1, 2}."""
+        return self.lo != self.hi and (_form_at(self.lo, form) < 0 or _form_at(self.hi, form) < 0)
 
     def open_intersection(self, other: "Sector") -> "Sector | None":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo >= hi:
-            return None
-        return Sector(lo, hi)
+        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
+        return Sector(lo, hi) if lo < hi else None
 
 
 @dataclass(frozen=True)
 class ColoredHypercone:
-    """Finitely generated hypercone: explicit slices plus epsilon elsewhere.
+    """Finitely generated hypercone, read as rays.
 
-    ``slices`` maps each listed base point to its generators in that
-    half-plane; every unlisted point that is not in ``omitted`` carries the
-    single generator epsilon_x.  ``e_generators`` are generators lying in the
-    shared boundary E (h = 0), e.g. the valuation of a divisor dominating
-    P^1.  ``K``, ``B`` and the type classification are computed on
-    construction, following the generated-hypercone recipe: the slice of the
-    cone over an unlisted point at height one is K shifted by epsilon.
+    A generator (x, h, l) with h > 0 counts only as its slope l/h in the
+    half-plane E_x.  ``slices`` maps each listed base point to the sorted
+    distinct slopes of its generators; every unlisted point that is not in
+    ``omitted`` carries the single generator epsilon_x, of slope 0.
+    ``e_generators`` are generators on the shared boundary E (h = 0), e.g.
+    the valuation of a divisor dominating P^1; only their signs count.  The
+    slopes fix ``K``, the type and strict convexity on construction,
+    following the generated-hypercone recipe: the slice over an unlisted
+    point at height one is K shifted by epsilon, and B is K plus the sum of
+    the slope intervals [min, max] of the slices, [p_lo, p_hi].
     """
 
-    slices: tuple[tuple[BasePoint, tuple[HyperspaceVector, ...]], ...]
+    slices: tuple[tuple[BasePoint, tuple[Fraction, ...]], ...]
     e_generators: tuple[Fraction, ...] = ()
     omitted: tuple[BasePoint, ...] = ()
 
     # derived, filled by __post_init__
-    kind: str = field(default="", compare=False)
+    kind: str = field(default="", compare=False)  # "A" (some point omitted) | "B"
     K: str = field(default="", compare=False)  # "zero" | "neg" | "pos" | "line"
-    B_lo: object = field(default=None, compare=False)  # Fraction | "-inf"
-    B_hi: object = field(default=None, compare=False)  # Fraction | "+inf"
     strictly_convex: bool = field(default=True, compare=False)
 
     def __post_init__(self):
-        for p, vecs in self.slices:
-            for v in vecs:
-                if v.base != p:
-                    raise MalformedGenerators(f"generator {v} listed under {p}")
-                if v.h == 0:
-                    raise MalformedGenerators(
-                        "generators in E (h = 0) are shared and belong in e_generators")
-        p_lo = Fraction(0)
-        p_hi = Fraction(0)
-        omitted = set(self.omitted)
-        for p, vecs in self.slices:
-            slopes = [Fraction(v.l, v.h) for v in vecs if v.h > 0]
-            if not slopes:
-                omitted.add(p)
-                continue
-            p_lo += min(slopes)
-            p_hi += max(slopes)
+        omitted = set(self.omitted) | {p for p, slopes in self.slices if not slopes}
+        p_lo = sum((slopes[0] for _, slopes in self.slices if slopes), Fraction(0))
+        p_hi = sum((slopes[-1] for _, slopes in self.slices if slopes), Fraction(0))
         has_neg = p_lo < 0 or any(e < 0 for e in self.e_generators)
         has_pos = p_hi > 0 or any(e > 0 for e in self.e_generators)
-        if has_neg and has_pos:
-            k = "line"
-        elif has_neg:
-            k = "neg"
-        elif has_pos:
-            k = "pos"
-        else:
-            k = "zero"
+        k = "line" if has_neg and has_pos else "neg" if has_neg else "pos" if has_pos else "zero"
         kind = "A" if omitted else "B"
-        b_lo = "-inf" if k in ("neg", "line") else p_lo
-        b_hi = "+inf" if k in ("pos", "line") else p_hi
-        convex = k != "line"
-        if kind == "B" and convex:
-            lo_ok = (b_lo != "-inf" and b_lo > 0)
-            hi_ok = (b_hi != "+inf" and b_hi < 0)
-            if not (lo_ok or hi_ok):
-                convex = False  # 0 lies in B
+        if kind == "A":
+            convex = k != "line"
+        else:  # 0 must lie outside B
+            convex = (k == "neg" and p_hi < 0) or (k == "pos" and p_lo > 0)
         object.__setattr__(self, "omitted", tuple(sorted(omitted, key=str)))
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "K", k)
-        object.__setattr__(self, "B_lo", b_lo)
-        object.__setattr__(self, "B_hi", b_hi)
         object.__setattr__(self, "strictly_convex", convex)
 
-    # -- slice access ---------------------------------------------------------
-
-    def listed_points(self) -> list[BasePoint]:
-        return [p for p, _ in self.slices]
-
-    def generators_at(self, p: BasePoint) -> tuple[HyperspaceVector, ...] | None:
-        """Explicit generators over p; None when p only carries epsilon."""
-        for q, vecs in self.slices:
+    def slopes_at(self, p: BasePoint | None) -> tuple[Fraction, ...]:
+        """The slopes of the generators over p: the listed ones, none at an
+        omitted point, and epsilon's slope 0 elsewhere (at p = None, a
+        generic point, too)."""
+        for q, slopes in self.slices:
             if q == p:
-                return vecs
-        if p in self.omitted:
-            return ()
-        return None
+                return slopes
+        return () if p in self.omitted else (Fraction(0),)
 
-    def _k_directions(self):
-        if self.K == "neg":
-            return [_ENEG]
-        if self.K == "pos":
-            return [_EPOS]
-        if self.K == "line":
-            return [_ENEG, _EPOS]
-        return []
-
-    def slice_sector(self, p: BasePoint) -> Sector | None:
-        """The cone C_p as an angular sector, None when C_p = K (omitted point)."""
-        vecs = self.generators_at(p)
-        if vecs == ():
+    def slice_sector(self, p: BasePoint | None) -> Sector | None:
+        """The cone C_p, K plus the rays over p, as an angular sector; None
+        when C_p = K (an omitted point)."""
+        slopes = self.slopes_at(p)
+        if not slopes:
             return None
-        keys = list(self._k_directions())
-        if vecs is None:
-            keys.append(_dir_key(Fraction(1), Fraction(0)))
-        else:
-            for v in vecs:
-                if v.h > 0:
-                    keys.append(_dir_key(v.h, v.l))
-        return Sector.from_directions(keys)
+        lo = _ENEG if self.K in ("neg", "line") else (0, slopes[0])
+        hi = _EPOS if self.K in ("pos", "line") else (0, slopes[-1])
+        return Sector(lo, hi)
 
 
 def hypercone_from_generators(
@@ -388,41 +311,29 @@ def hypercone_from_generators(
     e_parts: Iterable = (),
     omitted: Iterable[BasePoint] = (),
 ) -> ColoredHypercone:
-    """Group the generators by base point; epsilon is implied elsewhere."""
-    by_point: dict[BasePoint, list[HyperspaceVector]] = {}
-    order: list[BasePoint] = []
+    """Group the generators by base point, each as its slope; epsilon is
+    implied elsewhere."""
+    by_point: dict[BasePoint, set[Fraction]] = {}
     for v in vectors:
-        if v.base not in by_point:
-            by_point[v.base] = []
-            order.append(v.base)
-        by_point[v.base].append(v)
+        if v.h == 0:
+            raise MalformedGenerators(
+                "generators in E (h = 0) are shared and belong in e_generators")
+        by_point.setdefault(v.base, set()).add(v.l / v.h)
     return ColoredHypercone(
-        slices=tuple((p, tuple(by_point[p])) for p in order),
+        slices=tuple((p, tuple(sorted(slopes))) for p, slopes in by_point.items()),
         e_generators=tuple(rat(e) for e in e_parts),
         omitted=tuple(omitted),
     )
 
 
 def _probe_points(cones: Sequence[ColoredHypercone], F: FiniteSubgroup,
-                  section: Section) -> list[BasePoint]:
-    pts: list[BasePoint] = []
-    seen = set()
-
-    def add(p):
-        if p not in seen:
-            seen.add(p)
-            pts.append(p)
-
-    for c in cones:
-        for p in c.listed_points():
-            add(p)
-        for p in c.omitted:
-            add(p)
-    for p in _special_points(F, section):
-        add(p)
-    # one representative for the generic (epsilon-only, generic slice) points
-    add(BasePoint(alpha=gauss("777919"), beta=gauss(1)))
-    return pts
+                  section: Section) -> list[BasePoint | None]:
+    """The points where the slices can differ: each point a cone lists or
+    omits and each special slice of the valuation cone, then None for all
+    the others, a generic point (epsilon plus K, under the generic form)."""
+    pts = [p for c in cones for p, _ in c.slices]
+    pts += [p for c in cones for p in c.omitted] + list(_special_points(F, section))
+    return [*dict.fromkeys(pts), None]
 
 
 def is_supported(

@@ -250,10 +250,6 @@ class GPoly(QiPoly):
         m[i - 1] = 1
         return GPoly({tuple(m): GAUSS_ONE})
 
-    @staticmethod
-    def monomial(c, e1=0, e2=0, e3=0, e4=0) -> "GPoly":
-        return GPoly({(e1, e2, e3, e4): c})
-
 
 G1, G2, G3, G4 = GPoly.gen(1), GPoly.gen(2), GPoly.gen(3), GPoly.gen(4)
 GPOLY_ONE = GPoly.const(1)  # shared: no QiPoly operation mutates its operands

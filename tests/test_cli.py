@@ -283,6 +283,22 @@ class TestOtherCommands:
         rc, _, _ = run(capsys, "cox-u", "--verify", fixture("mu3.json"))
         assert rc == 0 and len(calls) == 3  # mu3.json has three divisors
 
+    def test_require_valid_reads_validate(self, capsys, monkeypatch):
+        # every check of validity goes through EmbeddingData.validate, so a
+        # tracer that wraps it sees each one
+        import sl2cox.embedding as emb
+
+        calls = []
+        inner = emb.EmbeddingData.validate
+
+        def counting(self):
+            calls.append(self)
+            return inner(self)
+
+        monkeypatch.setattr(emb.EmbeddingData, "validate", counting)
+        rc, _, _ = run(capsys, "classgroup", fixture("mu3.json"))
+        assert rc == 0 and calls
+
     def test_verify_only_changes_warnings(self, capsys):
         rc1, out1, _ = run(capsys, "cox-full", fixture("mu3.json"), "--format", "json")
         rc2, out2, _ = run(capsys, "cox-full", fixture("mu3.json"), "--format", "json",
@@ -334,8 +350,9 @@ class TestInputErrors:
         assert rc == 1 and err.startswith("input error: ")
 
     # well-formed cones that are no colored fan: the type-B cone over x0 listed
-    # twice (its interior meets itself), and a type-B cone with K positive
-    # whose slices all lie above the valuation cone (not supported)
+    # twice (its interior meets itself), a type-B cone with K positive whose
+    # slices all lie above the valuation cone (not supported), and a cone
+    # whose K is the line E (not strictly convex)
     @pytest.mark.parametrize("cones, message", [
         ([{"slices": [{"point": "x0", "vectors": [{"h": 1, "l": "-1"}]}]}] * 2,
          "hypercones[0] and [1] share interior points"),
@@ -343,7 +360,8 @@ class TestInputErrors:
                       {"point": "xd", "vectors": [{"h": 1, "l": "1"}]}],
            "e_generators": ["1"]}],
          "hypercones[0] is type B and unsupported"),
-    ], ids=["interiors-meet", "unsupported"])
+        ([{"slices": [], "e_generators": ["1", "-1"]}], "hypercones[0] is not strictly convex"),
+    ], ids=["interiors-meet", "unsupported", "line"])
     def test_cone_list_that_is_no_colored_fan(self, cones, message, tmp_path, capsys):
         f = tmp_path / "cones.json"
         f.write_text(json.dumps(cones))
@@ -352,6 +370,29 @@ class TestInputErrors:
         f.write_text(json.dumps(MU3_CONES))
         rc, out, _ = run(capsys, "diagnose", fixture("mu3.json"), "--hypercones", str(f))
         assert rc == 0 and "X log terminal: True" in out
+
+    def test_a_generator_counts_as_its_ray(self, tmp_path, capsys):
+        # the same cone twice, its x0 generator given as (2, -1) and as
+        # (4, -2): one ray, so one orbit class, with the divisors' h as A_l
+        emb = tmp_path / "emb.json"
+        emb.write_text(json.dumps({
+            "group": {"type": "cyclic", "n": 3},
+            "extra_points": [{"alpha": "1", "beta": "1"}],
+            "divisors": [{"over": "x0", "h": 2, "l": "-1"}, {"over": "xinf", "h": 3, "l": "-2"},
+                         {"over": "extra:0", "h": 7, "l": "-4"}]}))
+        outs = []
+        for h, l in ((2, "-1"), (4, "-2")):
+            f = tmp_path / f"cones{h}.json"
+            f.write_text(json.dumps([{"slices": [
+                {"point": "x0", "vectors": [{"h": h, "l": l}]},
+                {"point": "xinf", "vectors": [{"h": 3, "l": "-2"}]},
+                {"point": "extra:0", "vectors": [{"h": 7, "l": "-4"}]},
+                {"point": "xd", "vectors": ["color"]}]}]))
+            rc, out, err = run(capsys, "diagnose", str(emb), "--hypercones", str(f))
+            assert (rc, err) == (0, "")
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert outs[0].endswith("orbit classes: A_l(2, 3, 7)\nX log terminal: False\n")
 
     @pytest.mark.parametrize("gtype", [[1], {}], ids=["list", "object"])
     def test_non_string_group_type(self, gtype, tmp_path, capsys):

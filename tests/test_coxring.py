@@ -1520,7 +1520,7 @@ class TestLatticeOracle:
 def _gpoly_module_fns(alpha, beta, d: int, eps: int) -> tuple[GPoly, ...]:
     """Oracle: the basis fn_k = eps_k (beta g1^k g3^(d-k) - alpha g2^k
     g4^(d-k)) of a section module in GPoly arithmetic."""
-    return tuple((GPoly.monomial(beta, k, 0, d - k, 0) - GPoly.monomial(alpha, 0, k, 0, d - k))
+    return tuple((GPoly({(k, 0, d - k, 0): beta}) - GPoly({(0, k, 0, d - k): alpha}))
                  .scale(eps if k else 1) for k in range(d + 1))
 
 

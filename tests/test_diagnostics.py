@@ -10,7 +10,6 @@ from sl2cox.diagnostics import (
     constant_functions_only,
     is_platonic_ring,
     is_platonic_tuple,
-    log_terminal_total_space,
     log_terminal_X,
     special_fiber_normal,
 )
@@ -30,6 +29,16 @@ from sl2cox.hyperspace import (
 )
 
 from test_embedding import mu3_example, trivial_four_points
+
+
+def divisor_vector(d) -> HyperspaceVector:
+    """The divisor's own vector (x, h, l) over its point."""
+    return HyperspaceVector(d.over, d.h, d.l)
+
+
+def verdict_X(E, cones):
+    """Log terminality of X from the orbit classes of the cones."""
+    return log_terminal_X([classify_hypercone_orbit(c, E) for c in cones])
 
 
 def brute_force_platonic(t) -> bool:
@@ -104,12 +113,12 @@ class TestPlatonicRing:
 
 class TestLogTerminalTotalSpace:
     def test_mu3_example(self):
-        assert log_terminal_total_space(mu3_example()).is_platonic
+        assert is_platonic_ring(derive_ap0_input(mu3_example())).is_platonic
 
     def test_trivial_example(self):
         # exponent vectors (1,2),(1,3),(1,1),(1,5): the cross tuple (2,3,5,1)
         # is Platonic and so is every other one
-        assert log_terminal_total_space(trivial_four_points()).is_platonic
+        assert is_platonic_ring(derive_ap0_input(trivial_four_points())).is_platonic
 
     def test_icosahedral_with_double_entries(self):
         x1 = point(1, 2)
@@ -121,10 +130,10 @@ class TestLogTerminalTotalSpace:
         # entry > 1 beyond the leading triple, so the ring is not Platonic
         A, vectors, _ = derive_ap0_input(E)
         assert vectors == [(5, 2), (2, 2), (3, 2), (1, 2)]
-        assert not log_terminal_total_space(E).is_platonic
+        assert not is_platonic_ring(derive_ap0_input(E)).is_platonic
 
     def test_no_exceptional_points(self):
-        assert log_terminal_total_space(EmbeddingData(cyclic(2))).is_platonic
+        assert is_platonic_ring(derive_ap0_input(EmbeddingData(cyclic(2)))).is_platonic
 
 
 class TestSpecialFiberNormal:
@@ -175,11 +184,11 @@ class TestOrbits:
             GStableDivisorSpec(self.x1, 7, -4)))
 
     def _al_chart(self, E):
-        gens = [d.vector() for d in E.divisors] + [color_vector(E.group, XD)]
+        gens = [divisor_vector(d) for d in E.divisors] + [color_vector(E.group, XD)]
         return hypercone_from_generators(gens)
 
     def _fixed_chart(self, E):
-        gens = [d.vector() for d in E.divisors]
+        gens = [divisor_vector(d) for d in E.divisors]
         for p in list(E.exceptional_points()) + [XD]:
             gens.append(color_vector(E.group, p))
         return hypercone_from_generators(gens)
@@ -199,25 +208,25 @@ class TestOrbits:
 
     def test_log_terminal_X(self):
         # (2,3,7) is not Platonic
-        assert not log_terminal_X(self.E, [self._al_chart(self.E)]).is_platonic
+        assert not verdict_X(self.E, [self._al_chart(self.E)]).is_platonic
         # a fixed point always blocks log terminality
-        assert not log_terminal_X(self.E, [self._fixed_chart(self.E)]).is_platonic
+        assert not verdict_X(self.E, [self._fixed_chart(self.E)]).is_platonic
         # platonic A_l tuple (5,3,2)
         E2 = EmbeddingData(self.F, (self.x1,), (
             GStableDivisorSpec(X0, 5, -3), GStableDivisorSpec(XINF, 3, -2),
             GStableDivisorSpec(self.x1, 2, -1)))
         assert not E2.validate()
-        assert log_terminal_X(E2, [self._al_chart(E2)]).is_platonic
+        assert verdict_X(E2, [self._al_chart(E2)]).is_platonic
         # no type-B hypercones at all
-        assert log_terminal_X(self.E, []).is_platonic
+        assert verdict_X(self.E, []).is_platonic
         # removing the offending hypercone flips false -> true, monotone
-        assert log_terminal_X(self.E, []).is_platonic
+        assert verdict_X(self.E, []).is_platonic
 
     def test_a1_a2_always_platonic(self):
         E = EmbeddingData(self.F, (), (GStableDivisorSpec(X0, 7, -4),))
-        gens = [d.vector() for d in E.divisors] + [
+        gens = [divisor_vector(d) for d in E.divisors] + [
             color_vector(self.F, XINF), color_vector(self.F, XD)]
         c = hypercone_from_generators(gens)
         orbit = classify_hypercone_orbit(c, E)
         assert orbit.kind == "A_l" and orbit.tuple == (7,)
-        assert log_terminal_X(E, [c]).is_platonic
+        assert verdict_X(E, [c]).is_platonic

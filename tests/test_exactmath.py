@@ -157,7 +157,7 @@ class TestSmithNormalForm:
     def test_empty_and_zero(self):
         s = smith_normal_form(IntMatrix([], cols=3))
         assert s.invariant_factors == ()
-        s = smith_normal_form(IntMatrix.zero(2, 2))
+        s = smith_normal_form(IntMatrix([[0, 0], [0, 0]]))
         assert s.invariant_factors == ()
 
     def test_random_properties(self):
@@ -196,7 +196,7 @@ class TestSmithNormalForm:
         # to 300 x 8 as sparse as a presentation matrix's transpose
         rng = random.Random(2023)
         shapes = [(0, 3), (3, 0), (0, 0), (4, 4), (300, 8)]
-        cases = [IntMatrix.zero(r, c) if r else IntMatrix([], cols=c) for r, c in shapes]
+        cases = [IntMatrix([[0] * c for _ in range(r)], cols=c) for r, c in shapes]
         for trial in range(600):
             kind = trial % 4
             rows, cols = ((rng.randint(100, 300), rng.randint(1, 8)) if trial % 30 == 0

@@ -124,25 +124,32 @@ def test_every_traced_name_resolves():
 
 def _uncalled(modules: dict[str, ast.Module]) -> set[str]:
     """module.qualname of each function, class and method (dunders excepted)
-    whose name is read nowhere in the modules outside its own definition; a
-    read is a name or an attribute access of that name."""
+    that nothing in the modules reads outside its own definition.  A method,
+    a definition in a class body, is read only by an attribute access of its
+    name; a function or class also by a name read.  So a local variable or a
+    parameter that shares a method's name does not hide the method."""
     defs, reads = [], []
 
-    def visit(node, module, qual, owners):
+    def visit(node, module, qual, owners, in_class):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defs.append((".".join([module, *qual, child.name]), child.name, id(child)))
-                visit(child, module, [*qual, child.name], owners | {id(child)})
+                defs.append((".".join([module, *qual, child.name]), child.name, id(child),
+                             in_class))
+                visit(child, module, [*qual, child.name], owners | {id(child)},
+                      isinstance(child, ast.ClassDef))
                 continue
-            if isinstance(child, (ast.Name, ast.Attribute)):
-                reads.append((child.id if isinstance(child, ast.Name) else child.attr, owners))
-            visit(child, module, qual, owners)
+            if isinstance(child, ast.Name):
+                reads.append((child.id, False, owners))
+            elif isinstance(child, ast.Attribute):
+                reads.append((child.attr, True, owners))
+            visit(child, module, qual, owners, in_class)
 
     for module, tree in modules.items():
-        visit(tree, module, [], frozenset())
-    return {qualname for qualname, name, node in defs
+        visit(tree, module, [], frozenset(), False)
+    return {qualname for qualname, name, node, method in defs
             if not (name.startswith("__") and name.endswith("__"))
-            and not any(read == name and node not in owners for read, owners in reads)}
+            and not any(read == name and (attribute or not method) and node not in owners
+                        for read, attribute, owners in reads)}
 
 
 # Definitions that nothing in src calls, kept for a reason; the names the
@@ -154,8 +161,13 @@ UNCALLED_ALLOWED = {
                                     "test_exactmath.py::TestSmithNormalForm",
     "exactmath.SmithDecomposition.U": "test oracle: the dense U of test_exactmath.py::"
                                       "TestSmithNormalForm::test_same_operations_as_the_dense_oracle",
+    "iteration.IterationReport.m": "test accessor: the length of a determined report, read by "
+                                   "test_iteration.py and test_acceptance.py",
     "iteration.torsion_characters": "test oracle: test_classgroup.py::TestRestriction::"
                                     "test_torsion_injects_into_Fhat",
+    "presentation.GradedPresentation.var_order": "test accessor: the generator names in "
+                                                 "order, read by test_coxring.py and "
+                                                 "test_acceptance.py",
     "presentation.SparsePoly.substitute": "test oracle: test_coxring.py::TestEliminate::"
                                           "test_substitution_roundtrip",
     "presentation.canonical_key": "test oracle: test_acceptance.py::"
@@ -181,6 +193,15 @@ def test_the_check_sees_an_uncalled_definition():
                   "def g():\n    def h():\n        pass\n    return C\n")
     b = ast.parse("from .a import f, g\nx = g\n")
     assert _uncalled({"a": a, "b": b}) == {"a.f", "a.C.m", "a.g.h"}
+
+
+def test_a_local_name_does_not_call_a_method():
+    # the parameter m and the local n share the methods' names; only the
+    # attribute access C().n reads a method
+    a = ast.parse("class C:\n    def m(self):\n        pass\n    def n(self):\n        pass\n"
+                  "def f(m):\n    n = m\n    return n, C().n\n")
+    b = ast.parse("from .a import f\nf(0)\n")
+    assert _uncalled({"a": a, "b": b}) == {"a.C.m"}
 
 
 LABEL_PREFIXES = ("E[", "X[")

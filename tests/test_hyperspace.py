@@ -276,7 +276,8 @@ class TestHypercone:
         gens = [HyperspaceVector(X0, 1, -1), color_vector(F, XINF), color_vector(F, XD)]
         c = hypercone_from_generators(gens)
         assert c.kind == "B"
-        assert (c.B_lo, c.B_hi) == ("-inf", Fraction(-2, 5))
+        # slopes -1 over x0, -2/5 over xinf and 1 over xd sum to p_hi = -2/5 < 0
+        assert (c.K, c.strictly_convex) == ("neg", True)
         assert is_supported(c, F)
 
     def test_omitted_point_gives_type_a(self):
@@ -302,7 +303,7 @@ class TestHypercone:
         c2 = hypercone_from_generators([
             v3, HyperspaceVector(XINF, 2 * v2.h, 2 * v2.l),
             HyperspaceVector(X0, Fraction(1, 3), Fraction(-1, 3))])
-        assert (c1.kind, c1.K, c1.B_lo, c1.B_hi) == (c2.kind, c2.K, c2.B_lo, c2.B_hi)
+        assert (c1.kind, c1.K, c1.strictly_convex) == (c2.kind, c2.K, c2.strictly_convex)
 
     def test_malformed(self):
         with pytest.raises(MalformedGenerators):
@@ -369,6 +370,16 @@ class TestInteriorsDisjoint:
              color_vector(F, XD)], omitted=[x1])
         assert c1.K == "zero" and c2.K == "zero"
         assert interiors_disjoint(c1, c2, F)
+
+    def test_cones_that_meet_only_at_generic_points(self):
+        # each type-A cone omits every point the other lists and xd; both
+        # have K negative, so over every other point both slices are the
+        # sector from the negative E-ray to epsilon, inside V near E
+        F = cyclic(5)
+        c1 = hypercone_from_generators([HyperspaceVector(X0, 1, -1)], omitted=[XINF, XD])
+        c2 = hypercone_from_generators([HyperspaceVector(XINF, 1, -1)], omitted=[X0, XD])
+        assert (c1.kind, c1.K, c2.kind, c2.K) == ("A", "neg", "A", "neg")
+        assert not interiors_disjoint(c1, c2, F)
 
     def test_overlapping_type_b_not_disjoint(self):
         F = cyclic(5)

@@ -46,6 +46,11 @@ def sl2z_points(count: int, seed: int = 20200918) -> list[tuple[int, int, int, i
 POINTS = sl2z_points(6)
 
 
+def gmono(c, e1=0, e2=0, e3=0, e4=0) -> GPoly:
+    """The monomial c g1^e1 g2^e2 g3^e3 g4^e4."""
+    return GPoly({(e1, e2, e3, e4): c})
+
+
 def evaluate(p: GPoly, g) -> GaussianRational:
     """p at the matrix g, term by term; never rewrites a monomial."""
     acc = GAUSS_ZERO
@@ -61,9 +66,9 @@ def raise_op(p: GPoly) -> GPoly:
     out = GPoly()
     for (a, b, c, d), coeff in p.terms.items():
         if a:
-            out = out + GPoly.monomial(coeff * a, a - 1, b, c + 1, d)
+            out = out + gmono(coeff * a, a - 1, b, c + 1, d)
         if b:
-            out = out + GPoly.monomial(coeff * b, a, b - 1, c, d + 1)
+            out = out + gmono(coeff * b, a, b - 1, c, d + 1)
     return out
 
 
@@ -231,7 +236,7 @@ def test_monomial_products_match_integer_products():
         for d in range(13):
             b, c = rng.randint(0, 2), rng.randint(0, 2)
             prod = G1.pow(a) * G2.pow(b) * G3.pow(c) * G4.pow(d)
-            assert prod == GPoly.monomial(1, a, b, c, d)
+            assert prod == gmono(1, a, b, c, d)
             reduced = sl2_normal_form(prod)
             assert in_normal_form(reduced)
             assert len(reduced.terms) == min(a, d) + 1
@@ -303,7 +308,7 @@ def test_vanishing_on_sl2_agrees_with_the_normal_form():
         p, q, r = (random_gpoly(rng) for _ in range(3))
         # det multiples of mixed weights and degrees, and their mutants
         zero = q * (DET.pow(rng.randint(1, 3)) - ONE) + r * (DET - ONE).pow(rng.randint(1, 2))
-        mutant = zero + GPoly.monomial(1, *(rng.randint(0, 3) for _ in range(4)))
+        mutant = zero + gmono(1, *(rng.randint(0, 3) for _ in range(4)))
         for f in (p, zero, p - sl2_normal_form(p), mutant, p * zero + q, sl2_normal_form(zero * p)):
             got = f.vanishes_on_sl2()
             assert got == sl2_normal_form(f).is_zero()
@@ -326,7 +331,7 @@ def test_pow_starts_from_the_first_factor(monkeypatch):
     monkeypatch.setattr(GPoly, "__mul__", counting_mul)
     for e in range(25):
         count = 0
-        assert G3.pow(e) == GPoly.monomial(1, 0, 0, e, 0)
+        assert G3.pow(e) == gmono(1, 0, 0, e, 0)
         assert count == (e.bit_length() - 1 + bin(e).count("1") - 1 if e else 0), e
 
 
@@ -384,7 +389,7 @@ def test_coefficients_at_the_boundary():
     assert p.coeff((0, 1, 0, 0)) == GAUSS_ZERO
     assert p.den == 6 and p.num == {(0, 0, 2, 1): (3, 6), (1, 0, 0, 0): (4, 0)}
     # (1/2) g1^2 raised is g1*g3: the factor 2 cancels the denominator
-    assert raise_op(GPoly.monomial(Fraction(1, 2), 2)) == G1 * G3
+    assert raise_op(gmono(Fraction(1, 2), 2)) == G1 * G3
 
 
 def test_int_fraction_and_gaussian_coefficients_agree():

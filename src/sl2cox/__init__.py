@@ -24,7 +24,6 @@ from .hyperspace import (
     BasePoint,
     ColoredHypercone,
     HyperspaceVector,
-    Section,
     X0,
     XD,
     XE,

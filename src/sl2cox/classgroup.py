@@ -1,14 +1,14 @@
 """Divisor class group of an SL2/F-embedding by generators and relations.
 
-One walk over the embedding (``_walk``) groups the divisors by point in a
-single pass and writes the generator table: the distinguished color D^{x_d}
-when the section gives it a non-zero l, then per exceptional point its
-color and the invariant divisors over it, then the dominating divisor, each
-with its label, point, multiplicity in the fiber over its point and
-l-value.  The labels ``E[k]``, ``X[k,j]``, ``Xdom`` and ``Dxd`` are
-formatted here and nowhere else; every consumer (both Cox-ring
-constructions, the restriction to the character group of F) reads the table
-and the fibers (built once, in ``class_group``) from the
+One walk over the embedding (``_walk``) reads the divisors by point from
+``EmbeddingData.by_point`` and writes the generator table: the
+distinguished color D^{x_d} when the section gives it a non-zero l, then
+per exceptional point its color and the invariant divisors over it, then
+the dominating divisor, each with its label, point, multiplicity in the
+fiber over its point and l-value.  The labels ``E[k]``, ``X[k,j]``,
+``Xdom`` and ``Dxd`` are formatted here and nowhere else; every consumer
+(both Cox-ring constructions, the restriction to the character group of F)
+reads the table and the fibers (built once, in ``class_group``) from the
 ``ClassGroupResult``.  The relations identify all pullback fibers with a
 base fiber and add the single relation coming from the divisor of the
 weight-lattice generator, with denominators cleared by u.  The cokernel,
@@ -144,33 +144,25 @@ def _walk(E: EmbeddingData) -> tuple[list[Generator], dict]:
     (canonical tags, then x1, x2, ... for the extra points): the
     distinguished color first when the section gives it a non-zero l, then
     per exceptional point the color followed by the invariant divisors over
-    it, then the dominating divisor.  The one scan of the divisors, which
-    groups them by point."""
+    it, then the dominating divisor, all read from ``E.by_point``."""
     E.require_valid()
     F = E.group
     keys = {p: p.tag for p in E.canonical_points()}
     keys.update((p, f"x{i + 1}") for i, p in enumerate(E.extra_points))
-    over: dict[BasePoint, list] = {p: [] for p in keys}
-    dom = None
-    for d in E.divisors:  # valid: each over an exceptional point, one dominating at most
-        if d.dominating:
-            dom = d
-        else:
-            over[d.over].append(d)
     gens: list[Generator] = []
-    if F.is_cyclic and E.section.kind == "default":
+    if F.is_cyclic and E.section is None:
         gens.append(Generator("Dxd", "distinguished", XD, pretty="D^{x_d}",
                               multiplicity=1, l=Fraction(1)))
     for p in E.exceptional_points():
         k, pk = keys[p], _pretty_point(keys[p])
         m, l = color_coordinates(F, p, E.section)
         gens.append(Generator(f"E[{k}]", "color", p, pretty=f"E^{{{pk}}}", multiplicity=m, l=l))
-        divs = over[p]
+        divs = E.divisors_over(p)
         for j, d in enumerate(divs):
             suffix = "" if len(divs) == 1 else f"_{j + 1}"
             gens.append(Generator(f"X[{k},{j}]", "divisor", p, pretty=f"X^{{{pk}}}{suffix}",
                                   multiplicity=d.h, l=d.l, suffix=suffix))
-    if dom is not None:
+    if (dom := E.dominating_divisor()) is not None:
         gens.append(Generator("Xdom", "dominating", None, pretty="X^{inf}", l=dom.l))
     return gens, keys
 

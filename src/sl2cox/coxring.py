@@ -63,7 +63,7 @@ from .embedding import (
     exceptional_relation_scalar,
     point_coordinates,
 )
-from .exactmath import GAUSS_ONE, GaussianRational, gauss, require_nonneg
+from .exactmath import GAUSS_ONE, gauss, require_nonneg
 from .groups import FiniteSubgroup
 from .hyperspace import BasePoint, X0, XD, XINF, point
 from .ogpoly import G3, G4, GPOLY_ONE, GPoly, Num, _split, gr_rref
@@ -283,22 +283,17 @@ class SectionModule:
     """Simple module spanned by the canonical section of one exceptional
     color: variable names, color class, and its functions on SL2,
     fn_i = eps_i (beta g1^i g3^(d-i) - alpha g2^i g4^(d-i)), built from the
-    recorded coordinates (alpha, beta) and sign ``eps`` = eps_i for i >= 1
-    (eps_0 = 1; eps is -1 only on a uniform module, n <= 2).  The raising
-    operator g3 d/dg1 + g4 d/dg2 maps fn_i to i eps_i / eps_(i-1) fn_(i-1).
-    ``coords`` is ``_numerators(alpha, beta)``, computed once."""
+    point's ``coords`` (``_numerators(alpha, beta)``) and sign ``eps`` = eps_i
+    for i >= 1 (eps_0 = 1; eps is -1 only on a uniform module, n <= 2).  The
+    raising operator g3 d/dg1 + g4 d/dg2 maps fn_i to i eps_i / eps_(i-1)
+    fn_(i-1)."""
 
     point_key: str  # "x0", "xinf", "x1", ... or a parametric designate
     color_combo: dict
     names: tuple[str, ...]
     fns: tuple[GPoly, ...]
-    alpha: GaussianRational
-    beta: GaussianRational
+    coords: tuple[Num, Num, int]
     eps: int
-    coords: tuple[Num, Num, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _numerators(self.alpha, self.beta))
 
     @property
     def dim(self) -> int:
@@ -480,8 +475,7 @@ def _pair_rows(A: SectionModule, B: SectionModule, ctx: _Ctx) -> list[ModuleRow]
     return rows
 
 
-def _n_rows(mod: SectionModule, ctx: _Ctx, p: BasePoint,
-            include_lowered: bool) -> list[ModuleRow]:
+def _n_rows(mod: SectionModule, ctx: _Ctx, p: BasePoint) -> list[ModuleRow]:
     """The N-module of one non-designated exceptional point: the row
     c0 s0^nbar r0^h + cinf sinf^nbar rinf^h - s_i r_i^h, with s_i =
     beta g3^nbar - alpha g4^nbar and s0^nbar, sinf^nbar = g3^nbar, g4^nbar
@@ -510,7 +504,7 @@ def _n_rows(mod: SectionModule, ctx: _Ctx, p: BasePoint,
         return SparsePoly._canonical(num, den * norm0 * norminf)
 
     rows = [ModuleRow(nb, nb, build(0))]
-    if include_lowered:
+    if nb == 1:
         rows.append(ModuleRow(nb, nb - 2, build(1)))
     return rows
 
@@ -565,17 +559,17 @@ def full_cox_presentation_cyclic(E: EmbeddingData) -> FullCoxResult:
         key = keys[p] if p is not None else role
         combo = {R.color(p): 1} if p is not None else dict(base_fiber)
         if p is not None:
-            alpha, beta = point_coordinates(F, p)
-        else:  # s0 = g3, sinf = -g4
-            alpha, beta = (gauss(0), gauss(1)) if role == "x0" else (gauss(1), gauss(0))
+            coords = _numerators(*point_coordinates(F, p))
+        else:  # s0 = g3, sinf = -g4: [0:1] and [1:0]
+            coords = ((0, 0), (1, 0), 1) if role == "x0" else ((1, 0), (0, 0), 1)
         d = 1 if uniform or p.tag is not None else nb
         eps = -1 if uniform else 1  # for n <= 2, t is -(beta g1 - alpha g2)
-        (ar, ai), (br, bi), den = _numerators(alpha, beta)
+        (ar, ai), (br, bi), den = coords
         fns = []
         for k, s in enumerate([1] + [eps] * d):
             num = {(k, 0, d - k, 0): (s * br, s * bi), (0, k, 0, d - k): (-s * ar, -s * ai)}
             fns.append(GPoly._canonical({m: xy for m, xy in num.items() if any(xy)}, den))
-        return SectionModule(key, combo, _basis_names(d, key[1:]), tuple(fns), alpha, beta, eps)
+        return SectionModule(key, combo, _basis_names(d, key[1:]), tuple(fns), coords, eps)
 
     mod0 = make_module(p0, "x0")
     modinf = make_module(pinf, "xinf")
@@ -607,7 +601,7 @@ def full_cox_presentation_cyclic(E: EmbeddingData) -> FullCoxResult:
                 rel_modules.append(RelationModule("M", (A.point_key, B.point_key), tuple(rows)))
                 relations.extend(r.poly for r in rows)
     for p, m in extra_modules.items():
-        rows = _n_rows(m, ctx, p, include_lowered=(nb == 1))
+        rows = _n_rows(m, ctx, p)
         rel_modules.append(RelationModule("N", (m.point_key,), tuple(rows)))
         relations.extend(r.poly for r in rows)
 

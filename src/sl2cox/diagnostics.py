@@ -149,7 +149,7 @@ def classify_hypercone_orbit(c: ColoredHypercone, E: EmbeddingData) -> OrbitClas
         return l / h
 
     colored = set(E.exceptional_points())  # the colors elsewhere are epsilon
-    if F.is_cyclic and section.kind == "default":
+    if F.is_cyclic and section is None:
         colored.add(XD)
     listed = [p for p, _ in c.slices]
     if F.is_cyclic and all(color(p) in c.slopes_at(p) for p in colored.union(listed)):

@@ -4,13 +4,15 @@ An embedding is described by the finite subgroup F, the exceptional points of
 the rational quotient to P^1 (the canonical ones are forced by F, the others
 are user-supplied coordinates), the G-stable prime divisors as hyperspace
 vectors (x, h, l), an optional divisor dominating P^1, and the section
-convention fixing the l-coordinates of the colors.
+convention fixing the l-coordinates of the colors (the point whose color is
+the section's divisor, or None).  ``EmbeddingData.by_point`` groups the
+divisors by point once; every lookup by point reads it.
 
 Validation checks exactly the structural invariants of this data: the
 valuation-cone inequalities per divisor, distinctness of points, integrality
 of u*l, at most one dominating divisor.  It does not attempt to reconstruct
-a hyperfan.  It runs on integers and on tables built once per group, and
-builds no point and no hyperspace vector.
+a hyperfan.  It runs on integers and on tables built once per group or
+embedding, and builds no point and no hyperspace vector.
 
 Every input file is read here: embedding files (``load_embedding``, or
 ``read_input`` for the bytes and their digest, parsed by ``load_embedding``)
@@ -35,7 +37,6 @@ from .hyperspace import (
     ColoredHypercone,
     HyperspaceVector,
     MalformedGenerators,
-    Section,
     X0,
     XD,
     XE,
@@ -92,7 +93,7 @@ class EmbeddingData:
     group: FiniteSubgroup
     extra_points: tuple[BasePoint, ...] = ()
     divisors: tuple[GStableDivisorSpec, ...] = ()
-    section: Section = Section.default()
+    section: BasePoint | None = None  # the color of the section's divisor; None: default
 
     # -- point bookkeeping ----------------------------------------------------
 
@@ -102,23 +103,22 @@ class EmbeddingData:
     def exceptional_points(self) -> tuple[BasePoint, ...]:
         return self.canonical_points() + tuple(self.extra_points)
 
+    @cached_property
+    def by_point(self) -> dict[BasePoint | None, tuple[GStableDivisorSpec, ...]]:
+        """The divisors by point, in input order: each exceptional point
+        (canonical, then extra; a repeated one once), None with the
+        dominating ones, then any unlisted point a divisor lies over."""
+        table: dict = {p: [] for p in self.exceptional_points()}
+        table[None] = []
+        for d in self.divisors:
+            table.setdefault(d.over, []).append(d)
+        return {p: tuple(divs) for p, divs in table.items()}
+
     def divisors_over(self, p: BasePoint) -> tuple[GStableDivisorSpec, ...]:
-        return tuple(d for d in self.divisors if not d.dominating and d.over == p)
+        return self.by_point.get(p, ())
 
     def dominating_divisor(self) -> GStableDivisorSpec | None:
-        for d in self.divisors:
-            if d.dominating:
-                return d
-        return None
-
-    def counts(self) -> tuple[int, int]:
-        """(N, N'): invariant divisors over canonical points (dominating one
-        counts into N) and over extra points."""
-        n = sum(len(self.divisors_over(p)) for p in self.canonical_points())
-        if self.dominating_divisor() is not None:
-            n += 1
-        nprime = sum(len(self.divisors_over(p)) for p in self.extra_points)
-        return n, nprime
+        return next(iter(self.by_point[None]), None)
 
     # -- validation -----------------------------------------------------------
 
@@ -128,67 +128,64 @@ class EmbeddingData:
     @cached_property
     def _violations(self) -> tuple[Violation, ...]:
         """The structural violations, computed once per (immutable) embedding
-        in one scan of the divisors that groups them by point."""
+        from the table of divisors by point."""
         v: list[Violation] = []
         F, section = self.group, self.section
         canon = _canonical_points(F)  # ratio key -> canonical point
         u = F.u if F.is_cyclic else 1
 
-        over = dict.fromkeys(canon.values(), False)  # exceptional point -> carries a divisor
+        listed = set(canon.values())
         for p in self.extra_points:
             if p.tag is not None:
                 v.append(Violation("ExtraPointIsTag", f"extra point {p} must be coordinates"))
             else:
-                if p in over:
+                if p in listed:
                     v.append(Violation("DuplicatePoint", f"extra point {p} repeated"))
                 if p._key in canon:
                     v.append(Violation("PointClashesCanonical",
                                        f"extra point {p} equals canonical {canon[p._key]}"))
-            over.setdefault(p, False)
+            listed.add(p)
 
-        dominating = 0
-        for d in self.divisors:
-            if d.dominating:
-                dominating += 1
-                if d.h != 0:
-                    v.append(Violation("DominatingH", "a dominating divisor has h = 0"))
-                if d.l.numerator >= 0:
-                    v.append(Violation("DominatingL", "a dominating divisor has l < 0"))
-            elif d.over not in over:
-                v.append(Violation(
-                    "DivisorOverUnknownPoint", f"divisor over {d.over} which is not listed"))
-                continue
-            else:
-                over[d.over] = True
-                if d.h < 1:
+        for p, divs in self.by_point.items():
+            for d in divs:
+                if p is None:
+                    if d.h != 0:
+                        v.append(Violation("DominatingH", "a dominating divisor has h = 0"))
+                    if d.l.numerator >= 0:
+                        v.append(Violation("DominatingL", "a dominating divisor has l < 0"))
+                elif p not in listed:
+                    v.append(Violation(
+                        "DivisorOverUnknownPoint", f"divisor over {d.over} which is not listed"))
+                    continue
+                elif d.h < 1:
                     v.append(Violation("NonpositiveH", f"divisor over {d.over} has h = {d.h}"))
                     continue
-                if not valuation_cone_contains(F, d.over, d.h, d.l, section):
+                elif not valuation_cone_contains(F, d.over, d.h, d.l, section):
                     v.append(Violation(
                         "ValuationOutsideCone",
                         f"({d.over},{d.h},{d.l}) violates the valuation-cone inequality"))
-            if u % d.l.denominator:
-                where = "on the dominating divisor" if d.dominating else f"over {d.over}"
-                rule = f"in (1/{u})Z" if u != 1 else "integral"
-                v.append(Violation("FractionalL", f"l = {d.l} {where} not {rule}"))
-        if dominating > 1:
+                if u % d.l.denominator:
+                    where = "on the dominating divisor" if p is None else f"over {d.over}"
+                    rule = f"in (1/{u})Z" if u != 1 else "integral"
+                    v.append(Violation("FractionalL", f"l = {d.l} {where} not {rule}"))
+        if len(self.by_point[None]) > 1:
             v.append(Violation("TooManyDominating", "at most one divisor dominates P^1"))
 
         for p in self.extra_points:
-            if p.tag is None and not over[p]:
+            if p.tag is None and not self.by_point[p]:
                 v.append(Violation(
                     "ExtraPointWithoutDivisor",
                     f"extra point {p} carries no G-stable divisor, so its "
                     f"fiber is parametric and the point is not exceptional"))
 
-        if section.kind == "color_at":
+        if section is not None:
             if not F.is_cyclic:
                 v.append(Violation("SectionNotCyclic",
                                    "the color-at section is only defined for cyclic F"))
-            elif section.at_point not in over:
+            elif section not in listed:
                 v.append(Violation("SectionPointUnknown",
-                                   f"section point {section.at_point} is not exceptional"))
-            elif section.at_point in canon.values():
+                                   f"section point {section} is not exceptional"))
+            elif section in canon.values():
                 v.append(Violation("SectionAtCanonical",
                                    "the section divisor cannot sit at a canonical color"))
 
@@ -383,14 +380,14 @@ def embedding_from_dict(doc: dict) -> EmbeddingData:
             divisors.append(GStableDivisorSpec(
                 _point_ref(over, extras, f"divisors[{i}]"), d["h"], l))
 
-    section = Section.default()
+    section = None
     if "section" in doc:
         s = doc["section"]
         if not isinstance(s, dict):
             raise SchemaError("'section' must be an object")
         _check_keys(s, {"at"}, "section")
         if "at" in s:
-            section = Section.at(_point_ref(s["at"], extras, "section"))
+            section = _point_ref(s["at"], extras, "section")
 
     return EmbeddingData(group, tuple(extras), tuple(divisors), section)
 
@@ -427,9 +424,10 @@ def load_embedding(path: str, data: bytes | None = None) -> EmbeddingData:
 
 def load_hypercones(path: str, E: EmbeddingData) -> list[ColoredHypercone]:
     """JSON list of hypercones: slices with explicit vectors {"h", "l"},
-    "color" or "epsilon", omitted points, generators on E; epsilon is
-    implied elsewhere.  Point references extend the embedding ones by "xd"
-    (the distinguished point) and inline coordinates {"alpha", "beta"}.  The
+    "color" or "epsilon", omitted points (a slice with no vectors omits its
+    point), generators on E; epsilon is implied elsewhere.  Point references
+    extend the embedding ones by "xd" (the distinguished point) and inline
+    coordinates {"alpha", "beta"}.  The
     list must describe a colored fan: every type-B cone supported, and no
     two cones with a common interior point in the valuation cone, and every
     cone strictly convex."""
@@ -458,7 +456,9 @@ def load_hypercones(path: str, E: EmbeddingData) -> list[ColoredHypercone]:
                     raise SchemaError(f"a slice in {where} is not an object with a 'point'")
                 _check_keys(s, {"point", "vectors"}, f"a slice in {where}")
                 p = ref(s["point"], where)
-                for v in _list(s, "vectors", where):
+                if not (vectors := _list(s, "vectors", where)):
+                    omitted.append(p)  # a point with no generator
+                for v in vectors:
                     if v == "color":
                         gens.append(color_vector(E.group, p, E.section))
                     elif v == "epsilon":
@@ -510,6 +510,6 @@ def embedding_to_dict(E: EmbeddingData) -> dict:
              "h": d.h, "l": str(d.l)}
             for d in E.divisors
         ]
-    if E.section.kind == "color_at":
-        doc["section"] = {"at": refs[E.section.at_point]}
+    if E.section is not None:
+        doc["section"] = {"at": refs[E.section]}
     return doc

@@ -9,16 +9,17 @@ cutting out the valuation cone and the coordinates of the colors are
 hard-wired tables; the l-coordinates depend on the chosen section of the
 weight lattice inside k(X)^(B).
 
-Two conventions for the section are supported:
+The section is given by its point, and two conventions are supported:
 
-  * ``Section.default()``: the generator built from a regular semi-invariant
-    (cyclic case: a distinguished parametric point x_d carries the color with
-    l = 1 and the valuation cone has its special slice there), respectively
-    from the three subregular semi-invariants in the polyhedral cases.
-  * ``Section.at(p)`` (cyclic only): the weight generator has divisor the
-    color over the exceptional point p on the open orbit; that color gets
-    l = 1, the special slice moves to p, and the parametric colors all sit
-    at epsilon.
+  * ``section=None``, the default: the generator built from a regular
+    semi-invariant (cyclic case: a distinguished parametric point x_d carries
+    the color with l = 1 and the valuation cone has its special slice there),
+    respectively from the three subregular semi-invariants in the polyhedral
+    cases.
+  * ``section=p`` (cyclic only): the weight generator has divisor the color
+    over the exceptional point p on the open orbit; that color gets l = 1,
+    the special slice moves to p, and the parametric colors all sit at
+    epsilon.
 """
 
 from __future__ import annotations
@@ -132,35 +133,17 @@ def epsilon(base: BasePoint) -> HyperspaceVector:
     return HyperspaceVector(base, Fraction(1), Fraction(0))
 
 
-@dataclass(frozen=True)
-class Section:
-    """Choice of the weight-lattice generator inside k(X)^(B)."""
-
-    kind: str = "default"
-    at_point: BasePoint | None = None
-
-    @staticmethod
-    def default() -> "Section":
-        return Section("default", None)
-
-    @staticmethod
-    def at(p: BasePoint) -> "Section":
-        return Section("color_at", p)
-
-
-def _special_points(F: FiniteSubgroup, section: Section) -> tuple[BasePoint, ...]:
+def _special_points(F: FiniteSubgroup, section: BasePoint | None) -> tuple[BasePoint, ...]:
     """Slices of the valuation cone carrying the non-generic inequality."""
     if F.is_cyclic:
-        if section.kind == "color_at":
-            return (section.at_point,)
-        return (XD,)
+        return (XD,) if section is None else (section,)
     if F.kind == DIHEDRAL:
         return (XV, XE)
     return (XV, XF)
 
 
 def valuation_cone_contains(F: FiniteSubgroup, base: BasePoint, h, l,
-                            section: Section = Section.default()) -> bool:
+                            section: BasePoint | None = None) -> bool:
     """Membership of (base, h, l) in the valuation cone: f(h,l) <= 0 for the
     Appendix-table form f = ``valuation_cone_form`` at base, tested on the
     integer numerator and denominator of l."""
@@ -169,7 +152,7 @@ def valuation_cone_contains(F: FiniteSubgroup, base: BasePoint, h, l,
 
 
 def valuation_cone_form(F: FiniteSubgroup, base: BasePoint | None,
-                        section: Section = Section.default()):
+                        section: BasePoint | None = None):
     """Linear form f(h,l) with V_x = {f <= 0} at the given base point, as
     integer coefficients: 2l - h on the special slices of a cyclic F and
     2l + h elsewhere; l, respectively l + h, for the polyhedral ones.  A
@@ -194,7 +177,7 @@ def _canonical_colors(F: FiniteSubgroup) -> dict[str, tuple[int, Fraction]]:
     return {t: (m, Fraction(ls[t])) for t, m in mults.items()}
 
 
-def color_coordinates(F: FiniteSubgroup, p: BasePoint, section: Section = Section.default()):
+def color_coordinates(F: FiniteSubgroup, p: BasePoint, section: BasePoint | None = None):
     """(h, l) of the color over p for the chosen section: (1, 1) over the
     special point of a cyclic section (``_special_points``), the
     ``_canonical_colors`` entry over a canonical point, (1, 0) elsewhere."""
@@ -203,7 +186,7 @@ def color_coordinates(F: FiniteSubgroup, p: BasePoint, section: Section = Sectio
     return _canonical_colors(F).get(p.tag, _EPSILON)
 
 
-def color_vector(F: FiniteSubgroup, p: BasePoint, section: Section = Section.default()):
+def color_vector(F: FiniteSubgroup, p: BasePoint, section: BasePoint | None = None):
     """The color over p as a hyperspace vector (``color_coordinates``)."""
     return HyperspaceVector(p, *color_coordinates(F, p, section))
 
@@ -327,7 +310,7 @@ def hypercone_from_generators(
 
 
 def _probe_points(cones: Sequence[ColoredHypercone], F: FiniteSubgroup,
-                  section: Section) -> list[BasePoint | None]:
+                  section: BasePoint | None) -> list[BasePoint | None]:
     """The points where the slices can differ: each point a cone lists or
     omits and each special slice of the valuation cone, then None for all
     the others, a generic point (epsilon plus K, under the generic form)."""
@@ -337,7 +320,7 @@ def _probe_points(cones: Sequence[ColoredHypercone], F: FiniteSubgroup,
 
 
 def is_supported(
-    c: ColoredHypercone, F: FiniteSubgroup, section: Section = Section.default()
+    c: ColoredHypercone, F: FiniteSubgroup, section: BasePoint | None = None
 ) -> bool:
     """Interior of a type-B hypercone meets the valuation cone.
 
@@ -361,7 +344,7 @@ def interiors_disjoint(
     c1: ColoredHypercone,
     c2: ColoredHypercone,
     F: FiniteSubgroup,
-    section: Section = Section.default(),
+    section: BasePoint | None = None,
 ) -> bool:
     """No common interior point inside the valuation cone, slice by slice.
 

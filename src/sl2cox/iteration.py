@@ -141,7 +141,7 @@ def cyclic_iteration_exact(E: EmbeddingData) -> IterationReport:
     if n % d:
         raise RuntimeError("torsion order does not divide n; restriction broken")
     dt = dtilde(n, d)
-    _, nprime = E.counts()
+    nprime = sum(len(E.divisors_over(p)) for p in E.extra_points)
     evidence = {"d": d, "dtilde": dt, "Nprime": nprime, "class_group": str(R.group)}
     if R.group.is_trivial:
         return IterationReport([IterationStep(F, 1, True)], 0, 0, bound_for(F),

@@ -17,7 +17,7 @@ from sl2cox.exactmath import (
     smith_normal_form,
 )
 from sl2cox.groups import ICOSA, OCTA, TETRA, cyclic, dihedral
-from sl2cox.hyperspace import Section, X0, XE, XF, XINF, XV, point
+from sl2cox.hyperspace import X0, XE, XF, XINF, XV, point
 from sl2cox.iteration import torsion_characters
 
 from test_embedding import mu3_example, trivial_four_points

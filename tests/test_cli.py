@@ -44,6 +44,21 @@ MU3_CONES = [{
 }]
 
 
+# one valid divisor each, so the section is the only fault
+SECTION_VIOLATIONS = {
+    "not-cyclic": ({"group": {"type": "tetrahedral"}, "extra_points": [{"alpha": "1", "beta": "2"}],
+                    "divisors": [{"over": "extra:0", "h": 1, "l": "-1"}],
+                    "section": {"at": "extra:0"}},
+                   "SectionNotCyclic", "the color-at section is only defined for cyclic F"),
+    "unknown-point": ({"group": {"type": "cyclic", "n": 3},
+                       "divisors": [{"over": "x0", "h": 1, "l": "-1"}], "section": {"at": "xv"}},
+                      "SectionPointUnknown", "section point xv is not exceptional"),
+    "canonical": ({"group": {"type": "cyclic", "n": 3},
+                   "divisors": [{"over": "x0", "h": 1, "l": "-1"}], "section": {"at": "x0"}},
+                  "SectionAtCanonical", "the section divisor cannot sit at a canonical color"),
+}
+
+
 class TestValidate:
     def test_valid_file(self, capsys):
         rc, out, _ = run(capsys, "validate", fixture("mu3.json"))
@@ -72,6 +87,17 @@ class TestValidate:
     def test_usage_error(self, capsys):
         rc, out, err = run(capsys)
         assert rc == 3
+
+    @pytest.mark.parametrize("name", SECTION_VIOLATIONS)
+    def test_section_violations(self, name, tmp_path, capsys):
+        doc, code, detail = SECTION_VIOLATIONS[name]
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps(doc))
+        rc, out, _ = run(capsys, "validate", str(f))
+        assert (rc, out) == (1, f"invalid:\n  {code}: {detail}\n")
+        rc, out, _ = run(capsys, "validate", str(f), "--format", "json")
+        doc = json.loads(out)
+        assert (rc, doc["valid"], doc["violations"]) == (1, False, [{"code": code, "detail": detail}])
 
 
 FRACTIONAL_DOMINATING = {
@@ -393,6 +419,19 @@ class TestInputErrors:
             outs.append(out)
         assert outs[0] == outs[1]
         assert outs[0].endswith("orbit classes: A_l(2, 3, 7)\nX log terminal: False\n")
+
+    def test_an_empty_slice_omits_its_point(self, tmp_path, capsys):
+        # a point listed with no vectors is omitted, as if under "omitted"
+        outs = []
+        for name, cone in (("empty", {"slices": [{"point": "x0", "vectors": []}]}),
+                           ("omitted", {"omitted": ["x0"]})):
+            f = tmp_path / f"{name}.json"
+            f.write_text(json.dumps([{**cone, "e_generators": ["1"]}]))
+            rc, out, err = run(capsys, "diagnose", fixture("mu3.json"), "--hypercones", str(f))
+            assert (rc, err) == (0, "")
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert outs[0].endswith("orbit classes: other\nX log terminal: True\n")
 
     @pytest.mark.parametrize("gtype", [[1], {}], ids=["list", "object"])
     def test_non_string_group_type(self, gtype, tmp_path, capsys):

@@ -18,14 +18,14 @@ from sl2cox.embedding import (
 from sl2cox.classgroup import class_group
 from sl2cox.exactmath import GaussianRational, gauss
 from sl2cox.groups import ICOSA, TETRA, cyclic, dihedral
-from sl2cox.hyperspace import BasePoint, HyperspaceVector, Section, X0, XE, XF, XINF, XV, point
+from sl2cox.hyperspace import BasePoint, HyperspaceVector, X0, XE, XF, XINF, XV, point
 
 
 def trivial_four_points() -> EmbeddingData:
     pts = (point(1, 0), point(0, 1), point(1, 1), point(2, 1))
     divs = tuple(GStableDivisorSpec(p, h, l) for p, h, l in [
         (pts[0], 2, -1), (pts[1], 3, -5), (pts[2], 1, -1), (pts[3], 5, -4)])
-    return EmbeddingData(cyclic(1), pts, divs, Section.at(pts[0]))
+    return EmbeddingData(cyclic(1), pts, divs, pts[0])
 
 
 def mu3_example(alpha=2, beta=3) -> EmbeddingData:
@@ -91,22 +91,6 @@ class TestValidate:
         assert E.validate() == expected != []
 
 
-class TestCounts:
-    def test_trivial_example(self):
-        assert trivial_four_points().counts() == (0, 4)
-
-    def test_mu3_example(self):
-        assert mu3_example().counts() == (2, 1)
-
-    def test_affine(self):
-        assert affine_embedding(5, 7, -4).counts() == (1, 0)
-
-    def test_dominating_counts_into_n(self):
-        E = EmbeddingData(cyclic(3), (), (
-            GStableDivisorSpec(X0, 1, -1), GStableDivisorSpec(None, 0, Fraction(-1))))
-        assert E.counts() == (2, 0)
-
-
 class TestDeriveAP0:
     def test_trivial_example(self):
         A, vectors, m = derive_ap0_input(trivial_four_points())
@@ -150,6 +134,16 @@ class TestJson:
             doc = embedding_to_dict(E)
             E2 = embedding_from_dict(json.loads(json.dumps(doc)))
             assert E2 == E
+
+    def test_a_section_round_trips_as_its_point(self):
+        doc = {"group": {"type": "cyclic", "n": 3},
+               "extra_points": [{"alpha": {"re": "1", "im": "1/2"}, "beta": "2"}],
+               "divisors": [{"over": "x0", "h": 1, "l": "-1"},
+                            {"over": "extra:0", "h": 2, "l": "-1"}],
+               "section": {"at": "extra:0"}}
+        E = embedding_from_dict(doc)
+        assert E.section is E.extra_points[0] and E.validate() == []
+        assert embedding_to_dict(E) == doc
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(SchemaError):

@@ -204,6 +204,45 @@ def test_a_local_name_does_not_call_a_method():
     assert _uncalled({"a": a, "b": b}) == {"a.C.m"}
 
 
+def _unread_fields(modules: dict[str, ast.Module]) -> set[str]:
+    """module.Class.field of each annotated field in a class body that no
+    attribute read in the modules names: state that nothing reads."""
+    fields, reads = [], set()
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                fields += [(f"{module}.{node.name}.{stmt.target.id}", stmt.target.id)
+                           for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    return {qualname for qualname, name in fields if name not in reads}
+
+
+# Fields that nothing in src reads, kept for a reason.
+UNREAD_FIELDS_ALLOWED = {
+    "classgroup.ClassGroupResult.basis_rows": "test oracle: the cokernel's U, made dense by "
+                                              "test_classgroup.py::dense_u",
+    "coxring.FullCoxResult.embedding": "test accessor: the embedding after augmentation, read "
+                                       "by test_coxring.py",
+}
+
+
+def test_every_field_is_read_in_src():
+    # a field nothing in src reads is dead state unless allowed above; an
+    # allowed one that gains a reader must leave the list
+    uncalled = _unread_fields({p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES})
+    assert sorted(uncalled) == sorted(UNREAD_FIELDS_ALLOWED)
+
+
+def test_the_check_sees_an_unread_field():
+    # b only writes C.w, and the annotation in f and the name x read no field
+    a = ast.parse("class C:\n    x: int\n    y: int = 0\n    w: int\n    z = 1\n"
+                  "    def f(self) -> int:\n        v: int = self.y\n        return x\n")
+    b = ast.parse("from .a import C\nc = C(0)\nc.w = 2\nprint(c.z)\n")
+    assert _unread_fields({"a": a, "b": b}) == {"a.C.x", "a.C.w"}
+
+
 LABEL_PREFIXES = ("E[", "X[")
 LABEL_CONSTANTS = {"Xdom", "Dxd"}
 

@@ -24,7 +24,6 @@ from sl2cox.embedding import EmbeddingData, GStableDivisorSpec
 from sl2cox.groups import cyclic
 from sl2cox.hyperspace import (
     HyperspaceVector,
-    Section,
     X0,
     XD,
     XE,
@@ -135,7 +134,7 @@ def oracle_probe_points(cones, F, section):
     for c in cones:
         pts += list(c.slices) + list(c.omitted)
     if F.is_cyclic:
-        pts += [section.at_point] if section.kind == "color_at" else [XD]
+        pts += [XD] if section is None else [section]
     else:
         pts += [XV, XE] if F.kind == "dihedral" else [XV, XF]
     pts.append(point(777919, 1))  # the former stand-in for a generic point
@@ -173,7 +172,7 @@ def oracle_classify(c, E) -> OrbitClass:
     if c.omitted:
         return OrbitClass("other")
     colors = {p: color_vector(F, p, section) for p in E.exceptional_points()}
-    if F.is_cyclic and section.kind == "default":
+    if F.is_cyclic and section is None:
         colors[XD] = color_vector(F, XD, section)
     listed = {p: set(vecs) for p, vecs in c.slices.items()}
 
@@ -233,7 +232,7 @@ def _embedding(rng, family) -> EmbeddingData:
             continue
         if E.group.is_cyclic and E.extra_points and rng.random() < 0.5:
             moved = EmbeddingData(E.group, E.extra_points, E.divisors,
-                                  Section.at(rng.choice(E.extra_points)))
+                                  rng.choice(E.extra_points))
             if not moved.validate():
                 return moved
         return E
@@ -255,7 +254,7 @@ def _random_cone(rng, E):
     every color, or random rays over random points."""
     F, section = E.group, E.section
     colored = list(E.exceptional_points())
-    if F.is_cyclic and section.kind == "default":
+    if F.is_cyclic and section is None:
         colored.append(XD)
     shape = rng.choice(["A_l", "colors", "random", "random"])
     vectors, e_parts, omitted = [], [], []

@@ -10,7 +10,6 @@ from sl2cox.groups import FiniteSubgroup, ICOSA, OCTA, TETRA, cyclic, dihedral
 from sl2cox.hyperspace import (
     HyperspaceVector,
     MalformedGenerators,
-    Section,
     WrongKind,
     X0,
     XD,
@@ -98,7 +97,7 @@ def oracle_cone_contains(F, base, h, l, section):
     """The former membership test: the Appendix-table form with Fraction
     coefficients, the special slices found by comparing oracle keys."""
     if F.is_cyclic:
-        special = [section.at_point] if section.kind == "color_at" else [XD]
+        special = [XD] if section is None else [section]
     else:
         special = [XV, XE] if F.kind == "dihedral" else [XV, XF]
     if any(oracle_key(base) == oracle_key(q) for q in special):
@@ -179,7 +178,7 @@ class TestOracles:
             pts = _random_points(rng)
             at = rng.choice([p for p in pts if p.tag is None])
             copy = point(2 * at.alpha, 2 * at.beta)  # the section point, as another representative
-            for section in (Section.default(), Section.at(at)):
+            for section in (None, at):
                 for base in pts + [copy]:
                     for h in range(1, 4):
                         ls = {Fraction(-h, 2), Fraction(h, 2), Fraction(0), Fraction(-h),
@@ -254,7 +253,7 @@ class TestColorVectors:
     def test_section_override(self):
         F = cyclic(1)
         p = point(1, 0)
-        s = Section.at(p)
+        s = p  # the section at p
         assert color_vector(F, p, s) == HyperspaceVector(p, 1, 1)
         assert color_vector(F, XD, s) == epsilon(XD)
         # the special valuation slice moves to p

@@ -9,7 +9,10 @@ reads every input file), parses and validates those bytes and calls the
 handler.  The handler computes once and renders only the format asked for:
 the pretty lines, or (--format json) the report dict, to which ``main`` adds
 the command name and the input digest (the SHA-256 of the bytes it parsed)
-before printing it as a JSON document.  Exit codes: 0 success
+before writing it as a JSON document.  ``_write_json`` writes the text of
+``json.dumps(report, indent=2, sort_keys=True)`` and a newline, byte for byte,
+with the C string escape and in pieces of bounded size, so a large report is
+never held as one string.  Exit codes: 0 success
 (``--help`` included), 1 invalid, unreadable or malformed input, 2
 computation error, 3 usage error (argparse's own errors included), 141
 (128 + SIGPIPE) when stdout is closed before the report is written, as in
@@ -20,9 +23,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import classgroup as cg
 from . import coxring as cx
@@ -51,10 +54,70 @@ EXIT_USAGE = 3
 EXIT_BROKEN_PIPE = 141
 
 
+# The JSON writer hands its parts to stdout whenever it holds more than this
+# many (about 100 kB of text in a cox-full report), so a large report is never
+# held as one string.
+_WRITE_BOUND = 1 << 12
+
+
+def _write_json(doc) -> None:
+    """Write ``doc`` and a newline to stdout, byte for byte as
+    ``print(json.dumps(doc, indent=2, sort_keys=True))`` would.  ``_encode``
+    checks its parts after each element, and each element adds one part
+    since the last check, so every write but the last holds
+    ``_WRITE_BOUND + 1`` parts; a smaller report is one write."""
+    parts: list[str] = []
+    _encode(doc, parts, "\n", "")
+    parts.append("\n")
+    sys.stdout.write("".join(parts))
+
+
+def _encode(x, parts: list[str], nl: str, head: str) -> None:
+    """Append ``head`` and ``x`` to ``parts``, the inner lines of ``x``
+    indented by ``nl`` (a newline and spaces) plus two spaces.  A scalar is
+    one part with its head, so is an empty container; a container's head goes
+    into its first element's part, and its closing bracket is one part.
+    Only the types of a report are written: dicts with ``str`` keys (in
+    sorted order), lists, tuples, ``str``, ``int``, ``bool`` and ``None``;
+    anything else, a float or a non-``str`` key included, raises
+    ``TypeError``."""
+    t = type(x)
+    if t is str:
+        parts.append(head + encode_basestring_ascii(x))
+    elif t is int:
+        parts.append(head + int.__repr__(x))
+    elif x is None or t is bool:
+        parts.append(head + ("null" if x is None else "true" if x else "false"))
+    elif t is dict or t is list or t is tuple:
+        if not x:
+            parts.append(head + ("{}" if t is dict else "[]"))
+            return
+        inner = nl + "  "
+        sep, comma = head + ("{" if t is dict else "[") + inner, "," + inner
+        if t is dict:
+            # a key that is no str raises TypeError, in sorted() or the escape
+            for k in sorted(x):
+                _encode(x[k], parts, inner, sep + encode_basestring_ascii(k) + ": ")
+                sep = comma
+                if len(parts) > _WRITE_BOUND:
+                    sys.stdout.write("".join(parts))
+                    parts.clear()
+        else:
+            for v in x:
+                _encode(v, parts, inner, sep)
+                sep = comma
+                if len(parts) > _WRITE_BOUND:
+                    sys.stdout.write("".join(parts))
+                    parts.clear()
+        parts.append(nl + ("}" if t is dict else "]"))
+    else:
+        raise TypeError(f"{t.__name__} is not a report type")
+
+
 def _emit(out, fmt: str) -> None:
     """Print a report: a JSON document, or pretty lines."""
     if fmt == "json":
-        print(json.dumps(out, indent=2, sort_keys=True))
+        _write_json(out)
     else:
         for line in out:
             print(line)
@@ -208,7 +271,7 @@ def diagnose(E, args):
         ok, cert = dg.constant_functions_only(E)
         skipped = None
     except dg.HypothesesNotMet as exc:
-        skipped = exc
+        skipped = str(exc)  # the exception would hold this frame through its traceback
     if args.hypercones:
         orbits = [dg.classify_hypercone_orbit(c, E) for c in load_hypercones(args.hypercones, E)]
         verdict = dg.log_terminal_X(orbits)
@@ -218,7 +281,7 @@ def diagnose(E, args):
             "total_space_log_terminal": total.is_platonic,
             "platonic_witness": list(total.witness) if total.witness else None,
             "exponent_vectors": [list(v) for v in ap0[1]],
-            "constant_functions": ({"holds": None, "reason": str(skipped)} if skipped
+            "constant_functions": ({"holds": None, "reason": skipped} if skipped is not None
                                    else {"holds": ok, "certificate": str(cert)}),
         }
         if args.hypercones:
@@ -229,7 +292,7 @@ def diagnose(E, args):
         f"special fiber normal: {fiber}",
         f"total coordinate space log terminal (Platonic ring): {total.is_platonic}"
         + (f" (witness {total.witness})" if total.witness else ""),
-        f"constant-function test not applicable: {skipped}" if skipped
+        f"constant-function test not applicable: {skipped}" if skipped is not None
         else f"only constant global functions: {ok} (certificate {cert} {'<' if ok else '>='} 0)",
     ]
     if args.hypercones:

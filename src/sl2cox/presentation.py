@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from math import gcd
 
-from .exactmath import FinAbGroup, GaussianRational, gauss
+from .exactmath import FinAbGroup, GaussianRational
 from .ogpoly import GPoly, QiPoly
 
 Monomial = tuple[tuple[str, int], ...]  # sorted by variable name, exponents > 0
@@ -138,14 +138,6 @@ def canonicalize(poly: SparsePoly, order: dict[str, int]) -> SparsePoly:
         return poly
     lead = max(poly.num, key=lambda m: _mono_key(m, order))
     return poly.scale(-1) if _negative(*poly.num[lead]) else poly
-
-
-def canonical_key(poly: SparsePoly, var_order: list[str]):
-    """Hashable canonical form for exact comparison of relations."""
-    order = {v: i for i, v in enumerate(var_order)}
-    p = canonicalize(poly, order)
-    return tuple(sorted(((_mono_key(m, order), (c.re, c.im))
-                         for m, c in p.terms.items()), reverse=True))
 
 
 @dataclass(frozen=True)
@@ -280,11 +272,3 @@ def poly_to_json(poly: SparsePoly) -> list[dict]:
     den = poly.den
     return [{"coeff": {"re": _frac_str(x, den), "im": _frac_str(y, den)}, "monomial": dict(m)}
             for m, (x, y) in sorted(poly.num.items())]
-
-
-def poly_from_json(doc: list[dict]) -> SparsePoly:
-    acc = SparsePoly()
-    for t in doc:
-        c = gauss(t["coeff"])
-        acc = acc + SparsePoly.term(c, {str(k): int(v) for k, v in t["monomial"].items()})
-    return acc

@@ -30,9 +30,8 @@ from sl2cox.exactmath import FinAbGroup, IntMatrix, smith_normal_form
 from sl2cox.groups import ICOSA, OCTA, TETRA, cyclic, dihedral
 from sl2cox.hyperspace import X0, XE, XF, XINF, XV, point
 from sl2cox.iteration import bound_for, cyclic_iteration_exact, iterate
-from sl2cox.presentation import canonical_key
 
-from test_coxring import PRINTED_MU3, PRINTED_TRIVIAL
+from test_coxring import PRINTED_MU3, PRINTED_TRIVIAL, canonical_key
 from test_diagnostics import brute_force_platonic
 from test_embedding import mu3_example, trivial_four_points
 from test_exactmath import det, gcd_of_minors

@@ -1,7 +1,9 @@
 import argparse
+import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -10,8 +12,10 @@ import pytest
 from sl2cox import cli, coxring, presentation
 from sl2cox.cli import build_parser, main
 from sl2cox.embedding import load_embedding
-from sl2cox.exactmath import FinAbGroup, IntMatrix
-from sl2cox.presentation import poly_from_json, poly_to_json
+from sl2cox.exactmath import FinAbGroup, IntMatrix, gauss
+from sl2cox.presentation import SparsePoly, poly_to_json
+
+import test_golden as golden
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -25,6 +29,15 @@ def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def poly_from_json(doc: list[dict]) -> SparsePoly:
+    """The relation a report's term list describes (inverse of ``poly_to_json``)."""
+    acc = SparsePoly()
+    for t in doc:
+        exps = {k: int(v) for k, v in t["monomial"].items()}
+        acc = acc + SparsePoly.term(gauss(t["coeff"]), exps)
+    return acc
 
 
 def child_env() -> dict:
@@ -42,6 +55,17 @@ MU3_CONES = [{
         {"point": "xd", "vectors": ["color"]},
     ],
 }]
+
+
+# mu_32 with three extra points and (1, -1), (1, -2), (1, -3) over every point:
+# its cox-full JSON report has about 370 kB, several times a pipe's buffer
+# and the writer's bound
+MU32_DOC = {
+    "group": {"type": "cyclic", "n": 32},
+    "extra_points": [{"alpha": a, "beta": b} for a, b in (("2", "7"), ("5", "11"), ("3", "13"))],
+    "divisors": [{"over": p, "h": 1, "l": str(-j)}
+                 for p in ("x0", "xinf", "extra:0", "extra:1", "extra:2") for j in (1, 2, 3)],
+}
 
 
 # one valid divisor each, so the section is the only fault
@@ -278,6 +302,25 @@ class TestOtherCommands:
         assert doc["total_space_log_terminal"] is True
         assert doc["constant_functions"]["holds"] is True
 
+    def test_a_skipped_test_leaves_no_reference_cycle(self, capsys):
+        # diagnose keeps the reason as text: the exception would hold the
+        # handler's frame, and with it the whole call, through its traceback
+        # until the next full garbage collection (the first call builds the
+        # parser and the per-group tables)
+        argv = ("diagnose", fixture("tetrahedral.json"), "--format", "json")
+        run(capsys, *argv)
+        gc.collect()
+        gc.disable()
+        try:
+            rc, out, _ = run(capsys, *argv)
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert rc == 0
+        assert json.loads(out)["constant_functions"] == {"holds": None,
+                                                         "reason": "cyclic F required"}
+        assert found == 0
+
     def test_diagnose_with_hypercones(self, tmp_path, capsys):
         f = tmp_path / "cones.json"
         f.write_text(json.dumps(MU3_CONES))
@@ -337,12 +380,134 @@ class TestOtherCommands:
 
 class TestPolyJson:
     def test_roundtrip_gaussian(self):
-        from sl2cox.exactmath import gauss
-        from sl2cox.presentation import SparsePoly
-
         p = (SparsePoly.term(gauss({"re": "1/2", "im": "-3"}), {"x": 2, "y": 1})
              + SparsePoly.term(5, {}))
         assert poly_from_json(poly_to_json(p)).terms == p.terms
+
+
+def dumps(doc) -> str:
+    """The reference for the JSON writer: the text ``print(json.dumps(...))`` writes."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class Writes:
+    """A stdout that records each write."""
+
+    def __init__(self):
+        self.writes: list[str] = []
+
+    def write(self, s: str) -> int:
+        self.writes.append(s)
+        return len(s)
+
+    def flush(self) -> None:
+        pass
+
+
+def written(monkeypatch, doc) -> list[str]:
+    out = Writes()
+    monkeypatch.setattr(sys, "stdout", out)
+    cli._write_json(doc)
+    return out.writes
+
+
+# strings that need escaping: quotes, backslashes, every control character,
+# DEL, the line separators U+2028/U+2029, non-ASCII and astral characters
+# (written as surrogate pairs)
+HARD_STRINGS = ["", '"', "\\", 'a"b\\c"', "".join(map(chr, range(32))), "\x7f",
+                "\u2028\u2029", "caf\u00e9 \u4e2d", "\U0001d53d\U0001f600", "/", "plain"]
+HARD_INTS = [0, 1, -1, 2**63, 2**64, 2**64 + 1, -(2**64) - 7, 3**90, -(10**40)]
+
+
+def random_doc(rng: random.Random, depth: int):
+    """A document of the report types, nested up to ``depth`` levels."""
+    kind = rng.randrange(8 if depth else 5)
+    if kind == 0:
+        return "".join(rng.choice(HARD_STRINGS) for _ in range(rng.randrange(3)))
+    if kind == 1:
+        return rng.choice(HARD_INTS + [rng.randrange(-10**6, 10**6)])
+    if kind == 2:
+        return rng.choice([True, False, 0, 1, None])
+    if kind < 5:
+        return rng.choice([{}, [], (), [[]], [{}], {"": []}, {"a": {}}])
+    items = [random_doc(rng, depth - 1) for _ in range(rng.randrange(5))]
+    if kind == 5:
+        return items
+    if kind == 6:
+        return tuple(items)
+    return {rng.choice(HARD_STRINGS) + rng.choice("abc"): v for v in items}
+
+
+class TestJsonWriter:
+    """``cli._write_json`` writes what ``print(json.dumps(doc, indent=2,
+    sort_keys=True))`` writes, byte for byte, in bounded pieces."""
+
+    @pytest.mark.parametrize("command,fx", golden.CASES)
+    def test_every_golden_report(self, command, fx, monkeypatch, capsys):
+        monkeypatch.chdir(golden.ROOT)
+        docs = []
+
+        def spy(doc, _real=cli._write_json):
+            docs.append(doc)
+            _real(doc)
+
+        monkeypatch.setattr(cli, "_write_json", spy)
+        main(golden._argv(command, fx))
+        out = capsys.readouterr().out
+        assert len(docs) == (1 if out else 0)
+        assert out == "".join(map(dumps, docs))
+
+    def test_a_seeded_sweep_of_documents(self, monkeypatch):
+        rng = random.Random(30)
+        for _ in range(400):
+            doc = random_doc(rng, 4)
+            assert "".join(written(monkeypatch, doc)) == dumps(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {}, [], (), "", [[]], [{}], {"a": [], "b": {}, "c": [[], {}]},
+        [True, False, 0, 1, None], {"t": True, "one": 1, "f": False, "zero": 0},
+        HARD_INTS, HARD_STRINGS, {s: s for s in HARD_STRINGS}, ("x", ("y", ())),
+    ], ids=repr)
+    def test_edge_cases(self, doc, monkeypatch):
+        assert written(monkeypatch, doc) == [dumps(doc)]
+
+    @pytest.mark.parametrize("doc", [1.5, {"a": [0.0]}, {"a": {1, 2}}, {1: "a"}, {"b": {2: 3}}],
+                             ids=repr)
+    def test_other_types_raise(self, doc, monkeypatch):
+        with pytest.raises(TypeError):
+            written(monkeypatch, doc)
+
+    def test_a_large_report_arrives_in_bounded_writes(self, tmp_path, monkeypatch):
+        path = tmp_path / "mu32.json"
+        path.write_text(json.dumps(MU32_DOC), encoding="utf-8")
+        bound = cli._WRITE_BOUND
+
+        def writes(at: int) -> list[str]:
+            monkeypatch.setattr(cli, "_WRITE_BOUND", at)
+            out = Writes()
+            monkeypatch.setattr(sys, "stdout", out)
+            assert main(["cox-full", str(path), "--format", "json"]) == 0
+            return out.writes
+
+        # at bound 0 every write is one part, the last one with the final newline
+        parts = writes(0)
+        text = "".join(parts)
+        assert len(text) > 1 << 18  # TestBrokenPipe relies on it
+        assert text == dumps(json.loads(text))
+        # at the bound, every write but the last is the next bound + 1 parts
+        got = writes(bound)
+        n = bound + 1
+        full = (len(parts) - 1) // n * n
+        assert len(got) > 1
+        assert got == ["".join(parts[i:i + n]) for i in range(0, full, n)] + ["".join(parts[full:])]
+
+    def test_a_report_below_the_bound_is_one_write(self, monkeypatch):
+        # about 40 kB, as large as the largest reports of the benchmark's cli_mix
+        out = Writes()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["cox-full", os.path.join(golden.GOLDEN, "inputs", "cyclic12.json"),
+                     "--format", "json"]) == 0
+        assert len(out.writes) == 1 and len(out.writes[0]) > 40_000
 
 
 class TestInputErrors:
@@ -462,6 +627,25 @@ class TestBrokenPipe:
             os.close(w)
         assert proc.returncode == 141
         assert proc.stderr == b""
+
+    def test_reader_leaves_in_the_middle_of_a_report(self, tmp_path):
+        # the report is larger than the pipe's buffer, so the child has
+        # written its first lines and is still writing when the reader,
+        # like `| head -1`, takes the first line and closes the pipe
+        path = tmp_path / "mu32.json"
+        path.write_text(json.dumps(MU32_DOC), encoding="utf-8")
+        proc = subprocess.Popen([sys.executable, "-m", "sl2cox.cli", "cox-full", str(path),
+                                 "--format", "json"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+        try:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 141
+        assert err == b""
 
 
 class TestRenderOnce:

@@ -54,7 +54,7 @@ from sl2cox.presentation import (
     GradedPresentation,
     GradedVariable,
     SparsePoly,
-    canonical_key,
+    canonicalize,
     monomial,
     relation_degree,
     term_degree,
@@ -85,6 +85,13 @@ def rel(*terms) -> SparsePoly:
     for c, mono in terms:
         acc = acc + SparsePoly.term(c, mono)
     return acc
+
+
+def canonical_key(poly: SparsePoly, var_order: list[str]):
+    """Hashable form of a relation up to its global sign (fixed by
+    ``canonicalize`` in the variable order), for exact comparison."""
+    p = canonicalize(poly, {v: i for i, v in enumerate(var_order)})
+    return frozenset((m, (c.re, c.im)) for m, c in p.terms.items())
 
 
 def keys_of(P: GradedPresentation):

@@ -170,9 +170,6 @@ UNCALLED_ALLOWED = {
                                                  "test_acceptance.py",
     "presentation.SparsePoly.substitute": "test oracle: test_coxring.py::TestEliminate::"
                                           "test_substitution_roundtrip",
-    "presentation.canonical_key": "test oracle: test_acceptance.py::"
-                                  "test_criterion_2_full_cox_of_trivial_example",
-    "presentation.poly_from_json": "test oracle: test_cli.py::TestPolyJson::test_roundtrip_gaussian",
 }
 
 

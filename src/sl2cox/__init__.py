@@ -4,17 +4,18 @@ From the combinatorial data of a normal SL2/F-embedding (exceptional points,
 G-stable divisor valuations, section convention) the package computes the
 divisor class group by generators and relations, Cox-ring presentations,
 singularity diagnostics and the iteration sequence of Cox rings, all in
-exact rational / Gaussian-rational arithmetic.
+exact rational / Gaussian-rational arithmetic.  An element of Q(i) is the
+integer triple (x, y, d), meaning (x + y*i)/d; ``qi`` reads one from an int,
+a 'p/q' string, {"re", "im"} or a list [re, im].
 """
 
 from .exactmath import (
     EmptySolutionSet,
     FinAbGroup,
-    GaussianRational,
     IntMatrix,
     SmithDecomposition,
     cokernel,
-    gauss,
+    qi,
     rat,
     smith_normal_form,
     solve_nonneg,

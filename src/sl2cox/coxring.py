@@ -63,10 +63,10 @@ from .embedding import (
     exceptional_relation_scalar,
     point_coordinates,
 )
-from .exactmath import GAUSS_ONE, gauss, require_nonneg
+from .exactmath import gmul, qi_div, require_nonneg
 from .groups import FiniteSubgroup
 from .hyperspace import BasePoint, X0, XD, XINF, point
-from .ogpoly import G3, G4, GPOLY_ONE, GPoly, Num, _split, gr_rref
+from .ogpoly import G3, G4, GPOLY_ONE, GPoly, Num, gr_rref
 from .presentation import (
     GradedPresentation,
     GradedVariable,
@@ -182,13 +182,13 @@ def cox_u_presentation(E: EmbeddingData) -> GradedPresentation:
     relations: list[SparsePoly] = []
     for p in pts:
         alpha, beta = point_coordinates(F, p)
-        lam = GAUSS_ONE
+        lam = 1
         if not F.is_cyclic and p.tag == "xf":
             lam = exceptional_relation_scalar(F)
         mono = {names[lbl]: e for lbl, e in R.fibers[p].items()}
         rel = (SparsePoly.term(beta, {"a": 1})
-               + SparsePoly.term(-alpha, {"b": 1})
-               + SparsePoly.term(-lam, mono))
+               - SparsePoly.term(alpha, {"b": 1})
+               - SparsePoly.term(lam, mono))
         relations.append(rel)
 
     return GradedPresentation(variables, relations, R.group)
@@ -213,8 +213,8 @@ def eliminate(P: GradedPresentation, targets=("a", "b")) -> tuple[GradedPresenta
                 raise NotLinearInTarget(f"{name} never occurs linearly")
             continue
         i, c = used
-        rest = relations[i] + SparsePoly.term(-c, {name: 1})
-        value = rest.scale(GAUSS_ONE / (-c))
+        rest = relations[i] - SparsePoly.term(c, {name: 1})
+        value = rest.scale(qi_div((-1, 0, 1), c))
         log.append(f"{name} = {pretty_poly(value, order, names)}")
         power, one = SparsePoly.substitution(name, value), value.pow(0)
         relations = [r.evaluate(power, one) for j, r in enumerate(relations) if j != i]
@@ -249,15 +249,8 @@ def classify_fiber_presentation(P: GradedPresentation) -> str:
     support = sorted({m for rel in nontrivial for m in rel.num})
     if any(len(m) != 1 or m[0][1] < 2 for m in support):
         return "other"
-    idx = {m: i for i, m in enumerate(support)}
-    rows = []
-    for rel in nontrivial:
-        row = [gauss(0)] * len(support)
-        for m, c in rel.terms.items():
-            row[idx[m]] = c
-        rows.append(row)
-    reduced, _ = gr_rref(rows)
-    supports = [[support[i][0][0] for i, c in enumerate(row) if c] for row in reduced]
+    reduced, _ = gr_rref([[rel.num.get(m, (0, 0)) for m in support] for rel in nontrivial])
+    supports = [[support[i][0][0] for i, c in enumerate(row) if c[0] or c[1]] for row in reduced]
     supports = [vs for vs in supports if vs]
     if any(len(vs) == 1 for vs in supports):
         return "nonreduced"
@@ -271,19 +264,12 @@ def classify_fiber_presentation(P: GradedPresentation) -> str:
 # -- full presentation for cyclic F ----------------------------------------------
 
 
-def _numerators(alpha, beta) -> tuple[Num, Num, int]:
-    """(alpha, beta) as Gaussian-integer numerators over one denominator."""
-    (ar, ai, ad), (br, bi, bd) = _split(alpha), _split(beta)
-    d = lcm(ad, bd)
-    return (ar * (d // ad), ai * (d // ad)), (br * (d // bd), bi * (d // bd)), d
-
-
 @dataclass(frozen=True)
 class SectionModule:
     """Simple module spanned by the canonical section of one exceptional
     color: variable names, color class, and its functions on SL2,
     fn_i = eps_i (beta g1^i g3^(d-i) - alpha g2^i g4^(d-i)), built from the
-    point's ``coords`` (``_numerators(alpha, beta)``) and sign ``eps`` = eps_i
+    point's ``coords`` (alpha, beta over one denominator) and sign ``eps`` = eps_i
     for i >= 1 (eps_0 = 1; eps is -1 only on a uniform module, n <= 2).  The
     raising operator g3 d/dg1 + g4 d/dg2 maps fn_i to i eps_i / eps_(i-1)
     fn_(i-1)."""
@@ -404,10 +390,6 @@ def _transvectant(A: SectionModule, B: SectionModule, k: int, sym: bool) -> dict
     return chain
 
 
-def _gmul(x: Num, y: Num) -> Num:
-    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
 def _product_monomial(A: SectionModule, B: SectionModule, k: int,
                       sym: bool) -> tuple[int, int, int, int, int] | None:
     """The function on SL2 of the chain ``_transvectant(A, B, k, sym)``,
@@ -422,7 +404,7 @@ def _product_monomial(A: SectionModule, B: SectionModule, k: int,
     alpha_a, beta_a, den_a = A.coords
     alpha_b, beta_b, den_b = B.coords
     da, db = A.dim - 1, B.dim - 1
-    t1, t2 = _gmul(beta_a, alpha_b), _gmul(alpha_a, beta_b)
+    t1, t2 = gmul(beta_a, alpha_b), gmul(alpha_a, beta_b)
     if k % 2:
         t2 = (-t2[0], -t2[1])
     if da == db:
@@ -488,8 +470,8 @@ def _n_rows(mod: SectionModule, ctx: _Ctx, p: BasePoint) -> list[ModuleRow]:
     alpha, beta, den = mod.coords
     (_, beta0, den0), (alphainf, _, deninf) = mod0.coords, modinf.coords
     norm0, norminf = beta0[0] ** 2 + beta0[1] ** 2, alphainf[0] ** 2 + alphainf[1] ** 2
-    c0 = _gmul(beta, (beta0[0] * den0 * norminf, -beta0[1] * den0 * norminf))
-    cinf = _gmul(alpha, (alphainf[0] * deninf * norm0, -alphainf[1] * deninf * norm0))
+    c0 = gmul(beta, (beta0[0] * den0 * norminf, -beta0[1] * den0 * norminf))
+    cinf = gmul(alpha, (alphainf[0] * deninf * norm0, -alphainf[1] * deninf * norm0))
 
     def r_items(q: BasePoint | None) -> list[tuple[str, int]]:
         fiber = ctx.R.fibers[q] if q is not None else {}
@@ -559,7 +541,9 @@ def full_cox_presentation_cyclic(E: EmbeddingData) -> FullCoxResult:
         key = keys[p] if p is not None else role
         combo = {R.color(p): 1} if p is not None else dict(base_fiber)
         if p is not None:
-            coords = _numerators(*point_coordinates(F, p))
+            (ar, ai, ad), (br, bi, bd) = point_coordinates(F, p)
+            den = lcm(ad, bd)
+            coords = (ar * (den // ad), ai * (den // ad)), (br * (den // bd), bi * (den // bd)), den
         else:  # s0 = g3, sinf = -g4: [0:1] and [1:0]
             coords = ((0, 0), (1, 0), 1) if role == "x0" else ((1, 0), (0, 0), 1)
         d = 1 if uniform or p.tag is not None else nb
@@ -775,9 +759,9 @@ def _exceptional_reduction(F: FiniteSubgroup):
     ff^r R^q, v^e -> v^e otherwise, with R = -(c_v fv^nv + c_e fe^ne) / lam,
     which has no ff, so one step is enough."""
     mult = F.canonical_multiplicities()
-    c_v = gauss(-1) if F.kind == "dihedral" else gauss(1)  # c_e = 1
+    c_v = -1 if F.kind == "dihedral" else 1  # c_e = 1
     R = (SparsePoly.term(c_v, {"fv": mult["xv"]}) + SparsePoly.term(1, {"fe": mult["xe"]})
-         ).scale(-exceptional_relation_scalar(F).inverse())
+         ).scale(qi_div((-1, 0, 1), exceptional_relation_scalar(F)))
     one = SparsePoly.term(1, {})
 
     @cache

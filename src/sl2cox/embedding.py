@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import combinations
 from types import MappingProxyType
 
-from .exactmath import GAUSS_ONE, GaussianRational, gauss, gauss_ipow, rat
+from .exactmath import Qi, frac_str, qi, qi_div, rat
 from .groups import DIHEDRAL, FiniteSubgroup, cyclic, dihedral, ICOSA, OCTA, TETRA
 from .hyperspace import (
     BasePoint,
@@ -50,7 +50,6 @@ from .hyperspace import (
     interiors_disjoint,
     is_supported,
     point,
-    ratio_key,
     valuation_cone_contains,
 )
 
@@ -212,23 +211,23 @@ def canonical_coordinates(F: FiniteSubgroup) -> MappingProxyType:
         coords = {} if F.n <= 2 else {"x0": (0, 1), "xinf": (-1, 0)}
     else:
         coords = {"xv": (0, 1), "xe": (1, 0), "xf": (-1, 1 if F.kind == DIHEDRAL else -1)}
-    return MappingProxyType({t: (gauss(a), gauss(b)) for t, (a, b) in coords.items()})
+    return MappingProxyType({t: (qi(a), qi(b)) for t, (a, b) in coords.items()})
 
 
 @cache
 def _canonical_points(F: FiniteSubgroup) -> dict:
-    """The canonical points of F by the ``ratio_key`` of their coordinates:
-    built once per group."""
-    return {ratio_key(a, b): _POINT_REFS[t] for t, (a, b) in canonical_coordinates(F).items()}
+    """The canonical points of F by the key alpha/beta of their coordinates
+    (``qi_div``): built once per group."""
+    return {qi_div(a, b): _POINT_REFS[t] for t, (a, b) in canonical_coordinates(F).items()}
 
 
-def point_coordinates(F: FiniteSubgroup, p: BasePoint) -> tuple:
+def point_coordinates(F: FiniteSubgroup, p: BasePoint) -> tuple[Qi, Qi]:
     """Homogeneous coordinates (alpha, beta) of an exceptional point: from
     ``canonical_coordinates`` for a canonical tag, as given otherwise."""
     return canonical_coordinates(F)[p.tag] if p.tag is not None else (p.alpha, p.beta)
 
 
-def exceptional_relation_scalar(F: FiniteSubgroup):
+def exceptional_relation_scalar(F: FiniteSubgroup) -> Qi:
     """Scalar c with relation  a - b = c * (third semi-invariant power)  ...
 
     Concretely, for the canonical coordinate choices above, the fiber over
@@ -237,8 +236,8 @@ def exceptional_relation_scalar(F: FiniteSubgroup):
     4*(-i)^n for the binary dihedral one.
     """
     if F.kind == DIHEDRAL:
-        return 4 * gauss_ipow(-F.n)
-    return GAUSS_ONE
+        return ((4, 0, 1), (0, -4, 1), (-4, 0, 1), (0, 4, 1))[F.n % 4]
+    return 1, 0, 1
 
 
 def derive_ap0_input(E: EmbeddingData):
@@ -250,7 +249,7 @@ def derive_ap0_input(E: EmbeddingData):
     divisor dominating P^1.
     """
     E.require_valid()
-    cols: list[tuple[GaussianRational, GaussianRational]] = []
+    cols: list[tuple[Qi, Qi]] = []
     exponents: list[tuple[int, ...]] = []
     for p in E.exceptional_points():
         cols.append(point_coordinates(E.group, p))
@@ -310,11 +309,11 @@ def _rat(x, where: str) -> Fraction:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
-def _parse_coord(x, where: str) -> GaussianRational:
+def _parse_coord(x, where: str) -> Qi:
     if isinstance(x, dict):
         _check_keys(x, {"re", "im"}, where)
     try:
-        return gauss(x)
+        return qi(x)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad coordinate in {where}: {exc}") from exc
 
@@ -323,7 +322,7 @@ def _parse_point(p: dict, where: str) -> BasePoint:
     _check_keys(p, {"alpha", "beta"}, where)
     alpha = _parse_coord(p.get("alpha", 0), f"{where}.alpha")
     beta = _parse_coord(p.get("beta", 0), f"{where}.beta")
-    if not alpha and not beta:
+    if not any(alpha[:2]) and not any(beta[:2]):
         raise SchemaError(f"{where} is [0:0]")
     return BasePoint(alpha=alpha, beta=beta)
 
@@ -484,10 +483,9 @@ def load_hypercones(path: str, E: EmbeddingData) -> list[ColoredHypercone]:
     return cones
 
 
-def _coord_json(x: GaussianRational):
-    if x.im == 0:
-        return str(x.re)
-    return {"re": str(x.re), "im": str(x.im)}
+def _coord_json(c: Qi):
+    x, y, d = c
+    return {"re": frac_str(x, d), "im": frac_str(y, d)} if y else frac_str(x, d)
 
 
 def embedding_to_dict(E: EmbeddingData) -> dict:

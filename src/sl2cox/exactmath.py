@@ -1,12 +1,14 @@
 """Exact scalar arithmetic and integer linear algebra.
 
 Rationals are ``fractions.Fraction`` (always reduced, positive denominator).
-On top of that this module provides Gaussian rationals, dense arbitrary
-precision integer matrices, Smith normal form with unimodular transforms,
-cokernels of integer matrices as finitely generated abelian groups, and one
-integer solver: a quotient of Z^n by a relation lattice, solved on a set of
-columns by one fraction-free elimination pass (``_echelon``), the only
-integer elimination beside the Smith form.
+An element of Q(i) is the integer triple (x, y, d), meaning (x + y*i)/d with
+d > 0 and gcd(x, y, d) = 1, from parsing (``qi``) to printing (``qi_str``);
+``qi_div`` is the one quotient.  On top of that this module provides dense
+arbitrary precision integer matrices, Smith normal form with unimodular
+transforms, cokernels of integer matrices as finitely generated abelian
+groups, and one integer solver: a quotient of Z^n by a relation lattice,
+solved on a set of columns by one fraction-free elimination pass
+(``_echelon``), the only integer elimination beside the Smith form.
 
 Everything here is pure and immutable after construction; no floating point.
 """
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, islice
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -35,80 +37,59 @@ def rat(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """Element re + im*i of Q(i); equality is structural, arithmetic exact."""
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    def __add__(self, other):
-        other = gauss(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-gauss(other))
-
-    def __rsub__(self, other):
-        return gauss(other) + (-self)
-
-    def __mul__(self, other):
-        other = gauss(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "GaussianRational":
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
-            raise ZeroDivisionError("inverse of 0 in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
-
-    def __truediv__(self, other):
-        return self * gauss(other).inverse()
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+Qi = tuple[int, int, int]  # (x + y*i) / d with d > 0
 
 
-def gauss(x) -> GaussianRational:
-    """Coerce ints, rationals, strings and pairs into Q(i)."""
-    if isinstance(x, GaussianRational):
+def qi(x) -> Qi:
+    """Coerce into Q(i) as the canonical triple (x, y, d), meaning (x + y*i)/d
+    with d > 0 and gcd(x, y, d) = 1: an int, a Fraction or a 'p/q' string is
+    the real part, a dict {"re", "im"} (a missing part is 0) or a two-element
+    list gives both parts, and a triple is taken as it is."""
+    if type(x) is tuple and len(x) == 3:
         return x
     if isinstance(x, (int, Fraction, str)):
-        return GaussianRational(rat(x))
-    if isinstance(x, dict):
-        return GaussianRational(rat(x.get("re", 0)), rat(x.get("im", 0)))
-    if isinstance(x, (tuple, list)) and len(x) == 2:
-        return GaussianRational(rat(x[0]), rat(x[1]))
-    raise TypeError(f"cannot interpret {x!r} as a Gaussian rational")
+        re, im = rat(x), Fraction(0)
+    elif isinstance(x, dict):
+        re, im = rat(x.get("re", 0)), rat(x.get("im", 0))
+    elif isinstance(x, list) and len(x) == 2:
+        re, im = rat(x[0]), rat(x[1])
+    else:
+        raise TypeError(f"cannot interpret {x!r} as a Gaussian rational")
+    d = lcm(re.denominator, im.denominator)
+    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
 
 
-GAUSS_ZERO = GaussianRational()
-GAUSS_ONE = GaussianRational(Fraction(1))
-GAUSS_I = GaussianRational(Fraction(0), Fraction(1))
+def qi_div(a: Qi, b: Qi) -> Qi | None:
+    """a / b as a canonical triple, by one gcd pass; None for b = 0."""
+    (p, q, r), (s, t, w) = a, b
+    x, y, d = w * (p * s + q * t), w * (q * s - p * t), r * (s * s + t * t)
+    if not d:
+        return None
+    g = gcd(x, y, d)
+    return x // g, y // g, d // g
 
 
-def gauss_ipow(k: int) -> GaussianRational:
-    """i**k for any integer k."""
-    k %= 4
-    return (GAUSS_ONE, GAUSS_I, -GAUSS_ONE, -GAUSS_I)[k]
+def gmul(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+    """The product of two Gaussian integers given as pairs (re, im)."""
+    return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def frac_str(x: int, d: int) -> str:
+    """``str(Fraction(x, d))`` for d > 0, without the Fraction."""
+    if d == 1:
+        return str(x)
+    g = gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
+
+
+def qi_str(x: int, y: int, d: int) -> str:
+    """(x + y*i) / d as text, d > 0: "3/2", "-1/2i", "1+2i", "1/3-1i"."""
+    if not y:
+        return frac_str(x, d)
+    im = frac_str(abs(y), d) + "i"
+    if not x:
+        return ("-" if y < 0 else "") + im
+    return frac_str(x, d) + ("-" if y < 0 else "+") + im
 
 
 class IntMatrix:

@@ -27,12 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import gcd
 from typing import Iterable, Sequence
 
-from .exactmath import GaussianRational, gauss, rat
+from .exactmath import Qi, qi, qi_div, qi_str, rat
 from .groups import DIHEDRAL, FiniteSubgroup
-from .ogpoly import _split
 
 _TAGS = ("x0", "xinf", "xv", "xe", "xf", "xd")
 
@@ -49,14 +47,15 @@ class WrongKind(Exception):
 class BasePoint:
     """A point of P^1: a symbolic canonical tag or homogeneous coordinates.
 
-    Coordinate points are compared projectively; symbolic tags compare by
-    tag and never equal a coordinate point.  The comparison key and its hash
-    are computed once: the tag, or ``ratio_key(alpha, beta)``.
+    Coordinates are triples (``exactmath.qi``).  Coordinate points are
+    compared projectively; symbolic tags compare by tag and never equal a
+    coordinate point.  The comparison key and its hash are computed once:
+    the tag, or the quotient alpha/beta (``qi_div``, None at beta = 0).
     """
 
     tag: str | None = None
-    alpha: GaussianRational | None = None
-    beta: GaussianRational | None = None
+    alpha: Qi | None = None
+    beta: Qi | None = None
     _key: object = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
@@ -69,9 +68,9 @@ class BasePoint:
         else:
             if self.alpha is None or self.beta is None:
                 raise ValueError("coordinate point needs alpha and beta")
-            if not self.alpha and not self.beta:
+            if not any(self.alpha[:2]) and not any(self.beta[:2]):
                 raise ValueError("[0:0] is not a point of P^1")
-        key = self.tag if self.tag is not None else ratio_key(self.alpha, self.beta)
+        key = self.tag if self.tag is not None else qi_div(self.alpha, self.beta)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
 
@@ -89,20 +88,11 @@ class BasePoint:
     def __str__(self):
         if self.tag is not None:
             return self.tag
-        return f"[{self.alpha}:{self.beta}]"
-
-
-def ratio_key(alpha, beta) -> tuple[int, int, int] | None:
-    """alpha/beta as the integer triple (x, y, d) with alpha/beta = (x + y*i)/d,
-    d > 0 and gcd(x, y, d) = 1, found by one gcd pass; None for beta = 0."""
-    (p, q, r), (s, t, w) = _split(alpha), _split(beta)
-    x, y, d = w * (p * s + q * t), w * (q * s - p * t), r * (s * s + t * t)
-    g = gcd(x, y, d)
-    return (x // g, y // g, d // g) if d else None
+        return f"[{qi_str(*self.alpha)}:{qi_str(*self.beta)}]"
 
 
 def point(alpha, beta) -> BasePoint:
-    return BasePoint(alpha=gauss(alpha), beta=gauss(beta))
+    return BasePoint(alpha=qi(alpha), beta=qi(beta))
 
 
 X0 = BasePoint(tag="x0")

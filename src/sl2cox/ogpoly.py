@@ -7,13 +7,14 @@ polynomial in the package: Gaussian integers over one common denominator.
 ``den`` is a positive integer, so the coefficient of m is (re + im*i) / den.
 The form is canonical: no pair is (0, 0), gcd(den, every numerator) = 1, and
 the zero polynomial has den = 1.  Sums, products, scaling and powers run on
-Python ints, with one gcd pass per result; ``GaussianRational`` appears only
-where a coefficient enters (the constructor, ``scale``) or leaves (``terms``,
-``coeff``).  A ring is a subclass that supplies its unit monomial ``_ONE``
-and its monomial product ``_mono_mul``; both rings are free, so collecting
-terms is the normal form and equality is a dictionary comparison.
-``GPoly`` below is Q(i)[g1, g2, g3, g4], and ``presentation.SparsePoly`` is
-the polynomial ring over named variables.
+Python ints, with one gcd pass per result; a coefficient enters (the
+constructor, ``scale``) and leaves (``terms``, ``coeff``) as the scalar
+triple of ``exactmath`` (an int is accepted where one enters).  A ring is a
+subclass that supplies its unit monomial ``_ONE`` and its monomial product
+``_mono_mul``; both rings are free, so collecting terms is the normal form
+and equality is a dictionary comparison.  ``GPoly`` below is
+Q(i)[g1, g2, g3, g4], and ``presentation.SparsePoly`` is the polynomial ring
+over named variables.
 
 A ``GPoly`` stands for a function on SL2, but it is not reduced modulo
 g1*g4 - g2*g3 - 1: two GPolys can differ and agree on SL2.  Whether one
@@ -30,24 +31,16 @@ in g3, g4.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .exactmath import GAUSS_ONE, GAUSS_ZERO, GaussianRational, gauss
+from .exactmath import Qi, gmul, qi_div
 
 Num = tuple[int, int]
+_QI_ZERO, _QI_ONE = (0, 0, 1), (1, 0, 1)
 
 
-def _split(c) -> tuple[int, int, int]:
-    """(p, q, r) with c = (p + q*i) / r and r > 0; an int or a Fraction is
-    read directly, anything else through ``gauss``."""
-    if type(c) is int:
-        return c, 0, 1
-    if type(c) is Fraction:
-        return c.numerator, 0, c.denominator
-    c = gauss(c)
-    r = lcm(c.re.denominator, c.im.denominator)
-    return c.re.numerator * (r // c.re.denominator), c.im.numerator * (r // c.im.denominator), r
+def _triple(c: Qi | int) -> Qi:
+    return (c, 0, 1) if type(c) is int else c
 
 
 def _collect(out: dict, items) -> None:
@@ -74,11 +67,11 @@ class QiPoly:
     __slots__ = ("num", "den")
     _ONE: tuple = ()
 
-    def __init__(self, terms: dict[tuple, GaussianRational] | None = None):
+    def __init__(self, terms: dict[tuple, Qi | int] | None = None):
         self.num: dict[tuple, Num] = {}
         self.den = 1
         if terms:
-            split = [(m, _split(c)) for m, c in terms.items()]
+            split = [(m, _triple(c)) for m, c in terms.items()]
             den = lcm(*(r for _, (_, _, r) in split))
             num: dict[tuple, Num] = {}
             _collect(num, [(m, (p * (den // r), q * (den // r))) for m, (p, q, r) in split])
@@ -106,18 +99,17 @@ class QiPoly:
     # -- coefficients at the boundary -------------------------------------------
 
     @property
-    def terms(self) -> dict[tuple, GaussianRational]:
+    def terms(self) -> dict[tuple, Qi]:
         """The monomial -> coefficient view (a new dict)."""
         den = self.den
-        return {m: GaussianRational(Fraction(x, den), Fraction(y, den))
-                for m, (x, y) in self.num.items()}
+        return {m: (x // g, y // g, den // g)
+                for m, (x, y) in self.num.items() for g in (gcd(x, y, den),)}
 
-    def coeff(self, mono: tuple) -> GaussianRational:
+    def coeff(self, mono: tuple) -> Qi:
         """The coefficient of one monomial (0 when absent)."""
-        xy = self.num.get(mono)
-        if xy is None:
-            return GAUSS_ZERO
-        return GaussianRational(Fraction(xy[0], self.den), Fraction(xy[1], self.den))
+        x, y = self.num.get(mono, (0, 0))
+        g = gcd(x, y, self.den)
+        return x // g, y // g, self.den // g
 
     # -- ring operations --------------------------------------------------------
 
@@ -153,8 +145,8 @@ class QiPoly:
         return self._canonical({m: xy for m, xy in acc.items() if xy != (0, 0)},
                                self.den * other.den)
 
-    def scale(self, c):
-        p, q, r = _split(c)
+    def scale(self, c: Qi | int):
+        p, q, r = _triple(c)
         if not (p or q):
             return type(self)()
         return self._canonical({m: (x * p - y * q, x * q + y * p) for m, (x, y) in self.num.items()},
@@ -248,7 +240,7 @@ class GPoly(QiPoly):
         """g_i for i in 1..4."""
         m = [0, 0, 0, 0]
         m[i - 1] = 1
-        return GPoly({tuple(m): GAUSS_ONE})
+        return GPoly({tuple(m): 1})
 
 
 G1, G2, G3, G4 = GPoly.gen(1), GPoly.gen(2), GPoly.gen(3), GPoly.gen(4)
@@ -256,87 +248,93 @@ GPOLY_ONE = GPoly.const(1)  # shared: no QiPoly operation mutates its operands
 
 
 # -- linear algebra over the Gaussian rationals ----------------------------------
-# Only gr_rref has a caller in the package; perfbench/spans.py wraps the other
-# four by name, and the tests use the two nullspaces as oracles.
+# Only gr_rref has a caller in the package (``coxring.classify_fiber_presentation``).
+# The other four stay because perfbench/spans.py traces them by name (its
+# TRACED table) and the tests use the two nullspaces as oracles; they leave
+# when the tracer stops rebinding functions by name (ROADMAP item 1B).
 
 
-def gr_rref(rows: list[list[GaussianRational]]) -> tuple[list[list[GaussianRational]], list[int]]:
-    """Reduced row echelon form and pivot columns, exact over Q(i)."""
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
+def gr_rref(rows: list[list[Num]]) -> tuple[list[list[Qi]], list[int]]:
+    """Reduced row echelon form and pivot columns, exact over Q(i), of rows of
+    Gaussian integers (pairs): one fraction-free Gauss-Jordan pass, each row
+    it changes made primitive by its integer content, then each pivot row
+    divided by its pivot.  The zero rows stay, at the bottom."""
+    m = [list(row) for row in rows]
+    nrows, ncols = len(m), len(m[0]) if m else 0
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if any(m[i][c])), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
+        p, prow = m[r][c], m[r]
         for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and any(f):
+                row = [(a - b, u - v) for (a, u), (b, v) in
+                       ((gmul(p, x), gmul(f, y)) for x, y in zip(m[i], prow))]
+                g = gcd(*(t for xy in row for t in xy))
+                m[i] = [(a // g, b // g) for a, b in row] if g > 1 else row
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    reduced = [[qi_div((*x, 1), (*m[r][c], 1)) for x in m[r]] for r, c in enumerate(pivots)]
+    return reduced + [[_QI_ZERO] * ncols for _ in range(nrows - len(pivots))], pivots
 
 
-def gr_nullspace(rows: list[list[GaussianRational]], ncols: int) -> list[list[GaussianRational]]:
+def _integer_rows(rows: list[list[Qi]]) -> list[list[Num]]:
+    """Each row of triples times the lcm of its denominators."""
+    out = []
+    for row in rows:
+        d = lcm(*(e for _, _, e in row))
+        out.append([(x * (d // e), y * (d // e)) for x, y, e in row])
+    return out
+
+
+def gr_nullspace(rows: list[list[Qi]], ncols: int) -> list[list[Qi]]:
     """Basis of the right kernel; free variables set to 1 in column order."""
-    if not rows:
-        return [[GAUSS_ONE if i == j else GAUSS_ZERO for i in range(ncols)]
-                for j in range(ncols)]
-    m, pivots = gr_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    m, pivots = gr_rref(_integer_rows(rows))
     basis = []
-    for f in free:
-        v = [GAUSS_ZERO] * ncols
-        v[f] = GAUSS_ONE
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [_QI_ZERO] * ncols
+        v[f] = _QI_ONE
         for r, c in enumerate(pivots):
-            v[c] = -m[r][f]
+            x, y, d = m[r][f]
+            v[c] = (-x, -y, d)
         basis.append(v)
     return basis
 
 
-def gr_solve(rows: list[list[GaussianRational]], rhs: list[GaussianRational]):
+def gr_solve(rows: list[list[Qi]], rhs: list[Qi]):
     """One solution of rows * x = rhs, or None."""
-    aug = [row + [b] for row, b in zip(rows, rhs)]
-    m, pivots = gr_rref(aug)
+    m, pivots = gr_rref(_integer_rows([row + [b] for row, b in zip(rows, rhs)]))
     n = len(rows[0]) if rows else 0
     if n in pivots:
         return None
-    x = [GAUSS_ZERO] * n
+    x = [_QI_ZERO] * n
     for r, c in enumerate(pivots):
         x[c] = m[r][n]
     return x
 
 
-def express_in_span(vecs: list[GPoly], target: GPoly):
-    """Coefficients writing target in the span of vecs, or None."""
-    monos = sorted({m for v in vecs for m in v.num} | set(target.num))
+def _columns(polys: list[GPoly], monos: list) -> list[list[Qi]]:
+    """The coefficient matrix: one row per monomial, one column per polynomial."""
     idx = {m: i for i, m in enumerate(monos)}
-    rows = [[GAUSS_ZERO] * len(vecs) for _ in monos]
-    for j, v in enumerate(vecs):
-        for m, c in v.terms.items():
-            rows[idx[m]][j] = c
-    rhs = [GAUSS_ZERO] * len(monos)
-    for m, c in target.terms.items():
-        rhs[idx[m]] = c
-    return gr_solve(rows, rhs)
-
-
-def combination_nullspace(polys: list[GPoly]) -> list[list[GaussianRational]]:
-    """Basis of {c : sum c_i * polys_i = 0} in the free ring."""
-    monos = sorted({m for p in polys for m in p.num})
-    idx = {m: i for i, m in enumerate(monos)}
-    rows = [[GAUSS_ZERO] * len(polys) for _ in monos]
+    rows = [[_QI_ZERO] * len(polys) for _ in monos]
     for j, p in enumerate(polys):
         for m, c in p.terms.items():
             rows[idx[m]][j] = c
-    if not rows:
-        rows = [[GAUSS_ZERO] * len(polys)]
-    return gr_nullspace(rows, len(polys))
+    return rows
+
+
+def express_in_span(vecs: list[GPoly], target: GPoly):
+    """Coefficients writing target in the span of vecs, or None."""
+    monos = sorted({m for v in vecs for m in v.num} | set(target.num))
+    return gr_solve(_columns(vecs, monos), [target.coeff(m) for m in monos])
+
+
+def combination_nullspace(polys: list[GPoly]) -> list[list[Qi]]:
+    """Basis of {c : sum c_i * polys_i = 0} in the free ring."""
+    rows = _columns(polys, sorted({m for p in polys for m in p.num}))
+    return gr_nullspace(rows or [[_QI_ZERO] * len(polys)], len(polys))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from math import gcd
 
-from .exactmath import FinAbGroup, GaussianRational
+from .exactmath import FinAbGroup, Qi, frac_str, qi_str
 from .ogpoly import GPoly, QiPoly
 
 Monomial = tuple[tuple[str, int], ...]  # sorted by variable name, exponents > 0
@@ -104,7 +104,7 @@ class SparsePoly(QiPoly):
         return self._canonical({m: xy for m, xy in self.num.items()
                                 if not any(v in names for v, _ in m)}, self.den)
 
-    def coefficient_of_linear(self, name: str) -> GaussianRational | None:
+    def coefficient_of_linear(self, name: str) -> Qi | None:
         """Coefficient of the bare monomial ``name`` when the variable occurs
         nowhere else in the polynomial; None otherwise."""
         target: Monomial = ((name, 1),)
@@ -227,23 +227,11 @@ def pretty_name(name: str) -> str:
     return head + prime + sub
 
 
-def _frac_str(x: int, den: int) -> str:
-    """``str(Fraction(x, den))`` for den > 0, without the Fraction."""
-    if den == 1:
-        return str(x)
-    g = gcd(x, den)
-    return str(x // g) if g == den else f"{x // g}/{den // g}"
-
-
 def _coeff_str(x: int, y: int, den: int) -> str:
     """The coefficient (x + y*i) / den as pretty text: the rational alone, or
     the Gaussian rational in parentheses."""
-    if not y:
-        return _frac_str(x, den)
-    im = _frac_str(abs(y), den) + "i"
-    if not x:
-        return f"({'-' if y < 0 else ''}{im})"
-    return f"({_frac_str(x, den)}{'-' if y < 0 else '+'}{im})"
+    text = qi_str(x, y, den)
+    return f"({text})" if y else text
 
 
 def pretty_poly(poly: SparsePoly, order: dict[str, int], names: list[str]) -> str:
@@ -270,5 +258,5 @@ def pretty_poly(poly: SparsePoly, order: dict[str, int], names: list[str]) -> st
 
 def poly_to_json(poly: SparsePoly) -> list[dict]:
     den = poly.den
-    return [{"coeff": {"re": _frac_str(x, den), "im": _frac_str(y, den)}, "monomial": dict(m)}
+    return [{"coeff": {"re": frac_str(x, den), "im": frac_str(y, den)}, "monomial": dict(m)}
             for m, (x, y) in sorted(poly.num.items())]

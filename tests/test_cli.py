@@ -12,10 +12,11 @@ import pytest
 from sl2cox import cli, coxring, presentation
 from sl2cox.cli import build_parser, main
 from sl2cox.embedding import load_embedding
-from sl2cox.exactmath import FinAbGroup, IntMatrix, gauss
+from sl2cox.exactmath import FinAbGroup, IntMatrix
 from sl2cox.presentation import SparsePoly, poly_to_json
 
 import test_golden as golden
+from gaussian_oracle import to_qi
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -36,7 +37,7 @@ def poly_from_json(doc: list[dict]) -> SparsePoly:
     acc = SparsePoly()
     for t in doc:
         exps = {k: int(v) for k, v in t["monomial"].items()}
-        acc = acc + SparsePoly.term(gauss(t["coeff"]), exps)
+        acc = acc + SparsePoly.term(to_qi(t["coeff"]), exps)
     return acc
 
 
@@ -380,7 +381,7 @@ class TestOtherCommands:
 
 class TestPolyJson:
     def test_roundtrip_gaussian(self):
-        p = (SparsePoly.term(gauss({"re": "1/2", "im": "-3"}), {"x": 2, "y": 1})
+        p = (SparsePoly.term(to_qi({"re": "1/2", "im": "-3"}), {"x": 2, "y": 1})
              + SparsePoly.term(5, {}))
         assert poly_from_json(poly_to_json(p)).terms == p.terms
 
@@ -639,6 +640,25 @@ class TestBrokenPipe:
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
         try:
             assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 141
+        assert err == b""
+
+    def test_reader_leaves_in_the_middle_of_a_pretty_report(self, tmp_path):
+        # the pretty report is printed line by line, so when the reader
+        # leaves, the lines after the failed write are still to be printed
+        # and the last ones may sit in stdout's buffer: the exit must still
+        # be quiet, with no failed flush at interpreter shutdown
+        path = tmp_path / "mu32.json"
+        path.write_text(json.dumps(MU32_DOC), encoding="utf-8")
+        proc = subprocess.Popen([sys.executable, "-m", "sl2cox.cli", "cox-full", str(path)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+        try:
+            assert proc.stdout.readline() == b"Cox(X) by generators and relations\n"
             proc.stdout.close()
             _, err = proc.communicate(timeout=120)
         finally:

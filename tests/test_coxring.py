@@ -17,7 +17,6 @@ from sl2cox.coxring import (
     NotLinearInTarget,
     SectionModule,
     TorsionAfterAugmentation,
-    _numerators,
     _product_monomial,
     _transvectant,
     batyrev_haddad,
@@ -37,16 +36,7 @@ from sl2cox.embedding import (
     load_embedding,
     point_coordinates,
 )
-from sl2cox.exactmath import (
-    GAUSS_ONE,
-    GAUSS_ZERO,
-    EmptySolutionSet,
-    FinAbGroup,
-    GaussianRational,
-    RelationLattice,
-    gauss,
-    gauss_ipow,
-)
+from sl2cox.exactmath import EmptySolutionSet, FinAbGroup, RelationLattice, qi
 from sl2cox.groups import ICOSA, OCTA, TETRA, cyclic, dihedral
 from sl2cox.hyperspace import BasePoint, X0, XE, XF, XINF, XV, point
 from sl2cox.ogpoly import G1, G2, G3, G4, GPoly, combination_nullspace
@@ -60,6 +50,16 @@ from sl2cox.presentation import (
     term_degree,
 )
 
+from gaussian_oracle import (
+    GAUSS_ONE,
+    GAUSS_ZERO,
+    GaussianRational,
+    gauss,
+    gauss_ipow,
+    gr,
+    gr_terms,
+    to_qi,
+)
 from test_classgroup import AdaptedOracle, dense_u, outcome, solve_integer
 from test_embedding import mu3_example, trivial_four_points
 from test_ogpoly import evaluate, raise_op, sl2_normal_form, sl2z_points
@@ -80,10 +80,11 @@ def relation_b_weight(poly: SparsePoly, weights: dict[str, int]):
 
 
 def rel(*terms) -> SparsePoly:
-    """Build a relation from (coeff, {var: exp}) pairs."""
+    """Build a relation from (coeff, {var: exp}) pairs, each coeff anything
+    ``gauss`` reads."""
     acc = SparsePoly()
     for c, mono in terms:
-        acc = acc + SparsePoly.term(c, mono)
+        acc = acc + SparsePoly.term(to_qi(c), mono)
     return acc
 
 
@@ -91,7 +92,7 @@ def canonical_key(poly: SparsePoly, var_order: list[str]):
     """Hashable form of a relation up to its global sign (fixed by
     ``canonicalize`` in the variable order), for exact comparison."""
     p = canonicalize(poly, {v: i for i, v in enumerate(var_order)})
-    return frozenset((m, (c.re, c.im)) for m, c in p.terms.items())
+    return frozenset(p.terms.items())
 
 
 def keys_of(P: GradedPresentation):
@@ -581,8 +582,8 @@ class TestFullCoxShapes:
         # the closed-form product monomials against exact evaluation at
         # integer points of SL2, with Gaussian coordinates and n up to 24
         rng = random.Random(2718)
-        coords = [(gauss((2, 1)), 3), (gauss((0, -3)), 1), (1, gauss((1, 2))), (2, 7),
-                  (gauss((1, -1)), gauss((0, 2))), (Fraction(1, 2), gauss((3, 1))), (-1, 1)]
+        coords = [(to_qi((2, 1)), 3), (to_qi((0, -3)), 1), (1, to_qi((1, 2))), (2, 7),
+                  (to_qi((1, -1)), to_qi((0, 2))), (Fraction(1, 2), to_qi((3, 1))), (-1, 1)]
         done, sizes = 0, set()
         while done < 14:
             n = rng.randint(1, 24)
@@ -615,12 +616,19 @@ class TestFullCoxShapes:
                 relation_b_weight(r, wts)
 
 
+def _numerators(alpha, beta) -> tuple:
+    """(alpha, beta), anything ``gauss`` reads, as Gaussian-integer numerators
+    over one denominator: a section module's ``coords``."""
+    (ar, ai, ad), (br, bi, bd) = to_qi(alpha), to_qi(beta)
+    d = ad * bd // gcd(ad, bd)
+    return (ar * (d // ad), ai * (d // ad)), (br * (d // bd), bi * (d // bd)), d
+
+
 def _extra_module(nb: int, alpha, beta, idx: str = "1") -> SectionModule:
     """The extra-point module of [alpha:beta] for nbar = nb, built as in the
     construction: beta g3^(nb-k) g1^k - alpha g4^(nb-k) g2^k, weight nb - 2k."""
-    alpha, beta = gauss(alpha), gauss(beta)
-    fns = tuple((G3.pow(nb - k) * G1.pow(k)).scale(beta)
-                - (G4.pow(nb - k) * G2.pow(k)).scale(alpha)
+    fns = tuple((G3.pow(nb - k) * G1.pow(k)).scale(to_qi(beta))
+                - (G4.pow(nb - k) * G2.pow(k)).scale(to_qi(alpha))
                 for k in range(nb + 1))
     names = tuple(f"m{k}_{idx}" for k in range(nb + 1))
     return SectionModule(f"x{idx}", {}, names, fns, _numerators(alpha, beta), 1)
@@ -628,8 +636,8 @@ def _extra_module(nb: int, alpha, beta, idx: str = "1") -> SectionModule:
 
 def _uniform_module(alpha, beta, idx: str = "1") -> SectionModule:
     """The n <= 2 module of [alpha:beta]: beta g3 - alpha g4, alpha g2 - beta g1."""
-    alpha, beta = gauss(alpha), gauss(beta)
-    fns = (G3.scale(beta) - G4.scale(alpha), G2.scale(alpha) - G1.scale(beta))
+    a, b = to_qi(alpha), to_qi(beta)
+    fns = (G3.scale(b) - G4.scale(a), G2.scale(a) - G1.scale(b))
     return SectionModule(f"x{idx}", {}, (f"s{idx}", f"t{idx}"), fns, _numerators(alpha, beta), -1)
 
 
@@ -655,9 +663,9 @@ def _raising_scalars(fns: list[GPoly]) -> list:
     scalars = [gauss(0)]
     for above, f in zip(fns, fns[1:]):
         raised = raise_op(f)
-        mono, c = next(iter(raised.terms.items()))
-        scalars.append(c / above.terms[mono])
-        assert raised == above.scale(scalars[-1])
+        mono, c = next(iter(gr_terms(raised).items()))
+        scalars.append(c / gr(above.coeff(mono)))
+        assert raised == above.scale(to_qi(scalars[-1]))
     return scalars
 
 
@@ -697,8 +705,8 @@ class TestRaisingScalars:
 
     def test_gaussian_sweep_obeys_the_module_formula(self):
         rng = random.Random(1618)
-        coords = [(gauss((2, 1)), 3), (gauss((0, -3)), 1), (1, gauss((1, 2))), (2, 7),
-                  (gauss((1, -1)), gauss((0, 2))), (Fraction(1, 2), gauss((3, 1))), (-1, 1)]
+        coords = [(to_qi((2, 1)), 3), (to_qi((0, -3)), 1), (1, to_qi((1, 2))), (2, 7),
+                  (to_qi((1, -1)), to_qi((0, 2))), (Fraction(1, 2), to_qi((3, 1))), (-1, 1)]
         done, small = 0, 0
         while done < 24:
             n = rng.randint(1, 24)
@@ -728,9 +736,9 @@ def _dense_raising(mod: SectionModule) -> list:
         if raised.is_zero():
             continue
         k = next(k for k, w in enumerate(mod.weights) if w == mod.weights[j] + 2)
-        mono, c = next(iter(raised.terms.items()))
-        M[k][j] = c / mod.fns[k].terms[mono]
-        assert raised == mod.fns[k].scale(M[k][j])
+        mono, c = next(iter(gr_terms(raised).items()))
+        M[k][j] = c / gr(mod.fns[k].coeff(mono))
+        assert raised == mod.fns[k].scale(to_qi(M[k][j]))
     return M
 
 
@@ -862,14 +870,14 @@ class TestTransvectant:
             n_rows = [r for mod in res.modules if mod.kind == "N" for r in mod.rows]
             assert n_rows
             for row in n_rows:
-                monos, coeffs = zip(*row.poly.terms.items())
+                monos, coeffs = zip(*gr_terms(row.poly).items())
                 polys = []
                 for mono in monos:
                     f = GPoly.const(1)
                     for v, e in mono:
                         f = f * fn[v].pow(e)
                     polys.append(f)
-                null = combination_nullspace(polys)
+                null = [list(map(gr, v)) for v in combination_nullspace(polys)]
                 assert len(null) == 1
                 j = next(j for j, c in enumerate(null[0]) if c)
                 assert [c * coeffs[j] / null[0][j] for c in null[0]] == list(coeffs)
@@ -888,7 +896,7 @@ def _chain_sum_monomial(A: SectionModule, B: SectionModule, k: int):
         return GAUSS_ZERO, None, None, True
     ((e1, e2, n0, ninf),) = fy.num  # a single monomial in g3, g4
     assert e1 == e2 == 0
-    return fy.coeff((0, 0, n0, ninf)), n0, ninf, False
+    return gr(fy.coeff((0, 0, n0, ninf))), n0, ninf, False
 
 
 def _closed_monomial(A: SectionModule, B: SectionModule, k: int):
@@ -953,7 +961,7 @@ def _orbit_value(var: GradedVariable, E: EmbeddingData, keys: dict, g):
         return gauss(g4 if var.b_weight == 1 else g2)
     p = next((q for q in E.extra_points if keys[q] == key), None)
     if p is not None:
-        alpha, beta = p.alpha, p.beta
+        alpha, beta = gr(p.alpha), gr(p.beta)
     else:
         alpha, beta = {"x0": (gauss(0), gauss(1)), "xinf": (gauss(1), gauss(0))}[key]
     if E.group.n <= 2:
@@ -977,7 +985,7 @@ def _cox_u_value(var: GradedVariable, E: EmbeddingData, keys: dict, g):
     if key in ("x0", "xinf"):
         return gauss(g3 if key == "x0" else g4)
     p = next(q for q in E.extra_points if keys[q] == key)
-    return p.beta * g3 ** nb - p.alpha * g4 ** nb
+    return gr(p.beta) * g3 ** nb - gr(p.alpha) * g4 ** nb
 
 
 def _assert_cox_u_oracle(E: EmbeddingData, P: GradedPresentation):
@@ -995,7 +1003,7 @@ def _assert_cox_u_oracle(E: EmbeddingData, P: GradedPresentation):
 def _value_at(poly: SparsePoly, val: dict):
     """poly with every variable replaced by its value in ``val``."""
     acc = gauss(0)
-    for mono, c in poly.terms.items():
+    for mono, c in gr_terms(poly).items():
         term = c
         for v, e in mono:
             for _ in range(e):
@@ -1046,7 +1054,7 @@ def _unit_names(P: GradedPresentation, one) -> set:
 
 
 def _gaussian(mono, c) -> bool:
-    return c.im != 0
+    return c[1] != 0
 
 
 def _with_inhomogeneous(P: GradedPresentation) -> GradedPresentation:
@@ -1081,7 +1089,7 @@ class TestVerifiersReject:
             verify_full_cox(replace(res, presentation=_with_inhomogeneous(res.presentation)))
 
     def test_full_cox_perturbed_unit_or_gaussian_term(self):
-        x1 = point(gauss((2, 1)), 3)
+        x1 = point(to_qi((2, 1)), 3)
         E = EmbeddingData(cyclic(3), (x1,), tuple(
             GStableDivisorSpec(p, 1, -1) for p in (X0, XINF, x1)))
         res = full_cox_presentation_cyclic(E)
@@ -1097,7 +1105,7 @@ class TestVerifiersReject:
                 verify_full_cox(replace(res, presentation=_perturbed(res.presentation, pick)))
 
     def test_polyhedral_cox_u_unit_or_gaussian_term(self):
-        x1 = point(gauss((2, 1)), 3)
+        x1 = point(to_qi((2, 1)), 3)
         E = EmbeddingData(TETRA, (x1,), (
             GStableDivisorSpec(XV, 1, -1), GStableDivisorSpec(XE, 1, -3),
             GStableDivisorSpec(XF, 2, -2), GStableDivisorSpec(x1, 1, -1)))
@@ -1108,7 +1116,7 @@ class TestVerifiersReject:
         # every cox_u term has B-weight n0, so no term is a product of r
         # sections alone; a one-term relation i * r^2 is one (and homogeneous)
         r = min(_unit_names(P, SparsePoly.term(1, {})))
-        unit_rel = SparsePoly.term(gauss((0, 1)), {r: 2})
+        unit_rel = SparsePoly.term((0, 1, 1), {r: 2})
         with pytest.raises(RuntimeError, match="does not vanish"):
             verify_cox_u(E, replace(P, relations=P.relations + [unit_rel]))
 
@@ -1362,7 +1370,7 @@ class TestExponentWalk:
         rng = random.Random("n-row-scalars")
 
         def coordinate():
-            return gauss((Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+            return to_qi((Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
                           Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(2, 6))))
 
         for n in (1, 3, 4, 5, 7, 8, 9, 12, 16):  # n = 2 keeps torsion with four points
@@ -1377,14 +1385,15 @@ class TestExponentWalk:
             assert len(rows) == 2
             for mod, ctx, p, out in rows:
                 F = ctx.E.group
-                alpha, beta = point_coordinates(F, p)
-                beta0 = point_coordinates(F, ctx.p0_point)[1]
-                alphainf = point_coordinates(F, ctx.pinf_point)[0]
+                alpha, beta = map(gr, point_coordinates(F, p))
+                beta0 = gr(point_coordinates(F, ctx.p0_point)[1])
+                alphainf = gr(point_coordinates(F, ctx.pinf_point)[0])
                 assert alpha.im and beta.im and mod.coords[2] > 1
                 want = (beta / beta0, alpha / alphainf, gauss(-1))
                 for i, row in enumerate(out):  # and the lowered row when nbar = 1
                     names = (ctx.mod0.names[i], ctx.modinf.names[i], mod.names[i])
-                    got = {v: c for m, c in row.poly.terms.items() for v, _ in m if v in names}
+                    got = {v: c for m, c in gr_terms(row.poly).items() for v, _ in m
+                           if v in names}
                     assert got == dict(zip(names, want)), (n, mod.point_key, i)
 
 
@@ -1530,8 +1539,8 @@ def _gpoly_module_fns(alpha, beta, d: int, eps: int) -> tuple[GPoly, ...]:
 
 class TestIntegerModules:
     def test_module_functions_match_the_gpoly_formula(self):
-        coords = [(2, 3), (gauss((2, 1)), 3), (Fraction(1, 2), gauss((Fraction(2, 3), 1))),
-                  (gauss((0, -3)), 1), (-1, 1)]
+        coords = [(2, 3), (to_qi((2, 1)), 3), (Fraction(1, 2), to_qi((Fraction(2, 3), 1))),
+                  (to_qi((0, -3)), 1), (-1, 1)]
         # no extra points for n = 2 mod 4, whose class groups keep torsion
         cases = [(n, [] if n % 4 == 2 else [coords[n % 5], coords[(n + 2) % 5]])
                  for n in range(3, 25)]
@@ -1543,7 +1552,7 @@ class TestIntegerModules:
                               tuple(GStableDivisorSpec(p, 1, -1) for p in over))
             res = full_cox_presentation_cyclic(E)
             keys = res.class_group.point_keys
-            at = {"x0": (gauss(0), gauss(1)), "xinf": (gauss(1), gauss(0))}  # no point there
+            at = {"x0": (qi(0), qi(1)), "xinf": (qi(1), qi(0))}  # no point there
             at.update((keys[p], point_coordinates(E.group, p))
                       for p in res.embedding.exceptional_points())
             for tag, fns in _module_functions(res).items():
@@ -1623,7 +1632,7 @@ def _pair_differing_in(P: GradedPresentation, part: int):
 
 def _shifted(r: SparsePoly, m1, m2) -> SparsePoly:
     """r with its first term multiplied by m1 and every other one by m2."""
-    (m0, c0), *rest = r.terms.items()
+    (m0, c0), *rest = gr_terms(r).items()
     out = rel((c0, dict(m0))) * rel((1, dict(m1)))
     return out + rel(*[(c, dict(m)) for m, c in rest]) * rel((1, dict(m2)))
 
@@ -1641,7 +1650,7 @@ class TestPackedHomogeneity:
 
     def test_cyclic_with_torsion_agrees_with_the_oracle(self):
         rng = random.Random(1729)
-        coords = [(1, 1), (2, 1), (3, 1), (1, 3), (gauss((2, 1)), 3)]
+        coords = [(1, 1), (2, 1), (3, 1), (1, 3), (to_qi((2, 1)), 3)]
         found: list[GradedPresentation] = []
         while len(found) < 10:
             n = rng.randint(1, 12)

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from sl2cox.exactmath import GaussianRational
+from sl2cox.exactmath import qi_div
 from sl2cox.groups import FiniteSubgroup, ICOSA, OCTA, TETRA, cyclic, dihedral
 from sl2cox.hyperspace import (
     HyperspaceVector,
@@ -23,10 +23,10 @@ from sl2cox.hyperspace import (
     interiors_disjoint,
     is_supported,
     point,
-    ratio_key,
     valuation_cone_contains,
 )
 
+from gaussian_oracle import GaussianRational, gr, to_qi
 from test_classgroup import FAMILIES
 
 ALL_GROUPS = [cyclic(1), cyclic(2), cyclic(3), cyclic(6), cyclic(7),
@@ -90,7 +90,8 @@ def oracle_key(p):
     None for beta = 0."""
     if p.tag is not None:
         return p.tag
-    return p.alpha / p.beta if p.beta else None
+    alpha, beta = gr(p.alpha), gr(p.beta)
+    return alpha / beta if beta else None
 
 
 def oracle_cone_contains(F, base, h, l, section):
@@ -137,8 +138,8 @@ def _random_points(rng):
         p = point(alpha, beta)
         pts.append(p)
         for _ in range(2):
-            lam = point(_gaussian(rng, zero=0), 1).alpha
-            pts.append(point(lam * p.alpha, lam * p.beta))
+            lam = gr(point(_gaussian(rng, zero=0), 1).alpha)
+            pts.append(point(to_qi(lam * gr(p.alpha)), to_qi(lam * gr(p.beta))))
     return pts
 
 
@@ -158,10 +159,10 @@ class TestOracles:
         for p in _random_points(random.Random(f"ratio-key-{seed}")):
             if p.tag is not None:
                 continue
-            key = ratio_key(p.alpha, p.beta)
+            key = qi_div(p.alpha, p.beta)
             assert key == p._key
             if key is None:
-                assert not p.beta
+                assert not gr(p.beta)
                 continue
             x, y, d = key
             assert d > 0 and gcd(x, y, d) == 1
@@ -177,7 +178,8 @@ class TestOracles:
             F = FAMILIES[family](rng)
             pts = _random_points(rng)
             at = rng.choice([p for p in pts if p.tag is None])
-            copy = point(2 * at.alpha, 2 * at.beta)  # the section point, as another representative
+            # the section point, as another representative
+            copy = point(to_qi(2 * gr(at.alpha)), to_qi(2 * gr(at.beta)))
             for section in (None, at):
                 for base in pts + [copy]:
                     for h in range(1, 4):

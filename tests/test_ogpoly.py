@@ -1,6 +1,7 @@
 """GPoly and SparsePoly against oracles independent of the integer
 coefficient storage they share: exact evaluation at integer matrices of
-determinant 1, and products and sums over GaussianRational dictionaries.
+determinant 1, and products and sums over ``GaussianRational`` dictionaries
+(``gaussian_oracle``).
 GPoly is the free ring Q(i)[g1..g4]; the SL2 normal form below (modulo
 g1*g4 - g2*g3 - 1) is the oracle for equality on SL2 and for
 ``GPoly.vanishes_on_sl2``.  The ring map ``SparsePoly.evaluate``, which
@@ -16,11 +17,12 @@ import pytest
 
 from sl2cox.coxring import _exceptional_reduction, full_cox_presentation_cyclic, verify_full_cox
 from sl2cox.embedding import exceptional_relation_scalar, load_embedding, point_coordinates
-from sl2cox.exactmath import GAUSS_ZERO, GaussianRational, gauss
 from sl2cox.groups import ICOSA, OCTA, TETRA, dihedral
 from sl2cox.hyperspace import XF
 from sl2cox.ogpoly import G1, G2, G3, G4, GPoly, _collect
 from sl2cox.presentation import SparsePoly, monomial
+
+from gaussian_oracle import GAUSS_ZERO, GaussianRational, gauss, gr, gr_terms, to_qi
 
 GOLDEN_INPUTS = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
 
@@ -47,14 +49,14 @@ POINTS = sl2z_points(6)
 
 
 def gmono(c, e1=0, e2=0, e3=0, e4=0) -> GPoly:
-    """The monomial c g1^e1 g2^e2 g3^e3 g4^e4."""
-    return GPoly({(e1, e2, e3, e4): c})
+    """The monomial c g1^e1 g2^e2 g3^e3 g4^e4, c anything ``gauss`` reads."""
+    return GPoly({(e1, e2, e3, e4): to_qi(c)})
 
 
 def evaluate(p: GPoly, g) -> GaussianRational:
     """p at the matrix g, term by term; never rewrites a monomial."""
     acc = GAUSS_ZERO
-    for (e1, e2, e3, e4), c in p.terms.items():
+    for (e1, e2, e3, e4), c in gr_terms(p).items():
         acc = acc + c * (g[0] ** e1 * g[1] ** e2 * g[2] ** e3 * g[3] ** e4)
     return acc
 
@@ -64,7 +66,7 @@ def raise_op(p: GPoly) -> GPoly:
     action, term by term; it kills g1 g4 - g2 g3 - 1, so it is well defined
     on O(SL2)."""
     out = GPoly()
-    for (a, b, c, d), coeff in p.terms.items():
+    for (a, b, c, d), coeff in gr_terms(p).items():
         if a:
             out = out + gmono(coeff * a, a - 1, b, c + 1, d)
         if b:
@@ -107,7 +109,7 @@ def random_gpoly(rng: random.Random) -> GPoly:
     terms = {}
     for _ in range(rng.randint(1, 4)):
         mono = tuple(rng.randint(0, 3) for _ in range(4))
-        terms[mono] = random_gaussian(rng)
+        terms[mono] = to_qi(random_gaussian(rng))
     return GPoly(terms)
 
 
@@ -157,7 +159,7 @@ def random_sparsepoly(rng: random.Random) -> SparsePoly:
     terms = {}
     for _ in range(rng.randint(1, 4)):
         names = rng.sample(("a", "b", "s0", "sinf"), rng.randint(0, 3))
-        terms[monomial({v: rng.randint(1, 3) for v in names})] = random_gaussian(rng)
+        terms[monomial({v: rng.randint(1, 3) for v in names})] = to_qi(random_gaussian(rng))
     return SparsePoly(terms)
 
 
@@ -280,7 +282,7 @@ def test_high_power_of_the_determinant_term_is_binomial():
     # one g1*g4 factor at a time this needs 2^64 rewrites
     p = sl2_normal_form(G1.pow(64) * G4.pow(64))
     assert len(p.terms) == 65
-    assert p.terms == {(0, i, i, 0): gauss(comb(64, i)) for i in range(65)}
+    assert p.terms == {(0, i, i, 0): (comb(64, i), 0, 1) for i in range(65)}
 
 
 DET = G1 * G4 - G2 * G3
@@ -340,33 +342,35 @@ def test_products_match_the_gaussian_rational_reference():
         rng = random.Random(17)
         for _ in range(200):
             p, q = random_poly(rng), random_poly(rng)
-            for got, want in ((p * q, ref_mul(p.terms, q.terms)),
-                              (p + q, ref_add(p.terms, q.terms))):
+            for got, want in ((p * q, ref_mul(gr_terms(p), gr_terms(q))),
+                              (p + q, ref_add(gr_terms(p), gr_terms(q)))):
                 assert type(got) is ring
-                assert got.terms == want
+                assert gr_terms(got) == want
                 assert len(got.terms) == len(got.num)
                 assert is_canonical(got)
     rng = random.Random(17)
     for _ in range(200):
         p, q = random_gpoly(rng), random_gpoly(rng)
-        assert sl2_normal_form(p * q).terms == reference_mul(p.terms, q.terms, sl2=True)
+        assert gr_terms(sl2_normal_form(p * q)) == reference_mul(gr_terms(p), gr_terms(q),
+                                                                 sl2=True)
 
 
 def test_canonical_form():
     for ring, (random_poly, one, _, _) in RINGS.items():
-        assert ring({one: Fraction(2, 4)}) == ring({one: Fraction(1, 2)})
-        assert ring({one: Fraction(2, 4)}).den == 2
+        assert ring({one: (2, 0, 4)}) == ring({one: (1, 0, 2)})
+        assert ring({one: (2, 0, 4)}).den == 2
         assert ring({one: 0}) == ring() and ring().den == 1
         rng = random.Random(19)
         for _ in range(40):
             p = random_poly(rng)
-            assert p.scale(Fraction(1, 3)).scale(3) == p
-            assert p.scale(gauss((0, 1))).scale(gauss((0, -1))) == p
+            assert p.scale((1, 0, 3)).scale(3) == p
+            assert p.scale((0, 1, 1)).scale((0, -1, 1)) == p
             zero = p - p
             assert zero.is_zero() and zero.den == 1 and zero == ring()
             assert (p * (p - p)).den == 1
             c = random_gaussian(rng)
-            assert p.scale(c).terms == {m: x * c for m, x in p.terms.items() if x * c}
+            assert gr_terms(p.scale(to_qi(c))) == {m: x * c for m, x in gr_terms(p).items()
+                                                   if x * c}
     assert SparsePoly() != GPoly() and GPoly() != SparsePoly()
     rng = random.Random(23)
     for _ in range(40):
@@ -378,36 +382,37 @@ def test_canonical_form():
         for name in ("a", "b"):
             got = p.substitute(name, q)
             assert is_canonical(got)
-            assert got.terms == reference_substitute(p.terms, name, q.terms)
+            assert gr_terms(got) == reference_substitute(gr_terms(p), name, gr_terms(q))
             assert p.substitute(name, SparsePoly.variable(name)) == p
 
 
 def test_coefficients_at_the_boundary():
-    p = GPoly({(0, 0, 2, 1): gauss((Fraction(1, 2), 1)), (1, 0, 0, 0): gauss(Fraction(2, 3))})
-    assert p.coeff((0, 0, 2, 1)) == gauss((Fraction(1, 2), 1))
-    assert p.coeff((1, 0, 0, 0)) == gauss(Fraction(2, 3))
-    assert p.coeff((0, 1, 0, 0)) == GAUSS_ZERO
+    p = GPoly({(0, 0, 2, 1): to_qi((Fraction(1, 2), 1)), (1, 0, 0, 0): to_qi(Fraction(2, 3))})
+    assert gr(p.coeff((0, 0, 2, 1))) == gauss((Fraction(1, 2), 1))
+    assert gr(p.coeff((1, 0, 0, 0))) == gauss(Fraction(2, 3))
+    assert p.coeff((0, 1, 0, 0)) == (0, 0, 1)
     assert p.den == 6 and p.num == {(0, 0, 2, 1): (3, 6), (1, 0, 0, 0): (4, 0)}
     # (1/2) g1^2 raised is g1*g3: the factor 2 cancels the denominator
     assert raise_op(gmono(Fraction(1, 2), 2)) == G1 * G3
 
 
 def test_int_fraction_and_gaussian_coefficients_agree():
-    # int and Fraction coefficients take a shortcut past GaussianRational
+    # an int coefficient, and a triple over any positive denominator (not
+    # reduced), agree with the oracle's canonical triple of the same value
     rng = random.Random(41)
     for _ in range(50):
         raw = [(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(3)]
         monos = [(0, 0, 1, 0), (2, 0, 0, 1), (1, 1, 0, 0)]
         as_int = GPoly({m: p for m, (p, _) in zip(monos, raw)})
-        assert as_int == GPoly({m: Fraction(p) for m, (p, _) in zip(monos, raw)})
-        assert as_int == GPoly({m: gauss(p) for m, (p, _) in zip(monos, raw)})
-        as_frac = GPoly({m: Fraction(p, q) for m, (p, q) in zip(monos, raw)})
-        assert as_frac == GPoly({m: gauss(Fraction(p, q)) for m, (p, q) in zip(monos, raw)})
+        assert as_int == GPoly({m: (p, 0, 1) for m, (p, _) in zip(monos, raw)})
+        assert as_int == GPoly({m: to_qi(p) for m, (p, _) in zip(monos, raw)})
+        as_frac = GPoly({m: (p, 0, q) for m, (p, q) in zip(monos, raw)})
+        assert as_frac == GPoly({m: to_qi(Fraction(p, q)) for m, (p, q) in zip(monos, raw)})
         assert is_canonical(as_int) and is_canonical(as_frac)
         p, q = raw[0]
-        for c in (p, Fraction(p, q)):
-            assert as_frac.scale(c) == as_frac.scale(gauss(c))
-            assert SparsePoly.term(c, {"x": 2}) == SparsePoly.term(gauss(c), {"x": 2})
+        for c, canonical in ((p, to_qi(p)), ((p, 0, q), to_qi(Fraction(p, q)))):
+            assert as_frac.scale(c) == as_frac.scale(canonical)
+            assert SparsePoly.term(c, {"x": 2}) == SparsePoly.term(canonical, {"x": 2})
 
 
 def reference_evaluate(p: dict, images: dict, unit, ref_mul, ref_add) -> dict:
@@ -418,7 +423,7 @@ def reference_evaluate(p: dict, images: dict, unit, ref_mul, ref_add) -> dict:
         piece = {unit: c}
         for v, e in m:
             for _ in range(e if images[v] is not None else 0):
-                piece = ref_mul(piece, images[v].terms)
+                piece = ref_mul(piece, gr_terms(images[v]))
         out = ref_add(out, piece)
     return out
 
@@ -435,7 +440,8 @@ def test_evaluate_matches_one_factor_at_a_time():
             skipped += any(images[v] is None for v in p.variables())
             got = p.evaluate(lambda v, e: None if images[v] is None else images[v].pow(e), one)
             assert type(got) is ring
-            assert got.terms == reference_evaluate(p.terms, images, unit, ref_mul, ref_add)
+            assert gr_terms(got) == reference_evaluate(gr_terms(p), images, unit, ref_mul,
+                                                       ref_add)
             assert is_canonical(got)
         assert skipped > 20
 
@@ -448,7 +454,7 @@ def test_evaluate_matches_reference_substitute_over_mixed_denominators():
     dens = (1, 2, 3, 5, 7)
 
     def coefficient():
-        return gauss((Fraction(rng.randint(-9, 9), rng.choice(dens)),
+        return to_qi((Fraction(rng.randint(-9, 9), rng.choice(dens)),
                       Fraction(rng.randint(-9, 9), rng.choice(dens))))
 
     def poly(names, terms):
@@ -468,10 +474,10 @@ def test_evaluate_matches_reference_substitute_over_mixed_denominators():
         for p in ps:  # one map, shared by every polynomial
             got = p.evaluate(power, value.pow(0))
             cut = {}
-            for m, c in p.terms.items():
+            for m, c in gr_terms(p).items():
                 cut = reference_sparse_add(cut, {tuple((v, e) for v, e in m if v not in ones): c})
             assert is_canonical(got)
-            assert got.terms == reference_substitute(cut, name, value.terms)
+            assert gr_terms(got) == reference_substitute(cut, name, gr_terms(value))
             if not ones:
                 assert got == p.substitute(name, value)
 
@@ -482,8 +488,8 @@ def reference_exceptional_reduction(f: dict, F) -> dict:
     lam ff^nf with a = fv^nv and b = -fe^ne: R = (beta fv^nv + alpha fe^ne)
     / lam, (alpha, beta) the coordinates of xf."""
     mult = F.canonical_multiplicities()
-    alpha, beta = point_coordinates(F, XF)
-    inv = exceptional_relation_scalar(F).inverse()
+    alpha, beta = map(gr, point_coordinates(F, XF))
+    inv = gr(exceptional_relation_scalar(F)).inverse()
     R = {monomial({"fv": mult["xv"]}): beta * inv, monomial({"fe": mult["xe"]}): alpha * inv}
     out = dict(f)
     while (m := next((m for m in out if dict(m).get("ff", 0) >= mult["xf"]), None)) is not None:
@@ -501,10 +507,10 @@ def test_exceptional_reduction_matches_one_step_at_a_time(F):
     nf = F.canonical_multiplicities()["xf"]
     for _ in range(40):
         f = SparsePoly({monomial({"fv": rng.randint(0, 3), "fe": rng.randint(0, 3),
-                                  "ff": rng.randint(0, 3 * nf)}): random_gaussian(rng)
+                                  "ff": rng.randint(0, 3 * nf)}): to_qi(random_gaussian(rng))
                         for _ in range(rng.randint(1, 4))})
         got = reduce(f)
-        assert got.terms == reference_exceptional_reduction(f.terms, F)
+        assert gr_terms(got) == reference_exceptional_reduction(gr_terms(f), F)
         assert is_canonical(got)
 
 

@@ -1,6 +1,7 @@
 """The render helpers of ``presentation`` against the Fraction-based forms
-they replaced: coefficient strings from ``GaussianRational``, JSON terms from
-``SparsePoly.terms`` and the graded-lex order over dense exponent vectors.
+they replaced: coefficient strings from ``GaussianRational``
+(``gaussian_oracle``), JSON terms from ``SparsePoly.terms`` and the graded-lex
+order over dense exponent vectors.
 A seeded sweep must give identical strings, leading terms and term orders."""
 
 import random
@@ -8,11 +9,10 @@ from fractions import Fraction
 
 import pytest
 
-from sl2cox.exactmath import GAUSS_ONE, GaussianRational
+from sl2cox.exactmath import frac_str
 from sl2cox.presentation import (
     SparsePoly,
     _coeff_str,
-    _frac_str,
     _mono_key,
     canonicalize,
     monomial,
@@ -20,6 +20,8 @@ from sl2cox.presentation import (
     pretty_name,
     pretty_poly,
 )
+
+from gaussian_oracle import GAUSS_ONE, GaussianRational, gr, gr_terms, to_qi
 
 # -- oracles: the Fraction-based helpers and the dense graded-lex key ---------
 
@@ -44,14 +46,14 @@ def oracle_canonicalize(poly, var_order):
         return poly
     order = {v: i for i, v in enumerate(var_order)}
     lead = max(poly.num, key=lambda m: oracle_mono_key(m, order))
-    return poly.scale(-1) if oracle_negative(poly.coeff(lead)) else poly
+    return poly.scale(-1) if oracle_negative(gr(poly.coeff(lead))) else poly
 
 
 def oracle_pretty_poly(poly, var_order):
     if poly.is_zero():
         return "0"
     order = {v: i for i, v in enumerate(var_order)}
-    items = sorted(poly.terms.items(), key=lambda kv: oracle_mono_key(kv[0], order),
+    items = sorted(gr_terms(poly).items(), key=lambda kv: oracle_mono_key(kv[0], order),
                    reverse=True)
     s = ""
     for m, c in items:
@@ -71,7 +73,7 @@ def oracle_pretty_poly(poly, var_order):
 
 def oracle_poly_to_json(poly):
     return [{"coeff": {"re": str(c.re), "im": str(c.im)}, "monomial": {v: e for v, e in m}}
-            for m, c in sorted(poly.terms.items())]
+            for m, c in sorted(gr_terms(poly).items())]
 
 
 # -- the sweep -------------------------------------------------------------------
@@ -106,7 +108,7 @@ def random_poly(rng, order):
     for _ in range(rng.randint(0, 12)):
         k = rng.randint(0, 6)
         exps = {v: rng.randint(1, 4) for v in rng.sample(order, k)}
-        terms[monomial(exps)] = random_coeff(rng)
+        terms[monomial(exps)] = to_qi(random_coeff(rng))
     return SparsePoly(terms)
 
 
@@ -156,5 +158,5 @@ def test_coefficient_strings_from_integers():
                rng.randint(1, 36)) for _ in range(2000)]
     for x, y, den in cases:
         c = GaussianRational(Fraction(x, den), Fraction(y, den))
-        assert _frac_str(x, den) == str(Fraction(x, den)), (x, den)
+        assert frac_str(x, den) == str(Fraction(x, den)), (x, den)
         assert _coeff_str(x, y, den) == oracle_coeff_str(c), (x, y, den)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -409,8 +410,11 @@ def main(argv=None) -> int:
         print(f"computation error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except BrokenPipeError:
-        # the reader is gone; a write that failed leaves nothing buffered, so
-        # the interpreter's last flush has nothing to write
+        # the reader is gone: send what is still buffered to devnull, so the
+        # interpreter's last flush does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_BROKEN_PIPE
 
 

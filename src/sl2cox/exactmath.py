@@ -44,9 +44,7 @@ def qi(x) -> Qi:
     """Coerce into Q(i) as the canonical triple (x, y, d), meaning (x + y*i)/d
     with d > 0 and gcd(x, y, d) = 1: an int, a Fraction or a 'p/q' string is
     the real part, a dict {"re", "im"} (a missing part is 0) or a two-element
-    list gives both parts, and a triple is taken as it is."""
-    if type(x) is tuple and len(x) == 3:
-        return x
+    list gives both parts."""
     if isinstance(x, (int, Fraction, str)):
         re, im = rat(x), Fraction(0)
     elif isinstance(x, dict):

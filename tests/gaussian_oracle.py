@@ -4,9 +4,10 @@
 every element of Q(i) as the triple (x, y, d) = (x + y*i)/d.  It is kept
 here, with its arithmetic, its text and the coercion ``gauss``, so that the
 tests can check the triples against an independent implementation: ``gr``
-reads a triple into it, ``to_qi`` writes one back, ``gr_terms`` reads a
-polynomial's coefficients.  ``gr_rref`` is the reduced row echelon form
-over ``GaussianRational`` rows, the oracle of ``ogpoly.gr_rref``.
+reads a triple into it, ``to_qi`` writes one back, ``qpoint`` builds a point
+from such coordinates, ``gr_terms`` reads a polynomial's coefficients.
+``gr_rref`` is the reduced row echelon form over ``GaussianRational`` rows,
+the oracle of ``ogpoly.gr_rref``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from fractions import Fraction
 from math import lcm
 
 from sl2cox.exactmath import rat
+from sl2cox.hyperspace import BasePoint
 
 
 @dataclass(frozen=True)
@@ -104,10 +106,15 @@ def gr(t: tuple[int, int, int]) -> GaussianRational:
 
 
 def to_qi(c) -> tuple[int, int, int]:
-    """The canonical triple of anything ``gauss`` reads."""
-    c = gauss(c)
+    """The canonical triple of anything ``gauss`` reads or of a triple."""
+    c = gr(c) if type(c) is tuple and len(c) == 3 else gauss(c)
     d = lcm(c.re.denominator, c.im.denominator)
     return c.re.numerator * (d // c.re.denominator), c.im.numerator * (d // c.im.denominator), d
+
+
+def qpoint(alpha, beta) -> BasePoint:
+    """The point [alpha:beta] of coordinates given as ``to_qi`` reads them."""
+    return BasePoint(alpha=to_qi(alpha), beta=to_qi(beta))
 
 
 def gr_terms(p) -> dict:

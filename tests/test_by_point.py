@@ -13,7 +13,7 @@ from sl2cox.embedding import EmbeddingData, GStableDivisorSpec, Violation, _cano
 from sl2cox.hyperspace import X0, XD, XE, XF, XINF, XV, point, valuation_cone_contains
 from sl2cox.iteration import cyclic_iteration_exact
 
-from gaussian_oracle import gr, to_qi
+from gaussian_oracle import gr, qpoint
 from test_classgroup import COORDS, FAMILIES, _valid_embedding
 
 
@@ -91,7 +91,7 @@ def oracle_violations(E) -> list[Violation]:
 
 def _copy(p):
     """Another representative of a coordinate point, written differently."""
-    return p if p.tag is not None else point(to_qi(3 * gr(p.alpha)), to_qi(3 * gr(p.beta)))
+    return p if p.tag is not None else qpoint(3 * gr(p.alpha), 3 * gr(p.beta))
 
 
 def _divisor(rng, p):

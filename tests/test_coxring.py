@@ -58,6 +58,7 @@ from gaussian_oracle import (
     gauss_ipow,
     gr,
     gr_terms,
+    qpoint,
     to_qi,
 )
 from test_classgroup import AdaptedOracle, dense_u, outcome, solve_integer
@@ -587,7 +588,7 @@ class TestFullCoxShapes:
         done, sizes = 0, set()
         while done < 14:
             n = rng.randint(1, 24)
-            extras = [point(*c) for c in rng.sample(coords, k=rng.randint(0, 4))]
+            extras = [qpoint(*c) for c in rng.sample(coords, k=rng.randint(0, 4))]
             if n <= 2:
                 extras = [point(0, 1), point(1, 0)] + extras
             over = extras if n <= 2 else [X0, XINF] + extras
@@ -672,7 +673,7 @@ def _raising_scalars(fns: list[GPoly]) -> list:
 def _cyclic_with_points(n: int, coords) -> EmbeddingData:
     """cyclic(n) with one (1, -1) divisor over each exceptional point; for
     n <= 2 the points [0:1] and [1:0] come first."""
-    extras = [point(*c) for c in coords]
+    extras = [qpoint(*c) for c in coords]
     if n <= 2:
         extras = [point(0, 1), point(1, 0)] + extras
     over = extras if n <= 2 else [X0, XINF] + extras
@@ -1089,7 +1090,7 @@ class TestVerifiersReject:
             verify_full_cox(replace(res, presentation=_with_inhomogeneous(res.presentation)))
 
     def test_full_cox_perturbed_unit_or_gaussian_term(self):
-        x1 = point(to_qi((2, 1)), 3)
+        x1 = qpoint((2, 1), 3)
         E = EmbeddingData(cyclic(3), (x1,), tuple(
             GStableDivisorSpec(p, 1, -1) for p in (X0, XINF, x1)))
         res = full_cox_presentation_cyclic(E)
@@ -1105,7 +1106,7 @@ class TestVerifiersReject:
                 verify_full_cox(replace(res, presentation=_perturbed(res.presentation, pick)))
 
     def test_polyhedral_cox_u_unit_or_gaussian_term(self):
-        x1 = point(to_qi((2, 1)), 3)
+        x1 = qpoint((2, 1), 3)
         E = EmbeddingData(TETRA, (x1,), (
             GStableDivisorSpec(XV, 1, -1), GStableDivisorSpec(XE, 1, -3),
             GStableDivisorSpec(XF, 2, -2), GStableDivisorSpec(x1, 1, -1)))
@@ -1374,9 +1375,9 @@ class TestExponentWalk:
                           Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(2, 6))))
 
         for n in (1, 3, 4, 5, 7, 8, 9, 12, 16):  # n = 2 keeps torsion with four points
-            extras = [point(coordinate(), coordinate()) for _ in range(2)]
+            extras = [qpoint(coordinate(), coordinate()) for _ in range(2)]
             if n <= 2:  # the designated points at non-real [0:b] and [a:0], |a|, |b| != 1
-                extras = [point(0, coordinate()), point(coordinate(), 0)] + extras
+                extras = [qpoint(0, coordinate()), qpoint(coordinate(), 0)] + extras
             over = extras if n <= 2 else [X0, XINF] + extras
             E = EmbeddingData(cyclic(n), tuple(extras),
                               tuple(GStableDivisorSpec(p, 1, -1) for p in over))
@@ -1546,7 +1547,7 @@ class TestIntegerModules:
                  for n in range(3, 25)]
         cases += [(1, [(0, 1)]), (1, [(0, 2), (3, 0), (2, 3)]), (2, [(0, 1), (1, 0)])]
         for n, cs in cases:
-            extras = [point(*c) for c in cs]
+            extras = [qpoint(*c) for c in cs]
             over = extras if n <= 2 else [X0, XINF] + extras
             E = EmbeddingData(cyclic(n), tuple(extras),
                               tuple(GStableDivisorSpec(p, 1, -1) for p in over))
@@ -1654,7 +1655,7 @@ class TestPackedHomogeneity:
         found: list[GradedPresentation] = []
         while len(found) < 10:
             n = rng.randint(1, 12)
-            extras = [point(*c) for c in rng.sample(coords, k=rng.randint(0, 2))]
+            extras = [qpoint(*c) for c in rng.sample(coords, k=rng.randint(0, 2))]
             if n <= 2:
                 extras = [point(0, 1), point(1, 0)][:rng.randint(1, 2)]
             over = extras if n <= 2 else [X0, XINF] + extras

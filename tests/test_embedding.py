@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from sl2cox import embedding, hyperspace
 from sl2cox.embedding import (
     EmbeddingData,
     GStableDivisorSpec,
     SchemaError,
+    _canonical_points,
     affine_embedding,
     derive_ap0_input,
     embedding_from_dict,
@@ -211,26 +213,30 @@ INPUTS = sorted([*ROOT.glob("fixtures/*.json"), *ROOT.glob("tests/golden/inputs/
 
 class TestInputWork:
     """Loading and validating an input runs on integer keys and per-group
-    tables: the only points built are the file's own extra points."""
+    tables: the only points built are the file's own extra points, and the
+    only Q(i) quotients taken are their keys."""
 
     @staticmethod
     def counted(monkeypatch) -> Counter:
         counts = Counter()
-        for cls, name in ((BasePoint, "__post_init__"), (HyperspaceVector, "__post_init__")):
-            def wrapper(*args, _fn=getattr(cls, name), _key=f"{cls.__name__}.{name}"):
+        for owner, name in ((BasePoint, "__post_init__"), (HyperspaceVector, "__post_init__"),
+                            (embedding, "qi_div"), (hyperspace, "qi_div")):
+            def wrapper(*args, _fn=getattr(owner, name), _key=f"{owner.__name__}.{name}"):
                 counts[_key] += 1
                 return _fn(*args)
 
-            monkeypatch.setattr(cls, name, wrapper)
+            monkeypatch.setattr(owner, name, wrapper)
         return counts
 
     @pytest.mark.parametrize("path", INPUTS, ids=lambda p: p.stem)
     def test_load_validate_and_class_group_build_nothing_else(self, path, monkeypatch):
         extras = len(json.loads(path.read_text(encoding="utf-8")).get("extra_points", []))
+        _canonical_points(load_embedding(str(path)).group)  # the per-group table, built once
         counts = self.counted(monkeypatch)
         E = load_embedding(str(path))
         assert E.validate() == []
-        assert counts == Counter({"BasePoint.__post_init__": extras})
+        assert counts == Counter({"BasePoint.__post_init__": extras,
+                                  "sl2cox.hyperspace.qi_div": extras})
         counts.clear()
         class_group(E)
         assert counts["HyperspaceVector.__post_init__"] == 0

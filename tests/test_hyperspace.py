@@ -26,7 +26,7 @@ from sl2cox.hyperspace import (
     valuation_cone_contains,
 )
 
-from gaussian_oracle import GaussianRational, gr, to_qi
+from gaussian_oracle import GaussianRational, gr, qpoint
 from test_classgroup import FAMILIES
 
 ALL_GROUPS = [cyclic(1), cyclic(2), cyclic(3), cyclic(6), cyclic(7),
@@ -139,7 +139,7 @@ def _random_points(rng):
         pts.append(p)
         for _ in range(2):
             lam = gr(point(_gaussian(rng, zero=0), 1).alpha)
-            pts.append(point(to_qi(lam * gr(p.alpha)), to_qi(lam * gr(p.beta))))
+            pts.append(qpoint(lam * gr(p.alpha), lam * gr(p.beta)))
     return pts
 
 
@@ -179,7 +179,7 @@ class TestOracles:
             pts = _random_points(rng)
             at = rng.choice([p for p in pts if p.tag is None])
             # the section point, as another representative
-            copy = point(to_qi(2 * gr(at.alpha)), to_qi(2 * gr(at.beta)))
+            copy = qpoint(2 * gr(at.alpha), 2 * gr(at.beta))
             for section in (None, at):
                 for base in pts + [copy]:
                     for h in range(1, 4):

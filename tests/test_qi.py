@@ -19,7 +19,7 @@ from sl2cox.embedding import EmbeddingData, SchemaError, _coord_json, embedding_
     embedding_to_dict, load_embedding
 from sl2cox.exactmath import qi, qi_div, qi_str
 from sl2cox.groups import ICOSA, OCTA, TETRA, dihedral
-from sl2cox.hyperspace import point
+from sl2cox.hyperspace import BasePoint, point
 from sl2cox.ogpoly import gr_nullspace, gr_rref
 from sl2cox.presentation import SparsePoly
 
@@ -84,7 +84,7 @@ def test_the_quotient_is_the_canonical_oracle_quotient(seed):
             assert got is None
             continue
         assert canonical(got) and gr(got) == gr(a) / gr(b)
-        assert point(a, b)._key == got
+        assert BasePoint(alpha=a, beta=b)._key == got
 
 
 @pytest.mark.parametrize("ring", list(RINGS), ids=lambda r: r.__name__)

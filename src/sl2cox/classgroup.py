@@ -50,7 +50,7 @@ from .exactmath import (
 )
 from .groups import FiniteSubgroup
 from .hyperspace import BasePoint, XD, color_coordinates
-from .presentation import _SUB
+from .presentation import pretty_name
 
 
 @dataclass(frozen=True)
@@ -131,14 +131,6 @@ class ClassGroupResult:
         return self.lattice.numerators([combo.get(g.label, 0) for g in self.generators])
 
 
-def _pretty_point(key: str) -> str:
-    if key == "xinf":
-        return "x∞"
-    if key.startswith("x"):
-        return "x" + key[1:].translate(_SUB)
-    return key
-
-
 def _walk(E: EmbeddingData) -> tuple[list[Generator], dict]:
     """The generator table in its fixed, documented order and the point keys
     (canonical tags, then x1, x2, ... for the extra points): the
@@ -154,7 +146,7 @@ def _walk(E: EmbeddingData) -> tuple[list[Generator], dict]:
         gens.append(Generator("Dxd", "distinguished", XD, pretty="D^{x_d}",
                               multiplicity=1, l=Fraction(1)))
     for p in E.exceptional_points():
-        k, pk = keys[p], _pretty_point(keys[p])
+        k, pk = keys[p], pretty_name(keys[p])
         m, l = color_coordinates(F, p, E.section)
         gens.append(Generator(f"E[{k}]", "color", p, pretty=f"E^{{{pk}}}", multiplicity=m, l=l))
         divs = E.divisors_over(p)
@@ -185,7 +177,7 @@ def _relations(E: EmbeddingData, gens: list[Generator], fibers: dict) -> IntMatr
     u * l-row; ``fibers`` is ``_fibers(gens)``."""
     base, *others = fibers.values() or [{}]
     rows = [[f.get(g.label, 0) - base.get(g.label, 0) for g in gens] for f in others]
-    u = E.group.u if E.group.is_cyclic else 1
+    u = E.group.u
     lrow = [divmod(u * g.l.numerator, g.l.denominator) for g in gens]
     if any(rem for _, rem in lrow):  # validation rules out a fractional u * l
         raise RuntimeError("internal invariant broken: l-row not integral after clearing by u")
@@ -241,6 +233,5 @@ def restrict_to_Fhat(R: ClassGroupResult, combo: dict) -> tuple[int, ...]:
     for label, c in combo.items():
         g = gens[label]
         if g.kind in ("color", "distinguished"):
-            tag = "parametric" if g.kind == "distinguished" else g.point.tag or "extra"
-            acc = F.char_add(acc, F.char_scale(c, F.color_restriction(tag)))
+            acc = F.char_add(acc, F.char_scale(c, F.color_restriction(g.point.tag)))
     return acc

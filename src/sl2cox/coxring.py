@@ -56,8 +56,8 @@ from math import gcd, lcm
 from operator import add, itemgetter
 
 from . import classgroup as cg
-from .diagnostics import special_fiber_normal
 from .embedding import (
+    ROLE_POINTS,
     EmbeddingData,
     GStableDivisorSpec,
     exceptional_relation_scalar,
@@ -65,7 +65,7 @@ from .embedding import (
 )
 from .exactmath import gmul, qi_div, require_nonneg
 from .groups import FiniteSubgroup
-from .hyperspace import BasePoint, X0, XD, XINF, point
+from .hyperspace import BasePoint, X0, XD, XINF
 from .ogpoly import G3, G4, GPOLY_ONE, GPoly, Num, gr_rref
 from .presentation import (
     GradedPresentation,
@@ -322,9 +322,9 @@ def _basis_names(nbar: int, idx: str) -> tuple[str, ...]:
 
 
 def _augment(E: EmbeddingData) -> tuple[EmbeddingData, list[str]]:
-    """Add a virtual divisor over x0 / xinf when that family is empty, making
-    the special fiber normal; the Cox ring of the input is the quotient of
-    the augmented one by (r - 1) over the virtual sections."""
+    """Add a virtual divisor over x0 / xinf when that family is empty (E itself
+    when neither is), making the special fiber normal; Cox(X) is the quotient
+    of the augmented ring by (r - 1) over the virtual sections."""
     log: list[str] = []
     divisors = list(E.divisors)
     for p, nm in ((X0, "r0"), (XINF, "rinf")):
@@ -332,7 +332,9 @@ def _augment(E: EmbeddingData) -> tuple[EmbeddingData, list[str]]:
             divisors.append(GStableDivisorSpec(p, 1, Fraction(-1)))
             log.append(f"augmented with a virtual divisor over {p.tag} with (h,l) = (1,-1); "
                        f"Cox(X) is the quotient of the result by ({nm} - 1)")
-    return EmbeddingData(E.group, E.extra_points, tuple(divisors), E.section), log
+    if log:
+        E = EmbeddingData(E.group, E.extra_points, tuple(divisors), E.section)
+    return E, log
 
 
 @dataclass
@@ -462,16 +464,13 @@ def _n_rows(mod: SectionModule, ctx: _Ctx, p: BasePoint) -> list[ModuleRow]:
     c0 s0^nbar r0^h + cinf sinf^nbar rinf^h - s_i r_i^h, with s_i =
     beta g3^nbar - alpha g4^nbar and s0^nbar, sinf^nbar = g3^nbar, g4^nbar
     for n >= 3 or beta_x0 g3, -alpha_xinf g4 for n <= 2 (nbar = 1), so
-    c0 = beta / beta_x0 and cinf = alpha / alpha_xinf, written over one
-    denominator from the Gaussian-integer ``coords``; for nbar = 1 the
-    lowered (t-)row completes the module."""
+    c0 = beta / beta_x0 and cinf = alpha / alpha_xinf (``qi_div``); for
+    nbar = 1 the lowered (t-)row completes the module."""
     mod0, modinf = ctx.mod0, ctx.modinf
     nb = ctx.E.group.nbar
     alpha, beta, den = mod.coords
     (_, beta0, den0), (alphainf, _, deninf) = mod0.coords, modinf.coords
-    norm0, norminf = beta0[0] ** 2 + beta0[1] ** 2, alphainf[0] ** 2 + alphainf[1] ** 2
-    c0 = gmul(beta, (beta0[0] * den0 * norminf, -beta0[1] * den0 * norminf))
-    cinf = gmul(alpha, (alphainf[0] * deninf * norm0, -alphainf[1] * deninf * norm0))
+    c0, cinf = qi_div((*beta, den), (*beta0, den0)), qi_div((*alpha, den), (*alphainf, deninf))
 
     def r_items(q: BasePoint | None) -> list[tuple[str, int]]:
         fiber = ctx.R.fibers[q] if q is not None else {}
@@ -480,10 +479,8 @@ def _n_rows(mod: SectionModule, ctx: _Ctx, p: BasePoint) -> list[ModuleRow]:
     r0, rinf, rp = r_items(ctx.p0_point), r_items(ctx.pinf_point), r_items(p)
 
     def build(index: int) -> SparsePoly:
-        num = {tuple(sorted([(m.names[index], e), *rs])): c
-               for m, e, rs, c in ((mod0, nb, r0, c0), (modinf, nb, rinf, cinf),
-                                   (mod, 1, rp, (-den * norm0 * norminf, 0))) if any(c)}
-        return SparsePoly._canonical(num, den * norm0 * norminf)
+        return SparsePoly({tuple(sorted([(m.names[index], e), *rs])): c for m, e, rs, c in
+                           ((mod0, nb, r0, c0), (modinf, nb, rinf, cinf), (mod, 1, rp, -1))})
 
     rows = [ModuleRow(nb, nb, build(0))]
     if nb == 1:
@@ -504,8 +501,7 @@ def full_cox_presentation_cyclic(E: EmbeddingData) -> FullCoxResult:
 
     many_points = len(E.exceptional_points()) >= 3
     if many_points and n >= 3:
-        if not special_fiber_normal(E):
-            E, log = _augment(E)
+        E, log = _augment(E)
     R = cg.class_group(E)
     if many_points and R.group.torsion:
         raise TorsionAfterAugmentation(
@@ -515,40 +511,38 @@ def full_cox_presentation_cyclic(E: EmbeddingData) -> FullCoxResult:
     keys = R.point_keys
     pts = list(E.exceptional_points())
 
-    # designate the x0 / xinf roles
+    # designate the x0 / xinf roles: for n <= 2 a listed point plays one
+    # when it equals the role's point in ROLE_POINTS
     if n >= 3:
         p0, pinf = X0, XINF
     else:
-        p0 = next((p for p in pts if p == point(0, 1)), None)
-        pinf = next((p for p in pts if p == point(1, 0)), None)
+        x0, xinf = ROLE_POINTS.values()
+        p0, pinf = (next((p for p in pts if p == q), None) for q in (x0, xinf))
         if many_points and (p0 is None or pinf is None):
             raise NotAffineShape(
                 "for n <= 2 the presentation assumes exceptional points at "
-                "[0:1] and [1:0]; move them there by a coordinate change")
+                f"{x0} and {xinf}; move them there by a coordinate change")
         if len(pts) == 2 and not (p0 is not None and pinf is not None):
-            raise NotAffineShape(
-                "with two exceptional points they must sit at [0:1] and [1:0]")
+            raise NotAffineShape(f"with two exceptional points they must sit at {x0} and {xinf}")
         if len(pts) == 1 and p0 is None:
-            raise NotAffineShape("a single exceptional point must sit at [0:1]")
+            raise NotAffineShape(f"a single exceptional point must sit at {x0}")
 
     uniform = n <= 2
     base_fiber = R.fibers[pts[0] if pts else XD]
 
     def make_module(p: BasePoint | None, role: str) -> SectionModule:
         """The section module of the point p in the given role, with (alpha,
-        beta) from ``point_coordinates`` whenever p is given; the role fixes
-        them only for n <= 2 with no point at [0:1] or [1:0]."""
+        beta) from ``point_coordinates`` of p, or of the role's point in
+        ``ROLE_POINTS`` when no listed point plays it (n <= 2; there s0 = g3
+        and sinf = -g4)."""
         key = keys[p] if p is not None else role
         combo = {R.color(p): 1} if p is not None else dict(base_fiber)
-        if p is not None:
-            (ar, ai, ad), (br, bi, bd) = point_coordinates(F, p)
-            den = lcm(ad, bd)
-            coords = (ar * (den // ad), ai * (den // ad)), (br * (den // bd), bi * (den // bd)), den
-        else:  # s0 = g3, sinf = -g4: [0:1] and [1:0]
-            coords = ((0, 0), (1, 0), 1) if role == "x0" else ((1, 0), (0, 0), 1)
+        (ar, ai, ad), (br, bi, bd) = point_coordinates(F, ROLE_POINTS[role] if p is None else p)
+        den = lcm(ad, bd)
+        ar, ai, br, bi = ar * (den // ad), ai * (den // ad), br * (den // bd), bi * (den // bd)
+        coords = (ar, ai), (br, bi), den
         d = 1 if uniform or p.tag is not None else nb
         eps = -1 if uniform else 1  # for n <= 2, t is -(beta g1 - alpha g2)
-        (ar, ai), (br, bi), den = coords
         fns = []
         for k, s in enumerate([1] + [eps] * d):
             num = {(k, 0, d - k, 0): (s * br, s * bi), (0, k, 0, d - k): (-s * ar, -s * ai)}
@@ -615,10 +609,8 @@ def _affine_divisor(E: EmbeddingData) -> GStableDivisorSpec:
     if F.n >= 3:
         if d.over != X0 or E.extra_points:
             raise NotAffineShape("the divisor must lie over x0 with no extra points")
-    else:
-        if len(E.extra_points) != 1 or d.over != E.extra_points[0] \
-                or E.extra_points[0] != point(0, 1):
-            raise NotAffineShape("for n <= 2 the divisor must lie over the point [0:1]")
+    elif E.extra_points != (d.over,) or d.over != ROLE_POINTS["x0"]:
+        raise NotAffineShape(f"for n <= 2 the divisor must lie over the point {ROLE_POINTS['x0']}")
     return d
 
 

@@ -129,9 +129,8 @@ class EmbeddingData:
         """The structural violations, computed once per (immutable) embedding
         from the table of divisors by point."""
         v: list[Violation] = []
-        F, section = self.group, self.section
+        F, section, u = self.group, self.section, self.group.u
         canon = _canonical_points(F)  # ratio key -> canonical point
-        u = F.u if F.is_cyclic else 1
 
         listed = set(canon.values())
         for p in self.extra_points:
@@ -214,6 +213,12 @@ def canonical_coordinates(F: FiniteSubgroup) -> MappingProxyType:
     return MappingProxyType({t: (qi(a), qi(b)) for t, (a, b) in coords.items()})
 
 
+# The points that play x0 and xinf for cyclic F with n <= 2, which has no
+# canonical point; a listed point equal to one of them plays its role with
+# its own coordinates.
+ROLE_POINTS = MappingProxyType({"x0": point(0, 1), "xinf": point(1, 0)})
+
+
 @cache
 def _canonical_points(F: FiniteSubgroup) -> dict:
     """The canonical points of F by the key alpha/beta of their coordinates
@@ -262,13 +267,13 @@ def derive_ap0_input(E: EmbeddingData):
 def affine_embedding(n: int, h: int, l) -> EmbeddingData:
     """The affine shape: cyclic F, a single divisor (x0, h, l), no extras.
 
-    For n <= 2 the role of x0 is played by the coordinate point [0:1].
+    For n <= 2 the role of x0 is played by its point in ``ROLE_POINTS``.
     """
     F = cyclic(n)
     lq = rat(l)
     if n >= 3:
         return EmbeddingData(F, (), (GStableDivisorSpec(X0, h, lq),))
-    p0 = point(0, 1)
+    p0 = ROLE_POINTS["x0"]
     return EmbeddingData(F, (p0,), (GStableDivisorSpec(p0, h, lq),))
 
 

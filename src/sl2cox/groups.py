@@ -62,10 +62,9 @@ class FiniteSubgroup:
 
     @property
     def u(self) -> int:
-        """Denominator of the l-coordinates: 1 for odd n, 2 for even n."""
-        if not self.is_cyclic:
-            raise ValueError("u is defined for cyclic subgroups")
-        return 1 if self.n % 2 else 2
+        """Denominator of the l-coordinates: 2 for cyclic F of even order, 1
+        otherwise (odd n and the polyhedral groups)."""
+        return 2 if self.is_cyclic and not self.n % 2 else 1
 
     @cache
     def canonical_multiplicities(self) -> MappingProxyType:
@@ -135,20 +134,20 @@ class FiniteSubgroup:
 
     # -- restriction weights of colors ----------------------------------------
 
-    def color_restriction(self, tag: str) -> tuple[int, ...]:
+    def color_restriction(self, tag: str | None) -> tuple[int, ...]:
         """F-hat weight of the subregular semi-invariant cutting the color.
 
-        ``tag`` is a canonical tag, or one of "extra" / "parametric" for the
-        remaining colors (those carry the weight of the degree-two linear
-        system of exceptional semi-invariants).
+        ``tag`` is the color's point tag; a tag that is not canonical (None,
+        "xd") gets the weight of the remaining colors, those cut out by the
+        linear system of exceptional semi-invariants.
         """
         if self.kind == CYCLIC:
             if tag == "x0":
                 return self.char_reduce((1,))
             if tag == "xinf":
                 return self.char_reduce((-1,))
-            # extra and parametric colors carry the weight of the degree-nbar
-            # linear system (nbar mod n, which is 1 mod 2 for n = 2)
+            # the remaining colors carry the weight of the degree-nbar linear
+            # system (nbar mod n, which is 1 mod 2 for n = 2)
             return self.char_reduce((self.nbar,))
         if self.kind == TETRAHEDRAL:
             return {"xv": (1,), "xe": (0,), "xf": (2,)}.get(tag, (0,))
@@ -159,7 +158,7 @@ class FiniteSubgroup:
         if self.kind == ICOSAHEDRAL:
             return (0,)
         # binary dihedral: weights from f_v, f_e, f_f and the weight of the
-        # exceptional semi-invariants for everything parametric or extra
+        # exceptional semi-invariants for the remaining colors
         n = self.n
         table = {
             "xv": (1, n % 4),

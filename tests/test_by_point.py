@@ -31,7 +31,7 @@ def oracle_violations(E) -> list[Violation]:
     v = []
     F, section = E.group, E.section
     canon = _canonical_points(F)
-    u = F.u if F.is_cyclic else 1
+    u = F.u
     over = dict.fromkeys(canon.values(), False)
     for p in E.extra_points:
         if p.tag is not None:

@@ -526,7 +526,7 @@ def _valid_embedding(rng, family: str) -> EmbeddingData:
     (l <= -h/2 for cyclic F, l <= -h otherwise) and every extra point
     carries a divisor, so a draw is rarely invalid."""
     F = FAMILIES[family](rng)
-    u = F.u if F.is_cyclic else 1
+    u = F.u
     while True:
         extras = tuple(point(*c) for c in rng.sample(COORDS, rng.randint(0, 2)))
         divisors = []

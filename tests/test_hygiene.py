@@ -122,6 +122,74 @@ def test_every_traced_name_resolves():
         assert (fn.__module__, fn.__name__) == (f"sl2cox.{name.split('.')[0]}", attr), name
 
 
+def _dotted(node) -> str | None:
+    """"a.b.c" for a chain of attribute reads on a name, None otherwise."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def _library_names(tree: ast.Module) -> list[str]:
+    """The dotted sl2cox names that a module needs: each name that a ``from
+    sl2cox... import`` binds, and each attribute read of a name bound to an
+    sl2cox module or object (``coxring.verify_full_cox``, ``sl2cox.cli.main``)."""
+    names, bound = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "sl2cox":
+                    bound[a.asname or "sl2cox"] = a.name if a.asname else "sl2cox"
+        elif (isinstance(node, ast.ImportFrom) and not node.level
+              and node.module.split(".")[0] == "sl2cox"):
+            names += [f"{node.module}.{a.name}" for a in node.names]
+            bound.update((a.asname or a.name, f"{node.module}.{a.name}") for a in node.names)
+    for node in ast.walk(tree):
+        dotted = _dotted(node) if isinstance(node, ast.Attribute) else None
+        if dotted is not None and (head := dotted.split(".")[0]) in bound:
+            names.append(bound[head] + dotted[len(head):])
+    return names
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether the longest importable prefix of ``dotted`` has the rest as
+    attributes."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for attr in parts[i:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def test_every_name_the_benchmark_imports_resolves():
+    # the benchmark's children import these names: a library change that
+    # drops or renames one breaks every benchmark run, so it fails here
+    files = sorted((ROOT / "perfbench").glob("*.py"))
+    names = {n for p in files for n in _library_names(ast.parse(p.read_text(encoding="utf-8")))}
+    assert {"sl2cox.cli.main", "sl2cox.presentation.poly_to_json"} <= names
+    assert sorted(n for n in names if not _resolves(n)) == []
+
+
+def test_the_check_sees_an_unresolved_library_name():
+    tree = ast.parse("import sl2cox.cli\nfrom sl2cox import coxring\n"
+                     "from sl2cox.presentation import pretty_name, no_such\n"
+                     "coxring.verify_full_cox(x.nope)\nsl2cox.cli.nope()\ncoxring.gone\n")
+    names = _library_names(tree)
+    assert sorted(names) == sorted([
+        "sl2cox.presentation.pretty_name", "sl2cox.presentation.no_such", "sl2cox.coxring",
+        "sl2cox.coxring.verify_full_cox", "sl2cox.cli", "sl2cox.cli.nope", "sl2cox.coxring.gone"])
+    assert sorted(n for n in names if not _resolves(n)) == [
+        "sl2cox.cli.nope", "sl2cox.coxring.gone", "sl2cox.presentation.no_such"]
+
+
 def _uncalled(modules: dict[str, ast.Module]) -> set[str]:
     """module.qualname of each function, class and method (dunders excepted)
     that nothing in the modules reads outside its own definition.  A method,
@@ -203,15 +271,18 @@ def test_a_local_name_does_not_call_a_method():
 
 def _unread_fields(modules: dict[str, ast.Module]) -> set[str]:
     """module.Class.field of each annotated field in a class body that no
-    attribute read in the modules names: state that nothing reads."""
+    attribute read in the modules names: state that nothing reads.  The
+    function of a call (``cg.class_group(E)``) reads no field."""
     fields, reads = [], set()
     for module, tree in modules.items():
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 fields += [(f"{module}.{node.name}.{stmt.target.id}", stmt.target.id)
                            for stmt in node.body
                            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and id(node) not in called):
                 reads.add(node.attr)
     return {qualname for qualname, name in fields if name not in reads}
 
@@ -220,6 +291,8 @@ def _unread_fields(modules: dict[str, ast.Module]) -> set[str]:
 UNREAD_FIELDS_ALLOWED = {
     "classgroup.ClassGroupResult.basis_rows": "test oracle: the cokernel's U, made dense by "
                                               "test_classgroup.py::dense_u",
+    "coxring.FullCoxResult.class_group": "read by perfbench/content.py `full_cox_digest` and "
+                                         "by tests",
     "coxring.FullCoxResult.embedding": "test accessor: the embedding after augmentation, read "
                                        "by test_coxring.py",
 }
@@ -233,11 +306,51 @@ def test_every_field_is_read_in_src():
 
 
 def test_the_check_sees_an_unread_field():
-    # b only writes C.w, and the annotation in f and the name x read no field
-    a = ast.parse("class C:\n    x: int\n    y: int = 0\n    w: int\n    z = 1\n"
+    # b only writes C.w and calls a function named like C.t, and the
+    # annotation in f and the name x read no field
+    a = ast.parse("class C:\n    x: int\n    y: int = 0\n    w: int\n    t: int\n    z = 1\n"
                   "    def f(self) -> int:\n        v: int = self.y\n        return x\n")
-    b = ast.parse("from .a import C\nc = C(0)\nc.w = 2\nprint(c.z)\n")
-    assert _unread_fields({"a": a, "b": b}) == {"a.C.x", "a.C.w"}
+    b = ast.parse("from .a import C\nc = C(0)\nc.w = 2\nprint(c.z)\nm.t(c)\n")
+    assert _unread_fields({"a": a, "b": b}) == {"a.C.x", "a.C.w", "a.C.t"}
+
+
+def _private_imports(tree: ast.Module) -> list[str]:
+    """module.name of each underscore name of another package module that
+    the module imports (``from .m import _f``) or reads through a module
+    alias (``from . import m as a`` and then ``a._f``); dunders excepted."""
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    found, aliases = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module is None:
+                aliases.update((a.asname or a.name, a.name) for a in node.names)
+            else:
+                found += [f"{node.module}.{a.name}" for a in node.names if private(a.name)]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and private(node.attr)):
+            found.append(f"{aliases[node.value.id]}.{node.attr}")
+    return found
+
+
+# Underscore names a module imports from another, kept for a reason.
+PRIVATE_IMPORTS_ALLOWED = {
+    "classgroup.py": ["exactmath._echelon"],  # the tests monkeypatch exactmath._echelon
+}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_private_name(path):
+    found = _private_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert found == PRIVATE_IMPORTS_ALLOWED.get(path.name, [])
+
+
+def test_the_check_sees_a_private_import():
+    tree = ast.parse("from .presentation import _SUB, pretty_name\nfrom . import coxring as cx\n"
+                     "from math import _x\nx = cx._augment(cx.__doc__, cx.full)\n")
+    assert _private_imports(tree) == ["presentation._SUB", "coxring._augment"]
 
 
 LABEL_PREFIXES = ("E[", "X[")

@@ -28,9 +28,10 @@ Cl(X) is Z^generators modulo the few rows of the relation matrix P, one per
 exceptional point, so a class is written in the invariant divisors in that
 relation lattice (``ClassGroupResult.lattice``), not in the adapted
 coordinates: the columns of the other generators fix the relation
-coefficients, and the divisor columns then give the exponents.  This
-lattice is the only integer solver: ``R.lattice.solve(R.numerators(c))``
-writes a class c in the invariant divisors.
+coefficients, through a Smith form of those columns, and the divisor
+columns then give the exponents.  This lattice is the only integer solver:
+``R.lattice.solve(R.numerators(c))`` writes a class c in the invariant
+divisors.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from .exactmath import (
     FinAbGroup,
     IntMatrix,
     RelationLattice,
-    _echelon,
     cokernel,
+    smith_normal_form,
     solve_nonneg,
 )
 from .groups import FiniteSubgroup
@@ -105,17 +106,17 @@ class ClassGroupResult:
     @cached_property
     def lattice(self) -> RelationLattice:
         """Cl(X) as the relation lattice of ``presentation``, solved on the
-        invariant-divisor columns: one elimination of the columns of the
+        invariant-divisor columns: one Smith form of the columns of the
         other generators, on first use.  The certificate: the invariant
         divisors are independent in Cl(X)⊗Q iff the other columns have the
         rank of P, and the relation coefficients are unique iff that is the
         number of rows of P; RuntimeError otherwise, with the rank of P
-        from the same elimination over all of its columns."""
+        from the Smith form of P itself."""
         P = self.presentation
         lattice = RelationLattice(P, [j for j, g in enumerate(self.generators)
                                       if g.kind in _STABLE])
         if lattice.rank < P.rows:
-            rank = len(_echelon(P.transpose().data, P.rows))
+            rank = smith_normal_form(P).rank
             if lattice.rank < rank:
                 raise RuntimeError(
                     f"invariant divisors dependent in Cl(X)⊗Q: the relations have rank "

@@ -233,10 +233,12 @@ def special_fiber_u(P: GradedPresentation) -> GradedPresentation:
 
 def classify_fiber_presentation(P: GradedPresentation) -> str:
     """Structural verdict on the special fiber: 'polynomial' (affine space),
-    'reduced_reducible' (an irredundant binomial in two pure powers: a union
-    of planes), 'brieskorn_pham' (a single relation of three or more pure
-    powers in distinct variables: normal and irreducible, with an isolated
-    singularity), 'nonreduced' (the relations span a pure power), or 'other'.
+    'reduced_reducible' (irredundant binomials a v^p + b w^q in two pure
+    powers, each with gcd(p, q) > 1, so that it splits into gcd(p, q)
+    components, planes for p = q), 'brieskorn_pham' (a single relation of
+    three or more pure powers in distinct variables: normal and irreducible,
+    with an isolated singularity), 'nonreduced' (the relations span a pure
+    power), or 'other', which includes a binomial with coprime exponents.
 
     The non-linear relations are reduced against each other first, so that
     e.g. two independent combinations of s0^n and sinf^n are recognized as
@@ -250,13 +252,14 @@ def classify_fiber_presentation(P: GradedPresentation) -> str:
     if any(len(m) != 1 or m[0][1] < 2 for m in support):
         return "other"
     reduced, _ = gr_rref([[rel.num.get(m, (0, 0)) for m in support] for rel in nontrivial])
-    supports = [[support[i][0][0] for i, c in enumerate(row) if c[0] or c[1]] for row in reduced]
+    supports = [[support[i][0] for i, c in enumerate(row) if c[0] or c[1]] for row in reduced]
     supports = [vs for vs in supports if vs]
     if any(len(vs) == 1 for vs in supports):
         return "nonreduced"
     if all(len(vs) == 2 for vs in supports):
-        return "reduced_reducible"
-    if len(supports) == 1 and len(set(supports[0])) == len(supports[0]):
+        coprime = any(gcd(p, q) == 1 for (_, p), (_, q) in supports)
+        return "other" if coprime else "reduced_reducible"
+    if len(supports) == 1 and len({v for v, _ in supports[0]}) == len(supports[0]):
         return "brieskorn_pham"
     return "other"
 

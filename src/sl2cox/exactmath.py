@@ -7,8 +7,8 @@ d > 0 and gcd(x, y, d) = 1, from parsing (``qi``) to printing (``qi_str``);
 arbitrary precision integer matrices, Smith normal form with unimodular
 transforms, cokernels of integer matrices as finitely generated abelian
 groups, and one integer solver: a quotient of Z^n by a relation lattice,
-solved on a set of columns by one fraction-free elimination pass
-(``_echelon``), the only integer elimination beside the Smith form.
+solved on a set of columns through the Smith form, the only integer
+elimination.
 
 Everything here is pure and immutable after construction; no floating point.
 """
@@ -354,42 +354,21 @@ class EmptySolutionSet(Exception):
     """The system has no (non-negative) integer solution."""
 
 
-def _echelon(rows, n: int) -> dict[int, list[int]]:
-    """The fraction-free elimination pass over integer rows whose first n
-    entries are the unknowns' coefficients: each row is reduced against the
-    echelon rows kept so far (keyed by pivot column, zero left of it) and
-    divided by its gcd; the pass stops at n pivots."""
-    echelon: dict[int, list[int]] = {}
-    for r in rows:
-        if len(echelon) == n:
-            break
-        for p in sorted(echelon):
-            if r[p]:
-                e = echelon[p]
-                g = gcd(e[p], r[p])
-                u, v = e[p] // g, r[p] // g
-                r = [u * a - v * c for a, c in zip(r, e)]
-        p = next((j for j in range(n) if r[j]), None)
-        if p is not None:
-            g = gcd(*r)
-            echelon[p] = [a // g for a in r]
-    return echelon
-
-
 class RelationLattice:
     """Z^n modulo the row space of an r x n matrix P, solved on the columns
     ``cols``: for a class c, the integer x on those columns (zero elsewhere)
     with c - x = Pᵀ y for an integer y.
 
     The other columns Q of P fix y alone, by Qᵀ y = c_Q, one unknown per
-    row of P.  One pass (``_echelon``) over [Qᵀ | I] and a back-substitution
-    give an integer matrix L and a denominator D > 0 with y = L c_Q / D
-    whenever Qᵀ y = c_Q is solvable.  ``rank`` is rank Q, a certificate: at
-    rank Q = r, y is unique, and the columns ``cols`` are independent in the
-    quotient ⊗ Q iff rank P = r too.  The solve is thus linear in c:
-    ``numerators`` gives (x, y, residual) over D, x = D c_cols - P_colsᵀ y
-    and residual = D c_Q - Qᵀ y for y = L c_Q, so a sum of classes has the
-    sum of their numerators; ``solve`` reads x off them.
+    row of P.  One Smith form U Qᵀ V = diag(d_1, ..., d_k) gives ``rank``
+    = k = rank Q, a certificate: at rank Q = r, y is unique, and the columns
+    ``cols`` are independent in the quotient ⊗ Q iff rank P = r too.  Then
+    L = V diag(d_r/d_1, ..., d_r/d_r) U[:r] and D = d_r, reduced by their
+    gcd, give L Qᵀ = D I, so y = L c_Q / D whenever Qᵀ y = c_Q is solvable.
+    The solve is thus linear in c: ``numerators`` gives (x, y, residual)
+    over D, x = D c_cols - P_colsᵀ y and residual = D c_Q - Qᵀ y for
+    y = L c_Q, so a sum of classes has the sum of their numerators;
+    ``solve`` reads x off them.
     """
 
     def __init__(self, P: IntMatrix, cols: Sequence[int]):
@@ -400,17 +379,13 @@ class RelationLattice:
         columns = list(zip(*P.data)) if r else [()] * P.cols
         self._solved_cols = [columns[j] for j in self.cols]
         self._rest_cols = [columns[j] for j in self.rest]
-        echelon = _echelon(([*col, *(int(t == k) for t in range(m))]
-                            for k, col in enumerate(self._rest_cols)), r)
-        self.rank = len(echelon)
-        self.L, self.D = [], 1  # y_k+1, ..., y_r-1 = L c_Q / D
-        for k in range(r - 1, -1, -1) if self.rank == r else ():
-            e = echelon[k]
-            num = [self.D * w - sum(a * row[t] for a, row in zip(e[k + 1:r], self.L))
-                   for t, w in enumerate(e[r:])]
-            L, D = [num] + [[e[k] * a for a in row] for row in self.L], self.D * e[k]
-            g = gcd(D, *(a for row in L for a in row)) * (-1 if D < 0 else 1)
-            self.L, self.D = [[a // g for a in row] for row in L], D // g
+        snf = smith_normal_form(IntMatrix(self._rest_cols, cols=r))
+        d, self.rank = snf.invariant_factors, snf.rank
+        D = d[-1] if d else 1
+        scaled = [{t: D // dk * a for t, a in u.items()} for dk, u in zip(d, snf.u_rows)]
+        L = (snf.V * IntMatrix.from_sparse(scaled, m)).data if self.rank == r else []
+        g = gcd(D, *(a for row in L for a in row))
+        self.L, self.D = [[a // g for a in row] for row in L], D // g  # y = L c_Q / D
 
     def numerators(self, c: Sequence[int]) -> tuple[int, ...]:
         """(x, y, residual) of the class c over ``D``, as one tuple; raises

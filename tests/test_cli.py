@@ -48,6 +48,8 @@ def child_env() -> dict:
 
 
 # one colored hypercone on mu3.json, of A_l type (1, 1, 1)
+MU3 = {"type": "cyclic", "n": 3}
+
 MU3_CONES = [{
     "slices": [
         {"point": "x0", "vectors": [{"h": "1", "l": "-1"}]},
@@ -608,6 +610,93 @@ class TestInputErrors:
         rc, out, _ = run(capsys, "validate", str(f), "--format", "json")
         doc = json.loads(out)
         assert rc == 1 and doc["valid"] is False and "group type" in doc["schema_error"]
+
+    @pytest.mark.parametrize("doc, cones, message", [
+        ([], None, "top level must be an object"),
+        ({}, None, "missing or malformed 'group'"),
+        ({"group": "cyclic"}, None, "missing or malformed 'group'"),
+        ({"group": {"type": "cyclic", "n": 0}}, None, "cyclic subgroup needs n >= 1"),
+        ({"group": {"type": "dihedral", "n": 1}}, None,
+         "binary dihedral subgroup needs n > 1"),
+        ({"group": MU3, "extra_points": [5]}, None, "extra_points[0] must be an object"),
+        ({"group": MU3, "divisors": ["x0"]}, None, "divisors[0] must be an object"),
+        ({"group": MU3, "section": "x0"}, None, "'section' must be an object"),
+        ({"group": MU3, "divisors": [{"over": 0, "h": 1}]}, None,
+         "divisors[0].over must be a string reference"),
+        (None, {"slices": []}, "hypercones file must be a JSON list"),
+        (None, [{"slices": [{"point": "x0", "vectors": [5]}]}],
+         "bad vector 5 in hypercones[0]"),
+    ], ids=["top-level-list", "no-group", "group-string", "cyclic-0", "dihedral-1",
+            "extra-point-number", "divisor-string", "section-string", "over-number",
+            "cones-object", "cone-bad-vector"])
+    def test_malformed_input_names_its_cause(self, doc, cones, message, tmp_path, capsys):
+        # an embedding is run through classgroup, a cone list through
+        # diagnose on mu3.json
+        f = tmp_path / "input.json"
+        f.write_text(json.dumps(doc if cones is None else cones))
+        argv = ("classgroup", str(f)) if cones is None else (
+            "diagnose", fixture("mu3.json"), "--hypercones", str(f))
+        assert run(capsys, *argv) == (1, "", f"input error: {message}\n")
+
+    def test_an_epsilon_slice_is_the_implied_one(self, tmp_path, capsys):
+        # "epsilon" over xinf gives the slope 0 every unlisted point carries
+        outs = []
+        for name, cone in (("epsilon", {"slices": [{"point": "xinf", "vectors": ["epsilon"]}]}),
+                           ("implied", {})):
+            f = tmp_path / f"{name}.json"
+            f.write_text(json.dumps([{**cone, "omitted": ["x0"], "e_generators": ["1"]}]))
+            rc, out, err = run(capsys, "diagnose", fixture("mu3.json"), "--hypercones", str(f))
+            assert (rc, err) == (0, "")
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert outs[0].endswith("orbit classes: other\nX log terminal: True\n")
+
+
+MU2_TWO_POINTS = {"group": {"type": "cyclic", "n": 2},
+                  "extra_points": [{"alpha": "1", "beta": "1"}, {"alpha": "2", "beta": "1"}],
+                  "divisors": [{"over": "extra:0", "h": 1, "l": "-1"},
+                               {"over": "extra:1", "h": 1, "l": "-1"}]}
+MU2_ONE_POINT = {"group": {"type": "cyclic", "n": 2},
+                 "extra_points": [{"alpha": "1", "beta": "1"}],
+                 "divisors": [{"over": "extra:0", "h": 1, "l": "-1"}]}
+
+
+class TestRegimeErrors:
+    """Valid embeddings outside a method's regime exit 2 and name the cause."""
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("cox-full", MU2_TWO_POINTS,
+         "NotAffineShape: with two exceptional points they must sit at [0:1] and [1:0]"),
+        ("cox-full", MU2_ONE_POINT, "NotAffineShape: a single exceptional point must sit at [0:1]"),
+        ("batyrev-haddad", {"group": {"type": "cyclic", "n": 5},
+                            "divisors": [{"over": "xinf", "h": 1, "l": "-1"}]},
+         "NotAffineShape: the divisor must lie over x0 with no extra points"),
+        ("batyrev-haddad", MU2_ONE_POINT,
+         "NotAffineShape: for n <= 2 the divisor must lie over the point [0:1]"),
+        ("batyrev-haddad", {"group": MU3, "divisors": [{"over": "x0", "h": 4, "l": "-2"}]},
+         "NotAffineShape: h and u*l must be coprime, got (4, -2)"),
+        ("batyrev-haddad", {"group": {"type": "cyclic", "n": 2},
+                            "extra_points": [{"alpha": "0", "beta": "1"}],
+                            "section": {"at": "extra:0"},
+                            "divisors": [{"over": "extra:0", "h": 1, "l": "0"}]},
+         "HeightOutOfRange: height undefined (denominator vanishes)"),
+    ], ids=["cox-full-mu2-two-points", "cox-full-mu2-one-point", "bh-over-xinf",
+            "bh-mu2-off-zero", "bh-not-coprime", "bh-height-undefined"])
+    def test_outside_the_regime(self, command, doc, message, tmp_path, capsys):
+        f = tmp_path / "input.json"
+        f.write_text(json.dumps(doc))
+        assert run(capsys, command, str(f)) == (2, "", f"computation error: {message}\n")
+
+    def test_constant_functions_need_a_normal_special_fiber(self, tmp_path, capsys):
+        # mu5 with [1:1] and [2:1] and nothing over x0: diagnose reports
+        # why the constant-function test is skipped, and exits 0
+        f = tmp_path / "input.json"
+        f.write_text(json.dumps({**MU2_TWO_POINTS, "group": {"type": "cyclic", "n": 5}}))
+        rc, out, err = run(capsys, "diagnose", str(f), "--format", "json")
+        doc = json.loads(out)
+        assert (rc, err) == (0, "") and doc["special_fiber_normal"] is False
+        assert doc["constant_functions"] == {"holds": None,
+                                             "reason": "the special fiber must be normal"}
 
 
 class TestBrokenPipe:

@@ -330,6 +330,22 @@ class TestSpecialFiber:
             [rel((1, {"s": 2}), (1, {"s": 3}), (1, {"t": 2}))], FinAbGroup(1))
         assert classify_fiber_presentation(P) == "other"
 
+    def test_coprime_binomial_is_not_reducible(self):
+        # T with (1, -1) over xf: the fiber is the irreducible cusp sv^3 + se^2
+        fib = self._fiber(EmbeddingData(TETRA, (), (GStableDivisorSpec(XF, 1, -1),)))
+        assert [len(r.terms) for r in fib.relations] == [2]
+        assert classify_fiber_presentation(fib) == "other"
+
+    @pytest.mark.parametrize("p", range(2, 13))
+    def test_binomial_is_reducible_iff_its_exponents_share_a_factor(self, p):
+        # s^p - t^q splits into gcd(p, q) factors s^(p/g) - zeta t^(q/g)
+        for q in range(2, 13):
+            P = GradedPresentation(
+                [GradedVariable("s", (0,), 0), GradedVariable("t", (0,), 0)],
+                [rel((1, {"s": p}), (-1, {"t": q}))], FinAbGroup(1))
+            want = "reduced_reducible" if gcd(p, q) > 1 else "other"
+            assert classify_fiber_presentation(P) == want, (p, q)
+
     def test_polyhedral_shapes_match_normality_randomized(self):
         # affine space and a Brieskorn-Pham trinomial are the normal verdicts
         from sl2cox.diagnostics import special_fiber_normal
@@ -353,7 +369,7 @@ class TestSpecialFiber:
             assert (verdict in ("polynomial", "brieskorn_pham")) == special_fiber_normal(E), E
             verdicts[verdict] += 1
         assert set(verdicts) == {"polynomial", "brieskorn_pham", "reduced_reducible",
-                                 "nonreduced"}, verdicts
+                                 "nonreduced", "other"}, verdicts
 
     def test_fiber_dimension_counts(self):
         # normal cyclic fiber: affine space of dimension 2 + #extras
@@ -1178,7 +1194,8 @@ class TestWork:
         # mu_64 with ten extra points and three divisors per point: 1631
         # relations, of which the 10 N rows need no exponents; the 1621 M
         # rows read theirs off sums of the lattice numerators of the twelve
-        # section modules, after one elimination in the whole build
+        # section modules; the whole build runs two Smith forms, the
+        # cokernel's and the lattice's, and none per row or pair
         pts = [(2, 7), (5, 11), (3, 13), (7, 2), (11, 5), (13, 3), (4, 9), (9, 4), (6, 17), (17, 6)]
         extras = tuple(point(a, b) for a, b in pts)
         E = EmbeddingData(cyclic(64), extras, tuple(
@@ -1192,7 +1209,8 @@ class TestWork:
             return wrapper
 
         monkeypatch.setattr(cg, "solve_nonneg", counting("nonneg", cg.solve_nonneg))
-        monkeypatch.setattr(exactmath, "_echelon", counting("eliminate", exactmath._echelon))
+        monkeypatch.setattr(exactmath, "smith_normal_form",
+                            counting("smith", exactmath.smith_normal_form))
         monkeypatch.setattr(RelationLattice, "numerators",
                             counting("numerators", RelationLattice.numerators))
         monkeypatch.setattr(RelationLattice, "solve", counting("read", RelationLattice.solve))
@@ -1201,7 +1219,7 @@ class TestWork:
         assert len(rows) == 1631 and rows.count(("N", False)) == 10
         assert rows.count(("M", False)) == 1621
         assert calls["nonneg"] == 0
-        assert calls["eliminate"] == 1
+        assert calls["smith"] == 2
         assert calls["numerators"] == len(E.exceptional_points()) == 12
         assert calls["read"] == 1621
 
@@ -1510,22 +1528,24 @@ class TestLatticeOracle:
         assert min(kinds.values()) >= 10
 
     def test_mu3_with_thirty_divisors_per_point(self, monkeypatch):
-        # mu_3 + 2 x 30: 120 invariant divisors, and still one elimination,
-        # of the columns of the other generators
+        # mu_3 + 2 x 30: 120 invariant divisors, and still two Smith forms:
+        # the cokernel's of Pᵀ and the lattice's of the columns of the other
+        # generators
         pts = (point(2, 7), point(5, 11))
         E = EmbeddingData(cyclic(3), pts, tuple(
             GStableDivisorSpec(p, 1, -j) for p in (X0, XINF) + pts for j in range(1, 31)))
         calls = Counter()
-        echelon = exactmath._echelon
+        smith = exactmath.smith_normal_form
 
-        def counted(rows, n):
-            calls[n] += 1
-            return echelon(rows, n)
+        def counted(M):
+            calls[M.rows, M.cols] += 1
+            return smith(M)
 
-        monkeypatch.setattr(exactmath, "_echelon", counted)
+        monkeypatch.setattr(exactmath, "smith_normal_form", counted)
         res = full_cox_presentation_cyclic(E)
-        assert len(res.class_group.divisor_labels) == 120
-        assert calls == {res.class_group.presentation.rows: 1}
+        P, labels = res.class_group.presentation, res.class_group.divisor_labels
+        assert len(labels) == 120
+        assert calls == {(P.cols, P.rows): 1, (P.cols - len(labels), P.rows): 1}
         verify_full_cox(res)
         ranks = ([row.iso_m for row in mod.rows] for mod in res.modules if mod.kind == "M")
         assert sum(map(len, ranks)) > 0

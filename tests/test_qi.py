@@ -246,13 +246,14 @@ def oracle_classify(P) -> str:
         return "other"
     rows = [[gr(rel.coeff(m)) for m in support] for rel in nontrivial]
     reduced, _ = oracle_rref(rows)
-    supports = [[support[i][0][0] for i, c in enumerate(row) if c] for row in reduced]
+    supports = [[support[i][0] for i, c in enumerate(row) if c] for row in reduced]
     supports = [vs for vs in supports if vs]
     if any(len(vs) == 1 for vs in supports):
         return "nonreduced"
     if all(len(vs) == 2 for vs in supports):
-        return "reduced_reducible"
-    if len(supports) == 1 and len(set(supports[0])) == len(supports[0]):
+        return "reduced_reducible" if all(gcd(p, q) > 1 for (_, p), (_, q) in supports) \
+            else "other"
+    if len(supports) == 1 and len({v for v, _ in supports[0]}) == len(supports[0]):
         return "brieskorn_pham"
     return "other"
 
@@ -272,7 +273,7 @@ def test_special_fiber_labels_match_the_oracle():
         labels.add(label)
     # every relation set the labels tell apart, on hand-made fibers too
     s, t, u = (SparsePoly.variable(v) for v in ("s", "t", "u"))
-    for rels in ([s.pow(2) - t.pow(3)], [s.pow(2), t.pow(2)],
+    for rels in ([s.pow(2) - t.pow(3)], [s.pow(2) - t.pow(4)], [s.pow(2), t.pow(2)],
                  [s.pow(2) + t.pow(2), s.pow(2) - t.pow(2)],
                  [s.pow(3) + t.pow(2).scale((0, 1, 2)) + u.pow(5)],
                  [s.pow(2) + t.pow(2) + u.pow(2), s.pow(2) - u.pow(2)], [s * t]):

@@ -11,8 +11,12 @@ the pretty lines, or (--format json) the report dict, to which ``main`` adds
 the command name and the input digest (the SHA-256 of the bytes it parsed)
 before writing it as a JSON document.  ``_write_json`` writes the text of
 ``json.dumps(report, indent=2, sort_keys=True)`` and a newline, byte for byte,
-with the C string escape and in pieces of bounded size, so a large report is
-never held as one string.  Exit codes: 0 success
+with the C string escape and in pieces of a bounded number of characters, so
+a large report is never held as one string.  A report holds its relations as
+``SparsePoly``: each is written as the text of its ``poly_to_json`` term
+list straight from its integer numerators, and ``cox-full``'s module rows
+and a presentation's canonical relations are built one at a time as they are
+written (``_Lazy``).  Exit codes: 0 success
 (``--help`` included), 1 invalid, unreadable or malformed input, 2
 computation error, 3 usage error (argparse's own errors included), 141
 (128 + SIGPIPE) when stdout is closed before the report is written, as in
@@ -39,11 +43,13 @@ from .embedding import (
     load_hypercones,
     read_input,
 )
-from .exactmath import EmptySolutionSet
+from .exactmath import EmptySolutionSet, frac_str
 from .hyperspace import WrongKind
 from .presentation import (
     GradedPresentation,
-    poly_to_json,
+    SparsePoly,
+    canonicalize,
+    pretty_negated,
     pretty_poly,
 )
 
@@ -54,64 +60,118 @@ EXIT_USAGE = 3
 EXIT_BROKEN_PIPE = 141
 
 
-# The JSON writer hands its parts to stdout whenever it holds more than this
-# many (about 100 kB of text in a cox-full report), so a large report is never
-# held as one string.
-_WRITE_BOUND = 1 << 12
+# The JSON writer hands its text to stdout whenever it holds more than this
+# many characters, so a large report is never held as one string; a smaller
+# report (every report of the benchmark's cli_mix) is one write.  It is the
+# size of a Linux pipe's buffer: a report the pipe cannot hold is written in
+# two pieces or more, and on CPython 3.11 only a later piece, not one large
+# write, fails with BrokenPipeError when the reader has left.
+_WRITE_BOUND = 1 << 16
+
+
+class _Lazy:
+    """A list the JSON writer builds as it writes it: ``make(x)`` for each
+    ``x`` of ``items``, one item at a time.  It can be read more than once,
+    and is empty when ``items`` is."""
+
+    __slots__ = ("make", "items")
+
+    def __init__(self, make, items):
+        self.make, self.items = make, items
+
+    def __iter__(self):
+        return map(self.make, self.items)
+
+    def __len__(self) -> int:
+        return len(self.items)
 
 
 def _write_json(doc) -> None:
     """Write ``doc`` and a newline to stdout, byte for byte as
-    ``print(json.dumps(doc, indent=2, sort_keys=True))`` would.  ``_encode``
-    checks its parts after each element, and each element adds one part
-    since the last check, so every write but the last holds
-    ``_WRITE_BOUND + 1`` parts; a smaller report is one write."""
+    ``print(json.dumps(doc, indent=2, sort_keys=True))`` would, with each
+    ``_Lazy`` as its list and each ``SparsePoly`` as its ``poly_to_json``
+    list.  ``_encode`` checks the characters it holds after each element,
+    and each element adds one part since the last check, so every write but
+    the last holds more than ``_WRITE_BOUND`` characters and at most one
+    part more; a smaller report is one write."""
     parts: list[str] = []
-    _encode(doc, parts, "\n", "")
+    _encode(doc, parts, "\n", "", 0)
     parts.append("\n")
     sys.stdout.write("".join(parts))
 
 
-def _encode(x, parts: list[str], nl: str, head: str) -> None:
+def _encode(x, parts: list[str], nl: str, head: str, size: int) -> int:
     """Append ``head`` and ``x`` to ``parts``, the inner lines of ``x``
-    indented by ``nl`` (a newline and spaces) plus two spaces.  A scalar is
-    one part with its head, so is an empty container; a container's head goes
-    into its first element's part, and its closing bracket is one part.
-    Only the types of a report are written: dicts with ``str`` keys (in
-    sorted order), lists, tuples, ``str``, ``int``, ``bool`` and ``None``;
-    anything else, a float or a non-``str`` key included, raises
+    indented by ``nl`` (a newline and spaces) plus two spaces, and return
+    ``size`` (the characters held since the last write) plus the characters
+    appended since.  A scalar is one part with its head, so is an empty
+    container and so is a polynomial; a container's head goes into its first
+    element's part, and its closing bracket is one part.  Only the types of
+    a report are written: dicts with ``str`` keys (in sorted order), lists,
+    tuples, ``_Lazy``, ``SparsePoly``, ``str``, ``int``, ``bool`` and
+    ``None``; anything else, a float or a non-``str`` key included, raises
     ``TypeError``."""
     t = type(x)
     if t is str:
-        parts.append(head + encode_basestring_ascii(x))
+        s = head + encode_basestring_ascii(x)
     elif t is int:
-        parts.append(head + int.__repr__(x))
+        s = head + int.__repr__(x)
+    elif t is SparsePoly:
+        s = head + _poly_text(x, nl)
     elif x is None or t is bool:
-        parts.append(head + ("null" if x is None else "true" if x else "false"))
-    elif t is dict or t is list or t is tuple:
+        s = head + ("null" if x is None else "true" if x else "false")
+    elif t is dict or t is list or t is tuple or t is _Lazy:
         if not x:
-            parts.append(head + ("{}" if t is dict else "[]"))
-            return
-        inner = nl + "  "
-        sep, comma = head + ("{" if t is dict else "[") + inner, "," + inner
-        if t is dict:
-            # a key that is no str raises TypeError, in sorted() or the escape
-            for k in sorted(x):
-                _encode(x[k], parts, inner, sep + encode_basestring_ascii(k) + ": ")
-                sep = comma
-                if len(parts) > _WRITE_BOUND:
-                    sys.stdout.write("".join(parts))
-                    parts.clear()
+            s = head + ("{}" if t is dict else "[]")
         else:
-            for v in x:
-                _encode(v, parts, inner, sep)
-                sep = comma
-                if len(parts) > _WRITE_BOUND:
-                    sys.stdout.write("".join(parts))
-                    parts.clear()
-        parts.append(nl + ("}" if t is dict else "]"))
+            inner = nl + "  "
+            sep, comma = head + ("{" if t is dict else "[") + inner, "," + inner
+            if t is dict:
+                # a key that is no str raises TypeError, in sorted() or the escape
+                for k in sorted(x):
+                    size = _encode(x[k], parts, inner, sep + encode_basestring_ascii(k) + ": ",
+                                   size)
+                    sep = comma
+                    if size > _WRITE_BOUND:
+                        size = _flush(parts)
+            else:
+                for v in x:
+                    size = _encode(v, parts, inner, sep, size)
+                    sep = comma
+                    if size > _WRITE_BOUND:
+                        size = _flush(parts)
+            s = nl + ("}" if t is dict else "]")
     else:
         raise TypeError(f"{t.__name__} is not a report type")
+    parts.append(s)
+    return size + len(s)
+
+
+def _flush(parts: list[str]) -> int:
+    """Write the parts held and drop them: none are held now."""
+    sys.stdout.write("".join(parts))
+    parts.clear()
+    return 0
+
+
+def _poly_text(poly: SparsePoly, nl: str) -> str:
+    """The JSON text of ``poly_to_json(poly)`` on a line indented by ``nl``,
+    as ``_encode`` would write that list, straight from the integer
+    numerators: the terms in ``sorted(num)`` order, the real and imaginary
+    parts of each coefficient as ``frac_str`` over ``den``."""
+    if not poly.num:
+        return "[]"
+    n1 = nl + "  "
+    n2 = n1 + "  "
+    n3 = n2 + "  "
+    im, re, mono, sep = ("{" + n2 + '"coeff": {' + n3 + '"im": "', '",' + n3 + '"re": "',
+                         '"' + n2 + "}," + n2 + '"monomial": ', "," + n3)
+    opening, closing, end, den = "{" + n3, n2 + "}", n1 + "}", poly.den
+    terms = [im + (frac_str(y, den) if y else "0") + re + frac_str(x, den) + mono
+             + (opening + sep.join([f"{encode_basestring_ascii(v)}: {e}" for v, e in m])
+                + closing if m else "{}") + end
+             for m, (x, y) in sorted(poly.num.items())]
+    return "[" + n1 + ("," + n1).join(terms) + nl + "]"
 
 
 def _emit(out, fmt: str) -> None:
@@ -135,23 +195,29 @@ def _presentation_json(P: GradedPresentation) -> dict:
              "module": v.module_tag}
             for v in P.variables
         ],
-        "relations": [poly_to_json(r) for r in P.canonical_relations()],
+        # each relation canonicalized as it is written
+        "relations": _Lazy(functools.partial(canonicalize, order=P.var_index()), P.relations),
         "grading": _group_json(P.grading),
     }
 
 
-def _presentation_pretty(P: GradedPresentation, title: str, order, names) -> list[str]:
-    """The presentation as pretty lines, over its ``var_index()`` and
-    ``pretty_names()``, which the caller builds once."""
+def _presentation_pretty(P: GradedPresentation, title: str, relations: list[str]) -> list[str]:
+    """The presentation as pretty lines, with its relations' pretty text."""
     lines = [title, f"  grading group: {P.grading}"]
     lines.append("  generators: " + ", ".join(
         f"{vn.name}(deg {list(vn.degree)}, wt {vn.b_weight})" for vn in P.variables))
-    if P.relations:
+    if relations:
         lines.append("  relations:")
-        lines += ["    " + pretty_poly(r, order, names) for r in P.canonical_relations(order)]
+        lines += ["    " + r for r in relations]
     else:
         lines.append("  relations: none (polynomial algebra)")
     return lines
+
+
+def _relations_pretty(P: GradedPresentation) -> list[str]:
+    """The pretty text of each canonical relation of ``P``."""
+    order, names = P.var_index(), P.pretty_names()
+    return [pretty_poly(r, order, names) for r in P.canonical_relations(order)]
 
 
 def _load(path: str):
@@ -217,13 +283,11 @@ def cox_u(E, args):
             report["special_fiber"] = {"presentation": _presentation_json(fib),
                                        "classification": verdict, "normal": normal}
         return report
-    lines = _presentation_pretty(Q, "Cox(X)^U after eliminating a, b",
-                                 Q.var_index(), Q.pretty_names())
+    lines = _presentation_pretty(Q, "Cox(X)^U after eliminating a, b", _relations_pretty(Q))
     if log:
         lines += ["  eliminations:"] + [f"    {s}" for s in log]
     if args.special_fiber:
-        lines += _presentation_pretty(fib, "special fiber (all r = 0)",
-                                      fib.var_index(), fib.pretty_names())
+        lines += _presentation_pretty(fib, "special fiber (all r = 0)", _relations_pretty(fib))
         lines.append(f"  classification: {verdict}; normal per criterion: {normal}")
     return lines
 
@@ -235,32 +299,40 @@ def cox_full(E, args):
         cx.verify_full_cox(res)
         warnings.append("verify: all relations vanish identically on the orbit")
     if args.format == "json":
+        # the module rows are built one at a time, as they are written
         return {
             "presentation": _presentation_json(res.presentation),
-            "modules": [
-                {"kind": mod.kind, "points": list(mod.points),
-                 "rows": [{"iso": row.iso_m, "b_weight": row.b_weight,
-                           "in_kernel": row.in_kernel,
-                           "poly": poly_to_json(row.poly)} for row in mod.rows]}
-                for mod in res.modules
-            ],
+            "modules": _Lazy(_module_json, res.modules),
             "preprocessing": res.preprocessing_log,
             "warnings": warnings,
         }
-    order, names = res.presentation.var_index(), res.presentation.pretty_names()
-    lines = _presentation_pretty(res.presentation, "Cox(X) by generators and relations",
-                                 order, names)
+    # the relations are the rows' polynomials, each rendered once for its
+    # row line and its relation line: canonicalize flips the sign of a
+    # polynomial exactly when its leading term, the first one printed, is
+    # negative
+    P = res.presentation
+    order, names = P.var_index(), P.pretty_names()
+    rows = [(mod, row, pretty_poly(row.poly, order, names))
+            for mod in res.modules for row in mod.rows]
+    lines = _presentation_pretty(P, "Cox(X) by generators and relations", [
+        pretty_negated(text) if text[0] == "-" else text for _, _, text in rows])
     lines.append("  relation modules:")
-    for mod in res.modules:
-        pts = ",".join(mod.points)
-        for row in mod.rows:
-            tagk = "kernel, " if row.in_kernel else ""
-            lines.append(f"    {mod.kind}_{{{pts}}} = V_{row.iso_m} "
-                         f"({tagk}B-weight {row.b_weight}w): "
-                         + pretty_poly(row.poly, order, names))
+    for mod, row, text in rows:
+        tagk = "kernel, " if row.in_kernel else ""
+        lines.append(f"    {mod.kind}_{{{','.join(mod.points)}}} = V_{row.iso_m} "
+                     f"({tagk}B-weight {row.b_weight}w): " + text)
     lines += [f"  preprocessing: {s}" for s in res.preprocessing_log]
     lines += [f"  warning: {s}" for s in warnings]
     return lines
+
+
+def _module_json(mod) -> dict:
+    return {"kind": mod.kind, "points": mod.points, "rows": _Lazy(_row_json, mod.rows)}
+
+
+def _row_json(row) -> dict:
+    return {"iso": row.iso_m, "b_weight": row.b_weight, "in_kernel": row.in_kernel,
+            "poly": row.poly}
 
 
 def diagnose(E, args):

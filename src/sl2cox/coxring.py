@@ -310,6 +310,9 @@ class RelationModule:
 
 @dataclass
 class FullCoxResult:
+    """The presentation, whose relations are the module rows' polynomials
+    in order, the modules, and what the construction did and used."""
+
     presentation: GradedPresentation
     modules: list[RelationModule]
     preprocessing_log: list[str]

@@ -133,11 +133,15 @@ def canonicalize(poly: SparsePoly, order: dict[str, int]) -> SparsePoly:
     """Normalize the global unit: the leading term (graded-lex in the
     variable order, ``order`` mapping each name to its index) gets a
     coefficient that is not ``_negative``.  Only +-1 is used so integrality
-    of coefficients is preserved."""
+    of coefficients is preserved.  The key's first part is the total degree,
+    so the full key is compared only among the terms of top degree."""
     if poly.is_zero():
         return poly
-    lead = max(poly.num, key=lambda m: _mono_key(m, order))
-    return poly.scale(-1) if _negative(*poly.num[lead]) else poly
+    num = poly.num
+    degrees = [(sum([e for _, e in m]), m) for m in num]
+    top = max([d for d, _ in degrees])
+    lead = max([m for d, m in degrees if d == top], key=lambda m: _mono_key(m, order))
+    return poly.scale(-1) if _negative(*num[lead]) else poly
 
 
 @dataclass(frozen=True)
@@ -241,19 +245,28 @@ def pretty_poly(poly: SparsePoly, order: dict[str, int], names: list[str]) -> st
     if poly.is_zero():
         return "0"
     den = poly.den
-    s = ""
-    for (_, pairs), (x, y) in sorted(((_mono_key(m, order), xy) for m, xy in poly.num.items()),
+    words = []  # each term's joining sign and its body
+    for (_, pairs), (x, y) in sorted([(_mono_key(m, order), xy) for m, xy in poly.num.items()],
                                      reverse=True):
-        mono = "".join(names[-i] + (str(e).translate(_SUP) if e > 1 else "") for i, e in pairs)
+        mono = "".join([names[-i] + str(e).translate(_SUP) if e > 1 else names[-i]
+                        for i, e in pairs])
         neg = _negative(x, y)
         if neg:
             x, y = -x, -y
-        body = mono if mono and x == den and not y else _coeff_str(x, y, den) + mono
-        if s:
-            s += f" {'-' if neg else '+'} {body}"
-        else:
-            s = ("-" if neg else "") + body
-    return s
+        words.append(" - " if neg else " + ")
+        words.append(mono if mono and x == den and not y else _coeff_str(x, y, den) + mono)
+    words[0] = "-" if words[0] == " - " else ""  # the leading term's sign
+    return "".join(words)
+
+
+def pretty_negated(text: str) -> str:
+    """``pretty_poly`` of -p from ``pretty_poly`` of a non-zero p: the
+    leading sign and every joining sign flipped.  A term's text holds no
+    space, so the joining signs are every second word."""
+    words = text.split(" ")
+    words[1::2] = ["-" if w == "+" else "+" for w in words[1::2]]
+    words[0] = words[0][1:] if words[0][0] == "-" else "-" + words[0]
+    return " ".join(words)
 
 
 def poly_to_json(poly: SparsePoly) -> list[dict]:

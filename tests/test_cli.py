@@ -13,7 +13,7 @@ from sl2cox import cli, coxring, presentation
 from sl2cox.cli import build_parser, main
 from sl2cox.embedding import load_embedding
 from sl2cox.exactmath import FinAbGroup, IntMatrix
-from sl2cox.presentation import SparsePoly, poly_to_json
+from sl2cox.presentation import SparsePoly, monomial, poly_to_json
 
 import test_golden as golden
 from gaussian_oracle import to_qi
@@ -388,9 +388,22 @@ class TestPolyJson:
         assert poly_from_json(poly_to_json(p)).terms == p.terms
 
 
+def dict_form(doc):
+    """The report as plain data: each polynomial as its ``poly_to_json`` list
+    and each lazy list as a list."""
+    if isinstance(doc, SparsePoly):
+        return poly_to_json(doc)
+    if isinstance(doc, dict):
+        return {k: dict_form(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple, cli._Lazy)):
+        return [dict_form(v) for v in doc]
+    return doc
+
+
 def dumps(doc) -> str:
-    """The reference for the JSON writer: the text ``print(json.dumps(...))`` writes."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The reference for the JSON writer: the text ``print(json.dumps(...))``
+    writes for the report's dict form."""
+    return json.dumps(dict_form(doc), indent=2, sort_keys=True) + "\n"
 
 
 class Writes:
@@ -422,9 +435,28 @@ HARD_STRINGS = ["", '"', "\\", 'a"b\\c"', "".join(map(chr, range(32))), "\x7f",
 HARD_INTS = [0, 1, -1, 2**63, 2**64, 2**64 + 1, -(2**64) - 7, 3**90, -(10**40)]
 
 
+# variable names with digits and underscores, as the presentations name them
+POLY_NAMES = ["a", "b", "s0", "sinf", "sp1", "r0_2", "rinf_12", "t10", "x_1_2", "se", "rdom"]
+
+
+def random_poly(rng: random.Random) -> SparsePoly:
+    """A polynomial with up to six terms: Gaussian, fractional and integer
+    coefficients, the empty monomial among the monomials, exponents up to
+    137; or the zero polynomial."""
+    terms = {}
+    for _ in range(rng.choice([0, 1, 2, 3, 6])):
+        names = rng.sample(POLY_NAMES, rng.choice([0, 1, 1, 2, 3]))
+        exps = {v: rng.choice([1, 1, 2, 3, 10, 11, 25, 137]) for v in names}
+        den = rng.choice([1, 1, 2, 3, 12])
+        terms[monomial(exps)] = (rng.randint(-30, 30), rng.choice([0, 0, rng.randint(-9, 9)]), den)
+    return SparsePoly({m: c for m, c in terms.items() if c[0] or c[1]})
+
+
 def random_doc(rng: random.Random, depth: int):
     """A document of the report types, nested up to ``depth`` levels."""
-    kind = rng.randrange(8 if depth else 5)
+    kind = rng.randrange(9 if depth else 5)
+    if kind == 8:
+        return cli._Lazy(lambda v: [v], [random_doc(rng, depth - 1) for _ in range(rng.randrange(3))])
     if kind == 0:
         return "".join(rng.choice(HARD_STRINGS) for _ in range(rng.randrange(3)))
     if kind == 1:
@@ -443,7 +475,8 @@ def random_doc(rng: random.Random, depth: int):
 
 class TestJsonWriter:
     """``cli._write_json`` writes what ``print(json.dumps(doc, indent=2,
-    sort_keys=True))`` writes, byte for byte, in bounded pieces."""
+    sort_keys=True))`` writes for the report's dict form, byte for byte, in
+    bounded pieces."""
 
     @pytest.mark.parametrize("command,fx", golden.CASES)
     def test_every_golden_report(self, command, fx, monkeypatch, capsys):
@@ -465,6 +498,25 @@ class TestJsonWriter:
         for _ in range(400):
             doc = random_doc(rng, 4)
             assert "".join(written(monkeypatch, doc)) == dumps(doc)
+
+    def test_a_seeded_sweep_of_polynomials(self, monkeypatch):
+        # each polynomial alone and inside lists and dicts, at nesting
+        # depths 0 to 4, among other values
+        rng = random.Random(34)
+        seen = set()
+        for i in range(500):
+            poly = random_poly(rng)
+            doc = poly
+            for _ in range(i % 5):
+                doc = ([random_doc(rng, 1), doc] if rng.random() < 0.5
+                       else {"coeff": doc, "z": random_doc(rng, 1)})
+            assert "".join(written(monkeypatch, doc)) == dumps(doc)
+            for m, (_, y) in poly.num.items():
+                seen.update([("gaussian", bool(y)), ("fraction", poly.den > 1),
+                             ("empty monomial", not m), ("exponent >= 10", any(e >= 10 for _, e in m))])
+            seen.add(("zero", poly.is_zero()))
+        assert all((what, True) in seen for what in (
+            "gaussian", "fraction", "empty monomial", "exponent >= 10", "zero"))
 
     @pytest.mark.parametrize("doc", [
         {}, [], (), "", [[]], [{}], {"a": [], "b": {}, "c": [[], {}]},
@@ -497,12 +549,19 @@ class TestJsonWriter:
         text = "".join(parts)
         assert len(text) > 1 << 18  # TestBrokenPipe relies on it
         assert text == dumps(json.loads(text))
-        # at the bound, every write but the last is the next bound + 1 parts
+        # at the bound, every write but the last is the next run of parts
+        # that first holds more than the bound's characters
+        expected, held = [], ""
+        for part in parts[:-1]:
+            held += part
+            if len(held) > bound:
+                expected.append(held)
+                held = ""
+        expected.append(held + parts[-1])
         got = writes(bound)
-        n = bound + 1
-        full = (len(parts) - 1) // n * n
-        assert len(got) > 1
-        assert got == ["".join(parts[i:i + n]) for i in range(0, full, n)] + ["".join(parts[full:])]
+        assert len(got) > 2
+        assert got == expected
+        assert all(bound < len(w) <= bound + max(map(len, parts)) for w in got[:-1])
 
     def test_a_report_below_the_bound_is_one_write(self, monkeypatch):
         # about 40 kB, as large as the largest reports of the benchmark's cli_mix
@@ -759,23 +818,26 @@ class TestBrokenPipe:
 
 class TestRenderOnce:
     """A run renders only the format it asks for, and canonicalizes each
-    presentation once: counted calls through every binding of the render
-    helpers (``cli`` and ``coxring`` hold their own ``pretty_poly``)."""
+    presentation at most once: counted calls through every binding of the render
+    helpers (``cli`` and ``coxring`` hold their own ``pretty_poly``; the
+    calls through ``cli``'s and ``presentation``'s ``canonicalize`` count
+    together)."""
 
-    BINDINGS = [(cli, "pretty_poly"), (coxring, "pretty_poly"), (cli, "poly_to_json"),
-                (presentation, "pretty_name"), (presentation, "canonicalize")]
+    COUNTED = {"cli.pretty_poly": [(cli, "pretty_poly")],
+               "coxring.pretty_poly": [(coxring, "pretty_poly")],
+               "cli._poly_text": [(cli, "_poly_text")],
+               "presentation.pretty_name": [(presentation, "pretty_name")],
+               "canonicalize": [(presentation, "canonicalize"), (cli, "canonicalize")]}
 
     @staticmethod
     def counted(monkeypatch, capsys, *argv) -> dict:
-        counts = {}
-        for mod, name in TestRenderOnce.BINDINGS:
-            key = f"{mod.__name__.split('.')[-1]}.{name}"
-            counts[key] = 0
-
-            def wrapper(*a, _fn=getattr(mod, name), _key=key, **kw):
-                counts[_key] += 1
-                return _fn(*a, **kw)
-            monkeypatch.setattr(mod, name, wrapper)
+        counts = dict.fromkeys(TestRenderOnce.COUNTED, 0)
+        for key, bindings in TestRenderOnce.COUNTED.items():
+            for mod, name in bindings:
+                def wrapper(*a, _fn=getattr(mod, name), _key=key, **kw):
+                    counts[_key] += 1
+                    return _fn(*a, **kw)
+                monkeypatch.setattr(mod, name, wrapper)
         rc, out, _ = run(capsys, *argv)
         assert rc == 0 and out
         return counts
@@ -785,14 +847,16 @@ class TestRenderOnce:
         res = coxring.full_cox_presentation_cyclic(load_embedding(path))
         P = res.presentation
         rows = sum(len(mod.rows) for mod in res.modules)
+        # JSON writes each relation and each row once; the pretty lines
+        # render each row once and reuse its text for its relation, whose
+        # sign they read off the text's leading term
         assert self.counted(monkeypatch, capsys, "cox-full", path, "--format", "json") == {
             "cli.pretty_poly": 0, "coxring.pretty_poly": 0, "presentation.pretty_name": 0,
-            "cli.poly_to_json": len(P.relations) + rows,
-            "presentation.canonicalize": len(P.relations)}
+            "cli._poly_text": len(P.relations) + rows, "canonicalize": len(P.relations)}
         assert self.counted(monkeypatch, capsys, "cox-full", path) == {
-            "cli.pretty_poly": len(P.relations) + rows, "coxring.pretty_poly": 0,
-            "presentation.pretty_name": len(P.variables), "cli.poly_to_json": 0,
-            "presentation.canonicalize": len(P.relations)}
+            "cli.pretty_poly": len(P.relations), "coxring.pretty_poly": 0,
+            "presentation.pretty_name": len(P.variables), "cli._poly_text": 0,
+            "canonicalize": 0}
 
     @pytest.mark.parametrize("name", ["sl2_trivial_4pts.json", "tetrahedral.json"])
     def test_cox_u_special_fiber(self, name, monkeypatch, capsys):
@@ -809,11 +873,11 @@ class TestRenderOnce:
         assert self.counted(monkeypatch, capsys, *argv, "--format", "json") == {
             "cli.pretty_poly": 0, "coxring.pretty_poly": len(log),
             "presentation.pretty_name": len(P.variables),
-            "cli.poly_to_json": relations, "presentation.canonicalize": relations}
+            "cli._poly_text": relations, "canonicalize": relations}
         assert self.counted(monkeypatch, capsys, *argv) == {
             "cli.pretty_poly": relations, "coxring.pretty_poly": len(log),
             "presentation.pretty_name": len(P.variables) + len(Q.variables) + len(fib.variables),
-            "cli.poly_to_json": 0, "presentation.canonicalize": relations}
+            "cli._poly_text": 0, "canonicalize": relations}
 
 
 class TestUsageErrors:

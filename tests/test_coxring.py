@@ -593,6 +593,10 @@ class TestFullCoxShapes:
             verify_full_cox(res)
             _assert_relations_vanish(res)
             _assert_functions_match_oracle(res)
+            # the relations are the module rows' polynomials, in order (the
+            # pretty report renders each once, for both lines)
+            assert ([row.poly for mod in res.modules for row in mod.rows]
+                    == res.presentation.relations)
             done += 1
 
     def test_gaussian_sweep_matches_the_point_oracle(self):

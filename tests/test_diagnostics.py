@@ -174,6 +174,38 @@ class TestConstantFunctions:
         assert ok == (cert < 0)
         assert ok and cert == Fraction(-1, 2)
 
+    def test_every_input_in_the_regime_gets_a_certificate(self):
+        # a seeded sweep of valid cyclic inputs: with three exceptional
+        # points or more and a normal special fiber, the test applies and
+        # three divisors over distinct points are always found; otherwise it
+        # says which hypothesis fails
+        rng = random.Random("constant-functions")
+        coords = [(1, 1), (2, 1), (3, 1), (1, 3), (5, 2), (2, 5), (3, 7)]
+        certified = skipped = 0
+        for _ in range(800):
+            F = cyclic(rng.randint(1, 12))
+            extras = tuple(point(*c) for c in rng.sample(coords, rng.randint(0, 4)))
+            divisors = tuple(
+                GStableDivisorSpec(p, rng.randint(1, 4), -Fraction(rng.randint(1, 9)))
+                for p in EmbeddingData(F, extras).exceptional_points()
+                for _ in range(rng.randint(0 if p.tag else 1, 2)))
+            E = EmbeddingData(F, extras, divisors)
+            if E.validate():
+                continue
+            if len(E.exceptional_points()) < 3 or not special_fiber_normal(E):
+                with pytest.raises(HypothesesNotMet) as exc:
+                    constant_functions_only(E)
+                assert str(exc.value) in ("at least three exceptional points required",
+                                          "the special fiber must be normal")
+                skipped += 1
+                continue
+            ok, cert = constant_functions_only(E)
+            assert ok == (cert < 0)
+            slopes = {Fraction(d.l, d.h) for d in divisors}
+            assert any(cert - 1 - a - b in slopes for a in slopes for b in slopes)
+            certified += 1
+        assert certified >= 150 and skipped >= 150
+
 
 class TestOrbits:
     def setup_method(self):

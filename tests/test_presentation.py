@@ -18,6 +18,7 @@ from sl2cox.presentation import (
     monomial,
     poly_to_json,
     pretty_name,
+    pretty_negated,
     pretty_poly,
 )
 
@@ -127,6 +128,11 @@ def test_render_helpers_match_the_fraction_oracles(seed):
         assert pretty_poly(poly, order, names) == oracle_pretty_poly(poly, var_order)
         assert canonicalize(poly, order) == oracle_canonicalize(poly, var_order)
         if not poly.is_zero():
+            text = pretty_poly(poly, order, names)
+            assert pretty_negated(text) == pretty_poly(poly.scale(-1), order, names)
+            # canonicalize flips exactly the polynomials printed with a
+            # leading minus (the pretty cox-full reads the sign off the text)
+            assert (canonicalize(poly, order) is not poly) == text.startswith("-")
             lead = max(poly.num, key=lambda m: _mono_key(m, order))
             assert lead == max(poly.num, key=lambda m: oracle_mono_key(m, order))
             assert (sorted(poly.num, key=lambda m: _mono_key(m, order))

@@ -15,8 +15,7 @@ with the C string escape and in pieces of a bounded number of characters, so
 a large report is never held as one string.  A report holds its relations as
 ``SparsePoly``: each is written as the text of its ``poly_to_json`` term
 list straight from its integer numerators, and ``cox-full``'s module rows
-and a presentation's canonical relations are built one at a time as they are
-written (``_Lazy``).  Exit codes: 0 success
+are built one at a time as they are written (``_Lazy``).  Exit codes: 0 success
 (``--help`` included), 1 invalid, unreadable or malformed input, 2
 computation error, 3 usage error (argparse's own errors included), 141
 (128 + SIGPIPE) when stdout is closed before the report is written, as in
@@ -48,7 +47,6 @@ from .hyperspace import WrongKind
 from .presentation import (
     GradedPresentation,
     SparsePoly,
-    canonicalize,
     pretty_negated,
     pretty_poly,
 )
@@ -167,7 +165,7 @@ def _poly_text(poly: SparsePoly, nl: str) -> str:
     im, re, mono, sep = ("{" + n2 + '"coeff": {' + n3 + '"im": "', '",' + n3 + '"re": "',
                          '"' + n2 + "}," + n2 + '"monomial": ', "," + n3)
     opening, closing, end, den = "{" + n3, n2 + "}", n1 + "}", poly.den
-    terms = [im + (frac_str(y, den) if y else "0") + re + frac_str(x, den) + mono
+    terms = [im + frac_str(y, den) + re + frac_str(x, den) + mono
              + (opening + sep.join([f"{encode_basestring_ascii(v)}: {e}" for v, e in m])
                 + closing if m else "{}") + end
              for m, (x, y) in sorted(poly.num.items())]
@@ -195,8 +193,7 @@ def _presentation_json(P: GradedPresentation) -> dict:
              "module": v.module_tag}
             for v in P.variables
         ],
-        # each relation canonicalized as it is written
-        "relations": _Lazy(functools.partial(canonicalize, order=P.var_index()), P.relations),
+        "relations": P.canonical_relations(),
         "grading": _group_json(P.grading),
     }
 
@@ -217,7 +214,14 @@ def _presentation_pretty(P: GradedPresentation, title: str, relations: list[str]
 def _relations_pretty(P: GradedPresentation) -> list[str]:
     """The pretty text of each canonical relation of ``P``."""
     order, names = P.var_index(), P.pretty_names()
-    return [pretty_poly(r, order, names) for r in P.canonical_relations(order)]
+    return [_canonical_text(pretty_poly(r, order, names)) for r in P.relations]
+
+
+def _canonical_text(text: str) -> str:
+    """The pretty text of the canonical form of a polynomial, from
+    its ``pretty_poly`` text: ``canonicalize`` flips the sign of a polynomial
+    exactly when its leading term, the first one printed, is negative."""
+    return pretty_negated(text) if text[0] == "-" else text
 
 
 def _load(path: str):
@@ -307,15 +311,13 @@ def cox_full(E, args):
             "warnings": warnings,
         }
     # the relations are the rows' polynomials, each rendered once for its
-    # row line and its relation line: canonicalize flips the sign of a
-    # polynomial exactly when its leading term, the first one printed, is
-    # negative
+    # row line and its relation line
     P = res.presentation
     order, names = P.var_index(), P.pretty_names()
     rows = [(mod, row, pretty_poly(row.poly, order, names))
             for mod in res.modules for row in mod.rows]
     lines = _presentation_pretty(P, "Cox(X) by generators and relations", [
-        pretty_negated(text) if text[0] == "-" else text for _, _, text in rows])
+        _canonical_text(text) for _, _, text in rows])
     lines.append("  relation modules:")
     for mod, row, text in rows:
         tagk = "kernel, " if row.in_kernel else ""

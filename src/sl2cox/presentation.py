@@ -133,15 +133,11 @@ def canonicalize(poly: SparsePoly, order: dict[str, int]) -> SparsePoly:
     """Normalize the global unit: the leading term (graded-lex in the
     variable order, ``order`` mapping each name to its index) gets a
     coefficient that is not ``_negative``.  Only +-1 is used so integrality
-    of coefficients is preserved.  The key's first part is the total degree,
-    so the full key is compared only among the terms of top degree."""
+    of coefficients is preserved."""
     if poly.is_zero():
         return poly
-    num = poly.num
-    degrees = [(sum([e for _, e in m]), m) for m in num]
-    top = max([d for d, _ in degrees])
-    lead = max([m for d, m in degrees if d == top], key=lambda m: _mono_key(m, order))
-    return poly.scale(-1) if _negative(*num[lead]) else poly
+    lead = max(poly.num, key=lambda m: _mono_key(m, order))
+    return poly.scale(-1) if _negative(*poly.num[lead]) else poly
 
 
 @dataclass(frozen=True)
@@ -245,18 +241,19 @@ def pretty_poly(poly: SparsePoly, order: dict[str, int], names: list[str]) -> st
     if poly.is_zero():
         return "0"
     den = poly.den
-    words = []  # each term's joining sign and its body
-    for (_, pairs), (x, y) in sorted([(_mono_key(m, order), xy) for m, xy in poly.num.items()],
+    s = ""
+    for (_, pairs), (x, y) in sorted(((_mono_key(m, order), xy) for m, xy in poly.num.items()),
                                      reverse=True):
-        mono = "".join([names[-i] + str(e).translate(_SUP) if e > 1 else names[-i]
-                        for i, e in pairs])
+        mono = "".join(names[-i] + (str(e).translate(_SUP) if e > 1 else "") for i, e in pairs)
         neg = _negative(x, y)
         if neg:
             x, y = -x, -y
-        words.append(" - " if neg else " + ")
-        words.append(mono if mono and x == den and not y else _coeff_str(x, y, den) + mono)
-    words[0] = "-" if words[0] == " - " else ""  # the leading term's sign
-    return "".join(words)
+        body = mono if mono and x == den and not y else _coeff_str(x, y, den) + mono
+        if s:
+            s += f" {'-' if neg else '+'} {body}"
+        else:
+            s = ("-" if neg else "") + body
+    return s
 
 
 def pretty_negated(text: str) -> str:

@@ -819,15 +819,13 @@ class TestBrokenPipe:
 class TestRenderOnce:
     """A run renders only the format it asks for, and canonicalizes each
     presentation at most once: counted calls through every binding of the render
-    helpers (``cli`` and ``coxring`` hold their own ``pretty_poly``; the
-    calls through ``cli``'s and ``presentation``'s ``canonicalize`` count
-    together)."""
+    helpers (``cli`` and ``coxring`` hold their own ``pretty_poly``)."""
 
     COUNTED = {"cli.pretty_poly": [(cli, "pretty_poly")],
                "coxring.pretty_poly": [(coxring, "pretty_poly")],
                "cli._poly_text": [(cli, "_poly_text")],
                "presentation.pretty_name": [(presentation, "pretty_name")],
-               "canonicalize": [(presentation, "canonicalize"), (cli, "canonicalize")]}
+               "canonicalize": [(presentation, "canonicalize")]}
 
     @staticmethod
     def counted(monkeypatch, capsys, *argv) -> dict:
@@ -849,7 +847,7 @@ class TestRenderOnce:
         rows = sum(len(mod.rows) for mod in res.modules)
         # JSON writes each relation and each row once; the pretty lines
         # render each row once and reuse its text for its relation, whose
-        # sign they read off the text's leading term
+        # sign they read off the text's leading term, as in cox-u
         assert self.counted(monkeypatch, capsys, "cox-full", path, "--format", "json") == {
             "cli.pretty_poly": 0, "coxring.pretty_poly": 0, "presentation.pretty_name": 0,
             "cli._poly_text": len(P.relations) + rows, "canonicalize": len(P.relations)}
@@ -874,10 +872,11 @@ class TestRenderOnce:
             "cli.pretty_poly": 0, "coxring.pretty_poly": len(log),
             "presentation.pretty_name": len(P.variables),
             "cli._poly_text": relations, "canonicalize": relations}
+        # the pretty lines read each relation's canonical sign off its text
         assert self.counted(monkeypatch, capsys, *argv) == {
             "cli.pretty_poly": relations, "coxring.pretty_poly": len(log),
             "presentation.pretty_name": len(P.variables) + len(Q.variables) + len(fib.variables),
-            "cli._poly_text": 0, "canonicalize": relations}
+            "cli._poly_text": 0, "canonicalize": 0}
 
 
 class TestUsageErrors:

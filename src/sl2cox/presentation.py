@@ -172,9 +172,9 @@ class GradedPresentation:
     def weight_map(self) -> dict[str, int]:
         return {v.name: v.b_weight for v in self.variables}
 
-    def canonical_relations(self, order: dict[str, int] | None = None) -> list[SparsePoly]:
-        """Each relation canonicalized once, over ``var_index()`` unless given."""
-        order = order or self.var_index()
+    def canonical_relations(self) -> list[SparsePoly]:
+        """Each relation canonicalized once, over ``var_index()``."""
+        order = self.var_index()
         return [canonicalize(r, order) for r in self.relations]
 
 

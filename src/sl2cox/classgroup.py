@@ -22,7 +22,12 @@ with the divisors.  ``exactmath.cokernel`` keeps the change of basis U as
 sparse rows; the images are read off its first free rank + torsion rows in
 one pass over their non-zeros, and each torsion generator's lift (the
 column of U⁻¹ that the restriction to the character group of F reads) comes
-from Pᵀ V = U⁻¹ D; no N x N matrix is built.
+from Pᵀ V = U⁻¹ D; no N x N matrix is built.  P is written row by row,
+each row from the few generators of two fibers, and reaches the Smith form
+of Pᵀ with one copy, the transpose.  A round of that Smith form costs
+O(N (r - t)) for the pivot search, and a pivot 1 (nearly every round here)
+one combined row and column sweep, O(N) per column after t, plus the
+touched non-zeros of U; ``cokernel`` states the whole cost.
 
 Cl(X) is Z^generators modulo the few rows of the relation matrix P, one per
 exceptional point, so a class is written in the invariant divisors in that
@@ -176,14 +181,23 @@ def _relations(E: EmbeddingData, gens: list[Generator], fibers: dict) -> IntMatr
     """Rows: [fiber(x)] - [fiber(base)] per exceptional point, the base being
     x_d when D^{x_d} is a generator and the first point otherwise, then the
     u * l-row; ``fibers`` is ``_fibers(gens)``."""
+    column = {g.label: j for j, g in enumerate(gens)}
     base, *others = fibers.values() or [{}]
-    rows = [[f.get(g.label, 0) - base.get(g.label, 0) for g in gens] for f in others]
+    minus_base = [0] * len(gens)
+    for label, m in base.items():
+        minus_base[column[label]] = -m
+    rows = []
+    for f in others:  # each row writes the few generators of two fibers
+        row = minus_base[:]
+        for label, m in f.items():
+            row[column[label]] += m
+        rows.append(row)
     u = E.group.u
     lrow = [divmod(u * g.l.numerator, g.l.denominator) for g in gens]
     if any(rem for _, rem in lrow):  # validation rules out a fractional u * l
         raise RuntimeError("internal invariant broken: l-row not integral after clearing by u")
     rows.append([x for x, _ in lrow])
-    return IntMatrix(rows, cols=len(gens))
+    return IntMatrix.adopt(rows, len(gens))
 
 
 def class_group(E: EmbeddingData) -> ClassGroupResult:

@@ -29,6 +29,7 @@ import functools
 import os
 import sys
 from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator
 
 from . import classgroup as cg
 from . import coxring as cx
@@ -173,7 +174,8 @@ def _poly_text(poly: SparsePoly, nl: str) -> str:
 
 
 def _emit(out, fmt: str) -> None:
-    """Print a report: a JSON document, or pretty lines."""
+    """Print a report: a JSON document, or pretty lines (a list, or an
+    iterator that makes each line as it is printed)."""
     if fmt == "json":
         _write_json(out)
     else:
@@ -198,17 +200,22 @@ def _presentation_json(P: GradedPresentation) -> dict:
     }
 
 
-def _presentation_pretty(P: GradedPresentation, title: str, relations: list[str]) -> list[str]:
-    """The presentation as pretty lines, with its relations' pretty text."""
-    lines = [title, f"  grading group: {P.grading}"]
-    lines.append("  generators: " + ", ".join(
-        f"{vn.name}(deg {list(vn.degree)}, wt {vn.b_weight})" for vn in P.variables))
-    if relations:
-        lines.append("  relations:")
-        lines += ["    " + r for r in relations]
-    else:
-        lines.append("  relations: none (polynomial algebra)")
-    return lines
+def _presentation_pretty(P: GradedPresentation, title: str,
+                         relations: Iterable[str]) -> Iterator[str]:
+    """The presentation as pretty lines, one at a time, with its relations'
+    pretty text, read once as the lines are."""
+    yield title
+    yield f"  grading group: {P.grading}"
+    yield "  generators: " + ", ".join(
+        f"{vn.name}(deg {list(vn.degree)}, wt {vn.b_weight})" for vn in P.variables)
+    none = True
+    for r in relations:
+        if none:
+            yield "  relations:"
+            none = False
+        yield "    " + r
+    if none:
+        yield "  relations: none (polynomial algebra)"
 
 
 def _relations_pretty(P: GradedPresentation) -> list[str]:
@@ -287,7 +294,7 @@ def cox_u(E, args):
             report["special_fiber"] = {"presentation": _presentation_json(fib),
                                        "classification": verdict, "normal": normal}
         return report
-    lines = _presentation_pretty(Q, "Cox(X)^U after eliminating a, b", _relations_pretty(Q))
+    lines = [*_presentation_pretty(Q, "Cox(X)^U after eliminating a, b", _relations_pretty(Q))]
     if log:
         lines += ["  eliminations:"] + [f"    {s}" for s in log]
     if args.special_fiber:
@@ -310,22 +317,29 @@ def cox_full(E, args):
             "preprocessing": res.preprocessing_log,
             "warnings": warnings,
         }
-    # the relations are the rows' polynomials, each rendered once for its
-    # row line and its relation line
+    # the relations are the rows' polynomials, each rendered once, here, for
+    # its relation line and its row line
     P = res.presentation
     order, names = P.var_index(), P.pretty_names()
     rows = [(mod, row, pretty_poly(row.poly, order, names))
             for mod in res.modules for row in mod.rows]
-    lines = _presentation_pretty(P, "Cox(X) by generators and relations", [
-        _canonical_text(text) for _, _, text in rows])
-    lines.append("  relation modules:")
+    return _cox_full_pretty(res, rows, warnings)
+
+
+def _cox_full_pretty(res, rows, warnings: list[str]) -> Iterator[str]:
+    """The pretty ``cox-full`` report, line by line as ``_emit`` prints it:
+    no line is kept, only the rows' texts, each read twice."""
+    yield from _presentation_pretty(res.presentation, "Cox(X) by generators and relations",
+                                    (_canonical_text(text) for _, _, text in rows))
+    yield "  relation modules:"
     for mod, row, text in rows:
         tagk = "kernel, " if row.in_kernel else ""
-        lines.append(f"    {mod.kind}_{{{','.join(mod.points)}}} = V_{row.iso_m} "
-                     f"({tagk}B-weight {row.b_weight}w): " + text)
-    lines += [f"  preprocessing: {s}" for s in res.preprocessing_log]
-    lines += [f"  warning: {s}" for s in warnings]
-    return lines
+        yield (f"    {mod.kind}_{{{','.join(mod.points)}}} = V_{row.iso_m} "
+               f"({tagk}B-weight {row.b_weight}w): " + text)
+    for s in res.preprocessing_log:
+        yield f"  preprocessing: {s}"
+    for s in warnings:
+        yield f"  warning: {s}"
 
 
 def _module_json(mod) -> dict:

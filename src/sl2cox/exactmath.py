@@ -110,6 +110,15 @@ class IntMatrix:
             self.cols = cols
 
     @staticmethod
+    def adopt(data: list[list[int]], cols: int) -> "IntMatrix":
+        """The matrix whose rows are the lists ``data``, taken as they are:
+        no copy, no ``int()`` and no row-length check, for rows of integers
+        that the caller has just built and does not change."""
+        M = object.__new__(IntMatrix)
+        M.data, M.rows, M.cols = data, len(data), cols
+        return M
+
+    @staticmethod
     def identity(n: int) -> "IntMatrix":
         return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
@@ -120,11 +129,12 @@ class IntMatrix:
         for out, row in zip(data, rows):
             for j, a in row.items():
                 out[j] = a
-        return IntMatrix(data, cols=cols)
+        return IntMatrix.adopt(data, cols)
 
     def transpose(self) -> "IntMatrix":
-        data = [list(col) for col in zip(*self.data)] if self.rows else [[]] * self.cols
-        return IntMatrix(data, cols=self.rows)
+        data = ([list(col) for col in zip(*self.data)] if self.rows
+                else [[] for _ in range(self.cols)])
+        return IntMatrix.adopt(data, self.rows)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -138,7 +148,7 @@ class IntMatrix:
                     orow_out = out[i]
                     for j in range(other.cols):
                         orow_out[j] += a * orow[j]
-        return IntMatrix(out, cols=other.cols)
+        return IntMatrix.adopt(out, other.cols)
 
     def mulvec(self, v: Sequence[int]) -> list[int]:
         if len(v) != self.cols:
@@ -174,29 +184,48 @@ class SmithDecomposition:
         return IntMatrix.from_sparse(self.u_rows, len(self.u_rows))
 
     def certifies(self, M: IntMatrix) -> bool:
-        """Whether U·(M·V) = D: M·V is formed once, O(rows·cols²), then each
-        sparse row of U combines its rows, O(nnz(U)·cols)."""
-        if (M.rows, M.cols) != (self.D.rows, self.D.cols) or len(self.u_rows) != M.rows:
+        """Whether (U·M)·V = D.  Each row of U·M folds the non-zeros of that
+        row of U over the non-zero rows of M, O(nnz(U)·cols) in all; a row
+        of U·M that is zero must meet a zero row of D, and only the others,
+        at most cols of them on a correct decomposition, are multiplied by
+        V, O(cols²) each."""
+        rows, cols = M.rows, M.cols
+        if ((rows, cols) != (self.D.rows, self.D.cols) or len(self.u_rows) != rows
+                or self.V.rows != cols):
             return False
-        vcols = list(zip(*self.V.data))
-        MV = [[sum(map(mul, row, col)) for col in vcols] for row in M.data]
+        V = self.V.data
+        live = [row if any(row) else None for row in M.data]
         for u, d in zip(self.u_rows, self.D.data):
-            acc = [0] * M.cols
+            acc = None
             for k, a in u.items():
-                acc = [x + a * y for x, y in zip(acc, MV[k])]
-            if acc != d:
+                if (row := live[k]) is not None:
+                    acc = ([a * y for y in row] if acc is None
+                           else [x + a * y for x, y in zip(acc, row)])
+            if acc is None or not any(acc):
+                if any(d):
+                    return False
+                continue
+            out = [0] * cols
+            for k in compress(range(cols), acc):
+                a = acc[k]
+                out = [x + a * y for x, y in zip(out, V[k])]
+            if out != d:
                 return False
         return True
 
 
-def _add_row(u: dict[int, int], q: int, w: dict[int, int]) -> None:
-    """u += q w on sparse rows, dropping the zeros."""
-    for k, b in w.items():
-        x = u.get(k, 0) + q * b
-        if x:
-            u[k] = x
-        else:
-            u.pop(k, None)
+def _sweep_rows(u: list[dict[int, int]], t: int, q: Sequence[int]) -> None:
+    """u[i] -= q[i] u[t] for every i > t with q[i] != 0, on sparse rows,
+    dropping the zeros: an entry turns zero only where u[i] had one, since
+    u[t] holds no zeros."""
+    w = u[t].items()
+    for i in compress(range(t + 1, len(u)), islice(q, t + 1, None)):
+        ui, a = u[i], q[i]
+        for k, b in w:
+            if x := ui.get(k, 0) - a * b:
+                ui[k] = x
+            else:
+                del ui[k]
 
 
 def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
@@ -208,72 +237,113 @@ def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
     (N generators, r <= about a dozen relations): M is held column-major,
     so a clearing sweep is r list operations of length N, and U's rows are
     sparse, so a row operation costs the non-zeros of one row of U, not N.
-    A round thus costs O(N r) plus the touched entries of U.
+
+    A round does only what that rule needs.  Rows above t are zero in the
+    columns from t on, so the pivot search scans rows t.. of columns t..,
+    O(N (r - t)), and a row swap or sign change touches only columns t..;
+    the rounds stop once t reaches min(N, r).  A pivot 1 (most rounds on a
+    class group) clears its column and row exactly: its column is the
+    quotients, so one pass over the columns with a non-zero in row t does
+    the row and the column sweep at once, O(N) each, and no re-check or
+    fold follows.  A larger pivot sweeps with balanced quotients, its U
+    pass is skipped when every quotient is 0, and then the re-check and the
+    fold scan, O(N r).  Each row operation on U costs the non-zeros of row
+    t of U.  D is written from the pivots, so the certificate U·M·V = D
+    also checks that the sweeps left M diagonal.
     """
     rows, cols = M.rows, M.cols
     c = [list(col) for col in zip(*M.data)] if rows else [[] for _ in range(cols)]
     u = [{i: 1} for i in range(rows)]
-    v = [[int(i == j) for i in range(cols)] for j in range(cols)]  # columns of V
+    v = [[0] * cols for _ in range(cols)]  # columns of V
+    for j in range(cols):
+        v[j][j] = 1
 
-    t = 0
-    while True:
-        # rows above t are zero in the columns from t on
-        absolute = [[*map(abs, c[j])] for j in range(t, cols)]
-        mins = [min(filter(None, a), default=0) for a in absolute]
-        best = min(filter(None, mins), default=0)
+    t, stop = 0, min(rows, cols)
+    while t < stop:
+        # the pivot: rows above t are zero in the columns from t on
+        best = i = j = 0
+        for k in range(t, cols):
+            m = min(map(abs, filter(None, islice(c[k], t, None))), default=0)
+            if not m or best and (m > best or m == best and i == t):
+                continue
+            r = [*map(abs, c[k])].index(m, t)
+            if not best or m < best or r < i:
+                best, i, j = m, r, k
+                if best == 1 and i == t:
+                    break
         if not best:
             break
-        i, j = min((a.index(best), j + t) for j, (a, m) in enumerate(zip(absolute, mins))
-                   if m == best)
-        for col in c:
-            col[t], col[i] = col[i], col[t]
-        u[t], u[i] = u[i], u[t]
-        c[t], c[j] = c[j], c[t]
-        v[t], v[j] = v[j], v[t]
-        if c[t][t] < 0:
-            for col in c:
+        live = c[t:]  # the others are zero in rows t..; a column swap keeps this set
+        if i != t:
+            for col in live:
+                col[t], col[i] = col[i], col[t]
+            u[t], u[i] = u[i], u[t]
+        if j != t:
+            c[t], c[j] = c[j], c[t]
+            v[t], v[j] = v[j], v[t]
+        pivot_col, pivot_v = c[t], v[t]
+        if pivot_col[t] < 0:
+            for col in live:
                 col[t] = -col[t]
             u[t] = {k: -a for k, a in u[t].items()}
-        p, h = c[t][t], c[t][t] // 2
+        p = pivot_col[t]
+        if p == 1:
+            # the quotients are column t itself: row op i -= a_i · row t and
+            # column op j -= x_j · column t leave column j - x_j · column t
+            for j in range(t + 1, cols):
+                if x := c[j][t]:
+                    c[j] = [a - x * b for a, b in zip(c[j], pivot_col)]
+                    v[j] = [a - x * b for a, b in zip(v[j], pivot_v)]
+            _sweep_rows(u, t, pivot_col)
+            c[t] = [0] * rows
+            c[t][t] = 1
+            t += 1
+            continue
+        h = p // 2
         # one clearing sweep with balanced quotients; remainders stay put and
         # the global minimal pivot is re-selected on the next round, so the
         # pivot strictly decreases and entries stay tame.  Every row
         # operation subtracts a multiple of row t, which none changes, and
         # every column operation a multiple of column t: each sweep is one
         # vector operation per column
-        q = c[t][:] if p == 1 else [(a + h) // p for a in c[t]]
+        q = [(a + h) // p for a in pivot_col]
         q[t] = 0
-        for j in range(t, cols):
-            x = c[j][t]
-            if x:
-                c[j] = [a - b * x for a, b in zip(c[j], q)]
-        for i in compress(range(rows), q):
-            _add_row(u[i], -q[i], u[t])
-        pivot_col, pivot_v = c[t], v[t]
+        if any(q):
+            for j in range(t, cols):
+                if x := c[j][t]:
+                    c[j] = [a - b * x for a, b in zip(c[j], q)]
+            _sweep_rows(u, t, q)
+        pivot_col = c[t]
         for j in range(t + 1, cols):
-            x = c[j][t]
-            if x:
+            if x := c[j][t]:
                 x = (x + h) // p
                 c[j] = [a - x * b for a, b in zip(c[j], pivot_col)]
                 v[j] = [a - x * b for a, b in zip(v[j], pivot_v)]
         if any(islice(pivot_col, t + 1, None)) or any(c[j][t] for j in range(t + 1, cols)):
             continue
         # force the pivot to divide every remaining entry: fold the first row
-        # (row-major) holding an entry it does not divide into row t, re-run
-        if p > 1:
-            i = min((next((i for i in range(t + 1, rows) if c[j][i] % p), rows)
-                     for j in range(t + 1, cols)), default=rows)
-            if i < rows:
-                for col in c:
-                    col[t] += col[i]
-                _add_row(u[t], 1, u[i])
-                continue
+        # (row-major) holding an entry it does not divide into row t, re-run;
+        # rows up to t are zero in the columns after t
+        i = min((next(compress(range(rows), map(p.__rmod__, c[j])), rows)
+                 for j in range(t + 1, cols)), default=rows)
+        if i < rows:
+            for col in c[t + 1:]:
+                col[t] = col[i]
+            ut = u[t]
+            for k, b in u[i].items():
+                if x := ut.get(k, 0) + b:
+                    ut[k] = x
+                else:
+                    del ut[k]
+            continue
         t += 1
 
-    factors = tuple(c[i][i] for i in range(min(rows, cols)) if c[i][i])
-    D = [list(r) for r in zip(*c)] if cols else [[] for _ in range(rows)]
-    return SmithDecomposition(tuple(u), IntMatrix(D, cols=cols),
-                              IntMatrix([list(r) for r in zip(*v)], cols=cols), factors)
+    factors = tuple(c[i][i] for i in range(t))
+    D = [[0] * cols for _ in range(rows)]
+    for i, d in enumerate(factors):
+        D[i][i] = d
+    return SmithDecomposition(tuple(u), IntMatrix.adopt(D, cols),
+                              IntMatrix.adopt([list(r) for r in zip(*v)], cols), factors)
 
 
 @dataclass(frozen=True)
@@ -330,6 +400,12 @@ def cokernel(M: IntMatrix) -> tuple[FinAbGroup, tuple[dict[int, int], ...],
     lifts to column i of U⁻¹, the x with U x = e_i: Mᵀ (column i of V) / d_i,
     O(n r) each for r rows of M, with no n x n matrix.  A 0 x n matrix gives
     Z^n.
+
+    Cost, for r rows and n columns: one transpose, O(n r); at most r Smith
+    rounds with pivot 1, each O(n (r - t)) for the pivot search and one
+    sweep of the columns after t, plus the touched non-zeros of U (a larger
+    pivot adds its re-check and fold scans, O(n r), and may repeat the
+    round); the certificate, O(nnz(U) r + r³).
     """
     Mt = M.transpose()
     snf = smith_normal_form(Mt)
@@ -376,10 +452,10 @@ class RelationLattice:
         solved = set(self.cols)
         self.rest = [j for j in range(P.cols) if j not in solved]
         r, m = P.rows, len(self.rest)
-        columns = list(zip(*P.data)) if r else [()] * P.cols
+        columns = [list(col) for col in zip(*P.data)] if r else [[] for _ in range(P.cols)]
         self._solved_cols = [columns[j] for j in self.cols]
         self._rest_cols = [columns[j] for j in self.rest]
-        snf = smith_normal_form(IntMatrix(self._rest_cols, cols=r))
+        snf = smith_normal_form(IntMatrix.adopt(self._rest_cols, r))
         d, self.rank = snf.invariant_factors, snf.rank
         D = d[-1] if d else 1
         scaled = [{t: D // dk * a for t, a in u.items()} for dk, u in zip(d, snf.u_rows)]

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -157,11 +158,13 @@ class TestClassGroup:
             assert cg.class_group(E).group.torsion == ()
 
 
-def dense_smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+def dense_smith_normal_form(M: IntMatrix, pivots: list | None = None
+                            ) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Oracle: (U, D, V) with U M V = D, by elementary operations on dense
     row-major matrices, U rewritten one full row per row operation.  Pivot
     rule, balanced quotients and fold rule are those ``smith_normal_form``
-    must reproduce exactly, on a column-major M and sparse rows of U."""
+    must reproduce exactly, on a column-major M and sparse rows of U.  Each
+    round's pivot, made positive, is appended to ``pivots`` when given."""
     rows, cols = M.rows, M.cols
     d = [row[:] for row in M.data]
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
@@ -197,6 +200,8 @@ def dense_smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatr
             d[t] = [-a for a in d[t]]
             u[t] = [-a for a in u[t]]
         p = d[t][t]
+        if pivots is not None:
+            pivots.append(p)
         for i in range(t + 1, rows):
             if d[i][t]:
                 row_op(i, t, (d[i][t] + p // 2) // p)
@@ -310,6 +315,57 @@ class TestAgainstDenseSmith:
             assert (R.group, dense_u(R), R.images) == dense_images(R)
             with_torsion += bool(R.group.torsion)
         assert with_torsion
+
+
+def _sweep_embedding(rng, F, extras: int) -> EmbeddingData:
+    """F with ``extras`` extra points and one to five divisors over every
+    exceptional point, h in {1, 2} and l in the valuation cone, u*l even in
+    about a third of the draws (torsion); redrawn until valid."""
+    coords = [(a, b) for a in range(1, 8) for b in range(1, 8) if a != b and gcd(a, b) == 1]
+    u, step = F.u, rng.choice((1, 1, 2))
+    while True:
+        points = tuple(point(*c) for c in rng.sample(coords, extras))
+        divisors = []
+        for p in EmbeddingData(F, points).exceptional_points():
+            for _ in range(rng.randint(1, 5)):
+                h = rng.randint(1, 2)
+                lo = -(-u * h // 2) if F.is_cyclic else h
+                ul = lo + rng.randint(0, 3)
+                divisors.append(GStableDivisorSpec(p, h, -Fraction(ul + ul % step, u)))
+        E = EmbeddingData(F, points, tuple(divisors))
+        if not E.validate():
+            return E
+
+
+class TestSmithOnRelationMatrices:
+    def test_a_seeded_sweep_takes_the_dense_oracle_steps(self):
+        # the relation matrices class_group builds (``_relations``): cyclic
+        # n <= 12 with 0-10 extra points, dihedral and the three polyhedral
+        # groups with 0-3; the Smith form of Pᵀ, transposed as ``cokernel``
+        # transposes it, has the oracle's U, D and V and certifies itself.
+        # The sweep holds N >= 40 generators, matrices whose every pivot is
+        # 1 (one sweep per round, no re-check) and matrices with a larger
+        # pivot, torsion among them
+        rng = random.Random("smith-on-relations")
+        groups = [lambda: cyclic(rng.randint(1, 12))] * 4 + [
+            lambda: dihedral(rng.randint(2, 6)), lambda: TETRA, lambda: OCTA, lambda: ICOSA]
+        seen = Counter()
+        for trial in range(320):
+            F = groups[trial % len(groups)]()
+            E = _sweep_embedding(rng, F, rng.randint(0, 10 if F.is_cyclic else 3))
+            gens, _ = cg._walk(E)
+            Pt = cg._relations(E, gens, cg._fibers(gens)).transpose()
+            s, pivots = smith_normal_form(Pt), []
+            assert (s.U, s.D, s.V) == dense_smith_normal_form(Pt, pivots)
+            assert s.certifies(Pt)
+            seen["N >= 40"] += Pt.rows >= 40
+            seen["unit pivots"] += set(pivots) == {1}
+            seen["larger pivot"] += max(pivots) > 1
+            seen["torsion"] += any(f > 1 for f in s.invariant_factors)
+            seen["polyhedral"] += not F.is_cyclic
+        assert seen["N >= 40"] >= 25 and seen["unit pivots"] >= 70
+        assert seen["larger pivot"] >= 200 and seen["torsion"] >= 15
+        assert seen["polyhedral"] == 160
 
 
 class TestExpress:

@@ -224,6 +224,22 @@ class TestSmithNormalForm:
         row[0] = row.get(0, 0) + 1
         assert not replace(s, u_rows=(s.u_rows[0], row, *s.u_rows[2:])).certifies(M)
 
+    def test_the_certificate_sees_a_wrong_entry_of_V_or_D(self):
+        # M has full column rank, so no column of U·M is zero and a change of
+        # any entry of V moves (U·M)·V; D is compared entry for entry, its
+        # zero rows included.  The zero row of M is skipped by the fold
+        M = IntMatrix([[2, 4, 1], [0, 0, 0], [6, 9, 0], [1, 0, 3], [0, 5, -2]])
+        s = smith_normal_form(M)
+        assert s.certifies(M) and s.rank == 3
+        for name in ("V", "D"):
+            X = getattr(s, name)
+            for i in range(X.rows):
+                for j in range(X.cols):
+                    data = [row[:] for row in X.data]
+                    data[i][j] += 1
+                    wrong = replace(s, **{name: IntMatrix(data, cols=X.cols)})
+                    assert not wrong.certifies(M), (name, i, j)
+
 
 class TestCokernel:
     def test_zero_matrix(self):

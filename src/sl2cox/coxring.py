@@ -60,7 +60,6 @@ from .embedding import (
     ROLE_POINTS,
     EmbeddingData,
     GStableDivisorSpec,
-    exceptional_relation_scalar,
     point_coordinates,
 )
 from .exactmath import gmul, qi_div, require_nonneg
@@ -106,19 +105,6 @@ def clebsch_gordan(n: int, m: int) -> list[int]:
 # -- U-invariant presentation ---------------------------------------------------
 
 
-def _b_weight_table(F: FiniteSubgroup) -> tuple[int, dict[str, int]]:
-    """Common weight n0 of a, b (the order of F's image in PSL2: nbar, 2n, 12,
-    24, 60) and the weight n0 // m of the subregular section over each
-    canonical point of multiplicity m (``F.canonical_multiplicities()``)."""
-    if F.is_cyclic:
-        n0 = F.nbar
-    elif F.kind == "dihedral":
-        n0 = 2 * F.n
-    else:
-        n0 = {"tetrahedral": 12, "octahedral": 24, "icosahedral": 60}[F.kind]
-    return n0, {t: n0 // m for t, m in F.canonical_multiplicities().items()}
-
-
 def _r_names(R: cg.ClassGroupResult, prime: str) -> dict[str, str]:
     """Names of the invariant-divisor sections by class-group label, in
     generator order: r<key> over a point (r<prime><key> over an extra one)
@@ -139,24 +125,25 @@ def cox_u_presentation(E: EmbeddingData) -> GradedPresentation:
     free generator in no relation.
 
     Each generator carries its function: on SL2 for cyclic F (a = g3^nbar,
-    b = g4^nbar, s over x0 = g3, s over xinf = g4), in the subregular
-    semi-invariants fv, fe, ff otherwise (a = fv^nv, b = -fe^ne, s over xv,
-    xe, xf = fv, fe, ff); s' over [alpha:beta] is beta*a - alpha*b and every
-    r section is 1.
+    b = g4^nbar, s over a canonical [alpha:beta] = beta g3 - alpha g4), in
+    the subregular semi-invariants fv, fe, ff otherwise (a = fv^nv, b =
+    -fe^ne, s over xv, xe, xf = fv, fe, ff); s' over [alpha:beta] is
+    beta*a - alpha*b and every r section is 1.
     """
     E.require_valid()
     R = cg.class_group(E)
     keys = R.point_keys
     F = E.group
-    n0, wtable = _b_weight_table(F)
+    table = F.canonical()
+    canon, n0 = table.points, table.n0
     if F.is_cyclic:
-        one, a_fn, b_fn, s_fn = GPOLY_ONE, G3.pow(n0), G4.pow(n0), {"x0": G3, "xinf": G4}
+        one, a_fn, b_fn = GPOLY_ONE, G3.pow(n0), G4.pow(n0)
+        s_fn = {t: G3.scale(c.beta) - G4.scale(c.alpha) for t, c in canon.items()}
     else:
-        mult = F.canonical_multiplicities()
-        s_fn = {t: SparsePoly.variable("f" + t[1:]) for t in mult}
+        s_fn = {t: SparsePoly.variable("f" + t[1:]) for t in canon}
         one = SparsePoly.term(1, {})
-        a_fn = s_fn["xv"].pow(mult["xv"])
-        b_fn = s_fn["xe"].pow(mult["xe"]).scale(-1)
+        a_fn = s_fn["xv"].pow(canon["xv"].mult)
+        b_fn = s_fn["xe"].pow(canon["xe"].mult).scale(-1)
 
     pts = list(E.exceptional_points())
     fiber_deg = R.image_of(R.fibers[pts[0] if pts else XD])
@@ -169,7 +156,7 @@ def cox_u_presentation(E: EmbeddingData) -> GradedPresentation:
     for p in pts:
         k, color = keys[p], R.color(p)
         if p.tag is not None:
-            names[color], w, fn = f"s{k[1:]}", wtable[k], s_fn[p.tag]
+            names[color], w, fn = f"s{k[1:]}", n0 // canon[p.tag].mult, s_fn[p.tag]
         else:
             names[color], w, fn = f"sp{k[1:]}", n0, a_fn.scale(p.beta) - b_fn.scale(p.alpha)
         for lbl in R.fibers[p]:
@@ -182,9 +169,7 @@ def cox_u_presentation(E: EmbeddingData) -> GradedPresentation:
     relations: list[SparsePoly] = []
     for p in pts:
         alpha, beta = point_coordinates(F, p)
-        lam = 1
-        if not F.is_cyclic and p.tag == "xf":
-            lam = exceptional_relation_scalar(F)
+        lam = 1 if p.tag is None else canon[p.tag].lam
         mono = {names[lbl]: e for lbl, e in R.fibers[p].items()}
         rel = (SparsePoly.term(beta, {"a": 1})
                - SparsePoly.term(alpha, {"b": 1})
@@ -752,21 +737,21 @@ def _require_vanishing(P: GradedPresentation, one, message: str, vanishes) -> No
 
 
 def _exceptional_reduction(F: FiniteSubgroup):
-    """Normal form in k[fv, fe, ff] modulo the exceptional relation
-    c_v fv^nv + c_e fe^ne + lam ff^nf = 0: the ring map ff^(q nf + r) ->
-    ff^r R^q, v^e -> v^e otherwise, with R = -(c_v fv^nv + c_e fe^ne) / lam,
-    which has no ff, so one step is enough."""
-    mult = F.canonical_multiplicities()
-    c_v = -1 if F.kind == "dihedral" else 1  # c_e = 1
-    R = (SparsePoly.term(c_v, {"fv": mult["xv"]}) + SparsePoly.term(1, {"fe": mult["xe"]})
-         ).scale(qi_div((-1, 0, 1), exceptional_relation_scalar(F)))
+    """Normal form in k[fv, fe, ff] modulo the fiber relation over xf
+    (``F.canonical()``), beta a - alpha b = lam ff^nf with a = fv^nv and b =
+    -fe^ne: the ring map ff^(q nf + r) -> ff^r R^q, v^e -> v^e otherwise,
+    with R = (beta fv^nv + alpha fe^ne) / lam, free of ff: one step does."""
+    canon = F.canonical().points
+    f = canon["xf"]
+    R = (SparsePoly.term(f.beta, {"fv": canon["xv"].mult})
+         + SparsePoly.term(f.alpha, {"fe": canon["xe"].mult})).scale(qi_div((1, 0, 1), f.lam))
     one = SparsePoly.term(1, {})
 
     @cache
     def power(v: str, e: int) -> SparsePoly:
         if v != "ff":
             return SparsePoly._canonical({((v, e),): (1, 0)}, 1)
-        q, r = divmod(e, mult["xf"])
+        q, r = divmod(e, f.mult)
         return SparsePoly.term(1, {v: r}) * R.pow(q)
 
     return lambda f: f.evaluate(power, one)

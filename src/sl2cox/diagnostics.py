@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .embedding import EmbeddingData
-from .hyperspace import ColoredHypercone, X0, XD, XINF, color_coordinates
+from .hyperspace import ColoredHypercone, XD, color_coordinates
 
 
 class HypothesesNotMet(Exception):
@@ -77,21 +77,13 @@ def is_platonic_ring(ap0) -> PlatonicVerdict:
 def special_fiber_normal(E: EmbeddingData) -> bool:
     """Normality of the zero fiber of the invariant-theory quotient.
 
-    Cyclic n <= 2: always normal.  Cyclic n >= 3: both canonical families
-    non-empty, or no extra points.  Polyhedral: all three canonical families
-    non-empty, or (no extra points and all three empty).
+    Normal iff every canonical family is non-empty (so always for cyclic
+    n <= 2, which has no canonical point), or there are no extra points and,
+    for polyhedral F, all three canonical families are empty.
     """
     E.require_valid()
-    F = E.group
-    if F.is_cyclic:
-        if F.n <= 2:
-            return True
-        both = bool(E.divisors_over(X0)) and bool(E.divisors_over(XINF))
-        return both or not E.extra_points
     fams = [bool(E.divisors_over(p)) for p in E.canonical_points()]
-    if all(fams):
-        return True
-    return not E.extra_points and not any(fams)
+    return all(fams) or not E.extra_points and (E.group.is_cyclic or not any(fams))
 
 
 def constant_functions_only(E: EmbeddingData):

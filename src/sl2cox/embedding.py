@@ -1,11 +1,11 @@
 """Combinatorial input data of a normal SL2/F-embedding.
 
 An embedding is described by the finite subgroup F, the exceptional points of
-the rational quotient to P^1 (the canonical ones are forced by F, the others
-are user-supplied coordinates), the G-stable prime divisors as hyperspace
-vectors (x, h, l), an optional divisor dominating P^1, and the section
-convention fixing the l-coordinates of the colors (the point whose color is
-the section's divisor, or None).  ``EmbeddingData.by_point`` groups the
+the rational quotient to P^1 (the canonical ones are forced by F and read
+from ``F.canonical()``, the others are user-supplied coordinates), the
+G-stable prime divisors as hyperspace vectors (x, h, l), an optional divisor
+dominating P^1, and the section convention fixing the l-coordinates of the
+colors (the point whose color is the section's divisor, or None).  ``EmbeddingData.by_point`` groups the
 divisors by point once; every lookup by point reads it.
 
 Validation checks exactly the structural invariants of this data: the
@@ -31,7 +31,7 @@ from itertools import combinations
 from types import MappingProxyType
 
 from .exactmath import Qi, frac_str, qi, qi_div, rat
-from .groups import DIHEDRAL, FiniteSubgroup, cyclic, dihedral, ICOSA, OCTA, TETRA
+from .groups import FiniteSubgroup, cyclic, dihedral, ICOSA, OCTA, TETRA
 from .hyperspace import (
     BasePoint,
     ColoredHypercone,
@@ -196,23 +196,6 @@ class EmbeddingData:
         return self
 
 
-@cache
-def canonical_coordinates(F: FiniteSubgroup) -> MappingProxyType:
-    """Homogeneous coordinates of the canonical exceptional points, one
-    read-only table per group.
-
-    Cyclic (n >= 3): x0 = [0:1], xinf = [-1:0] with respect to the pair of
-    exceptional semi-invariants; polyhedral: xv = [0:1], xe = [1:0] and the
-    third point placed so that the relation between the three exceptional
-    semi-invariants is the fiber relation over it.
-    """
-    if F.is_cyclic:
-        coords = {} if F.n <= 2 else {"x0": (0, 1), "xinf": (-1, 0)}
-    else:
-        coords = {"xv": (0, 1), "xe": (1, 0), "xf": (-1, 1 if F.kind == DIHEDRAL else -1)}
-    return MappingProxyType({t: (qi(a), qi(b)) for t, (a, b) in coords.items()})
-
-
 # The points that play x0 and xinf for cyclic F with n <= 2, which has no
 # canonical point; a listed point equal to one of them plays its role with
 # its own coordinates.
@@ -221,28 +204,16 @@ ROLE_POINTS = MappingProxyType({"x0": point(0, 1), "xinf": point(1, 0)})
 
 @cache
 def _canonical_points(F: FiniteSubgroup) -> dict:
-    """The canonical points of F by the key alpha/beta of their coordinates
-    (``qi_div``): built once per group."""
-    return {qi_div(a, b): _POINT_REFS[t] for t, (a, b) in canonical_coordinates(F).items()}
+    """The canonical points of F (``F.canonical()``) by the key alpha/beta
+    of their coordinates (``qi_div``): built once per group."""
+    return {qi_div(c.alpha, c.beta): _POINT_REFS[t] for t, c in F.canonical().points.items()}
 
 
 def point_coordinates(F: FiniteSubgroup, p: BasePoint) -> tuple[Qi, Qi]:
     """Homogeneous coordinates (alpha, beta) of an exceptional point: from
-    ``canonical_coordinates`` for a canonical tag, as given otherwise."""
-    return canonical_coordinates(F)[p.tag] if p.tag is not None else (p.alpha, p.beta)
-
-
-def exceptional_relation_scalar(F: FiniteSubgroup) -> Qi:
-    """Scalar c with relation  a - b = c * (third semi-invariant power)  ...
-
-    Concretely, for the canonical coordinate choices above, the fiber over
-    the third canonical point is cut by beta_f*a - alpha_f*b = lam * s_f^{n_f},
-    and this returns lam: 1 for the tetrahedral/octahedral/icosahedral cases,
-    4*(-i)^n for the binary dihedral one.
-    """
-    if F.kind == DIHEDRAL:
-        return ((4, 0, 1), (0, -4, 1), (-4, 0, 1), (0, 4, 1))[F.n % 4]
-    return 1, 0, 1
+    ``F.canonical()`` for a canonical tag, as given otherwise."""
+    c = F.canonical().points.get(p.tag)
+    return (p.alpha, p.beta) if c is None else (c.alpha, c.beta)
 
 
 def derive_ap0_input(E: EmbeddingData):

@@ -230,22 +230,24 @@ def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
     Each round takes the first entry of minimal |a| in row-major order as
     the pivot, which limits coefficient growth, and clears its row and
     column with balanced quotients.  M is the class group's N x r matrix Pᵀ
-    (N generators, r <= about a dozen relations): M is held column-major,
-    so a clearing sweep is r list operations of length N, and U's rows are
-    sparse, so a row operation costs the non-zeros of one row of U, not N.
+    (N generators, r relations, one per exceptional point and the u*l-row):
+    M is held column-major, so a clearing sweep is r list operations of
+    length N, and U's rows are sparse, so a row operation costs the
+    non-zeros of one row of U, not N.  M and V are dense, so the form is
+    cubic in k extra points (x6.7-7.9 per doubling on mu_5; ROADMAP item 2).
 
     A round does only what that rule needs.  Rows above t are zero in the
     columns from t on, so the pivot search scans rows t.. of columns t..,
     O(N (r - t)), and a row swap or sign change touches only columns t..;
     the rounds stop once t reaches min(N, r).  A pivot 1 (81-86 % of the
-    rounds on the benchmark workloads' class groups) clears its column and row exactly: its column is the
-    quotients, so one pass over the columns with a non-zero in row t does
-    the row and the column sweep at once, O(N) each, and no re-check or
-    fold follows.  A larger pivot sweeps with balanced quotients, its U
-    pass is skipped when every quotient is 0, and then the re-check and the
-    fold scan, O(N r).  Each row operation on U costs the non-zeros of row
-    t of U.  D is written from the pivots, so the certificate U·M·V = D
-    also checks that the sweeps left M diagonal.
+    rounds on the benchmark workloads' class groups) clears its column and
+    row exactly: its column is the quotients, so one pass over the columns
+    with a non-zero in row t does the row and the column sweep at once,
+    O(N) each, and no re-check or fold follows.  A larger pivot sweeps with
+    balanced quotients, its U pass is skipped when every quotient is 0, and
+    then the re-check and the fold scan, O(N r).  Each row operation on U
+    costs the non-zeros of row t of U.  D is written from the pivots, so
+    the certificate U·M·V = D also checks that the sweeps left M diagonal.
     """
     rows, cols = M.rows, M.cols
     c = [list(col) for col in zip(*M.data)] if rows else [[] for _ in range(cols)]
@@ -436,7 +438,9 @@ class RelationLattice:
     = k = rank Q, a certificate: at rank Q = r, y is unique, and the columns
     ``cols`` are independent in the quotient ⊗ Q iff rank P = r too.  Then
     L = V diag(d_r/d_1, ..., d_r/d_r) U[:r] and D = d_r, reduced by their
-    gcd, give L Qᵀ = D I, so y = L c_Q / D whenever Qᵀ y = c_Q is solvable.
+    gcd, give L Qᵀ = D I, so y = L c_Q / D whenever Qᵀ y = c_Q is solvable;
+    that identity is checked once per lattice, O(r² m) for the m columns of
+    Q, else RuntimeError.
     The solve is thus linear in c: ``numerators`` gives (x, y, residual)
     over D, x = D c_cols - P_colsᵀ y and residual = D c_Q - Qᵀ y for
     y = L c_Q, so a sum of classes has the sum of their numerators;
@@ -458,6 +462,9 @@ class RelationLattice:
         L = (snf.V * IntMatrix.from_sparse(scaled, m)).data if self.rank == r else []
         g = gcd(D, *(a for row in L for a in row))
         self.L, self.D = [[a // g for a in row] for row in L], D // g  # y = L c_Q / D
+        if any(sum(map(mul, row, q)) != self.D * (i == k) for i, row in enumerate(self.L)
+               for k, q in enumerate(zip(*self._rest_cols))):
+            raise RuntimeError("internal invariant broken: L·Qᵀ ≠ D·I in the relation lattice")
 
     def numerators(self, c: Sequence[int]) -> tuple[int, ...]:
         """(x, y, residual) of the class c over ``D``, as one tuple; raises

@@ -2,9 +2,13 @@
 
 A subgroup is cyclic mu_n (n >= 1) or one of the binary polyhedral groups:
 binary dihedral of order 4n (n > 1), binary tetrahedral, octahedral,
-icosahedral.  The derived data (nbar, u, character group, canonical
-exceptional multiplicities) drives the colored equipment, the class-group
-restriction map and the Cox-ring iteration.
+icosahedral.  The derived data (nbar, u, the character group) drives the
+colored equipment, the class-group restriction map and the Cox-ring
+iteration.
+
+``FiniteSubgroup.canonical`` is the one table of the exceptional points that
+F forces on P^1 (``CanonicalTable``), with n0; every other layer reads it
+and no other module writes these numbers.
 
 Character group elements are canonical tuples:
   * cyclic mu_n:        (k,) with k mod n
@@ -19,14 +23,44 @@ Character group elements are canonical tuples:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from types import MappingProxyType
+
+from .exactmath import Qi
 
 CYCLIC = "cyclic"
 DIHEDRAL = "dihedral"
 TETRAHEDRAL = "tetrahedral"
 OCTAHEDRAL = "octahedral"
 ICOSAHEDRAL = "icosahedral"
+
+
+@dataclass(frozen=True)
+class CanonicalPoint:
+    """An exceptional point that F forces: its coordinates [alpha:beta]
+    (``exactmath.qi`` triples), the multiplicity and l-value of its color,
+    the F-hat weight of the subregular semi-invariant s cutting the color,
+    and lam in the fiber relation over it, beta*a - alpha*b = lam * s^mult."""
+
+    alpha: Qi
+    beta: Qi
+    mult: int
+    l: Fraction
+    weight: tuple[int, ...]
+    lam: Qi
+
+
+@dataclass(frozen=True)
+class CanonicalTable:
+    """The canonical points of F by tag (x0, xinf for cyclic n >= 3; xv, xe,
+    xf for the polyhedral groups), n0 = |F| / |F n {+-1}| (nbar, 2n, 12, 24,
+    60: the common weight of a and b), and the F-hat weight of every other
+    color, that of the linear system of exceptional semi-invariants."""
+
+    points: MappingProxyType
+    n0: int
+    rest_weight: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -67,14 +101,35 @@ class FiniteSubgroup:
         return 2 if self.is_cyclic and not self.n % 2 else 1
 
     @cache
-    def canonical_multiplicities(self) -> MappingProxyType:
-        """Multiplicity of the exceptional color in the fiber, per canonical
-        tag: one read-only table per group."""
+    def canonical(self) -> CanonicalTable:
+        """The one read-only table of F's canonical points.  Cyclic: x0 =
+        [0:1], xinf = [-1:0] for a = g3^nbar, b = g4^nbar.  Polyhedral: xv =
+        [0:1], xe = [1:0] for a = fv^nv, b = -fe^ne, and xf where the
+        relation between fv, fe and ff is the fiber relation."""
+        n, one = self.n, (1, 0, 1)  # a row: tag, alpha, beta, mult, l, weight, lam
         if self.is_cyclic:
-            return MappingProxyType({} if self.n <= 2 else {"x0": self.nbar, "xinf": self.nbar})
-        return MappingProxyType(dict(zip(("xv", "xe", "xf"), {
-            DIHEDRAL: (2, 2, self.n), TETRAHEDRAL: (3, 2, 3), OCTAHEDRAL: (3, 2, 4),
-            ICOSAHEDRAL: (5, 2, 3)}[self.kind])))
+            nb, l = self.nbar, Fraction(1 - self.nbar, 2)
+            n0, rest = nb, (nb,)  # nbar mod n, which is 1 mod 2 for n = 2
+            rows = [] if n <= 2 else [("x0", 0, 1, nb, l, (1,), one),
+                                      ("xinf", -1, 0, nb, l, (-1,), one)]
+        elif self.kind == DIHEDRAL:
+            n0, rest = 2 * n, (0, 2 * n)
+            lam = ((4, 0, 1), (0, -4, 1), (-4, 0, 1), (0, 4, 1))[n % 4]  # 4 (-i)^n
+            rows = [("xv", 0, 1, 2, 1, (1, n), one), ("xe", 1, 0, 2, 1, (1, n + 2), one),
+                    ("xf", -1, 1, n, 1 - n, (0, 2), lam)]
+        else:
+            # octahedral: consistency with the degree-24 system forces the
+            # trivial weight on f_v (the printed triple would give f_v^3 a
+            # non-trivial one)
+            n0, mv, mf, wv, we, wf = {TETRAHEDRAL: (12, 3, 3, 1, 0, 2),
+                                      OCTAHEDRAL: (24, 3, 4, 0, 1, 1),
+                                      ICOSAHEDRAL: (60, 5, 3, 0, 0, 0)}[self.kind]
+            rest = (0,)
+            rows = [("xv", 0, 1, mv, 1, (wv,), one), ("xe", 1, 0, 2, -1, (we,), one),
+                    ("xf", -1, -1, mf, 1, (wf,), one)]
+        return CanonicalTable(MappingProxyType({
+            t: CanonicalPoint((a, 0, 1), (b, 0, 1), m, Fraction(l), self.char_reduce(w), lam)
+            for t, a, b, m, l, w, lam in rows}), n0, self.char_reduce(rest))
 
     # -- character group -----------------------------------------------------
 
@@ -135,37 +190,12 @@ class FiniteSubgroup:
     # -- restriction weights of colors ----------------------------------------
 
     def color_restriction(self, tag: str | None) -> tuple[int, ...]:
-        """F-hat weight of the subregular semi-invariant cutting the color.
-
-        ``tag`` is the color's point tag; a tag that is not canonical (None,
-        "xd") gets the weight of the remaining colors, those cut out by the
-        linear system of exceptional semi-invariants.
-        """
-        if self.kind == CYCLIC:
-            if tag == "x0":
-                return self.char_reduce((1,))
-            if tag == "xinf":
-                return self.char_reduce((-1,))
-            # the remaining colors carry the weight of the degree-nbar linear
-            # system (nbar mod n, which is 1 mod 2 for n = 2)
-            return self.char_reduce((self.nbar,))
-        if self.kind == TETRAHEDRAL:
-            return {"xv": (1,), "xe": (0,), "xf": (2,)}.get(tag, (0,))
-        if self.kind == OCTAHEDRAL:
-            # consistency with the degree-24 system forces the trivial weight
-            # on f_v (the printed triple would give f_v^3 a non-trivial one)
-            return {"xv": (0,), "xe": (1,), "xf": (1,)}.get(tag, (0,))
-        if self.kind == ICOSAHEDRAL:
-            return (0,)
-        # binary dihedral: weights from f_v, f_e, f_f and the weight of the
-        # exceptional semi-invariants for the remaining colors
-        n = self.n
-        table = {
-            "xv": (1, n % 4),
-            "xe": (1, (n + 2) % 4),
-            "xf": (0, 2),
-        }
-        return self.char_reduce(table.get(tag, (0, (2 * n) % 4)))
+        """F-hat weight of the semi-invariant cutting the color over the
+        point with this tag: the ``canonical`` table's weight for a
+        canonical tag, its rest weight otherwise (None, "xd")."""
+        table = self.canonical()
+        c = table.points.get(tag)
+        return table.rest_weight if c is None else c.weight
 
     def __str__(self):
         if self.kind == CYCLIC:

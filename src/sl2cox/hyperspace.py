@@ -4,10 +4,10 @@ G-valuations and colors of k(SL2/F) live as triples (x, h, l) in a union of
 half-planes E_x = Q_+ x E glued along E, and E is one-dimensional here, so
 every cone computation reduces to exact interval and sector arithmetic over
 Q.  Cones are generated by rays: a colored hypercone keeps each generator
-(x, h, l) with h > 0 as its slope l/h alone.  The per-subgroup inequalities
-cutting out the valuation cone and the coordinates of the colors are
-hard-wired tables; the l-coordinates depend on the chosen section of the
-weight lattice inside k(X)^(B).
+(x, h, l) with h > 0 as its slope l/h alone.  The valuation cone is cut out
+by integer forms, a canonical color's (m, l) is read from the group's table
+(``FiniteSubgroup.canonical``), and the l-coordinates depend on the chosen
+section of the weight lattice inside k(X)^(B).
 
 The section is given by its point, and two conventions are supported:
 
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from typing import Iterable, Sequence
 
 from .exactmath import Qi, qi, qi_div, qi_str, rat
@@ -156,24 +155,14 @@ def valuation_cone_form(F: FiniteSubgroup, base: BasePoint | None,
 _ONE_ONE, _EPSILON = (1, Fraction(1)), (1, Fraction(0))
 
 
-@cache
-def _canonical_colors(F: FiniteSubgroup) -> dict[str, tuple[int, Fraction]]:
-    """(m, l) of the color over each canonical point of multiplicity m
-    (``F.canonical_multiplicities()``): one table per group."""
-    mults = F.canonical_multiplicities()
-    if F.is_cyclic:
-        return {t: (m, Fraction(1 - m, 2)) for t, m in mults.items()}
-    ls = {"xv": 1, "xe": 1, "xf": 1 - F.n} if F.kind == DIHEDRAL else {"xv": 1, "xe": -1, "xf": 1}
-    return {t: (m, Fraction(ls[t])) for t, m in mults.items()}
-
-
 def color_coordinates(F: FiniteSubgroup, p: BasePoint, section: BasePoint | None = None):
     """(h, l) of the color over p for the chosen section: (1, 1) over the
-    special point of a cyclic section (``_special_points``), the
-    ``_canonical_colors`` entry over a canonical point, (1, 0) elsewhere."""
+    special point of a cyclic section (``_special_points``), (m, l) from
+    ``F.canonical()`` over a canonical point, (1, 0) elsewhere."""
     if F.is_cyclic and p in _special_points(F, section):
         return _ONE_ONE
-    return _canonical_colors(F).get(p.tag, _EPSILON)
+    c = F.canonical().points.get(p.tag)
+    return _EPSILON if c is None else (c.mult, c.l)
 
 
 def color_vector(F: FiniteSubgroup, p: BasePoint, section: BasePoint | None = None):

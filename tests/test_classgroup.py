@@ -97,6 +97,13 @@ class TestClassGroup:
         with pytest.raises(RuntimeError, match="internal invariant broken"):
             cg.class_group(mu3_example())
 
+    def test_corrupted_lattice_smith_form_raises(self, corrupted_lattice_smith_form):
+        # the cokernel's Smith form is exact, so only the lattice's own
+        # certificate L·Qᵀ = D·I can see the fault
+        R = cg.class_group(mu3_example())
+        with pytest.raises(RuntimeError, match="internal invariant broken: L·Qᵀ ≠ D·I"):
+            R.lattice
+
     def test_mu3_free_rank_3(self):
         R = cg.class_group(mu3_example())
         assert R.group == FinAbGroup(3)

@@ -269,6 +269,14 @@ class TestCoxCommands:
         assert rc == 2 and out == ""
         assert err.startswith("computation error: RuntimeError: internal invariant broken")
 
+    def test_corrupted_lattice_smith_form_exit_code(self, capsys, corrupted_lattice_smith_form):
+        # a wrong relation lattice is an internal fault, reported as one and
+        # not as the regime error EmptySolutionSet
+        rc, out, err = run(capsys, "cox-full", fixture("mu3.json"))
+        assert (rc, out) == (2, "")
+        assert err == ("computation error: RuntimeError: internal invariant broken: "
+                       "L·Qᵀ ≠ D·I in the relation lattice\n")
+
     def test_cox_u_special_fiber(self, capsys):
         rc, out, _ = run(capsys, "cox-u", fixture("tetrahedral.json"),
                          "--special-fiber", "--verify", "--format", "json")

@@ -390,3 +390,37 @@ def test_the_check_sees_a_formatted_label():
     tree = ast.parse('a = f"E[{k}]"\nb = {"X[x0,0]": 1}\nc = "Xdom" in d\ne = ["Dxd"]\n'
                      'f = f"V(E^{k})"\ng = f"{k}E["\nh = "XDom"\n')
     assert _label_literals(tree) == ["E[", "X[x0,0]", "Xdom", "Dxd"]
+
+
+CANONICAL_TAGS = {"x0", "xinf", "xv", "xe", "xf"}
+# Dict displays keyed by canonical tags that are no per-group table: the
+# schema's point references and the points that play x0 and xinf for n <= 2.
+TAG_TABLES_ALLOWED = {"embedding.py": {"_POINT_REFS", "ROLE_POINTS"}}
+
+
+def _tag_tables(tree: ast.Module, allowed=frozenset()) -> list[str]:
+    """The canonical tags that key a dict display, outside the values
+    assigned to the names in ``allowed``."""
+    skip = {id(n) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id in allowed for t in node.targets)
+            for n in ast.walk(node.value)}
+    return sorted(k.value for node in ast.walk(tree)
+                  if isinstance(node, ast.Dict) and id(node) not in skip
+                  for k in node.keys if isinstance(k, ast.Constant) and k.value in CANONICAL_TAGS)
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "groups.py"],
+                         ids=lambda p: p.name)
+def test_only_groups_tabulates_canonical_points(path):
+    # coordinates, multiplicities, l-values, weights, n0 and lam of the
+    # canonical points live in FiniteSubgroup.canonical; every other module
+    # reads that table
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _tag_tables(tree, TAG_TABLES_ALLOWED.get(path.name, frozenset())) == []
+
+
+def test_the_check_sees_a_tag_table():
+    tree = ast.parse('a = {"x0": 1, "x1": 2}\nROLE_POINTS = {"xinf": 0}\nb = f({"xf": (-1, 1)})\n'
+                     'c = {t: 1 for t in ("xv",)}\nd = {"xe": 0}.get(t)\ne = {"xinf": 1}\n')
+    assert _tag_tables(tree, {"ROLE_POINTS"}) == ["x0", "xe", "xf", "xinf"]
+    assert _tag_tables(tree) == ["x0", "xe", "xf", "xinf", "xinf"]

@@ -16,7 +16,7 @@ from math import comb, gcd
 import pytest
 
 from sl2cox.coxring import _exceptional_reduction, full_cox_presentation_cyclic, verify_full_cox
-from sl2cox.embedding import exceptional_relation_scalar, load_embedding, point_coordinates
+from sl2cox.embedding import load_embedding, point_coordinates
 from sl2cox.groups import ICOSA, OCTA, TETRA, dihedral
 from sl2cox.hyperspace import XF
 from sl2cox.ogpoly import G1, G2, G3, G4, GPoly, _collect
@@ -487,9 +487,10 @@ def reference_exceptional_reduction(f: dict, F) -> dict:
     ff^nf.  R comes from the fiber relation over xf, beta a - alpha b =
     lam ff^nf with a = fv^nv and b = -fe^ne: R = (beta fv^nv + alpha fe^ne)
     / lam, (alpha, beta) the coordinates of xf."""
-    mult = F.canonical_multiplicities()
+    canon = F.canonical().points
+    mult = {t: c.mult for t, c in canon.items()}
     alpha, beta = map(gr, point_coordinates(F, XF))
-    inv = gr(exceptional_relation_scalar(F)).inverse()
+    inv = gr(canon["xf"].lam).inverse()
     R = {monomial({"fv": mult["xv"]}): beta * inv, monomial({"fe": mult["xe"]}): alpha * inv}
     out = dict(f)
     while (m := next((m for m in out if dict(m).get("ff", 0) >= mult["xf"]), None)) is not None:
@@ -504,7 +505,7 @@ def reference_exceptional_reduction(f: dict, F) -> dict:
 def test_exceptional_reduction_matches_one_step_at_a_time(F):
     rng = random.Random(47)
     reduce = _exceptional_reduction(F)
-    nf = F.canonical_multiplicities()["xf"]
+    nf = F.canonical().points["xf"].mult
     for _ in range(40):
         f = SparsePoly({monomial({"fv": rng.randint(0, 3), "fe": rng.randint(0, 3),
                                   "ff": rng.randint(0, 3 * nf)}): to_qi(random_gaussian(rng))

@@ -17,18 +17,16 @@ in the invariant divisors and the restriction to the character group of F
 are all computed exactly.
 
 The relation matrix P is r x N for N generators, with at most one row per
-exceptional point plus the u * l-row: r grows with the extra points, and the
-Smith form's cost is cubic in them (ROADMAP item 2).  ``exactmath.cokernel``
-keeps the change of basis U as sparse rows; the images are read off its
-first free rank + torsion rows in one pass over their non-zeros, and each
-torsion generator's lift (the column of U⁻¹ that the restriction to the
-character group of F reads) comes from Pᵀ V = U⁻¹ D; no N x N matrix is
-built.  P is written row by row, each row from the few generators of two
-fibers, and reaches the Smith form of Pᵀ with one copy, the transpose.  A
-round of that Smith form costs O(N (r - t)) for the pivot search, and a
-pivot 1 (81-86 % of the rounds on the benchmark workloads) one combined row
-and column sweep, O(N) per column after t, plus the touched non-zeros of U;
-``cokernel`` states the whole cost.
+exceptional point plus the u * l-row, so r grows with the extra points.  P
+is written row by row, each row but the u * l-row from the few generators
+of two fibers, and reaches the Smith form of Pᵀ with one copy, the
+transpose.  That Smith form works on sparse vectors, so its cost, and the
+certificate's, follows the non-zeros of P, U and V (``cokernel`` states
+it).  ``exactmath.cokernel`` keeps the change of basis U as sparse rows;
+the images are read off its first free rank + torsion rows in one pass over
+their non-zeros, and each torsion generator's lift (the column of U⁻¹ that
+the restriction to the character group of F reads) comes from
+Pᵀ V = U⁻¹ D; no N x N matrix is built.
 
 Cl(X) is Z^generators modulo the few rows of the relation matrix P, one per
 exceptional point, so a class is written in the invariant divisors in that

@@ -3,12 +3,12 @@
 Rationals are ``fractions.Fraction`` (always reduced, positive denominator).
 An element of Q(i) is the integer triple (x, y, d), meaning (x + y*i)/d with
 d > 0 and gcd(x, y, d) = 1, from parsing (``qi``) to printing (``qi_str``);
-``qi_div`` is the one quotient.  On top of that this module provides dense
-arbitrary precision integer matrices, Smith normal form with unimodular
-transforms, cokernels of integer matrices as finitely generated abelian
-groups, and one integer solver: a quotient of Z^n by a relation lattice,
-solved on a set of columns through the Smith form, the only integer
-elimination.
+``qi_div`` is the one quotient.  On top of that this module provides
+integer matrices, the Smith normal form with unimodular transforms, worked
+on sparse vectors ({index: value}) so that its cost follows the non-zeros,
+cokernels of integer matrices as finitely generated abelian groups, and one
+integer solver: a quotient of Z^n by a relation lattice, solved on a set of
+columns through the Smith form, the only integer elimination.
 
 Everything here is pure and immutable after construction; no floating point.
 """
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, islice
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
@@ -167,12 +166,12 @@ class IntMatrix:
 class SmithDecomposition:
     """U*M*V = D with U, V unimodular, D diagonal, factors divisibility chained.
 
-    U is kept as its rows, sparse ({column: coefficient}, zeros left out);
-    the dense ``U`` is built on first read."""
+    U is kept as its rows and V as its columns, sparse ({index: coefficient},
+    zeros left out), and D as its diagonal, the invariant factors; the dense
+    ``U``, ``V`` and ``D`` are built on first read."""
 
     u_rows: tuple[dict[int, int], ...]
-    D: IntMatrix
-    V: IntMatrix
+    v_cols: tuple[dict[int, int], ...]
     invariant_factors: tuple[int, ...]
 
     @property
@@ -183,88 +182,86 @@ class SmithDecomposition:
     def U(self) -> IntMatrix:
         return IntMatrix.from_sparse(self.u_rows, len(self.u_rows))
 
+    @cached_property
+    def V(self) -> IntMatrix:
+        return IntMatrix.from_sparse(self.v_cols, len(self.v_cols)).transpose()
+
+    @cached_property
+    def D(self) -> IntMatrix:
+        return IntMatrix.from_sparse([{i: d} for i, d in enumerate(self.invariant_factors)]
+                                     + [{}] * (len(self.u_rows) - self.rank), len(self.v_cols))
+
     def certifies(self, M: IntMatrix) -> bool:
-        """Whether (U·M)·V = D.  Each row of U·M folds the non-zeros of that
-        row of U over the non-zero rows of M, O(nnz(U)·cols) in all, and
-        only its non-zero entries add rows of V, so a zero row of U·M costs
-        nothing more and each of the others, at most cols of them on a
-        correct decomposition, O(cols²)."""
-        rows, cols = M.rows, M.cols
-        if ((rows, cols) != (self.D.rows, self.D.cols) or len(self.u_rows) != rows
-                or self.V.rows != cols):
+        """Whether (U·M)·V = D, on sparse rows: a row of U·M sums the rows of
+        M that its row of U names, and a row of (U·M)·V the rows of V that
+        it names; one pass over M and over V, then the non-zeros the sums
+        touch."""
+        rows, cols, factors = M.rows, M.cols, self.invariant_factors
+        if len(self.u_rows) != rows or len(self.v_cols) != cols or len(factors) > min(rows, cols):
             return False
-        V = self.V.data
-        live = [row if any(row) else None for row in M.data]
-        for u, d in zip(self.u_rows, self.D.data):
-            acc = None
+        m = [{j: a for j, a in enumerate(row) if a} for row in M.data]
+        v = [{} for _ in range(cols)]
+        for j, col in enumerate(self.v_cols):
+            for k, a in col.items():
+                if a:
+                    v[k][j] = a
+        for i, u in enumerate(self.u_rows):
+            um, out = {}, {}
             for k, a in u.items():
-                if (row := live[k]) is not None:
-                    acc = ([a * y for y in row] if acc is None
-                           else [x + a * y for x, y in zip(acc, row)])
-            out = [0] * cols
-            for k in compress(range(cols), acc or ()):
-                a = acc[k]
-                out = [x + a * y for x, y in zip(out, V[k])]
-            if out != d:
+                if a:
+                    _axpy(um, a, m[k])
+            for k, a in um.items():
+                _axpy(out, a, v[k])
+            if out != ({i: factors[i]} if i < len(factors) else {}):
                 return False
         return True
 
 
-def _sweep_rows(u: list[dict[int, int]], t: int, q: Sequence[int]) -> None:
-    """u[i] -= q[i] u[t] for every i > t with q[i] != 0, on sparse rows,
-    dropping the zeros: an entry turns zero only where u[i] had one, since
-    u[t] holds no zeros."""
-    w = u[t].items()
-    for i in compress(range(t + 1, len(u)), islice(q, t + 1, None)):
-        ui, a = u[i], q[i]
-        for k, b in w:
-            if x := ui.get(k, 0) - a * b:
-                ui[k] = x
-            else:
-                del ui[k]
+def _axpy(y: dict[int, int], a: int, x: dict[int, int]) -> None:
+    """y += a·x on sparse vectors {index: value}, dropping the zeros; with a
+    and the values of x non-zero, an entry turns zero only where y had one."""
+    for k, b in x.items():
+        if s := y.get(k, 0) + a * b:
+            y[k] = s
+        else:
+            del y[k]
 
 
 def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
-    """Smith normal form by elementary row/column operations.
+    """Smith normal form by elementary row/column operations on sparse
+    vectors: the columns of M and of V and the rows of U, each updated by
+    ``_axpy``.
 
     Each round takes the first entry of minimal |a| in row-major order as
-    the pivot, which limits coefficient growth, and clears its row and
-    column with balanced quotients.  M is the class group's N x r matrix Pᵀ
-    (N generators, r relations, one per exceptional point and the u*l-row):
-    M is held column-major, so a clearing sweep is r list operations of
-    length N, and U's rows are sparse, so a row operation costs the
-    non-zeros of one row of U, not N.  M and V are dense, so the form is
-    cubic in k extra points (x6.7-7.9 per doubling on mu_5; ROADMAP item 2).
-
-    A round does only what that rule needs.  Rows above t are zero in the
-    columns from t on, so the pivot search scans rows t.. of columns t..,
-    O(N (r - t)), and a row swap or sign change touches only columns t..;
-    the rounds stop once t reaches min(N, r).  A pivot 1 (81-86 % of the
-    rounds on the benchmark workloads' class groups) clears its column and
-    row exactly: its column is the quotients, so one pass over the columns
-    with a non-zero in row t does the row and the column sweep at once,
-    O(N) each, and no re-check or fold follows.  A larger pivot sweeps with
-    balanced quotients, its U pass is skipped when every quotient is 0, and
-    then the re-check and the fold scan, O(N r).  Each row operation on U
-    costs the non-zeros of row t of U.  D is written from the pivots, so
-    the certificate U·M·V = D also checks that the sweeps left M diagonal.
+    the pivot p and clears its row and column with the balanced quotients q
+    of column t (q_t = 0).  With y_j the entry of column j in row t and x_j
+    its balanced quotient, one sweep does both: column j becomes
+    c_j - x_j·c_t - (y_j - p·x_j)·q, v_j becomes v_j - x_j·v_t, u_i becomes
+    u_i - q_i·u_t and column t becomes c_t - p·q, the remainders (0 for
+    p = 1).  A remainder, smaller than p, re-runs the round, so the pivot
+    strictly decreases; otherwise a p > 1 folds the first row (row-major)
+    with an entry p does not divide into row t and re-runs.  Rows above t
+    are zero in the columns from t on, so the pivot search, a row swap or
+    sign change, the sweep and the fold scan read the non-zeros of columns
+    t.. only; the sweep adds those of c_t, q, v_t and u_t once per column
+    or row it touches.  D is read off the pivots, so the certificate
+    U·M·V = D also checks that M ended diagonal.
     """
     rows, cols = M.rows, M.cols
-    c = [list(col) for col in zip(*M.data)] if rows else [[] for _ in range(cols)]
+    c = ([{i: a for i, a in enumerate(col) if a} for col in zip(*M.data)] if rows
+         else [{} for _ in range(cols)])
     u = [{i: 1} for i in range(rows)]
-    v = [[0] * cols for _ in range(cols)]  # columns of V
-    for j in range(cols):
-        v[j][j] = 1
+    v = [{j: 1} for j in range(cols)]
 
     t, stop = 0, min(rows, cols)
     while t < stop:
         # the pivot: rows above t are zero in the columns from t on
         best = i = j = 0
         for k in range(t, cols):
-            m = min(map(abs, filter(None, islice(c[k], t, None))), default=0)
+            m = min(map(abs, c[k].values()), default=0)
             if not m or best and (m > best or m == best and i == t):
                 continue
-            r = [*map(abs, c[k])].index(m, t)
+            r = min(s for s, a in c[k].items() if a == m or a == -m)
             if not best or m < best or r < i:
                 best, i, j = m, r, k
                 if best == 1 and i == t:
@@ -274,74 +271,58 @@ def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
         live = c[t:]  # the others are zero in rows t..; a column swap keeps this set
         if i != t:
             for col in live:
-                col[t], col[i] = col[i], col[t]
+                a, b = col.pop(t, 0), col.pop(i, 0)
+                if b:
+                    col[t] = b
+                if a:
+                    col[i] = a
             u[t], u[i] = u[i], u[t]
         if j != t:
             c[t], c[j] = c[j], c[t]
             v[t], v[j] = v[j], v[t]
-        pivot_col, pivot_v = c[t], v[t]
-        if pivot_col[t] < 0:
+        ct, vt = c[t], v[t]
+        if ct[t] < 0:
             for col in live:
-                col[t] = -col[t]
+                if t in col:
+                    col[t] = -col[t]
             u[t] = {k: -a for k, a in u[t].items()}
-        p = pivot_col[t]
-        if p == 1:
-            # the quotients are column t itself: row op i -= a_i · row t and
-            # column op j -= x_j · column t leave column j - x_j · column t
-            for j in range(t + 1, cols):
-                if x := c[j][t]:
-                    c[j] = [a - x * b for a, b in zip(c[j], pivot_col)]
-                    v[j] = [a - x * b for a, b in zip(v[j], pivot_v)]
-            _sweep_rows(u, t, pivot_col)
-            c[t] = [0] * rows
-            c[t][t] = 1
-            t += 1
-            continue
+        p = ct[t]
         h = p // 2
-        # one clearing sweep with balanced quotients; remainders stay put and
-        # the global minimal pivot is re-selected on the next round, so the
-        # pivot strictly decreases and entries stay tame.  Every row
-        # operation subtracts a multiple of row t, which none changes, and
-        # every column operation a multiple of column t: each sweep is one
-        # vector operation per column
-        q = [(a + h) // p for a in pivot_col]
-        q[t] = 0
-        if any(q):
-            for j in range(t, cols):
-                if x := c[j][t]:
-                    c[j] = [a - b * x for a, b in zip(c[j], q)]
-            _sweep_rows(u, t, q)
-        pivot_col = c[t]
-        for j in range(t + 1, cols):
-            if x := c[j][t]:
-                x = (x + h) // p
-                c[j] = [a - x * b for a, b in zip(c[j], pivot_col)]
-                v[j] = [a - x * b for a, b in zip(v[j], pivot_v)]
-        if any(islice(pivot_col, t + 1, None)) or any(c[j][t] for j in range(t + 1, cols)):
+        q, rest = {}, {t: p}
+        for k, a in ct.items():
+            if k != t:
+                if x := (a + h) // p:
+                    q[k] = x
+                if a != p * x:
+                    rest[k] = a - p * x
+        dirty = len(rest) > 1
+        for k in range(t + 1, cols):
+            if y := c[k].get(t):
+                if x := (y + h) // p:
+                    _axpy(c[k], -x, ct)
+                    _axpy(v[k], -x, vt)
+                if y != p * x:
+                    _axpy(c[k], p * x - y, q)
+                    dirty = True
+        ut = u[t]
+        for k, x in q.items():
+            _axpy(u[k], -x, ut)
+        c[t] = rest
+        if dirty:
             continue
         # force the pivot to divide every remaining entry: fold the first row
         # (row-major) holding an entry it does not divide into row t, re-run;
         # rows up to t are zero in the columns after t
-        i = min((next(compress(range(rows), map(p.__rmod__, c[j])), rows)
-                 for j in range(t + 1, cols)), default=rows)
-        if i < rows:
+        if p > 1 and (i := min((k for col in c[t + 1:] for k, a in col.items() if a % p),
+                               default=0)):
             for col in c[t + 1:]:
-                col[t] = col[i]
-            ut = u[t]
-            for k, b in u[i].items():
-                if x := ut.get(k, 0) + b:
-                    ut[k] = x
-                else:
-                    del ut[k]
+                if i in col:
+                    col[t] = col[i]
+            _axpy(ut, 1, u[i])
             continue
         t += 1
 
-    factors = tuple(c[i][i] for i in range(t))
-    D = [[0] * cols for _ in range(rows)]
-    for i, d in enumerate(factors):
-        D[i][i] = d
-    return SmithDecomposition(tuple(u), IntMatrix.adopt(D, cols),
-                              IntMatrix.adopt([list(r) for r in zip(*v)], cols), factors)
+    return SmithDecomposition(tuple(u), tuple(v), tuple(c[i][i] for i in range(t)))
 
 
 @dataclass(frozen=True)
@@ -396,14 +377,14 @@ def cokernel(M: IntMatrix) -> tuple[FinAbGroup, tuple[dict[int, int], ...],
     Smith form is certified on M itself: U Mᵀ V = D, else RuntimeError.  So
     Mᵀ V = U⁻¹ D, and the torsion generator of Smith index i, factor d_i,
     lifts to column i of U⁻¹, the x with U x = e_i: Mᵀ (column i of V) / d_i,
-    O(n r) each for r rows of M, with no n x n matrix.  A 0 x n matrix gives
-    Z^n.
+    the rows of M summed over the non-zeros of that column, with no n x n
+    matrix.  A 0 x n matrix gives Z^n.
 
-    Cost, for r rows and n columns: one transpose, O(n r); at most r Smith
-    rounds with pivot 1, each O(n (r - t)) for the pivot search and one
-    sweep of the columns after t, plus the touched non-zeros of U (a larger
-    pivot adds its re-check and fold scans, O(n r), and may repeat the
-    round); the certificate, O(nnz(U) r + r³).
+    Cost, for r rows and n columns: one transpose, O(n r); the Smith form,
+    whose rounds read the non-zeros of the columns of Mᵀ still to clear (the
+    rows of M) and of the rows of U and V they add; the certificate, which
+    reads Mᵀ and V once and then the non-zeros its sums touch; O(n) per
+    non-zero of V a lift reads.
     """
     Mt = M.transpose()
     snf = smith_normal_form(Mt)
@@ -415,7 +396,10 @@ def cokernel(M: IntMatrix) -> tuple[FinAbGroup, tuple[dict[int, int], ...],
     order = list(range(rank, n)) + tor_rows + [i for i in range(rank) if factors[i] == 1]
     lifts = []
     for i in tor_rows:
-        x = [divmod(a, factors[i]) for a in Mt.mulvec([row[i] for row in snf.V.data])]
+        x = [0] * n
+        for k, a in snf.v_cols[i].items():
+            x = [s + a * b for s, b in zip(x, M.data[k])]
+        x = [divmod(s, factors[i]) for s in x]
         if any(rem for _, rem in x):
             raise RuntimeError("internal invariant broken: the cokernel's change of basis "
                                "is not unimodular")
@@ -439,8 +423,8 @@ class RelationLattice:
     ``cols`` are independent in the quotient ⊗ Q iff rank P = r too.  Then
     L = V diag(d_r/d_1, ..., d_r/d_r) U[:r] and D = d_r, reduced by their
     gcd, give L Qᵀ = D I, so y = L c_Q / D whenever Qᵀ y = c_Q is solvable;
-    that identity is checked once per lattice, O(r² m) for the m columns of
-    Q, else RuntimeError.
+    L is built and that identity checked once per lattice, on sparse rows,
+    in the non-zeros of U, V and L, else RuntimeError.
     The solve is thus linear in c: ``numerators`` gives (x, y, residual)
     over D, x = D c_cols - P_colsᵀ y and residual = D c_Q - Qᵀ y for
     y = L c_Q, so a sum of classes has the sum of their numerators;
@@ -451,20 +435,29 @@ class RelationLattice:
         self.P, self.cols = P, list(cols)
         solved = set(self.cols)
         self.rest = [j for j in range(P.cols) if j not in solved]
-        r, m = P.rows, len(self.rest)
+        r = P.rows
         columns = [list(col) for col in zip(*P.data)] if r else [[] for _ in range(P.cols)]
         self._solved_cols = [columns[j] for j in self.cols]
         self._rest_cols = [columns[j] for j in self.rest]
         snf = smith_normal_form(IntMatrix.adopt(self._rest_cols, r))
         d, self.rank = snf.invariant_factors, snf.rank
         D = d[-1] if d else 1
-        scaled = [{t: D // dk * a for t, a in u.items()} for dk, u in zip(d, snf.u_rows)]
-        L = (snf.V * IntMatrix.from_sparse(scaled, m)).data if self.rank == r else []
-        g = gcd(D, *(a for row in L for a in row))
-        self.L, self.D = [[a // g for a in row] for row in L], D // g  # y = L c_Q / D
-        if any(sum(map(mul, row, q)) != self.D * (i == k) for i, row in enumerate(self.L)
-               for k, q in enumerate(zip(*self._rest_cols))):
-            raise RuntimeError("internal invariant broken: L·Qᵀ ≠ D·I in the relation lattice")
+        L = [{} for _ in range(r)]
+        for dk, u, v in zip(d, snf.u_rows, snf.v_cols):
+            for i, a in v.items():
+                _axpy(L[i], D // dk * a, u)
+        if self.rank < r:
+            L = []
+        g = gcd(D, *(a for row in L for a in row.values()))
+        self.L = [{k: a // g for k, a in row.items()} for row in L]  # y = L c_Q / D
+        self.D = D // g
+        Qt = [{i: a for i, a in enumerate(col) if a} for col in self._rest_cols]
+        for i, row in enumerate(self.L):
+            LQ = {}
+            for k, a in row.items():
+                _axpy(LQ, a, Qt[k])
+            if LQ != {i: self.D}:
+                raise RuntimeError("internal invariant broken: L·Qᵀ ≠ D·I in the relation lattice")
 
     def numerators(self, c: Sequence[int]) -> tuple[int, ...]:
         """(x, y, residual) of the class c over ``D``, as one tuple; raises
@@ -473,7 +466,7 @@ class RelationLattice:
             raise ValueError(f"relations of rank {self.rank} off the solved columns "
                              f"in {self.P.rows} unknowns")
         D, rest = self.D, [c[j] for j in self.rest]
-        y = [sum(map(mul, row, rest)) for row in self.L]
+        y = [sum(map(mul, row.values(), map(rest.__getitem__, row))) for row in self.L]
         x = [D * c[j] - sum(map(mul, col, y)) for j, col in zip(self.cols, self._solved_cols)]
         residual = [D * t - sum(map(mul, col, y)) for t, col in zip(rest, self._rest_cols)]
         return (*x, *y, *residual)

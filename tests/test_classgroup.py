@@ -348,29 +348,42 @@ class TestSmithOnRelationMatrices:
     def test_a_seeded_sweep_takes_the_dense_oracle_steps(self):
         # the relation matrices class_group builds (``_relations``): cyclic
         # n <= 12 with 0-10 extra points, dihedral and the three polyhedral
-        # groups with 0-3; the Smith form of Pᵀ, transposed as ``cokernel``
+        # groups with 0-3, then mu_5 + k x 1 and mu_3 + k x 2 (the extra
+        # points [a : 2a + 1], a = 2, 3, ..., and the divisors (1, -1), ...,
+        # (1, -j) over x0, xinf and each extra point) for k = 60 and six
+        # seeded k below it; the Smith form of Pᵀ, transposed as ``cokernel``
         # transposes it, has the oracle's U, D and V and certifies itself.
-        # The sweep holds N >= 40 generators, matrices whose every pivot is
-        # 1 (one sweep per round, no re-check) and matrices with a larger
-        # pivot, torsion among them
+        # The sweep holds N >= 40 generators, r >= 40 relations, matrices
+        # whose every pivot is 1 (one sweep per round, no remainder) and
+        # matrices with a larger pivot, torsion among them
         rng = random.Random("smith-on-relations")
         groups = [lambda: cyclic(rng.randint(1, 12))] * 4 + [
             lambda: dihedral(rng.randint(2, 6)), lambda: TETRA, lambda: OCTA, lambda: ICOSA]
-        seen = Counter()
+        inputs = []
         for trial in range(320):
             F = groups[trial % len(groups)]()
-            E = _sweep_embedding(rng, F, rng.randint(0, 10 if F.is_cyclic else 3))
+            inputs.append(_sweep_embedding(rng, F, rng.randint(0, 10 if F.is_cyclic else 3)))
+        for n, j in ((5, 1), (3, 2)):
+            for k in [*rng.sample(range(1, 60), 6), 60]:
+                extras = tuple(point(a, 2 * a + 1) for a in range(2, k + 2))
+                inputs.append(EmbeddingData(cyclic(n), extras, tuple(
+                    GStableDivisorSpec(p, 1, -i) for p in (X0, XINF) + extras
+                    for i in range(1, j + 1))))
+                assert not inputs[-1].validate()
+        seen = Counter()
+        for E in inputs:
             gens, _ = cg._walk(E)
             Pt = cg._relations(E, gens, cg._fibers(gens)).transpose()
             s, pivots = smith_normal_form(Pt), []
             assert (s.U, s.D, s.V) == dense_smith_normal_form(Pt, pivots)
             assert s.certifies(Pt)
             seen["N >= 40"] += Pt.rows >= 40
+            seen["r >= 40"] += Pt.cols >= 40
             seen["unit pivots"] += set(pivots) == {1}
             seen["larger pivot"] += max(pivots) > 1
             seen["torsion"] += any(f > 1 for f in s.invariant_factors)
-            seen["polyhedral"] += not F.is_cyclic
-        assert seen["N >= 40"] >= 25 and seen["unit pivots"] >= 70
+            seen["polyhedral"] += not E.group.is_cyclic
+        assert seen["N >= 40"] >= 25 and seen["r >= 40"] >= 2 and seen["unit pivots"] >= 70
         assert seen["larger pivot"] >= 200 and seen["torsion"] >= 15
         assert seen["polyhedral"] == 160
 

@@ -226,19 +226,27 @@ class TestSmithNormalForm:
 
     def test_the_certificate_sees_a_wrong_entry_of_V_or_D(self):
         # M has full column rank, so no column of U·M is zero and a change of
-        # any entry of V moves (U·M)·V; D is compared entry for entry, its
-        # zero rows included.  The zero row of M is skipped by the fold
+        # any entry of V moves (U·M)·V: each stored entry of each column of V,
+        # and each entry a column leaves out, in turn; D is its diagonal, so
+        # each invariant factor in turn.  The zero row of M is skipped by the
+        # fold
         M = IntMatrix([[2, 4, 1], [0, 0, 0], [6, 9, 0], [1, 0, 3], [0, 5, -2]])
         s = smith_normal_form(M)
         assert s.certifies(M) and s.rank == 3
-        for name in ("V", "D"):
-            X = getattr(s, name)
-            for i in range(X.rows):
-                for j in range(X.cols):
-                    data = [row[:] for row in X.data]
-                    data[i][j] += 1
-                    wrong = replace(s, **{name: IntMatrix(data, cols=X.cols)})
-                    assert not wrong.certifies(M), (name, i, j)
+        wrong, added = [], 0
+        for j, col in enumerate(s.v_cols):
+            for k in range(M.cols):
+                added += k not in col
+                v = dict(col)
+                v[k] = v.get(k, 0) + 1
+                wrong.append(replace(s, v_cols=(*s.v_cols[:j], v, *s.v_cols[j + 1:])))
+        for i in range(s.rank):
+            d = list(s.invariant_factors)
+            d[i] += 1
+            wrong.append(replace(s, invariant_factors=tuple(d)))
+        assert added and len(wrong) == 12
+        for i, w in enumerate(wrong):
+            assert not w.certifies(M), i
 
 
 class TestCokernel:

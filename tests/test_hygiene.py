@@ -195,25 +195,31 @@ def _uncalled(modules: dict[str, ast.Module]) -> set[str]:
     that nothing in the modules reads outside its own definition.  A method,
     a definition in a class body, is read only by an attribute access of its
     name; a function or class also by a name read.  So a local variable or a
-    parameter that shares a method's name does not hide the method."""
+    parameter that shares a method's name does not hide the method, and
+    neither does a read ``self.x`` in a class that assigns ``self.x``: that
+    reads the instance's own attribute."""
     defs, reads = [], []
 
-    def visit(node, module, qual, owners, in_class):
+    def visit(node, module, qual, owners, in_class, own):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defs.append((".".join([module, *qual, child.name]), child.name, id(child),
                              in_class))
+                if isinstance(child, ast.ClassDef):
+                    own = {n.attr for n in ast.walk(child) if isinstance(n, ast.Attribute)
+                           and isinstance(n.ctx, ast.Store) and _dotted(n.value) == "self"}
                 visit(child, module, [*qual, child.name], owners | {id(child)},
-                      isinstance(child, ast.ClassDef))
+                      isinstance(child, ast.ClassDef), own)
                 continue
             if isinstance(child, ast.Name):
                 reads.append((child.id, False, owners))
-            elif isinstance(child, ast.Attribute):
+            elif isinstance(child, ast.Attribute) and not (
+                    child.attr in own and _dotted(child.value) == "self"):
                 reads.append((child.attr, True, owners))
-            visit(child, module, qual, owners, in_class)
+            visit(child, module, qual, owners, in_class, own)
 
     for module, tree in modules.items():
-        visit(tree, module, [], frozenset(), False)
+        visit(tree, module, [], frozenset(), False, set())
     return {qualname for qualname, name, node, method in defs
             if not (name.startswith("__") and name.endswith("__"))
             and not any(read == name and (attribute or not method) and node not in owners
@@ -227,7 +233,13 @@ UNCALLED_ALLOWED = {
     "embedding.embedding_to_dict": "imported by perfbench/workloads.py",
     "exactmath.IntMatrix.identity": "test oracle: the reference algebra of "
                                     "test_exactmath.py::TestSmithNormalForm",
+    "exactmath.IntMatrix.mulvec": "test oracle: A·x in test_exactmath.py's solver sweeps and "
+                                  "test_classgroup.py::solve_integer",
+    "exactmath.SmithDecomposition.D": "test oracle: the dense D of test_exactmath.py::"
+                                      "TestSmithNormalForm::test_same_operations_as_the_dense_oracle",
     "exactmath.SmithDecomposition.U": "test oracle: the dense U of test_exactmath.py::"
+                                      "TestSmithNormalForm::test_same_operations_as_the_dense_oracle",
+    "exactmath.SmithDecomposition.V": "test oracle: the dense V of test_exactmath.py::"
                                       "TestSmithNormalForm::test_same_operations_as_the_dense_oracle",
     "iteration.IterationReport.m": "test accessor: the length of a determined report, read by "
                                    "test_iteration.py and test_acceptance.py",
@@ -270,6 +282,60 @@ def test_a_local_name_does_not_call_a_method():
                   "def f(m):\n    n = m\n    return n, C().n\n")
     b = ast.parse("from .a import f\nf(0)\n")
     assert _uncalled({"a": a, "b": b}) == {"a.C.m"}
+
+
+def test_a_field_of_self_does_not_call_a_method():
+    # C assigns self.n, so its read self.n is its own attribute, not D.n;
+    # D's read self.m still reads the method C.m
+    a = ast.parse("class C:\n    def __init__(self):\n        self.n = 0\n"
+                  "    def f(self):\n        return self.n\n    def m(self):\n        pass\n"
+                  "class D:\n    def n(self):\n        pass\n    def g(self):\n"
+                  "        return self.m\n")
+    b = ast.parse("from .a import C, D\nC().f()\nD().g()\n")
+    assert _uncalled({"a": a, "b": b}) == {"a.D.n"}
+
+
+def _field_method_clashes(modules: dict[str, ast.Module]) -> set[str]:
+    """Names that are an annotated field of one class and a method or
+    property of one class (dunders excepted): ``_uncalled`` takes every read
+    of such a field for a call of the method."""
+    fields, methods = set(), set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        fields.add(stmt.target.id)
+                    elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        methods.add(stmt.name)
+    return {name for name in fields & methods if not name.startswith("__")}
+
+
+# Field names that a method or property also has, each with both owners.
+FIELD_METHOD_CLASHES_ALLOWED = {
+    "determined": "iteration.IterationReport.determined is a property, "
+                  "iteration.IterationStep.determined a field",
+    "torsion_order": "exactmath.FinAbGroup.torsion_order is a method, "
+                     "iteration.IterationStep.torsion_order a field",
+    "variables": "presentation.SparsePoly.variables is a method, "
+                 "presentation.GradedPresentation.variables a field",
+}
+
+
+def test_no_field_is_named_like_a_method():
+    # a new field named like a method would hide that method from
+    # test_every_definition_is_called_in_src
+    clashes = _field_method_clashes({p.stem: ast.parse(p.read_text(encoding="utf-8"))
+                                     for p in MODULES})
+    assert sorted(clashes) == sorted(FIELD_METHOD_CLASHES_ALLOWED)
+
+
+def test_the_check_sees_a_field_named_like_a_method():
+    a = ast.parse("class C:\n    m: int\n    x: int\n    __len__: int\n"
+                  "    def f(self):\n        pass\n    def __len__(self):\n        return 0\n")
+    b = ast.parse("class D:\n    f: int = 0\n    y = 1\n    @property\n    def m(self):\n"
+                  "        return 0\n    def y(self):\n        pass\n")
+    assert _field_method_clashes({"a": a, "b": b}) == {"f", "m"}
 
 
 def _unread_fields(modules: dict[str, ast.Module]) -> set[str]:
